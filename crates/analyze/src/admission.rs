@@ -55,7 +55,7 @@ impl AdmissionReport {
 /// Classifies `f` for admission (alphabet size `k`, star-freeness
 /// decided under `monoid_cap`).
 pub fn classify(f: &Formula, k: Sym, monoid_cap: usize) -> AdmissionReport {
-    let (analysis, _) = fragments::check(f, k, monoid_cap);
+    let (analysis, _) = fragments::analyze(f, k, monoid_cap);
     let strategy = match &analysis.class {
         EvalClass::LikeLinear(_) => "like-linear-scan",
         // The planner's default threshold decides dense vs. sparse; a

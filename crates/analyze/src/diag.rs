@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use strcalc_logic::Formula;
+
 /// Stable diagnostic codes. The numeric ranges group the passes:
 ///
 /// | range   | pass                                   |
@@ -422,6 +424,26 @@ impl FormulaPath {
     /// Depth of the referenced node below the root.
     pub fn depth(&self) -> usize {
         self.0.len()
+    }
+}
+
+/// The immediate subformulas of `f`, left to right, each with the path
+/// segment that leads to it.
+pub(crate) fn children(f: &Formula) -> Vec<(PathSeg, &Formula)> {
+    match f {
+        Formula::True | Formula::False | Formula::Atom(_) => Vec::new(),
+        Formula::Not(g) => vec![(PathSeg::NotArg, g.as_ref())],
+        Formula::And(a, b) => vec![(PathSeg::AndLhs, a.as_ref()), (PathSeg::AndRhs, b.as_ref())],
+        Formula::Or(a, b) => vec![(PathSeg::OrLhs, a.as_ref()), (PathSeg::OrRhs, b.as_ref())],
+        Formula::Implies(a, b) => vec![
+            (PathSeg::ImpliesLhs, a.as_ref()),
+            (PathSeg::ImpliesRhs, b.as_ref()),
+        ],
+        Formula::Iff(a, b) => vec![(PathSeg::IffLhs, a.as_ref()), (PathSeg::IffRhs, b.as_ref())],
+        Formula::Exists(v, g)
+        | Formula::Forall(v, g)
+        | Formula::ExistsR(_, v, g)
+        | Formula::ForallR(_, v, g) => vec![(PathSeg::QuantBody(v.clone()), g.as_ref())],
     }
 }
 

@@ -9,7 +9,7 @@
 //! * **quantifier-free** — no quantifier of any kind below the node;
 //! * **safe-range** — every free variable of the subformula is
 //!   range-restricted in its conjunction context (the static safety
-//!   fragment of Theorem 7, sampled per node from the pass-2 rules);
+//!   fragment of Theorem 7, read per node from the pass-2 walk);
 //! * **collapse-safe** — safe-range *and* concat-free: the generic
 //!   collapse / natural-restriction results (Proposition 2, Theorem 2)
 //!   apply, so restricted quantifiers suffice;
@@ -41,12 +41,13 @@
 use std::collections::BTreeMap;
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::starfree::is_star_free;
 use strcalc_automata::Regex;
 use strcalc_logic::{Atom, Formula, Fp, Lang, StructureClass, Term};
 
-use crate::diag::{Code, Finding, FormulaPath, PathSeg};
-use crate::saferange::{restricted_in, Rst};
+use crate::diag::{children, Code, Finding, FormulaPath};
+use crate::langs::LangTable;
+use crate::saferange::{self, NodeVerdicts};
+use crate::signature::{atom_class, term_class};
 
 // ---------------------------------------------------------------------
 // LIKE pattern classes
@@ -139,7 +140,7 @@ impl LikeMatcher {
 
 /// One slot of a flattened LIKE-shaped regex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LikeItem {
+pub(crate) enum LikeItem {
     Lit(Sym),
     Underscore,
     Percent,
@@ -148,7 +149,7 @@ enum LikeItem {
 /// Flattens a LIKE-shaped regex — a concatenation of symbols, `.` (SQL
 /// `_`) and `.*` (SQL `%`) — into its item sequence. `None` when the
 /// regex uses any other operator (union, non-trivial star, …).
-fn like_items(re: &Regex) -> Option<Vec<LikeItem>> {
+pub(crate) fn like_items(re: &Regex) -> Option<Vec<LikeItem>> {
     fn flatten(re: &Regex, out: &mut Vec<LikeItem>) -> bool {
         match re {
             Regex::Epsilon => true,
@@ -445,7 +446,7 @@ pub fn scan_plan(head: &[String], f: &Formula) -> Option<ScanPlan> {
     })
 }
 
-fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+pub(crate) fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     match f {
         Formula::And(a, b) => {
             flatten_and(a, out);
@@ -455,7 +456,7 @@ fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     }
 }
 
-fn lang_label(l: &Lang) -> String {
+pub(crate) fn lang_label(l: &Lang) -> String {
     l.name.clone().unwrap_or_else(|| "<anonymous>".to_string())
 }
 
@@ -632,29 +633,33 @@ struct Attrs {
     structure: StructureClass,
     quantifier_free: bool,
     has_concat: bool,
+    safe_range: bool,
 }
 
 struct Cx<'a> {
-    k: Sym,
-    monoid_cap: usize,
+    langs: &'a LangTable,
+    safe: &'a NodeVerdicts,
     table: Vec<(FormulaPath, FragmentPoint)>,
-    findings: &'a mut Vec<Finding>,
+    findings: Vec<Finding>,
 }
 
-/// Runs the pass over `f` (alphabet size `k`; `monoid_cap` bounds the
-/// star-freeness decision procedure, as in the signature pass).
-pub(crate) fn check(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
-    let mut findings = Vec::new();
+/// Runs the pass over `f`, reading star-freeness from `langs` and the
+/// safe-range attribute from the range-restriction pass's verdicts.
+pub(crate) fn check(
+    f: &Formula,
+    langs: &LangTable,
+    safe: &NodeVerdicts,
+) -> (FragmentAnalysis, Vec<Finding>) {
     let mut cx = Cx {
-        k,
-        monoid_cap,
+        langs,
+        safe,
         table: Vec::new(),
-        findings: &mut findings,
+        findings: Vec::new(),
     };
-    let root_attrs = cx.walk(f, &Rst::empty(), &FormulaPath::root());
-    let root = point_of(f, &root_attrs, &Rst::empty(), k);
+    cx.walk(f, &FormulaPath::root());
+    let (table, mut findings) = (cx.table, cx.findings);
+    let root = table.last().expect("the root is the last table entry").1;
     let class = eval_class(f);
-    let table = cx.table;
 
     findings.push(
         Finding::new(
@@ -685,120 +690,80 @@ pub(crate) fn check(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis
     (FragmentAnalysis { root, class, table }, findings)
 }
 
-/// The root lattice point alone (no table, no findings) — the cheap
-/// entry point EXPLAIN uses.
-pub fn root_point(f: &Formula, k: Sym, monoid_cap: usize) -> FragmentPoint {
-    let (analysis, _) = check(f, k, monoid_cap);
-    analysis.root
-}
-
-fn point_of(f: &Formula, attrs: &Attrs, ctx: &Rst, k: Sym) -> FragmentPoint {
-    let restricted = restricted_in(f, ctx, k);
-    let safe_range = f
-        .free_vars()
-        .iter()
-        .all(|v| restricted.contains(v) || ctx.contains(v));
-    FragmentPoint {
-        structure: attrs.structure,
-        quantifier_free: attrs.quantifier_free,
-        safe_range,
-        collapse_safe: safe_range && !attrs.has_concat,
-        automata_tame: !attrs.has_concat,
-        concat_bounded: attrs.has_concat,
-    }
+/// The fragment pass on its own (alphabet size `k`; `monoid_cap` bounds
+/// the star-freeness decision procedure, as in the signature pass),
+/// running the range-restriction pass it reads from.
+pub(crate) fn analyze(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
+    let langs = LangTable::build(f, k, monoid_cap);
+    let (_, _, safe) = saferange::check(f, &langs);
+    check(f, &langs, &safe)
 }
 
 impl Cx<'_> {
-    /// Synthesizes the node's attributes bottom-up, threading the
-    /// conjunction context `ctx` exactly as the pass-2 range-restriction
-    /// rules do, and records every node's lattice point.
-    fn walk(&mut self, f: &Formula, ctx: &Rst, path: &FormulaPath) -> Attrs {
-        let attrs = match f {
+    /// Synthesizes the node's attributes bottom-up and records every
+    /// node's lattice point.
+    fn walk(&mut self, f: &Formula, path: &FormulaPath) -> Attrs {
+        let mut attrs = match f {
             Formula::True | Formula::False => Attrs {
                 structure: StructureClass::S,
                 quantifier_free: true,
                 has_concat: false,
+                safe_range: false,
             },
             Formula::Atom(a) => self.atom(a, path),
-            Formula::Not(g) => self.walk(g, &Rst::empty(), &path.child(PathSeg::NotArg)),
-            Formula::And(a, b) => {
-                // Children see the conjunction's full restricted set, as
-                // in the range-restriction fixpoint.
-                let acc = restricted_in(f, ctx, self.k);
-                let ctx2 = ctx.clone().union(acc);
-                let la = self.walk(a, &ctx2, &path.child(PathSeg::AndLhs));
-                let lb = self.walk(b, &ctx2, &path.child(PathSeg::AndRhs));
-                join_attrs(la, lb)
-            }
-            Formula::Or(a, b) => {
-                let la = self.walk(a, ctx, &path.child(PathSeg::OrLhs));
-                let lb = self.walk(b, ctx, &path.child(PathSeg::OrRhs));
-                join_attrs(la, lb)
-            }
-            Formula::Implies(a, b) => {
-                let la = self.walk(a, &Rst::empty(), &path.child(PathSeg::ImpliesLhs));
-                let lb = self.walk(b, &Rst::empty(), &path.child(PathSeg::ImpliesRhs));
-                join_attrs(la, lb)
-            }
-            Formula::Iff(a, b) => {
-                let la = self.walk(a, &Rst::empty(), &path.child(PathSeg::IffLhs));
-                let lb = self.walk(b, &Rst::empty(), &path.child(PathSeg::IffRhs));
-                join_attrs(la, lb)
-            }
-            Formula::Exists(v, g) => {
-                let inner = self.walk(
-                    g,
-                    &ctx.clone().remove(v),
-                    &path.child(PathSeg::QuantBody(v.clone())),
+            _ => {
+                let mut attrs = children(f)
+                    .into_iter()
+                    .map(|(seg, g)| self.walk(g, &path.child(seg)))
+                    .reduce(join_attrs)
+                    .expect("connectives and quantifiers have subformulas");
+                attrs.quantifier_free &= !matches!(
+                    f,
+                    Formula::Exists(..)
+                        | Formula::Forall(..)
+                        | Formula::ExistsR(..)
+                        | Formula::ForallR(..)
                 );
-                quantified(inner)
-            }
-            Formula::Forall(v, g) => {
-                let inner = self.walk(g, &Rst::empty(), &path.child(PathSeg::QuantBody(v.clone())));
-                quantified(inner)
-            }
-            Formula::ExistsR(r, v, g) => {
-                let mut inner_ctx = ctx.clone().remove(v);
-                if *r == strcalc_logic::Restrict::Active {
-                    inner_ctx.insert(v.clone());
-                }
-                let inner = self.walk(g, &inner_ctx, &path.child(PathSeg::QuantBody(v.clone())));
-                quantified(inner)
-            }
-            Formula::ForallR(_, v, g) => {
-                let inner = self.walk(g, &Rst::empty(), &path.child(PathSeg::QuantBody(v.clone())));
-                quantified(inner)
+                attrs
             }
         };
-        self.table
-            .push((path.clone(), point_of(f, &attrs, ctx, self.k)));
+        // An `∧` joins its sides' verdicts (see `NodeVerdicts`).
+        if !matches!(f, Formula::And(..)) {
+            attrs.safe_range = self.safe[&(f as *const Formula)];
+        }
+        self.table.push((
+            path.clone(),
+            FragmentPoint {
+                structure: attrs.structure,
+                quantifier_free: attrs.quantifier_free,
+                safe_range: attrs.safe_range,
+                collapse_safe: attrs.safe_range && !attrs.has_concat,
+                automata_tame: !attrs.has_concat,
+                concat_bounded: attrs.has_concat,
+            },
+        ));
         attrs
     }
 
     fn atom(&mut self, a: &Atom, path: &FormulaPath) -> Attrs {
-        let mut structure = StructureClass::S;
-        for t in a.terms() {
-            structure = structure.join(term_structure(t));
+        if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
+            self.lang_findings(a, l, path);
         }
-        let class = match a {
-            Atom::Prepends(..) => StructureClass::SLeft,
-            Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) | Atom::InsertAfter(..) => {
-                StructureClass::SLen
-            }
-            Atom::ConcatEq(..) => StructureClass::Concat,
-            Atom::InLang(_, l) | Atom::PL(_, _, l) => self.lang_structure(a, l, path),
-            _ => StructureClass::S,
-        };
+        let structure = a
+            .terms()
+            .into_iter()
+            .fold(atom_class(a, self.langs), |s, t| s.join(term_class(t).0));
         Attrs {
-            structure: structure.join(class),
+            structure,
             quantifier_free: true,
             has_concat: matches!(a, Atom::ConcatEq(..)),
+            safe_range: false,
         }
     }
 
-    /// Structure class of a language atom, emitting the LIKE-class
-    /// (`SA302`/`SA303`) and star-free-fallback (`SA304`) findings.
-    fn lang_structure(&mut self, a: &Atom, l: &Lang, path: &FormulaPath) -> StructureClass {
+    /// The LIKE-class (`SA302`/`SA303`) and star-free-fallback (`SA304`)
+    /// findings of a language atom.
+    fn lang_findings(&mut self, a: &Atom, l: &Lang, path: &FormulaPath) {
         if matches!(a, Atom::InLang(..)) && is_like_shaped(&l.regex) {
             match like_matcher(&l.regex) {
                 Some(m) => self.findings.push(Finding::new(
@@ -822,25 +787,20 @@ impl Cx<'_> {
                 )),
             }
         }
-        match is_star_free(&l.to_dfa(self.k), self.monoid_cap) {
-            Ok(true) => StructureClass::S,
-            Ok(false) => StructureClass::SReg,
-            Err(e) => {
-                self.findings.push(
-                    Finding::new(
-                        Code::FragmentStarFreeFallback,
-                        path.clone(),
-                        format!(
-                            "star-freeness of language {} is undecided under the monoid cap; \
-                             the subformula is conservatively placed in the \
-                             regular-representable fragment",
-                            lang_label(l)
-                        ),
-                    )
-                    .with_note(e.to_string()),
-                );
-                StructureClass::SReg
-            }
+        if let Err(e) = &self.langs.get(l).star_free {
+            self.findings.push(
+                Finding::new(
+                    Code::FragmentStarFreeFallback,
+                    path.clone(),
+                    format!(
+                        "star-freeness of language {} is undecided under the monoid cap; \
+                         the subformula is conservatively placed in the \
+                         regular-representable fragment",
+                        lang_label(l)
+                    ),
+                )
+                .with_note(e.to_string()),
+            );
         }
     }
 }
@@ -850,24 +810,7 @@ fn join_attrs(a: Attrs, b: Attrs) -> Attrs {
         structure: a.structure.join(b.structure),
         quantifier_free: a.quantifier_free && b.quantifier_free,
         has_concat: a.has_concat || b.has_concat,
-    }
-}
-
-fn quantified(inner: Attrs) -> Attrs {
-    Attrs {
-        structure: inner.structure,
-        quantifier_free: false,
-        has_concat: inner.has_concat,
-    }
-}
-
-fn term_structure(t: &Term) -> StructureClass {
-    match t {
-        Term::Var(_) | Term::Const(_) => StructureClass::S,
-        Term::Append(inner, _) => term_structure(inner),
-        Term::Prepend(_, inner) | Term::TrimLeading(_, inner) => {
-            StructureClass::SLeft.join(term_structure(inner))
-        }
+        safe_range: a.safe_range && b.safe_range,
     }
 }
 
@@ -1082,7 +1025,7 @@ mod tests {
             Formula::rel("U", vec![Term::var("y")])
                 .and(Formula::prefix(Term::var("x"), Term::var("y"))),
         );
-        let (analysis, findings) = check(&f, 2, 100_000);
+        let (analysis, findings) = analyze(&f, 2, 100_000);
         assert_eq!(analysis.table.len(), 4, "root, and, and two atoms");
         assert!(analysis.root.safe_range);
         assert!(!analysis.root.quantifier_free);
@@ -1118,7 +1061,7 @@ mod tests {
             Term::var("y"),
             Term::var("z"),
         ));
-        let (analysis, findings) = check(&f, 2, 100_000);
+        let (analysis, findings) = analyze(&f, 2, 100_000);
         assert!(analysis.root.concat_bounded && !analysis.root.automata_tame);
         assert!(!analysis.root.collapse_safe);
         assert_eq!(analysis.root.structure, StructureClass::Concat);
@@ -1129,7 +1072,7 @@ mod tests {
 
     #[test]
     fn like_findings_name_the_class() {
-        let (_, findings) = check(&like_query("ab.*"), 2, 100_000);
+        let (_, findings) = analyze(&like_query("ab.*"), 2, 100_000);
         let sa302: Vec<_> = findings
             .iter()
             .filter(|f| f.code == Code::LikeLinearClass)
@@ -1137,19 +1080,25 @@ mod tests {
         assert_eq!(sa302.len(), 1);
         assert!(sa302[0].message.contains("prefix"));
 
-        let (_, findings) = check(&like_query("a.*b.*a"), 2, 100_000);
+        let (_, findings) = analyze(&like_query("a.*b.*a"), 2, 100_000);
         assert!(findings.iter().any(|f| f.code == Code::LikeGeneralClass));
     }
 
     #[test]
     fn structure_tracks_the_figure_one_lattice() {
         let sl = Formula::prepends(Term::var("x"), Term::var("y"), 0);
-        assert_eq!(root_point(&sl, 2, 100_000).structure, StructureClass::SLeft);
+        assert_eq!(
+            analyze(&sl, 2, 100_000).0.root.structure,
+            StructureClass::SLeft
+        );
         let sr = Formula::in_lang(Term::var("x"), Lang::new(re("(aa)*")));
-        assert_eq!(root_point(&sr, 2, 100_000).structure, StructureClass::SReg);
+        assert_eq!(
+            analyze(&sr, 2, 100_000).0.root.structure,
+            StructureClass::SReg
+        );
         let slen = Formula::eq_len(Term::var("x"), Term::var("y"));
         assert_eq!(
-            root_point(&slen, 2, 100_000).structure,
+            analyze(&slen, 2, 100_000).0.root.structure,
             StructureClass::SLen
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! `strcalc-analyze` inspects a [`Formula`] *without any database* and
 //! produces structured [`Diagnostic`]s with stable `SA0xx` codes, a
-//! severity, a path into the formula tree, and a rendered message. Four
+//! severity, a path into the formula tree, and a rendered message. Five
 //! passes run in sequence:
 //!
 //! 1. **Signature check** ([`signature`]): infers the minimal structure
@@ -24,6 +24,15 @@
 //!    classifies LIKE patterns into linear vs. general classes, and
 //!    infers the evaluation class the planner keys its strategy on
 //!    (`SA300`–`SA304`; `SA305` belongs to the plan verifier).
+//!
+//! The passes share their work: each distinct `in`/`pl` language is
+//! compiled to its minimal DFA once per analysis, and its finiteness and
+//! star-freeness are read by every pass that needs them; range
+//! restriction is one walk that iterates each flattened `∧` chain to its
+//! fixpoint, re-evaluating a conjunct only when another one restricts
+//! its free variables, and the fragment pass reads its safe-range
+//! verdicts, so analysis time tracks formula size instead of growing
+//! exponentially with conjunction nesting.
 //!
 //! Severities are shaped by per-code [`LintLevel`]s (allow / warn /
 //! deny), mirroring a compiler's lint configuration. The analyzer is
@@ -55,6 +64,7 @@ pub mod admission;
 pub mod cost;
 pub mod diag;
 pub mod fragments;
+mod langs;
 pub mod planlint;
 pub mod saferange;
 pub mod scope;
@@ -130,12 +140,13 @@ impl Analyzer {
     /// compilation; no database is consulted.
     pub fn analyze(&self, alphabet: &Alphabet, f: &Formula) -> Analysis {
         let k = alphabet.len() as Sym;
+        let langs = langs::LangTable::build(f, k, self.monoid_cap);
         let mut findings: Vec<Finding> = Vec::new();
 
-        let (signature, sig_findings) = signature::check(f, self.declared, k, self.monoid_cap);
+        let (signature, sig_findings) = signature::check(f, self.declared, &langs);
         findings.extend(sig_findings);
 
-        let (safe_range, sr_findings) = saferange::check(f, k);
+        let (safe_range, sr_findings, node_safe) = saferange::check(f, &langs);
         findings.extend(sr_findings);
 
         findings.extend(scope::check(f));
@@ -143,7 +154,7 @@ impl Analyzer {
         let (cost, cost_findings) = cost::check(f, k, self.budget_log2_states);
         findings.extend(cost_findings);
 
-        let (fragment, fragment_findings) = fragments::check(f, k, self.monoid_cap);
+        let (fragment, fragment_findings) = fragments::check(f, &langs, &node_safe);
         findings.extend(fragment_findings);
 
         let mut diagnostics: Vec<Diagnostic> = findings

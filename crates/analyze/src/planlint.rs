@@ -29,6 +29,7 @@ use strcalc_automata::Regex;
 use strcalc_logic::{Atom, Formula, Lang};
 
 use crate::cost;
+use crate::fragments::{like_items, LikeItem};
 
 /// Certified state bound charged per database-relation atom: a trie
 /// over the stored strings, unknowable without the database. Covers
@@ -302,26 +303,17 @@ impl LikeShape {
     }
 }
 
-/// One flattened item of a LIKE-shaped regex concatenation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LikeItem {
-    Lit,
-    Underscore,
-    Percent,
-}
-
 /// Classifies a regex as the image of a LIKE pattern, if it has the
 /// shape `LikePattern::to_regex` produces: a concatenation of symbol
 /// literals (`a`), `.` (from `_`) and `.*` (from `%`). Returns `None`
 /// for anything else — general regexes keep the exact DFA-sizing path.
 pub fn classify_like(re: &Regex) -> Option<LikeShape> {
-    let mut items = Vec::new();
-    if !flatten_like(re, &mut items) {
+    let Some(items) = like_items(re) else {
         return match re {
             Regex::Empty => Some(LikeShape::Unmatchable),
             _ => None,
         };
-    }
+    };
     let percents = items.iter().filter(|i| **i == LikeItem::Percent).count();
     let unders = items.iter().filter(|i| **i == LikeItem::Underscore).count();
     // `percents` counts a subset of `items`, so this cannot underflow;
@@ -346,8 +338,8 @@ pub fn classify_like(re: &Regex) -> Option<LikeShape> {
     let leading = items.first() == Some(&LikeItem::Percent);
     let trailing = items.last() == Some(&LikeItem::Percent);
     let inner: &[LikeItem] = {
-        let start = items.iter().position(|i| *i == LikeItem::Lit)?;
-        let end = items.iter().rposition(|i| *i == LikeItem::Lit)?;
+        let start = items.iter().position(|i| matches!(i, LikeItem::Lit(_)))?;
+        let end = items.iter().rposition(|i| matches!(i, LikeItem::Lit(_)))?;
         &items[start..=end]
     };
     let inner_percents = inner.iter().filter(|i| **i == LikeItem::Percent).count();
@@ -364,7 +356,7 @@ pub fn classify_like(re: &Regex) -> Option<LikeShape> {
     let mut in_seg = false;
     for i in &items {
         match i {
-            LikeItem::Lit => {
+            LikeItem::Lit(_) => {
                 if !in_seg {
                     n += 1;
                     in_seg = true;
@@ -375,28 +367,6 @@ pub fn classify_like(re: &Regex) -> Option<LikeShape> {
         }
     }
     Some(LikeShape::Segments { m, n })
-}
-
-/// Flattens a concatenation into LIKE items. Returns `false` when a
-/// subterm is not LIKE-shaped.
-fn flatten_like(re: &Regex, out: &mut Vec<LikeItem>) -> bool {
-    match re {
-        Regex::Concat(a, b) => flatten_like(a, out) && flatten_like(b, out),
-        Regex::Sym(_) => {
-            out.push(LikeItem::Lit);
-            true
-        }
-        Regex::Any => {
-            out.push(LikeItem::Underscore);
-            true
-        }
-        Regex::Star(inner) if matches!(inner.as_ref(), Regex::Any) => {
-            out.push(LikeItem::Percent);
-            true
-        }
-        Regex::Epsilon => true,
-        _ => false,
-    }
 }
 
 /// Certified DFA state bound for a language atom: the LIKE-class closed

@@ -48,13 +48,13 @@
 //! restricted-quantifier collapse of Proposition 2/Theorem 2 is the
 //! cheaper form).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use strcalc_alphabet::Sym;
-use strcalc_automata::dfa::Finiteness;
 use strcalc_logic::{Atom, Formula, Restrict, Term};
 
-use crate::diag::{Code, Finding, FormulaPath, PathSeg};
+use crate::diag::{children, Code, Finding, FormulaPath};
+use crate::fragments::flatten_and;
+use crate::langs::LangTable;
 
 /// Result of the range-restriction pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,30 +69,30 @@ pub struct SafeRangeInfo {
 /// unsatisfiable subformulas, where every variable is trivially
 /// confined).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Rst {
+enum Rst {
     All,
     Set(BTreeSet<String>),
 }
 
 impl Rst {
-    pub(crate) fn empty() -> Rst {
+    fn empty() -> Rst {
         Rst::Set(BTreeSet::new())
     }
 
-    pub(crate) fn contains(&self, v: &str) -> bool {
+    fn contains(&self, v: &str) -> bool {
         match self {
             Rst::All => true,
             Rst::Set(s) => s.contains(v),
         }
     }
 
-    pub(crate) fn insert(&mut self, v: String) {
+    fn insert(&mut self, v: String) {
         if let Rst::Set(s) = self {
             s.insert(v);
         }
     }
 
-    pub(crate) fn union(self, other: Rst) -> Rst {
+    fn union(self, other: Rst) -> Rst {
         match (self, other) {
             (Rst::All, _) | (_, Rst::All) => Rst::All,
             (Rst::Set(mut a), Rst::Set(b)) => {
@@ -109,7 +109,7 @@ impl Rst {
         }
     }
 
-    pub(crate) fn remove(mut self, v: &str) -> Rst {
+    fn remove(mut self, v: &str) -> Rst {
         if let Rst::Set(s) = &mut self {
             s.remove(v);
         }
@@ -117,72 +117,71 @@ impl Rst {
     }
 }
 
-/// Restricted-variable set of `f` given the variables in `ctx` already
-/// restricted by an enclosing conjunction, with no findings emitted —
-/// the fragment-inference pass samples this per subformula to attach a
-/// safe-range attribute to every node.
-pub(crate) fn restricted_in(f: &Formula, ctx: &Rst, k: Sym) -> Rst {
-    rr(f, ctx, k, &FormulaPath::root(), &mut Vec::new())
-}
+/// Safe-range verdict of every node of the formula that is not an `∧`,
+/// keyed by node address: `true` iff every free variable of the node is
+/// range-restricted in its conjunction context. (Every `∧` of a chain
+/// sees the chain's final context, which holds everything its conjuncts
+/// restrict, so an `∧` is safe-range iff both its sides are.)
+pub(crate) type NodeVerdicts = HashMap<*const Formula, bool>;
 
-/// Runs the pass over `f` (with alphabet size `k`, needed to decide
-/// language finiteness for `in` atoms).
-pub(crate) fn check(f: &Formula, k: Sym) -> (SafeRangeInfo, Vec<Finding>) {
+/// Runs the pass over `f`, reading language finiteness for `in`/`pl`
+/// atoms from `langs`. Also returns the per-node verdicts the fragment
+/// pass attaches to its lattice points.
+pub(crate) fn check(f: &Formula, langs: &LangTable) -> (SafeRangeInfo, Vec<Finding>, NodeVerdicts) {
+    let mut walk = Walk {
+        langs,
+        safe: HashMap::new(),
+        unbounded: HashSet::new(),
+    };
+    let (root, free) = walk.rr(f, &Rst::empty());
     let mut findings = Vec::new();
-    let restricted = rr(f, &Rst::empty(), k, &FormulaPath::root(), &mut findings);
-    let free = f.free_vars();
-    let mut restricted_free = BTreeSet::new();
+    unbounded_findings(f, &FormulaPath::root(), &walk.unbounded, &mut findings);
+    let mut restricted = BTreeSet::new();
     let mut unrestricted_free = Vec::new();
-    for v in &free {
-        if restricted.contains(v) {
-            restricted_free.insert(v.clone());
-        } else {
-            unrestricted_free.push(v.clone());
-            findings.push(
-                Finding::new(
-                    Code::FreeVarNotRangeRestricted,
-                    FormulaPath::root(),
-                    format!(
-                        "free variable {v} is not range-restricted: the output may be \
-                         infinite on some database"
-                    ),
-                )
-                .with_note(
-                    "safety is undecidable (Theorem 3); this static check is a sound \
-                     under-approximation of the range-restricted fragment (Theorem 7)"
-                        .to_string(),
-                ),
-            );
+    for v in free {
+        if root.contains(&v) {
+            restricted.insert(v);
+            continue;
         }
+        findings.push(
+            Finding::new(
+                Code::FreeVarNotRangeRestricted,
+                FormulaPath::root(),
+                format!(
+                    "free variable {v} is not range-restricted: the output may be \
+                     infinite on some database"
+                ),
+            )
+            .with_note(
+                "safety is undecidable (Theorem 3); this static check is a sound \
+                 under-approximation of the range-restricted fragment (Theorem 7)"
+                    .to_string(),
+            ),
+        );
+        unrestricted_free.push(v);
     }
     (
         SafeRangeInfo {
-            restricted: restricted_free,
+            restricted,
             unrestricted_free,
         },
         findings,
+        walk.safe,
     )
 }
 
 /// Variables of `t` that are confined to finitely many values once the
 /// value of `t` is confined to a finite set (i.e. the term is injective
 /// as a function of each of them, composed from injective steps).
-fn rpre(t: &Term, out: &mut Rst) {
+fn rpre_of(t: &Term) -> Rst {
     match t {
-        Term::Var(v) => out.insert(v.clone()),
-        Term::Const(_) => {}
+        Term::Var(v) => Rst::Set(BTreeSet::from([v.clone()])),
         // append / prepend are injective: finitely many outputs ⇒
         // finitely many inputs.
-        Term::Append(inner, _) | Term::Prepend(_, inner) => rpre(inner, out),
+        Term::Append(inner, _) | Term::Prepend(_, inner) => rpre_of(inner),
         // TRIM_a collapses everything not starting with `a` to ε.
-        Term::TrimLeading(..) => {}
+        Term::Const(_) | Term::TrimLeading(..) => Rst::empty(),
     }
-}
-
-fn rpre_of(t: &Term) -> Rst {
-    let mut out = Rst::empty();
-    rpre(t, &mut out);
-    out
 }
 
 /// `true` iff every variable of `t` is in `ctx` — then `t` takes
@@ -195,7 +194,7 @@ fn term_finite(t: &Term, ctx: &Rst) -> bool {
 
 /// Restricted variables contributed by an atom, given variables already
 /// restricted by the surrounding conjunction.
-fn rr_atom(a: &Atom, ctx: &Rst, k: Sym) -> Rst {
+fn rr_atom(a: &Atom, ctx: &Rst, langs: &LangTable) -> Rst {
     let mut out = Rst::empty();
     // One-directional flow: if `src` is finite, `dst`'s preimage is.
     let flow = |src: &Term, dst: &Term, out: &mut Rst| {
@@ -223,12 +222,12 @@ fn rr_atom(a: &Atom, ctx: &Rst, k: Sym) -> Rst {
         Atom::PL(x, y, l) => {
             flow(y, x, &mut out);
             // L finite: y = x·w for finitely many w.
-            if lang_finite(l, k) {
+            if langs.get(l).finite {
                 flow(x, y, &mut out);
             }
         }
         Atom::InLang(t, l) => {
-            if lang_finite(l, k) {
+            if langs.get(l).finite {
                 out = out.union(rpre_of(t));
             }
         }
@@ -256,137 +255,167 @@ fn rr_atom(a: &Atom, ctx: &Rst, k: Sym) -> Rst {
     out
 }
 
-fn lang_finite(l: &strcalc_logic::Lang, k: Sym) -> bool {
-    matches!(
-        l.to_dfa(k).finiteness(),
-        Finiteness::Empty | Finiteness::Finite(_)
-    )
+/// The walk's per-node outputs are keyed by node address: a subformula
+/// may be evaluated several times while a conjunction chain converges,
+/// and its last evaluation, made in the final context, wins.
+struct Walk<'a> {
+    langs: &'a LangTable,
+    safe: NodeVerdicts,
+    /// The `∃` nodes whose variable is not range-restricted in scope.
+    unbounded: HashSet<*const Formula>,
 }
 
-/// The restricted-variable set of `f`, given `ctx` already restricted by
-/// the enclosing conjunction. Also emits SA011 findings for unrestricted
-/// existentials over unrestricted variables.
-fn rr(f: &Formula, ctx: &Rst, k: Sym, path: &FormulaPath, findings: &mut Vec<Finding>) -> Rst {
-    match f {
-        Formula::True => Rst::empty(),
-        // Unsatisfiable: every variable is vacuously confined.
-        Formula::False => Rst::All,
-        Formula::Atom(a) => rr_atom(a, ctx, k),
-        Formula::And(a, b) => {
-            // Fixpoint: restriction found in one conjunct feeds the other
-            // (e.g. R(x) ∧ y ⪯ x needs x known finite to confine y).
-            let mut acc = Rst::empty();
-            loop {
-                let ctx2 = ctx.clone().union(acc.clone());
-                let next = acc
-                    .clone()
-                    .union(rr(
-                        a,
-                        &ctx2,
-                        k,
-                        &path.child(PathSeg::AndLhs),
-                        &mut Vec::new(),
-                    ))
-                    .union(rr(
-                        b,
-                        &ctx2,
-                        k,
-                        &path.child(PathSeg::AndRhs),
-                        &mut Vec::new(),
-                    ));
-                if next == acc {
-                    break;
+impl Walk<'_> {
+    /// The restricted variables and the free variables of `f`, given
+    /// `ctx` already restricted by the enclosing conjunction.
+    fn rr(&mut self, f: &Formula, ctx: &Rst) -> (Rst, BTreeSet<String>) {
+        let (restricted, free) = match f {
+            Formula::True => (Rst::empty(), BTreeSet::new()),
+            // Unsatisfiable: every variable is vacuously confined.
+            Formula::False => (Rst::All, BTreeSet::new()),
+            Formula::Atom(a) => {
+                let mut free = BTreeSet::new();
+                for t in a.terms() {
+                    t.free_vars_into(&mut free);
                 }
-                acc = next;
+                (rr_atom(a, ctx, self.langs), free)
             }
-            // One non-accumulating pass to emit quantifier findings with
-            // the final context (the fixpoint loop above suppresses them
-            // to avoid duplicates).
-            let ctx2 = ctx.clone().union(acc.clone());
-            rr(a, &ctx2, k, &path.child(PathSeg::AndLhs), findings);
-            rr(b, &ctx2, k, &path.child(PathSeg::AndRhs), findings);
-            acc
-        }
-        Formula::Or(a, b) => {
-            let ra = rr(a, ctx, k, &path.child(PathSeg::OrLhs), findings);
-            let rb = rr(b, ctx, k, &path.child(PathSeg::OrRhs), findings);
-            ra.intersect(rb)
-        }
-        // Negative / mixed-polarity contexts restrict nothing, but still
-        // get walked for SA011.
-        Formula::Not(g) => {
-            rr(g, &Rst::empty(), k, &path.child(PathSeg::NotArg), findings);
-            Rst::empty()
-        }
-        Formula::Implies(a, b) => {
-            rr(
-                a,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::ImpliesLhs),
-                findings,
-            );
-            rr(
-                b,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::ImpliesRhs),
-                findings,
-            );
-            Rst::empty()
-        }
-        Formula::Iff(a, b) => {
-            rr(a, &Rst::empty(), k, &path.child(PathSeg::IffLhs), findings);
-            rr(b, &Rst::empty(), k, &path.child(PathSeg::IffRhs), findings);
-            Rst::empty()
-        }
-        Formula::Exists(v, g) => {
-            let body_path = path.child(PathSeg::QuantBody(v.clone()));
-            let inner = rr(g, &ctx.clone().remove(v), k, &body_path, findings);
-            if !inner.contains(v) {
-                findings.push(Finding::new(
-                    Code::QuantifierNotRangeRestricted,
-                    path.clone(),
-                    format!(
-                        "existentially quantified variable {v} is not range-restricted \
-                         in its scope: evaluation must search an unbounded domain"
-                    ),
-                ));
+            Formula::And(..) => return self.conjunction(f, ctx),
+            Formula::Or(a, b) => {
+                let (ra, mut free) = self.rr(a, ctx);
+                let (rb, free_b) = self.rr(b, ctx);
+                free.extend(free_b);
+                (ra.intersect(rb), free)
             }
-            inner.remove(v)
-        }
-        // ∀ is ¬∃¬: nothing restricted; walk the body for SA011.
-        Formula::Forall(v, g) => {
-            rr(
+            // Negative / mixed-polarity contexts restrict nothing, but still
+            // get walked for SA011.
+            Formula::Not(g) => (Rst::empty(), self.rr(g, &Rst::empty()).1),
+            Formula::Implies(a, b) | Formula::Iff(a, b) => {
+                let (_, mut free) = self.rr(a, &Rst::empty());
+                free.extend(self.rr(b, &Rst::empty()).1);
+                (Rst::empty(), free)
+            }
+            Formula::Exists(v, g) => {
+                let (inner, mut free) = self.rr(g, &ctx.clone().remove(v));
+                let node: *const Formula = f;
+                if inner.contains(v) {
+                    self.unbounded.remove(&node);
+                } else {
+                    self.unbounded.insert(node);
+                }
+                free.remove(v);
+                (inner.remove(v), free)
+            }
+            Formula::ExistsR(r, v, g) => {
+                let mut inner_ctx = ctx.clone().remove(v);
+                // Only the active domain is finite independently of the
+                // enclosing variables; dom↓ and the length-bounded range
+                // include values derived from them (see module docs).
+                if *r == Restrict::Active {
+                    inner_ctx.insert(v.clone());
+                }
+                let (inner, mut free) = self.rr(g, &inner_ctx);
+                free.remove(v);
+                (inner.remove(v), free)
+            }
+            // ∀ is ¬∃¬: nothing restricted; walk the body for SA011.
+            Formula::Forall(v, g) | Formula::ForallR(_, v, g) => {
+                let (_, mut free) = self.rr(g, &Rst::empty());
+                free.remove(v);
+                (Rst::empty(), free)
+            }
+        };
+        let safe = free
+            .iter()
+            .all(|v| ctx.contains(v) || restricted.contains(v));
+        self.safe.insert(f, safe);
+        (restricted, free)
+    }
+
+    /// A maximal `∧` chain, flattened into its conjuncts. Restriction
+    /// found in one conjunct feeds the others (e.g. `R(x) ∧ y ⪯ x` needs
+    /// `x` known finite to confine `y`), so the chain iterates to the
+    /// least fixpoint — the one nested binary fixpoints would reach,
+    /// since every conjunct is monotone in its context. A conjunct sees
+    /// the context only through its free variables, so it is evaluated
+    /// again only when another conjunct restricts one of them; its own
+    /// result fed back as context changes neither its result nor its
+    /// verdicts, since every `∧` below it already feeds back its own.
+    fn conjunction(&mut self, f: &Formula, ctx: &Rst) -> (Rst, BTreeSet<String>) {
+        let mut conjuncts = Vec::new();
+        flatten_and(f, &mut conjuncts);
+        // Conjuncts awaiting evaluation, atoms first: quantified
+        // conjuncts then usually meet their final context on their
+        // first evaluation.
+        let lane = |g: &Formula| {
+            usize::from(!matches!(
                 g,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::QuantBody(v.clone())),
-                findings,
-            );
-            Rst::empty()
+                Formula::True | Formula::False | Formula::Atom(_)
+            ))
+        };
+        let mut queues = [VecDeque::new(), VecDeque::new()];
+        for (i, g) in conjuncts.iter().enumerate() {
+            queues[lane(g)].push_back(i);
         }
-        Formula::ExistsR(r, v, g) => {
-            let mut inner_ctx = ctx.clone().remove(v);
-            // Only the active domain is finite independently of the
-            // enclosing variables; dom↓ and the length-bounded range
-            // include values derived from them (see module docs).
-            if *r == Restrict::Active {
-                inner_ctx.insert(v.clone());
+        let mut queued = vec![true; conjuncts.len()];
+        let mut evaluated = vec![false; conjuncts.len()];
+        // The conjuncts each variable is free in.
+        let mut users: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut free = BTreeSet::new();
+        let (mut acc, mut closed) = (Rst::empty(), ctx.clone());
+        while let Some(i) = queues[0].pop_front().or_else(|| queues[1].pop_front()) {
+            queued[i] = false;
+            let (r, free_i) = self.rr(conjuncts[i], &closed);
+            if !std::mem::replace(&mut evaluated[i], true) {
+                for v in &free_i {
+                    users.entry(v.clone()).or_default().push(i);
+                }
+                free.extend(free_i);
             }
-            let body_path = path.child(PathSeg::QuantBody(v.clone()));
-            rr(g, &inner_ctx, k, &body_path, findings).remove(v)
+            // Whose context grew: the conjuncts a newly restricted
+            // variable is free in, or all of them when the set turns `All`.
+            let woken: Vec<usize> = match (&closed, &r) {
+                (Rst::All, _) => Vec::new(),
+                (_, Rst::All) => (0..conjuncts.len()).collect(),
+                (Rst::Set(old), Rst::Set(new)) => new
+                    .difference(old)
+                    .flat_map(|v| users.get(v).into_iter().flatten().copied())
+                    .collect(),
+            };
+            closed = closed.union(r.clone());
+            acc = acc.union(r);
+            for j in woken {
+                if j != i && !queued[j] {
+                    queued[j] = true;
+                    queues[lane(conjuncts[j])].push_back(j);
+                }
+            }
         }
-        Formula::ForallR(_, v, g) => {
-            rr(
-                g,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::QuantBody(v.clone())),
-                findings,
-            );
-            Rst::empty()
+        (acc, free)
+    }
+}
+
+/// SA011 for every `∃` node of `f` in `unbounded`, in preorder.
+fn unbounded_findings(
+    f: &Formula,
+    path: &FormulaPath,
+    unbounded: &HashSet<*const Formula>,
+    out: &mut Vec<Finding>,
+) {
+    if let Formula::Exists(v, _) = f {
+        if unbounded.contains(&(f as *const Formula)) {
+            out.push(Finding::new(
+                Code::QuantifierNotRangeRestricted,
+                path.clone(),
+                format!(
+                    "existentially quantified variable {v} is not range-restricted \
+                     in its scope: evaluation must search an unbounded domain"
+                ),
+            ));
         }
+    }
+    for (seg, g) in children(f) {
+        unbounded_findings(g, &path.child(seg), unbounded, out);
     }
 }
 
@@ -394,9 +423,14 @@ fn rr(f: &Formula, ctx: &Rst, k: Sym, path: &FormulaPath, findings: &mut Vec<Fin
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use strcalc_alphabet::Alphabet;
+    use strcalc_alphabet::{Alphabet, Sym};
     use strcalc_automata::Regex;
     use strcalc_logic::Lang;
+
+    fn check(f: &Formula, k: Sym) -> (SafeRangeInfo, Vec<Finding>) {
+        let (info, findings, _) = super::check(f, &LangTable::build(f, k, 100_000));
+        (info, findings)
+    }
 
     fn sa010(findings: &[Finding]) -> Vec<&Finding> {
         findings

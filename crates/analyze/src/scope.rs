@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use strcalc_logic::Formula;
 
-use crate::diag::{Code, Finding, FormulaPath, PathSeg};
+use crate::diag::{children, Code, Finding, FormulaPath};
 
 pub(crate) fn check(f: &Formula) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -34,66 +34,44 @@ fn walk(
     binders: &mut Vec<String>,
     findings: &mut Vec<Finding>,
 ) {
-    match f {
-        Formula::True | Formula::False | Formula::Atom(_) => {}
-        Formula::Not(g) => walk(g, &path.child(PathSeg::NotArg), free, binders, findings),
-        Formula::And(a, b) => {
-            walk(a, &path.child(PathSeg::AndLhs), free, binders, findings);
-            walk(b, &path.child(PathSeg::AndRhs), free, binders, findings);
+    let depth = binders.len();
+    if let Formula::Exists(v, g)
+    | Formula::Forall(v, g)
+    | Formula::ExistsR(_, v, g)
+    | Formula::ForallR(_, v, g) = f
+    {
+        if matches!(**g, Formula::True | Formula::False) {
+            findings.push(Finding::new(
+                Code::VacuousQuantifier,
+                path.clone(),
+                format!("quantifier over {v} has a constant body"),
+            ));
+        } else if !g.free_vars().contains(v) {
+            findings.push(Finding::new(
+                Code::UnusedQuantifiedVar,
+                path.clone(),
+                format!("quantified variable {v} is never used in its body"),
+            ));
         }
-        Formula::Or(a, b) => {
-            walk(a, &path.child(PathSeg::OrLhs), free, binders, findings);
-            walk(b, &path.child(PathSeg::OrRhs), free, binders, findings);
+        if binders.iter().any(|b| b == v) {
+            findings.push(Finding::new(
+                Code::ShadowedVar,
+                path.clone(),
+                format!("{v} shadows an enclosing quantifier binding of the same name"),
+            ));
+        } else if free.contains(v) {
+            findings.push(Finding::new(
+                Code::ShadowedVar,
+                path.clone(),
+                format!("{v} shadows a free (head) variable of the same name"),
+            ));
         }
-        Formula::Implies(a, b) => {
-            walk(a, &path.child(PathSeg::ImpliesLhs), free, binders, findings);
-            walk(b, &path.child(PathSeg::ImpliesRhs), free, binders, findings);
-        }
-        Formula::Iff(a, b) => {
-            walk(a, &path.child(PathSeg::IffLhs), free, binders, findings);
-            walk(b, &path.child(PathSeg::IffRhs), free, binders, findings);
-        }
-        Formula::Exists(v, g)
-        | Formula::Forall(v, g)
-        | Formula::ExistsR(_, v, g)
-        | Formula::ForallR(_, v, g) => {
-            if matches!(**g, Formula::True | Formula::False) {
-                findings.push(Finding::new(
-                    Code::VacuousQuantifier,
-                    path.clone(),
-                    format!("quantifier over {v} has a constant body"),
-                ));
-            } else if !g.free_vars().contains(v) {
-                findings.push(Finding::new(
-                    Code::UnusedQuantifiedVar,
-                    path.clone(),
-                    format!("quantified variable {v} is never used in its body"),
-                ));
-            }
-            if binders.iter().any(|b| b == v) {
-                findings.push(Finding::new(
-                    Code::ShadowedVar,
-                    path.clone(),
-                    format!("{v} shadows an enclosing quantifier binding of the same name"),
-                ));
-            } else if free.contains(v) {
-                findings.push(Finding::new(
-                    Code::ShadowedVar,
-                    path.clone(),
-                    format!("{v} shadows a free (head) variable of the same name"),
-                ));
-            }
-            binders.push(v.clone());
-            walk(
-                g,
-                &path.child(PathSeg::QuantBody(v.clone())),
-                free,
-                binders,
-                findings,
-            );
-            binders.pop();
-        }
+        binders.push(v.clone());
     }
+    for (seg, g) in children(f) {
+        walk(g, &path.child(seg), free, binders, findings);
+    }
+    binders.truncate(depth);
 }
 
 #[cfg(test)]

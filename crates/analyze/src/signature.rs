@@ -14,10 +14,11 @@
 //! [`Code::StarFreeUndecided`] finding is recorded instead of an error.
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::starfree::is_star_free;
 use strcalc_logic::{Atom, Formula, StructureClass, Term};
 
-use crate::diag::{Code, Finding, FormulaPath, PathSeg};
+use crate::diag::{children, Code, Finding, FormulaPath, PathSeg};
+use crate::fragments::lang_label;
+use crate::langs::LangTable;
 
 /// Result of the signature pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,22 +34,21 @@ pub struct SignatureInfo {
 /// but never fails — languages whose star-freeness is undecided under
 /// `monoid_cap` are conservatively classified `S_reg`.
 pub fn infer(f: &Formula, k: Sym, monoid_cap: usize) -> StructureClass {
-    let (info, _) = check(f, StructureClass::Concat, k, monoid_cap);
+    let langs = LangTable::build(f, k, monoid_cap);
+    let (info, _) = check(f, StructureClass::Concat, &langs);
     info.inferred
 }
 
 /// Runs the pass: infers the minimal structure and reports every term or
-/// atom exceeding `declared`.
+/// atom exceeding `declared`. Star-freeness verdicts come from `langs`.
 pub(crate) fn check(
     f: &Formula,
     declared: StructureClass,
-    k: Sym,
-    monoid_cap: usize,
+    langs: &LangTable,
 ) -> (SignatureInfo, Vec<Finding>) {
     let mut cx = Cx {
         declared,
-        k,
-        monoid_cap,
+        langs,
         inferred: StructureClass::S,
         star_free_undecided: 0,
         findings: Vec::new(),
@@ -63,43 +63,21 @@ pub(crate) fn check(
     )
 }
 
-struct Cx {
+struct Cx<'a> {
     declared: StructureClass,
-    k: Sym,
-    monoid_cap: usize,
+    langs: &'a LangTable,
     inferred: StructureClass,
     star_free_undecided: usize,
     findings: Vec<Finding>,
 }
 
-impl Cx {
+impl Cx<'_> {
     fn formula(&mut self, f: &Formula, path: &FormulaPath) {
-        match f {
-            Formula::True | Formula::False => {}
-            Formula::Atom(a) => self.atom(a, path),
-            Formula::Not(g) => self.formula(g, &path.child(PathSeg::NotArg)),
-            Formula::And(a, b) => {
-                self.formula(a, &path.child(PathSeg::AndLhs));
-                self.formula(b, &path.child(PathSeg::AndRhs));
-            }
-            Formula::Or(a, b) => {
-                self.formula(a, &path.child(PathSeg::OrLhs));
-                self.formula(b, &path.child(PathSeg::OrRhs));
-            }
-            Formula::Implies(a, b) => {
-                self.formula(a, &path.child(PathSeg::ImpliesLhs));
-                self.formula(b, &path.child(PathSeg::ImpliesRhs));
-            }
-            Formula::Iff(a, b) => {
-                self.formula(a, &path.child(PathSeg::IffLhs));
-                self.formula(b, &path.child(PathSeg::IffRhs));
-            }
-            Formula::Exists(v, g)
-            | Formula::Forall(v, g)
-            | Formula::ExistsR(_, v, g)
-            | Formula::ForallR(_, v, g) => {
-                self.formula(g, &path.child(PathSeg::QuantBody(v.clone())));
-            }
+        if let Formula::Atom(a) = f {
+            self.atom(a, path);
+        }
+        for (seg, g) in children(f) {
+            self.formula(g, &path.child(seg));
         }
     }
 
@@ -107,36 +85,24 @@ impl Cx {
         for (i, t) in a.terms().iter().enumerate() {
             self.term(t, &path.child(PathSeg::Term(i)));
         }
-        let class = match a {
-            Atom::Prepends(..) => StructureClass::SLeft,
-            Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) => StructureClass::SLen,
-            Atom::ConcatEq(..) => StructureClass::Concat,
-            Atom::InsertAfter(..) => StructureClass::SLen,
-            Atom::InLang(_, l) | Atom::PL(_, _, l) => {
-                let dfa = l.to_dfa(self.k);
-                match is_star_free(&dfa, self.monoid_cap) {
-                    Ok(true) => StructureClass::S,
-                    Ok(false) => StructureClass::SReg,
-                    Err(e) => {
-                        self.star_free_undecided += 1;
-                        self.findings.push(
-                            Finding::new(
-                                Code::StarFreeUndecided,
-                                path.clone(),
-                                format!(
-                                    "star-freeness of language {} is undecided under the \
-                                     monoid cap; conservatively classified S_reg",
-                                    lang_name(l)
-                                ),
-                            )
-                            .with_note(e.to_string()),
-                        );
-                        StructureClass::SReg
-                    }
-                }
+        let class = atom_class(a, self.langs);
+        if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
+            if let Err(e) = &self.langs.get(l).star_free {
+                self.star_free_undecided += 1;
+                self.findings.push(
+                    Finding::new(
+                        Code::StarFreeUndecided,
+                        path.clone(),
+                        format!(
+                            "star-freeness of language {} is undecided under the monoid \
+                             cap; conservatively classified S_reg",
+                            lang_label(l)
+                        ),
+                    )
+                    .with_note(e.to_string()),
+                );
             }
-            _ => StructureClass::S,
-        };
+        }
         self.inferred = self.inferred.join(class);
         if !class.leq(self.declared) {
             if matches!(a, Atom::ConcatEq(..)) {
@@ -188,9 +154,26 @@ impl Cx {
     }
 }
 
+/// The structure class an atom requires, its terms aside. A language
+/// atom needs `S_reg` unless its language is known star-free.
+pub(crate) fn atom_class(a: &Atom, langs: &LangTable) -> StructureClass {
+    match a {
+        Atom::Prepends(..) => StructureClass::SLeft,
+        Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) | Atom::InsertAfter(..) => {
+            StructureClass::SLen
+        }
+        Atom::ConcatEq(..) => StructureClass::Concat,
+        Atom::InLang(_, l) | Atom::PL(_, _, l) => match langs.get(l).star_free {
+            Ok(true) => StructureClass::S,
+            _ => StructureClass::SReg,
+        },
+        _ => StructureClass::S,
+    }
+}
+
 /// Minimal structure for a term, plus the name of the first function
 /// responsible (for the diagnostic message).
-fn term_class(t: &Term) -> (StructureClass, Option<&'static str>) {
+pub(crate) fn term_class(t: &Term) -> (StructureClass, Option<&'static str>) {
     match t {
         Term::Var(_) | Term::Const(_) => (StructureClass::S, None),
         Term::Append(inner, _) => {
@@ -230,13 +213,6 @@ pub(crate) fn atom_name(a: &Atom) -> &'static str {
     }
 }
 
-fn lang_name(l: &strcalc_logic::Lang) -> String {
-    match &l.name {
-        Some(n) => n.clone(),
-        None => "<anonymous>".to_string(),
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -247,6 +223,15 @@ mod tests {
 
     fn re(t: &str) -> Regex {
         Regex::parse(&Alphabet::ab(), t).unwrap()
+    }
+
+    fn check(
+        f: &Formula,
+        declared: StructureClass,
+        k: Sym,
+        monoid_cap: usize,
+    ) -> (SignatureInfo, Vec<Finding>) {
+        super::check(f, declared, &LangTable::build(f, k, monoid_cap))
     }
 
     #[test]

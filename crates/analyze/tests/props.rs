@@ -10,10 +10,11 @@
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
-use strcalc_analyze::{signature, Analyzer, Code};
+use strcalc_analyze::{signature, Analysis, Analyzer, Code, FragmentPoint};
+use strcalc_automata::Regex;
 use strcalc_core::safety::state_safety;
 use strcalc_core::{AutomataEngine, Calculus, Query};
-use strcalc_logic::{Formula, StructureClass, Term};
+use strcalc_logic::{Formula, Lang, StructureClass, Term};
 use strcalc_relational::Database;
 
 /// Random formulas over the variables {x, y} in the `S_len` signature:
@@ -44,6 +45,53 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
             inner.prop_map(|f| Formula::exists("y", f)),
         ]
     })
+}
+
+/// Two to five conjuncts: [`arb_formula`]s mixed with language atoms
+/// (finite, LIKE-shaped and not star-free), so language finiteness and
+/// the LIKE classifier take part in the conjunction fixpoint.
+fn arb_conjuncts() -> impl Strategy<Value = Vec<Formula>> {
+    let lang = |var: &str, src: &str| {
+        let re = Regex::parse(&Alphabet::ab(), src).expect("test regex parses");
+        Formula::in_lang(Term::var(var), Lang::named(src, re))
+    };
+    let part = prop_oneof![
+        arb_formula(),
+        Just(lang("x", "ab|ba")),
+        Just(lang("y", "a.*")),
+        Just(lang("x", "(aa)*")),
+    ];
+    prop::collection::vec(part, 2..=5)
+}
+
+/// `p₁ ∧ (p₂ ∧ (… ∧ pₙ))`.
+fn chain_right(parts: &[Formula]) -> Formula {
+    parts
+        .iter()
+        .rev()
+        .cloned()
+        .reduce(|acc, p| p.and(acc))
+        .expect("at least one conjunct")
+}
+
+/// `((p₁ ∧ p₂) ∧ …) ∧ pₙ`.
+fn chain_left(parts: &[Formula]) -> Formula {
+    parts
+        .iter()
+        .cloned()
+        .reduce(|acc, p| acc.and(p))
+        .expect("at least one conjunct")
+}
+
+/// What re-associating or commuting a conjunction must not change.
+fn verdicts(a: &Analysis) -> (Vec<String>, FragmentPoint, Vec<Code>) {
+    let mut codes: Vec<Code> = a.diagnostics.iter().map(|d| d.code).collect();
+    codes.sort();
+    (
+        a.safe_range.restricted.iter().cloned().collect(),
+        a.fragment.root,
+        codes,
+    )
 }
 
 fn db() -> Database {
@@ -106,6 +154,41 @@ proptest! {
                 .with_code(Code::FreeVarNotRangeRestricted)
                 .any(|d| d.severity >= strcalc_analyze::Severity::Warning);
             prop_assert!(flagged, "no SA010 warning for unsafe query: {pinned:?}");
+        }
+    }
+
+    // The conjunction fixpoint computes one least fixpoint whatever the
+    // shape of the chain: re-associating or reordering the conjuncts, at
+    // the top level or under a quantifier, changes neither the
+    // restricted set, the root lattice point nor the diagnostic codes.
+    // The fragment table ends with the root's point.
+    #[test]
+    fn conjunction_shape_leaves_the_verdicts_unchanged(
+        parts in arb_conjuncts(),
+        rot in 0usize..5,
+    ) {
+        let sigma = Alphabet::ab();
+        let analyzer = Analyzer::new(StructureClass::SLen);
+        let mut rotated = parts.clone();
+        rotated.rotate_left(rot % parts.len());
+        let mut reversed = parts.clone();
+        reversed.reverse();
+        let shapes = [
+            chain_right(&parts),
+            chain_left(&rotated),
+            chain_right(&reversed),
+        ];
+        for wrap in [false, true] {
+            let quantify = |f: Formula| if wrap { Formula::exists("y", f) } else { f };
+            let base = analyzer.analyze(&sigma, &quantify(chain_left(&parts)));
+            for shape in &shapes {
+                let other = analyzer.analyze(&sigma, &quantify(shape.clone()));
+                prop_assert_eq!(verdicts(&other), verdicts(&base), "{:?}", shape);
+            }
+        }
+        for f in shapes {
+            let a = analyzer.analyze(&sigma, &f);
+            prop_assert_eq!(a.fragment.table.last().map(|(_, p)| *p), Some(a.fragment.root));
         }
     }
 

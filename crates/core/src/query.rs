@@ -221,13 +221,7 @@ impl Query {
         head: Vec<String>,
         formula: Formula,
     ) -> Result<Query, CoreError> {
-        let free: Vec<String> = formula.free_vars().into_iter().collect();
-        let mut head_sorted = head.clone();
-        head_sorted.sort();
-        head_sorted.dedup();
-        if head_sorted != free || head_sorted.len() != head.len() {
-            return Err(CoreError::HeadMismatch { head, free });
-        }
+        check_head(&head, &formula)?;
         let inferred = fragment(&formula, alphabet.len() as u8, 1_000_000)?;
         if !inferred.leq(calculus.structure_class()) {
             return Err(CoreError::FragmentViolation {
@@ -243,7 +237,9 @@ impl Query {
         })
     }
 
-    /// Builds a query, inferring the least sufficient calculus.
+    /// Builds a query, inferring the least sufficient calculus. The
+    /// fragment is decided once: the inferred calculus admits the
+    /// formula by construction.
     pub fn infer(
         alphabet: Alphabet,
         head: Vec<String>,
@@ -261,7 +257,13 @@ impl Query {
                 ))
             }
         };
-        Query::new(calculus, alphabet, head, formula)
+        check_head(&head, &formula)?;
+        Ok(Query {
+            calculus,
+            alphabet,
+            head,
+            formula,
+        })
     }
 
     /// Parses the formula from concrete syntax and builds a query.
@@ -321,6 +323,21 @@ impl Query {
     pub fn arity(&self) -> usize {
         self.head.len()
     }
+}
+
+/// The head must list exactly the formula's free variables, each once.
+fn check_head(head: &[String], formula: &Formula) -> Result<(), CoreError> {
+    let free: Vec<String> = formula.free_vars().into_iter().collect();
+    let mut head_sorted = head.to_vec();
+    head_sorted.sort();
+    head_sorted.dedup();
+    if head_sorted != free || head_sorted.len() != head.len() {
+        return Err(CoreError::HeadMismatch {
+            head: head.to_vec(),
+            free,
+        });
+    }
+    Ok(())
 }
 
 /// The result of exact evaluation: either a finite relation (with tuples
