@@ -185,7 +185,7 @@ fn bench(c: &mut Criterion) {
         Calculus::SReg,
         ab(),
         vec!["x".into()],
-        "U(x) & in(x, /b.*a.*/)",
+        &format!("U(x) & in(x, /{}/)", PATTERNS[0].1),
     )
     .expect("probe query valid");
     let plan = Planner::new().plan(&q).expect("plans");
@@ -204,13 +204,58 @@ fn bench(c: &mut Criterion) {
     assert_eq!(routed, direct, "dense route changed the answer");
     assert!(report.automaton_states > 0 && report.artifact_bytes > 0);
 
+    // The executor row: the whole `Plan::execute` of that plan (alphabet
+    // guard, batched table dispatch, answer materialization) against the
+    // bare `match_mask` kernel for the same language, paired the same
+    // way. The ratio is the share of kernel speed the executor keeps.
+    let kernel = DenseDfa::compile(&lang(PATTERNS[0].1).to_dfa(2));
+    let stored: Vec<Str> = db
+        .relation("U")
+        .expect("corpus relation")
+        .iter()
+        .map(|t| t[0].clone())
+        .collect();
+    let stored_bytes: usize = stored.iter().map(|s| s.syms().len()).sum();
+    let stored_refs: Vec<&Str> = stored.iter().collect();
+    let mut kernel_mask = vec![true; stored_refs.len()];
+    let (exec_t, kernel_t) = paired_minimums(
+        rounds,
+        iters,
+        || {
+            plan.execute(&db).expect("dense route evaluates");
+        },
+        || {
+            kernel_mask.fill(true);
+            kernel.match_mask(&stored_refs, &mut kernel_mask);
+        },
+    );
+    let exec_bps = stored_bytes as f64 * iters as f64 / exec_t.as_secs_f64().max(1e-12);
+    let kernel_bps = stored_bytes as f64 * iters as f64 / kernel_t.as_secs_f64().max(1e-12);
+    let to_kernel = kernel_t.as_secs_f64() / exec_t.as_secs_f64().max(1e-12);
+    println!(
+        "dense executor  {:>9}: Plan::execute {:.1} MB/s vs match_mask {:.1} MB/s — \
+         {to_kernel:.2}x of kernel speed",
+        PATTERNS[0].0,
+        exec_bps / 1e6,
+        kernel_bps / 1e6,
+    );
+    let executor_row = format!(
+        "{{\"pattern\":\"{}\",\"stored_bytes\":{stored_bytes},\"exec_round_secs\":{:.6},\
+         \"kernel_round_secs\":{:.6},\"exec_bytes_per_sec\":{exec_bps:.0},\
+         \"kernel_bytes_per_sec\":{kernel_bps:.0},\"exec_to_kernel\":{to_kernel:.2}}}",
+        PATTERNS[0].1,
+        exec_t.as_secs_f64(),
+        kernel_t.as_secs_f64(),
+    );
+
     strcalc_bench::record_bench_json(
         "dense_throughput",
         &format!(
             "{{\"corpus\":{{\"strings\":{CORPUS_N},\"bytes\":{corpus_bytes},\
              \"min_len\":{MIN_LEN},\"max_len\":{MAX_LEN},\"seed\":{SEED}}},\
              \"rounds\":{rounds},\"iters_per_round\":{iters},\
-             \"per_pattern\":{{{}}},\"trap_pattern\":{},\"worst_speedup\":{:.2}}}",
+             \"per_pattern\":{{{}}},\"trap_pattern\":{},\"executor\":{executor_row},\
+             \"worst_speedup\":{:.2}}}",
             rows.join(","),
             trap_row,
             worst_speedup,

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use strcalc_alphabet::{Str, Sym};
 use strcalc_analyze::planlint::{fmt_bound, ResourceCert};
 use strcalc_analyze::{Code, ScanPlan};
-use strcalc_automata::DenseDfa;
+use strcalc_automata::{DenseDfa, Dfa};
 use strcalc_relational::{Database, Relation};
 
 use crate::budget::{
@@ -64,7 +64,6 @@ use crate::budget::{
 use crate::cache::DenseArtifact;
 use crate::clock::{Clock, Deadline, MonotonicClock, VirtualClock};
 use crate::concat::ConcatEvaluator;
-use crate::engine::AutomataEngine;
 use crate::enumeval::EnumEngine;
 use crate::faults::FaultPlan;
 use crate::ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
@@ -448,54 +447,9 @@ impl Plan {
                     },
                 )
             }
-            (PlanOp::LikeScan { plan }, Strategy::LikeLinearScan) => {
-                let (rel, scanned, truncated) =
-                    run_scan(plan, db, self.alphabet().len() as Sym, &deadline)?;
-                let verdict = if truncated {
-                    self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineScanTruncated,
-                        format!("scanned {scanned} rows"),
-                        true,
-                        &mut gov,
-                    )?
-                } else {
-                    ExecVerdict::Exact
-                };
-                let tuples = rel.len();
-                (
-                    EvalOutput::Finite(rel),
-                    ExecReport {
-                        tuples_enumerated: tuples,
-                        domain_size: scanned,
-                        verdict,
-                        ..ExecReport::clean(self.strategy)
-                    },
-                )
-            }
-            (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) if gov.exhausted => {
-                let (rel, rep) = self.dense_to_sparse(plan, db, budget, &deadline, &mut gov)?;
-                (EvalOutput::Finite(rel), rep)
-            }
-            (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) => {
-                let retain = self.dense_fault_gate(cx, &mut gov);
-                let (rel, stats) =
-                    run_dense_scan(plan, db, self.alphabet(), &self.engine, &deadline, retain)?;
-                let truncated = stats.truncated;
-                let scanned = stats.rows_scanned;
-                let tuples = rel.len();
-                let mut rep = self.dense_report(stats, tuples);
-                if truncated {
-                    rep.verdict = self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineScanTruncated,
-                        format!("scanned {scanned} rows"),
-                        true,
-                        &mut gov,
-                    )?;
-                }
+            (PlanOp::LikeScan { plan }, Strategy::LikeLinearScan)
+            | (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) => {
+                let (rel, rep) = self.scan(plan, db, budget, cx, &deadline, &mut gov, false)?;
                 (EvalOutput::Finite(rel), rep)
             }
             (op, strategy) => {
@@ -637,54 +591,10 @@ impl Plan {
                     },
                 )
             }
-            (PlanOp::LikeScan { plan }, Strategy::LikeLinearScan) => {
-                let (rel, scanned, truncated) =
-                    run_scan(plan, db, self.alphabet().len() as Sym, &deadline)?;
-                let value = !rel.is_empty();
-                let verdict = if truncated {
-                    self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineScanTruncated,
-                        format!("scanned {scanned} rows"),
-                        value,
-                        &mut gov,
-                    )?
-                } else {
-                    ExecVerdict::Exact
-                };
-                (
-                    value,
-                    ExecReport {
-                        domain_size: scanned,
-                        verdict,
-                        ..ExecReport::clean(self.strategy)
-                    },
-                )
-            }
-            (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) if gov.exhausted => {
-                let (rel, rep) = self.dense_to_sparse(plan, db, budget, &deadline, &mut gov)?;
+            (PlanOp::LikeScan { plan }, Strategy::LikeLinearScan)
+            | (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) => {
+                let (rel, rep) = self.scan(plan, db, budget, cx, &deadline, &mut gov, true)?;
                 (!rel.is_empty(), rep)
-            }
-            (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) => {
-                let retain = self.dense_fault_gate(cx, &mut gov);
-                let (rel, stats) =
-                    run_dense_scan(plan, db, self.alphabet(), &self.engine, &deadline, retain)?;
-                let truncated = stats.truncated;
-                let scanned = stats.rows_scanned;
-                let value = !rel.is_empty();
-                let mut rep = self.dense_report(stats, 0);
-                if truncated {
-                    rep.verdict = self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineScanTruncated,
-                        format!("scanned {scanned} rows"),
-                        value,
-                        &mut gov,
-                    )?;
-                }
-                (value, rep)
             }
             (op, strategy) => {
                 return Err(CoreError::Unsupported(format!(
@@ -1031,47 +941,73 @@ impl Plan {
         Ok((rel, rep))
     }
 
-    /// The dense → sparse structural degradation: the dense tables'
-    /// certified bytes exceeded the handed budget, so the scan falls
-    /// back to the sparse per-tuple DFA walk. Same answer (the sparse
-    /// walk is exact), no dense tables held — the verdict stays
-    /// `Exact` but the degradation is still SA402-recorded.
-    fn dense_to_sparse(
+    /// The scan executors, in both execution modes: the LIKE scan, the
+    /// dense scan, and the dense scan's SA402 degradation. All three run
+    /// the one batched loop, [`run_scan`]; they differ only in where the
+    /// language filters come from. The dense scan serves its tables from
+    /// the engine's cache (or densifies them). The LIKE scan, and a
+    /// dense scan whose tables' certified bytes exceed the handed budget,
+    /// walk each language's sparse DFA instead. The sparse walk is exact,
+    /// so the degraded verdict stays `Exact`, but the fallback is still
+    /// SA402-recorded.
+    ///
+    /// A boolean run (`boolean`) reports no tuples, and its truncated
+    /// answer is a sound bound only once it holds a witness. The SA402
+    /// fallback reports as a set run in both modes.
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
         &self,
         plan: &ScanPlan,
         db: &Database,
         budget: &Budget,
+        cx: &ExecCx,
         deadline: &Deadline,
         gov: &mut Governance,
+        boolean: bool,
     ) -> Result<(Relation, ExecReport), CoreError> {
-        gov.degradations.push(Degradation::new(
-            Code::DegradedDenseToSparse,
-            gov.exhausted_at(),
-            "dense tables exceed the handed byte budget; falling back to the sparse \
-             per-tuple DFA walk"
-                .to_string(),
-        ));
-        let (rel, scanned, truncated) = run_scan(plan, db, self.alphabet().len() as Sym, deadline)?;
-        let verdict = if truncated {
-            self.truncate(
+        let k = self.alphabet().len() as Sym;
+        let dense = self.strategy == Strategy::DenseDfaScan;
+        let fallback = dense && gov.exhausted;
+        if fallback {
+            gov.degradations.push(Degradation::new(
+                Code::DegradedDenseToSparse,
+                gov.exhausted_at(),
+                "dense tables exceed the handed byte budget; falling back to the sparse \
+                 per-tuple DFA walk"
+                    .to_string(),
+            ));
+        }
+        let rel = scan_relation(plan, db)?;
+        let (filters, mut rep) = if dense && !fallback {
+            let retain = self.dense_fault_gate(cx, gov);
+            self.dense_tables(plan, retain)?
+        } else {
+            // General filters on this route walk the language's sparse
+            // DFA per tuple (the planner routes them to the dense
+            // tables; this keeps the LIKE scan total for hand-built
+            // plans and is the dense scan's SA402 target).
+            let sparse = plan
+                .dense_filters
+                .iter()
+                .map(|(col, lang, _)| (*col, LangFilter::Sparse(lang.to_dfa(k))))
+                .collect();
+            (sparse, ExecReport::clean(self.strategy))
+        };
+        let (out, scanned, truncated) = run_scan(plan, rel, k, &filters, deadline);
+        let as_set = !boolean || fallback;
+        rep.domain_size = scanned;
+        rep.tuples_enumerated = if as_set { out.len() } else { 0 };
+        if truncated {
+            rep.verdict = self.truncate(
                 budget,
                 deadline,
                 Code::DeadlineScanTruncated,
                 format!("scanned {scanned} rows"),
-                true,
+                as_set || !out.is_empty(),
                 gov,
-            )?
-        } else {
-            ExecVerdict::Exact
-        };
-        let tuples = rel.len();
-        let rep = ExecReport {
-            tuples_enumerated: tuples,
-            domain_size: scanned,
-            verdict,
-            ..ExecReport::clean(self.strategy)
-        };
-        Ok((rel, rep))
+            )?;
+        }
+        Ok((out, rep))
     }
 
     /// The bounded-search executor under governance: runs at the
@@ -1179,21 +1115,53 @@ impl Plan {
         violations
     }
 
-    /// `EXPLAIN` actuals for a dense scan. Dense tables report through
-    /// the automaton channels — `automaton_states` is the widest table,
+    /// The dense scan's tables, one per language filter, served from
+    /// the engine's shared cache when one is attached (keyed by language
+    /// and alphabet only, so they survive instance changes), and the
+    /// report they fill in. Dense tables report through the automaton
+    /// channels — `automaton_states` is the widest table,
     /// `artifact_bytes` the sum of all tables held — so the SA240
     /// calibration cross-check runs against the dense certificate.
-    fn dense_report(&self, stats: DenseScanStats, tuples: usize) -> ExecReport {
-        ExecReport {
-            automaton_states: stats.states,
-            artifact_bytes: stats.bytes,
-            cache_hit: stats.used_cache && !stats.any_fresh,
-            tuples_enumerated: tuples,
-            domain_size: stats.rows_scanned,
-            cert_violations: self.calibrate(stats.states, stats.bytes),
-            cache_events: stats.events,
-            ..ExecReport::clean(self.strategy)
+    fn dense_tables(
+        &self,
+        plan: &ScanPlan,
+        retain: bool,
+    ) -> Result<(Vec<(usize, LangFilter)>, ExecReport), CoreError> {
+        let engine = &self.engine;
+        let alphabet = self.alphabet();
+        let mut rep = ExecReport::clean(self.strategy);
+        let mut any_fresh = false;
+        let mut tables = Vec::with_capacity(plan.dense_filters.len());
+        for (col, lang, _) in &plan.dense_filters {
+            let densify = || {
+                Ok::<_, CoreError>(DenseArtifact::from_dense(DenseDfa::compile(
+                    &lang.to_dfa(alphabet.len() as Sym),
+                )))
+            };
+            let (artifact, fresh) = match engine.cache() {
+                // An injected cache-insert failure (`retain == false`)
+                // still probes the cache — a resident table serves — but
+                // a fresh densification is not written back.
+                Some(cache) if retain => cache
+                    .get_or_insert_dense_with(engine.dense_cache_key(lang, alphabet), densify)?,
+                Some(cache) => match cache.get_dense(&engine.dense_cache_key(lang, alphabet)) {
+                    Some(hit) => (hit, false),
+                    None => (Arc::new(densify()?), true),
+                },
+                None => (Arc::new(densify()?), true),
+            };
+            rep.automaton_states = rep.automaton_states.max(artifact.dfa.num_states() as usize);
+            rep.artifact_bytes += artifact.bytes;
+            any_fresh |= fresh;
+            if engine.cache.is_some() {
+                rep.cache_events
+                    .push(CacheEvent::lookup(format!("dense:{col}"), !fresh));
+            }
+            tables.push((*col, LangFilter::Dense(artifact)));
         }
+        rep.cache_hit = engine.cache.is_some() && !any_fresh;
+        rep.cert_violations = self.calibrate(rep.automaton_states, rep.artifact_bytes);
+        Ok((tables, rep))
     }
 
     fn typed_query(&self) -> Result<&crate::query::Query, CoreError> {
@@ -1276,53 +1244,6 @@ pub(crate) fn subtree_peak(node: &PlanNode) -> ResourceCert {
     peak
 }
 
-/// The linear-scan executor: one pass over the stored relation, LIKE
-/// matchers and column equalities applied tuple-by-tuple, head columns
-/// projected. No automaton is constructed anywhere on this path.
-/// Returns the output relation, the number of rows scanned (the
-/// `EXPLAIN` actuals report it as `domain_size` — and, on truncation,
-/// the rows-seen watermark), and whether the deadline cut the scan
-/// short. The deadline is polled once per [`DENSE_BATCH`] rows, not
-/// per row, to stay inside the checkpoint-overhead gate.
-fn run_scan(
-    plan: &ScanPlan,
-    db: &Database,
-    k: Sym,
-    deadline: &Deadline,
-) -> Result<(Relation, usize, bool), CoreError> {
-    let rel = scan_relation(plan, db)?;
-    // General filters on this route walk the language's sparse DFA per
-    // tuple (the planner routes them to the dense executor; this
-    // fallback keeps the linear entry total for hand-built plans, is
-    // the baseline the throughput bench measures against, and is the
-    // dense executor's SA402 degradation target).
-    let sparse: Vec<_> = plan
-        .dense_filters
-        .iter()
-        .map(|(col, lang, _)| (*col, lang.to_dfa(k)))
-        .collect();
-    let mut out = Relation::new(plan.projection.len());
-    let mut scanned = 0usize;
-    let mut truncated = false;
-    'tuple: for t in rel.iter() {
-        if scanned.is_multiple_of(DENSE_BATCH) && deadline.checkpoint() {
-            truncated = true;
-            break 'tuple;
-        }
-        scanned += 1;
-        if !passes_row_filters(plan, t, k) {
-            continue 'tuple;
-        }
-        for (col, dfa) in &sparse {
-            if !dfa.accepts(&t[*col]) {
-                continue 'tuple;
-            }
-        }
-        out.insert(plan.projection.iter().map(|&c| t[c].clone()).collect());
-    }
-    Ok((out, scanned, truncated))
-}
-
 /// Validates the scan plan's relation against the database.
 fn scan_relation<'a>(plan: &ScanPlan, db: &'a Database) -> Result<&'a Relation, CoreError> {
     let rel = db.relation(&plan.relation).ok_or_else(|| {
@@ -1342,8 +1263,91 @@ fn scan_relation<'a>(plan: &ScanPlan, db: &'a Database) -> Result<&'a Relation, 
     Ok(rel)
 }
 
-/// The per-tuple filters shared by both scan executors: column
-/// equalities, the in-alphabet guard, and the linear LIKE matchers.
+/// One language filter of a scan: a dense table streamed a batch at a
+/// time through [`DenseDfa::match_mask`], or a sparse DFA walked row by
+/// row.
+enum LangFilter {
+    Dense(Arc<DenseArtifact>),
+    Sparse(Dfa),
+}
+
+/// Rows per scan batch: small enough that the gather buffer and mask
+/// stay cache-resident, large enough to amortize the per-batch setup.
+/// The deadline is polled once per batch, not per row, to stay inside
+/// the checkpoint-overhead gate.
+const SCAN_BATCH: usize = 4096;
+
+/// The batched scan loop. Per batch of [`SCAN_BATCH`] rows it polls the
+/// deadline, builds the row mask from the cheap per-row filters
+/// (column equalities, alphabet guard, linear LIKE matchers), narrows
+/// it with each language filter — one table dispatch per batch for a
+/// dense filter — and collects the surviving rows' projections. The
+/// answer is built from them in one pass. No automaton is constructed
+/// here. Returns the answer, the number of rows scanned (the `EXPLAIN`
+/// actuals report it as `domain_size` — and, on truncation, the
+/// rows-seen watermark), and whether the deadline cut the scan short.
+fn run_scan(
+    plan: &ScanPlan,
+    rel: &Relation,
+    k: Sym,
+    filters: &[(usize, LangFilter)],
+    deadline: &Deadline,
+) -> (Relation, usize, bool) {
+    let mut rows: Vec<Vec<Str>> = Vec::new();
+    let mut scanned = 0usize;
+    let mut truncated = false;
+    let mut mask = [false; SCAN_BATCH];
+    // Buffers sized to the relation when it is smaller than a batch: a
+    // short scan must not pay for a full batch's allocation.
+    let width = rel.len().min(SCAN_BATCH);
+    let mut batch: Vec<&Vec<Str>> = Vec::with_capacity(width);
+    let mut col_buf: Vec<&Str> = Vec::with_capacity(width);
+    let mut tuples = rel.iter();
+    loop {
+        batch.clear();
+        batch.extend(tuples.by_ref().take(SCAN_BATCH));
+        if batch.is_empty() {
+            break;
+        }
+        // One deadline poll per batch, *before* committing to it: a
+        // fire terminates the scan at a batch boundary with the
+        // rows-seen watermark intact, not at settlement.
+        if deadline.checkpoint() {
+            truncated = true;
+            break;
+        }
+        scanned += batch.len();
+        let live = &mut mask[..batch.len()];
+        for (m, t) in live.iter_mut().zip(&batch) {
+            *m = passes_row_filters(plan, t, k);
+        }
+        for (col, filter) in filters {
+            match filter {
+                LangFilter::Dense(artifact) => {
+                    col_buf.clear();
+                    col_buf.extend(batch.iter().map(|t| &t[*col]));
+                    artifact.dfa.match_mask(&col_buf, live);
+                }
+                LangFilter::Sparse(dfa) => {
+                    for (m, t) in live.iter_mut().zip(&batch) {
+                        *m = *m && dfa.accepts(&t[*col]);
+                    }
+                }
+            }
+        }
+        for (_, t) in live.iter().zip(&batch).filter(|(m, _)| **m) {
+            rows.push(plan.projection.iter().map(|&c| t[c].clone()).collect());
+        }
+    }
+    (
+        Relation::from_tuples(plan.projection.len(), rows),
+        scanned,
+        truncated,
+    )
+}
+
+/// The per-row filters: column equalities, the in-alphabet guard, and
+/// the linear LIKE matchers.
 ///
 /// The alphabet guard mirrors the automaton route's convention for
 /// stored strings containing symbols outside `Σ`: the relation trie is
@@ -1358,7 +1362,7 @@ fn passes_row_filters(plan: &ScanPlan, t: &[Str], k: Sym) -> bool {
         }
     }
     for s in t {
-        if s.syms().iter().any(|&b| b >= k) {
+        if !in_alphabet(s, k) {
             return false;
         }
     }
@@ -1370,115 +1374,9 @@ fn passes_row_filters(plan: &ScanPlan, t: &[Str], k: Sym) -> bool {
     true
 }
 
-/// Actuals from one dense-scan execution.
-struct DenseScanStats {
-    rows_scanned: usize,
-    /// Widest dense table (states), for the SA240 state channel.
-    states: usize,
-    /// Total bytes of all dense tables held.
-    bytes: usize,
-    /// Whether any table was densified on this call (a cache miss, or
-    /// no cache attached).
-    any_fresh: bool,
-    /// Whether a shared cache served the tables.
-    used_cache: bool,
-    /// Per-table cache events, in filter order.
-    events: Vec<CacheEvent>,
-    /// Whether the deadline cut the batch loop short; `rows_scanned` is
-    /// then the watermark of rows actually processed.
-    truncated: bool,
-}
-
-/// Rows per dense batch: small enough that the gather buffer and mask
-/// stay cache-resident, large enough to amortize the per-batch setup.
-const DENSE_BATCH: usize = 4096;
-
-/// The batched dense-scan executor.
-///
-/// Pass 1 runs the cheap tuple-at-a-time filters (equalities, alphabet
-/// guard, linear matchers) into a batch mask; pass 2 streams each
-/// batch's column through the byte-class-compressed dense tables with
-/// [`DenseDfa::match_mask`] — one table dispatch per batch per filter,
-/// not per row. Tables are served from the engine's shared cache when
-/// one is attached (keyed by language and alphabet only, so they
-/// survive instance changes).
-fn run_dense_scan(
-    plan: &ScanPlan,
-    db: &Database,
-    alphabet: &strcalc_alphabet::Alphabet,
-    engine: &AutomataEngine,
-    deadline: &Deadline,
-    retain: bool,
-) -> Result<(Relation, DenseScanStats), CoreError> {
-    let k = alphabet.len() as Sym;
-    let rel = scan_relation(plan, db)?;
-    let mut stats = DenseScanStats {
-        rows_scanned: 0,
-        states: 0,
-        bytes: 0,
-        any_fresh: false,
-        used_cache: engine.cache.is_some(),
-        events: Vec::new(),
-        truncated: false,
-    };
-    let mut tables: Vec<(usize, Arc<DenseArtifact>)> = Vec::with_capacity(plan.dense_filters.len());
-    for (col, lang, _) in &plan.dense_filters {
-        let densify = || {
-            Ok::<_, CoreError>(DenseArtifact::from_dense(DenseDfa::compile(
-                &lang.to_dfa(k),
-            )))
-        };
-        let (artifact, fresh) = match engine.cache() {
-            // An injected cache-insert failure (`retain == false`)
-            // still probes the cache — a resident table serves — but a
-            // fresh densification is not written back.
-            Some(cache) if retain => {
-                cache.get_or_insert_dense_with(engine.dense_cache_key(lang, alphabet), densify)?
-            }
-            Some(cache) => match cache.get_dense(&engine.dense_cache_key(lang, alphabet)) {
-                Some(hit) => (hit, false),
-                None => (Arc::new(densify()?), true),
-            },
-            None => (Arc::new(densify()?), true),
-        };
-        stats.states = stats.states.max(artifact.dfa.num_states() as usize);
-        stats.bytes += artifact.bytes;
-        stats.any_fresh |= fresh;
-        if stats.used_cache {
-            stats
-                .events
-                .push(CacheEvent::lookup(format!("dense:{col}"), !fresh));
-        }
-        tables.push((*col, artifact));
-    }
-
-    let tuples: Vec<&Vec<Str>> = rel.iter().collect();
-    let mut out = Relation::new(plan.projection.len());
-    let mut mask = [false; DENSE_BATCH];
-    let mut col_buf: Vec<&Str> = Vec::with_capacity(DENSE_BATCH);
-    for batch in tuples.chunks(DENSE_BATCH) {
-        // One deadline poll per batch, *before* committing to it: a
-        // fire terminates the scan at a batch boundary with the
-        // rows-seen watermark intact, not at settlement.
-        if deadline.checkpoint() {
-            stats.truncated = true;
-            break;
-        }
-        stats.rows_scanned += batch.len();
-        let live = &mut mask[..batch.len()];
-        for (m, t) in live.iter_mut().zip(batch) {
-            *m = passes_row_filters(plan, t, k);
-        }
-        for (col, artifact) in &tables {
-            col_buf.clear();
-            col_buf.extend(batch.iter().map(|t| &t[*col]));
-            artifact.dfa.match_mask(&col_buf, live);
-        }
-        for (m, t) in live.iter().zip(batch) {
-            if *m {
-                out.insert(plan.projection.iter().map(|&c| t[c].clone()).collect());
-            }
-        }
-    }
-    Ok((out, stats))
+/// Whether every symbol of `s` is below `k`. Written as a branch-free
+/// maximum over the whole string, not a short-circuit `any`, so that
+/// the loop vectorizes.
+fn in_alphabet(s: &Str, k: Sym) -> bool {
+    s.syms().iter().copied().max().is_none_or(|m| m < k)
 }

@@ -121,13 +121,16 @@ impl Relation {
     }
 
     /// Builds a relation from tuples (all must share the given arity).
+    /// The set is built in one pass — sorted, deduplicated and
+    /// bulk-loaded — rather than by one insert per tuple.
     pub fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Vec<Str>>) -> Relation {
-        let mut r = Relation::new(arity);
-        for t in tuples {
-            assert_eq!(t.len(), arity, "tuple arity mismatch");
-            r.tuples.insert(t);
+        Relation {
+            arity,
+            tuples: tuples
+                .into_iter()
+                .inspect(|t| assert_eq!(t.len(), arity, "tuple arity mismatch"))
+                .collect(),
         }
-        r
     }
 
     pub fn arity(&self) -> usize {
@@ -408,6 +411,37 @@ mod tests {
             db1.insert("U", vec![s(w)]).unwrap();
         }
         assert_eq!(db1.adom_width(), 1);
+    }
+
+    #[test]
+    fn from_tuples_matches_one_insert_at_a_time() {
+        let tuples: Vec<Vec<Str>> = [
+            ("bb", "a"),
+            ("a", ""),
+            ("bb", "a"),
+            ("", "ab"),
+            ("a", ""),
+            ("ab", "b"),
+            ("", ""),
+        ]
+        .iter()
+        .map(|(x, y)| vec![s(x), s(y)])
+        .collect();
+        let mut one_by_one = Relation::new(2);
+        for t in &tuples {
+            one_by_one.insert(t.clone());
+        }
+        let bulk = Relation::from_tuples(2, tuples);
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.len(), 5);
+        assert!(bulk.iter().is_sorted());
+        assert_eq!(Relation::from_tuples(3, []), Relation::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "tuple arity mismatch")]
+    fn from_tuples_rejects_a_wrong_arity() {
+        Relation::from_tuples(2, [vec![s("a"), s("b")], vec![s("a")]]);
     }
 
     #[test]
