@@ -1,5 +1,5 @@
 //! E13 — static-analysis overhead. The analyzer is meant to run on
-//! *every* compile ([`strcalc_sqlfront::compile_select_analyzed`] and
+//! *every* compile ([`strcalc_sqlfront::compile_select_with`] and
 //! `Query::analyzed`), which is only tenable if its latency is
 //! negligible next to compilation proper. This bench puts the full
 //! four-pass analysis beside automata compilation and end-to-end

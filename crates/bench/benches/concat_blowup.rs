@@ -6,7 +6,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, s_query};
-use strcalc_core::{AutomataEngine, ConcatEvaluator};
+use strcalc_core::{AutomataEngine, ConcatEvaluator, Deadline};
 use strcalc_relational::Database;
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +18,15 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("ww_bounded_search", bound),
             &eval,
-            |b, eval| b.iter(|| eval.eval(&ww, &["x".to_string()], &db).unwrap().len()),
+            |b, eval| {
+                b.iter(|| {
+                    let x = ["x".to_string()];
+                    eval.eval(&ww, &x, &db, &Deadline::unlimited())
+                        .unwrap()
+                        .0
+                        .len()
+                })
+            },
         );
     }
     // The tame contrast: a membership query of similar flavor ("even

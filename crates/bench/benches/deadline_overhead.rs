@@ -43,14 +43,19 @@ fn dense_case() -> (Plan, Database) {
     (plan, db)
 }
 
+/// The unlimited wall budget: the deadline is not armed.
+fn unarmed() -> ExecCx {
+    ExecCx::production().with_budget(Budget::unlimited())
+}
+
 /// A finite wall allowance no bench iteration can exhaust: the
 /// deadline is armed (every checkpoint reads the clock) but never
 /// fires, so both sides compute the identical exact answer.
-fn armed() -> Budget {
-    Budget {
+fn armed() -> ExecCx {
+    ExecCx::production().with_budget(Budget {
         wall_time_ms: 3_600_000,
         ..Budget::unlimited()
-    }
+    })
 }
 
 fn bench(c: &mut Criterion) {
@@ -70,15 +75,12 @@ fn bench(c: &mut Criterion) {
     for (name, plan, case_db) in &cases {
         group.bench_with_input(BenchmarkId::new("unarmed", name), plan, |b, plan| {
             b.iter(|| {
-                plan.execute_with_ctx(case_db, &Budget::unlimited(), &ExecCx::production())
+                plan.execute_in(case_db, &unarmed())
                     .expect("probes evaluate")
             })
         });
         group.bench_with_input(BenchmarkId::new("armed", name), plan, |b, plan| {
-            b.iter(|| {
-                plan.execute_with_ctx(case_db, &armed(), &ExecCx::production())
-                    .expect("probes evaluate")
-            })
+            b.iter(|| plan.execute_in(case_db, &armed()).expect("probes evaluate"))
         });
     }
     group.finish();
@@ -98,14 +100,12 @@ fn bench(c: &mut Criterion) {
         for _ in 0..iters {
             let t0 = std::time::Instant::now();
             let (out0, r0) = plan
-                .execute_with_ctx(case_db, &Budget::unlimited(), &ExecCx::production())
+                .execute_in(case_db, &unarmed())
                 .expect("probes evaluate");
             let base = t0.elapsed().as_secs_f64();
 
             let t1 = std::time::Instant::now();
-            let (out1, r1) = plan
-                .execute_with_ctx(case_db, &armed(), &ExecCx::production())
-                .expect("probes evaluate");
+            let (out1, r1) = plan.execute_in(case_db, &armed()).expect("probes evaluate");
             let timed = t1.elapsed().as_secs_f64();
 
             assert_eq!(out0, out1, "an unfired deadline never changes the answer");

@@ -9,7 +9,7 @@
 use criterion::{BenchmarkId, Criterion};
 use strcalc_alphabet::Str;
 use strcalc_bench::{ab, s_query};
-use strcalc_core::{AutomataEngine, EnumEngine};
+use strcalc_core::{AutomataEngine, Deadline, EnumEngine};
 use strcalc_synchro::{atoms, SyncNfa};
 use strcalc_workloads::Workload;
 
@@ -93,7 +93,7 @@ fn bench(c: &mut Criterion) {
             slack: Some(1),
         };
         group.bench_with_input(BenchmarkId::new("memoize", memo), &engine, |b, engine| {
-            b.iter(|| engine.eval_bool(&q, &db).unwrap())
+            b.iter(|| engine.eval(&q, &db, &Deadline::unlimited()).unwrap())
         });
     }
     group.finish();

@@ -7,7 +7,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, slen_query};
-use strcalc_core::{AutomataEngine, EnumEngine};
+use strcalc_core::{AutomataEngine, Deadline, EnumEngine};
 use strcalc_workloads::Workload;
 
 fn bench(c: &mut Criterion) {
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
         if max_len <= 8 {
             // The enumeration baseline walks Σ^{≤maxlen}: exponential.
             group.bench_with_input(BenchmarkId::new("enum_lenquant", max_len), &db, |b, db| {
-                b.iter(|| baseline.eval_bool(&q_open, db).unwrap())
+                b.iter(|| baseline.eval(&q_open, db, &Deadline::unlimited()).unwrap())
             });
         }
     }

@@ -3,6 +3,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::ab;
+use strcalc_core::ExecCx;
 use strcalc_sqlfront::{compile_select, parse_select, run_sql, Catalog};
 use strcalc_workloads::Workload;
 
@@ -60,7 +61,8 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("end_to_end", name), sql, |b, sql| {
             b.iter(|| {
-                let (_c, out) = run_sql(&alphabet, &catalog, &db, sql).unwrap();
+                let cx = ExecCx::production();
+                let (_c, out, _) = run_sql(&alphabet, &catalog, &db, sql, &cx).unwrap();
                 out.is_finite()
             })
         });

@@ -11,7 +11,7 @@ use strcalc_core::mso3col::{three_colorable_via_slen, Graph};
 use strcalc_core::safety::state_safety;
 use strcalc_core::separations::figure1_report;
 use strcalc_core::{
-    AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, EnumEngine, Query,
+    AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, Deadline, EnumEngine, Query,
 };
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
@@ -70,7 +70,7 @@ fn figure2() {
         let exact = engine.eval(&q, &db).unwrap().expect_finite();
         let t_exact = ms(t);
         let t = Instant::now();
-        let approx = baseline.eval(&q, &db).unwrap();
+        let (approx, _, _) = baseline.eval(&q, &db, &Deadline::unlimited()).unwrap();
         let t_base = ms(t);
         let t = Instant::now();
         let safe = state_safety(&engine, &q, &db).unwrap().is_safe();
@@ -97,7 +97,12 @@ fn e3_concat() {
     for bound in [2usize, 4, 6, 8] {
         let eval = ConcatEvaluator::new(ab(), bound);
         let t = Instant::now();
-        let n = eval.eval(&ww, &["x".to_string()], &db).unwrap().len();
+        let head = ["x".to_string()];
+        let n = eval
+            .eval(&ww, &head, &db, &Deadline::unlimited())
+            .unwrap()
+            .0
+            .len();
         println!("| {bound} | {} | {n} | {:.2} |", eval.domain_size(), ms(t));
     }
     println!();
@@ -155,7 +160,7 @@ fn e6_slen() {
         let t1 = ms(t);
         let t2 = if max_len <= 8 {
             let t = Instant::now();
-            let _ = baseline.eval_bool(&q, &db).unwrap();
+            let _ = baseline.eval(&q, &db, &Deadline::unlimited()).unwrap();
             format!("{:.2}", ms(t))
         } else {
             "—".to_string()

@@ -8,7 +8,7 @@
 //! capability value that is handed *down* the plan tree: the planner
 //! seeds it from the planlint resource certificate plus
 //! `analyze::admission::classify`, every executor checks the budget it
-//! was handed (see `Plan::execute_with`), and a parent node hands each
+//! was handed (see `Plan::execute_in`), and a parent node hands each
 //! child an explicit sub-budget via [`Budget::child_for`] /
 //! [`Budget::split`]. Exhaustion never truncates silently: per
 //! [`DegradationPolicy`] the run either degrades *structurally* —

@@ -100,16 +100,12 @@ pub fn engines_agree_on(q: &Query, db: &Database, slack: usize) -> Result<bool, 
         .force(Strategy::ActiveDomainEnum)
         .with_slack(slack)
         .plan(q)?;
-    if q.is_boolean() {
-        Ok(exact.execute_bool(db)?.0 == baseline.execute_bool(db)?.0)
-    } else {
-        match exact.execute(db)?.0 {
-            crate::query::EvalOutput::Finite(rel) => match baseline.execute(db)?.0 {
-                crate::query::EvalOutput::Finite(base) => Ok(rel == base),
-                crate::query::EvalOutput::Infinite { .. } => Ok(false),
-            },
-            crate::query::EvalOutput::Infinite { .. } => Ok(true), // baseline N/A
-        }
+    match exact.execute(db)?.0 {
+        crate::query::EvalOutput::Finite(rel) => match baseline.execute(db)?.0 {
+            crate::query::EvalOutput::Finite(base) => Ok(rel == base),
+            crate::query::EvalOutput::Infinite { .. } => Ok(false),
+        },
+        crate::query::EvalOutput::Infinite { .. } => Ok(true), // baseline N/A
     }
 }
 

@@ -49,58 +49,22 @@ impl ConcatEvaluator {
         self.alphabet.strings_up_to(self.bound).collect()
     }
 
-    /// Evaluates an open formula; free variables also range over
-    /// `Σ^{≤B}`. The result is the **bounded** answer set — a subset of
-    /// the true (possibly undecidable) answer.
+    /// Evaluates `formula` with the `head` variables free; free
+    /// variables also range over `Σ^{≤B}`. The result is the
+    /// **bounded** answer set — a subset of the true (possibly
+    /// undecidable) answer. A sentence (empty head) is a 0-ary query:
+    /// its answer is `{()}` when it holds and `∅` otherwise. Callers
+    /// that want no deadline pass [`Deadline::unlimited`].
+    ///
+    /// The deadline is polled once per depth-0 assignment (the search's
+    /// outermost frontier — each frontier step covers
+    /// `|Σ^{≤B}|^(arity-1)` inner work, so the poll is coarse). On
+    /// expiry the search stops and returns the assignments explored so
+    /// far: every emitted tuple was fully verified, so the partial
+    /// answer is a sound subset of the bounded answer. Returns
+    /// `(tuples, depth0_assignments_explored, truncated)`; a sentence's
+    /// one (empty) assignment counts as explored once its search starts.
     pub fn eval(
-        &self,
-        formula: &Formula,
-        head: &[String],
-        db: &Database,
-    ) -> Result<Relation, CoreError> {
-        let free = formula.free_vars();
-        let mut head_sorted: Vec<String> = head.to_vec();
-        head_sorted.sort();
-        let free_sorted: Vec<String> = free.into_iter().collect();
-        if head_sorted != free_sorted {
-            return Err(CoreError::HeadMismatch {
-                head: head.to_vec(),
-                free: free_sorted,
-            });
-        }
-        let domain = self.domain();
-        let mut ev = DomainEvaluator::new(&self.alphabet, db, domain.clone(), false);
-        let mut out = Relation::new(head.len());
-        let mut env = std::collections::HashMap::new();
-        let mut tuple = vec![Str::epsilon(); head.len()];
-        search(
-            formula, head, &domain, &mut ev, &mut env, 0, &mut tuple, &mut out,
-        )?;
-        Ok(out)
-    }
-
-    /// Evaluates a sentence under the bounded semantics.
-    pub fn eval_bool(&self, formula: &Formula, db: &Database) -> Result<bool, CoreError> {
-        if !formula.free_vars().is_empty() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain();
-        let mut ev = DomainEvaluator::new(&self.alphabet, db, domain, false);
-        let mut env = std::collections::HashMap::new();
-        ev.eval(formula, &mut env)
-    }
-
-    /// [`ConcatEvaluator::eval`] under a cooperative deadline, polled
-    /// once per depth-0 assignment (the search's outermost frontier —
-    /// each frontier step covers `|Σ^{≤B}|^(arity-1)` inner work, so
-    /// the poll is coarse). On expiry the search stops and returns the
-    /// assignments explored so far: every emitted tuple was fully
-    /// verified, so the partial answer is a sound subset of the bounded
-    /// answer. Returns `(tuples, depth0_assignments_completed,
-    /// truncated)`.
-    pub fn eval_deadlined(
         &self,
         formula: &Formula,
         head: &[String],
@@ -132,11 +96,11 @@ impl ConcatEvaluator {
             match search(
                 formula, head, &domain, &mut ev, &mut env, 0, &mut tuple, &mut out,
             ) {
-                Ok(()) => explored = 1,
+                Ok(()) => {}
                 Err(CoreError::DeadlineExpired { .. }) => truncated = true,
                 Err(e) => return Err(e),
             }
-            return Ok((out, explored, truncated));
+            return Ok((out, 1, truncated));
         }
         for c in &domain {
             if deadline.checkpoint() {
@@ -157,35 +121,6 @@ impl ConcatEvaluator {
             }
         }
         Ok((out, explored, truncated))
-    }
-
-    /// [`ConcatEvaluator::eval_bool`] under a cooperative deadline.
-    /// Returns `(value, explored, truncated)`; a truncated run reports
-    /// `false` — no witness was established before the fire — and the
-    /// caller downgrades the verdict accordingly.
-    pub fn eval_bool_deadlined(
-        &self,
-        formula: &Formula,
-        db: &Database,
-        deadline: &Deadline,
-    ) -> Result<(bool, usize, bool), CoreError> {
-        if !formula.free_vars().is_empty() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain();
-        let mut ev =
-            DomainEvaluator::new(&self.alphabet, db, domain, false).with_deadline(deadline.clone());
-        let mut env = std::collections::HashMap::new();
-        if deadline.checkpoint() {
-            return Ok((false, 0, true));
-        }
-        match ev.eval(formula, &mut env) {
-            Ok(v) => Ok((v, 1, false)),
-            Err(CoreError::DeadlineExpired { .. }) => Ok((false, 1, true)),
-            Err(e) => Err(e),
-        }
     }
 
     /// The size of the bounded search space (for the blow-up benchmarks).
@@ -239,8 +174,8 @@ pub fn ww_query() -> Formula {
 pub fn ww_language_bounded(alphabet: &Alphabet, bound: usize) -> Vec<Str> {
     let eval = ConcatEvaluator::new(alphabet.clone(), bound);
     let db = Database::new();
-    let rel = eval
-        .eval(&ww_query(), &["x".to_string()], &db)
+    let (rel, _, _) = eval
+        .eval(&ww_query(), &["x".to_string()], &db, &Deadline::unlimited())
         .expect("invariant: ww_query is pure with head [x], so bounded eval cannot fail");
     rel.iter().map(|t| t[0].clone()).collect()
 }
@@ -334,6 +269,12 @@ mod tests {
         assert!(ww_query_is_concat_only(&ab()));
     }
 
+    /// Whether the sentence `f` holds under the bounded semantics.
+    fn holds(eval: &ConcatEvaluator, f: &Formula, db: &Database) -> bool {
+        let (rel, _, _) = eval.eval(f, &[], db, &Deadline::unlimited()).unwrap();
+        !rel.is_empty()
+    }
+
     #[test]
     fn bounded_eval_bool() {
         // ∃x∃y (x ≠ y ∧ x·y = y·x): e.g. x=a, y=aa.
@@ -352,7 +293,7 @@ mod tests {
             ),
         );
         let eval = ConcatEvaluator::new(ab(), 3);
-        assert!(eval.eval_bool(&f, &Database::new()).unwrap());
+        assert!(holds(&eval, &f, &Database::new()));
     }
 
     #[test]
@@ -373,15 +314,15 @@ mod tests {
                 Formula::rel("C", vec![Term::var("c"), Term::var("c2")]).and(step.clone()),
             ),
         );
-        assert!(eval.eval_bool(&f, &env_db).unwrap());
+        assert!(holds(&eval, &f, &env_db));
         // A non-step pair fails.
         let mut bad_db = Database::new();
         bad_db.insert("C", vec![s("qaab"), s("qqqq")]).unwrap();
-        assert!(!eval.eval_bool(&f, &bad_db).unwrap());
+        assert!(!holds(&eval, &f, &bad_db));
         // Halting: qb ⊢ hb.
         let mut halt_db = Database::new();
         halt_db.insert("C", vec![s("qba"), s("hba")]).unwrap();
-        assert!(eval.eval_bool(&f, &halt_db).unwrap());
+        assert!(holds(&eval, &f, &halt_db));
     }
 
     #[test]

@@ -235,9 +235,11 @@ impl AutomataEngine {
         self.eval_artifact(q, db, &artifact)
     }
 
-    /// Boolean (sentence) evaluation.
+    /// Boolean (sentence) evaluation. The sentence check runs before
+    /// compiling, so a non-sentence fails cheaply.
     pub fn eval_bool(&self, q: &Query, db: &Database) -> Result<bool, CoreError> {
-        let (artifact, _) = self.compile_bool_shared(q, db)?;
+        require_sentence(q)?;
+        let (artifact, _) = self.compile_shared(q, db)?;
         Ok(artifact.auto.is_true())
     }
 
@@ -253,37 +255,6 @@ impl AutomataEngine {
     pub fn contains(&self, q: &Query, db: &Database, tuple: &[Str]) -> Result<bool, CoreError> {
         let (artifact, _) = self.compile_shared(q, db)?;
         Self::contains_artifact(q, &artifact, tuple)
-    }
-
-    /// [`Self::compile_shared`] plus the sentence check `eval_bool`
-    /// needs (performed *before* compiling, so errors are cheap).
-    pub(crate) fn compile_bool_shared(
-        &self,
-        q: &Query,
-        db: &Database,
-    ) -> Result<(Arc<CompiledArtifact>, bool), CoreError> {
-        if !q.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        self.compile_shared(q, db)
-    }
-
-    /// [`Self::compile_bool_shared`] with the retention switch of
-    /// [`Self::compile_shared_with`].
-    pub(crate) fn compile_bool_shared_with(
-        &self,
-        q: &Query,
-        db: &Database,
-        retain: bool,
-    ) -> Result<(Arc<CompiledArtifact>, bool), CoreError> {
-        if !q.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        self.compile_shared_with(q, db, retain)
     }
 
     /// Evaluation against an already-compiled artifact (the shared body
@@ -356,6 +327,18 @@ impl AutomataEngine {
             by_track.push(&tuple[pos]);
         }
         Ok(artifact.auto.accepts(&by_track))
+    }
+}
+
+/// The sentence check of the Boolean entry points (`eval_bool` here
+/// and on `PreparedQuery`).
+pub(crate) fn require_sentence(q: &Query) -> Result<(), CoreError> {
+    if q.is_boolean() {
+        Ok(())
+    } else {
+        Err(CoreError::Unsupported(
+            "eval_bool requires a sentence".into(),
+        ))
     }
 }
 

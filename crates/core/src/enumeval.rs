@@ -110,20 +110,6 @@ impl EnumEngine {
         }
     }
 
-    /// Evaluates an open query: candidate tuples are drawn from the same
-    /// finite domain. **Assumes the query is range-restricted** (safe
-    /// with output inside the domain); use the automata engine for exact
-    /// semantics on arbitrary queries.
-    pub fn eval(&self, q: &Query, db: &Database) -> Result<Relation, CoreError> {
-        let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize);
-        let mut env: HashMap<String, Str> = HashMap::new();
-        let mut out = Relation::new(q.arity());
-        let mut tuple = vec![Str::epsilon(); q.arity()];
-        self.eval_tuples(q, &mut ev, &mut env, 0, &mut tuple, &mut out)?;
-        Ok(out)
-    }
-
     fn eval_tuples(
         &self,
         q: &Query,
@@ -149,27 +135,21 @@ impl EnumEngine {
         Ok(())
     }
 
-    /// Evaluates a sentence.
-    pub fn eval_bool(&self, q: &Query, db: &Database) -> Result<bool, CoreError> {
-        if !q.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize);
-        let mut env = HashMap::new();
-        ev.eval(&q.formula, &mut env)
-    }
-
-    /// [`EnumEngine::eval`] under a cooperative deadline. The deadline
-    /// is polled once per depth-0 frontier candidate (and per
-    /// quantifier candidate inside the evaluator); on expiry the
+    /// Evaluates `q` under a cooperative deadline: candidate tuples are
+    /// drawn from the same finite domain. **Assumes the query is
+    /// range-restricted** (safe with output inside the domain); use the
+    /// automata engine for exact semantics on arbitrary queries. A
+    /// sentence is a 0-ary query: its answer is `{()}` when it holds and
+    /// `∅` otherwise. Callers that want no deadline pass
+    /// [`Deadline::unlimited`].
+    ///
+    /// The deadline is polled once per depth-0 frontier candidate (and
+    /// per quantifier candidate inside the evaluator); on expiry the
     /// enumeration stops and returns what completed — every tuple in
     /// the partial output was fully verified, so the result is a sound
     /// subset. Returns `(tuples, frontier_candidates_completed,
     /// truncated)`.
-    pub fn eval_deadlined(
+    pub fn eval(
         &self,
         q: &Query,
         db: &Database,
@@ -214,35 +194,6 @@ impl EnumEngine {
             }
         }
         Ok((out, seen, truncated))
-    }
-
-    /// [`EnumEngine::eval_bool`] under a cooperative deadline. Returns
-    /// `(value, truncated)`; a truncated run reports `false` (no
-    /// witness was established before the fire) and the caller must
-    /// downgrade the verdict to `Unknown`.
-    pub fn eval_bool_deadlined(
-        &self,
-        q: &Query,
-        db: &Database,
-        deadline: &Deadline,
-    ) -> Result<(bool, bool), CoreError> {
-        if !q.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize)
-            .with_deadline(deadline.clone());
-        let mut env = HashMap::new();
-        if deadline.checkpoint() {
-            return Ok((false, true));
-        }
-        match ev.eval(&q.formula, &mut env) {
-            Ok(v) => Ok((v, false)),
-            Err(CoreError::DeadlineExpired { .. }) => Ok((false, true)),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -582,6 +533,11 @@ mod tests {
         .unwrap()
     }
 
+    /// The engine's answer with no deadline.
+    fn answer(engine: &EnumEngine, q: &Query) -> Relation {
+        engine.eval(q, &db(), &Deadline::unlimited()).unwrap().0
+    }
+
     #[test]
     fn agrees_with_automata_engine_on_safe_queries() {
         use crate::engine::AutomataEngine;
@@ -605,7 +561,7 @@ mod tests {
         let baseline = EnumEngine::new();
         for query in &queries {
             let a = exact.eval(query, &db()).unwrap().expect_finite();
-            let b = baseline.eval(query, &db()).unwrap();
+            let b = answer(&baseline, query);
             assert_eq!(a, b, "engines disagree on {}", query.formula);
         }
     }
@@ -637,7 +593,7 @@ mod tests {
         let baseline = EnumEngine::new();
         for query in &sentences {
             let a = exact.eval_bool(query, &db()).unwrap();
-            let b = baseline.eval_bool(query, &db()).unwrap();
+            let b = !answer(&baseline, query).is_empty();
             assert_eq!(a, b, "engines disagree on {}", query.formula);
         }
     }
@@ -657,10 +613,7 @@ mod tests {
             memoize: false,
             ..EnumEngine::new()
         };
-        assert_eq!(
-            with.eval_bool(&query, &db()).unwrap(),
-            without.eval_bool(&query, &db()).unwrap()
-        );
+        assert_eq!(answer(&with, &query), answer(&without, &query));
     }
 
     #[test]
@@ -670,7 +623,7 @@ mod tests {
             &["x"],
             "exists y. (R(y) & x = prepend('a', y))",
         );
-        let out = EnumEngine::new().eval(&query, &db()).unwrap();
+        let out = answer(&EnumEngine::new(), &query);
         assert_eq!(out.len(), 3);
         assert!(out.contains(&[s("aba")]));
     }

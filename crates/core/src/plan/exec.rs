@@ -1,28 +1,37 @@
 //! Plan execution: the engines as node executors, governed by budgets.
 //!
-//! [`Plan::execute`] dispatches on the plan's root operator and hands
-//! the work to the matching executor — the automata engine's artifact
-//! pipeline, the enumeration interpreter, or the bounded search — and
-//! reports post-execution actuals (states built, bytes held, cache
-//! hits, tuples enumerated) for `EXPLAIN`. Before executing, the plan
-//! is re-verified by planlint (defense in depth: a plan mutated after
+//! Every run takes one path, [`Plan::execute_in`]; [`Plan::execute`] is
+//! that path in the production context. It dispatches on the plan's
+//! root operator and hands the work to the matching executor — the
+//! automata engine's artifact pipeline, the enumeration interpreter,
+//! the bounded search, or a relation scan — and reports
+//! post-execution actuals (states built, bytes held, cache hits, tuples
+//! enumerated) for `EXPLAIN`. Before executing, the plan is re-verified
+//! by planlint (defense in depth: a plan mutated after
 //! `Planner::build` is rejected here), and afterwards the actuals are
 //! cross-checked against the plan's resource certificate — an actual
 //! exceeding its certified bound is a calibration bug in the abstract
 //! domain and surfaces as an `SA240` entry in
 //! [`ExecReport::cert_violations`].
 //!
+//! A sentence is a 0-ary query, as in the paper: it runs through the
+//! same executors, and its answer is the 0-ary relation — `{()}` when
+//! it holds, `∅` otherwise. Only the report is shaped by
+//! [`Plan::is_boolean`]: a sentence enumerates no tuples, and a
+//! truncated sentence without a witness is `Unknown`, not `Bounded`.
+//!
 //! Execution is *resource-governed*: every run holds a [`Budget`]
-//! capability (the planner-seeded one for [`Plan::execute`], or an
-//! explicit one via [`Plan::execute_with`]). A pre-execution governor
-//! walks the plan tree handing each node an explicit sub-budget
-//! ([`Budget::child_for`]) and checking the node's certified demand
-//! against the budget it was *handed* — not against ambient caps. The
-//! walk is recorded as a per-node [`BudgetLedger`]. On exhaustion the
-//! run degrades structurally per [`DegradationPolicy`]:
+//! capability — the planner-seeded one unless its [`ExecCx`] carries
+//! another. A pre-execution governor walks the plan tree handing each
+//! node an explicit sub-budget ([`Budget::child_for`]) and checking the
+//! node's certified demand against the budget it was *handed* — not
+//! against ambient caps. The walk is recorded as a per-node
+//! [`BudgetLedger`]. On exhaustion the run degrades structurally per
+//! [`DegradationPolicy`]:
 //!
 //! * exact automata → a bounded collapse-domain verdict (SA401), in
-//!   the PR 2 `Validated`/`Refuted`/`Unknown` shape ([`ExecVerdict`]);
+//!   the translation validator's `Validated`/`Refuted`/`Unknown` shape
+//!   ([`ExecVerdict`]);
 //! * dense batched tables → the sparse per-tuple DFA walk (SA402);
 //! * a cold cache whose recompilation the budget denies → the same
 //!   bounded fallback, surfaced as recompile-denied (SA403);
@@ -32,8 +41,8 @@
 //! and under `DegradationPolicy::Fail` the run is instead rejected
 //! with `CoreError::BudgetExhausted`.
 //!
-//! Beyond the pre-execution governor, every run carries an [`ExecCx`]
-//! (execution context) holding three robustness hooks:
+//! Beyond the budget, the [`ExecCx`] (execution context) holds three
+//! robustness hooks:
 //!
 //! * a [`Clock`] behind a cooperative [`Deadline`], polled at coarse
 //!   checkpoints inside every long-running loop — a finite
@@ -181,43 +190,55 @@ impl ExecReport {
     }
 }
 
-/// The governor's view of one run: the per-node ledger from the
-/// pre-execution walk, degradation events as they accrue, and the
-/// cache probe that decides the recompile-denied path.
-struct Governance {
-    ledger: BudgetLedger,
-    degradations: Vec<Degradation>,
-    /// Any ledger entry whose handed budget did not cover its demand.
-    exhausted: bool,
-    /// Ledger path of the first exhausted node.
-    first_exhausted: Option<String>,
-    /// Whether the plan carries a `CacheLookup` node whose artifact is
-    /// already resident (serving it costs no fresh capability).
-    cache_resident: bool,
+/// One governed run, threaded through every executor: the budget it was
+/// handed, its context and deadline, and the report it writes into as
+/// it goes. The governor's ledger, every degradation and every cache
+/// event land in `report` in execution order; nothing is copied over
+/// at the end.
+struct Run<'a> {
+    budget: Budget,
+    cx: &'a ExecCx,
+    deadline: Deadline,
+    report: ExecReport,
     /// Whether the plan carries a `CacheLookup` node at all.
     has_cache_lookup: bool,
-    /// Cache events that happen *before* the executor runs (admission
-    /// evictions); prepended to the executor's own events so the trace
-    /// keeps execution order.
-    cache_events: Vec<CacheEvent>,
+    /// Whether that node's artifact is already resident (serving it
+    /// costs no fresh capability).
+    cache_resident: bool,
 }
 
-impl Governance {
+impl Run<'_> {
+    /// The ledger entry of the first node whose handed budget did not
+    /// cover its demand, if any.
+    fn exhausted(&self) -> Option<&LedgerEntry> {
+        self.report.ledger.entries.iter().find(|e| !e.within)
+    }
+
+    /// Ledger path of the first exhausted node.
     fn exhausted_at(&self) -> String {
-        self.first_exhausted
-            .clone()
-            .unwrap_or_else(|| "root".into())
+        self.exhausted()
+            .map_or_else(|| "root".into(), |e| e.node.clone())
+    }
+
+    fn degrade(&mut self, code: Code, node: impl Into<String>, detail: impl Into<String>) {
+        self.report
+            .degradations
+            .push(Degradation::new(code, node, detail));
     }
 }
 
-/// The execution context a governed run carries alongside its
-/// [`Budget`]: the clock its deadline reads, the shared admission
-/// ledger it reserves against, and the deterministic fault plan it is
-/// armed with. [`Plan::execute_with`] uses [`ExecCx::production`];
-/// trace replay uses [`ExecCx::replay`] so recorded runs — including
-/// deadline fires and injected faults — reproduce bit for bit.
+/// The execution context a governed run carries: the [`Budget`] it is
+/// handed (the plan's seeded one unless set), the clock its deadline
+/// reads, the shared admission ledger it reserves against, and the
+/// deterministic fault plan it is armed with. [`Plan::execute`] uses
+/// [`ExecCx::production`]; trace replay uses [`ExecCx::replay`] so
+/// recorded runs — including deadline fires and injected faults —
+/// reproduce bit for bit.
 #[derive(Clone)]
 pub struct ExecCx {
+    /// The budget capability for this run; `None` runs under the plan's
+    /// seeded budget ([`Plan::seeded_budget`]).
+    pub budget: Option<Budget>,
     /// Deterministic injection points for this run.
     pub faults: FaultPlan,
     /// The clock backing the run's deadline. Production: a monotonic
@@ -231,6 +252,7 @@ pub struct ExecCx {
 impl std::fmt::Debug for ExecCx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecCx")
+            .field("budget", &self.budget)
             .field("faults", &self.faults)
             .field("ledger", &self.ledger.is_some())
             .finish()
@@ -238,10 +260,11 @@ impl std::fmt::Debug for ExecCx {
 }
 
 impl ExecCx {
-    /// The production context: a real monotonic clock, no fault
-    /// injection, no shared ledger.
+    /// The production context: the plan's seeded budget, a real
+    /// monotonic clock, no fault injection, no shared ledger.
     pub fn production() -> ExecCx {
         ExecCx {
+            budget: None,
             faults: FaultPlan::none(),
             clock: Arc::new(MonotonicClock::new()),
             ledger: None,
@@ -254,6 +277,7 @@ impl ExecCx {
     /// injects ledger contention (so the SA431 admission path replays).
     pub fn replay(faults: FaultPlan) -> ExecCx {
         ExecCx {
+            budget: None,
             ledger: if faults.ledger_contention {
                 Some(Arc::new(SharedLedger::unlimited()))
             } else {
@@ -262,6 +286,13 @@ impl ExecCx {
             faults,
             clock: Arc::new(VirtualClock::frozen()),
         }
+    }
+
+    /// Hands the run an explicit budget capability in place of the
+    /// plan's seeded one.
+    pub fn with_budget(mut self, budget: Budget) -> ExecCx {
+        self.budget = Some(budget);
+        self
     }
 
     /// Arms this context with a fault plan.
@@ -311,146 +342,59 @@ impl ExecCx {
 }
 
 impl Plan {
-    /// Executes the plan against `db` under the planner-seeded budget
-    /// (see [`Plan::seeded_budget`]); seeded budgets admit their own
-    /// certificate, so this is the exact, back-compat entry point.
-    pub fn execute(
-        &self,
-        db: &strcalc_relational::Database,
-    ) -> Result<(EvalOutput, ExecReport), CoreError> {
-        self.execute_with(db, &self.budget)
+    /// Executes the plan against `db` in the production context, under
+    /// the planner-seeded budget (see [`Plan::seeded_budget`]). Seeded
+    /// budgets admit their own certificate, so this run is exact.
+    pub fn execute(&self, db: &Database) -> Result<(EvalOutput, ExecReport), CoreError> {
+        self.execute_in(db, &ExecCx::production())
     }
 
-    /// Executes the plan under an explicit [`Budget`] capability. The
-    /// governor hands every plan node a sub-budget, records the
+    /// Executes the plan under the context `cx`: its budget (the seeded
+    /// one unless set) is the capability the governor hands down, its
+    /// clock backs the in-flight deadline, its ledger gates admission,
+    /// and its fault plan arms deterministic injection points.
+    ///
+    /// The governor hands every plan node a sub-budget, records the
     /// [`BudgetLedger`], and on exhaustion degrades structurally per
     /// the budget's [`DegradationPolicy`] (or rejects the run under
-    /// `Fail`). Degraded answers carry a non-`Exact`
-    /// [`ExecVerdict`] and SA4xx events — never a silently truncated
-    /// result.
-    pub fn execute_with(
+    /// `Fail`). Degraded answers carry a non-`Exact` [`ExecVerdict`]
+    /// and SA4xx events — never a silently truncated result.
+    ///
+    /// A sentence is a 0-ary query: its answer is the 0-ary relation,
+    /// `{()}` when it holds and `∅` otherwise. A sentence enumerates no
+    /// tuples, and a truncated sentence run reports `Bounded` only once
+    /// it holds a witness (`true` over a prefix of the work is sound);
+    /// without one it reports `Unknown`, since absence was not
+    /// established.
+    pub fn execute_in(
         &self,
-        db: &strcalc_relational::Database,
-        budget: &Budget,
-    ) -> Result<(EvalOutput, ExecReport), CoreError> {
-        self.execute_with_ctx(db, budget, &ExecCx::production())
-    }
-
-    /// Executes under an explicit budget *and* execution context: the
-    /// context's clock backs the in-flight deadline, its ledger gates
-    /// admission, and its fault plan arms deterministic injection
-    /// points. This is the full-governance entry point; the other
-    /// `execute*` methods delegate here with [`ExecCx::production`].
-    pub fn execute_with_ctx(
-        &self,
-        db: &strcalc_relational::Database,
-        budget: &Budget,
+        db: &Database,
         cx: &ExecCx,
     ) -> Result<(EvalOutput, ExecReport), CoreError> {
         self.lint_gate()?;
-        let deadline = cx.deadline_for(budget);
-        let mut gov = self.govern(db, budget);
-        let _reservation = self.admit(cx, &mut gov)?;
-        self.fail_gate(budget, &gov)?;
-        let (out, mut report) = match (&self.root.op, self.strategy) {
-            (PlanOp::EnumerateFinite, Strategy::Automata) if gov.exhausted => {
-                let q = self.typed_query()?;
-                let (rel, rep) = self.degraded_bounded(q, db, budget, &deadline, &mut gov)?;
-                (EvalOutput::Finite(rel), rep)
-            }
-            (PlanOp::EnumerateFinite, Strategy::Automata) => {
-                let q = self.typed_query()?;
-                // One checkpoint covers the whole compile: product
-                // construction is not incrementally interruptible, so
-                // the poll happens before committing to it.
-                if deadline.checkpoint() || cx.faults.abort_compile {
-                    let (rel, rep) =
-                        self.compile_aborted(q, db, budget, cx, &deadline, &mut gov)?;
-                    (EvalOutput::Finite(rel), rep)
-                } else {
-                    let (artifact, fresh) = self.fault_aware_compile(q, db, cx, &mut gov, false)?;
-                    let out = self.engine.eval_artifact(q, db, &artifact)?;
-                    let tuples = match &out {
-                        EvalOutput::Finite(rel) => rel.len(),
-                        EvalOutput::Infinite { sample } => sample.len(),
-                    };
-                    let states = artifact.auto.num_states();
-                    let bytes = artifact.auto.approx_bytes();
-                    let mut rep = ExecReport {
-                        automaton_states: states,
-                        artifact_bytes: bytes,
-                        cache_hit: !fresh,
-                        tuples_enumerated: tuples,
-                        cert_violations: self.calibrate(states, bytes),
-                        ..ExecReport::clean(self.strategy)
-                    };
-                    if self.engine.cache.is_some() {
-                        rep.cache_events
-                            .push(CacheEvent::lookup("automaton", !fresh));
-                    }
-                    (out, rep)
-                }
-            }
+        let budget = cx.budget.unwrap_or(self.budget);
+        let mut run = Run {
+            budget,
+            cx,
+            deadline: cx.deadline_for(&budget),
+            report: ExecReport::clean(self.strategy),
+            has_cache_lookup: false,
+            cache_resident: false,
+        };
+        self.govern(db, &mut run);
+        let _reservation = self.admit(&mut run)?;
+        self.fail_gate(&run)?;
+        let out = match (&self.root.op, self.strategy) {
+            (PlanOp::EnumerateFinite, Strategy::Automata) => self.run_automata(db, &mut run)?,
             (PlanOp::EnumerateFinite, Strategy::ActiveDomainEnum) => {
-                let q = self.typed_query()?;
-                let engine = EnumEngine {
-                    slack: self.slack,
-                    memoize: self.memoize,
-                };
-                let domain_size = engine.domain(q, db).len();
-                let (rel, seen, truncated) = engine.eval_deadlined(q, db, &deadline)?;
-                let verdict = if truncated {
-                    self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineScanTruncated,
-                        format!("enumerated {seen} of {domain_size} frontier candidates"),
-                        true,
-                        &mut gov,
-                    )?
-                } else {
-                    ExecVerdict::Exact
-                };
-                let tuples = rel.len();
-                (
-                    EvalOutput::Finite(rel),
-                    ExecReport {
-                        tuples_enumerated: tuples,
-                        domain_size,
-                        verdict,
-                        ..ExecReport::clean(self.strategy)
-                    },
-                )
+                EvalOutput::Finite(self.run_enum(db, &mut run)?)
             }
             (PlanOp::BoundedSearch { budget: bound }, Strategy::BoundedSearch) => {
-                let (evaluator, mut verdict) = self.governed_search(*bound, budget, &mut gov);
-                let (rel, explored, truncated) =
-                    evaluator.eval_deadlined(self.formula(), self.head(), db, &deadline)?;
-                if truncated {
-                    verdict = self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineSearchClamped,
-                        format!("explored {explored} depth-0 assignments"),
-                        true,
-                        &mut gov,
-                    )?;
-                }
-                let tuples = rel.len();
-                (
-                    EvalOutput::Finite(rel),
-                    ExecReport {
-                        tuples_enumerated: tuples,
-                        domain_size: evaluator.domain_size(),
-                        verdict,
-                        ..ExecReport::clean(self.strategy)
-                    },
-                )
+                EvalOutput::Finite(self.run_search(*bound, db, &mut run)?)
             }
             (PlanOp::LikeScan { plan }, Strategy::LikeLinearScan)
             | (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) => {
-                let (rel, rep) = self.scan(plan, db, budget, cx, &deadline, &mut gov, false)?;
-                (EvalOutput::Finite(rel), rep)
+                EvalOutput::Finite(self.scan(plan, db, &mut run)?)
             }
             (op, strategy) => {
                 return Err(CoreError::Unsupported(format!(
@@ -460,158 +404,109 @@ impl Plan {
                 )))
             }
         };
-        self.settle(budget, &mut gov, &report);
-        let mut events = std::mem::take(&mut gov.cache_events);
-        events.append(&mut report.cache_events);
-        report.cache_events = events;
-        report.degradations = gov.degradations;
-        report.ledger = gov.ledger;
-        report.faults = cx.recorded(&deadline);
-        Ok((out, report))
+        self.settle(&mut run);
+        run.report.faults = cx.recorded(&run.deadline);
+        Ok((out, run.report))
     }
 
-    /// Boolean (sentence) execution under the planner-seeded budget.
-    pub fn execute_bool(
-        &self,
-        db: &strcalc_relational::Database,
-    ) -> Result<(bool, ExecReport), CoreError> {
-        self.execute_bool_with(db, &self.budget)
-    }
-
-    /// Boolean (sentence) execution under an explicit budget (same
-    /// governance contract as [`Plan::execute_with`]).
-    pub fn execute_bool_with(
-        &self,
-        db: &strcalc_relational::Database,
-        budget: &Budget,
-    ) -> Result<(bool, ExecReport), CoreError> {
-        self.execute_bool_with_ctx(db, budget, &ExecCx::production())
-    }
-
-    /// Boolean execution under an explicit budget and [`ExecCx`] (same
-    /// governance contract as [`Plan::execute_with_ctx`]). A truncated
-    /// boolean run that already found a witness reports `Bounded`
-    /// (`true` over a prefix of the work is sound); one that found no
-    /// witness reports `Unknown` — absence was not established.
-    pub fn execute_bool_with_ctx(
-        &self,
-        db: &strcalc_relational::Database,
-        budget: &Budget,
-        cx: &ExecCx,
-    ) -> Result<(bool, ExecReport), CoreError> {
-        if !self.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
+    /// The tuple count a run reports as enumerated: its answer's size,
+    /// or 0 for a sentence, which enumerates no tuples.
+    fn enumerated(&self, answer: usize) -> usize {
+        if self.is_boolean() {
+            0
+        } else {
+            answer
         }
-        self.lint_gate()?;
-        let deadline = cx.deadline_for(budget);
-        let mut gov = self.govern(db, budget);
-        let _reservation = self.admit(cx, &mut gov)?;
-        self.fail_gate(budget, &gov)?;
-        let (value, mut report) = match (&self.root.op, self.strategy) {
-            (PlanOp::EnumerateFinite, Strategy::Automata) if gov.exhausted => {
-                let q = self.typed_query()?;
-                let (rel, rep) = self.degraded_bounded(q, db, budget, &deadline, &mut gov)?;
-                (!rel.is_empty(), rep)
-            }
-            (PlanOp::EnumerateFinite, Strategy::Automata) => {
-                let q = self.typed_query()?;
-                if deadline.checkpoint() || cx.faults.abort_compile {
-                    let (rel, rep) =
-                        self.compile_aborted(q, db, budget, cx, &deadline, &mut gov)?;
-                    (!rel.is_empty(), rep)
-                } else {
-                    let (artifact, fresh) = self.fault_aware_compile(q, db, cx, &mut gov, true)?;
-                    let states = artifact.auto.num_states();
-                    let bytes = artifact.auto.approx_bytes();
-                    let mut rep = ExecReport {
-                        automaton_states: states,
-                        artifact_bytes: bytes,
-                        cache_hit: !fresh,
-                        cert_violations: self.calibrate(states, bytes),
-                        ..ExecReport::clean(self.strategy)
-                    };
-                    if self.engine.cache.is_some() {
-                        rep.cache_events
-                            .push(CacheEvent::lookup("automaton", !fresh));
-                    }
-                    (artifact.auto.is_true(), rep)
-                }
-            }
-            (PlanOp::EnumerateFinite, Strategy::ActiveDomainEnum) => {
-                let q = self.typed_query()?;
-                let engine = EnumEngine {
-                    slack: self.slack,
-                    memoize: self.memoize,
-                };
-                let domain_size = engine.domain(q, db).len();
-                let (value, truncated) = engine.eval_bool_deadlined(q, db, &deadline)?;
-                let verdict = if truncated {
-                    self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineScanTruncated,
-                        "quantifier evaluation interrupted mid-frontier".to_string(),
-                        value,
-                        &mut gov,
-                    )?
-                } else {
-                    ExecVerdict::Exact
-                };
-                (
-                    value,
-                    ExecReport {
-                        domain_size,
-                        verdict,
-                        ..ExecReport::clean(self.strategy)
-                    },
-                )
-            }
-            (PlanOp::BoundedSearch { budget: bound }, Strategy::BoundedSearch) => {
-                let (evaluator, mut verdict) = self.governed_search(*bound, budget, &mut gov);
-                let (value, explored, truncated) =
-                    evaluator.eval_bool_deadlined(self.formula(), db, &deadline)?;
-                if truncated {
-                    verdict = self.truncate(
-                        budget,
-                        &deadline,
-                        Code::DeadlineSearchClamped,
-                        format!("explored {explored} depth-0 assignments"),
-                        value,
-                        &mut gov,
-                    )?;
-                }
-                (
-                    value,
-                    ExecReport {
-                        domain_size: evaluator.domain_size(),
-                        verdict,
-                        ..ExecReport::clean(self.strategy)
-                    },
-                )
-            }
-            (PlanOp::LikeScan { plan }, Strategy::LikeLinearScan)
-            | (PlanOp::DenseScan { plan, .. }, Strategy::DenseDfaScan) => {
-                let (rel, rep) = self.scan(plan, db, budget, cx, &deadline, &mut gov, true)?;
-                (!rel.is_empty(), rep)
-            }
-            (op, strategy) => {
-                return Err(CoreError::Unsupported(format!(
-                    "malformed plan: root {} under strategy {}",
-                    op.name(),
-                    strategy.name()
-                )))
-            }
+    }
+
+    fn enum_engine(&self) -> EnumEngine {
+        EnumEngine {
+            slack: self.slack,
+            memoize: self.memoize,
+        }
+    }
+
+    /// The automata executor: compiles the plan's automaton (through the
+    /// cache when one is attached) and reads the answer off it — the
+    /// tuples of an open query, the truth of a sentence. An exhausted
+    /// budget degrades to the bounded collapse domain; a deadline fired
+    /// before compiling abandons the compile.
+    fn run_automata(&self, db: &Database, run: &mut Run) -> Result<EvalOutput, CoreError> {
+        let q = self.typed_query()?;
+        if run.exhausted().is_some() {
+            return Ok(EvalOutput::Finite(self.degraded_bounded(q, db, run)?));
+        }
+        // One checkpoint covers the whole compile: product construction
+        // is not incrementally interruptible, so the poll happens before
+        // committing to it.
+        if run.deadline.checkpoint() || run.cx.faults.abort_compile {
+            return Ok(EvalOutput::Finite(self.compile_aborted(q, db, run)?));
+        }
+        let (artifact, fresh) = self.fault_aware_compile(q, db, run)?;
+        let out = if self.is_boolean() {
+            EvalOutput::Finite(Relation::from_tuples(
+                0,
+                artifact.auto.is_true().then(Vec::new),
+            ))
+        } else {
+            self.engine.eval_artifact(q, db, &artifact)?
         };
-        self.settle(budget, &mut gov, &report);
-        let mut events = std::mem::take(&mut gov.cache_events);
-        events.append(&mut report.cache_events);
-        report.cache_events = events;
-        report.degradations = gov.degradations;
-        report.ledger = gov.ledger;
-        report.faults = cx.recorded(&deadline);
-        Ok((value, report))
+        let tuples = match &out {
+            EvalOutput::Finite(rel) => rel.len(),
+            EvalOutput::Infinite { sample } => sample.len(),
+        };
+        let states = artifact.auto.num_states();
+        let bytes = artifact.auto.approx_bytes();
+        let rep = &mut run.report;
+        rep.automaton_states = states;
+        rep.artifact_bytes = bytes;
+        rep.cache_hit = !fresh;
+        rep.tuples_enumerated = self.enumerated(tuples);
+        rep.cert_violations = self.calibrate(states, bytes);
+        if self.engine.cache.is_some() {
+            rep.cache_events
+                .push(CacheEvent::lookup("automaton", !fresh));
+        }
+        Ok(out)
+    }
+
+    /// The active-domain enumeration executor.
+    fn run_enum(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
+        let q = self.typed_query()?;
+        let engine = self.enum_engine();
+        let domain_size = engine.domain(q, db).len();
+        let (rel, seen, truncated) = engine.eval(q, db, &run.deadline)?;
+        if truncated {
+            let what = if self.is_boolean() {
+                "quantifier evaluation interrupted mid-frontier".to_string()
+            } else {
+                format!("enumerated {seen} of {domain_size} frontier candidates")
+            };
+            run.report.verdict = self.truncate(run, Code::DeadlineScanTruncated, what, &rel)?;
+        }
+        run.report.tuples_enumerated = self.enumerated(rel.len());
+        run.report.domain_size = domain_size;
+        Ok(rel)
+    }
+
+    /// The bounded-search executor, at the depth [`Plan::governed_search`]
+    /// allows.
+    fn run_search(
+        &self,
+        bound: usize,
+        db: &Database,
+        run: &mut Run,
+    ) -> Result<Relation, CoreError> {
+        let evaluator = self.governed_search(bound, run);
+        let (rel, explored, truncated) =
+            evaluator.eval(self.formula(), self.head(), db, &run.deadline)?;
+        if truncated {
+            let what = format!("explored {explored} depth-0 assignments");
+            run.report.verdict = self.truncate(run, Code::DeadlineSearchClamped, what, &rel)?;
+        }
+        run.report.tuples_enumerated = self.enumerated(rel.len());
+        run.report.domain_size = evaluator.domain_size();
+        Ok(rel)
     }
 
     /// The pre-execution governor: walks the plan tree handing each
@@ -623,29 +518,27 @@ impl Plan {
     /// hit costs no fresh states or bytes); a cold one demands its
     /// full certificate, which is what the recompile-denied path (SA403)
     /// keys off.
-    fn govern(&self, db: &Database, budget: &Budget) -> Governance {
+    fn govern(&self, db: &Database, run: &mut Run) {
         let mut has_cache_lookup = false;
         self.root.visit(&mut |n| {
             if matches!(n.op, PlanOp::CacheLookup { .. }) {
                 has_cache_lookup = true;
             }
         });
-        let cache_resident = has_cache_lookup
+        run.has_cache_lookup = has_cache_lookup;
+        run.cache_resident = has_cache_lookup
             && match (self.engine.cache(), self.typed_query()) {
                 (Some(cache), Ok(q)) => cache.get(&self.engine.cache_key(q, db)).is_some(),
                 _ => false,
             };
-        let mut gov = Governance {
-            ledger: BudgetLedger::default(),
-            degradations: Vec::new(),
-            exhausted: false,
-            first_exhausted: None,
-            cache_resident,
-            has_cache_lookup,
-            cache_events: Vec::new(),
-        };
-        govern_node(&self.root, budget, "root", cache_resident, false, &mut gov);
-        gov
+        govern_node(
+            &self.root,
+            &run.budget,
+            "root",
+            run.cache_resident,
+            false,
+            &mut run.report.ledger,
+        );
     }
 
     /// Cross-query admission: reserves the plan's peak certified demand
@@ -655,8 +548,8 @@ impl Plan {
     /// (SA430, with a typed cache event) and the reservation retried;
     /// only a shortfall that survives eviction denies the run. The
     /// returned guard holds the reservation until settlement (drop).
-    fn admit(&self, cx: &ExecCx, gov: &mut Governance) -> Result<Option<Reservation>, CoreError> {
-        let Some(ledger) = &cx.ledger else {
+    fn admit(&self, run: &mut Run) -> Result<Option<Reservation>, CoreError> {
+        let Some(ledger) = &run.cx.ledger else {
             return Ok(None);
         };
         let peak = subtree_peak(&self.root);
@@ -664,14 +557,13 @@ impl Plan {
             states: peak.states.hi,
             bytes: peak.bytes.hi,
         };
-        let first = if cx.faults.ledger_contention {
-            gov.degradations.push(Degradation::new(
+        let first = if run.cx.faults.ledger_contention {
+            run.degrade(
                 Code::FaultInjected,
                 "root",
                 "injected ledger contention: the first reservation attempt reports an \
-                 artificial byte shortfall"
-                    .to_string(),
-            ));
+                 artificial byte shortfall",
+            );
             Err(AdmissionShortfall {
                 bytes: req.bytes.max(1),
                 ..AdmissionShortfall::default()
@@ -687,18 +579,19 @@ impl Plan {
             if let Some(cache) = self.engine.cache() {
                 let (freed, dropped) = cache.evict_for_reservation(short.bytes as usize);
                 if dropped > 0 {
-                    gov.cache_events
+                    run.report
+                        .cache_events
                         .push(CacheEvent::reservation_eviction(format!(
                             "reservation-evict:{dropped}"
                         )));
-                    gov.degradations.push(Degradation::new(
+                    run.degrade(
                         Code::AdmissionReservationEvicted,
                         "root",
                         format!(
                             "evicted {dropped} cold cache entries ({freed} bytes) to cover a \
                              reservation shortfall"
                         ),
-                    ));
+                    );
                     ledger.credit_bytes(freed as u64);
                 }
             }
@@ -717,26 +610,24 @@ impl Plan {
     /// The shared deadline-expiry response: records the SA41x event
     /// (checkpoint index and work-seen watermark — deterministic
     /// quantities, never elapsed time) and downgrades the verdict, or
-    /// rejects the run outright under `DegradationPolicy::Fail`.
-    /// `sound` says whether the partial answer is a sound bound
-    /// (`Bounded`) or established nothing (`Unknown`).
+    /// rejects the run outright under `DegradationPolicy::Fail`. The
+    /// partial `answer` is a sound bound (`Bounded`) for an open query,
+    /// and for a sentence once it holds a witness; a witness-less
+    /// sentence established nothing (`Unknown`).
     fn truncate(
         &self,
-        budget: &Budget,
-        deadline: &Deadline,
+        run: &mut Run,
         code: Code,
         what: String,
-        sound: bool,
-        gov: &mut Governance,
+        answer: &Relation,
     ) -> Result<ExecVerdict, CoreError> {
-        let checkpoint = deadline.fired_at().unwrap_or(0);
+        let checkpoint = run.deadline.fired_at().unwrap_or(0);
         let detail = format!("deadline fired at checkpoint {checkpoint}: {what}");
-        if budget.degradation_policy == DegradationPolicy::Fail {
+        if run.budget.degradation_policy == DegradationPolicy::Fail {
             return Err(CoreError::DeadlineExpired { checkpoint, detail });
         }
-        gov.degradations
-            .push(Degradation::new(code, "root", detail.clone()));
-        Ok(if sound {
+        run.degrade(code, "root", detail.clone());
+        Ok(if !self.is_boolean() || !answer.is_empty() {
             ExecVerdict::Bounded { reason: detail }
         } else {
             ExecVerdict::Unknown { reason: detail }
@@ -753,55 +644,42 @@ impl Plan {
         &self,
         q: &Query,
         db: &Database,
-        budget: &Budget,
-        cx: &ExecCx,
-        deadline: &Deadline,
-        gov: &mut Governance,
-    ) -> Result<(Relation, ExecReport), CoreError> {
-        let injected = cx.faults.abort_compile && deadline.fired_at().is_none();
-        let checkpoint = deadline
+        run: &mut Run,
+    ) -> Result<Relation, CoreError> {
+        let injected = run.cx.faults.abort_compile && run.deadline.fired_at().is_none();
+        let checkpoint = run
+            .deadline
             .fired_at()
-            .unwrap_or_else(|| deadline.checkpoints());
-        if budget.degradation_policy == DegradationPolicy::Fail {
+            .unwrap_or_else(|| run.deadline.checkpoints());
+        if run.budget.degradation_policy == DegradationPolicy::Fail {
             return Err(CoreError::DeadlineExpired {
                 checkpoint,
                 detail: "automaton compilation abandoned before it started".to_string(),
             });
         }
         if injected {
-            gov.degradations.push(Degradation::new(
-                Code::FaultInjected,
-                "root",
-                "injected compile abort".to_string(),
-            ));
+            run.degrade(Code::FaultInjected, "root", "injected compile abort");
         }
-        let engine = EnumEngine {
-            slack: self.slack,
-            memoize: self.memoize,
-        };
+        let engine = self.enum_engine();
         let domain_size = engine.domain(q, db).len();
-        let rel = engine.eval(q, db)?;
-        gov.degradations.push(Degradation::new(
+        let (rel, _, _) = engine.eval(q, db, &Deadline::unlimited())?;
+        run.degrade(
             Code::DeadlineCompileAborted,
             "root",
             format!(
                 "automaton compilation aborted at checkpoint {checkpoint}; evaluated over \
                  the bounded collapse domain ({domain_size} strings)"
             ),
-        ));
-        let tuples = rel.len();
-        let rep = ExecReport {
-            tuples_enumerated: tuples,
-            domain_size,
-            verdict: ExecVerdict::Bounded {
-                reason: format!(
-                    "compile aborted at checkpoint {checkpoint}: evaluated over the bounded \
-                     collapse domain ({domain_size} strings)"
-                ),
-            },
-            ..ExecReport::clean(self.strategy)
+        );
+        run.report.tuples_enumerated = rel.len();
+        run.report.domain_size = domain_size;
+        run.report.verdict = ExecVerdict::Bounded {
+            reason: format!(
+                "compile aborted at checkpoint {checkpoint}: evaluated over the bounded \
+                 collapse domain ({domain_size} strings)"
+            ),
         };
-        Ok((rel, rep))
+        Ok(rel)
     }
 
     /// Compiles the automata artifact through the shared cache,
@@ -811,35 +689,29 @@ impl Plan {
         &self,
         q: &Query,
         db: &Database,
-        cx: &ExecCx,
-        gov: &mut Governance,
-        boolean: bool,
+        run: &mut Run,
     ) -> Result<(Arc<crate::cache::CompiledArtifact>, bool), CoreError> {
-        let retain = !cx.faults.fail_cache_insert;
-        if cx.faults.fail_cache_insert && self.engine.cache.is_some() {
-            gov.degradations.push(Degradation::new(
+        let retain = !run.cx.faults.fail_cache_insert;
+        if !retain && self.engine.cache.is_some() {
+            run.degrade(
                 Code::FaultInjected,
                 "root",
-                "injected cache-insert failure: the compiled artifact is not retained".to_string(),
-            ));
+                "injected cache-insert failure: the compiled artifact is not retained",
+            );
         }
-        if boolean {
-            self.engine.compile_bool_shared_with(q, db, retain)
-        } else {
-            self.engine.compile_shared_with(q, db, retain)
-        }
+        self.engine.compile_shared_with(q, db, retain)
     }
 
     /// Whether the dense executor may retain freshly densified tables
     /// in the cache; `false` under an injected cache-insert failure
     /// (SA431-recorded).
-    fn dense_fault_gate(&self, cx: &ExecCx, gov: &mut Governance) -> bool {
-        if cx.faults.fail_cache_insert && self.engine.cache.is_some() {
-            gov.degradations.push(Degradation::new(
+    fn dense_fault_gate(&self, run: &mut Run) -> bool {
+        if run.cx.faults.fail_cache_insert && self.engine.cache.is_some() {
+            run.degrade(
                 Code::FaultInjected,
                 "root",
-                "injected cache-insert failure: densified tables are not retained".to_string(),
-            ));
+                "injected cache-insert failure: densified tables are not retained",
+            );
             return false;
         }
         true
@@ -847,22 +719,22 @@ impl Plan {
 
     /// Rejects the run under the fail policy when the governor found
     /// an exhausted node.
-    fn fail_gate(&self, budget: &Budget, gov: &Governance) -> Result<(), CoreError> {
-        if gov.exhausted && budget.degradation_policy == DegradationPolicy::Fail {
-            let node = gov.exhausted_at();
-            let entry = gov.ledger.entries.iter().find(|e| !e.within);
-            return Err(CoreError::BudgetExhausted {
-                node,
-                detail: entry.map(LedgerEntry::render).unwrap_or_default(),
-            });
+    fn fail_gate(&self, run: &Run) -> Result<(), CoreError> {
+        match run.exhausted() {
+            Some(entry) if run.budget.degradation_policy == DegradationPolicy::Fail => {
+                Err(CoreError::BudgetExhausted {
+                    node: entry.node.clone(),
+                    detail: entry.render(),
+                })
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// The exact → bounded structural degradation: the automata
     /// executor's certified demand exceeded its handed budget, so the
     /// query is evaluated over the bounded collapse domain instead and
-    /// the answer carries a `Bounded` verdict (the PR 2 shape) — a
+    /// the answer carries a `Bounded` verdict (the validator's shape) — a
     /// sound statement about a bounded domain, never a silently
     /// truncated exact answer. Surfaced as SA403 when a shared cache
     /// could have served the run but the artifact was cold and the
@@ -871,176 +743,128 @@ impl Plan {
         &self,
         q: &Query,
         db: &Database,
-        budget: &Budget,
-        deadline: &Deadline,
-        gov: &mut Governance,
-    ) -> Result<(Relation, ExecReport), CoreError> {
-        let node = gov.exhausted_at();
+        run: &mut Run,
+    ) -> Result<Relation, CoreError> {
+        let node = run.exhausted_at();
         let demand = self
             .root_cert
             .map(|c| fmt_bound(c.states.hi))
             .unwrap_or_else(|| "?".into());
-        if gov.has_cache_lookup && self.engine.cache.is_some() && !gov.cache_resident {
-            gov.degradations.push(Degradation::new(
+        let handed = fmt_handed(run.budget.states);
+        if run.has_cache_lookup && self.engine.cache.is_some() && !run.cache_resident {
+            run.degrade(
                 Code::DegradedRecompileDenied,
-                node,
+                node.clone(),
                 format!(
                     "artifact not resident and recompilation (certified states ≤{demand}) \
-                     exceeds the handed budget (states ≤{}); degrading to a bounded verdict",
-                    fmt_handed(budget.states)
+                     exceeds the handed budget (states ≤{handed}); degrading to a bounded \
+                     verdict"
                 ),
-            ));
-            gov.degradations.push(Degradation::new(
+            );
+            run.degrade(
                 Code::DegradedExactToBounded,
-                gov.exhausted_at(),
-                "exact automata evaluation degraded to the bounded collapse domain".to_string(),
-            ));
+                node,
+                "exact automata evaluation degraded to the bounded collapse domain",
+            );
         } else {
-            gov.degradations.push(Degradation::new(
+            run.degrade(
                 Code::DegradedExactToBounded,
                 node,
                 format!(
-                    "certified states ≤{demand} exceed the handed budget (states ≤{}); \
-                     evaluating over the bounded collapse domain",
-                    fmt_handed(budget.states)
+                    "certified states ≤{demand} exceed the handed budget (states ≤{handed}); \
+                     evaluating over the bounded collapse domain"
                 ),
-            ));
+            );
         }
-        let engine = EnumEngine {
-            slack: self.slack,
-            memoize: self.memoize,
-        };
+        let engine = self.enum_engine();
         let domain_size = engine.domain(q, db).len();
-        let (rel, seen, truncated) = engine.eval_deadlined(q, db, deadline)?;
+        let (rel, seen, truncated) = engine.eval(q, db, &run.deadline)?;
         if truncated {
             // The bounded fallback can itself run out of time; the
             // verdict stays `Bounded` (a subset of a bounded answer is
             // still a sound bound) but the truncation is SA411-visible
             // with its frontier watermark.
-            self.truncate(
-                budget,
-                deadline,
-                Code::DeadlineScanTruncated,
-                format!("enumerated {seen} of {domain_size} frontier candidates"),
-                true,
-                gov,
-            )?;
+            let what = format!("enumerated {seen} of {domain_size} frontier candidates");
+            self.truncate(run, Code::DeadlineScanTruncated, what, &rel)?;
         }
-        let tuples = rel.len();
-        let rep = ExecReport {
-            tuples_enumerated: tuples,
-            domain_size,
-            verdict: ExecVerdict::Bounded {
-                reason: format!(
-                    "budget-exhausted: evaluated over the bounded collapse domain \
-                     ({domain_size} strings)"
-                ),
-            },
-            ..ExecReport::clean(self.strategy)
+        run.report.tuples_enumerated = rel.len();
+        run.report.domain_size = domain_size;
+        run.report.verdict = ExecVerdict::Bounded {
+            reason: format!(
+                "budget-exhausted: evaluated over the bounded collapse domain \
+                 ({domain_size} strings)"
+            ),
         };
-        Ok((rel, rep))
+        Ok(rel)
     }
 
-    /// The scan executors, in both execution modes: the LIKE scan, the
-    /// dense scan, and the dense scan's SA402 degradation. All three run
-    /// the one batched loop, [`run_scan`]; they differ only in where the
-    /// language filters come from. The dense scan serves its tables from
-    /// the engine's cache (or densifies them). The LIKE scan, and a
-    /// dense scan whose tables' certified bytes exceed the handed budget,
-    /// walk each language's sparse DFA instead. The sparse walk is exact,
-    /// so the degraded verdict stays `Exact`, but the fallback is still
+    /// The scan executors: the LIKE scan, the dense scan, and the dense
+    /// scan's SA402 degradation. All three run the one batched loop,
+    /// [`run_scan`]; they differ only in where the language filters come
+    /// from. The dense scan serves its tables from the engine's cache
+    /// (or densifies them). The LIKE scan, and a dense scan whose
+    /// tables' certified bytes exceed the handed budget, walk each
+    /// language's sparse DFA instead. The sparse walk is exact, so the
+    /// degraded verdict stays `Exact`, but the fallback is still
     /// SA402-recorded.
-    ///
-    /// A boolean run (`boolean`) reports no tuples, and its truncated
-    /// answer is a sound bound only once it holds a witness. The SA402
-    /// fallback reports as a set run in both modes.
-    #[allow(clippy::too_many_arguments)]
-    fn scan(
-        &self,
-        plan: &ScanPlan,
-        db: &Database,
-        budget: &Budget,
-        cx: &ExecCx,
-        deadline: &Deadline,
-        gov: &mut Governance,
-        boolean: bool,
-    ) -> Result<(Relation, ExecReport), CoreError> {
+    fn scan(&self, plan: &ScanPlan, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
         let k = self.alphabet().len() as Sym;
         let dense = self.strategy == Strategy::DenseDfaScan;
-        let fallback = dense && gov.exhausted;
+        let fallback = dense && run.exhausted().is_some();
         if fallback {
-            gov.degradations.push(Degradation::new(
+            let node = run.exhausted_at();
+            run.degrade(
                 Code::DegradedDenseToSparse,
-                gov.exhausted_at(),
+                node,
                 "dense tables exceed the handed byte budget; falling back to the sparse \
-                 per-tuple DFA walk"
-                    .to_string(),
-            ));
+                 per-tuple DFA walk",
+            );
         }
         let rel = scan_relation(plan, db)?;
-        let (filters, mut rep) = if dense && !fallback {
-            let retain = self.dense_fault_gate(cx, gov);
-            self.dense_tables(plan, retain)?
+        let filters = if dense && !fallback {
+            let retain = self.dense_fault_gate(run);
+            self.dense_tables(plan, retain, &mut run.report)?
         } else {
             // General filters on this route walk the language's sparse
             // DFA per tuple (the planner routes them to the dense
             // tables; this keeps the LIKE scan total for hand-built
             // plans and is the dense scan's SA402 target).
-            let sparse = plan
-                .dense_filters
+            plan.dense_filters
                 .iter()
                 .map(|(col, lang, _)| (*col, LangFilter::Sparse(lang.to_dfa(k))))
-                .collect();
-            (sparse, ExecReport::clean(self.strategy))
+                .collect()
         };
-        let (out, scanned, truncated) = run_scan(plan, rel, k, &filters, deadline);
-        let as_set = !boolean || fallback;
-        rep.domain_size = scanned;
-        rep.tuples_enumerated = if as_set { out.len() } else { 0 };
+        let (out, scanned, truncated) = run_scan(plan, rel, k, &filters, &run.deadline);
+        run.report.domain_size = scanned;
+        run.report.tuples_enumerated = self.enumerated(out.len());
         if truncated {
-            rep.verdict = self.truncate(
-                budget,
-                deadline,
-                Code::DeadlineScanTruncated,
-                format!("scanned {scanned} rows"),
-                as_set || !out.is_empty(),
-                gov,
-            )?;
+            let what = format!("scanned {scanned} rows");
+            run.report.verdict = self.truncate(run, Code::DeadlineScanTruncated, what, &out)?;
         }
-        Ok((out, rep))
+        Ok(out)
     }
 
-    /// The bounded-search executor under governance: runs at the
+    /// The bounded-search evaluator under governance: it runs at the
     /// *minimum* of the plan's declared bound and the handed
     /// `search_depth` capability (this subsumes the ambient
-    /// `BoundedSearch { budget }` operand), recording SA404 when the
-    /// capability clamps.
-    fn governed_search(
-        &self,
-        bound: usize,
-        budget: &Budget,
-        gov: &mut Governance,
-    ) -> (ConcatEvaluator, ExecVerdict) {
-        let effective = bound.min(budget.search_depth);
-        let verdict = if effective < bound {
-            gov.degradations.push(Degradation::new(
+    /// `BoundedSearch { budget }` operand). When the capability clamps,
+    /// the run records SA404 and its verdict becomes `Bounded`.
+    fn governed_search(&self, bound: usize, run: &mut Run) -> ConcatEvaluator {
+        let effective = bound.min(run.budget.search_depth);
+        if effective < bound {
+            run.degrade(
                 Code::DegradedSearchDepthClamped,
                 "root",
                 format!(
                     "search depth clamped {bound} → {effective} by the handed budget; \
                      assignments range over Σ^≤{effective}"
                 ),
-            ));
-            ExecVerdict::Bounded {
+            );
+            run.report.verdict = ExecVerdict::Bounded {
                 reason: format!("search depth clamped to {effective} by the handed budget"),
-            }
-        } else {
-            ExecVerdict::Exact
-        };
-        (
-            ConcatEvaluator::new(self.alphabet().clone(), effective),
-            verdict,
-        )
+            };
+        }
+        ConcatEvaluator::new(self.alphabet().clone(), effective)
     }
 
     /// Post-execution settlement: charges the observed actuals to a
@@ -1051,24 +875,24 @@ impl Plan {
     /// *not* checked here: the in-flight [`Deadline`] already enforced
     /// it at checkpoints, deterministically, so settlement has nothing
     /// nondeterministic left to add.
-    fn settle(&self, budget: &Budget, gov: &mut Governance, report: &ExecReport) {
-        let mut acct = BudgetAccount::new(budget);
-        let (states, bytes) = if report.cache_hit {
+    fn settle(&self, run: &mut Run) {
+        let mut acct = BudgetAccount::new(&run.budget);
+        let (states, bytes) = if run.report.cache_hit {
             (0, 0)
         } else {
-            (report.automaton_states as u64, report.artifact_bytes as u64)
+            (
+                run.report.automaton_states as u64,
+                run.report.artifact_bytes as u64,
+            )
         };
         let ok = acct.charge_states(states) && acct.charge_bytes(bytes);
         if !ok {
-            gov.degradations.push(Degradation::new(
-                Code::BudgetExhausted,
-                "root",
-                format!(
-                    "post-execution actuals ({states} states, {bytes} bytes) overdrew the \
-                     handed budget ({})",
-                    budget.summary()
-                ),
-            ));
+            let detail = format!(
+                "post-execution actuals ({states} states, {bytes} bytes) overdrew the \
+                 handed budget ({})",
+                run.budget.summary()
+            );
+            run.degrade(Code::BudgetExhausted, "root", detail);
         }
     }
 
@@ -1117,19 +941,19 @@ impl Plan {
 
     /// The dense scan's tables, one per language filter, served from
     /// the engine's shared cache when one is attached (keyed by language
-    /// and alphabet only, so they survive instance changes), and the
-    /// report they fill in. Dense tables report through the automaton
-    /// channels — `automaton_states` is the widest table,
-    /// `artifact_bytes` the sum of all tables held — so the SA240
-    /// calibration cross-check runs against the dense certificate.
+    /// and alphabet only, so they survive instance changes). Dense
+    /// tables report through the automaton channels of `rep` —
+    /// `automaton_states` is the widest table, `artifact_bytes` the sum
+    /// of all tables held — so the SA240 calibration cross-check runs
+    /// against the dense certificate.
     fn dense_tables(
         &self,
         plan: &ScanPlan,
         retain: bool,
-    ) -> Result<(Vec<(usize, LangFilter)>, ExecReport), CoreError> {
+        rep: &mut ExecReport,
+    ) -> Result<Vec<(usize, LangFilter)>, CoreError> {
         let engine = &self.engine;
         let alphabet = self.alphabet();
-        let mut rep = ExecReport::clean(self.strategy);
         let mut any_fresh = false;
         let mut tables = Vec::with_capacity(plan.dense_filters.len());
         for (col, lang, _) in &plan.dense_filters {
@@ -1161,7 +985,7 @@ impl Plan {
         }
         rep.cache_hit = engine.cache.is_some() && !any_fresh;
         rep.cert_violations = self.calibrate(rep.automaton_states, rep.artifact_bytes);
-        Ok((tables, rep))
+        Ok(tables)
     }
 
     fn typed_query(&self) -> Result<&crate::query::Query, CoreError> {
@@ -1193,7 +1017,7 @@ fn govern_node(
     path: &str,
     cache_resident: bool,
     resident: bool,
-    gov: &mut Governance,
+    ledger: &mut BudgetLedger,
 ) {
     let resident = resident || (cache_resident && matches!(node.op, PlanOp::CacheLookup { .. }));
     let zero = ResourceCert::ZERO;
@@ -1202,22 +1026,15 @@ fn govern_node(
     } else {
         node.cert.as_ref().unwrap_or(&zero)
     };
-    let within = handed.admits(demand);
-    gov.ledger.entries.push(LedgerEntry {
+    ledger.entries.push(LedgerEntry {
         node: path.to_string(),
         op: node.op.name().to_string(),
         handed_states: handed.states,
         handed_bytes: handed.bytes,
         demand_states: demand.states.hi,
         demand_bytes: demand.bytes.hi,
-        within,
+        within: handed.admits(demand),
     });
-    if !within {
-        gov.exhausted = true;
-        if gov.first_exhausted.is_none() {
-            gov.first_exhausted = Some(path.to_string());
-        }
-    }
     for (i, c) in node.children.iter().enumerate() {
         // The hand-down clamps to the child's *subtree peak*, not the
         // child's own certificate: certificates are not monotone down
@@ -1226,7 +1043,14 @@ fn govern_node(
         // intermediate, never more than the parent holds.
         let child_budget = handed.child_for(&subtree_peak(c));
         let child_path = format!("{path}/{i}");
-        govern_node(c, &child_budget, &child_path, cache_resident, resident, gov);
+        govern_node(
+            c,
+            &child_budget,
+            &child_path,
+            cache_resident,
+            resident,
+            ledger,
+        );
     }
 }
 

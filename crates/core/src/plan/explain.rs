@@ -10,6 +10,7 @@ use strcalc_analyze::planlint::ResourceCert;
 use strcalc_logic::Restrict;
 
 use crate::budget::{Budget, UNLIMITED};
+use crate::json::escape;
 
 use super::exec::ExecReport;
 use super::ir::{Plan, PlanNode, PlanOp};
@@ -75,24 +76,6 @@ fn render_node(out: &mut String, node: &PlanNode, prefix: &str, connector: &str,
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cert_json(cert: &ResourceCert) -> String {
     format!(
         "{{\"states\":[{},{}],\"bytes\":[{},{}]}}",
@@ -131,7 +114,7 @@ fn node_json(out: &mut String, node: &PlanNode) {
         out,
         "{{\"op\":\"{}\",\"label\":\"{}\",\"est_log2_states\":{:.1}",
         node.op.name(),
-        json_escape(&op_label(&node.op)),
+        escape(&op_label(&node.op)),
         node.cost.log2_states
     );
     if let Some(cert) = node.cert.as_ref().filter(|c| !c.is_zero()) {
@@ -217,20 +200,20 @@ impl Plan {
             "\"strategy\":\"{}\",\"fragment\":{{\"class\":\"{}\",\"justification\":\"{}\"}},\
              \"calculus\":\"{}\",\"head\":[",
             self.strategy.name(),
-            json_escape(class.name()),
-            json_escape(&class.justification()),
-            json_escape(&calculus)
+            escape(class.name()),
+            escape(&class.justification()),
+            escape(&calculus)
         );
         for (i, h) in self.head().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", json_escape(h));
+            let _ = write!(out, "\"{}\"", escape(h));
         }
         let _ = write!(
             out,
             "],\"formula\":\"{}\",\"passes\":[",
-            json_escape(&self.formula().render(self.alphabet()))
+            escape(&self.formula().render(self.alphabet()))
         );
         for (i, p) in self.passes.iter().enumerate() {
             if i > 0 {
@@ -239,10 +222,10 @@ impl Plan {
             let _ = write!(
                 out,
                 "{{\"pass\":\"{}\",\"changed\":{},\"verified\":{},\"detail\":\"{}\"}}",
-                json_escape(p.pass),
+                escape(p.pass),
                 p.changed,
                 p.verified,
-                json_escape(&p.detail)
+                escape(&p.detail)
             );
         }
         let _ = write!(
@@ -277,19 +260,15 @@ impl Plan {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", json_escape(v));
+                let _ = write!(out, "\"{}\"", escape(v));
             }
-            let _ = write!(
-                out,
-                "],\"verdict\":\"{}\"",
-                json_escape(&r.verdict.render())
-            );
+            let _ = write!(out, "],\"verdict\":\"{}\"", escape(&r.verdict.render()));
             out.push_str(",\"degradations\":[");
             for (i, d) in r.degradations.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", json_escape(&d.render()));
+                let _ = write!(out, "\"{}\"", escape(&d.render()));
             }
             out.push_str("],\"cache_events\":[");
             for (i, e) in r.cache_events.iter().enumerate() {
@@ -300,7 +279,7 @@ impl Plan {
                     out,
                     "{{\"kind\":\"{}\",\"label\":\"{}\",\"hit\":{}}}",
                     e.kind.name(),
-                    json_escape(&e.label),
+                    escape(&e.label),
                     e.hit
                 );
             }

@@ -232,7 +232,7 @@ pub struct Plan {
     pub(crate) root_cert: Option<ResourceCert>,
     /// The budget capability the planner seeded from the planlint
     /// certificate plus `analyze::admission::classify`. `execute` runs
-    /// under it unless the caller hands `execute_with` a narrower one.
+    /// under it unless the caller's `ExecCx` carries another.
     pub(crate) budget: Budget,
 }
 
@@ -283,7 +283,7 @@ impl Plan {
     /// The budget capability the planner seeded this plan with (from
     /// the planlint certificate joined with the admission classifier's
     /// formula certificate). [`Plan::execute`](crate::plan::Plan)
-    /// governs itself under this budget; `execute_with` overrides it.
+    /// governs itself under this budget; an `ExecCx` budget overrides it.
     pub fn seeded_budget(&self) -> Budget {
         self.budget
     }

@@ -601,6 +601,7 @@ fn minus_var(vars: &[String], v: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::cache::AutomatonCache;
+    use crate::clock::Deadline;
     use crate::concat::ConcatEvaluator;
     use crate::enumeval::EnumEngine;
     use crate::query::{Calculus, EvalOutput};
@@ -668,8 +669,8 @@ mod tests {
         let query = q(Calculus::SReg, &[], "exists x. (U(x) & in(x, /a.*/))");
         let plan = Planner::new().plan(&query).unwrap();
         assert_eq!(plan.strategy, Strategy::LikeLinearScan);
-        let (value, report) = plan.execute_bool(&db()).unwrap();
-        assert!(value, "'a' and 'ab' match LIKE 'a%'");
+        let (out, report) = plan.execute(&db()).unwrap();
+        assert!(!out.is_empty(), "'a' and 'ab' match LIKE 'a%'");
         assert!(report.domain_size > 0);
     }
 
@@ -745,8 +746,8 @@ mod tests {
             }
         });
         assert!(restricted > 0);
-        let (value, report) = plan.execute_bool(&db()).unwrap();
-        assert!(value);
+        let (out, report) = plan.execute(&db()).unwrap();
+        assert!(!out.is_empty());
         assert!(report.domain_size > 0);
     }
 
@@ -764,7 +765,9 @@ mod tests {
     #[test]
     fn planner_agrees_with_direct_enum_eval() {
         let query = q(Calculus::S, &["x"], "U(x) & last(x, 'b')");
-        let direct = EnumEngine::with_slack(2).eval(&query, &db()).unwrap();
+        let (direct, _, _) = EnumEngine::with_slack(2)
+            .eval(&query, &db(), &Deadline::unlimited())
+            .unwrap();
         let plan = Planner::new()
             .force(Strategy::ActiveDomainEnum)
             .with_slack(2)
@@ -778,8 +781,8 @@ mod tests {
     fn planner_agrees_with_direct_bounded_search() {
         let formula = parse_formula(&ab(), "exists z. (concat(x, x, z) & U(z))").unwrap();
         let head = vec!["x".to_string()];
-        let direct = ConcatEvaluator::new(ab(), 4)
-            .eval(&formula, &head, &db())
+        let (direct, _, _) = ConcatEvaluator::new(ab(), 4)
+            .eval(&formula, &head, &db(), &Deadline::unlimited())
             .unwrap();
         let plan = Planner::new()
             .with_bound(4)

@@ -88,7 +88,6 @@ impl PreparedQuery {
     fn artifact(
         &self,
         db: &strcalc_relational::Database,
-        boolean: bool,
     ) -> Result<Arc<CompiledArtifact>, CoreError> {
         let instance = db.fingerprint();
         {
@@ -99,11 +98,7 @@ impl PreparedQuery {
                 }
             }
         }
-        let (artifact, fresh) = if boolean {
-            self.engine.compile_bool_shared(&self.query, db)?
-        } else {
-            self.engine.compile_shared(&self.query, db)?
-        };
+        let (artifact, fresh) = self.engine.compile_shared(&self.query, db)?;
         if fresh {
             self.compilations.fetch_add(1, Ordering::Relaxed);
         }
@@ -115,25 +110,21 @@ impl PreparedQuery {
     /// Exact evaluation — agrees with [`AutomataEngine::eval`] on the
     /// same query and database (the differential tests assert this).
     pub fn eval(&self, db: &strcalc_relational::Database) -> Result<EvalOutput, CoreError> {
-        let artifact = self.artifact(db, false)?;
+        let artifact = self.artifact(db)?;
         self.engine.eval_artifact(&self.query, db, &artifact)
     }
 
     /// Boolean (sentence) evaluation.
     pub fn eval_bool(&self, db: &strcalc_relational::Database) -> Result<bool, CoreError> {
-        // Checked here too: a memo hit must not skip the sentence check.
-        if !self.query.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let artifact = self.artifact(db, true)?;
+        // Checked before the memo, so a memo hit cannot skip it.
+        crate::engine::require_sentence(&self.query)?;
+        let artifact = self.artifact(db)?;
         Ok(artifact.auto.is_true())
     }
 
     /// Exact output cardinality (`None` = infinite).
     pub fn count(&self, db: &strcalc_relational::Database) -> Result<Option<u64>, CoreError> {
-        let artifact = self.artifact(db, false)?;
+        let artifact = self.artifact(db)?;
         Ok(AutomataEngine::count_artifact(&artifact))
     }
 
@@ -143,7 +134,7 @@ impl PreparedQuery {
         db: &strcalc_relational::Database,
         tuple: &[Str],
     ) -> Result<bool, CoreError> {
-        let artifact = self.artifact(db, false)?;
+        let artifact = self.artifact(db)?;
         AutomataEngine::contains_artifact(&self.query, &artifact, tuple)
     }
 }

@@ -39,6 +39,7 @@ use crate::budget::{
 };
 use crate::engine::AutomataEngine;
 use crate::faults::FaultPlan;
+use crate::json::escape;
 use crate::plan::{ExecCx, ExecReport, Plan, Planner};
 use crate::query::{Calculus, CoreError, EvalOutput, Query};
 
@@ -144,8 +145,16 @@ fn alphabet_text(alphabet: &Alphabet) -> Result<String, CoreError> {
         .collect()
 }
 
-fn output_fingerprint(out: &EvalOutput) -> (u64, u64) {
+/// Fingerprint and length of a run's answer: a sentence's truth value
+/// (length 0 or 1), or an open query's tuples (or infinite sample).
+fn output_fingerprint(plan: &Plan, out: &EvalOutput) -> (u64, u64) {
     let mut fp = Fp::new();
+    if plan.is_boolean() {
+        let holds = !out.is_empty();
+        fp.str("boolean");
+        fp.u8(holds as u8);
+        return (fp.finish(), holds as u64);
+    }
     let (tag, tuples) = match out {
         EvalOutput::Finite(rel) => ("finite", rel.iter().collect::<Vec<_>>()),
         EvalOutput::Infinite { sample } => ("infinite-sample", sample.iter().collect()),
@@ -164,21 +173,22 @@ fn output_fingerprint(out: &EvalOutput) -> (u64, u64) {
     (fp.finish(), tuples.len() as u64)
 }
 
-fn bool_fingerprint(value: bool) -> u64 {
-    let mut fp = Fp::new();
-    fp.str("boolean");
-    fp.u8(value as u8);
-    fp.finish()
-}
-
 impl ExecTrace {
-    fn base(plan: &Plan, budget: &Budget, report: &ExecReport, db: &Database) -> ExecTrace {
-        ExecTrace {
+    /// Records a run of `plan` under `budget` against `db`.
+    pub fn record(
+        plan: &Plan,
+        budget: &Budget,
+        report: &ExecReport,
+        db: &Database,
+        out: &EvalOutput,
+    ) -> Result<ExecTrace, CoreError> {
+        let (output_fp, output_len) = output_fingerprint(plan, out);
+        Ok(ExecTrace {
             version: TRACE_VERSION,
             calculus: calculus_name(plan.calculus()),
             head: plan.head().to_vec(),
             formula: plan.formula().render(plan.alphabet()),
-            alphabet: String::new(),
+            alphabet: alphabet_text(plan.alphabet())?,
             strategy: plan.strategy.name().to_string(),
             plan_fingerprint: plan_fingerprint(plan),
             db_fingerprint: db.fingerprint(),
@@ -205,38 +215,9 @@ impl ExecTrace {
                 tuples_enumerated: report.tuples_enumerated as u64,
                 domain_size: report.domain_size as u64,
             },
-            output_fp: 0,
-            output_len: 0,
-        }
-    }
-
-    /// Records a tuple-producing run.
-    pub fn record(
-        plan: &Plan,
-        budget: &Budget,
-        report: &ExecReport,
-        db: &Database,
-        out: &EvalOutput,
-    ) -> Result<ExecTrace, CoreError> {
-        let mut t = ExecTrace::base(plan, budget, report, db);
-        t.alphabet = alphabet_text(plan.alphabet())?;
-        (t.output_fp, t.output_len) = output_fingerprint(out);
-        Ok(t)
-    }
-
-    /// Records a boolean (sentence) run.
-    pub fn record_bool(
-        plan: &Plan,
-        budget: &Budget,
-        report: &ExecReport,
-        db: &Database,
-        value: bool,
-    ) -> Result<ExecTrace, CoreError> {
-        let mut t = ExecTrace::base(plan, budget, report, db);
-        t.alphabet = alphabet_text(plan.alphabet())?;
-        t.output_fp = bool_fingerprint(value);
-        t.output_len = value as u64;
-        Ok(t)
+            output_fp,
+            output_len,
+        })
     }
 
     /// Serializes the trace as a single-line JSON document with stable
@@ -248,13 +229,13 @@ impl ExecTrace {
             out,
             "\"version\":{},\"calculus\":\"{}\",\"head\":[",
             self.version,
-            esc(&self.calculus)
+            escape(&self.calculus)
         );
         for (i, h) in self.head.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", esc(h));
+            let _ = write!(out, "\"{}\"", escape(h));
         }
         let _ = write!(
             out,
@@ -264,9 +245,9 @@ impl ExecTrace {
              \"policy\":\"{}\"}},\"faults\":{{\"seed\":{},\"deadline_at_checkpoint\":{},\
              \"fail_cache_insert\":{},\"abort_compile\":{},\"ledger_contention\":{}}},\
              \"passes\":[",
-            esc(&self.formula),
-            esc(&self.alphabet),
-            esc(&self.strategy),
+            escape(&self.formula),
+            escape(&self.alphabet),
+            escape(&self.strategy),
             self.plan_fingerprint,
             self.db_fingerprint,
             self.budget.states,
@@ -290,10 +271,10 @@ impl ExecTrace {
             let _ = write!(
                 out,
                 "{{\"pass\":\"{}\",\"changed\":{},\"verified\":{},\"detail\":\"{}\"}}",
-                esc(&p.pass),
+                escape(&p.pass),
                 p.changed,
                 p.verified,
-                esc(&p.detail)
+                escape(&p.detail)
             );
         }
         out.push_str("],\"ledger\":[");
@@ -305,8 +286,8 @@ impl ExecTrace {
                 out,
                 "{{\"node\":\"{}\",\"op\":\"{}\",\"handed_states\":{},\"handed_bytes\":{},\
                  \"demand_states\":{},\"demand_bytes\":{},\"within\":{}}}",
-                esc(&e.node),
-                esc(&e.op),
+                escape(&e.node),
+                escape(&e.op),
                 e.handed_states,
                 e.handed_bytes,
                 e.demand_states,
@@ -323,7 +304,7 @@ impl ExecTrace {
                 out,
                 "{{\"kind\":\"{}\",\"label\":\"{}\",\"hit\":{}}}",
                 e.kind.name(),
-                esc(&e.label),
+                escape(&e.label),
                 e.hit
             );
         }
@@ -332,14 +313,14 @@ impl ExecTrace {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", esc(d));
+            let _ = write!(out, "\"{}\"", escape(d));
         }
         let _ = write!(
             out,
             "],\"verdict\":\"{}\",\"actuals\":{{\"automaton_states\":{},\
              \"artifact_bytes\":{},\"cache_hit\":{},\"tuples_enumerated\":{},\
              \"domain_size\":{}}},\"output_fp\":{},\"output_len\":{}}}",
-            esc(&self.verdict),
+            escape(&self.verdict),
             self.actuals.automaton_states,
             self.actuals.artifact_bytes,
             self.actuals.cache_hit,
@@ -531,14 +512,9 @@ pub fn replay(
         )?;
         planner.plan(&query)?
     };
-    let cx = ExecCx::replay(trace.faults);
-    let replayed = if plan.is_boolean() {
-        let (value, report) = plan.execute_bool_with_ctx(db, &trace.budget, &cx)?;
-        ExecTrace::record_bool(&plan, &trace.budget, &report, db, value)?
-    } else {
-        let (out, report) = plan.execute_with_ctx(db, &trace.budget, &cx)?;
-        ExecTrace::record(&plan, &trace.budget, &report, db, &out)?
-    };
+    let cx = ExecCx::replay(trace.faults).with_budget(trace.budget);
+    let (out, report) = plan.execute_in(db, &cx)?;
+    let replayed = ExecTrace::record(&plan, &trace.budget, &report, db, &out)?;
     let diffs = diff_traces(trace, &replayed);
     Ok(ReplayReport { diffs, replayed })
 }
@@ -707,24 +683,6 @@ fn diff_traces(recorded: &ExecTrace, replayed: &ExecTrace) -> Vec<String> {
         &replayed.output_len.to_string(),
     );
     diffs
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Minimal JSON value for the trace reader. Numbers keep their raw
@@ -1030,7 +988,7 @@ mod tests {
         let plan = plan_for("exists y. (U(y) & x <= y)");
         let database = db();
         let budget = plan.seeded_budget();
-        let (out, report) = plan.execute_with(&database, &budget).unwrap();
+        let (out, report) = plan.execute(&database).unwrap();
         let trace = ExecTrace::record(&plan, &budget, &report, &database, &out).unwrap();
         let parsed = ExecTrace::parse(&trace.to_json()).unwrap();
         assert_eq!(trace, parsed);
@@ -1042,7 +1000,8 @@ mod tests {
         let plan = plan_for("U(x)");
         let database = db();
         let budget = Budget::unlimited();
-        let (out, report) = plan.execute_with(&database, &budget).unwrap();
+        let cx = ExecCx::production().with_budget(budget);
+        let (out, report) = plan.execute_in(&database, &cx).unwrap();
         let trace = ExecTrace::record(&plan, &budget, &report, &database, &out).unwrap();
         let parsed = ExecTrace::parse(&trace.to_json()).unwrap();
         assert_eq!(parsed.budget.states, UNLIMITED);
@@ -1062,7 +1021,7 @@ mod tests {
         .unwrap();
         let plan = Planner::for_engine(&engine).plan(&query).unwrap();
         let budget = plan.seeded_budget();
-        let (out, report) = plan.execute_with(&database, &budget).unwrap();
+        let (out, report) = plan.execute(&database).unwrap();
         let trace = ExecTrace::record(&plan, &budget, &report, &database, &out).unwrap();
 
         let replay_engine = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
@@ -1076,7 +1035,7 @@ mod tests {
         let database = db();
         let plan = plan_for("exists y. (U(y) & x <= y)");
         let budget = plan.seeded_budget();
-        let (out, report) = plan.execute_with(&database, &budget).unwrap();
+        let (out, report) = plan.execute(&database).unwrap();
         let trace = ExecTrace::record(&plan, &budget, &report, &database, &out).unwrap();
 
         let ab = Alphabet::ab();

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{
-    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, Planner, Query,
-    Strategy as PlanStrategy,
+    Budget, Calculus, ConcatEvaluator, Deadline, DegradationPolicy, EvalOutput, ExecCx, FaultPlan,
+    Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_core::{CoreError, ExecVerdict};
 use strcalc_logic::{Formula, Term};
@@ -77,6 +77,11 @@ fn starved() -> Budget {
     }
 }
 
+/// The production context, handed `budget`.
+fn under(budget: Budget) -> ExecCx {
+    ExecCx::production().with_budget(budget)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -89,7 +94,7 @@ proptest! {
         let plan = Planner::new().plan(&q).expect("plans");
         let (exact, _) = plan.execute(&db).expect("ungoverned");
         let (governed, report) = plan
-            .execute_with(&db, &plan.seeded_budget())
+            .execute_in(&db, &under(plan.seeded_budget()))
             .expect("governed");
         prop_assert_eq!(governed, exact);
         prop_assert!(report.verdict.is_exact());
@@ -110,7 +115,7 @@ proptest! {
         if plan.strategy != PlanStrategy::Automata {
             return;
         }
-        let (degraded, report) = plan.execute_with(&db, &starved()).expect("degraded run");
+        let (degraded, report) = plan.execute_in(&db, &under(starved())).expect("degraded run");
         let (collapse, _) = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
             .plan(&q)
@@ -137,7 +142,7 @@ proptest! {
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
         let (exact, _) = plan.execute(&db).expect("exact run");
-        let (answer, report) = plan.execute_with(&db, &starved()).expect("governed run");
+        let (answer, report) = plan.execute_in(&db, &under(starved())).expect("governed run");
         if answer != exact {
             prop_assert!(!report.verdict.is_exact());
             prop_assert!(!report.degradations.is_empty());
@@ -154,9 +159,9 @@ proptest! {
         let q = Query::new(Calculus::SLen, Alphabet::ab(), vec![], g).expect("sentence");
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
-        let (exact, _) = plan.execute_bool(&db).expect("exact");
+        let (exact, _) = plan.execute(&db).expect("exact");
         let (answer, report) = plan
-            .execute_bool_with(&db, &starved())
+            .execute_in(&db, &under(starved()))
             .expect("governed bool run");
         if answer != exact {
             prop_assert!(!report.verdict.is_exact());
@@ -185,9 +190,9 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
         search_depth: 2,
         ..Budget::unlimited()
     };
-    let (clamped, report) = plan.execute_with(&db, &narrow).unwrap();
-    let direct = ConcatEvaluator::new(ab.clone(), 2)
-        .eval(&formula, &head, &db)
+    let (clamped, report) = plan.execute_in(&db, &under(narrow)).unwrap();
+    let (direct, _, _) = ConcatEvaluator::new(ab.clone(), 2)
+        .eval(&formula, &head, &db, &Deadline::unlimited())
         .unwrap();
     assert_eq!(clamped, EvalOutput::Finite(direct));
     assert!(matches!(report.verdict, ExecVerdict::Bounded { .. }));
@@ -197,9 +202,9 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
         .any(|d| d.code.as_str() == "SA404"));
 
     // A depth allowance at or above the plan's bound does not clamp.
-    let (full, report) = plan.execute_with(&db, &plan.seeded_budget()).unwrap();
-    let direct_full = ConcatEvaluator::new(ab, 3)
-        .eval(&formula, &head, &db)
+    let (full, report) = plan.execute(&db).unwrap();
+    let (direct_full, _, _) = ConcatEvaluator::new(ab, 3)
+        .eval(&formula, &head, &db, &Deadline::unlimited())
         .unwrap();
     assert_eq!(full, EvalOutput::Finite(direct_full));
     assert!(report.verdict.is_exact());
@@ -229,7 +234,7 @@ fn starved_dense_scan_falls_back_to_sparse_with_the_same_answer() {
     assert!(dense_report.degradations.is_empty());
     assert!(dense_report.artifact_bytes > 0, "dense tables were held");
 
-    let (sparse, report) = plan.execute_with(&db, &starved()).unwrap();
+    let (sparse, report) = plan.execute_in(&db, &under(starved())).unwrap();
     assert_eq!(sparse, dense, "the sparse fallback is answer-preserving");
     assert!(report.verdict.is_exact());
     assert!(report
@@ -237,6 +242,43 @@ fn starved_dense_scan_falls_back_to_sparse_with_the_same_answer() {
         .iter()
         .any(|d| d.code.as_str() == "SA402"));
     assert_eq!(report.artifact_bytes, 0, "no dense tables under starvation");
+}
+
+/// A Boolean dense scan that degrades to the sparse walk (SA402) and is
+/// then cut by its deadline before it finds a witness reports like
+/// every other witness-less Boolean scan: `Unknown`, with no tuples. It
+/// established nothing, so it may not claim a `Bounded` answer.
+#[test]
+fn starved_boolean_dense_scan_cut_before_a_witness_is_unknown() {
+    let q = Query::parse(
+        Calculus::SReg,
+        Alphabet::ab(),
+        vec![],
+        "exists x. (R(x) & in(x, /(aa)*b/))",
+    )
+    .unwrap();
+    let plan = Planner::new().plan(&q).unwrap();
+    assert_eq!(plan.strategy, PlanStrategy::DenseDfaScan);
+    let faults = FaultPlan {
+        deadline_at_checkpoint: Some(1),
+        ..FaultPlan::none()
+    };
+    let (out, report) = plan
+        .execute_in(&db(), &under(starved()).with_faults(faults))
+        .unwrap();
+    assert!(out.is_empty());
+    let codes: Vec<&str> = report
+        .degradations
+        .iter()
+        .map(|d| d.code.as_str())
+        .collect();
+    assert_eq!(codes, ["SA402", "SA411"]);
+    assert!(
+        matches!(report.verdict, ExecVerdict::Unknown { .. }),
+        "{}",
+        report.verdict.render()
+    );
+    assert_eq!(report.tuples_enumerated, 0);
 }
 
 /// The like-linear scan builds no automata and holds no tables: its
@@ -256,7 +298,7 @@ fn like_scan_is_immune_to_starvation() {
     let plan = Planner::new().plan(&q).unwrap();
     assert_eq!(plan.strategy, PlanStrategy::LikeLinearScan);
     let (exact, _) = plan.execute(&db).unwrap();
-    let (governed, report) = plan.execute_with(&db, &starved()).unwrap();
+    let (governed, report) = plan.execute_in(&db, &under(starved())).unwrap();
     assert_eq!(governed, exact);
     assert!(report.verdict.is_exact());
     assert!(report.degradations.is_empty());
@@ -277,14 +319,14 @@ fn fail_policy_rejects_instead_of_degrading() {
     let db = db();
     let plan = Planner::new().plan(&q).unwrap();
     let err = plan
-        .execute_with(&db, &starved().with_policy(DegradationPolicy::Fail))
+        .execute_in(&db, &under(starved().with_policy(DegradationPolicy::Fail)))
         .unwrap_err();
     assert!(
         matches!(err, CoreError::BudgetExhausted { .. }),
         "got {err:?}"
     );
     // The same budget with the degrade policy still answers.
-    let (out, report) = plan.execute_with(&db, &starved()).unwrap();
+    let (out, report) = plan.execute_in(&db, &under(starved())).unwrap();
     assert!(matches!(out, EvalOutput::Finite(_)));
     assert!(!report.degradations.is_empty());
 }

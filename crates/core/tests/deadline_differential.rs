@@ -102,7 +102,7 @@ proptest! {
             ..Budget::unlimited()
         };
         let (governed, report) = plan
-            .execute_with_ctx(&db, &roomy, &ExecCx::production())
+            .execute_in(&db, &ExecCx::production().with_budget(roomy))
             .expect("governed");
         prop_assert_eq!(governed, exact);
         prop_assert!(report.verdict.is_exact());
@@ -118,8 +118,10 @@ proptest! {
         let q = query_of(f);
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
-        let cx = ExecCx::production().with_faults(deadline_at(fire));
-        match plan.execute_with_ctx(&db, &Budget::unlimited(), &cx) {
+        let cx = ExecCx::production()
+            .with_budget(Budget::unlimited())
+            .with_faults(deadline_at(fire));
+        match plan.execute_in(&db, &cx) {
             Ok((_, report)) => {
                 if report.faults.deadline_at_checkpoint.is_some() {
                     prop_assert!(!report.verdict.is_exact(),
@@ -145,9 +147,11 @@ proptest! {
         let q = query_of(f);
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
-        let cx = ExecCx::production().with_faults(deadline_at(1));
         let strict = Budget::unlimited().with_policy(DegradationPolicy::Fail);
-        match plan.execute_with_ctx(&db, &strict, &cx) {
+        let cx = ExecCx::production()
+            .with_budget(strict)
+            .with_faults(deadline_at(1));
+        match plan.execute_in(&db, &cx) {
             Err(CoreError::DeadlineExpired { checkpoint, .. }) => {
                 prop_assert!(checkpoint >= 1);
             }
@@ -171,18 +175,9 @@ proptest! {
         let engine = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
         let plan = Planner::for_engine(&engine).plan(&q).expect("plans");
         let budget = Budget::unlimited();
-        let cx = ExecCx::replay(faults);
-        let trace = if plan.is_boolean() {
-            let (value, report) = plan
-                .execute_bool_with_ctx(&database, &budget, &cx)
-                .expect("recorded bool run");
-            ExecTrace::record_bool(&plan, &budget, &report, &database, value).expect("trace")
-        } else {
-            let (out, report) = plan
-                .execute_with_ctx(&database, &budget, &cx)
-                .expect("recorded run");
-            ExecTrace::record(&plan, &budget, &report, &database, &out).expect("trace")
-        };
+        let cx = ExecCx::replay(faults).with_budget(budget);
+        let (out, report) = plan.execute_in(&database, &cx).expect("recorded run");
+        let trace = ExecTrace::record(&plan, &budget, &report, &database, &out).expect("trace");
         // The trace round-trips through JSON with its fault plan.
         let parsed = ExecTrace::parse(&trace.to_json()).expect("parses");
         prop_assert_eq!(&parsed, &trace);

@@ -246,7 +246,9 @@ fn scan_routes_agree_at_batch_scale() {
                     .any(|d| d.code.as_str() == "SA402")
             };
 
-            let (out, report) = plan.execute_with(&db, &budget).unwrap();
+            let (out, report) = plan
+                .execute_in(&db, &ExecCx::production().with_budget(budget))
+                .unwrap();
             let expected = batch_scale_expected(&db, pattern, cols, BATCH_SCALE_ROWS);
             let matched = batch_scale_expected(&db, pattern, &[0, 1, 2], BATCH_SCALE_ROWS);
             assert!(!expected.is_empty(), "{what}");
@@ -265,12 +267,13 @@ fn scan_routes_agree_at_batch_scale() {
             assert_eq!(report.tuples_enumerated, expected.len(), "{what}");
             assert_eq!(sa402(&report), starve, "{what}");
 
-            let cx = ExecCx::production().with_clock(Arc::new(Ticking::default()));
-            let deadlined = Budget {
-                wall_time_ms: 2,
-                ..budget
-            };
-            let (out, report) = plan.execute_with_ctx(&db, &deadlined, &cx).unwrap();
+            let cx = ExecCx::production()
+                .with_budget(Budget {
+                    wall_time_ms: 2,
+                    ..budget
+                })
+                .with_clock(Arc::new(Ticking::default()));
+            let (out, report) = plan.execute_in(&db, &cx).unwrap();
             let expected = batch_scale_expected(&db, pattern, cols, 2 * 4096);
             match out {
                 EvalOutput::Finite(rel) => assert_eq!(rel.tuples(), &expected, "{what}"),

@@ -207,9 +207,9 @@ proptest! {
         let (routed, _) = Planner::new()
             .plan(&q)
             .expect("plans")
-            .execute_bool(&db)
+            .execute(&db)
             .expect("routed");
-        prop_assert_eq!(routed, direct);
+        prop_assert_eq!(!routed.is_empty(), direct);
     }
 
     // The scan fast paths (linear and dense) and the forced automata

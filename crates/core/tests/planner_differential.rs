@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{
-    AutomataEngine, Calculus, ConcatEvaluator, EnumEngine, EvalOutput, Planner, Query,
+    AutomataEngine, Calculus, ConcatEvaluator, Deadline, EnumEngine, EvalOutput, Planner, Query,
     Strategy as PlanStrategy,
 };
 use strcalc_logic::{Formula, Term};
@@ -117,7 +117,9 @@ proptest! {
     fn planner_matches_direct_enum_eval(f in arb_formula()) {
         let q = query_of(f);
         let db = db();
-        let direct = EnumEngine::with_slack(2).eval(&q, &db).expect("direct enum");
+        let (direct, _, _) = EnumEngine::with_slack(2)
+            .eval(&q, &db, &Deadline::unlimited())
+            .expect("direct enum");
         let plan = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
             .with_slack(2)
@@ -135,8 +137,8 @@ proptest! {
     fn planner_matches_direct_bounded_search(f in arb_concat_formula()) {
         let db = db();
         let head = vec!["x".to_string()];
-        let direct = ConcatEvaluator::new(Alphabet::ab(), 3)
-            .eval(&f, &head, &db)
+        let (direct, _, _) = ConcatEvaluator::new(Alphabet::ab(), 3)
+            .eval(&f, &head, &db, &Deadline::unlimited())
             .expect("direct bounded search");
         let plan = Planner::new()
             .with_bound(3)
@@ -159,18 +161,20 @@ proptest! {
             .with_rewrite(false)
             .plan(&q)
             .expect("plans")
-            .execute_bool(&db)
+            .execute(&db)
             .expect("routed");
-        prop_assert_eq!(routed, direct);
-        let enum_direct = EnumEngine::with_slack(2).eval_bool(&q, &db).expect("enum");
+        prop_assert_eq!(!routed.is_empty(), direct);
+        let (enum_direct, _, _) = EnumEngine::with_slack(2)
+            .eval(&q, &db, &Deadline::unlimited())
+            .expect("enum");
         let (enum_routed, _) = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
             .with_slack(2)
             .with_rewrite(false)
             .plan(&q)
             .expect("plans")
-            .execute_bool(&db)
+            .execute(&db)
             .expect("routed enum");
-        prop_assert_eq!(enum_routed, enum_direct);
+        prop_assert_eq!(enum_routed, EvalOutput::Finite(enum_direct));
     }
 }

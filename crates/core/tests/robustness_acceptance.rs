@@ -60,7 +60,7 @@ fn dense_scan_exceeding_a_real_deadline_truncates_at_a_checkpoint_and_replays() 
         ..Budget::unlimited()
     };
     let (out, report) = plan
-        .execute_with_ctx(&db, &tight, &ExecCx::production())
+        .execute_in(&db, &ExecCx::production().with_budget(tight))
         .expect("a degraded run still answers");
 
     // The deadline fired in flight, at a checkpoint the report names.
@@ -137,12 +137,14 @@ fn over_subscribed_ledger_admits_exactly_one() {
             )
             .unwrap();
             let plan = Planner::new().plan(&q).unwrap();
-            let cx = ExecCx::production().with_ledger(Arc::clone(&ledger));
-            let denied = plan.execute_with_ctx(&db, &Budget::unlimited(), &cx);
+            let cx = ExecCx::production()
+                .with_budget(Budget::unlimited())
+                .with_ledger(Arc::clone(&ledger));
+            let denied = plan.execute_in(&db, &cx);
             tx.send(()).unwrap();
             // After run A settles, the same run admits and is exact.
             let (out, report) = loop {
-                match plan.execute_with_ctx(&db, &Budget::unlimited(), &cx) {
+                match plan.execute_in(&db, &cx) {
                     Ok(ok) => break ok,
                     Err(CoreError::AdmissionDenied { .. }) => thread::yield_now(),
                     Err(e) => panic!("unexpected error: {e:?}"),

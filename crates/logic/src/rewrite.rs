@@ -11,20 +11,24 @@
 //! which is what lets tests inject a deliberately broken step and watch
 //! the validator refute it.
 
+use std::rc::Rc;
+
 use crate::formula::Formula;
 use crate::transform::{lower_terms, nnf, simplify};
 
-/// One named transformation in a rewrite chain.
+/// One named transformation in a rewrite chain. Clones share the step
+/// function.
+#[derive(Clone)]
 pub struct RewriteStep {
     name: &'static str,
-    apply: Box<dyn Fn(&Formula) -> Formula>,
+    apply: Rc<dyn Fn(&Formula) -> Formula>,
 }
 
 impl RewriteStep {
     pub fn new(name: &'static str, apply: impl Fn(&Formula) -> Formula + 'static) -> RewriteStep {
         RewriteStep {
             name,
-            apply: Box::new(apply),
+            apply: Rc::new(apply),
         }
     }
 
@@ -70,7 +74,7 @@ pub struct RewriteTrace {
 }
 
 /// A chain of named rewrite steps applied left to right.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Rewriter {
     steps: Vec<RewriteStep>,
 }

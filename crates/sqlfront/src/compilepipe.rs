@@ -112,27 +112,66 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// How [`compile_select_with`] compiles a statement.
+#[derive(Debug, Clone, Default)]
+pub struct CompileOptions {
+    /// Per-code lint levels over the warn-by-default baseline:
+    /// [`LintLevel::Allow`] drops a code, [`LintLevel::Deny`] escalates
+    /// it to an error.
+    pub lints: Vec<(Code, LintLevel)>,
+    /// The verified-rewrite gate: when set, this rewrite chain runs
+    /// under translation validation after analysis. `None` compiles
+    /// without the gate.
+    pub verify: Option<Rewriter>,
+    /// A shared compilation cache for the gate's validator: each rewrite
+    /// step's formulas compile through it, so re-compiling the same
+    /// statement (or an α-equivalent one — the key is the α-invariant
+    /// formula fingerprint) skips every automaton construction the
+    /// cache already holds. Unused without the gate.
+    pub cache: Option<Arc<AutomatonCache>>,
+}
+
+impl CompileOptions {
+    /// Options that run the standard optimizer chain
+    /// (`nnf → lower_terms → simplify`) through the verified-rewrite gate.
+    pub fn verified() -> CompileOptions {
+        CompileOptions {
+            verify: Some(Rewriter::standard()),
+            ..CompileOptions::default()
+        }
+    }
+}
+
 /// Compiles a SELECT statement with default lints (everything at
-/// [`LintLevel::Warn`]): the analysis rides along on the result and
-/// never fails a statement the calculus itself accepts.
+/// [`LintLevel::Warn`]) and no rewrite gate: the analysis rides along
+/// on the result and never fails a statement the calculus itself
+/// accepts.
 pub fn compile_select(
     alphabet: &Alphabet,
     catalog: &Catalog,
     stmt: &Select,
 ) -> Result<CompiledSql, SqlError> {
-    compile_select_analyzed(alphabet, catalog, stmt, &[])
+    compile_select_with(alphabet, catalog, stmt, &CompileOptions::default())
 }
 
-/// Compiles a SELECT statement under an explicit lint configuration:
-/// `lints` overrides per-code levels on top of the warn-by-default
-/// baseline ([`LintLevel::Allow`] drops a code, [`LintLevel::Deny`]
-/// escalates it to an error). Compilation **fails** when any diagnostic
-/// lands at error level, with every error rendered into the message.
-pub fn compile_select_analyzed(
+/// Compiles a SELECT statement under `opts`.
+///
+/// Every compile is analyzed under `opts.lints`, and compilation
+/// **fails** when any diagnostic lands at error level, with every error
+/// rendered into the message.
+///
+/// With `opts.verify` set, the rewrite chain then runs under
+/// translation validation, and its `SA1xx` verdicts join the
+/// statement's diagnostics. A refuted step (`SA100`, or `SA101` under
+/// [`LintLevel::Deny`]) fails the compile with the counterexample
+/// witness in the message; otherwise the certified rewritten formula
+/// replaces the compiled one (falling back to the original when the
+/// gate could not certify the chain).
+pub fn compile_select_with(
     alphabet: &Alphabet,
     catalog: &Catalog,
     stmt: &Select,
-    lints: &[(Code, LintLevel)],
+    opts: &CompileOptions,
 ) -> Result<CompiledSql, SqlError> {
     let mut compiled = compile_raw(alphabet, catalog, stmt)?;
     // Analyze against the calculus the query was inferred into, with the
@@ -140,143 +179,68 @@ pub fn compile_select_analyzed(
     // agree between the two layers.
     let mut analyzer =
         Analyzer::new(compiled.query.calculus.structure_class()).monoid_cap(1_000_000);
-    for (code, level) in lints {
+    for (code, level) in &opts.lints {
         analyzer = analyzer.lint(*code, *level);
     }
-    let analysis = analyzer.analyze(alphabet, &compiled.query.formula);
+    let mut analysis = analyzer.analyze(alphabet, &compiled.query.formula);
     if analysis.has_errors() {
-        let errors: Vec<&strcalc_analyze::Diagnostic> = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect();
-        let rendered: Vec<String> = errors.iter().map(|d| d.render()).collect();
-        let mut err = SqlError::new(
-            0,
-            format!(
-                "static analysis rejected the query:\n{}",
-                rendered.join("\n")
-            ),
-        );
-        if let Some(first) = errors.first() {
-            err = err.with_code(first.code.as_str());
+        return Err(rejection(
+            "static analysis rejected the query",
+            &analysis.diagnostics,
+        ));
+    }
+    if let Some(rewriter) = &opts.verify {
+        let mut validator = Validator::new(alphabet.clone());
+        if let Some(cache) = &opts.cache {
+            validator = validator.with_cache(Arc::clone(cache));
         }
-        return Err(err);
+        let mut gate = VerifiedRewriter::new(validator).with_rewriter(rewriter.clone());
+        for (code, level) in &opts.lints {
+            gate = gate.lint(*code, *level);
+        }
+        let outcome = gate.rewrite(&compiled.query.formula);
+        if outcome.rejected() {
+            return Err(rejection(
+                "translation validation rejected the rewrite",
+                &outcome.diagnostics,
+            ));
+        }
+        if outcome.certified() {
+            // Swap in the certified rewritten formula. Keep the original
+            // when the rewrite changed the free variables (e.g. a head
+            // column collapsed away) or no longer fits the calculus.
+            if let Some(output) = outcome.output() {
+                if output.free_vars() == compiled.query.formula.free_vars() {
+                    if let Ok(q) = Query::new(
+                        compiled.query.calculus,
+                        alphabet.clone(),
+                        compiled.query.head.clone(),
+                        output.clone(),
+                    ) {
+                        compiled.query = q;
+                    }
+                }
+            }
+        }
+        analysis.diagnostics.extend(outcome.diagnostics);
     }
     compiled.analysis = Some(analysis);
     Ok(compiled)
 }
 
-/// Compiles a SELECT with the **verified-rewrite gate** in the loop: on
-/// top of [`compile_select_analyzed`], the standard optimizer chain
-/// (`nnf → lower_terms → simplify`) runs under translation validation,
-/// and its `SA1xx` verdicts join the statement's diagnostics. A refuted
-/// step (`SA100`, or `SA101` under [`LintLevel::Deny`]) fails the
-/// compile with the counterexample witness in the message; otherwise the
-/// certified rewritten formula replaces the compiled one (falling back
-/// to the original when the gate could not certify the chain).
-pub fn compile_select_verified(
-    alphabet: &Alphabet,
-    catalog: &Catalog,
-    stmt: &Select,
-    lints: &[(Code, LintLevel)],
-) -> Result<CompiledSql, SqlError> {
-    compile_select_verified_inner(alphabet, catalog, stmt, lints, Rewriter::standard(), None)
-}
-
-/// [`compile_select_verified`] with a shared compilation cache: the
-/// gate's validator compiles each rewrite step's formulas through
-/// `cache`, so re-compiling the same statement (or α-equivalent ones —
-/// the key is the α-invariant formula fingerprint) skips every automaton
-/// construction the cache already holds.
-pub fn compile_select_verified_cached(
-    alphabet: &Alphabet,
-    catalog: &Catalog,
-    stmt: &Select,
-    lints: &[(Code, LintLevel)],
-    cache: &Arc<AutomatonCache>,
-) -> Result<CompiledSql, SqlError> {
-    compile_select_verified_inner(
-        alphabet,
-        catalog,
-        stmt,
-        lints,
-        Rewriter::standard(),
-        Some(Arc::clone(cache)),
-    )
-}
-
-/// [`compile_select_verified`] with an explicit rewrite chain — the
-/// injection point for tests that certify the gate itself by feeding it
-/// a deliberately broken step.
-pub fn compile_select_verified_with(
-    alphabet: &Alphabet,
-    catalog: &Catalog,
-    stmt: &Select,
-    lints: &[(Code, LintLevel)],
-    rewriter: Rewriter,
-) -> Result<CompiledSql, SqlError> {
-    compile_select_verified_inner(alphabet, catalog, stmt, lints, rewriter, None)
-}
-
-fn compile_select_verified_inner(
-    alphabet: &Alphabet,
-    catalog: &Catalog,
-    stmt: &Select,
-    lints: &[(Code, LintLevel)],
-    rewriter: Rewriter,
-    cache: Option<Arc<AutomatonCache>>,
-) -> Result<CompiledSql, SqlError> {
-    let mut compiled = compile_select_analyzed(alphabet, catalog, stmt, lints)?;
-    let mut validator = Validator::new(alphabet.clone());
-    if let Some(cache) = cache {
-        validator = validator.with_cache(cache);
+/// The compile error for a stage that rejected the statement: every
+/// error-level diagnostic rendered under `stage`, coded by the first.
+fn rejection(stage: &str, diagnostics: &[strcalc_analyze::Diagnostic]) -> SqlError {
+    let errors: Vec<&strcalc_analyze::Diagnostic> = diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    let rendered: Vec<String> = errors.iter().map(|d| d.render()).collect();
+    let err = SqlError::new(0, format!("{stage}:\n{}", rendered.join("\n")));
+    match errors.first() {
+        Some(first) => err.with_code(first.code.as_str()),
+        None => err,
     }
-    let mut gate = VerifiedRewriter::new(validator).with_rewriter(rewriter);
-    for (code, level) in lints {
-        gate = gate.lint(*code, *level);
-    }
-    let outcome = gate.rewrite(&compiled.query.formula);
-    if outcome.rejected() {
-        let errors: Vec<&strcalc_analyze::Diagnostic> = outcome
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect();
-        let rendered: Vec<String> = errors.iter().map(|d| d.render()).collect();
-        let mut err = SqlError::new(
-            0,
-            format!(
-                "translation validation rejected the rewrite:\n{}",
-                rendered.join("\n")
-            ),
-        );
-        if let Some(first) = errors.first() {
-            err = err.with_code(first.code.as_str());
-        }
-        return Err(err);
-    }
-    if outcome.certified() {
-        // Swap in the certified rewritten formula. Keep the original
-        // when the rewrite changed the free variables (e.g. a head
-        // column collapsed away) or no longer fits the calculus.
-        if let Some(output) = outcome.output() {
-            if output.free_vars() == compiled.query.formula.free_vars() {
-                if let Ok(q) = Query::new(
-                    compiled.query.calculus,
-                    alphabet.clone(),
-                    compiled.query.head.clone(),
-                    output.clone(),
-                ) {
-                    compiled.query = q;
-                }
-            }
-        }
-    }
-    if let Some(analysis) = &mut compiled.analysis {
-        analysis.diagnostics.extend(outcome.diagnostics);
-    }
-    Ok(compiled)
 }
 
 /// The compilation itself, without analysis.
@@ -667,13 +631,11 @@ mod tests {
         .unwrap();
         // Denying the always-emitted SA030 cost report makes any
         // statement fatal — the bluntest demonstration that deny works.
-        let err = compile_select_analyzed(
-            &ab(),
-            &catalog(),
-            &stmt,
-            &[(Code::CostReport, LintLevel::Deny)],
-        )
-        .unwrap_err();
+        let opts = CompileOptions {
+            lints: vec![(Code::CostReport, LintLevel::Deny)],
+            ..CompileOptions::default()
+        };
+        let err = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap_err();
         assert!(err.msg.contains("static analysis rejected"));
         assert!(err.msg.contains("SA030"));
     }
@@ -682,13 +644,11 @@ mod tests {
     fn allow_lint_drops_diagnostics() {
         use strcalc_analyze::{Code, LintLevel};
         let stmt = parse_select(&ab(), "SELECT f.name FROM faculty f").unwrap();
-        let compiled = compile_select_analyzed(
-            &ab(),
-            &catalog(),
-            &stmt,
-            &[(Code::CostReport, LintLevel::Allow)],
-        )
-        .unwrap();
+        let opts = CompileOptions {
+            lints: vec![(Code::CostReport, LintLevel::Allow)],
+            ..CompileOptions::default()
+        };
+        let compiled = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap();
         assert!(compiled.warnings().is_empty());
         let analysis = compiled.analysis.expect("analysis attached");
         assert!(analysis.with_code(Code::CostReport).next().is_none());
@@ -698,7 +658,8 @@ mod tests {
     fn verified_compile_attaches_sa1xx_and_preserves_results() {
         let stmt =
             parse_select(&ab(), "SELECT f.name FROM faculty f WHERE f.name LIKE 'a%'").unwrap();
-        let compiled = compile_select_verified(&ab(), &catalog(), &stmt, &[]).unwrap();
+        let compiled =
+            compile_select_with(&ab(), &catalog(), &stmt, &CompileOptions::verified()).unwrap();
         // The gate ran: SA1xx diagnostics are attached (identity steps
         // certify outright; database-dependent ones may stay SA101).
         let analysis = compiled.analysis.as_ref().expect("analysis attached");
@@ -728,7 +689,11 @@ mod tests {
             Formula::Exists(v, _) => Formula::exists(v.clone(), Formula::True),
             other => other.clone(),
         });
-        let err = compile_select_verified_with(&ab(), &catalog(), &stmt, &[], broken).unwrap_err();
+        let opts = CompileOptions {
+            verify: Some(broken),
+            ..CompileOptions::default()
+        };
+        let err = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap_err();
         assert!(
             err.msg.contains("translation validation rejected"),
             "{}",
@@ -747,14 +712,12 @@ mod tests {
         // validator cannot certify it without a database (the formula
         // mentions `faculty`), so SA101 fires — denied, it is fatal.
         let noop = Rewriter::new().step("noop", |g: &Formula| g.clone().and(Formula::True));
-        let err = compile_select_verified_with(
-            &ab(),
-            &catalog(),
-            &stmt,
-            &[(Code::RewriteUnverified, LintLevel::Deny)],
-            noop,
-        )
-        .unwrap_err();
+        let opts = CompileOptions {
+            lints: vec![(Code::RewriteUnverified, LintLevel::Deny)],
+            verify: Some(noop),
+            cache: None,
+        };
+        let err = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap_err();
         assert!(err.msg.contains("SA101"), "{}", err.msg);
     }
 
@@ -769,10 +732,14 @@ mod tests {
             "SELECT f.name FROM faculty f WHERE NOT NOT f.name LIKE 'a%'",
         )
         .unwrap();
-        let first = compile_select_verified_cached(&ab(), &catalog(), &stmt, &[], &cache).unwrap();
+        let opts = CompileOptions {
+            cache: Some(Arc::clone(&cache)),
+            ..CompileOptions::verified()
+        };
+        let first = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap();
         let after_first = cache.stats();
         assert!(after_first.misses > 0, "gate compiles populate the cache");
-        let second = compile_select_verified_cached(&ab(), &catalog(), &stmt, &[], &cache).unwrap();
+        let second = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap();
         let after_second = cache.stats();
         assert_eq!(
             after_second.misses, after_first.misses,
@@ -874,13 +841,11 @@ mod tests {
     fn analyzer_rejections_carry_their_code() {
         use strcalc_analyze::{Code, LintLevel};
         let stmt = parse_select(&ab(), "SELECT f.name FROM faculty f").unwrap();
-        let err = compile_select_analyzed(
-            &ab(),
-            &catalog(),
-            &stmt,
-            &[(Code::CostReport, LintLevel::Deny)],
-        )
-        .unwrap_err();
+        let opts = CompileOptions {
+            lints: vec![(Code::CostReport, LintLevel::Deny)],
+            ..CompileOptions::default()
+        };
+        let err = compile_select_with(&ab(), &catalog(), &stmt, &opts).unwrap_err();
         assert_eq!(err.code.as_deref(), Some("SA030"));
         assert!(err.to_string().contains("[SA030]"));
         // Parse errors stay code-less.

@@ -43,50 +43,35 @@
 mod compilepipe;
 mod parser;
 
-pub use compilepipe::{
-    compile_select, compile_select_analyzed, compile_select_verified,
-    compile_select_verified_cached, compile_select_verified_with, CompiledSql,
-};
+pub use compilepipe::{compile_select, compile_select_with, CompileOptions, CompiledSql};
 pub use parser::{parse_select, Catalog, Cond, Select, SqlError, SqlTerm, TableRef};
 
 use strcalc_alphabet::Alphabet;
-use strcalc_core::{Budget, CoreError, EvalOutput, ExecReport, Planner};
+use strcalc_core::{CoreError, EvalOutput, ExecCx, ExecReport, Planner};
 use strcalc_relational::Database;
 
 /// End-to-end: parse, compile, plan, and evaluate a SELECT statement.
 /// Evaluation is routed through the query [`Planner`], so the SQL
 /// pipeline shares its strategy decision with every other entry point,
-/// and runs under the plan's own seeded [`Budget`].
+/// and runs under `cx` (see [`strcalc_core::Plan::execute_in`]):
+/// [`ExecCx::production`] runs under the plan's own seeded budget, and
+/// a multi-tenant caller hands its quota in with
+/// [`ExecCx::with_budget`]. The returned [`ExecReport`] carries the
+/// execution verdict, any SA4xx degradation events, and the per-node
+/// budget ledger; a caller that must not serve degraded answers passes
+/// a budget with [`strcalc_core::DegradationPolicy::Fail`] and maps the
+/// resulting `CoreError::BudgetExhausted` to its own admission error.
 pub fn run_sql(
     alphabet: &Alphabet,
     catalog: &Catalog,
     db: &Database,
     sql: &str,
-) -> Result<(CompiledSql, EvalOutput), SqlRunError> {
-    let stmt = parse_select(alphabet, sql)?;
-    let compiled = compile_select(alphabet, catalog, &stmt)?;
-    let plan = compiled.plan(&Planner::new()).map_err(SqlRunError::Eval)?;
-    let (out, _report) = plan.execute(db).map_err(SqlRunError::Eval)?;
-    Ok((compiled, out))
-}
-
-/// [`run_sql`] under a caller-supplied resource [`Budget`] — the
-/// multi-tenant entry point. The returned [`ExecReport`] carries the
-/// execution verdict, any SA4xx degradation events, and the per-node
-/// budget ledger; a caller that must not serve degraded answers passes
-/// a budget with [`strcalc_core::DegradationPolicy::Fail`] and maps the
-/// resulting `CoreError::BudgetExhausted` to its own admission error.
-pub fn run_sql_governed(
-    alphabet: &Alphabet,
-    catalog: &Catalog,
-    db: &Database,
-    sql: &str,
-    budget: &Budget,
+    cx: &ExecCx,
 ) -> Result<(CompiledSql, EvalOutput, ExecReport), SqlRunError> {
     let stmt = parse_select(alphabet, sql)?;
     let compiled = compile_select(alphabet, catalog, &stmt)?;
-    let plan = compiled.plan(&Planner::new()).map_err(SqlRunError::Eval)?;
-    let (out, report) = plan.execute_with(db, budget).map_err(SqlRunError::Eval)?;
+    let plan = compiled.plan(&Planner::new())?;
+    let (out, report) = plan.execute_in(db, cx)?;
     Ok((compiled, out, report))
 }
 

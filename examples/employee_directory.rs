@@ -7,6 +7,7 @@
 //! ```
 
 use strcalc::alphabet::Alphabet;
+use strcalc::core::ExecCx;
 use strcalc::relational::Database;
 use strcalc::sqlfront::{run_sql, Catalog};
 
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for sql in queries {
         println!("SQL> {sql}");
-        let (compiled, out) = run_sql(&sigma, &catalog, &db, sql)?;
+        let (compiled, out, _) = run_sql(&sigma, &catalog, &db, sql, &ExecCx::production())?;
         println!("  minimal calculus: {}", compiled.calculus());
         match out {
             strcalc::core::EvalOutput::Finite(rel) => {

@@ -49,6 +49,7 @@ use std::process::ExitCode;
 
 use strcalc::alphabet::Alphabet;
 use strcalc::analyze::{Analyzer, Code, LintLevel, Severity};
+use strcalc::core::json::escape;
 use strcalc::core::plan::PlanChecker;
 use strcalc::core::{Calculus, Planner};
 use strcalc::logic::parse_formula;
@@ -121,24 +122,6 @@ fn emit_diagnostics(lints: &Lints, diagnostics: &[strcalc::analyze::Diagnostic])
     clean
 }
 
-/// Minimal JSON string escaping (the machine-readable output is
-/// hand-rolled like the plan IR's `explain_json`; no serde in tree).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes re-leveled diagnostics; each carries its span (formula
 /// path) and, when the span addresses a formula node the fragment pass
 /// annotated, that subformula's lattice point.
@@ -154,16 +137,13 @@ fn diagnostics_json(
                 d.code,
                 d.severity,
                 d.path,
-                json_escape(&d.message)
+                escape(&d.message)
             );
             if let Some(note) = &d.note {
-                obj.push_str(&format!(",\"note\":\"{}\"", json_escape(note)));
+                obj.push_str(&format!(",\"note\":\"{}\"", escape(note)));
             }
             if let Some((_, point)) = fragment.table.iter().find(|(p, _)| *p == d.path) {
-                obj.push_str(&format!(
-                    ",\"fragment\":\"{}\"",
-                    json_escape(&point.summary())
-                ));
+                obj.push_str(&format!(",\"fragment\":\"{}\"", escape(&point.summary())));
             }
             obj.push('}');
             obj
@@ -280,22 +260,22 @@ fn lint_line_json(
     let fragment = &analysis.fragment;
     let mut obj = format!(
         "{{\"query\":\"{}\",\"calculus\":\"{}\",\"formula\":\"{}\"",
-        json_escape(label),
+        escape(label),
         calculus.name(),
-        json_escape(formula_txt.trim())
+        escape(formula_txt.trim())
     );
     obj.push_str(&format!(
         ",\"head\":[{}]",
         head.iter()
-            .map(|h| format!("\"{}\"", json_escape(h)))
+            .map(|h| format!("\"{}\"", escape(h)))
             .collect::<Vec<_>>()
             .join(",")
     ));
     obj.push_str(&format!(
         ",\"fragment\":{{\"point\":\"{}\",\"class\":\"{}\",\"justification\":\"{}\"}}",
-        json_escape(&fragment.root.summary()),
+        escape(&fragment.root.summary()),
         fragment.class.name(),
-        json_escape(&fragment.class.justification())
+        escape(&fragment.class.justification())
     ));
     obj.push_str(&format!(
         ",\"diagnostics\":{}",
@@ -305,7 +285,7 @@ fn lint_line_json(
         obj.push_str(&format!(",\"plan\":{plan}"));
     }
     if let Some(e) = plan_error {
-        obj.push_str(&format!(",\"plan_error\":\"{}\"", json_escape(&e)));
+        obj.push_str(&format!(",\"plan_error\":\"{}\"", escape(&e)));
     }
     obj.push_str(&format!(",\"clean\":{clean}}}"));
     println!("{obj}");

@@ -24,7 +24,8 @@
 //! `planlint-corpus` job.
 //!
 //! With `--replay`, every query in the golden corpora
-//! (`tests/corpus/fig2.queries` + `tests/corpus/fragments.queries`) is
+//! (`tests/corpus/fig2.queries` + `tests/corpus/fragments.queries`,
+//! plus the Boolean queries of `tests/corpus/sentences.queries`) is
 //! executed under its seeded budget with an execution trace recorded,
 //! round-tripped through JSON, and replayed from the textual trace
 //! against the same database snapshot through a *fresh* engine; the run
@@ -34,10 +35,10 @@
 //! fails to record its degradations — CI runs this as the
 //! `replay-corpus` job.
 //!
-//! With `--chaos`, every golden-corpus query runs once per fault seed
-//! under a deterministic injected fault plan (deadline fire at a fixed
-//! checkpoint, cache-insert failure, compile abort, ledger contention);
-//! the run fails if a fired fault is not surfaced as a typed SA4xx
+//! With `--chaos`, every query of the same three corpora runs once per
+//! fault seed under a deterministic injected fault plan (deadline fire
+//! at a fixed checkpoint, cache-insert failure, compile abort, ledger
+//! contention); the run fails if a fired fault is not surfaced as a typed SA4xx
 //! degradation or if the recorded trace does not replay bit-for-bit —
 //! CI runs this as the `chaos-corpus` job.
 
@@ -541,6 +542,7 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
     for path in [
         "tests/corpus/fig2.queries",
         "tests/corpus/fragments.queries",
+        "tests/corpus/sentences.queries",
     ] {
         cases.extend(load_corpus(path));
     }
@@ -579,7 +581,9 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
         let mut problems: Vec<String> = Vec::new();
 
         // Clean configuration: seeded budget, no degradation allowed.
-        let (out, report) = plan.execute_with(&db, &budget).expect("governed run");
+        let (out, report) = plan
+            .execute_in(&db, &ExecCx::production().with_budget(budget))
+            .expect("governed run");
         if !report.verdict.is_exact() {
             problems.push(format!("clean run verdict: {}", report.verdict.render()));
         }
@@ -617,7 +621,9 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
         };
         let s_recorder = fresh_engine();
         let s_plan = plan_case(&s_recorder);
-        let (s_out, s_report) = s_plan.execute_with(&db, &starved).expect("starved run");
+        let (s_out, s_report) = s_plan
+            .execute_in(&db, &ExecCx::production().with_budget(starved))
+            .expect("starved run");
         if !s_report.ledger.all_within() && s_report.degradations.is_empty() {
             problems.push("starved run was silently truncated (no SA4xx recorded)".into());
         }
@@ -680,6 +686,7 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
     for path in [
         "tests/corpus/fig2.queries",
         "tests/corpus/fragments.queries",
+        "tests/corpus/sentences.queries",
     ] {
         cases.extend(load_corpus(path));
     }
@@ -713,25 +720,12 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
             };
             strategy = plan.strategy.name().to_string();
             let budget = Budget::unlimited();
-            let cx = ExecCx::replay(faults);
-            let (trace, report) = if plan.is_boolean() {
-                let (value, report) = plan
-                    .execute_bool_with_ctx(&db, &budget, &cx)
-                    .expect("chaos run answers under the degrade policy");
-                (
-                    ExecTrace::record_bool(&plan, &budget, &report, &db, value)
-                        .expect("trace records"),
-                    report,
-                )
-            } else {
-                let (out, report) = plan
-                    .execute_with_ctx(&db, &budget, &cx)
-                    .expect("chaos run answers under the degrade policy");
-                (
-                    ExecTrace::record(&plan, &budget, &report, &db, &out).expect("trace records"),
-                    report,
-                )
-            };
+            let cx = ExecCx::replay(faults).with_budget(budget);
+            let (out, report) = plan
+                .execute_in(&db, &cx)
+                .expect("chaos run answers under the degrade policy");
+            let trace =
+                ExecTrace::record(&plan, &budget, &report, &db, &out).expect("trace records");
 
             // A deadline that fired is never a quiet partial answer.
             if report.faults.deadline_at_checkpoint.is_some() {

@@ -2,7 +2,7 @@
 //! fragment inference → exact evaluation, checked against hand-computed
 //! answers.
 
-use strcalc::core::Calculus;
+use strcalc::core::{Calculus, ExecCx};
 use strcalc::prelude::*;
 use strcalc::sqlfront::{run_sql, Catalog};
 
@@ -39,11 +39,12 @@ fn rows_of(sigma: &Alphabet, out: strcalc::core::EvalOutput) -> Vec<Vec<String>>
 #[test]
 fn like_and_fragment_inference() {
     let (sigma, catalog, db) = setup();
-    let (compiled, out) = run_sql(
+    let (compiled, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE t.w LIKE 'ab%'",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(compiled.calculus(), Calculus::S);
@@ -55,11 +56,12 @@ fn like_and_fragment_inference() {
 #[test]
 fn not_like() {
     let (sigma, catalog, db) = setup();
-    let (_c, out) = run_sql(
+    let (_c, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE t.w NOT LIKE '%a' AND t.w NOT LIKE '%b'",
+        &ExecCx::production(),
     )
     .unwrap();
     let rows = rows_of(&sigma, out);
@@ -71,28 +73,31 @@ fn similar_infers_minimal_calculus() {
     let (sigma, catalog, db) = setup();
     // Even-length strings — regular but not star-free → S_reg. (Note
     // (ab)* itself IS star-free, so it must stay in S; checked below.)
-    let (compiled, _out) = run_sql(
+    let (compiled, _out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE t.w SIMILAR TO '((a|b|c|d|r)(a|b|c|d|r))*'",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(compiled.calculus(), Calculus::SReg);
-    let (compiled, _out) = run_sql(
+    let (compiled, _out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE t.w SIMILAR TO '(ab)*'",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(compiled.calculus(), Calculus::S);
     // a* IS star-free → plain S even through SIMILAR syntax.
-    let (compiled, _out) = run_sql(
+    let (compiled, _out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE t.w SIMILAR TO 'a%'",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(compiled.calculus(), Calculus::S);
@@ -101,21 +106,23 @@ fn similar_infers_minimal_calculus() {
 #[test]
 fn length_and_trim_fragments() {
     let (sigma, catalog, db) = setup();
-    let (compiled, out) = run_sql(
+    let (compiled, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE LENGTH(t.tag) < LENGTH(t.w) AND t.w LIKE 'c%'",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(compiled.calculus(), Calculus::SLen);
     assert_eq!(rows_of(&sigma, out).len(), 2); // cadabra, cab
 
-    let (compiled, out) = run_sql(
+    let (compiled, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT TRIM(LEADING 'a' FROM t.w) FROM t WHERE t.w LIKE 'ab%'",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(compiled.calculus(), Calculus::SLeft);
@@ -132,12 +139,13 @@ fn correlated_exists_and_in() {
     // another except… check: dab/cab/cadabra/abra/abc/abba — no prefix
     // pairs. Add via PREFIX on tag instead: tags of rows whose w starts
     // with the tag's letter.
-    let (_c, out) = run_sql(
+    let (_c, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE EXISTS \
          (SELECT u.w FROM t u WHERE PREFIX(t.tag, u.w) AND u.w = t.w)",
+        &ExecCx::production(),
     )
     .unwrap();
     let mut rows = rows_of(&sigma, out);
@@ -146,11 +154,12 @@ fn correlated_exists_and_in() {
     // a⪯abba ✓.
     assert_eq!(rows, vec![vec!["abba"], vec!["abc"], vec!["abra"]]);
 
-    let (_c, out) = run_sql(
+    let (_c, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE t.tag IN (SELECT u.tag FROM t u WHERE u.w = 'dab')",
+        &ExecCx::production(),
     )
     .unwrap();
     assert_eq!(rows_of(&sigma, out), vec![vec!["dab".to_string()]]);
@@ -159,11 +168,12 @@ fn correlated_exists_and_in() {
 #[test]
 fn lex_comparisons() {
     let (sigma, catalog, db) = setup();
-    let (_c, out) = run_sql(
+    let (_c, out, _) = run_sql(
         &sigma,
         &catalog,
         &db,
         "SELECT t.w FROM t WHERE 'c' <= t.w AND t.w LIKE 'c%'",
+        &ExecCx::production(),
     )
     .unwrap();
     let mut rows = rows_of(&sigma, out);
@@ -174,7 +184,7 @@ fn lex_comparisons() {
 #[test]
 fn governed_sql_reports_and_degrades() {
     use strcalc::core::{Budget, CoreError, DegradationPolicy};
-    use strcalc::sqlfront::{run_sql_governed, SqlRunError};
+    use strcalc::sqlfront::SqlRunError;
 
     // A deliberately small instance: the starved path evaluates over
     // the bounded collapse domain, which grows with `|Σ|^maxlen`.
@@ -189,12 +199,13 @@ fn governed_sql_reports_and_degrades() {
     // tiers, so starvation forces the semantic exact → bounded
     // degradation (not the answer-preserving dense → sparse one).
     let sql = "SELECT s.w FROM s WHERE 'c' <= s.w AND s.w LIKE 'c%'";
+    let under = |budget: Budget| ExecCx::production().with_budget(budget);
 
     // Under the unlimited budget the governed pipeline matches the
-    // ungoverned one and certifies an exact run.
-    let (_c, exact) = run_sql(&sigma, &catalog, &db, sql).unwrap();
+    // seeded one and certifies an exact run.
+    let (_c, exact, _) = run_sql(&sigma, &catalog, &db, sql, &ExecCx::production()).unwrap();
     let (_c, out, report) =
-        run_sql_governed(&sigma, &catalog, &db, sql, &Budget::unlimited()).unwrap();
+        run_sql(&sigma, &catalog, &db, sql, &under(Budget::unlimited())).unwrap();
     assert_eq!(out, exact);
     assert!(report.verdict.is_exact());
     assert!(report.degradations.is_empty());
@@ -206,18 +217,12 @@ fn governed_sql_reports_and_degrades() {
         bytes: 1,
         ..Budget::unlimited()
     };
-    let (_c, _out, report) = run_sql_governed(&sigma, &catalog, &db, sql, &starved).unwrap();
+    let (_c, _out, report) = run_sql(&sigma, &catalog, &db, sql, &under(starved)).unwrap();
     assert!(!report.verdict.is_exact());
     assert!(!report.degradations.is_empty());
 
-    let err = run_sql_governed(
-        &sigma,
-        &catalog,
-        &db,
-        sql,
-        &starved.with_policy(DegradationPolicy::Fail),
-    )
-    .unwrap_err();
+    let strict = under(starved.with_policy(DegradationPolicy::Fail));
+    let err = run_sql(&sigma, &catalog, &db, sql, &strict).unwrap_err();
     assert!(matches!(
         err,
         SqlRunError::Eval(CoreError::BudgetExhausted { .. })
