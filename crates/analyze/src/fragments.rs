@@ -446,7 +446,8 @@ pub fn scan_plan(head: &[String], f: &Formula) -> Option<ScanPlan> {
     })
 }
 
-pub(crate) fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+/// The conjuncts of the maximal `∧` chain rooted at `f`, left to right.
+pub fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     match f {
         Formula::And(a, b) => {
             flatten_and(a, out);
@@ -694,7 +695,7 @@ pub(crate) fn check(
 /// the star-freeness decision procedure, as in the signature pass),
 /// running the range-restriction pass it reads from.
 pub(crate) fn analyze(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
-    let langs = LangTable::build(f, k, monoid_cap);
+    let langs = LangTable::build(f, k).monoid_cap(monoid_cap);
     let (_, _, safe) = saferange::check(f, &langs);
     check(f, &langs, &safe)
 }
@@ -787,7 +788,7 @@ impl Cx<'_> {
                 )),
             }
         }
-        if let Err(e) = &self.langs.get(l).star_free {
+        if let Err(e) = self.langs.star_free(l) {
             self.findings.push(
                 Finding::new(
                     Code::FragmentStarFreeFallback,

@@ -64,7 +64,7 @@ pub mod admission;
 pub mod cost;
 pub mod diag;
 pub mod fragments;
-mod langs;
+pub mod langs;
 pub mod planlint;
 pub mod saferange;
 pub mod scope;
@@ -140,7 +140,7 @@ impl Analyzer {
     /// compilation; no database is consulted.
     pub fn analyze(&self, alphabet: &Alphabet, f: &Formula) -> Analysis {
         let k = alphabet.len() as Sym;
-        let langs = langs::LangTable::build(f, k, self.monoid_cap);
+        let langs = langs::LangTable::build(f, k).monoid_cap(self.monoid_cap);
         let mut findings: Vec<Finding> = Vec::new();
 
         let (signature, sig_findings) = signature::check(f, self.declared, &langs);

@@ -128,11 +128,7 @@ pub(crate) type NodeVerdicts = HashMap<*const Formula, bool>;
 /// atoms from `langs`. Also returns the per-node verdicts the fragment
 /// pass attaches to its lattice points.
 pub(crate) fn check(f: &Formula, langs: &LangTable) -> (SafeRangeInfo, Vec<Finding>, NodeVerdicts) {
-    let mut walk = Walk {
-        langs,
-        safe: HashMap::new(),
-        unbounded: HashSet::new(),
-    };
+    let mut walk = Walk::new(langs);
     let (root, free) = walk.rr(f, &Rst::empty());
     let mut findings = Vec::new();
     unbounded_findings(f, &FormulaPath::root(), &walk.unbounded, &mut findings);
@@ -192,61 +188,64 @@ fn term_finite(t: &Term, ctx: &Rst) -> bool {
     vars.iter().all(|v| ctx.contains(v))
 }
 
-/// Restricted variables contributed by an atom, given variables already
-/// restricted by the surrounding conjunction.
-fn rr_atom(a: &Atom, ctx: &Rst, langs: &LangTable) -> Rst {
-    let mut out = Rst::empty();
-    // One-directional flow: if `src` is finite, `dst`'s preimage is.
-    let flow = |src: &Term, dst: &Term, out: &mut Rst| {
-        if term_finite(src, ctx) {
-            *out = std::mem::replace(out, Rst::empty()).union(rpre_of(dst));
+/// The positions of `a`'s terms whose values are confined to finitely
+/// many once the terms at positions where `finite_term` holds are: the
+/// flow rules of the module docs, atom by atom. A variable under an
+/// injective term chain at such a position is range-restricted, so this
+/// is also where an evaluator generates values from. `langs` says
+/// whether an `in`/`pl` language is finite.
+pub fn confined_terms(
+    a: &Atom,
+    finite_term: &dyn Fn(usize) -> bool,
+    langs: &LangTable,
+) -> Vec<usize> {
+    let mut out = Vec::new();
+    // One-directional flow: if `src` is finite, so is `dst`.
+    let mut flow = |src: usize, dst: usize| {
+        if finite_term(src) {
+            out.push(dst);
         }
     };
     match a {
         // Every term value is a database entry: finite unconditionally.
-        Atom::Rel(_, ts) => {
-            for t in ts {
-                out = out.union(rpre_of(t));
-            }
-        }
+        Atom::Rel(_, ts) => out.extend(0..ts.len()),
         // Bidirectional: either side finite ⇒ the other finite.
-        Atom::Eq(x, y) | Atom::Cover(x, y) | Atom::Prepends(x, y, _) | Atom::EqLen(x, y) => {
-            flow(x, y, &mut out);
-            flow(y, x, &mut out);
+        Atom::Eq(..) | Atom::Cover(..) | Atom::Prepends(..) | Atom::EqLen(..) => {
+            flow(0, 1);
+            flow(1, 0);
         }
         // Right side finite ⇒ finitely many left values.
-        Atom::Prefix(x, y)
-        | Atom::StrictPrefix(x, y)
-        | Atom::ShorterEq(x, y)
-        | Atom::Shorter(x, y) => flow(y, x, &mut out),
-        Atom::PL(x, y, l) => {
-            flow(y, x, &mut out);
+        Atom::Prefix(..) | Atom::StrictPrefix(..) | Atom::ShorterEq(..) | Atom::Shorter(..) => {
+            flow(1, 0)
+        }
+        Atom::PL(_, _, l) => {
+            flow(1, 0);
             // L finite: y = x·w for finitely many w.
-            if langs.get(l).finite {
-                flow(x, y, &mut out);
+            if langs.finite(l) {
+                flow(0, 1);
             }
         }
-        Atom::InLang(t, l) => {
-            if langs.get(l).finite {
-                out = out.union(rpre_of(t));
+        Atom::InLang(_, l) => {
+            if langs.finite(l) {
+                out.push(0);
             }
         }
         // c = a·b.
-        Atom::ConcatEq(x, y, z) => {
-            if term_finite(z, ctx) {
-                out = out.union(rpre_of(x)).union(rpre_of(y));
+        Atom::ConcatEq(..) => {
+            if finite_term(2) {
+                out.extend([0, 1]);
             }
-            if term_finite(x, ctx) && term_finite(y, ctx) {
-                out = out.union(rpre_of(z));
+            if finite_term(0) && finite_term(1) {
+                out.push(2);
             }
         }
         // y = x with one symbol inserted after p ⪯ x.
-        Atom::InsertAfter(x, p, y, _) => {
-            if term_finite(x, ctx) {
-                out = out.union(rpre_of(y)).union(rpre_of(p));
+        Atom::InsertAfter(..) => {
+            if finite_term(0) {
+                out.extend([2, 1]);
             }
-            if term_finite(y, ctx) {
-                out = out.union(rpre_of(x)).union(rpre_of(p));
+            if finite_term(2) {
+                out.extend([0, 1]);
             }
         }
         // No finite preimage in either direction.
@@ -254,6 +253,20 @@ fn rr_atom(a: &Atom, ctx: &Rst, langs: &LangTable) -> Rst {
     }
     out
 }
+
+/// Restricted variables contributed by an atom, given variables already
+/// restricted by the surrounding conjunction.
+fn rr_atom(a: &Atom, ctx: &Rst, langs: &LangTable) -> Rst {
+    let terms = a.terms();
+    confined_terms(a, &|i| term_finite(terms[i], ctx), langs)
+        .into_iter()
+        .fold(Rst::empty(), |out, i| out.union(rpre_of(terms[i])))
+}
+
+/// One restricting evaluation inside a chain: the conjunct's index, and
+/// the variables it restricted first (`None` for the `All` of an
+/// unsatisfiable conjunct).
+type Restricted = (usize, Option<BTreeSet<String>>);
 
 /// The walk's per-node outputs are keyed by node address: a subformula
 /// may be evaluated several times while a conjunction chain converges,
@@ -265,7 +278,15 @@ struct Walk<'a> {
     unbounded: HashSet<*const Formula>,
 }
 
-impl Walk<'_> {
+impl<'a> Walk<'a> {
+    fn new(langs: &'a LangTable) -> Walk<'a> {
+        Walk {
+            langs,
+            safe: HashMap::new(),
+            unbounded: HashSet::new(),
+        }
+    }
+
     /// The restricted variables and the free variables of `f`, given
     /// `ctx` already restricted by the enclosing conjunction.
     fn rr(&mut self, f: &Formula, ctx: &Rst) -> (Rst, BTreeSet<String>) {
@@ -344,6 +365,19 @@ impl Walk<'_> {
     fn conjunction(&mut self, f: &Formula, ctx: &Rst) -> (Rst, BTreeSet<String>) {
         let mut conjuncts = Vec::new();
         flatten_and(f, &mut conjuncts);
+        self.chain(&conjuncts, ctx, None)
+    }
+
+    /// The fixpoint over the conjuncts of one chain. With `order`, also
+    /// records each conjunct evaluation that restricted variables nothing
+    /// before it had: conjunct index and the newly restricted set, or
+    /// `None` for the `All` of an unsatisfiable conjunct.
+    fn chain(
+        &mut self,
+        conjuncts: &[&Formula],
+        ctx: &Rst,
+        mut order: Option<&mut Vec<Restricted>>,
+    ) -> (Rst, BTreeSet<String>) {
         // Conjuncts awaiting evaluation, atoms first: quantified
         // conjuncts then usually meet their final context on their
         // first evaluation.
@@ -376,11 +410,22 @@ impl Walk<'_> {
             // variable is free in, or all of them when the set turns `All`.
             let woken: Vec<usize> = match (&closed, &r) {
                 (Rst::All, _) => Vec::new(),
-                (_, Rst::All) => (0..conjuncts.len()).collect(),
-                (Rst::Set(old), Rst::Set(new)) => new
-                    .difference(old)
-                    .flat_map(|v| users.get(v).into_iter().flatten().copied())
-                    .collect(),
+                (_, Rst::All) => {
+                    if let Some(order) = order.as_deref_mut() {
+                        order.push((i, None));
+                    }
+                    (0..conjuncts.len()).collect()
+                }
+                (Rst::Set(old), Rst::Set(new)) => {
+                    let fresh: BTreeSet<String> = new.difference(old).cloned().collect();
+                    if let (Some(order), false) = (order.as_deref_mut(), fresh.is_empty()) {
+                        order.push((i, Some(fresh.clone())));
+                    }
+                    fresh
+                        .iter()
+                        .flat_map(|v| users.get(v).into_iter().flatten().copied())
+                        .collect()
+                }
             };
             closed = closed.union(r.clone());
             acc = acc.union(r);
@@ -393,6 +438,55 @@ impl Walk<'_> {
         }
         (acc, free)
     }
+}
+
+/// One step of an `∧` chain's binding order: the conjunct that
+/// range-restricts `vars` first, given the variables bound before it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Binding {
+    /// Index of the restricting conjunct in the chain.
+    pub conjunct: usize,
+    /// The variables it restricts, sorted. For an unsatisfiable conjunct
+    /// (`false`, or a chain holding it) these are all the chain's
+    /// remaining free variables: each is vacuously confined.
+    pub vars: Vec<String>,
+}
+
+/// The binding order of the `∧` chain `conjuncts` when the variables in
+/// `bound` already have values: the order in which the chain's fixpoint
+/// (the one the SA010 verdicts come from) first restricts each free
+/// variable, and which conjunct does it. A variable missing from every
+/// step is not range-restricted by the chain. `langs` says whether an
+/// `in`/`pl` language is finite.
+///
+/// Every step restricts its variables given only `bound` and the steps
+/// before it, so an evaluator can bind variables in this order: each
+/// step's conjunct generates finitely many values for its variables
+/// from the values already bound.
+pub fn binding_order(
+    conjuncts: &[&Formula],
+    bound: &BTreeSet<String>,
+    langs: &LangTable,
+) -> Vec<Binding> {
+    let mut walk = Walk::new(langs);
+    let mut events = Vec::new();
+    let (_, free) = walk.chain(conjuncts, &Rst::Set(bound.clone()), Some(&mut events));
+    let mut seen = bound.clone();
+    let mut out = Vec::with_capacity(events.len());
+    for (conjunct, fresh) in events {
+        let vars: Vec<String> = match fresh {
+            Some(set) => set.into_iter().filter(|v| seen.insert(v.clone())).collect(),
+            None => free
+                .iter()
+                .filter(|v| seen.insert((*v).clone()))
+                .cloned()
+                .collect(),
+        };
+        if !vars.is_empty() {
+            out.push(Binding { conjunct, vars });
+        }
+    }
+    out
 }
 
 /// SA011 for every `∃` node of `f` in `unbounded`, in preorder.
@@ -428,7 +522,7 @@ mod tests {
     use strcalc_logic::Lang;
 
     fn check(f: &Formula, k: Sym) -> (SafeRangeInfo, Vec<Finding>) {
-        let (info, findings, _) = super::check(f, &LangTable::build(f, k, 100_000));
+        let (info, findings, _) = super::check(f, &LangTable::build(f, k));
         (info, findings)
     }
 

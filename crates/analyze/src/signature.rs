@@ -34,7 +34,7 @@ pub struct SignatureInfo {
 /// but never fails — languages whose star-freeness is undecided under
 /// `monoid_cap` are conservatively classified `S_reg`.
 pub fn infer(f: &Formula, k: Sym, monoid_cap: usize) -> StructureClass {
-    let langs = LangTable::build(f, k, monoid_cap);
+    let langs = LangTable::build(f, k).monoid_cap(monoid_cap);
     let (info, _) = check(f, StructureClass::Concat, &langs);
     info.inferred
 }
@@ -87,7 +87,7 @@ impl Cx<'_> {
         }
         let class = atom_class(a, self.langs);
         if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
-            if let Err(e) = &self.langs.get(l).star_free {
+            if let Err(e) = self.langs.star_free(l) {
                 self.star_free_undecided += 1;
                 self.findings.push(
                     Finding::new(
@@ -163,7 +163,7 @@ pub(crate) fn atom_class(a: &Atom, langs: &LangTable) -> StructureClass {
             StructureClass::SLen
         }
         Atom::ConcatEq(..) => StructureClass::Concat,
-        Atom::InLang(_, l) | Atom::PL(_, _, l) => match langs.get(l).star_free {
+        Atom::InLang(_, l) | Atom::PL(_, _, l) => match langs.star_free(l) {
             Ok(true) => StructureClass::S,
             _ => StructureClass::SReg,
         },
@@ -231,7 +231,7 @@ mod tests {
         k: Sym,
         monoid_cap: usize,
     ) -> (SignatureInfo, Vec<Finding>) {
-        super::check(f, declared, &LangTable::build(f, k, monoid_cap))
+        super::check(f, declared, &LangTable::build(f, k).monoid_cap(monoid_cap))
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! measures, on the Figure-2 probe queries, (a) a direct ungoverned
 //! compile+eval through the automata engine, and (b) the governed
 //! `Plan::execute` on a pre-built plan, and gates the difference at 5%.
+//! The plan forces the automata strategy: by default the probes take
+//! the relational route, which is not the compile+eval of (a).
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
-use strcalc_core::{AutomataEngine, Calculus, Planner, Query};
+use strcalc_core::{AutomataEngine, Calculus, Planner, Query, Strategy};
 
 fn probe(calc: Calculus) -> Query {
     let src = match calc {
@@ -23,7 +25,7 @@ fn probe(calc: Calculus) -> Query {
 
 fn bench(c: &mut Criterion) {
     let db = unary_db(24, 6, 9);
-    let planner = Planner::new();
+    let planner = Planner::new().force(Strategy::Automata);
     let mut group = c.benchmark_group("budget_overhead");
     for calc in Calculus::all() {
         let q = probe(calc);

@@ -35,6 +35,7 @@ pub mod effective;
 pub mod engine;
 pub mod enumeval;
 pub mod faults;
+mod generate;
 pub mod json;
 pub mod ledger;
 pub mod mso3col;

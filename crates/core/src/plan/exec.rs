@@ -3,8 +3,9 @@
 //! Every run takes one path, [`Plan::execute_in`]; [`Plan::execute`] is
 //! that path in the production context. It dispatches on the plan's
 //! root operator and hands the work to the matching executor — the
-//! automata engine's artifact pipeline, the enumeration interpreter,
-//! the bounded search, or a relation scan — and reports
+//! automata engine's artifact pipeline, the relational route's nested
+//! loops, the enumeration interpreter, the bounded search, or a
+//! relation scan — and reports
 //! post-execution actuals (states built, bytes held, cache hits, tuples
 //! enumerated) for `EXPLAIN`. Before executing, the plan is re-verified
 //! by planlint (defense in depth: a plan mutated after
@@ -95,7 +96,8 @@ pub struct ExecReport {
     /// Tuples materialized (or sampled, for infinite outputs).
     pub tuples_enumerated: usize,
     /// Size of the finite quantifier domain (interpreter strategies; 0
-    /// for automata).
+    /// for automata). On the relational route: the bindings its
+    /// generators produced.
     pub domain_size: usize,
     /// SA240 calibration warnings: actuals that exceeded the plan's
     /// resource certificate. Empty when the certificate held (always,
@@ -389,6 +391,9 @@ impl Plan {
             (PlanOp::EnumerateFinite, Strategy::ActiveDomainEnum) => {
                 EvalOutput::Finite(self.run_enum(db, &mut run)?)
             }
+            (PlanOp::Relational, Strategy::ActiveDomainEnum) => {
+                EvalOutput::Finite(self.run_relational(db, &mut run)?)
+            }
             (PlanOp::BoundedSearch { budget: bound }, Strategy::BoundedSearch) => {
                 EvalOutput::Finite(self.run_search(*bound, db, &mut run)?)
             }
@@ -487,6 +492,28 @@ impl Plan {
         run.report.tuples_enumerated = self.enumerated(rel.len());
         run.report.domain_size = domain_size;
         Ok(rel)
+    }
+
+    /// The relational executor: runs the plan's compiled program — nested
+    /// loops in binding order, each variable bound by its generator. It
+    /// builds no automaton; `domain_size` reports the bindings its
+    /// generators produced. A deadline expiry keeps the tuples completed
+    /// so far (SA411).
+    fn run_relational(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
+        let program = self.program.as_ref().ok_or_else(|| {
+            CoreError::Unsupported(
+                "malformed plan: a Relational root without its compiled program".into(),
+            )
+        })?;
+        let out = program.run(db, &run.deadline)?;
+        if out.truncated {
+            let what = format!("generated {} bindings", out.bindings);
+            run.report.verdict =
+                self.truncate(run, Code::DeadlineScanTruncated, what, &out.answer)?;
+        }
+        run.report.tuples_enumerated = self.enumerated(out.answer.len());
+        run.report.domain_size = out.bindings as usize;
+        Ok(out.answer)
     }
 
     /// The bounded-search executor, at the depth [`Plan::governed_search`]

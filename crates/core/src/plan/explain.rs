@@ -29,6 +29,7 @@ fn op_label(op: &PlanOp) -> String {
     match op {
         PlanOp::CompileAutomaton { label, .. } => format!("CompileAutomaton {label}"),
         PlanOp::Interpret { label } => format!("Interpret {label}"),
+        PlanOp::Generate { var, label } => format!("Generate {var} ← {label}"),
         PlanOp::Product => "Product".to_string(),
         PlanOp::Union => "Union".to_string(),
         PlanOp::Complement { cap } => format!("Complement (cap {cap})"),
@@ -39,6 +40,7 @@ fn op_label(op: &PlanOp) -> String {
         },
         PlanOp::EnumerateFinite => "EnumerateFinite".to_string(),
         PlanOp::BoundedSearch { budget } => format!("BoundedSearch (budget {budget})"),
+        PlanOp::Relational => "Relational".to_string(),
         PlanOp::CacheLookup { .. } => "CacheLookup".to_string(),
         PlanOp::LikeScan { plan } => format!("LikeScan {}", plan.summary()),
         PlanOp::DenseScan { plan, threshold } => {

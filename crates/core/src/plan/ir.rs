@@ -8,6 +8,8 @@
 //! strategies — annotated with per-node cost estimates from
 //! `strcalc-analyze`'s cost model.
 
+use std::sync::Arc;
+
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::cost::CostEstimate;
 use strcalc_analyze::planlint::ResourceCert;
@@ -16,6 +18,7 @@ use strcalc_logic::{Formula, Restrict};
 
 use crate::budget::Budget;
 use crate::engine::AutomataEngine;
+use crate::generate::Program;
 use crate::query::{Calculus, Query};
 
 use super::passes::PassTrace;
@@ -28,8 +31,13 @@ pub enum Strategy {
     /// Compile to a synchronized automaton; quantifiers range over the
     /// infinite `Σ*` (exact semantics — the [`AutomataEngine`] path).
     Automata,
-    /// Interpret over the finite collapse domain with a slack fringe
-    /// (the `EnumEngine` path; Propositions 2 / Theorem 2).
+    /// Active-domain evaluation. By default the planner takes it for a
+    /// safe-range formula in which every variable has a generator: the
+    /// relational route (a [`PlanOp::Relational`] root) binds each
+    /// variable from the atom that range-restricts it (Theorems 3–4).
+    /// Forced, it interprets the formula over the finite collapse domain
+    /// with a slack fringe (an [`PlanOp::EnumerateFinite`] root — the
+    /// `EnumEngine` path; Propositions 2 / Theorem 2).
     ActiveDomainEnum,
     /// Interpret over `Σ^{≤B}` (the `ConcatEvaluator` path — the only
     /// general strategy once concatenation appears; Proposition 1).
@@ -70,8 +78,12 @@ pub enum PlanOp {
     /// can reject a leaf grafted from a differently-configured plan.
     CompileAutomaton { label: String, alphabet_fp: u64 },
     /// Leaf: interpret an atom directly against the finite domain
-    /// (enumeration and bounded-search strategies).
+    /// (enumeration and bounded-search strategies); on the relational
+    /// route, a filter over variables bound before it.
     Interpret { label: String },
+    /// Leaf of the relational route: bind `var` from the values the atom
+    /// `label` generates — the atom that range-restricts it.
+    Generate { var: String, label: String },
     /// Conjunction: synchronized product (automata) or short-circuit
     /// `&&` (interpreters). N-ary after the fuse pass.
     Product,
@@ -94,6 +106,12 @@ pub enum PlanOp {
     EnumerateFinite,
     /// Root of the concat strategy: search assignments over `Σ^{≤budget}`.
     BoundedSearch { budget: usize },
+    /// Root of the relational route (under
+    /// [`Strategy::ActiveDomainEnum`]): nested loops over the tree below,
+    /// whose `Product` children run in binding order — each `Generate`
+    /// leaf binds its variable, every other child tests variables bound
+    /// before it. Builds no automaton.
+    Relational,
     /// Serve the compiled artifact below from the shared
     /// [`crate::cache::AutomatonCache`] (inserted by cache-assignment).
     /// `formula_fp` is the α-invariant formula fingerprint of the cache
@@ -121,6 +139,7 @@ impl PlanOp {
         match self {
             PlanOp::CompileAutomaton { .. } => "CompileAutomaton",
             PlanOp::Interpret { .. } => "Interpret",
+            PlanOp::Generate { .. } => "Generate",
             PlanOp::Product => "Product",
             PlanOp::Union => "Union",
             PlanOp::Complement { .. } => "Complement",
@@ -128,6 +147,7 @@ impl PlanOp {
             PlanOp::RestrictQuantifiers { .. } => "RestrictQuantifiers",
             PlanOp::EnumerateFinite => "EnumerateFinite",
             PlanOp::BoundedSearch { .. } => "BoundedSearch",
+            PlanOp::Relational => "Relational",
             PlanOp::CacheLookup { .. } => "CacheLookup",
             PlanOp::LikeScan { .. } => "LikeScan",
             PlanOp::DenseScan { .. } => "DenseScan",
@@ -234,6 +254,8 @@ pub struct Plan {
     /// certificate plus `analyze::admission::classify`. `execute` runs
     /// under it unless the caller's `ExecCx` carries another.
     pub(crate) budget: Budget,
+    /// The compiled program a `Relational` root executes.
+    pub(crate) program: Option<Arc<Program>>,
 }
 
 impl Plan {

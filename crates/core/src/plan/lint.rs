@@ -7,7 +7,9 @@
 //!
 //! 1. **typechecks** every node — operator arity (SA200), variable-track
 //!    agreement across `Product`/`Union`/`Project` edges and against the
-//!    query head (SA201), alphabet consistency into `CompileAutomaton`
+//!    query head (SA201) and, on the relational route, the binding order:
+//!    no filter reads a variable before its `Generate` binds it (SA201),
+//!    alphabet consistency into `CompileAutomaton`
 //!    leaves (SA202), complement caps (SA203), `CacheLookup` key
 //!    consistency with the fingerprint scheme (SA204), and root/leaf
 //!    agreement with the declared strategy (SA205);
@@ -247,6 +249,13 @@ impl PlanChecker {
         let mut diagnostics = Vec::new();
         let mut stack = Vec::new();
         let cert = self.walk(root, &mut stack, &mut diagnostics);
+        let mut relational = false;
+        root.visit(&mut |n| {
+            relational |= matches!(n.op, PlanOp::Generate { .. } | PlanOp::Relational);
+        });
+        if relational {
+            check_bindings(root, &mut BTreeSet::new(), &mut stack, &mut diagnostics);
+        }
         if rooted {
             self.check_root(root, &mut diagnostics);
         }
@@ -363,6 +372,19 @@ impl PlanChecker {
                     Code::PlanStrategyMismatch,
                     "Interpret leaf under the automata strategy".into(),
                     None,
+                );
+            }
+            PlanOp::Generate { .. } | PlanOp::Relational
+                if self.strategy != Strategy::ActiveDomainEnum =>
+            {
+                emit(
+                    Code::PlanStrategyMismatch,
+                    format!(
+                        "{} node under the {} strategy",
+                        node.op.name(),
+                        self.strategy.name()
+                    ),
+                    Some("the relational route lowers only under active-domain-enum".into()),
                 );
             }
             PlanOp::Complement { cap: 0 } => {
@@ -528,6 +550,7 @@ impl PlanChecker {
             (&root.op, self.strategy),
             (PlanOp::EnumerateFinite, Strategy::Automata)
                 | (PlanOp::EnumerateFinite, Strategy::ActiveDomainEnum)
+                | (PlanOp::Relational, Strategy::ActiveDomainEnum)
                 | (PlanOp::BoundedSearch { .. }, Strategy::BoundedSearch)
                 | (PlanOp::LikeScan { .. }, Strategy::LikeLinearScan)
                 | (PlanOp::DenseScan { .. }, Strategy::DenseDfaScan)
@@ -587,7 +610,7 @@ impl PlanChecker {
                 let hi = 2f64.powf(node.cost.log2_states.min(63.0)).ceil() as u64;
                 ResourceCert::from_states(Interval::new(1, hi.max(1)), self.k, tracks)
             }),
-            PlanOp::Interpret { .. } => ResourceCert::ZERO,
+            PlanOp::Interpret { .. } | PlanOp::Generate { .. } => ResourceCert::ZERO,
             PlanOp::Product => ResourceCert::product(children, self.k, tracks),
             PlanOp::Union => ResourceCert::union(children, self.k, tracks),
             PlanOp::Complement { .. } => match children.first() {
@@ -597,6 +620,7 @@ impl PlanChecker {
             PlanOp::Project { .. }
             | PlanOp::RestrictQuantifiers { .. }
             | PlanOp::EnumerateFinite
+            | PlanOp::Relational
             | PlanOp::BoundedSearch { .. }
             | PlanOp::CacheLookup { .. }
             | PlanOp::LikeScan { .. }
@@ -611,13 +635,16 @@ impl PlanChecker {
 /// `(min, max)` child counts per operator.
 fn arity_of(op: &PlanOp) -> (usize, usize) {
     match op {
-        PlanOp::CompileAutomaton { .. } | PlanOp::Interpret { .. } => (0, 0),
+        PlanOp::CompileAutomaton { .. } | PlanOp::Interpret { .. } | PlanOp::Generate { .. } => {
+            (0, 0)
+        }
         PlanOp::Product => (2, usize::MAX),
         PlanOp::Union => (2, 2),
         PlanOp::Complement { .. }
         | PlanOp::Project { .. }
         | PlanOp::RestrictQuantifiers { .. }
         | PlanOp::EnumerateFinite
+        | PlanOp::Relational
         | PlanOp::BoundedSearch { .. }
         | PlanOp::CacheLookup { .. }
         | PlanOp::LikeScan { .. }
@@ -644,7 +671,9 @@ fn derived_vars<'a>(op: &PlanOp, children: &'a [PlanNode]) -> Option<Vec<&'a str
         vars
     };
     match op {
-        PlanOp::CompileAutomaton { .. } | PlanOp::Interpret { .. } => None,
+        PlanOp::CompileAutomaton { .. } | PlanOp::Interpret { .. } | PlanOp::Generate { .. } => {
+            None
+        }
         PlanOp::Product | PlanOp::Union => Some(union()),
         PlanOp::Project { var } => {
             let mut vars = union();
@@ -660,11 +689,105 @@ fn derived_vars<'a>(op: &PlanOp, children: &'a [PlanNode]) -> Option<Vec<&'a str
         }
         PlanOp::Complement { .. }
         | PlanOp::EnumerateFinite
+        | PlanOp::Relational
         | PlanOp::BoundedSearch { .. }
         | PlanOp::CacheLookup { .. }
         | PlanOp::LikeScan { .. }
         | PlanOp::DenseScan { .. } => Some(union()),
     }
+}
+
+/// SA201 on the relational route: walks the tree in execution order —
+/// a `Product`'s children left to right — with `bound` the variables
+/// bound so far. A `Generate` leaf binds its variable; a filter
+/// (`Interpret`, `Complement`) must read only bound variables; `Project`
+/// hides its variable from the enclosing binding; each `Union` branch
+/// must bind all of the union's variables.
+fn check_bindings(
+    node: &PlanNode,
+    bound: &mut BTreeSet<String>,
+    stack: &mut Vec<usize>,
+    diagnostics: &mut Vec<Diagnostic>,
+) {
+    let unbound = |b: &BTreeSet<String>| -> Vec<String> {
+        node.vars
+            .iter()
+            .filter(|v| !b.contains(*v))
+            .cloned()
+            .collect()
+    };
+    match &node.op {
+        PlanOp::Generate { var, .. } => {
+            bound.insert(var.clone());
+        }
+        PlanOp::Interpret { .. } | PlanOp::Complement { .. } => {
+            let missing = unbound(bound);
+            if !missing.is_empty() {
+                unbound_diagnostic(
+                    stack,
+                    format!(
+                        "{} reads [{}] before a Generate binds it",
+                        node.op.name(),
+                        missing.join(", ")
+                    ),
+                    diagnostics,
+                );
+            }
+            bind_children(node, &mut bound.clone(), stack, diagnostics);
+        }
+        PlanOp::Project { var } => {
+            let mut inner = bound.clone();
+            inner.remove(var);
+            bind_children(node, &mut inner, stack, diagnostics);
+            bound.extend(node.vars.iter().cloned());
+        }
+        PlanOp::Union => {
+            for (i, c) in node.children.iter().enumerate() {
+                let mut branch = bound.clone();
+                stack.push(i);
+                check_bindings(c, &mut branch, stack, diagnostics);
+                let missing = unbound(&branch);
+                if !missing.is_empty() {
+                    unbound_diagnostic(
+                        stack,
+                        format!("Union branch leaves [{}] unbound", missing.join(", ")),
+                        diagnostics,
+                    );
+                }
+                stack.pop();
+            }
+            bound.extend(node.vars.iter().cloned());
+        }
+        _ => bind_children(node, bound, stack, diagnostics),
+    }
+}
+
+/// [`check_bindings`] over `node`'s children in order, sharing `bound`.
+fn bind_children(
+    node: &PlanNode,
+    bound: &mut BTreeSet<String>,
+    stack: &mut Vec<usize>,
+    diagnostics: &mut Vec<Diagnostic>,
+) {
+    for (i, c) in node.children.iter().enumerate() {
+        stack.push(i);
+        check_bindings(c, bound, stack, diagnostics);
+        stack.pop();
+    }
+}
+
+fn unbound_diagnostic(stack: &[usize], message: String, diagnostics: &mut Vec<Diagnostic>) {
+    diagnostics.push(Diagnostic {
+        code: Code::PlanTrackMismatch,
+        severity: Code::PlanTrackMismatch.default_severity(),
+        path: FormulaPath(stack.iter().map(|&i| PathSeg::PlanChild(i)).collect()),
+        message,
+        note: Some(
+            "on the relational route a filter runs on values its generators already \
+             bound; an unbound variable has no finite range to test"
+                .into(),
+        ),
+    });
 }
 
 #[cfg(test)]
@@ -693,7 +816,7 @@ mod tests {
             "exists y. (U(y) & x <= y)",
         )
         .unwrap();
-        Planner::new().plan(&q).unwrap()
+        Planner::new().force(Strategy::Automata).plan(&q).unwrap()
     }
 
     #[test]

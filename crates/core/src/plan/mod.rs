@@ -3,11 +3,12 @@
 //! Historically each consumer hard-wired its own evaluation path: the
 //! SQL front-end called [`AutomataEngine`] directly, the collapse
 //! experiments built an `EnumEngine`, and concat demos constructed a
-//! `ConcatEvaluator`. The [`Planner`] centralizes that choice — automata
-//! when the formula stays in the synchro fragment, active-domain
-//! enumeration under collapse, bounded search for concat — and lowers
-//! the query into a typed [`Plan`] that the engines *execute* rather
-//! than own. Four traced passes shape the plan (rewrite → restrict →
+//! `ConcatEvaluator`. The [`Planner`] centralizes that choice — the
+//! relational route when every variable of the formula has a generator,
+//! automata for the rest of the synchro fragment, active-domain
+//! enumeration under collapse when forced, bounded search for concat —
+//! and lowers the query into a typed [`Plan`] that the engines *execute*
+//! rather than own. Four traced passes shape the plan (rewrite → restrict →
 //! fuse-adjacent-products → cache-assignment), and every plan renders a
 //! stable `EXPLAIN` (text and JSON) with per-node cost estimates from
 //! `strcalc-analyze` and post-execution actuals.
@@ -34,6 +35,8 @@
 // (ir, passes, lint, exec, explain).
 #![deny(clippy::unwrap_used)]
 
+use std::sync::Arc;
+
 mod exec;
 mod explain;
 mod ir;
@@ -59,6 +62,7 @@ use strcalc_logic::Formula;
 
 use crate::budget::Budget;
 use crate::engine::AutomataEngine;
+use crate::generate::Program;
 use crate::query::{CoreError, Query};
 
 use ir::PlanSource;
@@ -162,7 +166,42 @@ impl Planner {
     /// the certified state bound (which depends on `k`) fits the
     /// densification threshold, otherwise the forced strategy or (by
     /// default) exact automata evaluation.
+    ///
+    /// Where that lookup lands on unforced automata, a formula in which
+    /// every variable — free or quantified — has a generator (the atom
+    /// that range-restricts it, per `analyze::saferange`) takes the
+    /// relational route instead: [`Strategy::ActiveDomainEnum`] under a
+    /// [`PlanOp::Relational`] root. Forcing `ActiveDomainEnum` keeps the
+    /// collapse-domain interpreter. A planner whose engine carries an
+    /// [`AutomatonCache`](crate::AutomatonCache) keeps automata: its
+    /// caller shares compiled automata across reads and accounts for
+    /// them through the cache.
     pub fn strategy_for(&self, formula: &Formula, k: u8) -> Result<Strategy, CoreError> {
+        let head: Vec<String> = formula.free_vars().into_iter().collect();
+        Ok(self.route(formula, &head, None, k)?.0)
+    }
+
+    /// The strategy for `formula`, with the compiled relational program
+    /// and its plan tree when the relational route takes it. Without an
+    /// alphabet the tree carries no labels.
+    fn route(
+        &self,
+        formula: &Formula,
+        head: &[String],
+        alphabet: Option<&Alphabet>,
+        k: u8,
+    ) -> Result<(Strategy, Option<(Program, PlanNode)>), CoreError> {
+        let strategy = self.fragment_strategy(formula, k)?;
+        if strategy == Strategy::Automata && self.force.is_none() && self.engine.cache.is_none() {
+            if let Some(lowered) = Program::lower(formula, head, k, alphabet, self.engine.cap) {
+                return Ok((Strategy::ActiveDomainEnum, Some(lowered)));
+            }
+        }
+        Ok((strategy, None))
+    }
+
+    /// The lookup on the inferred fragment alone.
+    fn fragment_strategy(&self, formula: &Formula, k: u8) -> Result<Strategy, CoreError> {
         match fragments::eval_class(formula) {
             EvalClass::ConcatBounded => match self.force {
                 Some(Strategy::Automata)
@@ -274,18 +313,21 @@ impl Planner {
         // bounded-search executor even when the rewrite folds the
         // ConcatEq atom away: there is no typed query to hand to the
         // other executors.
-        let strategy = match &source {
+        let (strategy, relational) = match &source {
             PlanSource::Raw { .. } => match self.force {
-                Some(Strategy::BoundedSearch) | None => Strategy::BoundedSearch,
+                Some(Strategy::BoundedSearch) | None => (Strategy::BoundedSearch, None),
                 Some(_) => {
                     return Err(CoreError::Unsupported(
                         "concatenation queries admit only bounded search (Proposition 1)".into(),
                     ))
                 }
             },
-            PlanSource::Query(q) => self.strategy_for(&q.formula, k)?,
+            PlanSource::Query(q) => self.route(&q.formula, &q.head, Some(alphabet), k)?,
         };
-        let tree = self.lower(formula, alphabet, strategy, k);
+        let (program, tree) = match relational {
+            Some((program, tree)) => (Some(Arc::new(program)), tree),
+            None => (None, self.lower(formula, alphabet, strategy, k)),
+        };
 
         // Planlint baseline: the lowered tree of the (post-rewrite)
         // formula must typecheck, and its certificate anchors the
@@ -303,7 +345,8 @@ impl Planner {
         traces.push(t);
 
         // Pass 2: restrict (enumeration strategy only).
-        let (tree, mut t) = passes::restrict(tree, strategy, &source, self.slack);
+        let (tree, mut t) =
+            passes::restrict(tree, strategy, program.is_some(), &source, self.slack);
         cert = Self::verify_stage(&checker, t.pass, Some(&cert), &tree, false)?;
         t.verified = true;
         traces.push(t);
@@ -329,6 +372,7 @@ impl Planner {
         // strategy checks included) and certificate annotation.
         let estimate = cost::estimate(formula, k);
         let mut root = match strategy {
+            Strategy::ActiveDomainEnum if program.is_some() => tree.wrap(PlanOp::Relational),
             Strategy::Automata | Strategy::ActiveDomainEnum => tree.wrap(PlanOp::EnumerateFinite),
             Strategy::BoundedSearch => tree.wrap(PlanOp::BoundedSearch { budget: self.bound }),
             Strategy::LikeLinearScan => {
@@ -394,6 +438,7 @@ impl Planner {
             densify_threshold: self.densify_threshold,
             root_cert: Some(root_cert),
             budget,
+            program,
         })
     }
 
@@ -633,8 +678,16 @@ mod tests {
     #[test]
     fn strategy_follows_the_fragment() {
         let planner = Planner::new();
+        // Safe-range with a generator for every variable: the relational
+        // route, under the active-domain strategy.
         let tame = parse_formula(&ab(), "exists y. (U(y) & x <= y)").unwrap();
-        assert_eq!(planner.strategy_for(&tame, 2).unwrap(), Strategy::Automata);
+        assert_eq!(
+            planner.strategy_for(&tame, 2).unwrap(),
+            Strategy::ActiveDomainEnum
+        );
+        // `y` has no generator: exact automata.
+        let open = parse_formula(&ab(), "U(x) & exists y. !(x <= y)").unwrap();
+        assert_eq!(planner.strategy_for(&open, 2).unwrap(), Strategy::Automata);
         let concat = parse_formula(&ab(), "exists z. concat(x, x, z)").unwrap();
         assert_eq!(
             planner.strategy_for(&concat, 2).unwrap(),
@@ -755,7 +808,10 @@ mod tests {
     fn planner_agrees_with_direct_automata_eval() {
         let query = q(Calculus::S, &["x"], "exists y. (U(y) & x <= y)");
         let direct = AutomataEngine::new().eval(&query, &db()).unwrap();
-        let plan = Planner::new().plan(&query).unwrap();
+        let plan = Planner::new()
+            .force(Strategy::Automata)
+            .plan(&query)
+            .unwrap();
         assert_eq!(plan.strategy, Strategy::Automata);
         let (routed, report) = plan.execute(&db()).unwrap();
         assert_eq!(routed, direct);
@@ -829,7 +885,10 @@ mod tests {
     #[test]
     fn explain_text_and_json_are_renderable() {
         let query = q(Calculus::S, &["x"], "exists y. (U(y) & x <= y)");
-        let plan = Planner::new().plan(&query).unwrap();
+        let plan = Planner::new()
+            .force(Strategy::Automata)
+            .plan(&query)
+            .unwrap();
         let text = plan.explain_text();
         assert!(text.contains("strategy: automata"));
         assert!(text.contains("EnumerateFinite"));

@@ -114,15 +114,26 @@ pub(super) fn rewrite(source: PlanSource, enabled: bool) -> (PlanSource, PassTra
 /// Pass 2 — restrict: for the enumeration strategy, wraps the tree in a
 /// `RestrictQuantifiers` node pinning every unrestricted quantifier (and
 /// the output search) to the calculus's natural collapse domain. The
-/// other strategies keep their native quantifier semantics.
+/// relational route needs no restriction — each variable ranges over what
+/// its generator yields — and the other strategies keep their native
+/// quantifier semantics.
 pub(super) fn restrict(
     node: PlanNode,
     strategy: Strategy,
+    relational: bool,
     source: &PlanSource,
     slack: Option<usize>,
 ) -> (PlanNode, PassTrace) {
     const PASS: &str = "restrict";
     match (strategy, source) {
+        _ if relational => (
+            node,
+            PassTrace::new(
+                PASS,
+                false,
+                "every variable is bound by the atom that range-restricts it",
+            ),
+        ),
         (Strategy::ActiveDomainEnum, PlanSource::Query(q)) => {
             let r = natural_restriction(q.calculus);
             let slack_note = match slack {

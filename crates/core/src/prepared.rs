@@ -20,7 +20,7 @@ use strcalc_alphabet::Str;
 
 use crate::cache::CompiledArtifact;
 use crate::engine::AutomataEngine;
-use crate::plan::{Plan, Planner};
+use crate::plan::{Plan, Planner, Strategy};
 use crate::query::{CoreError, EvalOutput, Query};
 
 /// A reusable compiled-query handle. Cheap to share; safe to call from
@@ -29,8 +29,8 @@ use crate::query::{CoreError, EvalOutput, Query};
 pub struct PreparedQuery {
     engine: AutomataEngine,
     query: Query,
-    /// The planner's routing decision for this query. The rewrite pass
-    /// is disabled so the compiled formula — and hence the shared-cache
+    /// The automata plan this handle executes. The rewrite pass is
+    /// disabled so the compiled formula — and hence the shared-cache
     /// fingerprint — is byte-identical to direct evaluation.
     plan: Plan,
     /// `(database content fingerprint, artifact)` of the last compile.
@@ -41,12 +41,14 @@ pub struct PreparedQuery {
 }
 
 impl AutomataEngine {
-    /// Prepares `q` for repeated evaluation. The strategy decision is
-    /// routed through the [`Planner`]; compilation itself stays lazy —
-    /// it happens on the first `eval`-family call, keyed by database
-    /// content.
+    /// Prepares `q` for repeated evaluation. A prepared handle memoizes
+    /// a compiled automaton, so it plans with [`Strategy::Automata`]
+    /// forced: its [`PreparedQuery::plan`] describes what it executes.
+    /// Compilation itself stays lazy — it happens on the first
+    /// `eval`-family call, keyed by database content.
     pub fn prepare(&self, q: Query) -> PreparedQuery {
         let plan = Planner::for_engine(self)
+            .force(Strategy::Automata)
             .with_rewrite(false)
             .plan(&q)
             .expect("invariant: every typed query admits a plan");
@@ -66,9 +68,8 @@ impl PreparedQuery {
         &self.query
     }
 
-    /// The plan this handle executes: the [`Planner`]'s strategy
-    /// decision, with this handle acting as the memoizing front of the
-    /// plan's automata executor.
+    /// The plan this handle executes: an automata plan, with this handle
+    /// acting as the memoizing front of its executor.
     pub fn plan(&self) -> &Plan {
         &self.plan
     }

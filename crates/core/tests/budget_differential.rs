@@ -91,7 +91,7 @@ proptest! {
     fn seeded_budget_never_degrades_automata(f in arb_formula()) {
         let q = query_of(f);
         let db = db();
-        let plan = Planner::new().plan(&q).expect("plans");
+        let plan = Planner::new().force(PlanStrategy::Automata).plan(&q).expect("plans");
         let (exact, _) = plan.execute(&db).expect("ungoverned");
         let (governed, report) = plan
             .execute_in(&db, &under(plan.seeded_budget()))
@@ -111,10 +111,7 @@ proptest! {
     fn starved_automata_degrades_to_the_collapse_answer(f in arb_formula()) {
         let q = query_of(f);
         let db = db();
-        let plan = Planner::new().plan(&q).expect("plans");
-        if plan.strategy != PlanStrategy::Automata {
-            return;
-        }
+        let plan = Planner::new().force(PlanStrategy::Automata).plan(&q).expect("plans");
         let (degraded, report) = plan.execute_in(&db, &under(starved())).expect("degraded run");
         let (collapse, _) = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
@@ -317,7 +314,10 @@ fn fail_policy_rejects_instead_of_degrading() {
     )
     .unwrap();
     let db = db();
-    let plan = Planner::new().plan(&q).unwrap();
+    let plan = Planner::new()
+        .force(PlanStrategy::Automata)
+        .plan(&q)
+        .unwrap();
     let err = plan
         .execute_in(&db, &under(starved().with_policy(DegradationPolicy::Fail)))
         .unwrap_err();

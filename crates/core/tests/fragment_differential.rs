@@ -143,12 +143,17 @@ proptest! {
     // chose: bounded search iff a ConcatEq atom occurs, else automata.
     #[test]
     fn inferred_strategy_matches_the_legacy_scan(f in arb_legacy_formula()) {
-        let expected = if legacy_has_concat(&f) {
-            PlanStrategy::BoundedSearch
+        let strategy = Planner::new().strategy_for(&f, 2).expect("tame or concat");
+        if legacy_has_concat(&f) {
+            prop_assert_eq!(strategy, PlanStrategy::BoundedSearch);
         } else {
-            PlanStrategy::Automata
-        };
-        prop_assert_eq!(Planner::new().strategy_for(&f, 2).expect("tame or concat"), expected);
+            // Exact automata, or the relational route when every
+            // variable has a generator.
+            prop_assert!(
+                matches!(strategy, PlanStrategy::Automata | PlanStrategy::ActiveDomainEnum),
+                "{strategy:?}"
+            );
+        }
     }
 
     // The planner's routing is exactly the inferred evaluation class:
@@ -165,7 +170,10 @@ proptest! {
             // The pool's general-class patterns are tiny, so their
             // state bounds always fit the default threshold.
             EvalClass::LikeGeneral(_) => prop_assert_eq!(strategy, PlanStrategy::DenseDfaScan),
-            EvalClass::AutomataTame => prop_assert_eq!(strategy, PlanStrategy::Automata),
+            EvalClass::AutomataTame => prop_assert!(
+                matches!(strategy, PlanStrategy::Automata | PlanStrategy::ActiveDomainEnum),
+                "{strategy:?}"
+            ),
             EvalClass::ConcatBounded => prop_assert!(false, "no ConcatEq in the pool"),
         }
     }

@@ -1,9 +1,10 @@
 //! Mutation-style tests for planlint: every plan the planner produces
 //! verifies cleanly, and plans corrupted after planning — swapped
 //! arities, dropped complement caps, grafted alphabets, stale cache
-//! keys, wrong root operators — are rejected with the matching SA2xx
-//! code, both by a direct [`PlanChecker`] run and by the execute-time
-//! lint gate.
+//! keys, wrong root operators, relational filters moved ahead of the
+//! generators that bind their variables — are rejected with the
+//! matching SA2xx code, both by a direct [`PlanChecker`] run and by the
+//! execute-time lint gate.
 
 use std::sync::Arc;
 
@@ -69,7 +70,10 @@ fn probe() -> Plan {
         "exists y. (U(y) & x <= y)",
     )
     .unwrap();
-    Planner::new().plan(&q).unwrap()
+    Planner::new()
+        .force(strcalc_core::Strategy::Automata)
+        .plan(&q)
+        .unwrap()
 }
 
 /// Pre-order mutable visitor (test-local; the crate's own is cfg(test)).
@@ -206,6 +210,84 @@ fn sa205_wrong_root_operator_is_rejected() {
     let mut plan = probe();
     plan.root.op = PlanOp::BoundedSearch { budget: 4 };
     assert_rejected(&plan, Code::PlanStrategyMismatch);
+}
+
+/// A relational plan: `Relational → Project y → Product[Generate y ←
+/// U(y), Generate x ← x <= y, filter]`, the filter being `last(x,'a')`
+/// or its negation.
+fn relational_probe(filter: &str) -> Plan {
+    let q = Query::parse(
+        Calculus::S,
+        Alphabet::ab(),
+        vec!["x".into()],
+        &format!("exists y. (U(y) & x <= y & {filter})"),
+    )
+    .unwrap();
+    let plan = Planner::new().plan(&q).unwrap();
+    assert!(matches!(plan.root.op, PlanOp::Relational));
+    plan
+}
+
+/// Moves the last child of every `Product` to the front: the filter
+/// then runs before the generators that bind its variables.
+fn filter_first(plan: &mut Plan) {
+    visit_mut(&mut plan.root, &mut |n| {
+        if n.op == PlanOp::Product {
+            if let Some(filter) = n.children.pop() {
+                n.children.insert(0, filter);
+            }
+        }
+    });
+}
+
+#[test]
+fn sa201_filter_before_its_generate_is_rejected() {
+    let mut plan = relational_probe("last(x,'a')");
+    filter_first(&mut plan);
+    assert_rejected(&plan, Code::PlanTrackMismatch);
+}
+
+#[test]
+fn sa201_negation_before_its_generate_is_rejected() {
+    let mut plan = relational_probe("!last(x,'a')");
+    let mut negated = false;
+    plan.root
+        .visit(&mut |n| negated |= matches!(n.op, PlanOp::Complement { .. }));
+    assert!(negated, "the negated filter lowers to a Complement");
+    filter_first(&mut plan);
+    assert_rejected(&plan, Code::PlanTrackMismatch);
+}
+
+#[test]
+fn sa201_dropped_generate_is_rejected() {
+    let mut plan = relational_probe("last(x,'a')");
+    visit_mut(&mut plan.root, &mut |n| {
+        if n.op == PlanOp::Product {
+            n.children
+                .retain(|c| !matches!(&c.op, PlanOp::Generate { var, .. } if var.as_str() == "x"));
+        }
+    });
+    assert_rejected(&plan, Code::PlanTrackMismatch);
+}
+
+#[test]
+fn sa205_relational_root_under_another_strategy_is_rejected() {
+    let mut plan = relational_probe("last(x,'a')");
+    plan.strategy = strcalc_core::Strategy::Automata;
+    assert_rejected(&plan, Code::PlanStrategyMismatch);
+    // A Generate leaf grafted into an automata plan is refused too.
+    let mut automata = probe();
+    visit_mut(&mut automata.root, &mut |n| {
+        if let PlanOp::CompileAutomaton { label, .. } = &n.op {
+            if label.starts_with('U') {
+                n.op = PlanOp::Generate {
+                    var: "y".into(),
+                    label: label.clone(),
+                };
+            }
+        }
+    });
+    assert_rejected(&automata, Code::PlanStrategyMismatch);
 }
 
 #[test]

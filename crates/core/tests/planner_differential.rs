@@ -86,7 +86,11 @@ proptest! {
         let q = query_of(f);
         let db = db();
         let direct = AutomataEngine::new().eval(&q, &db).expect("direct eval");
-        let plan = Planner::new().with_rewrite(false).plan(&q).expect("plans");
+        let plan = Planner::new()
+            .force(PlanStrategy::Automata)
+            .with_rewrite(false)
+            .plan(&q)
+            .expect("plans");
         prop_assert_eq!(plan.strategy, PlanStrategy::Automata);
         let (routed, _) = plan.execute(&db).expect("routed eval");
         prop_assert_eq!(routed, direct);

@@ -28,7 +28,7 @@ pub mod transform;
 pub use compile::{CompileError, Compiled, Compiler, RelResolver, Resolved};
 pub use formula::{Atom, Formula, Lang, Restrict, Term};
 pub use intern::{alpha_eq, fingerprint, lang_fingerprint, Fp, Interner};
-pub use parser::parse_formula;
+pub use parser::{parse_formula, MAX_NESTING_DEPTH};
 pub use rewrite::{RewriteStep, RewriteTrace, Rewriter, TraceEntry};
 pub use transform::StructureClass;
 
@@ -43,6 +43,10 @@ pub enum LogicError {
     Lang(String),
     /// Star-freeness analysis hit the monoid cap.
     StarFreeUndecided(String),
+    /// The input nests deeper than [`MAX_NESTING_DEPTH`] (parentheses,
+    /// negations, quantifier bodies, implication chains or term
+    /// functions); `pos` is where the limit was crossed.
+    NestingTooDeep { pos: usize, limit: usize },
 }
 
 impl fmt::Display for LogicError {
@@ -52,6 +56,12 @@ impl fmt::Display for LogicError {
             LogicError::Lang(msg) => write!(f, "language error: {msg}"),
             LogicError::StarFreeUndecided(msg) => {
                 write!(f, "star-freeness analysis failed: {msg}")
+            }
+            LogicError::NestingTooDeep { pos, limit } => {
+                write!(
+                    f,
+                    "parse error at {pos}: nesting deeper than {limit} levels"
+                )
             }
         }
     }

@@ -26,6 +26,12 @@
 //! The quantifier suffixes select the paper's restricted ranges:
 //! `existsA` = `∃x ∈ adom`, `existsP` = `∃x ∈ dom↓` (Proposition 2),
 //! `existsL` = `∃|x| ≤ adom` (Theorem 2); likewise `forallA/P/L`.
+//!
+//! Nesting is capped at [`MAX_NESTING_DEPTH`]: deeper input is refused
+//! with [`LogicError::NestingTooDeep`] instead of exhausting the stack of
+//! this recursive-descent parser (or of the recursive passes after it).
+//! The cap fits an 8 MiB stack — a main thread's usual size — even in
+//! unoptimized builds; optimized builds need a fraction of that.
 
 use strcalc_alphabet::Alphabet;
 use strcalc_automata::Regex;
@@ -33,12 +39,18 @@ use strcalc_automata::Regex;
 use crate::formula::{Formula, Lang, Restrict, Term};
 use crate::LogicError;
 
+/// The deepest nesting the formula and SQL parsers accept: each
+/// parenthesis, negation, quantifier body, implication, term function
+/// and (in SQL) subquery opens one level.
+pub const MAX_NESTING_DEPTH: usize = 512;
+
 /// Parses a formula over the given alphabet.
 pub fn parse_formula(alphabet: &Alphabet, text: &str) -> Result<Formula, LogicError> {
     let tokens = tokenize(alphabet, text)?;
     let mut p = P {
         tokens: &tokens,
         pos: 0,
+        depth: 0,
     };
     let f = p.formula()?;
     if p.pos != p.tokens.len() {
@@ -223,9 +235,29 @@ fn tokenize(alphabet: &Alphabet, text: &str) -> Result<Vec<(usize, Tok)>, LogicE
 struct P<'a> {
     tokens: &'a [(usize, Tok)],
     pos: usize,
+    /// Levels currently open; see [`MAX_NESTING_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> P<'a> {
+    /// Runs `f` one nesting level deeper. The level is closed again
+    /// whatever `f` returns, so the count stays balanced on error paths.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LogicError>,
+    ) -> Result<T, LogicError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(LogicError::NestingTooDeep {
+                pos: self.peek_pos(),
+                limit: MAX_NESTING_DEPTH,
+            });
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos).map(|(_, t)| t)
     }
@@ -266,7 +298,7 @@ impl<'a> P<'a> {
         let f = self.or()?;
         if self.peek() == Some(&Tok::Arrow) {
             self.pos += 1;
-            return Ok(f.implies(self.implies()?));
+            return Ok(f.implies(self.nested(Self::implies)?));
         }
         Ok(f)
     }
@@ -293,7 +325,7 @@ impl<'a> P<'a> {
         match self.peek() {
             Some(Tok::Bang) => {
                 self.pos += 1;
-                Ok(self.unary()?.not())
+                Ok(self.nested(Self::unary)?.not())
             }
             Some(Tok::Ident(w)) if is_quantifier(w) => {
                 let word = w.clone();
@@ -304,7 +336,7 @@ impl<'a> P<'a> {
                 };
                 self.pos += 1;
                 self.eat(&Tok::Dot)?;
-                let body = self.unary_or_formula()?;
+                let body = self.nested(Self::unary_or_formula)?;
                 Ok(build_quantifier(&word, var, body))
             }
             _ => self.primary(),
@@ -320,7 +352,7 @@ impl<'a> P<'a> {
         match self.peek().cloned() {
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let f = self.formula()?;
+                let f = self.nested(Self::formula)?;
                 self.eat(&Tok::RParen)?;
                 Ok(f)
             }
@@ -448,29 +480,7 @@ impl<'a> P<'a> {
             Some(Tok::Ident(w)) if is_term_function(&w) => {
                 self.pos += 1;
                 self.eat(&Tok::LParen)?;
-                let t = match w.as_str() {
-                    "append" => {
-                        let inner = self.term()?;
-                        self.eat(&Tok::Comma)?;
-                        let c = self.char_lit()?;
-                        inner.append(c)
-                    }
-                    "prepend" => {
-                        let c = self.char_lit()?;
-                        self.eat(&Tok::Comma)?;
-                        let inner = self.term()?;
-                        inner.prepend(c)
-                    }
-                    _ => {
-                        // trim
-                        let c = self.char_lit()?;
-                        self.eat(&Tok::Comma)?;
-                        let inner = self.term()?;
-                        inner.trim_leading(c)
-                    }
-                };
-                self.eat(&Tok::RParen)?;
-                Ok(t)
+                self.nested(|p| p.term_function(&w))
             }
             Some(Tok::Ident(w)) => {
                 self.pos += 1;
@@ -482,6 +492,34 @@ impl<'a> P<'a> {
             }
             other => Err(self.err(format!("expected a term, found {other:?}"))),
         }
+    }
+
+    /// The arguments and closing parenthesis of term function `w`, whose
+    /// `(` is consumed.
+    fn term_function(&mut self, w: &str) -> Result<Term, LogicError> {
+        let t = match w {
+            "append" => {
+                let inner = self.term()?;
+                self.eat(&Tok::Comma)?;
+                let c = self.char_lit()?;
+                inner.append(c)
+            }
+            "prepend" => {
+                let c = self.char_lit()?;
+                self.eat(&Tok::Comma)?;
+                let inner = self.term()?;
+                inner.prepend(c)
+            }
+            _ => {
+                // trim
+                let c = self.char_lit()?;
+                self.eat(&Tok::Comma)?;
+                let inner = self.term()?;
+                inner.trim_leading(c)
+            }
+        };
+        self.eat(&Tok::RParen)?;
+        Ok(t)
     }
 
     fn char_lit(&mut self) -> Result<strcalc_alphabet::Sym, LogicError> {
@@ -653,5 +691,64 @@ mod tests {
         assert!(parse_formula(&ab(), "in(x, /c/)").is_err());
         assert!(parse_formula(&ab(), "last(x,'z')").is_err());
         assert!(parse_formula(&ab(), "x @ y").is_err());
+    }
+
+    fn too_deep(text: &str) -> bool {
+        matches!(
+            parse_formula(&ab(), text),
+            Err(LogicError::NestingTooDeep {
+                limit: MAX_NESTING_DEPTH,
+                ..
+            })
+        )
+    }
+
+    /// Runs `f` on a thread with the 8 MiB stack a main thread usually
+    /// gets: the cap is sized for it, and unoptimized builds overflow the
+    /// test harness's 2 MiB worker threads before reaching it.
+    pub(crate) fn with_main_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_every_recursive_form() {
+        with_main_stack(nesting_cap);
+    }
+
+    fn nesting_cap() {
+        let n = 10_000;
+        let wrap = |open: &str, inner: &str, close: &str, n: usize| {
+            format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+        };
+        assert!(too_deep(&wrap("(", "R(x)", ")", n)));
+        assert!(too_deep(&wrap("!", "R(x)", "", n)));
+        assert!(too_deep(&wrap("exists y. ", "R(x)", "", n)));
+        assert!(too_deep(&wrap("R(x) -> ", "R(x)", "", n)));
+        assert!(too_deep(
+            &wrap("R(", "x", ")", 1).replace("x", &wrap("append(", "x", ", 'a')", n))
+        ));
+        // Exactly at the cap parses; one level more does not.
+        let cap = MAX_NESTING_DEPTH;
+        assert_eq!(parse(&wrap("(", "R(x)", ")", cap)), parse("R(x)"));
+        assert!(too_deep(&wrap("(", "R(x)", ")", cap + 1)));
+        assert!(parse_formula(&ab(), &wrap("!", "R(x)", "", cap)).is_ok());
+        assert!(too_deep(&wrap("!", "R(x)", "", cap + 1)));
+    }
+
+    #[test]
+    fn the_depth_count_is_balanced_after_errors_and_siblings() {
+        // Sibling groups close their levels: many shallow groups in a
+        // row are fine however many there are.
+        let siblings = vec!["((R(x)))"; 2_000].join(" & ");
+        assert!(parse_formula(&ab(), &siblings).is_ok());
+        // A group that fails inside still closes its level: the error
+        // is the syntax error, not a depth error.
+        let err = parse_formula(&ab(), &format!("{}(x @ y)", "(".repeat(10))).unwrap_err();
+        assert!(matches!(err, LogicError::Parse { .. }), "{err:?}");
     }
 }

@@ -120,38 +120,37 @@ fn term_class(t: &Term) -> StructureClass {
 /// Restricted quantifiers dualize against the *same* range (the range
 /// does not depend on the truth of the body).
 pub fn nnf(f: &Formula) -> Formula {
-    match f {
-        Formula::True | Formula::False | Formula::Atom(_) => f.clone(),
-        Formula::And(a, b) => nnf(a).and(nnf(b)),
-        Formula::Or(a, b) => nnf(a).or(nnf(b)),
-        Formula::Implies(a, b) => nnf(&a.clone().not()).or(nnf(b)),
-        Formula::Iff(a, b) => {
-            let pos = nnf(a).and(nnf(b));
-            let neg = nnf(&a.clone().not()).and(nnf(&b.clone().not()));
-            pos.or(neg)
-        }
-        Formula::Exists(v, g) => Formula::exists(v.clone(), nnf(g)),
-        Formula::Forall(v, g) => Formula::forall(v.clone(), nnf(g)),
-        Formula::ExistsR(r, v, g) => Formula::exists_r(*r, v.clone(), nnf(g)),
-        Formula::ForallR(r, v, g) => Formula::forall_r(*r, v.clone(), nnf(g)),
-        Formula::Not(inner) => match inner.as_ref() {
-            Formula::True => Formula::False,
-            Formula::False => Formula::True,
-            Formula::Atom(_) => f.clone(),
-            Formula::Not(g) => nnf(g),
-            Formula::And(a, b) => nnf(&a.clone().not()).or(nnf(&b.clone().not())),
-            Formula::Or(a, b) => nnf(&a.clone().not()).and(nnf(&b.clone().not())),
-            Formula::Implies(a, b) => nnf(a).and(nnf(&b.clone().not())),
-            Formula::Iff(a, b) => {
-                let l = nnf(a).and(nnf(&b.clone().not()));
-                let r = nnf(&a.clone().not()).and(nnf(b));
-                l.or(r)
-            }
-            Formula::Exists(v, g) => Formula::forall(v.clone(), nnf(&g.clone().not())),
-            Formula::Forall(v, g) => Formula::exists(v.clone(), nnf(&g.clone().not())),
-            Formula::ExistsR(r, v, g) => Formula::forall_r(*r, v.clone(), nnf(&g.clone().not())),
-            Formula::ForallR(r, v, g) => Formula::exists_r(*r, v.clone(), nnf(&g.clone().not())),
-        },
+    nnf_signed(f, false)
+}
+
+/// The NNF of `f`, or of `¬f` when `negated`. Carrying the polarity down
+/// instead of building `¬g` for each subformula keeps the conversion
+/// linear in the size of `f`.
+fn nnf_signed(f: &Formula, negated: bool) -> Formula {
+    let pos = |g: &Formula| nnf_signed(g, false);
+    let neg = |g: &Formula| nnf_signed(g, true);
+    match (f, negated) {
+        (Formula::True | Formula::False | Formula::Atom(_), false) => f.clone(),
+        (Formula::True, true) => Formula::False,
+        (Formula::False, true) => Formula::True,
+        (Formula::Atom(_), true) => f.clone().not(),
+        (Formula::Not(g), _) => nnf_signed(g, !negated),
+        (Formula::And(a, b), false) => pos(a).and(pos(b)),
+        (Formula::And(a, b), true) => neg(a).or(neg(b)),
+        (Formula::Or(a, b), false) => pos(a).or(pos(b)),
+        (Formula::Or(a, b), true) => neg(a).and(neg(b)),
+        (Formula::Implies(a, b), false) => neg(a).or(pos(b)),
+        (Formula::Implies(a, b), true) => pos(a).and(neg(b)),
+        (Formula::Iff(a, b), false) => pos(a).and(pos(b)).or(neg(a).and(neg(b))),
+        (Formula::Iff(a, b), true) => pos(a).and(neg(b)).or(neg(a).and(pos(b))),
+        (Formula::Exists(v, g), false) => Formula::exists(v.clone(), pos(g)),
+        (Formula::Exists(v, g), true) => Formula::forall(v.clone(), neg(g)),
+        (Formula::Forall(v, g), false) => Formula::forall(v.clone(), pos(g)),
+        (Formula::Forall(v, g), true) => Formula::exists(v.clone(), neg(g)),
+        (Formula::ExistsR(r, v, g), false) => Formula::exists_r(*r, v.clone(), pos(g)),
+        (Formula::ExistsR(r, v, g), true) => Formula::forall_r(*r, v.clone(), neg(g)),
+        (Formula::ForallR(r, v, g), false) => Formula::forall_r(*r, v.clone(), pos(g)),
+        (Formula::ForallR(r, v, g), true) => Formula::exists_r(*r, v.clone(), neg(g)),
     }
 }
 

@@ -770,20 +770,31 @@ mod tests {
 
     #[test]
     fn explain_renders_the_resource_certificate() {
-        // Negation keeps the query out of the linear LIKE class, so it
-        // takes the automata strategy and carries a non-zero certificate.
+        // Every SQL column is bound by its FROM table, so the default
+        // planner takes the relational route, which builds no automaton;
+        // the certificate is an automata-plan artifact, so force that
+        // route.
         let stmt = parse_select(
             &ab(),
             "SELECT f.name FROM faculty f WHERE NOT f.name LIKE 'a%'",
         )
         .unwrap();
         let compiled = compile_select(&ab(), &catalog(), &stmt).unwrap();
-        let text = compiled.explain().unwrap();
+        let plan = compiled
+            .plan(&Planner::new().force(strcalc_core::Strategy::Automata))
+            .unwrap();
+        let text = plan.explain_text();
         assert!(text.contains("strategy: automata"), "{text}");
         assert!(text.contains("certificate: states ≤"), "{text}");
         assert!(text.contains("verified"), "{text}");
-        let json = compiled.explain_json().unwrap();
+        let json = plan.explain_json();
         assert!(json.contains("\"certificate\":{\"states\":["), "{json}");
+        let default = compiled.explain().unwrap();
+        assert!(
+            default.contains("strategy: active-domain-enum"),
+            "{default}"
+        );
+        assert!(default.contains("Relational"), "{default}");
     }
 
     #[test]
@@ -812,14 +823,17 @@ mod tests {
     fn planlint_report_is_clean_and_carries_sa210() {
         use strcalc_analyze::Code;
         // The certificate note is an automata-strategy artifact, so pin
-        // a query the scan strategy does not claim.
+        // a query the scan strategy does not claim, and force automata
+        // over the relational route.
         let stmt = parse_select(
             &ab(),
             "SELECT f.name FROM faculty f WHERE NOT f.name LIKE 'a%'",
         )
         .unwrap();
         let compiled = compile_select(&ab(), &catalog(), &stmt).unwrap();
-        let report = compiled.planlint(&Planner::new()).unwrap();
+        let report = compiled
+            .planlint(&Planner::new().force(strcalc_core::Strategy::Automata))
+            .unwrap();
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
         assert!(report
             .diagnostics

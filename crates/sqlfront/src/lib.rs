@@ -44,7 +44,10 @@ mod compilepipe;
 mod parser;
 
 pub use compilepipe::{compile_select, compile_select_with, CompileOptions, CompiledSql};
-pub use parser::{parse_select, Catalog, Cond, Select, SqlError, SqlTerm, TableRef};
+pub use parser::{
+    parse_select, Catalog, Cond, Select, SqlError, SqlErrorKind, SqlTerm, TableRef,
+    MAX_NESTING_DEPTH,
+};
 
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{CoreError, EvalOutput, ExecCx, ExecReport, Planner};

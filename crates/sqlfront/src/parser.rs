@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use strcalc_alphabet::{Alphabet, Str, Sym};
+pub use strcalc_logic::MAX_NESTING_DEPTH;
 
 /// Table schema catalog: table name → ordered column names.
 #[derive(Debug, Clone, Default)]
@@ -39,6 +40,17 @@ pub struct SqlError {
     /// Stable diagnostic code (`SA0xx`/`SA1xx`/`SA2xx`) when the error
     /// came from an analyzer pass; `None` for parse/catalog errors.
     pub code: Option<String>,
+    pub kind: SqlErrorKind,
+}
+
+/// What a [`SqlError`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SqlErrorKind {
+    /// A malformed or unsupported statement.
+    Invalid,
+    /// A statement nesting deeper than [`MAX_NESTING_DEPTH`] levels:
+    /// one per parenthesis, `NOT` and `TRIM` term, two per subquery.
+    NestingTooDeep,
 }
 
 impl SqlError {
@@ -47,6 +59,7 @@ impl SqlError {
             pos,
             msg: msg.into(),
             code: None,
+            kind: SqlErrorKind::Invalid,
         }
     }
 
@@ -231,6 +244,7 @@ pub fn parse_select(alphabet: &Alphabet, sql: &str) -> Result<Select, SqlError> 
         alphabet,
         toks: &tokens,
         pos: 0,
+        depth: 0,
     };
     let stmt = p.select()?;
     if p.pos != p.toks.len() {
@@ -243,9 +257,28 @@ struct P<'a> {
     alphabet: &'a Alphabet,
     toks: &'a [(usize, Tok)],
     pos: usize,
+    /// Levels currently open; see [`MAX_NESTING_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> P<'a> {
+    /// Runs `f` one nesting level deeper. The level is closed again
+    /// whatever `f` returns, so the count stays balanced on error paths.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            let mut e = self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels"));
+            e.kind = SqlErrorKind::NestingTooDeep;
+            return Err(e);
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|(_, t)| t)
     }
@@ -358,18 +391,18 @@ impl<'a> P<'a> {
     fn cond_unary(&mut self) -> Result<Cond, SqlError> {
         if self.is_keyword("not") {
             self.pos += 1;
-            return Ok(Cond::Not(Box::new(self.cond_unary()?)));
+            return Ok(Cond::Not(Box::new(self.nested(Self::cond_unary)?)));
         }
         if self.is_keyword("exists") {
             self.pos += 1;
             self.eat(&Tok::LParen)?;
-            let sub = self.select()?;
+            let sub = self.subquery()?;
             self.eat(&Tok::RParen)?;
             return Ok(Cond::Exists(Box::new(sub)));
         }
         if self.peek() == Some(&Tok::LParen) && self.looks_like_cond_paren() {
             self.pos += 1;
-            let c = self.cond()?;
+            let c = self.nested(Self::cond)?;
             self.eat(&Tok::RParen)?;
             return Ok(c);
         }
@@ -432,7 +465,7 @@ impl<'a> P<'a> {
         if self.is_keyword("in") {
             self.pos += 1;
             self.eat(&Tok::LParen)?;
-            let sub = self.select()?;
+            let sub = self.subquery()?;
             self.eat(&Tok::RParen)?;
             return Ok(Cond::In {
                 term: t,
@@ -454,6 +487,12 @@ impl<'a> P<'a> {
             }
             _ => Err(self.err("expected a predicate")),
         }
+    }
+
+    /// The `SELECT` of an `EXISTS` / `IN` subquery, whose `(` is
+    /// consumed: two levels, the parenthesis and the statement it opens.
+    fn subquery(&mut self) -> Result<Select, SqlError> {
+        self.nested(|p| p.nested(Self::select))
     }
 
     /// Disambiguates `( cond )` from a parenthesized… we have no
@@ -496,7 +535,7 @@ impl<'a> P<'a> {
                 .sym_of(c)
                 .map_err(|e| self.err(e.to_string()))?;
             self.keyword("from")?;
-            let inner = self.term()?;
+            let inner = self.nested(Self::term)?;
             self.eat(&Tok::RParen)?;
             return Ok(SqlTerm::TrimLeading(sym, Box::new(inner)));
         }
@@ -637,5 +676,55 @@ mod tests {
             "SELECT r.x FROM r WHERE TRIM(LEADING 'ab' FROM r.x) = r.y"
         )
         .is_err());
+    }
+
+    fn kind(sql: &str) -> Option<SqlErrorKind> {
+        parse_select(&ab(), sql).err().map(|e| e.kind)
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        // The cap is sized for a main thread's 8 MiB stack; unoptimized
+        // builds overflow the test harness's 2 MiB worker threads first.
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(nesting_cap)
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+    }
+
+    fn nesting_cap() {
+        let deep = Some(SqlErrorKind::NestingTooDeep);
+        let select = "SELECT r.x FROM r WHERE ";
+        let n = 10_000;
+        let parens = |n: usize| format!("{select}{}r.x = r.y{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(kind(&parens(n)), deep);
+        assert_eq!(
+            kind(&format!("{select}{}r.x = r.y", "NOT ".repeat(n))),
+            deep
+        );
+        let subqueries = |n: usize| {
+            format!(
+                "{select}{}r.x = r.y{}",
+                "EXISTS (SELECT r.x FROM r WHERE ".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert_eq!(kind(&subqueries(n)), deep);
+        let trims = format!(
+            "{select}{}r.x{} = r.y",
+            "TRIM(LEADING 'a' FROM ".repeat(n),
+            ")".repeat(n)
+        );
+        assert_eq!(kind(&trims), deep);
+        // At the cap the statement parses; one level more does not. A
+        // subquery opens two levels.
+        assert_eq!(kind(&parens(MAX_NESTING_DEPTH)), None);
+        assert_eq!(kind(&parens(MAX_NESTING_DEPTH + 1)), deep);
+        assert_eq!(kind(&subqueries(MAX_NESTING_DEPTH / 2)), None);
+        assert_eq!(kind(&subqueries(MAX_NESTING_DEPTH / 2 + 1)), deep);
+        // Other errors keep their kind.
+        assert_eq!(kind("SELECT FROM r"), Some(SqlErrorKind::Invalid));
     }
 }

@@ -50,7 +50,7 @@ use strcalc::analyze::{fragments, EvalClass};
 use strcalc::core::plan::PlanChecker;
 use strcalc::core::{
     replay, AutomataEngine, AutomatonCache, Budget, Calculus, EvalOutput, ExecCx, ExecTrace,
-    FaultPlan, Planner, Query,
+    FaultPlan, Plan, PlanOp, Planner, Query,
 };
 use strcalc::logic::{parse_formula, Formula, Rewriter};
 use strcalc::relational::{Database, RaExpr};
@@ -382,7 +382,8 @@ fn cache_smoke(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
 /// Prints one row per plan with its inferred fragment class, chosen
 /// strategy, and resource certificate; fails on any error-level SA2xx
 /// diagnostic, on a formula that unexpectedly fails to plan, or on a
-/// plan whose strategy disagrees with the fragment inference — CI runs
+/// plan whose strategy disagrees with the fragment inference (where it
+/// demands automata, a verified relational root also passes) — CI runs
 /// this as the `planlint-corpus` job.
 fn planlint_corpus(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
     let planners = [
@@ -435,9 +436,17 @@ fn planlint_corpus(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
                 Ok(plan) => {
                     plans += 1;
                     let report = PlanChecker::for_plan(&plan).check(&plan.root);
+                    // Where the fragment demands automata, a formula
+                    // whose every variable has a generator takes the
+                    // relational route instead; the checker above has
+                    // verified its binding order.
+                    let relational =
+                        expected == "automata" && matches!(plan.root.op, PlanOp::Relational);
                     let verdict = if report.has_errors() {
                         failures += 1;
                         format!("REJECTED {:?}", report.error_codes())
+                    } else if relational {
+                        "ok [relational route; no automaton bound]".to_string()
                     } else if plan.strategy.name() != expected {
                         failures += 1;
                         format!(
@@ -533,6 +542,51 @@ fn replay_database(ab: &Alphabet) -> Database {
     db
 }
 
+/// Plans one corpus query under `engine`'s planner. The concat-bounded
+/// fixture is declared `S` but lives in the `RC_concat` fragment
+/// (Proposition 1) — `Query::parse` rejects it by design, so it takes
+/// the formula-planning entry point, exactly as `replay` itself
+/// re-plans `RC_concat` traces.
+fn plan_corpus_case(
+    ab: &Alphabet,
+    calculus: Calculus,
+    head: &[String],
+    src: &str,
+    engine: &AutomataEngine,
+) -> Plan {
+    match Query::parse(calculus, ab.clone(), head.to_vec(), src) {
+        Ok(q) => Planner::for_engine(engine)
+            .plan(&q)
+            .expect("corpus query plans"),
+        Err(strcalc::core::CoreError::FragmentViolation { .. }) => {
+            let f = parse_formula(ab, src).expect("corpus formula parses");
+            Planner::for_engine(engine)
+                .plan_formula(ab, head, &f)
+                .expect("corpus formula plans")
+        }
+        Err(e) => panic!("corpus query `{src}`: {e}"),
+    }
+}
+
+/// The fresh engines a corpus query is recorded and replayed under:
+/// each with a cold cache of its own, so a trace's cache sequence is a
+/// cold-start sequence any replayer reproduces — unless the query takes
+/// the relational route. A cached planner keeps automata, so such a
+/// query runs uncached, and the route is what its trace records.
+fn corpus_engine(plan_case: &dyn Fn(&AutomataEngine) -> Plan) -> impl Fn() -> AutomataEngine {
+    let relational = matches!(
+        plan_case(&AutomataEngine::new()).root.op,
+        PlanOp::Relational
+    );
+    move || {
+        if relational {
+            AutomataEngine::new()
+        } else {
+            AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()))
+        }
+    }
+}
+
 /// `--replay`: the deterministic-trace golden corpus. Every corpus
 /// query is recorded, JSON-round-tripped, and replayed through a fresh
 /// engine; see the module docs for the exact gate.
@@ -547,32 +601,13 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
         cases.extend(load_corpus(path));
     }
 
-    let fresh_engine = || AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
     let label_w = cases.iter().map(|(_, _, f)| f.len()).max().unwrap_or(0);
     let mut failures = 0usize;
     let mut degraded_replays = 0usize;
     for (calculus, head, src) in &cases {
-        // The concat-bounded fixture is declared `S` but lives in the
-        // RC_concat fragment (Proposition 1) — `Query::parse` rejects
-        // it by design, so it takes the formula-planning entry point,
-        // exactly as `replay` itself re-plans `RC_concat` traces.
-        let plan_case = |engine: &AutomataEngine| match Query::parse(
-            *calculus,
-            ab.clone(),
-            head.clone(),
-            src,
-        ) {
-            Ok(q) => Planner::for_engine(engine)
-                .plan(&q)
-                .expect("corpus query plans"),
-            Err(strcalc::core::CoreError::FragmentViolation { .. }) => {
-                let f = parse_formula(ab, src).expect("corpus formula parses");
-                Planner::for_engine(engine)
-                    .plan_formula(ab, head, &f)
-                    .expect("corpus formula plans")
-            }
-            Err(e) => panic!("corpus query `{src}`: {e}"),
-        };
+        let plan_case =
+            |engine: &AutomataEngine| plan_corpus_case(ab, *calculus, head, src, engine);
+        let fresh_engine = corpus_engine(&plan_case);
         // Record under a fresh cache so the trace's cache sequence is a
         // cold-start sequence any replayer can reproduce.
         let recorder = fresh_engine();
@@ -691,12 +726,14 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
         cases.extend(load_corpus(path));
     }
 
-    let fresh_engine = || AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
     let label_w = cases.iter().map(|(_, _, f)| f.len()).max().unwrap_or(0);
     let mut runs = 0usize;
     let mut fired = 0usize;
     let mut failures = 0usize;
     for (calculus, head, src) in &cases {
+        let plan_case =
+            |engine: &AutomataEngine| plan_corpus_case(ab, *calculus, head, src, engine);
+        let fresh_engine = corpus_engine(&plan_case);
         let mut problems: Vec<String> = Vec::new();
         let mut strategy = String::new();
         for seed in SEEDS {
@@ -706,18 +743,7 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
             // sequence (including injected insert failures) is a
             // cold-start sequence the replayer reproduces.
             let recorder = fresh_engine();
-            let plan = match Query::parse(*calculus, ab.clone(), head.clone(), src) {
-                Ok(q) => Planner::for_engine(&recorder)
-                    .plan(&q)
-                    .expect("corpus query plans"),
-                Err(strcalc::core::CoreError::FragmentViolation { .. }) => {
-                    let f = parse_formula(ab, src).expect("corpus formula parses");
-                    Planner::for_engine(&recorder)
-                        .plan_formula(ab, head, &f)
-                        .expect("corpus formula plans")
-                }
-                Err(e) => panic!("corpus query `{src}`: {e}"),
-            };
+            let plan = plan_case(&recorder);
             strategy = plan.strategy.name().to_string();
             let budget = Budget::unlimited();
             let cx = ExecCx::replay(faults).with_budget(budget);

@@ -1,0 +1,90 @@
+//! Hostile nesting: input nested deeper than the parsers' cap is refused
+//! with a typed error instead of overflowing the stack, and input at the
+//! cap parses, analyzes, and runs through the relational route — the
+//! recursive walkers after the parser are safe because the parser bounds
+//! their depth.
+
+use strcalc::analyze::Analyzer;
+use strcalc::core::{PlanOp, Planner, Strategy};
+use strcalc::logic::{parse_formula, LogicError, StructureClass, MAX_NESTING_DEPTH};
+use strcalc::prelude::*;
+use strcalc::sqlfront::{parse_select, SqlErrorKind};
+
+/// Runs `f` on a thread with the 8 MiB stack a main thread usually
+/// gets: the cap is sized for it, and unoptimized builds overflow the
+/// test harness's 2 MiB worker threads before reaching it.
+fn with_main_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+#[test]
+fn ten_thousand_levels_are_rejected_cleanly() {
+    with_main_stack(ten_thousand_levels);
+}
+
+fn ten_thousand_levels() {
+    let ab = Alphabet::ab();
+    let n = 10_000;
+    let formula = format!("{}R(x){}", "(".repeat(n), ")".repeat(n));
+    let err = parse_formula(&ab, &formula).unwrap_err();
+    assert!(
+        matches!(err, LogicError::NestingTooDeep { limit, .. } if limit == MAX_NESTING_DEPTH),
+        "{err:?}"
+    );
+    let sql = format!(
+        "SELECT r.x FROM r WHERE {}r.x = r.y{}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    assert_eq!(
+        parse_select(&ab, &sql).unwrap_err().kind,
+        SqlErrorKind::NestingTooDeep
+    );
+}
+
+/// `R(x) ∧ ¬(R(x) ∧ ¬(… R(x) …))` with `levels` negations: it holds of
+/// the stored strings when `levels` is even, of nothing when it is odd.
+fn alternating(levels: usize) -> String {
+    (0..levels).fold("R(x)".to_string(), |inner, _| format!("R(x) & !({inner})"))
+}
+
+#[test]
+fn input_at_the_cap_runs_through_the_relational_route() {
+    with_main_stack(|| {
+        let ab = Alphabet::ab();
+        let mut db = Database::new();
+        db.insert_unary_parsed(&ab, "R", &["a", "ab", "b"]).unwrap();
+        // Each level opens two (`!` and its parenthesis); four outer
+        // parentheses bring the total to exactly the cap.
+        let levels = (MAX_NESTING_DEPTH - 4) / 2;
+        let text = format!("(((({}))))", alternating(levels));
+        let f = parse_formula(&ab, &text).unwrap();
+        let too_deep = format!("({text})");
+        assert!(matches!(
+            parse_formula(&ab, &too_deep),
+            Err(LogicError::NestingTooDeep { .. })
+        ));
+
+        let analysis = Analyzer::new(StructureClass::S).analyze(&ab, &f);
+        assert!(!analysis.has_errors(), "{}", analysis.render());
+
+        let plan = Planner::new()
+            .plan_formula(&ab, &["x".to_string()], &f)
+            .unwrap();
+        assert_eq!(plan.strategy, Strategy::ActiveDomainEnum);
+        assert!(matches!(plan.root.op, PlanOp::Relational));
+        let (out, report) = plan.execute(&db).unwrap();
+        assert!(report.verdict.is_exact());
+        let expected = if levels.is_multiple_of(2) {
+            db.relation("R").unwrap().clone()
+        } else {
+            Relation::new(1)
+        };
+        assert_eq!(out.expect_finite(), expected);
+    });
+}

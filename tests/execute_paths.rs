@@ -2,11 +2,13 @@
 //! strategies an open query and a sentence (a 0-ary query) run through
 //! `Plan::execute` over a small fixed database, against answers written
 //! out by hand. A sentence's answer is the 0-ary relation: `{()}` when
-//! it holds, `∅` otherwise.
+//! it holds, `∅` otherwise. The relational route — the default for
+//! safe-range formulas — is checked against the forced automata route.
 
-use strcalc::core::{Plan, Planner, Strategy};
+use strcalc::core::{Plan, PlanOp, Planner, Strategy};
 use strcalc::logic::parse_formula;
 use strcalc::prelude::*;
+use strcalc::sqlfront::{compile_select, parse_select, Catalog};
 
 /// `U = {a, ab, aab, ba, bb}` over `{a, b}`.
 fn db() -> Database {
@@ -56,21 +58,114 @@ fn check_sentence(planner: &Planner, strategy: Strategy, src: &str, holds: bool)
 
 #[test]
 fn automata() {
+    // The default planner keeps a formula on automata when a variable
+    // has no generator: here `y` ranges over all of Σ*. Every stored
+    // string has a proper extension that is not stored.
     let p = Planner::new();
-    // The strict prefixes of stored strings.
     check_open(
         &p,
+        Strategy::Automata,
+        "U(x) & exists y. (x < y & !U(y))",
+        &["a", "ab", "aab", "ba", "bb"],
+    );
+    // b ends in 'b' and is not stored.
+    check_sentence(
+        &p,
+        Strategy::Automata,
+        "exists y. (last(y, 'b') & !U(y))",
+        true,
+    );
+    // Forced, it evaluates the safe-range formulas too.
+    let forced = Planner::new().force(Strategy::Automata);
+    // The strict prefixes of stored strings.
+    check_open(
+        &forced,
         Strategy::Automata,
         "exists y. (U(y) & x < y)",
         &["", "a", "aa", "b"],
     );
     // a < ab.
     check_sentence(
-        &p,
+        &forced,
         Strategy::Automata,
         "exists x. exists y. (U(x) & U(y) & x < y)",
         true,
     );
+}
+
+/// Checks that the default planner sends `plan` down the relational
+/// route and that it answers exactly as the forced automata route.
+fn check_relational(default: &Plan, automata: &Plan, db: &Database) {
+    assert!(matches!(default.root.op, PlanOp::Relational));
+    let (out, report) = default.execute(db).unwrap();
+    assert!(report.verdict.is_exact(), "{}", report.summary());
+    assert!(report.degradations.is_empty(), "{}", report.summary());
+    assert_eq!(report.automaton_states, 0);
+    assert_eq!(automata.strategy, Strategy::Automata);
+    let (expected, _) = automata.execute(db).unwrap();
+    assert_eq!(out, expected, "{}", default.explain_text());
+}
+
+#[test]
+fn relational() {
+    let p = Planner::new();
+    // The strict prefixes of stored strings, each bound from the stored
+    // string it prefixes.
+    check_open(
+        &p,
+        Strategy::ActiveDomainEnum,
+        "exists y. (U(y) & x < y)",
+        &["", "a", "aa", "b"],
+    );
+    check_sentence(
+        &p,
+        Strategy::ActiveDomainEnum,
+        "exists x. exists y. (U(x) & U(y) & x < y)",
+        true,
+    );
+
+    // The seven reads of the `short_stmt` benchmark that built product
+    // automata before this route: the four fig. 2 probes, the prefix
+    // join, and the two EXISTS … PREFIX statements.
+    let ab = Alphabet::ab();
+    let mut db = db();
+    db.insert_unary_parsed(&ab, "R", &["a", "ab", "b", "aba", "bab"])
+        .unwrap();
+    let forced = Planner::new().force(Strategy::Automata);
+    for (head, src) in [
+        (&["x"][..], "exists y. (U(y) & x <= y & last(x,'a'))"),
+        (&["x"][..], "exists y. (U(y) & fa(y, x, 'a'))"),
+        (&["x"][..], "exists y. (U(y) & pl(x, y, /(ab)*/))"),
+        (&["x"][..], "exists y. (U(y) & el(x, y) & last(x,'a'))"),
+        (&["x", "y"][..], "R(x) & in(x, /a.*/) & x <= y & R(y)"),
+    ] {
+        check_relational(&plan(&p, head, src), &plan(&forced, head, src), &db);
+    }
+    let mut catalog = Catalog::new();
+    catalog.add_table("faculty", &["name", "dept"]);
+    catalog.add_table("dept", &["head"]);
+    for (name, dept) in [("abba", "ab"), ("ba", "ba"), ("aab", "abb"), ("b", "ab")] {
+        db.insert(
+            "faculty",
+            vec![ab.parse(name).unwrap(), ab.parse(dept).unwrap()],
+        )
+        .unwrap();
+    }
+    db.insert_unary_parsed(&ab, "dept", &["ab", "b", "aa"])
+        .unwrap();
+    for like in ["ab%", "ba%"] {
+        let sql = format!(
+            "SELECT f.name FROM faculty f WHERE EXISTS \
+             (SELECT d.head FROM dept d WHERE PREFIX(d.head, f.name)) \
+             AND f.dept LIKE '{like}'"
+        );
+        let compiled = compile_select(&ab, &catalog, &parse_select(&ab, &sql).unwrap()).unwrap();
+        check_relational(
+            &compiled.plan(&p).unwrap(),
+            &compiled.plan(&forced).unwrap(),
+            &db,
+        );
+    }
 }
 
 #[test]

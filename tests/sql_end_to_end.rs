@@ -183,11 +183,9 @@ fn lex_comparisons() {
 
 #[test]
 fn governed_sql_reports_and_degrades() {
-    use strcalc::core::{Budget, CoreError, DegradationPolicy};
+    use strcalc::core::{Budget, CoreError, DegradationPolicy, FaultPlan};
     use strcalc::sqlfront::SqlRunError;
 
-    // A deliberately small instance: the starved path evaluates over
-    // the bounded collapse domain, which grows with `|Σ|^maxlen`.
     let sigma = Alphabet::new("abc").unwrap();
     let mut catalog = Catalog::new();
     catalog.add_table("s", &["w"]);
@@ -196,8 +194,7 @@ fn governed_sql_reports_and_degrades() {
         db.insert("s", vec![sigma.parse(w).unwrap()]).unwrap();
     }
     // The lexicographic comparison evicts the query from the scan
-    // tiers, so starvation forces the semantic exact → bounded
-    // degradation (not the answer-preserving dense → sparse one).
+    // tiers.
     let sql = "SELECT s.w FROM s WHERE 'c' <= s.w AND s.w LIKE 'c%'";
     let under = |budget: Budget| ExecCx::production().with_budget(budget);
 
@@ -210,21 +207,42 @@ fn governed_sql_reports_and_degrades() {
     assert!(report.verdict.is_exact());
     assert!(report.degradations.is_empty());
 
-    // A starved budget degrades — with the SA4xx trail in the report —
-    // and under the fail policy is rejected up front.
+    // Every SQL column is bound by its FROM table, so the planner takes
+    // the relational route: it builds no automaton and certifies no
+    // demand, and a budget that admits no automaton leaves it exact.
     let starved = Budget {
         states: 1,
         bytes: 1,
         ..Budget::unlimited()
     };
-    let (_c, _out, report) = run_sql(&sigma, &catalog, &db, sql, &under(starved)).unwrap();
+    let (_c, out, report) = run_sql(&sigma, &catalog, &db, sql, &under(starved)).unwrap();
+    assert_eq!(out, exact);
+    assert!(report.verdict.is_exact());
+    assert!(report.degradations.is_empty());
+
+    // A deadline firing at the route's first checkpoint degrades the
+    // run — with the SA4xx trail in the report — and under the fail
+    // policy rejects it.
+    let fired = |policy| {
+        under(Budget::unlimited().with_policy(policy)).with_faults(FaultPlan {
+            deadline_at_checkpoint: Some(1),
+            ..FaultPlan::none()
+        })
+    };
+    let (_c, _out, report) = run_sql(
+        &sigma,
+        &catalog,
+        &db,
+        sql,
+        &fired(DegradationPolicy::Degrade),
+    )
+    .unwrap();
     assert!(!report.verdict.is_exact());
     assert!(!report.degradations.is_empty());
 
-    let strict = under(starved.with_policy(DegradationPolicy::Fail));
-    let err = run_sql(&sigma, &catalog, &db, sql, &strict).unwrap_err();
+    let err = run_sql(&sigma, &catalog, &db, sql, &fired(DegradationPolicy::Fail)).unwrap_err();
     assert!(matches!(
         err,
-        SqlRunError::Eval(CoreError::BudgetExhausted { .. })
+        SqlRunError::Eval(CoreError::DeadlineExpired { .. })
     ));
 }
