@@ -58,8 +58,8 @@ pub fn classify(f: &Formula, k: Sym, monoid_cap: usize) -> AdmissionReport {
     let (analysis, _) = fragments::analyze(f, k, monoid_cap);
     let strategy = match &analysis.class {
         EvalClass::LikeLinear(_) => "like-linear-scan",
-        // The planner's default threshold decides dense vs. sparse; a
-        // server with a custom threshold re-derives this from the cert.
+        // The planner routes by the same constant threshold, so
+        // admission and the plan agree on dense vs. sparse.
         EvalClass::LikeGeneral(plan) if dense_scan_states(plan, k) <= DENSIFY_THRESHOLD => {
             "dense-dfa-scan"
         }

@@ -11,6 +11,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
+use strcalc_core::json::Json;
 use strcalc_core::{AutomataEngine, Calculus, Planner, Query, Strategy};
 
 fn probe(calc: Calculus) -> Query {
@@ -58,7 +59,7 @@ fn bench(c: &mut Criterion) {
     // page-fault outliers.
     let iters = 120usize;
     let mut worst = 0.0f64;
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
     for calc in Calculus::all() {
         let q = probe(calc);
         let engine = AutomataEngine::new();
@@ -83,28 +84,31 @@ fn bench(c: &mut Criterion) {
         ratios.sort_by(|a, b| a.total_cmp(b));
         let pct = 100.0 * (ratios[iters / 2] - 1.0);
         worst = worst.max(pct);
+        let (gov_run, raw_run) = (gov_total / iters as f64, raw_total / iters as f64);
         println!(
             "budget overhead {:>8}: governed {:.1}µs vs ungoverned {:.1}µs per run — {pct:+.2}%",
             calc.name(),
-            1e6 * gov_total / iters as f64,
-            1e6 * raw_total / iters as f64,
+            1e6 * gov_run,
+            1e6 * raw_run,
         );
-        json_rows.push(format!(
-            "\"{}\":{{\"governed_run_secs\":{:.7},\"ungoverned_run_secs\":{:.7},\"overhead_percent\":{:.3}}}",
+        json_rows.push((
             calc.name(),
-            gov_total / iters as f64,
-            raw_total / iters as f64,
-            pct,
+            Json::obj([
+                ("governed_run_secs", Json::fixed(gov_run, 7)),
+                ("ungoverned_run_secs", Json::fixed(raw_run, 7)),
+                ("overhead_percent", Json::fixed(pct, 3)),
+            ]),
         ));
     }
     println!("budget overhead worst case: {worst:.2}% (budget 5%)");
     strcalc_bench::record_bench_json(
         "budget_overhead",
-        &format!(
-            "{{\"paired_iters\":{iters},\"budget_percent\":5.0,\"worst_percent\":{:.3},\"per_calculus\":{{{}}}}}",
-            worst,
-            json_rows.join(","),
-        ),
+        Json::obj([
+            ("paired_iters", iters.into()),
+            ("budget_percent", Json::fixed(5.0, 1)),
+            ("worst_percent", Json::fixed(worst, 3)),
+            ("per_calculus", Json::obj(json_rows)),
+        ]),
     );
     assert!(
         worst < 5.0,

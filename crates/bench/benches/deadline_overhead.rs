@@ -15,6 +15,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
+use strcalc_core::json::Json;
 use strcalc_core::{Budget, Calculus, ExecCx, Plan, Planner, Query};
 use strcalc_relational::Database;
 
@@ -92,7 +93,7 @@ fn bench(c: &mut Criterion) {
     // discards page-fault outliers (same method as `budget_overhead`).
     let iters = 120usize;
     let mut worst = 0.0f64;
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
     for (name, plan, case_db) in &cases {
         let mut ratios = Vec::with_capacity(iters);
         let mut base_total = 0.0f64;
@@ -117,26 +118,30 @@ fn bench(c: &mut Criterion) {
         ratios.sort_by(|a, b| a.total_cmp(b));
         let pct = 100.0 * (ratios[iters / 2] - 1.0);
         worst = worst.max(pct);
+        let (armed_run, base_run) = (armed_total / iters as f64, base_total / iters as f64);
         println!(
             "deadline overhead {name:>10}: armed {:.1}µs vs unarmed {:.1}µs per run — {pct:+.2}%",
-            1e6 * armed_total / iters as f64,
-            1e6 * base_total / iters as f64,
+            1e6 * armed_run,
+            1e6 * base_run,
         );
-        json_rows.push(format!(
-            "\"{name}\":{{\"armed_run_secs\":{:.7},\"unarmed_run_secs\":{:.7},\"overhead_percent\":{:.3}}}",
-            armed_total / iters as f64,
-            base_total / iters as f64,
-            pct,
+        json_rows.push((
+            name,
+            Json::obj([
+                ("armed_run_secs", Json::fixed(armed_run, 7)),
+                ("unarmed_run_secs", Json::fixed(base_run, 7)),
+                ("overhead_percent", Json::fixed(pct, 3)),
+            ]),
         ));
     }
     println!("deadline overhead worst case: {worst:.2}% (budget 5%)");
     strcalc_bench::record_bench_json(
         "deadline_overhead",
-        &format!(
-            "{{\"paired_iters\":{iters},\"budget_percent\":5.0,\"worst_percent\":{:.3},\"per_case\":{{{}}}}}",
-            worst,
-            json_rows.join(","),
-        ),
+        Json::obj([
+            ("paired_iters", iters.into()),
+            ("budget_percent", Json::fixed(5.0, 1)),
+            ("worst_percent", Json::fixed(worst, 3)),
+            ("per_case", Json::obj(json_rows)),
+        ]),
     );
     assert!(
         worst < 5.0,

@@ -14,6 +14,7 @@ use criterion::{BenchmarkId, Criterion, Throughput};
 use strcalc_alphabet::Str;
 use strcalc_automata::DenseDfa;
 use strcalc_bench::ab;
+use strcalc_core::json::Json;
 use strcalc_core::{Calculus, Planner, Query, Strategy};
 use strcalc_logic::Lang;
 use strcalc_relational::Database;
@@ -105,8 +106,8 @@ fn bench(c: &mut Criterion) {
     // Headline numbers: paired interleaved minimums.
     let rounds = 9usize;
     let iters = 20u32;
-    let mut rows: Vec<String> = Vec::new();
-    let mut trap_row = String::new();
+    let mut rows = Vec::new();
+    let mut trap_row = Json::Null;
     let mut trap_speedup = 0.0f64;
     let mut worst_speedup = f64::INFINITY;
     for (name, pattern) in PATTERNS.into_iter().chain([TRAP]) {
@@ -150,25 +151,23 @@ fn bench(c: &mut Criterion) {
             sparse_bps / 1e6,
             corpus.len(),
         );
-        let row = format!(
-            "{{\"pattern\":\"{pattern}\",\"dense_states\":{},\"dense_classes\":{},\
-             \"table_bytes\":{},\"matches\":{matches},\"dense_round_secs\":{:.6},\
-             \"sparse_round_secs\":{:.6},\"dense_bytes_per_sec\":{:.0},\
-             \"sparse_bytes_per_sec\":{:.0},\"speedup\":{:.2}}}",
-            dense.num_states(),
-            dense.num_classes(),
-            dense.approx_bytes(),
-            dense_t.as_secs_f64(),
-            sparse_t.as_secs_f64(),
-            dense_bps,
-            sparse_bps,
-            speedup,
-        );
+        let row = Json::obj([
+            ("pattern", pattern.into()),
+            ("dense_states", dense.num_states().into()),
+            ("dense_classes", dense.num_classes().into()),
+            ("table_bytes", dense.approx_bytes().into()),
+            ("matches", matches.into()),
+            ("dense_round_secs", Json::fixed(dense_t.as_secs_f64(), 6)),
+            ("sparse_round_secs", Json::fixed(sparse_t.as_secs_f64(), 6)),
+            ("dense_bytes_per_sec", Json::fixed(dense_bps, 0)),
+            ("sparse_bytes_per_sec", Json::fixed(sparse_bps, 0)),
+            ("speedup", Json::fixed(speedup, 2)),
+        ]);
         if name == TRAP.0 {
             trap_row = row;
             trap_speedup = speedup;
         } else {
-            rows.push(format!("\"{name}\":{row}"));
+            rows.push((name, row));
             worst_speedup = worst_speedup.min(speedup);
         }
     }
@@ -239,27 +238,36 @@ fn bench(c: &mut Criterion) {
         exec_bps / 1e6,
         kernel_bps / 1e6,
     );
-    let executor_row = format!(
-        "{{\"pattern\":\"{}\",\"stored_bytes\":{stored_bytes},\"exec_round_secs\":{:.6},\
-         \"kernel_round_secs\":{:.6},\"exec_bytes_per_sec\":{exec_bps:.0},\
-         \"kernel_bytes_per_sec\":{kernel_bps:.0},\"exec_to_kernel\":{to_kernel:.2}}}",
-        PATTERNS[0].1,
-        exec_t.as_secs_f64(),
-        kernel_t.as_secs_f64(),
-    );
+    let executor_row = Json::obj([
+        ("pattern", PATTERNS[0].1.into()),
+        ("stored_bytes", stored_bytes.into()),
+        ("exec_round_secs", Json::fixed(exec_t.as_secs_f64(), 6)),
+        ("kernel_round_secs", Json::fixed(kernel_t.as_secs_f64(), 6)),
+        ("exec_bytes_per_sec", Json::fixed(exec_bps, 0)),
+        ("kernel_bytes_per_sec", Json::fixed(kernel_bps, 0)),
+        ("exec_to_kernel", Json::fixed(to_kernel, 2)),
+    ]);
 
     strcalc_bench::record_bench_json(
         "dense_throughput",
-        &format!(
-            "{{\"corpus\":{{\"strings\":{CORPUS_N},\"bytes\":{corpus_bytes},\
-             \"min_len\":{MIN_LEN},\"max_len\":{MAX_LEN},\"seed\":{SEED}}},\
-             \"rounds\":{rounds},\"iters_per_round\":{iters},\
-             \"per_pattern\":{{{}}},\"trap_pattern\":{},\"executor\":{executor_row},\
-             \"worst_speedup\":{:.2}}}",
-            rows.join(","),
-            trap_row,
-            worst_speedup,
-        ),
+        Json::obj([
+            (
+                "corpus",
+                Json::obj([
+                    ("strings", CORPUS_N.into()),
+                    ("bytes", corpus_bytes.into()),
+                    ("min_len", MIN_LEN.into()),
+                    ("max_len", MAX_LEN.into()),
+                    ("seed", SEED.into()),
+                ]),
+            ),
+            ("rounds", rounds.into()),
+            ("iters_per_round", iters.into()),
+            ("per_pattern", Json::obj(rows)),
+            ("trap_pattern", trap_row),
+            ("executor", executor_row),
+            ("worst_speedup", Json::fixed(worst_speedup, 2)),
+        ]),
     );
     assert!(
         worst_speedup >= 3.0,

@@ -13,6 +13,7 @@
 use criterion::{BenchmarkId, Criterion};
 use strcalc_analyze::fragments;
 use strcalc_bench::{ab, unary_db};
+use strcalc_core::json::Json;
 use strcalc_core::{Calculus, Planner, Query, Strategy};
 use strcalc_relational::Database;
 
@@ -79,7 +80,7 @@ fn bench(c: &mut Criterion) {
 
     // (a) Inference share of planning, worst case over the probes.
     let mut worst_share = 0.0f64;
-    let mut infer_rows: Vec<String> = Vec::new();
+    let mut infer_rows = Vec::new();
     for (class, src) in LIKE_PROBES {
         let q = probe(src);
         let infer = median_round(rounds, iters, || {
@@ -93,18 +94,20 @@ fn bench(c: &mut Criterion) {
         println!(
             "fragment inference {class:>8}: classify {infer:?} inside plan {plan:?} — {share:.2}%",
         );
-        infer_rows.push(format!(
-            "\"{class}\":{{\"eval_class_round_secs\":{:.6},\"plan_round_secs\":{:.6},\"share_percent\":{:.3}}}",
-            infer.as_secs_f64(),
-            plan.as_secs_f64(),
-            share,
+        infer_rows.push((
+            class,
+            Json::obj([
+                ("eval_class_round_secs", Json::fixed(infer.as_secs_f64(), 6)),
+                ("plan_round_secs", Json::fixed(plan.as_secs_f64(), 6)),
+                ("share_percent", Json::fixed(share, 3)),
+            ]),
         ));
     }
 
     // (b) The fast path's payoff: the same linear-class query, routed
     // (scan, no automaton) vs forced through automaton compilation.
     let forced = Planner::new().force(Strategy::Automata);
-    let mut speedup_rows: Vec<String> = Vec::new();
+    let mut speedup_rows = Vec::new();
     let mut worst_speedup = f64::INFINITY;
     for (class, src) in LIKE_PROBES.iter().take(3) {
         let q = probe(src);
@@ -136,23 +139,31 @@ fn bench(c: &mut Criterion) {
         let speedup = auto.as_secs_f64() / scan.as_secs_f64().max(1e-12);
         worst_speedup = worst_speedup.min(speedup);
         println!("like fast path {class:>8}: scan {scan:?} vs automata {auto:?} — {speedup:.1}x",);
-        speedup_rows.push(format!(
-            "\"{class}\":{{\"scan_round_secs\":{:.6},\"automata_round_secs\":{:.6},\"speedup\":{:.2}}}",
-            scan.as_secs_f64(),
-            auto.as_secs_f64(),
-            speedup,
+        speedup_rows.push((
+            *class,
+            Json::obj([
+                ("scan_round_secs", Json::fixed(scan.as_secs_f64(), 6)),
+                ("automata_round_secs", Json::fixed(auto.as_secs_f64(), 6)),
+                ("speedup", Json::fixed(speedup, 2)),
+            ]),
         ));
     }
 
     strcalc_bench::record_bench_json(
         "fragment_inference",
-        &format!(
-            "{{\"rounds\":{rounds},\"iters_per_round\":{iters},\"inference_worst_share_percent\":{:.3},\"per_class\":{{{}}},\"like_fast_path\":{{\"worst_speedup\":{:.2},\"per_class\":{{{}}}}}}}",
-            worst_share,
-            infer_rows.join(","),
-            worst_speedup,
-            speedup_rows.join(","),
-        ),
+        Json::obj([
+            ("rounds", rounds.into()),
+            ("iters_per_round", iters.into()),
+            ("inference_worst_share_percent", Json::fixed(worst_share, 3)),
+            ("per_class", Json::obj(infer_rows)),
+            (
+                "like_fast_path",
+                Json::obj([
+                    ("worst_speedup", Json::fixed(worst_speedup, 2)),
+                    ("per_class", Json::obj(speedup_rows)),
+                ]),
+            ),
+        ]),
     );
     assert!(
         worst_speedup > 1.0,

@@ -8,6 +8,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
+use strcalc_core::json::Json;
 use strcalc_core::{AutomataEngine, Calculus, Planner, Query};
 
 fn probe(calc: Calculus) -> Query {
@@ -64,7 +65,7 @@ fn bench(c: &mut Criterion) {
     let rounds = 5usize;
     let iters = 40u32;
     let mut worst = 0.0f64;
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
     for calc in Calculus::all() {
         let q = probe(calc);
         let engine = AutomataEngine::new();
@@ -98,12 +99,16 @@ fn bench(c: &mut Criterion) {
             compile,
             pct,
         );
-        json_rows.push(format!(
-            "\"{}\":{{\"plan_round_secs\":{:.6},\"compile_eval_round_secs\":{:.6},\"overhead_percent\":{:.3}}}",
+        json_rows.push((
             calc.name(),
-            plan.as_secs_f64(),
-            compile.as_secs_f64(),
-            pct,
+            Json::obj([
+                ("plan_round_secs", Json::fixed(plan.as_secs_f64(), 6)),
+                (
+                    "compile_eval_round_secs",
+                    Json::fixed(compile.as_secs_f64(), 6),
+                ),
+                ("overhead_percent", Json::fixed(pct, 3)),
+            ]),
         ));
     }
     println!("plan overhead worst case: {worst:.2}% (budget 5%)");
@@ -112,11 +117,13 @@ fn bench(c: &mut Criterion) {
     // the 5% budget therefore bounds planning *and* verification.
     strcalc_bench::record_bench_json(
         "plan_overhead",
-        &format!(
-            "{{\"rounds\":{rounds},\"iters_per_round\":{iters},\"budget_percent\":5.0,\"worst_percent\":{:.3},\"per_calculus\":{{{}}}}}",
-            worst,
-            json_rows.join(","),
-        ),
+        Json::obj([
+            ("rounds", rounds.into()),
+            ("iters_per_round", iters.into()),
+            ("budget_percent", Json::fixed(5.0, 1)),
+            ("worst_percent", Json::fixed(worst, 3)),
+            ("per_calculus", Json::obj(json_rows)),
+        ]),
     );
     assert!(
         worst < 5.0,

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
+use strcalc_core::json::Json;
 use strcalc_core::{AutomataEngine, AutomatonCache, Calculus, Query};
 
 fn probe(calc: Calculus) -> Query {
@@ -67,7 +68,7 @@ fn bench(c: &mut Criterion) {
     // three-track convolution + projection per call while the warm path
     // only re-enumerates the minimized single-track artifact.
     let evals = 50u32;
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
     for calc in Calculus::all() {
         let src = match calc {
             Calculus::S => "exists y. exists z. (U(y) & U(z) & x <= y & y <= z & last(x,'a'))",
@@ -100,20 +101,21 @@ fn bench(c: &mut Criterion) {
             warm,
             speedup,
         );
-        json_rows.push(format!(
-            "\"{}\":{{\"cold_secs\":{:.6},\"prepared_secs\":{:.6},\"speedup\":{:.2}}}",
+        json_rows.push((
             calc.name(),
-            cold.as_secs_f64(),
-            warm.as_secs_f64(),
-            speedup,
+            Json::obj([
+                ("cold_secs", Json::fixed(cold.as_secs_f64(), 6)),
+                ("prepared_secs", Json::fixed(warm.as_secs_f64(), 6)),
+                ("speedup", Json::fixed(speedup, 2)),
+            ]),
         ));
     }
     strcalc_bench::record_bench_json(
         "prepare_amortization",
-        &format!(
-            "{{\"evals\":{evals},\"per_calculus\":{{{}}}}}",
-            json_rows.join(","),
-        ),
+        Json::obj([
+            ("evals", evals.into()),
+            ("per_calculus", Json::obj(json_rows)),
+        ]),
     );
 }
 

@@ -21,6 +21,7 @@
 //! | `algebra_vs_calculus` | E12 | Thm. 4/8: algebra = safe calculus |
 
 use strcalc_alphabet::Alphabet;
+use strcalc_core::json::{self, Json};
 use strcalc_core::{Calculus, Query};
 use strcalc_relational::Database;
 use strcalc_workloads::Workload;
@@ -60,29 +61,39 @@ pub fn slen_query(head: &[&str], src: &str) -> Query {
 /// Merges one named section into the machine-readable bench report.
 ///
 /// When the `BENCH_JSON` environment variable names a path, the
-/// JSON-aware benches (`plan_overhead`, `prepare_amortization`) record
-/// their headline numbers there as `{"<section>": <body>, ...}` — CI
-/// sets `BENCH_JSON=BENCH_6.json` and archives the file. `body` must be
-/// a valid JSON value. With the variable unset this is a no-op, so
-/// plain `cargo bench` runs are unaffected. Re-running a bench against
-/// an existing file appends a duplicate key; start from a fresh file
-/// (as CI does) for a canonical report.
-pub fn record_bench_json(section: &str, body: &str) {
+/// JSON-aware benches (`plan_overhead`, `prepare_amortization`, ...)
+/// record their headline numbers there as `{"<section>": <body>, ...}`
+/// — CI sets `BENCH_JSON=BENCH_6.json` and archives the file. A section
+/// the file already holds is replaced in place, so a re-run keeps one
+/// key per section. With the variable unset this is a no-op, so plain
+/// `cargo bench` runs are unaffected.
+pub fn record_bench_json(section: &str, body: Json) {
     let Ok(path) = std::env::var("BENCH_JSON") else {
         return;
     };
-    let existing = std::fs::read_to_string(&path).ok();
-    let merged = match existing.as_deref().map(str::trim) {
-        // The file is only ever written by this function, so the shape
-        // is known: strip the closing brace and splice the section in.
-        Some(prev) if prev.starts_with('{') && prev.ends_with('}') && prev.len() > 2 => {
-            format!("{},\"{section}\":{body}}}", &prev[..prev.len() - 1])
-        }
-        _ => format!("{{\"{section}\":{body}}}"),
-    };
-    if let Err(e) = std::fs::write(&path, merged) {
+    let report = std::fs::read_to_string(&path).unwrap_or_default();
+    if let Err(e) = std::fs::write(&path, merge_section(&report, section, body).to_string()) {
         eprintln!("BENCH_JSON: cannot write {path}: {e}");
     }
+}
+
+/// `report` (a bench report's text, empty if there is none yet) with
+/// `section` set to `body`, in place if the report has it.
+fn merge_section(report: &str, section: &str, body: Json) -> Json {
+    let mut fields = match json::parse(report) {
+        Ok(Json::Obj(fields)) => fields,
+        _ => {
+            if !report.trim().is_empty() {
+                eprintln!("BENCH_JSON: the report is not a JSON object; starting afresh");
+            }
+            Vec::new()
+        }
+    };
+    match fields.iter_mut().find(|(k, _)| k == section) {
+        Some((_, v)) => *v = body,
+        None => fields.push((section.to_string(), body)),
+    }
+    Json::Obj(fields)
 }
 
 /// Criterion settings tuned for algorithmic (not microsecond) benches.
@@ -92,4 +103,26 @@ pub fn criterion_config() -> criterion::Criterion {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(300))
         .configure_from_args()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merging_a_section_twice_keeps_one_key() {
+        let pattern = r#"say "a\b""#;
+        let body = |n: u64| Json::obj([("pattern", pattern.into()), ("n", n.into())]);
+        let mut report = merge_section("", "other", Json::Null).to_string();
+        for n in [1, 2] {
+            report = merge_section(&report, "dense", body(n)).to_string();
+        }
+        let Ok(Json::Obj(fields)) = json::parse(&report) else {
+            panic!("the merged report is not a JSON object: {report}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["other", "dense"]);
+        assert_eq!(fields[1].1.field::<String>("pattern"), Ok(pattern.into()));
+        assert_eq!(fields[1].1.field::<u64>("n"), Ok(2));
+    }
 }

@@ -65,4 +65,4 @@ pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, S
 pub use prepared::PreparedQuery;
 pub use query::{Calculus, CoreError, EvalOutput, Query};
 pub use safety::{RangeRestricted, StateSafety};
-pub use trace::{replay, ExecTrace, ReplayReport, TraceActuals, TracePass};
+pub use trace::{replay, ExecTrace, ReplayReport, TraceActuals};

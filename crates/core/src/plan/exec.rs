@@ -427,7 +427,7 @@ impl Plan {
     fn enum_engine(&self) -> EnumEngine {
         EnumEngine {
             slack: self.slack,
-            memoize: self.memoize,
+            ..EnumEngine::default()
         }
     }
 

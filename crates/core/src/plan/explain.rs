@@ -1,5 +1,5 @@
 //! Stable `EXPLAIN` renderings of a [`Plan`]: an indented text tree and
-//! a hand-rolled JSON document (no serialization dependency), both with
+//! a [`Json`] document, both with
 //! per-node cost estimates, per-node resource certificates from
 //! planlint's abstract interpretation, and optional post-execution
 //! actuals.
@@ -10,7 +10,8 @@ use strcalc_analyze::planlint::ResourceCert;
 use strcalc_logic::Restrict;
 
 use crate::budget::{Budget, UNLIMITED};
-use crate::json::escape;
+use crate::json::Json;
+use crate::trace::calculus_name;
 
 use super::exec::ExecReport;
 use super::ir::{Plan, PlanNode, PlanOp};
@@ -78,58 +79,46 @@ fn render_node(out: &mut String, node: &PlanNode, prefix: &str, connector: &str,
     }
 }
 
-fn cert_json(cert: &ResourceCert) -> String {
-    format!(
-        "{{\"states\":[{},{}],\"bytes\":[{},{}]}}",
-        cert.states.lo, cert.states.hi, cert.bytes.lo, cert.bytes.hi
-    )
+fn cert_json(cert: &ResourceCert) -> Json {
+    Json::obj([
+        ("states", Json::arr([cert.states.lo, cert.states.hi])),
+        ("bytes", Json::arr([cert.bytes.lo, cert.bytes.hi])),
+    ])
 }
 
 /// Unlimited dimensions render as `null` (stable across integer-width
 /// JSON readers; `u64::MAX` would silently round in an f64 parser).
-fn budget_dim(v: u64) -> String {
-    if v == UNLIMITED {
-        "null".to_string()
-    } else {
-        v.to_string()
-    }
+fn budget_dim(v: u64) -> Json {
+    Json::from((v != UNLIMITED).then_some(v))
 }
 
-fn budget_json(b: &Budget) -> String {
-    format!(
-        "{{\"states\":{},\"bytes\":{},\"wall_time_ms\":{},\"search_depth\":{},\
-         \"policy\":\"{}\"}}",
-        budget_dim(b.states),
-        budget_dim(b.bytes),
-        budget_dim(b.wall_time_ms),
-        if b.search_depth == usize::MAX {
-            "null".to_string()
-        } else {
-            b.search_depth.to_string()
-        },
-        b.degradation_policy.name()
-    )
+fn budget_json(b: &Budget) -> Json {
+    Json::obj([
+        ("states", budget_dim(b.states)),
+        ("bytes", budget_dim(b.bytes)),
+        ("wall_time_ms", budget_dim(b.wall_time_ms)),
+        (
+            "search_depth",
+            Json::from((b.search_depth != usize::MAX).then_some(b.search_depth)),
+        ),
+        ("policy", b.degradation_policy.name().into()),
+    ])
 }
 
-fn node_json(out: &mut String, node: &PlanNode) {
-    let _ = write!(
-        out,
-        "{{\"op\":\"{}\",\"label\":\"{}\",\"est_log2_states\":{:.1}",
-        node.op.name(),
-        escape(&op_label(&node.op)),
-        node.cost.log2_states
-    );
+fn node_json(node: &PlanNode) -> Json {
+    let mut fields = vec![
+        ("op", node.op.name().into()),
+        ("label", op_label(&node.op).into()),
+        ("est_log2_states", Json::fixed(node.cost.log2_states, 1)),
+    ];
     if let Some(cert) = node.cert.as_ref().filter(|c| !c.is_zero()) {
-        let _ = write!(out, ",\"cert\":{}", cert_json(cert));
+        fields.push(("cert", cert_json(cert)));
     }
-    out.push_str(",\"children\":[");
-    for (i, c) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        node_json(out, c);
-    }
-    out.push_str("]}");
+    fields.push((
+        "children",
+        Json::Arr(node.children.iter().map(node_json).collect()),
+    ));
+    Json::obj(fields)
 }
 
 impl Plan {
@@ -142,10 +131,7 @@ impl Plan {
     pub fn explain_text_with(&self, actuals: Option<&ExecReport>) -> String {
         let mut out = String::new();
         let sigma = self.alphabet();
-        let calculus = match self.calculus() {
-            Some(c) => c.name().to_string(),
-            None => "RC_concat".to_string(),
-        };
+        let calculus = calculus_name(self.calculus());
         let _ = writeln!(
             out,
             "query: {calculus} | head [{}] | {}",
@@ -186,108 +172,62 @@ impl Plan {
 
     /// The JSON rendering (single line, stable key order).
     pub fn explain_json(&self) -> String {
-        self.explain_json_with(None)
+        self.explain_doc(None).to_string()
     }
 
-    /// JSON rendering with post-execution actuals as an extra object.
-    pub fn explain_json_with(&self, actuals: Option<&ExecReport>) -> String {
-        let mut out = String::from("{");
-        let calculus = match self.calculus() {
-            Some(c) => c.name().to_string(),
-            None => "RC_concat".to_string(),
-        };
+    /// The `EXPLAIN` document, with post-execution actuals as an extra
+    /// object.
+    pub fn explain_doc(&self, actuals: Option<&ExecReport>) -> Json {
         let class = strcalc_analyze::fragments::eval_class(self.formula());
-        let _ = write!(
-            out,
-            "\"strategy\":\"{}\",\"fragment\":{{\"class\":\"{}\",\"justification\":\"{}\"}},\
-             \"calculus\":\"{}\",\"head\":[",
-            self.strategy.name(),
-            escape(class.name()),
-            escape(&class.justification()),
-            escape(&calculus)
-        );
-        for (i, h) in self.head().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape(h));
-        }
-        let _ = write!(
-            out,
-            "],\"formula\":\"{}\",\"passes\":[",
-            escape(&self.formula().render(self.alphabet()))
-        );
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"pass\":\"{}\",\"changed\":{},\"verified\":{},\"detail\":\"{}\"}}",
-                escape(p.pass),
-                p.changed,
-                p.verified,
-                escape(&p.detail)
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"estimate\":{{\"quantifier_rank\":{},\"alternation_depth\":{},\
-             \"log2_states\":{:.1},\"rel_atoms\":{},\"lang_atoms\":{}}},\"plan\":",
-            self.estimate.quantifier_rank,
-            self.estimate.alternation_depth,
-            self.estimate.log2_states,
-            self.estimate.rel_atoms,
-            self.estimate.lang_atoms
-        );
-        node_json(&mut out, &self.root);
+        let mut fields = vec![
+            ("strategy", self.strategy.name().into()),
+            (
+                "fragment",
+                Json::obj([
+                    ("class", class.name().into()),
+                    ("justification", class.justification().into()),
+                ]),
+            ),
+            ("calculus", calculus_name(self.calculus()).into()),
+            ("head", Json::arr(self.head())),
+            ("formula", self.formula().render(self.alphabet()).into()),
+            ("passes", Json::arr(self.passes.iter().cloned())),
+            (
+                "estimate",
+                Json::obj([
+                    ("quantifier_rank", self.estimate.quantifier_rank.into()),
+                    ("alternation_depth", self.estimate.alternation_depth.into()),
+                    ("log2_states", Json::fixed(self.estimate.log2_states, 1)),
+                    ("rel_atoms", self.estimate.rel_atoms.into()),
+                    ("lang_atoms", self.estimate.lang_atoms.into()),
+                ]),
+            ),
+            ("plan", node_json(&self.root)),
+        ];
         if let Some(cert) = self.root_cert.filter(|c| !c.is_zero()) {
-            let _ = write!(out, ",\"certificate\":{}", cert_json(&cert));
+            fields.push(("certificate", cert_json(&cert)));
         }
-        let _ = write!(out, ",\"budget\":{}", budget_json(&self.budget));
+        fields.push(("budget", budget_json(&self.budget)));
         if let Some(r) = actuals {
-            let _ = write!(
-                out,
-                ",\"actuals\":{{\"strategy\":\"{}\",\"automaton_states\":{},\
-                 \"artifact_bytes\":{},\"cache_hit\":{},\"tuples_enumerated\":{},\
-                 \"domain_size\":{},\"cert_violations\":[",
-                r.strategy.name(),
-                r.automaton_states,
-                r.artifact_bytes,
-                r.cache_hit,
-                r.tuples_enumerated,
-                r.domain_size
-            );
-            for (i, v) in r.cert_violations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", escape(v));
-            }
-            let _ = write!(out, "],\"verdict\":\"{}\"", escape(&r.verdict.render()));
-            out.push_str(",\"degradations\":[");
-            for (i, d) in r.degradations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", escape(&d.render()));
-            }
-            out.push_str("],\"cache_events\":[");
-            for (i, e) in r.cache_events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"{}\",\"label\":\"{}\",\"hit\":{}}}",
-                    e.kind.name(),
-                    escape(&e.label),
-                    e.hit
-                );
-            }
-            out.push_str("]}");
+            fields.push((
+                "actuals",
+                Json::obj([
+                    ("strategy", r.strategy.name().into()),
+                    ("automaton_states", r.automaton_states.into()),
+                    ("artifact_bytes", r.artifact_bytes.into()),
+                    ("cache_hit", r.cache_hit.into()),
+                    ("tuples_enumerated", r.tuples_enumerated.into()),
+                    ("domain_size", r.domain_size.into()),
+                    ("cert_violations", Json::arr(&r.cert_violations)),
+                    ("verdict", r.verdict.render().into()),
+                    (
+                        "degradations",
+                        Json::arr(r.degradations.iter().map(|d| d.render())),
+                    ),
+                    ("cache_events", Json::arr(r.cache_events.iter().cloned())),
+                ]),
+            ));
         }
-        out.push('}');
-        out
+        Json::obj(fields)
     }
 }

@@ -242,11 +242,6 @@ pub struct Plan {
     pub(crate) engine: AutomataEngine,
     /// Fringe width for the enumeration executor (`None` = derived).
     pub(crate) slack: Option<usize>,
-    /// Memoization toggle for the enumeration executor.
-    pub(crate) memoize: bool,
-    /// The densification threshold the planner built this plan under;
-    /// planlint re-checks any `DenseScan` node against it (SA206).
-    pub(crate) densify_threshold: u64,
     /// Whole-plan resource certificate (the root node's), attached by
     /// final verification. Execution cross-checks actuals against it.
     pub(crate) root_cert: Option<ResourceCert>,

@@ -30,7 +30,9 @@ use std::collections::BTreeSet;
 use strcalc_alphabet::{Alphabet, Sym};
 use strcalc_analyze::diag::{Code, Diagnostic, FormulaPath, PathSeg};
 use strcalc_analyze::fragments;
-use strcalc_analyze::planlint::{dense_scan_cert, dense_scan_states, Interval, ResourceCert};
+use strcalc_analyze::planlint::{
+    dense_scan_cert, dense_scan_states, Interval, ResourceCert, DENSIFY_THRESHOLD,
+};
 use strcalc_analyze::ScanPlan;
 use strcalc_logic::Formula;
 
@@ -93,11 +95,6 @@ pub struct PlanChecker {
     /// class. A `LikeScan` or `DenseScan` root must carry exactly this
     /// plan (SA305).
     expected_scan: Option<ScanPlan>,
-    /// The densification threshold the plan was built under. A
-    /// `DenseScan` node must carry exactly this threshold, and the
-    /// re-derived scan plan's certified state bound must fit under it
-    /// (SA206).
-    densify_threshold: u64,
 }
 
 impl PlanChecker {
@@ -109,7 +106,6 @@ impl PlanChecker {
             plan.alphabet(),
             plan.formula(),
             plan.engine.cache.is_some(),
-            plan.densify_threshold,
         )
     }
 
@@ -119,7 +115,6 @@ impl PlanChecker {
         alphabet: &Alphabet,
         formula: &Formula,
         cache_attached: bool,
-        densify_threshold: u64,
     ) -> PlanChecker {
         PlanChecker {
             strategy,
@@ -130,7 +125,6 @@ impl PlanChecker {
             k: alphabet.len() as Sym,
             concat_bounded: fragments::contains_concat(formula),
             expected_scan: fragments::scan_plan(head, formula),
-            densify_threshold,
         }
     }
 
@@ -488,17 +482,16 @@ impl PlanChecker {
                         None,
                     ),
                 }
-                // SA206 — the node's threshold must be the plan's, and
-                // the certified state bound of the dense tables must fit
-                // under it; otherwise the planner should have routed the
-                // formula to the automata strategy.
-                if *threshold != self.densify_threshold {
+                // SA206 — the node's threshold must be the planner's
+                // constant one, and the certified state bound of the
+                // dense tables must fit under it; otherwise the planner
+                // should have routed the formula to the automata strategy.
+                if *threshold != DENSIFY_THRESHOLD {
                     emit(
                         Code::PlanDenseOverThreshold,
                         format!(
-                            "DenseScan certifies against threshold {} but the plan was \
-                             built with densification threshold {}",
-                            threshold, self.densify_threshold
+                            "DenseScan certifies against threshold {threshold} but the \
+                             densification threshold is {DENSIFY_THRESHOLD}"
                         ),
                         None,
                     );

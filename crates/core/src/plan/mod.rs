@@ -56,7 +56,7 @@ use strcalc_alphabet::Alphabet;
 use strcalc_analyze::admission;
 use strcalc_analyze::cost;
 use strcalc_analyze::fragments;
-use strcalc_analyze::planlint::{self as cert_domain, ResourceCert};
+use strcalc_analyze::planlint::{self as cert_domain, ResourceCert, DENSIFY_THRESHOLD};
 use strcalc_analyze::EvalClass;
 use strcalc_logic::Formula;
 
@@ -77,8 +77,6 @@ pub struct Planner {
     /// Fringe width for the enumeration executor; `None` derives
     /// `quantifier_rank + 1` per query.
     pub slack: Option<usize>,
-    /// Memoization toggle for the enumeration executor.
-    pub memoize: bool,
     /// Length bound `B` for the bounded-search executor.
     pub bound: usize,
     /// Force a strategy instead of letting the fragment decide (used by
@@ -89,13 +87,6 @@ pub struct Planner {
     /// the compiled artifact byte-identical to a legacy path (prepared
     /// queries sharing a cache with direct `eval` calls) turn it off.
     pub rewrite: bool,
-    /// Densification threshold: general scan filters whose certified
-    /// DFA state bound (`analyze::planlint::lang_state_bound`, the same
-    /// bound the cost model certifies) stays at or under this lower to
-    /// dense byte-class tables; above it the formula takes the sparse
-    /// automata route. Planlint rejects a dense node over the threshold
-    /// (SA206).
-    pub densify_threshold: u64,
 }
 
 impl Default for Planner {
@@ -103,11 +94,9 @@ impl Default for Planner {
         Planner {
             engine: AutomataEngine::new(),
             slack: None,
-            memoize: true,
             bound: 4,
             force: None,
             rewrite: true,
-            densify_threshold: cert_domain::DENSIFY_THRESHOLD,
         }
     }
 }
@@ -147,13 +136,6 @@ impl Planner {
     /// Sets the bounded-search length bound.
     pub fn with_bound(mut self, bound: usize) -> Planner {
         self.bound = bound;
-        self
-    }
-
-    /// Sets the densification threshold (certified DFA states above
-    /// which general scan filters stay on the automata route).
-    pub fn with_densify_threshold(mut self, threshold: u64) -> Planner {
-        self.densify_threshold = threshold;
         self
     }
 
@@ -227,15 +209,14 @@ impl Planner {
                         "the linear-scan strategy requires a formula in the linear LIKE class"
                             .into(),
                     )),
-                    Some(Strategy::DenseDfaScan) if bound > self.densify_threshold => {
+                    Some(Strategy::DenseDfaScan) if bound > DENSIFY_THRESHOLD => {
                         Err(CoreError::Unsupported(format!(
                             "dense scan refused: certified state bound {bound} exceeds the \
-                             densification threshold {}",
-                            self.densify_threshold
+                             densification threshold {DENSIFY_THRESHOLD}"
                         )))
                     }
                     Some(s) => Ok(s),
-                    None if bound <= self.densify_threshold => Ok(Strategy::DenseDfaScan),
+                    None if bound <= DENSIFY_THRESHOLD => Ok(Strategy::DenseDfaScan),
                     None => Ok(Strategy::Automata),
                 }
             }
@@ -338,22 +319,21 @@ impl Planner {
             alphabet,
             formula,
             self.engine.cache.is_some(),
-            self.densify_threshold,
         );
-        let mut cert = Self::verify_stage(&checker, t.pass, None, &tree, false)?;
+        let mut cert = Self::verify_stage(&checker, &t.pass, None, &tree, false)?;
         t.verified = true;
         traces.push(t);
 
         // Pass 2: restrict (enumeration strategy only).
         let (tree, mut t) =
             passes::restrict(tree, strategy, program.is_some(), &source, self.slack);
-        cert = Self::verify_stage(&checker, t.pass, Some(&cert), &tree, false)?;
+        cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
         t.verified = true;
         traces.push(t);
 
         // Pass 3: fuse adjacent products.
         let (tree, mut t) = passes::fuse_products(tree);
-        cert = Self::verify_stage(&checker, t.pass, Some(&cert), &tree, false)?;
+        cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
         t.verified = true;
         traces.push(t);
 
@@ -364,7 +344,7 @@ impl Planner {
             self.engine.cache.is_some(),
             strcalc_logic::fingerprint(formula),
         );
-        cert = Self::verify_stage(&checker, t.pass, Some(&cert), &tree, false)?;
+        cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
         t.verified = true;
         traces.push(t);
 
@@ -396,7 +376,7 @@ impl Planner {
                     })?;
                 tree.wrap(PlanOp::DenseScan {
                     plan,
-                    threshold: self.densify_threshold,
+                    threshold: DENSIFY_THRESHOLD,
                 })
             }
         };
@@ -434,8 +414,6 @@ impl Planner {
             source,
             engine: self.engine.clone(),
             slack: self.slack,
-            memoize: self.memoize,
-            densify_threshold: self.densify_threshold,
             root_cert: Some(root_cert),
             budget,
             program,
@@ -773,7 +751,7 @@ mod tests {
         let plan = Planner::new()
             .plan(&q(Calculus::S, &["x"], "exists y. (U(y) & x <= y)"))
             .unwrap();
-        let names: Vec<&str> = plan.passes.iter().map(|t| t.pass).collect();
+        let names: Vec<&str> = plan.passes.iter().map(|t| t.pass.as_str()).collect();
         assert_eq!(
             names,
             vec!["rewrite", "restrict", "fuse-products", "cache-assignment"]

@@ -14,7 +14,7 @@ use super::ir::{PlanNode, PlanOp, PlanSource, Strategy};
 pub struct PassTrace {
     /// Stable pass name (`rewrite`, `restrict`, `fuse-products`,
     /// `cache-assignment`).
-    pub pass: &'static str,
+    pub pass: String,
     /// Whether the pass changed the plan.
     pub changed: bool,
     /// Whether planlint re-verified the plan after this pass ran (set
@@ -28,7 +28,7 @@ pub struct PassTrace {
 impl PassTrace {
     fn new(pass: &'static str, changed: bool, detail: impl Into<String>) -> PassTrace {
         PassTrace {
-            pass,
+            pass: pass.to_string(),
             changed,
             verified: false,
             detail: detail.into(),

@@ -9,6 +9,8 @@ use strcalc_logic::{CompileError, Formula, LogicError, StructureClass};
 use strcalc_relational::{DbError, RaError, Relation};
 use strcalc_synchro::SynchroError;
 
+use crate::json::JsonError;
+
 /// The four tame calculi of the paper (Figure 1, minus the
 /// computationally complete `RC_concat`, which lives in
 /// [`crate::concat`]).
@@ -112,6 +114,8 @@ pub enum CoreError {
     DeadlineExpired { checkpoint: u64, detail: String },
     /// Operation not supported for this query shape (documented per API).
     Unsupported(String),
+    /// A JSON document (an archived trace) could not be read.
+    Json(JsonError),
 }
 
 impl fmt::Display for CoreError {
@@ -162,11 +166,18 @@ impl fmt::Display for CoreError {
                 "deadline expired at checkpoint {checkpoint} under the fail policy: {detail}"
             ),
             CoreError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
+            CoreError::Json(e) => write!(f, "unreadable JSON: {e}"),
         }
     }
 }
 
 impl std::error::Error for CoreError {}
+
+impl From<JsonError> for CoreError {
+    fn from(e: JsonError) -> Self {
+        CoreError::Json(e)
+    }
+}
 
 impl From<LogicError> for CoreError {
     fn from(e: LogicError) -> Self {

@@ -4,10 +4,10 @@
 //! the plan fingerprint, the planning pass trace, the governor's
 //! per-node budget ledger, the cache hit/miss sequence, the
 //! post-execution actuals, every structural degradation event, the
-//! verdict, and a fingerprint of the output relation. The trace
-//! serializes to JSON (hand-rolled, like `EXPLAIN`'s — no
-//! serialization dependency) and parses back without loss, so a run
-//! can be archived next to its answer.
+//! verdict, and a fingerprint of the output relation. The trace is
+//! written and read through [`crate::json`], so it parses back without
+//! loss and a run can be archived next to its answer. This module holds
+//! the trace schema (which fields, under which keys) and replay.
 //!
 //! [`replay`] is the audit entry point: given a trace and a database
 //! snapshot, it re-plans the recorded query from its textual form,
@@ -27,36 +27,22 @@
 // the module is unwrap-free end to end.
 #![deny(clippy::unwrap_used)]
 
-use std::fmt::Write as _;
-
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::Code;
 use strcalc_logic::{parse_formula, Fp};
 use strcalc_relational::Database;
 
-use crate::budget::{
-    Budget, CacheEvent, CacheEventKind, DegradationPolicy, LedgerEntry, UNLIMITED,
-};
+use crate::budget::{Budget, CacheEvent, CacheEventKind, DegradationPolicy, LedgerEntry};
 use crate::engine::AutomataEngine;
 use crate::faults::FaultPlan;
-use crate::json::escape;
-use crate::plan::{ExecCx, ExecReport, Plan, Planner};
+use crate::json::{self, FromJson, Json, JsonError};
+use crate::plan::{ExecCx, ExecReport, PassTrace, Plan, Planner};
 use crate::query::{Calculus, CoreError, EvalOutput, Query};
 
 /// Trace format version; bumped on any field change. Version 2 added
 /// the fault plan (including the recorded deadline-fire checkpoint)
 /// and the `kind` discriminant on cache events.
 pub const TRACE_VERSION: u64 = 2;
-
-/// One planning pass, as recorded (mirrors `PassTrace` by value so the
-/// trace stays self-contained).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracePass {
-    pub pass: String,
-    pub changed: bool,
-    pub verified: bool,
-    pub detail: String,
-}
 
 /// The post-execution actuals, as recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -92,7 +78,7 @@ pub struct ExecTrace {
     /// deadline fired (if it did), which is what lets replay re-arm
     /// the same event over a frozen virtual clock.
     pub faults: FaultPlan,
-    pub passes: Vec<TracePass>,
+    pub passes: Vec<PassTrace>,
     /// The governor's per-node ledger.
     pub ledger: Vec<LedgerEntry>,
     /// Cache interactions in execution order.
@@ -127,7 +113,7 @@ pub fn plan_fingerprint(plan: &Plan) -> u64 {
     fp.finish()
 }
 
-fn calculus_name(c: Option<Calculus>) -> String {
+pub(crate) fn calculus_name(c: Option<Calculus>) -> String {
     match c {
         Some(c) => c.name().to_string(),
         None => "RC_concat".to_string(),
@@ -194,16 +180,7 @@ impl ExecTrace {
             db_fingerprint: db.fingerprint(),
             budget: *budget,
             faults: report.faults,
-            passes: plan
-                .passes
-                .iter()
-                .map(|p| TracePass {
-                    pass: p.pass.to_string(),
-                    changed: p.changed,
-                    verified: p.verified,
-                    detail: p.detail.clone(),
-                })
-                .collect(),
+            passes: plan.passes.clone(),
             ledger: report.ledger.entries.clone(),
             cache_events: report.cache_events.clone(),
             degradations: report.degradations.iter().map(|d| d.render()).collect(),
@@ -221,237 +198,98 @@ impl ExecTrace {
     }
 
     /// Serializes the trace as a single-line JSON document with stable
-    /// key order. `u64` fingerprints are emitted as raw integers; the
-    /// bundled [`ExecTrace::parse`] reads them at full precision.
+    /// key order. `u64` fingerprints are written as raw integers, which
+    /// [`ExecTrace::parse`] reads at full precision.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"version\":{},\"calculus\":\"{}\",\"head\":[",
-            self.version,
-            escape(&self.calculus)
-        );
-        for (i, h) in self.head.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape(h));
-        }
-        let _ = write!(
-            out,
-            "],\"formula\":\"{}\",\"alphabet\":\"{}\",\"strategy\":\"{}\",\
-             \"plan_fingerprint\":{},\"db_fingerprint\":{},\"budget\":{{\
-             \"states\":{},\"bytes\":{},\"wall_time_ms\":{},\"search_depth\":{},\
-             \"policy\":\"{}\"}},\"faults\":{{\"seed\":{},\"deadline_at_checkpoint\":{},\
-             \"fail_cache_insert\":{},\"abort_compile\":{},\"ledger_contention\":{}}},\
-             \"passes\":[",
-            escape(&self.formula),
-            escape(&self.alphabet),
-            escape(&self.strategy),
-            self.plan_fingerprint,
-            self.db_fingerprint,
-            self.budget.states,
-            self.budget.bytes,
-            self.budget.wall_time_ms,
-            self.budget.search_depth,
-            self.budget.degradation_policy.name(),
-            self.faults.seed,
-            match self.faults.deadline_at_checkpoint {
-                Some(n) => n.to_string(),
-                None => "null".to_string(),
-            },
-            self.faults.fail_cache_insert,
-            self.faults.abort_compile,
-            self.faults.ledger_contention
-        );
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"pass\":\"{}\",\"changed\":{},\"verified\":{},\"detail\":\"{}\"}}",
-                escape(&p.pass),
-                p.changed,
-                p.verified,
-                escape(&p.detail)
-            );
-        }
-        out.push_str("],\"ledger\":[");
-        for (i, e) in self.ledger.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"node\":\"{}\",\"op\":\"{}\",\"handed_states\":{},\"handed_bytes\":{},\
-                 \"demand_states\":{},\"demand_bytes\":{},\"within\":{}}}",
-                escape(&e.node),
-                escape(&e.op),
-                e.handed_states,
-                e.handed_bytes,
-                e.demand_states,
-                e.demand_bytes,
-                e.within
-            );
-        }
-        out.push_str("],\"cache_events\":[");
-        for (i, e) in self.cache_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"label\":\"{}\",\"hit\":{}}}",
-                e.kind.name(),
-                escape(&e.label),
-                e.hit
-            );
-        }
-        out.push_str("],\"degradations\":[");
-        for (i, d) in self.degradations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape(d));
-        }
-        let _ = write!(
-            out,
-            "],\"verdict\":\"{}\",\"actuals\":{{\"automaton_states\":{},\
-             \"artifact_bytes\":{},\"cache_hit\":{},\"tuples_enumerated\":{},\
-             \"domain_size\":{}}},\"output_fp\":{},\"output_len\":{}}}",
-            escape(&self.verdict),
-            self.actuals.automaton_states,
-            self.actuals.artifact_bytes,
-            self.actuals.cache_hit,
-            self.actuals.tuples_enumerated,
-            self.actuals.domain_size,
-            self.output_fp,
-            self.output_len
-        );
-        out
+        Json::from(self.clone()).to_string()
     }
 
     /// Parses a trace back from its JSON form (full `u64` precision —
     /// numbers never round-trip through a float).
     pub fn parse(text: &str) -> Result<ExecTrace, CoreError> {
-        let json = JsonParser::new(text).parse_document()?;
-        let obj = json.as_obj("trace")?;
-        let version = obj.req("version")?.as_u64("version")?;
+        let doc = json::parse(text)?;
+        let version: u64 = doc.field("version")?;
         if version != TRACE_VERSION {
             return Err(CoreError::Unsupported(format!(
                 "trace version {version} is not supported (expected {TRACE_VERSION})"
             )));
         }
-        let budget_obj = obj.req("budget")?.as_obj("budget")?;
-        let policy = match budget_obj.req("policy")?.as_str("policy")? {
+        Ok(ExecTrace::from_json(&doc, "trace")?)
+    }
+}
+
+/// The trace schema: each record is an object whose keys are its field
+/// names, in the order listed, and one field list serves both the
+/// writer and the reader.
+macro_rules! json_record {
+    ($($t:ident { $($f:ident),* })*) => {$(
+        impl From<$t> for Json {
+            fn from(r: $t) -> Json {
+                Json::obj([$((stringify!($f), Json::from(r.$f))),*])
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(v: &Json, _: &str) -> Result<Self, JsonError> {
+                Ok($t { $($f: v.field(stringify!($f))?),* })
+            }
+        }
+    )*};
+}
+
+json_record! {
+    ExecTrace {
+        version, calculus, head, formula, alphabet, strategy, plan_fingerprint,
+        db_fingerprint, budget, faults, passes, ledger, cache_events, degradations,
+        verdict, actuals, output_fp, output_len
+    }
+    FaultPlan { seed, deadline_at_checkpoint, fail_cache_insert, abort_compile, ledger_contention }
+    PassTrace { pass, changed, verified, detail }
+    LedgerEntry { node, op, handed_states, handed_bytes, demand_states, demand_bytes, within }
+    CacheEvent { kind, label, hit }
+    TraceActuals { automaton_states, artifact_bytes, cache_hit, tuples_enumerated, domain_size }
+}
+
+/// The budget keeps `policy` as its key for the degradation policy.
+impl From<Budget> for Json {
+    fn from(b: Budget) -> Json {
+        Json::obj([
+            ("states", b.states.into()),
+            ("bytes", b.bytes.into()),
+            ("wall_time_ms", b.wall_time_ms.into()),
+            ("search_depth", b.search_depth.into()),
+            ("policy", b.degradation_policy.name().into()),
+        ])
+    }
+}
+
+impl FromJson for Budget {
+    fn from_json(v: &Json, _: &str) -> Result<Self, JsonError> {
+        let degradation_policy = match v.field::<String>("policy")?.as_str() {
             "degrade" => DegradationPolicy::Degrade,
             "fail" => DegradationPolicy::Fail,
-            other => {
-                return Err(CoreError::Unsupported(format!(
-                    "trace: unknown degradation policy `{other}`"
-                )))
-            }
+            _ => return Err(JsonError::wrong_type("policy", "`degrade` or `fail`")),
         };
-        let budget = Budget {
-            states: budget_obj.req("states")?.as_u64("states")?,
-            bytes: budget_obj.req("bytes")?.as_u64("bytes")?,
-            wall_time_ms: budget_obj.req("wall_time_ms")?.as_u64("wall_time_ms")?,
-            search_depth: budget_obj.req("search_depth")?.as_u64("search_depth")? as usize,
-            degradation_policy: policy,
-        };
-        let faults_obj = obj.req("faults")?.as_obj("faults")?;
-        let faults = FaultPlan {
-            seed: faults_obj.req("seed")?.as_u64("seed")?,
-            deadline_at_checkpoint: match faults_obj.req("deadline_at_checkpoint")? {
-                Json::Null => None,
-                v => Some(v.as_u64("deadline_at_checkpoint")?),
-            },
-            fail_cache_insert: faults_obj
-                .req("fail_cache_insert")?
-                .as_bool("fail_cache_insert")?,
-            abort_compile: faults_obj.req("abort_compile")?.as_bool("abort_compile")?,
-            ledger_contention: faults_obj
-                .req("ledger_contention")?
-                .as_bool("ledger_contention")?,
-        };
-        let mut passes = Vec::new();
-        for p in obj.req("passes")?.as_arr("passes")? {
-            let p = p.as_obj("pass")?;
-            passes.push(TracePass {
-                pass: p.req("pass")?.as_str("pass")?.to_string(),
-                changed: p.req("changed")?.as_bool("changed")?,
-                verified: p.req("verified")?.as_bool("verified")?,
-                detail: p.req("detail")?.as_str("detail")?.to_string(),
-            });
-        }
-        let mut ledger = Vec::new();
-        for e in obj.req("ledger")?.as_arr("ledger")? {
-            let e = e.as_obj("ledger entry")?;
-            ledger.push(LedgerEntry {
-                node: e.req("node")?.as_str("node")?.to_string(),
-                op: e.req("op")?.as_str("op")?.to_string(),
-                handed_states: e.req("handed_states")?.as_u64("handed_states")?,
-                handed_bytes: e.req("handed_bytes")?.as_u64("handed_bytes")?,
-                demand_states: e.req("demand_states")?.as_u64("demand_states")?,
-                demand_bytes: e.req("demand_bytes")?.as_u64("demand_bytes")?,
-                within: e.req("within")?.as_bool("within")?,
-            });
-        }
-        let mut cache_events = Vec::new();
-        for e in obj.req("cache_events")?.as_arr("cache_events")? {
-            let e = e.as_obj("cache event")?;
-            let kind_name = e.req("kind")?.as_str("kind")?;
-            let kind = CacheEventKind::parse(kind_name).ok_or_else(|| {
-                CoreError::Unsupported(format!("trace: unknown cache event kind `{kind_name}`"))
-            })?;
-            cache_events.push(CacheEvent {
-                kind,
-                label: e.req("label")?.as_str("label")?.to_string(),
-                hit: e.req("hit")?.as_bool("hit")?,
-            });
-        }
-        let mut degradations = Vec::new();
-        for d in obj.req("degradations")?.as_arr("degradations")? {
-            degradations.push(d.as_str("degradation")?.to_string());
-        }
-        let mut head = Vec::new();
-        for h in obj.req("head")?.as_arr("head")? {
-            head.push(h.as_str("head var")?.to_string());
-        }
-        let actuals_obj = obj.req("actuals")?.as_obj("actuals")?;
-        Ok(ExecTrace {
-            version,
-            calculus: obj.req("calculus")?.as_str("calculus")?.to_string(),
-            head,
-            formula: obj.req("formula")?.as_str("formula")?.to_string(),
-            alphabet: obj.req("alphabet")?.as_str("alphabet")?.to_string(),
-            strategy: obj.req("strategy")?.as_str("strategy")?.to_string(),
-            plan_fingerprint: obj.req("plan_fingerprint")?.as_u64("plan_fingerprint")?,
-            db_fingerprint: obj.req("db_fingerprint")?.as_u64("db_fingerprint")?,
-            budget,
-            faults,
-            passes,
-            ledger,
-            cache_events,
-            degradations,
-            verdict: obj.req("verdict")?.as_str("verdict")?.to_string(),
-            actuals: TraceActuals {
-                automaton_states: actuals_obj
-                    .req("automaton_states")?
-                    .as_u64("automaton_states")?,
-                artifact_bytes: actuals_obj
-                    .req("artifact_bytes")?
-                    .as_u64("artifact_bytes")?,
-                cache_hit: actuals_obj.req("cache_hit")?.as_bool("cache_hit")?,
-                tuples_enumerated: actuals_obj
-                    .req("tuples_enumerated")?
-                    .as_u64("tuples_enumerated")?,
-                domain_size: actuals_obj.req("domain_size")?.as_u64("domain_size")?,
-            },
-            output_fp: obj.req("output_fp")?.as_u64("output_fp")?,
-            output_len: obj.req("output_len")?.as_u64("output_len")?,
+        Ok(Budget {
+            states: v.field("states")?,
+            bytes: v.field("bytes")?,
+            wall_time_ms: v.field("wall_time_ms")?,
+            search_depth: v.field::<u64>("search_depth")? as usize,
+            degradation_policy,
         })
+    }
+}
+
+impl From<CacheEventKind> for Json {
+    fn from(kind: CacheEventKind) -> Json {
+        kind.name().into()
+    }
+}
+
+impl FromJson for CacheEventKind {
+    fn from_json(v: &Json, what: &str) -> Result<Self, JsonError> {
+        CacheEventKind::parse(v.as_str(what)?)
+            .ok_or_else(|| JsonError::wrong_type(what, "a cache event kind"))
     }
 }
 
@@ -685,288 +523,13 @@ fn diff_traces(recorded: &ExecTrace, replayed: &ExecTrace) -> Vec<String> {
     diffs
 }
 
-/// Minimal JSON value for the trace reader. Numbers keep their raw
-/// text so `u64::MAX` survives (a float detour would round it).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Typed accessors; every mismatch names the field it was reading.
-impl Json {
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], CoreError> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(trace_err(what, "an object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], CoreError> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(trace_err(what, "an array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, CoreError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(trace_err(what, "a string")),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, CoreError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(trace_err(what, "a boolean")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, CoreError> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| trace_err(what, "an unsigned 64-bit integer")),
-            Json::Null => Ok(UNLIMITED),
-            _ => Err(trace_err(what, "a number")),
-        }
-    }
-}
-
-/// Field lookup on a parsed object.
-trait ObjExt {
-    fn req(&self, key: &str) -> Result<&Json, CoreError>;
-}
-
-impl ObjExt for &[(String, Json)] {
-    fn req(&self, key: &str) -> Result<&Json, CoreError> {
-        self.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| CoreError::Unsupported(format!("trace: missing field `{key}`")))
-    }
-}
-
-fn trace_err(what: &str, expected: &str) -> CoreError {
-    CoreError::Unsupported(format!("trace: field `{what}` is not {expected}"))
-}
-
-/// Recursive-descent JSON reader (documents are machine-written
-/// single-line traces, so the grammar is full JSON but diagnostics are
-/// byte offsets only).
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Json, CoreError> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing content after the document"));
-        }
-        Ok(value)
-    }
-
-    fn err(&self, msg: &str) -> CoreError {
-        CoreError::Unsupported(format!("trace: {msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), CoreError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, CoreError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_obj(),
-            Some(b'[') => self.parse_arr(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", Json::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Json::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_num(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, value: Json) -> Result<Json, CoreError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn parse_num(&mut self) -> Result<Json, CoreError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected a number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn parse_string(&mut self) -> Result<String, CoreError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Traces only escape control characters, so
-                            // surrogate pairs never occur; reject them
-                            // rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("non-utf8 string content"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_arr(&mut self) -> Result<Json, CoreError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_obj(&mut self) -> Result<Json, CoreError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use crate::budget::UNLIMITED;
     use crate::cache::AutomatonCache;
 
     fn db() -> Database {
@@ -1053,13 +616,22 @@ mod tests {
             "",
             "{",
             "[1,2",
-            "{\"version\":1}",
-            "{\"version\":2}",
-            "{\"version\":99}",
+            r#"{"version":1}"#,
+            r#"{"version":2}"#,
+            r#"{"version":99}"#,
             "nope",
-            "{\"version\":2,\"calculus\":3}",
+            r#"{"version":2,"calculus":3}"#,
         ] {
             assert!(ExecTrace::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn a_deeply_nested_document_is_refused_not_overflowed() {
+        let err = ExecTrace::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Json(JsonError::TooDeep { .. })),
+            "{err:?}"
+        );
     }
 }

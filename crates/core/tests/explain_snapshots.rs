@@ -8,6 +8,7 @@
 //! ```
 
 use strcalc_alphabet::Alphabet;
+use strcalc_core::json;
 use strcalc_core::{Calculus, Planner, Query};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/explain_fig2.txt");
@@ -60,11 +61,9 @@ fn explain_json_is_single_line_and_balanced() {
         let q = Query::parse(calc, Alphabet::ab(), vec!["x".into()], src).expect("fig2 probe");
         let json = planner.plan(&q).expect("plans").explain_json();
         assert!(!json.contains('\n'), "json is one line");
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced braces in {json}");
+        let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e} in {json}"));
+        assert_eq!(doc.to_string(), json, "the document is in canonical form");
+        assert_eq!(doc.field::<String>("calculus"), Ok(calc.name().to_string()));
+        assert!(doc.req("plan").and_then(|p| p.req("children")).is_ok());
     }
 }

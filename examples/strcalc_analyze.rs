@@ -49,7 +49,7 @@ use std::process::ExitCode;
 
 use strcalc::alphabet::Alphabet;
 use strcalc::analyze::{Analyzer, Code, LintLevel, Severity};
-use strcalc::core::json::escape;
+use strcalc::core::json::Json;
 use strcalc::core::plan::PlanChecker;
 use strcalc::core::{Calculus, Planner};
 use strcalc::logic::parse_formula;
@@ -109,17 +109,13 @@ fn shape_diagnostics(
         .collect()
 }
 
-/// Prints `diagnostics` re-leveled under the CLI overrides. Returns
-/// `false` iff any surviving diagnostic is an error.
-fn emit_diagnostics(lints: &Lints, diagnostics: &[strcalc::analyze::Diagnostic]) -> bool {
-    let mut clean = true;
-    for d in shape_diagnostics(lints, diagnostics) {
-        clean &= d.severity != Severity::Error;
+/// Prints re-leveled diagnostics, indented under their query.
+fn print_diagnostics(diagnostics: &[strcalc::analyze::Diagnostic]) {
+    for d in diagnostics {
         for rendered_line in d.render().lines() {
             println!("  {rendered_line}");
         }
     }
-    clean
 }
 
 /// Serializes re-leveled diagnostics; each carries its span (formula
@@ -128,32 +124,28 @@ fn emit_diagnostics(lints: &Lints, diagnostics: &[strcalc::analyze::Diagnostic])
 fn diagnostics_json(
     diagnostics: &[strcalc::analyze::Diagnostic],
     fragment: &strcalc::analyze::FragmentAnalysis,
-) -> String {
-    let entries: Vec<String> = diagnostics
-        .iter()
-        .map(|d| {
-            let mut obj = format!(
-                "{{\"code\":\"{}\",\"level\":\"{}\",\"span\":\"{}\",\"message\":\"{}\"",
-                d.code,
-                d.severity,
-                d.path,
-                escape(&d.message)
-            );
-            if let Some(note) = &d.note {
-                obj.push_str(&format!(",\"note\":\"{}\"", escape(note)));
-            }
-            if let Some((_, point)) = fragment.table.iter().find(|(p, _)| *p == d.path) {
-                obj.push_str(&format!(",\"fragment\":\"{}\"", escape(&point.summary())));
-            }
-            obj.push('}');
-            obj
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
+) -> Json {
+    Json::arr(diagnostics.iter().map(|d| {
+        let mut fields = vec![
+            ("code", d.code.to_string().into()),
+            ("level", d.severity.to_string().into()),
+            ("span", d.path.to_string().into()),
+            ("message", (&d.message).into()),
+        ];
+        if let Some(note) = &d.note {
+            fields.push(("note", note.into()));
+        }
+        if let Some((_, point)) = fragment.table.iter().find(|(p, _)| *p == d.path) {
+            fields.push(("fragment", point.summary().into()));
+        }
+        Json::obj(fields)
+    }))
 }
 
-/// Analyzes one `CALC | head | formula` line. Returns `Ok(true)` iff the
-/// query is free of error-level diagnostics under the lint overrides.
+/// Analyzes one `CALC | head | formula` line and prints the result,
+/// as text or (under `--json`) as one JSON object on one line. Returns
+/// `Ok(true)` iff the query is free of error-level diagnostics under the
+/// lint overrides.
 fn lint_line(
     sigma: &Alphabet,
     lints: &Lints,
@@ -169,127 +161,80 @@ fn lint_line(
         .ok_or_else(|| format!("{label}: unknown calculus {:?}", calc_txt.trim()))?;
     let formula = parse_formula(sigma, formula_txt).map_err(|e| format!("{label}: {e}"))?;
 
-    let head: Vec<&str> = head_txt.split_whitespace().collect();
-    let free = formula.free_vars();
+    let head: Vec<String> = head_txt.split_whitespace().map(str::to_string).collect();
     let analysis = Analyzer::new(calculus.structure_class()).analyze(sigma, &formula);
+    let mut diagnostics = shape_diagnostics(lints, &analysis.diagnostics);
+    let plan = (opts.explain || opts.planlint)
+        .then(|| Planner::new().plan_formula(sigma, &head, &formula));
+    let plan_diagnostics = match &plan {
+        Some(Ok(plan)) if opts.planlint => {
+            let report = PlanChecker::for_plan(plan).check(&plan.root);
+            shape_diagnostics(lints, &report.diagnostics)
+        }
+        _ => Vec::new(),
+    };
+    let clean = diagnostics
+        .iter()
+        .chain(&plan_diagnostics)
+        .all(|d| d.severity != Severity::Error);
 
     if opts.json {
-        return Ok(lint_line_json(
-            sigma,
-            lints,
-            opts,
-            &head,
-            formula_txt,
-            &formula,
-            &analysis,
-            calculus,
-            label,
-        ));
+        let fragment = &analysis.fragment;
+        diagnostics.extend(plan_diagnostics);
+        let mut fields = vec![
+            ("query", label.into()),
+            ("calculus", calculus.name().into()),
+            ("formula", formula_txt.trim().into()),
+            ("head", Json::arr(&head)),
+            (
+                "fragment",
+                Json::obj([
+                    ("point", fragment.root.summary().into()),
+                    ("class", fragment.class.name().into()),
+                    ("justification", fragment.class.justification().into()),
+                ]),
+            ),
+            ("diagnostics", diagnostics_json(&diagnostics, fragment)),
+        ];
+        match plan {
+            Some(Ok(plan)) if opts.explain => fields.push(("plan", plan.explain_doc(None))),
+            Some(Err(e)) => fields.push(("plan_error", e.to_string().into())),
+            _ => {}
+        }
+        fields.push(("clean", clean.into()));
+        println!("{}", Json::obj(fields));
+        return Ok(clean);
     }
 
     println!("{label}: {} [{}]", formula_txt.trim(), calculus.name());
-    for h in &head {
-        if !free.contains(*h) {
-            println!("  head variable {h} is not free in the formula");
-        }
+    let free = formula.free_vars();
+    for h in head.iter().filter(|h| !free.contains(*h)) {
+        println!("  head variable {h} is not free in the formula");
     }
-    let mut clean = emit_diagnostics(lints, &analysis.diagnostics);
-    if opts.explain || opts.planlint {
-        let head: Vec<String> = head.iter().map(|h| h.to_string()).collect();
-        match Planner::new().plan_formula(sigma, &head, &formula) {
-            Ok(plan) => {
-                if opts.explain {
-                    for plan_line in plan.explain_text().lines() {
-                        println!("  {plan_line}");
-                    }
-                }
-                if opts.planlint {
-                    // `--explain` already prints the budget with the
-                    // plan; surface it here for planlint-only runs so
-                    // the certificate is read next to the capability
-                    // the planner seeds from it.
-                    if !opts.explain {
-                        println!("  budget: {}", plan.seeded_budget().summary());
-                    }
-                    let report = PlanChecker::for_plan(&plan).check(&plan.root);
-                    clean &= emit_diagnostics(lints, &report.diagnostics);
+    print_diagnostics(&diagnostics);
+    match plan {
+        Some(Ok(plan)) => {
+            if opts.explain {
+                for plan_line in plan.explain_text().lines() {
+                    println!("  {plan_line}");
                 }
             }
-            Err(e) => println!("  no plan: {e}"),
+            if opts.planlint {
+                // `--explain` already prints the budget with the plan;
+                // surface it here for planlint-only runs so the
+                // certificate is read next to the capability the
+                // planner seeds from it.
+                if !opts.explain {
+                    println!("  budget: {}", plan.seeded_budget().summary());
+                }
+                print_diagnostics(&plan_diagnostics);
+            }
         }
+        Some(Err(e)) => println!("  no plan: {e}"),
+        None => {}
     }
     println!();
     Ok(clean)
-}
-
-/// The `--json` emission path: one JSON object on one line per query.
-/// Returns `true` iff the query is free of error-level diagnostics
-/// (same gate as the text path).
-#[allow(clippy::too_many_arguments)]
-fn lint_line_json(
-    sigma: &Alphabet,
-    lints: &Lints,
-    opts: Opts,
-    head: &[&str],
-    formula_txt: &str,
-    formula: &strcalc::logic::Formula,
-    analysis: &strcalc::analyze::Analysis,
-    calculus: Calculus,
-    label: &str,
-) -> bool {
-    let mut diagnostics = shape_diagnostics(lints, &analysis.diagnostics);
-    let mut plan_json = None;
-    let mut plan_error = None;
-    if opts.explain || opts.planlint {
-        let head: Vec<String> = head.iter().map(|h| h.to_string()).collect();
-        match Planner::new().plan_formula(sigma, &head, formula) {
-            Ok(plan) => {
-                if opts.explain {
-                    plan_json = Some(plan.explain_json());
-                }
-                if opts.planlint {
-                    let report = PlanChecker::for_plan(&plan).check(&plan.root);
-                    diagnostics.extend(shape_diagnostics(lints, &report.diagnostics));
-                }
-            }
-            Err(e) => plan_error = Some(e.to_string()),
-        }
-    }
-    let clean = diagnostics.iter().all(|d| d.severity != Severity::Error);
-
-    let fragment = &analysis.fragment;
-    let mut obj = format!(
-        "{{\"query\":\"{}\",\"calculus\":\"{}\",\"formula\":\"{}\"",
-        escape(label),
-        calculus.name(),
-        escape(formula_txt.trim())
-    );
-    obj.push_str(&format!(
-        ",\"head\":[{}]",
-        head.iter()
-            .map(|h| format!("\"{}\"", escape(h)))
-            .collect::<Vec<_>>()
-            .join(",")
-    ));
-    obj.push_str(&format!(
-        ",\"fragment\":{{\"point\":\"{}\",\"class\":\"{}\",\"justification\":\"{}\"}}",
-        escape(&fragment.root.summary()),
-        fragment.class.name(),
-        escape(&fragment.class.justification())
-    ));
-    obj.push_str(&format!(
-        ",\"diagnostics\":{}",
-        diagnostics_json(&diagnostics, fragment)
-    ));
-    if let Some(plan) = plan_json {
-        obj.push_str(&format!(",\"plan\":{plan}"));
-    }
-    if let Some(e) = plan_error {
-        obj.push_str(&format!(",\"plan_error\":\"{}\"", escape(&e)));
-    }
-    obj.push_str(&format!(",\"clean\":{clean}}}"));
-    println!("{obj}");
-    clean
 }
 
 fn lint_file(sigma: &Alphabet, lints: &Lints, opts: Opts, path: &str) -> Result<bool, String> {

@@ -11,6 +11,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use strcalc::core::json;
+
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/analyze_corpus.jsonl"
@@ -70,4 +72,17 @@ fn analyze_json_matches_golden() {
         "strcalc-analyze --json drifted from {GOLDEN}; if intentional, regenerate \
          with UPDATE_GOLDEN=1"
     );
+}
+
+/// Every line of the golden file is one JSON object with the keys CI
+/// consumers read.
+#[test]
+fn every_golden_line_is_a_json_object() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("golden file");
+    for (i, line) in golden.lines().enumerate() {
+        let doc = json::parse(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        for key in ["query", "fragment", "diagnostics", "clean"] {
+            assert!(doc.req(key).is_ok(), "line {}: no `{key}`", i + 1);
+        }
+    }
 }

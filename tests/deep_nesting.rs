@@ -5,6 +5,7 @@
 //! their depth.
 
 use strcalc::analyze::Analyzer;
+use strcalc::core::json;
 use strcalc::core::{PlanOp, Planner, Strategy};
 use strcalc::logic::{parse_formula, LogicError, StructureClass, MAX_NESTING_DEPTH};
 use strcalc::prelude::*;
@@ -78,6 +79,8 @@ fn input_at_the_cap_runs_through_the_relational_route() {
             .unwrap();
         assert_eq!(plan.strategy, Strategy::ActiveDomainEnum);
         assert!(matches!(plan.root.op, PlanOp::Relational));
+        let explained = json::parse(&plan.explain_json()).unwrap();
+        assert!(explained.req("plan").is_ok());
         let (out, report) = plan.execute(&db).unwrap();
         assert!(report.verdict.is_exact());
         let expected = if levels.is_multiple_of(2) {
