@@ -74,8 +74,8 @@ impl CacheKey {
     }
 }
 
-/// An immutable compiled artifact, shared between the cache, prepared
-/// queries, and in-flight evaluations.
+/// An immutable compiled artifact, shared between the cache and
+/// in-flight evaluations.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     pub auto: SyncNfa,
@@ -344,24 +344,9 @@ impl AutomatonCache {
         self.insert_cached(key, Cached::Dense(artifact));
     }
 
-    /// The lookup-or-compile primitive: on a miss, `compile` runs
+    /// The dense lookup-or-densify primitive: on a miss, `densify` runs
     /// *outside* the shard lock and its result is inserted. Returns the
-    /// artifact plus `fresh = true` iff `compile` actually ran.
-    pub fn get_or_insert_with<E>(
-        &self,
-        key: CacheKey,
-        compile: impl FnOnce() -> Result<CompiledArtifact, E>,
-    ) -> Result<(Arc<CompiledArtifact>, bool), E> {
-        if let Some(hit) = self.get(&key) {
-            return Ok((hit, false));
-        }
-        let artifact = Arc::new(compile()?);
-        self.insert(key, Arc::clone(&artifact));
-        Ok((artifact, true))
-    }
-
-    /// Dense counterpart of [`AutomatonCache::get_or_insert_with`]:
-    /// densification runs outside the shard lock on a miss.
+    /// artifact plus `fresh = true` iff `densify` actually ran.
     pub fn get_or_insert_dense_with<E>(
         &self,
         key: CacheKey,
@@ -523,23 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_compiles_exactly_once() {
-        let cache = AutomatonCache::new();
-        let mut calls = 0;
-        for round in 0..3 {
-            let (got, fresh) = cache
-                .get_or_insert_with::<std::convert::Infallible>(key(2), || {
-                    calls += 1;
-                    Ok(artifact(64))
-                })
-                .unwrap();
-            assert_eq!(fresh, round == 0);
-            assert_eq!(got.bytes, 64);
-        }
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
     fn byte_budget_evicts_lru() {
         // Budget so small every shard holds ~1 entry of this size.
         let cache = AutomatonCache::with_budget(8 * 150);
@@ -662,8 +630,8 @@ mod tests {
         assert_eq!(cache.stats().bytes, 0);
     }
 
-    /// Regression: reservation eviction racing `get_or_insert_with`
-    /// re-inserts must keep the shard byte account exact. A drift in
+    /// Regression: reservation eviction racing lookup-then-insert (the
+    /// engine's probe and fill) must keep the shard byte account exact. A drift in
     /// either direction is caught — an over-count leaves resident
     /// bytes after draining every entry, an under-count trips the
     /// `debit` underflow `debug_assert` mid-race.
@@ -688,10 +656,9 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..400u64 {
                         let k = key(t * 1_000 + i % 16);
-                        let (got, _fresh) = cache
-                            .get_or_insert_with::<std::convert::Infallible>(k, || Ok(artifact(64)))
-                            .unwrap();
-                        assert_eq!(got.bytes, 64);
+                        if cache.get(&k).is_none() {
+                            cache.insert(k, Arc::new(artifact(64)));
+                        }
                     }
                 })
             })

@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use strcalc_alphabet::Str;
+use strcalc_alphabet::{Alphabet, Str};
 use strcalc_logic::compile::{Compiled, Compiler, Resolved};
-use strcalc_logic::{CompileError, RelResolver};
+use strcalc_logic::{CompileError, Formula, RelResolver};
 use strcalc_relational::{Database, Relation};
 use strcalc_synchro::{SyncFiniteness, SyncNfa};
 
@@ -71,6 +71,10 @@ impl<'a> RelResolver for DbResolver<'a> {
 }
 
 /// The exact engine. See the module docs.
+///
+/// This is the one place that knows how a compiled automaton is built
+/// over a database, keyed, and looked up in a shared cache: plans, the
+/// validator and the direct `eval`-family calls all go through it.
 #[derive(Debug, Clone)]
 pub struct AutomataEngine {
     /// Symbol-space cap for complements.
@@ -79,9 +83,17 @@ pub struct AutomataEngine {
     pub minimize_threshold: usize,
     /// How many witness tuples to sample for infinite outputs.
     pub sample: usize,
-    /// Optional compilation cache shared across engines and prepared
-    /// queries. `None` (the default) compiles on every call.
+    /// Optional compilation cache shared across engines, plans and
+    /// validators. `None` (the default) compiles on every call.
     pub cache: Option<Arc<AutomatonCache>>,
+}
+
+/// A compiled automaton's cache slot, probed once: the key it lives
+/// under and the artifact resident there, if any.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    pub(crate) key: CacheKey,
+    pub(crate) resident: Option<Arc<CompiledArtifact>>,
 }
 
 impl Default for AutomataEngine {
@@ -112,8 +124,9 @@ impl AutomataEngine {
         self.cache.as_ref()
     }
 
-    /// The cache key for compiling `q` against `db` under this engine's
-    /// configuration. Public so callers can invalidate precisely.
+    /// The cache key for compiling `f` over `alphabet` against `db`
+    /// under this engine's configuration. Public so callers can
+    /// invalidate precisely.
     ///
     /// The key folds in the formula's fragment classification
     /// ([`strcalc_analyze::fragments::class_fingerprint`]): the formula
@@ -122,17 +135,17 @@ impl AutomataEngine {
     /// class, whose executor builds no automaton) must not alias the
     /// automaton another classification compiled under the same
     /// structural fingerprint.
-    pub fn cache_key(&self, q: &Query, db: &Database) -> CacheKey {
+    pub fn cache_key(&self, f: &Formula, alphabet: &Alphabet, db: &Database) -> CacheKey {
         let mut config = strcalc_logic::Fp::new();
         config
             .u64(self.cap as u64)
             .u64(self.minimize_threshold as u64)
-            .u64(strcalc_analyze::fragments::class_fingerprint(&q.formula));
+            .u64(strcalc_analyze::fragments::class_fingerprint(f));
         CacheKey {
-            formula: strcalc_logic::fingerprint(&q.formula),
+            formula: strcalc_logic::fingerprint(f),
             instance: db.fingerprint(),
             schema: db.schema().fingerprint(),
-            alphabet: q.alphabet.fingerprint(),
+            alphabet: alphabet.fingerprint(),
             config: config.finish(),
         }
     }
@@ -146,11 +159,7 @@ impl AutomataEngine {
     /// a fixed tier tag so dense slots can never alias a compiled
     /// automaton whose formula fingerprint happens to collide with a
     /// language fingerprint.
-    pub fn dense_cache_key(
-        &self,
-        lang: &strcalc_logic::Lang,
-        alphabet: &strcalc_alphabet::Alphabet,
-    ) -> CacheKey {
+    pub fn dense_cache_key(&self, lang: &strcalc_logic::Lang, alphabet: &Alphabet) -> CacheKey {
         let mut config = strcalc_logic::Fp::new();
         config.u64(u64::from_le_bytes(*b"densedfa"));
         CacheKey {
@@ -162,44 +171,47 @@ impl AutomataEngine {
         }
     }
 
-    /// Compiles via the cache when one is attached (`fresh` reports
-    /// whether a compilation actually ran). The uncached path and
-    /// virtual-relation compilations ([`Self::compile_with`]) never
-    /// touch the cache.
-    pub(crate) fn compile_shared(
-        &self,
-        q: &Query,
-        db: &Database,
-    ) -> Result<(Arc<CompiledArtifact>, bool), CoreError> {
-        self.compile_shared_with(q, db, true)
+    /// Looks `f`'s artifact up in the attached cache: one counted
+    /// lookup. `None` when no cache is attached.
+    pub(crate) fn probe(&self, f: &Formula, alphabet: &Alphabet, db: &Database) -> Option<Slot> {
+        let cache = self.cache.as_ref()?;
+        let key = self.cache_key(f, alphabet, db);
+        let resident = cache.get(&key);
+        Some(Slot { key, resident })
     }
 
-    /// [`Self::compile_shared`] with an explicit retention switch:
-    /// `retain == false` (the injected cache-insert-failure fault)
-    /// still probes the cache — a resident artifact serves — but a
-    /// fresh compilation is not written back, so every later lookup
-    /// misses again.
-    pub(crate) fn compile_shared_with(
+    /// Compiles `f` and, given a key, stores the artifact under it.
+    pub(crate) fn fill(
         &self,
-        q: &Query,
+        key: Option<CacheKey>,
+        f: &Formula,
+        alphabet: &Alphabet,
         db: &Database,
-        retain: bool,
-    ) -> Result<(Arc<CompiledArtifact>, bool), CoreError> {
-        match &self.cache {
-            Some(cache) if retain => cache.get_or_insert_with(self.cache_key(q, db), || {
-                self.compile(q, db).map(CompiledArtifact::from_compiled)
-            }),
-            Some(cache) => match cache.get(&self.cache_key(q, db)) {
-                Some(hit) => Ok((hit, false)),
-                None => Ok((
-                    Arc::new(CompiledArtifact::from_compiled(self.compile(q, db)?)),
-                    true,
-                )),
-            },
-            None => Ok((
-                Arc::new(CompiledArtifact::from_compiled(self.compile(q, db)?)),
-                true,
-            )),
+    ) -> Result<Arc<CompiledArtifact>, CompileError> {
+        let compiled = self.compile_in(f, alphabet, db, HashMap::new())?;
+        let artifact = Arc::new(CompiledArtifact::from_compiled(compiled));
+        if let (Some(cache), Some(key)) = (&self.cache, key) {
+            cache.insert(key, Arc::clone(&artifact));
+        }
+        Ok(artifact)
+    }
+
+    /// The artifact for `f` against `db`: served from the attached
+    /// cache when resident, otherwise compiled (and stored when a cache
+    /// is attached). Virtual-relation compilations
+    /// ([`Self::compile_with`]) never touch the cache.
+    pub fn compile_shared(
+        &self,
+        f: &Formula,
+        alphabet: &Alphabet,
+        db: &Database,
+    ) -> Result<Arc<CompiledArtifact>, CompileError> {
+        match self.probe(f, alphabet, db) {
+            Some(Slot {
+                resident: Some(hit),
+                ..
+            }) => Ok(hit),
+            slot => self.fill(slot.map(|s| s.key), f, alphabet, db),
         }
     }
 
@@ -216,49 +228,88 @@ impl AutomataEngine {
         db: &Database,
         virtuals: HashMap<String, SyncNfa>,
     ) -> Result<Compiled, CoreError> {
+        Ok(self.compile_in(&q.formula, &q.alphabet, db, virtuals)?)
+    }
+
+    /// The one compiler over a database: `db`'s relations (plus any
+    /// virtual ones) resolve the atoms, its active domain bounds the
+    /// restricted quantifiers.
+    fn compile_in(
+        &self,
+        f: &Formula,
+        alphabet: &Alphabet,
+        db: &Database,
+        virtuals: HashMap<String, SyncNfa>,
+    ) -> Result<Compiled, CompileError> {
         let resolver = DbResolver { db, virtuals };
         let adom: Vec<Str> = db.adom().into_iter().collect();
         let compiler = Compiler {
-            k: q.alphabet.len() as u8,
+            k: alphabet.len() as u8,
             cap: self.cap,
             rels: &resolver,
             adom: Some(&adom),
             minimize_threshold: self.minimize_threshold,
         };
-        Ok(compiler.compile(&q.formula)?)
+        compiler.compile(f)
+    }
+
+    /// The cached-or-compiled artifact for a typed query.
+    fn artifact(&self, q: &Query, db: &Database) -> Result<Arc<CompiledArtifact>, CoreError> {
+        Ok(self.compile_shared(&q.formula, &q.alphabet, db)?)
     }
 
     /// Exact evaluation: a finite relation (tuples in head order) or an
     /// infiniteness verdict with sample tuples.
     pub fn eval(&self, q: &Query, db: &Database) -> Result<EvalOutput, CoreError> {
-        let (artifact, _) = self.compile_shared(q, db)?;
+        let artifact = self.artifact(q, db)?;
         self.eval_artifact(q, db, &artifact)
     }
 
     /// Boolean (sentence) evaluation. The sentence check runs before
     /// compiling, so a non-sentence fails cheaply.
     pub fn eval_bool(&self, q: &Query, db: &Database) -> Result<bool, CoreError> {
-        require_sentence(q)?;
-        let (artifact, _) = self.compile_shared(q, db)?;
-        Ok(artifact.auto.is_true())
+        if !q.is_boolean() {
+            return Err(CoreError::Unsupported(
+                "eval_bool requires a sentence".into(),
+            ));
+        }
+        Ok(self.artifact(q, db)?.auto.is_true())
     }
 
     /// Exact output cardinality without materializing (`None` =
     /// infinite).
     pub fn count(&self, q: &Query, db: &Database) -> Result<Option<u64>, CoreError> {
-        let (artifact, _) = self.compile_shared(q, db)?;
-        Ok(Self::count_artifact(&artifact))
+        Ok(match self.artifact(q, db)?.auto.finiteness() {
+            SyncFiniteness::Empty => Some(0),
+            SyncFiniteness::Finite(n) => Some(n),
+            SyncFiniteness::Infinite => None,
+        })
     }
 
     /// Membership of a single candidate tuple (in head order) in the
     /// query output — without enumerating anything.
     pub fn contains(&self, q: &Query, db: &Database, tuple: &[Str]) -> Result<bool, CoreError> {
-        let (artifact, _) = self.compile_shared(q, db)?;
-        Self::contains_artifact(q, &artifact, tuple)
+        if tuple.len() != q.arity() {
+            return Err(CoreError::Unsupported("tuple arity mismatch".into()));
+        }
+        let artifact = self.artifact(q, db)?;
+        let by_track: Vec<&Str> = artifact
+            .var_names
+            .iter()
+            .map(|name| {
+                let pos = q
+                    .head
+                    .iter()
+                    .position(|h| h == name)
+                    .expect("validated head");
+                &tuple[pos]
+            })
+            .collect();
+        Ok(artifact.auto.accepts(&by_track))
     }
 
     /// Evaluation against an already-compiled artifact (the shared body
-    /// of [`Self::eval`] and `PreparedQuery::eval`).
+    /// of [`Self::eval`] and the plan's automata executor).
     pub(crate) fn eval_artifact(
         &self,
         q: &Query,
@@ -299,46 +350,6 @@ impl AutomataEngine {
                 Ok(EvalOutput::Infinite { sample })
             }
         }
-    }
-
-    pub(crate) fn count_artifact(artifact: &CompiledArtifact) -> Option<u64> {
-        match artifact.auto.finiteness() {
-            SyncFiniteness::Empty => Some(0),
-            SyncFiniteness::Finite(n) => Some(n),
-            SyncFiniteness::Infinite => None,
-        }
-    }
-
-    pub(crate) fn contains_artifact(
-        q: &Query,
-        artifact: &CompiledArtifact,
-        tuple: &[Str],
-    ) -> Result<bool, CoreError> {
-        if tuple.len() != q.arity() {
-            return Err(CoreError::Unsupported("tuple arity mismatch".into()));
-        }
-        let mut by_track: Vec<&Str> = Vec::with_capacity(tuple.len());
-        for name in &artifact.var_names {
-            let pos = q
-                .head
-                .iter()
-                .position(|h| h == name)
-                .expect("validated head");
-            by_track.push(&tuple[pos]);
-        }
-        Ok(artifact.auto.accepts(&by_track))
-    }
-}
-
-/// The sentence check of the Boolean entry points (`eval_bool` here
-/// and on `PreparedQuery`).
-pub(crate) fn require_sentence(q: &Query) -> Result<(), CoreError> {
-    if q.is_boolean() {
-        Ok(())
-    } else {
-        Err(CoreError::Unsupported(
-            "eval_bool requires a sentence".into(),
-        ))
     }
 }
 
@@ -446,6 +457,10 @@ mod tests {
     #[test]
     fn boolean_queries() {
         let e = AutomataEngine::new();
+        assert!(
+            e.eval_bool(&q(Calculus::S, &["x"], "R(x)"), &db()).is_err(),
+            "eval_bool requires a sentence"
+        );
         assert!(e
             .eval_bool(
                 &q(Calculus::S, &[], "exists x. (R(x) & last(x,'a'))"),
@@ -554,17 +569,18 @@ mod tests {
         let engine = AutomataEngine::new();
         let scan = q(Calculus::SReg, &["x"], "R(x) & in(x, /a.*/)");
         let tame = q(Calculus::SReg, &["x"], "R(x) & in(x, /(aa)*/)");
-        let k_scan = engine.cache_key(&scan, &db());
-        let k_tame = engine.cache_key(&tame, &db());
+        let key = |q: &Query| engine.cache_key(&q.formula, &q.alphabet, &db());
+        let k_scan = key(&scan);
+        let k_tame = key(&tame);
         assert_ne!(
             k_scan.config, k_tame.config,
             "classification must be part of the config fingerprint"
         );
         // Stability: the same query under the same engine yields the
         // same key (the cache still hits on repeats).
-        assert_eq!(k_scan, engine.cache_key(&scan, &db()));
+        assert_eq!(k_scan, key(&scan));
         // Two distinct linear-class scan plans also separate.
         let other = q(Calculus::SReg, &["x"], "R(x) & in(x, /b.*/)");
-        assert_ne!(engine.cache_key(&other, &db()).config, k_scan.config);
+        assert_ne!(key(&other).config, k_scan.config);
     }
 }

@@ -40,7 +40,6 @@ pub mod json;
 pub mod ledger;
 pub mod mso3col;
 pub mod plan;
-pub mod prepared;
 pub mod query;
 pub mod safety;
 pub mod separations;
@@ -62,7 +61,6 @@ pub use enumeval::EnumEngine;
 pub use faults::FaultPlan;
 pub use ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
 pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy};
-pub use prepared::PreparedQuery;
 pub use query::{Calculus, CoreError, EvalOutput, Query};
 pub use safety::{RangeRestricted, StateSafety};
 pub use trace::{replay, ExecTrace, ReplayReport, TraceActuals};

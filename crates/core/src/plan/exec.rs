@@ -71,9 +71,10 @@ use crate::budget::{
     Budget, BudgetAccount, BudgetLedger, CacheEvent, Degradation, DegradationPolicy, ExecVerdict,
     LedgerEntry, UNLIMITED,
 };
-use crate::cache::DenseArtifact;
+use crate::cache::{CompiledArtifact, DenseArtifact};
 use crate::clock::{Clock, Deadline, MonotonicClock, VirtualClock};
 use crate::concat::ConcatEvaluator;
+use crate::engine::Slot;
 use crate::enumeval::EnumEngine;
 use crate::faults::FaultPlan;
 use crate::ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
@@ -202,11 +203,12 @@ struct Run<'a> {
     cx: &'a ExecCx,
     deadline: Deadline,
     report: ExecReport,
-    /// Whether the plan carries a `CacheLookup` node at all.
-    has_cache_lookup: bool,
-    /// Whether that node's artifact is already resident (serving it
-    /// costs no fresh capability).
-    cache_resident: bool,
+    /// The cache slot of the plan's `CacheLookup` node, probed once by
+    /// the governor; `None` when the plan reads no cache. A resident
+    /// artifact is held here, so the executor serves exactly what the
+    /// governor admitted at zero demand, even if another reader evicts
+    /// it meanwhile.
+    slot: Option<Slot>,
 }
 
 impl Run<'_> {
@@ -380,8 +382,7 @@ impl Plan {
             cx,
             deadline: cx.deadline_for(&budget),
             report: ExecReport::clean(self.strategy),
-            has_cache_lookup: false,
-            cache_resident: false,
+            slot: None,
         };
         self.govern(db, &mut run);
         let _reservation = self.admit(&mut run)?;
@@ -447,7 +448,7 @@ impl Plan {
         if run.deadline.checkpoint() || run.cx.faults.abort_compile {
             return Ok(EvalOutput::Finite(self.compile_aborted(q, db, run)?));
         }
-        let (artifact, fresh) = self.fault_aware_compile(q, db, run)?;
+        let (artifact, fresh) = self.artifact(q, db, run)?;
         let out = if self.is_boolean() {
             EvalOutput::Finite(Relation::from_tuples(
                 0,
@@ -468,7 +469,7 @@ impl Plan {
         rep.cache_hit = !fresh;
         rep.tuples_enumerated = self.enumerated(tuples);
         rep.cert_violations = self.calibrate(states, bytes);
-        if self.engine.cache.is_some() {
+        if run.slot.is_some() {
             rep.cache_events
                 .push(CacheEvent::lookup("automaton", !fresh));
         }
@@ -552,17 +553,15 @@ impl Plan {
                 has_cache_lookup = true;
             }
         });
-        run.has_cache_lookup = has_cache_lookup;
-        run.cache_resident = has_cache_lookup
-            && match (self.engine.cache(), self.typed_query()) {
-                (Some(cache), Ok(q)) => cache.get(&self.engine.cache_key(q, db)).is_some(),
-                _ => false,
-            };
+        if let (true, Ok(q)) = (has_cache_lookup, self.typed_query()) {
+            run.slot = self.engine.probe(&q.formula, &q.alphabet, db);
+        }
+        let resident = run.slot.as_ref().is_some_and(|s| s.resident.is_some());
         govern_node(
             &self.root,
             &run.budget,
             "root",
-            run.cache_resident,
+            resident,
             false,
             &mut run.report.ledger,
         );
@@ -698,7 +697,7 @@ impl Plan {
                  the bounded collapse domain ({domain_size} strings)"
             ),
         );
-        run.report.tuples_enumerated = rel.len();
+        run.report.tuples_enumerated = self.enumerated(rel.len());
         run.report.domain_size = domain_size;
         run.report.verdict = ExecVerdict::Bounded {
             reason: format!(
@@ -709,15 +708,17 @@ impl Plan {
         Ok(rel)
     }
 
-    /// Compiles the automata artifact through the shared cache,
-    /// honoring an injected cache-insert failure: the artifact still
-    /// compiles, but is not retained, and the injection is SA431-visible.
-    fn fault_aware_compile(
+    /// The plan's automaton, with whether it was freshly compiled: the
+    /// artifact the governor found resident in the run's cache slot, or
+    /// a fresh compile stored under that slot's key. An injected
+    /// cache-insert failure (SA431-visible) still serves a resident
+    /// artifact, but a fresh one is not retained.
+    fn artifact(
         &self,
         q: &Query,
         db: &Database,
         run: &mut Run,
-    ) -> Result<(Arc<crate::cache::CompiledArtifact>, bool), CoreError> {
+    ) -> Result<(Arc<CompiledArtifact>, bool), CoreError> {
         let retain = !run.cx.faults.fail_cache_insert;
         if !retain && self.engine.cache.is_some() {
             run.degrade(
@@ -726,7 +727,16 @@ impl Plan {
                 "injected cache-insert failure: the compiled artifact is not retained",
             );
         }
-        self.engine.compile_shared_with(q, db, retain)
+        match &run.slot {
+            Some(Slot {
+                resident: Some(hit),
+                ..
+            }) => Ok((Arc::clone(hit), false)),
+            slot => {
+                let key = slot.as_ref().filter(|_| retain).map(|s| s.key);
+                Ok((self.engine.fill(key, &q.formula, &q.alphabet, db)?, true))
+            }
+        }
     }
 
     /// Whether the dense executor may retain freshly densified tables
@@ -778,7 +788,7 @@ impl Plan {
             .map(|c| fmt_bound(c.states.hi))
             .unwrap_or_else(|| "?".into());
         let handed = fmt_handed(run.budget.states);
-        if run.has_cache_lookup && self.engine.cache.is_some() && !run.cache_resident {
+        if matches!(run.slot, Some(Slot { resident: None, .. })) {
             run.degrade(
                 Code::DegradedRecompileDenied,
                 node.clone(),
@@ -814,7 +824,7 @@ impl Plan {
             let what = format!("enumerated {seen} of {domain_size} frontier candidates");
             self.truncate(run, Code::DeadlineScanTruncated, what, &rel)?;
         }
-        run.report.tuples_enumerated = rel.len();
+        run.report.tuples_enumerated = self.enumerated(rel.len());
         run.report.domain_size = domain_size;
         run.report.verdict = ExecVerdict::Bounded {
             reason: format!(

@@ -83,10 +83,6 @@ pub struct Planner {
     /// the collapse experiments and the differential tests). Forcing
     /// `Automata` or `ActiveDomainEnum` on a concat formula is an error.
     pub force: Option<Strategy>,
-    /// Enable the rewrite pass. On by default; consumers that must keep
-    /// the compiled artifact byte-identical to a legacy path (prepared
-    /// queries sharing a cache with direct `eval` calls) turn it off.
-    pub rewrite: bool,
 }
 
 impl Default for Planner {
@@ -96,7 +92,6 @@ impl Default for Planner {
             slack: None,
             bound: 4,
             force: None,
-            rewrite: true,
         }
     }
 }
@@ -118,12 +113,6 @@ impl Planner {
     /// Forces a strategy (see [`Planner::force`]).
     pub fn force(mut self, strategy: Strategy) -> Planner {
         self.force = Some(strategy);
-        self
-    }
-
-    /// Enables or disables the rewrite pass.
-    pub fn with_rewrite(mut self, on: bool) -> Planner {
-        self.rewrite = on;
         self
     }
 
@@ -273,7 +262,7 @@ impl Planner {
         let mut traces = Vec::with_capacity(4);
 
         // Pass 1: rewrite (formula-level).
-        let (source, mut t) = passes::rewrite(source, self.rewrite);
+        let (source, mut t) = passes::rewrite(source);
 
         // Lower the (possibly rewritten) formula to the operator tree.
         let (formula, alphabet, head) = match &source {

@@ -42,14 +42,8 @@ impl PassTrace {
 /// the same free variables, and (for a typed query) must still validate
 /// against the declared calculus. A rejected rewrite leaves the source
 /// untouched and records why.
-pub(super) fn rewrite(source: PlanSource, enabled: bool) -> (PlanSource, PassTrace) {
+pub(super) fn rewrite(source: PlanSource) -> (PlanSource, PassTrace) {
     const PASS: &str = "rewrite";
-    if !enabled {
-        return (
-            source,
-            PassTrace::new(PASS, false, "disabled for this consumer"),
-        );
-    }
     let formula = match &source {
         PlanSource::Query(q) => &q.formula,
         PlanSource::Raw { formula, .. } => formula,

@@ -1,13 +1,14 @@
 //! Differential property tests for the query planner: for random
 //! formulas, the planner-routed executors agree with the legacy direct
 //! calls they replaced — [`AutomataEngine::eval`], [`EnumEngine::eval`]
-//! (same slack), and [`ConcatEvaluator::eval`] (same bound).
+//! (same slack), and [`ConcatEvaluator::eval`] (same bound) — run on
+//! the formula the plan runs, `plan.formula()`, after its rewrite pass.
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{
-    AutomataEngine, Calculus, ConcatEvaluator, Deadline, EnumEngine, EvalOutput, Planner, Query,
-    Strategy as PlanStrategy,
+    AutomataEngine, Calculus, ConcatEvaluator, Deadline, EnumEngine, EvalOutput, Plan, Planner,
+    Query, Strategy as PlanStrategy,
 };
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
@@ -76,28 +77,38 @@ fn query_of(f: Formula) -> Query {
     Query::new(Calculus::SLen, Alphabet::ab(), vec!["x".into()], closed).expect("head = free vars")
 }
 
+/// The typed query a plan runs: its (possibly rewritten) formula.
+fn plan_query(plan: &Plan) -> Query {
+    Query::new(
+        plan.calculus().expect("typed plan"),
+        plan.alphabet().clone(),
+        plan.head().to_vec(),
+        plan.formula().clone(),
+    )
+    .expect("a plan's rewrite keeps the query valid")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // Automata strategy ≡ `AutomataEngine::eval`. With rewriting off
-    // the compiled formula is identical, so outputs match exactly.
+    // Automata strategy ≡ `AutomataEngine::eval` on the formula the
+    // plan compiles, so outputs match exactly (samples included).
     #[test]
     fn planner_matches_direct_automata_eval(f in arb_formula()) {
         let q = query_of(f);
         let db = db();
-        let direct = AutomataEngine::new().eval(&q, &db).expect("direct eval");
         let plan = Planner::new()
             .force(PlanStrategy::Automata)
-            .with_rewrite(false)
             .plan(&q)
             .expect("plans");
+        let direct = AutomataEngine::new().eval(&plan_query(&plan), &db).expect("direct eval");
         prop_assert_eq!(plan.strategy, PlanStrategy::Automata);
         let (routed, _) = plan.execute(&db).expect("routed eval");
         prop_assert_eq!(routed, direct);
     }
 
-    // With the rewrite pass on (the default), outputs still agree —
-    // finite relations exactly; infinite outputs up to sampling.
+    // Against the *unrewritten* query, outputs still agree — finite
+    // relations exactly; infinite outputs up to sampling.
     #[test]
     fn rewrite_pass_preserves_semantics(f in arb_formula()) {
         let q = query_of(f);
@@ -121,15 +132,14 @@ proptest! {
     fn planner_matches_direct_enum_eval(f in arb_formula()) {
         let q = query_of(f);
         let db = db();
-        let (direct, _, _) = EnumEngine::with_slack(2)
-            .eval(&q, &db, &Deadline::unlimited())
-            .expect("direct enum");
         let plan = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
             .with_slack(2)
-            .with_rewrite(false)
             .plan(&q)
             .expect("plans");
+        let (direct, _, _) = EnumEngine::with_slack(2)
+            .eval(&plan_query(&plan), &db, &Deadline::unlimited())
+            .expect("direct enum");
         prop_assert_eq!(plan.strategy, PlanStrategy::ActiveDomainEnum);
         let (routed, report) = plan.execute(&db).expect("routed enum");
         prop_assert_eq!(routed, EvalOutput::Finite(direct));
@@ -141,14 +151,13 @@ proptest! {
     fn planner_matches_direct_bounded_search(f in arb_concat_formula()) {
         let db = db();
         let head = vec!["x".to_string()];
-        let (direct, _, _) = ConcatEvaluator::new(Alphabet::ab(), 3)
-            .eval(&f, &head, &db, &Deadline::unlimited())
-            .expect("direct bounded search");
         let plan = Planner::new()
             .with_bound(3)
-            .with_rewrite(false)
             .plan_formula(&Alphabet::ab(), &head, &f)
             .expect("plans");
+        let (direct, _, _) = ConcatEvaluator::new(Alphabet::ab(), 3)
+            .eval(plan.formula(), &head, &db, &Deadline::unlimited())
+            .expect("direct bounded search");
         prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
         let (routed, _) = plan.execute(&db).expect("routed bounded search");
         prop_assert_eq!(routed, EvalOutput::Finite(direct));
@@ -160,25 +169,19 @@ proptest! {
         let g = Formula::exists("x", query_of(f).formula.clone());
         let q = Query::new(Calculus::SLen, Alphabet::ab(), vec![], g).expect("sentence");
         let db = db();
-        let direct = AutomataEngine::new().eval_bool(&q, &db).expect("direct");
-        let (routed, _) = Planner::new()
-            .with_rewrite(false)
-            .plan(&q)
-            .expect("plans")
-            .execute(&db)
-            .expect("routed");
+        let plan = Planner::new().plan(&q).expect("plans");
+        let direct = AutomataEngine::new().eval_bool(&plan_query(&plan), &db).expect("direct");
+        let (routed, _) = plan.execute(&db).expect("routed");
         prop_assert_eq!(!routed.is_empty(), direct);
-        let (enum_direct, _, _) = EnumEngine::with_slack(2)
-            .eval(&q, &db, &Deadline::unlimited())
-            .expect("enum");
-        let (enum_routed, _) = Planner::new()
+        let enum_plan = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
             .with_slack(2)
-            .with_rewrite(false)
             .plan(&q)
-            .expect("plans")
-            .execute(&db)
-            .expect("routed enum");
+            .expect("plans");
+        let (enum_direct, _, _) = EnumEngine::with_slack(2)
+            .eval(&plan_query(&enum_plan), &db, &Deadline::unlimited())
+            .expect("enum");
+        let (enum_routed, _) = enum_plan.execute(&db).expect("routed enum");
         prop_assert_eq!(enum_routed, EvalOutput::Finite(enum_direct));
     }
 }

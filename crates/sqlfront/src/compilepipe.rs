@@ -9,9 +9,7 @@ use strcalc_alphabet::Alphabet;
 use strcalc_analyze::{Analysis, Analyzer, Code, LintLevel, Severity};
 use strcalc_automata::{compile_similar, like};
 use strcalc_core::plan::{PlanChecker, PlanLintReport};
-use strcalc_core::{
-    AutomataEngine, AutomatonCache, Calculus, CoreError, Plan, Planner, PreparedQuery, Query,
-};
+use strcalc_core::{AutomatonCache, Calculus, CoreError, Plan, Planner, Query};
 use strcalc_logic::{Formula, Lang, Rewriter, Term};
 use strcalc_verify::{Validator, VerifiedRewriter};
 
@@ -51,17 +49,11 @@ impl CompiledSql {
         }
     }
 
-    /// Prepares the compiled query on `engine` for repeated evaluation —
-    /// the SQL-facing entry to the prepared-query subsystem. Subsequent
-    /// evals on the handle reuse the compiled automaton (and the
-    /// engine's [`AutomatonCache`], when one is attached).
-    pub fn prepare(&self, engine: &AutomataEngine) -> PreparedQuery {
-        engine.prepare(self.query.clone())
-    }
-
     /// Lowers the compiled query into an executable [`Plan`] under
     /// `planner` — the same decision procedure `run_sql` evaluates
-    /// through.
+    /// through. Plan once, execute many times: under a planner whose
+    /// engine carries an [`AutomatonCache`], every execution after the
+    /// first reuses the compiled automaton.
     pub fn plan(&self, planner: &Planner) -> Result<Plan, CoreError> {
         planner.plan(&self.query)
     }
@@ -756,16 +748,25 @@ mod tests {
     }
 
     #[test]
-    fn prepared_sql_statement_matches_direct_eval() {
+    fn sql_statement_planned_once_runs_many_times() {
         let stmt =
             parse_select(&ab(), "SELECT f.name FROM faculty f WHERE f.name LIKE 'a%'").unwrap();
         let compiled = compile_select(&ab(), &catalog(), &stmt).unwrap();
-        let engine = AutomataEngine::new();
-        let direct = engine.eval(&compiled.query, &db()).unwrap();
-        let prepared = compiled.prepare(&engine);
-        assert_eq!(prepared.eval(&db()).unwrap(), direct);
-        assert_eq!(prepared.eval(&db()).unwrap(), direct);
-        assert_eq!(prepared.compilations(), 1, "second eval reused the memo");
+        let direct = AutomataEngine::new().eval(&compiled.query, &db()).unwrap();
+        let cache = Arc::new(AutomatonCache::new());
+        let engine = AutomataEngine::new().with_cache(Arc::clone(&cache));
+        let planner = Planner::for_engine(&engine).force(strcalc_core::Strategy::Automata);
+        let plan = compiled.plan(&planner).unwrap();
+        let (first, cold) = plan.execute(&db()).unwrap();
+        let (second, warm) = plan.execute(&db()).unwrap();
+        assert_eq!(first, direct);
+        assert_eq!(second, direct);
+        assert!(
+            !cold.cache_hit && warm.cache_hit,
+            "second run reused the automaton"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

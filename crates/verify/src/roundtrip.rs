@@ -9,10 +9,8 @@
 //! evaluation is itself rejected (unsupported fragment).
 
 use strcalc_alphabet::Str;
-use strcalc_core::engine::{AutomataEngine, DbResolver};
 use strcalc_core::translate::{adom_calculus_to_algebra, ra_to_calculus};
 use strcalc_core::Query;
-use strcalc_logic::Compiler;
 use strcalc_relational::{Database, RaEvaluator, RaExpr, Relation};
 use strcalc_synchro::atoms;
 use strcalc_synchro::nfa::Var;
@@ -43,16 +41,7 @@ pub fn validate_ra_to_calculus(v: &Validator, e: &RaExpr, db: &Database) -> Verd
             }
         }
     };
-    let resolver = DbResolver::new(db);
-    let adom: Vec<Str> = db.adom().into_iter().collect();
-    let compiler = Compiler {
-        k: v.alphabet.len() as u8,
-        cap: v.cap,
-        rels: &resolver,
-        adom: Some(&adom),
-        minimize_threshold: v.minimize_threshold,
-    };
-    let compiled = match compiler.compile(&formula) {
+    let compiled = match v.engine.compile_shared(&formula, &v.alphabet, db) {
         Ok(c) => c,
         Err(err) => {
             return Verdict::Unknown {
@@ -103,15 +92,10 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
             }
         }
     };
-    let engine = AutomataEngine {
-        cap: v.cap,
-        minimize_threshold: v.minimize_threshold,
-        ..AutomataEngine::default()
-    };
     if q.head.is_empty() {
         // Flag convention: the sentence is true iff `Rε`-flagged output
         // is non-empty.
-        let exact = match engine.eval_bool(q, db) {
+        let exact = match v.engine.eval_bool(q, db) {
             Ok(b) => b,
             Err(err) => {
                 return Verdict::Unknown {
@@ -133,7 +117,7 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
             scope: Scope::Database("the given instance".into()),
         });
     }
-    let compiled = match engine.compile(q, db) {
+    let compiled = match v.engine.compile_shared(&q.formula, &q.alphabet, db) {
         Ok(c) => c,
         Err(err) => {
             return Verdict::Unknown {
@@ -200,7 +184,7 @@ fn compare_against_relation(
         .collect();
     let vars: Vec<Var> = (0..var_names.len() as Var).collect();
     let expected = atoms::finite_relation_refs(k, vars, &by_track);
-    match disagreement(auto, &expected, v.cap) {
+    match disagreement(auto, &expected, v.engine.cap) {
         Ok(None) => Verdict::Validated {
             scope: Scope::Database("the given instance".into()),
         },
@@ -223,7 +207,7 @@ fn compare_against_relation(
 mod tests {
     use super::*;
     use strcalc_alphabet::Alphabet;
-    use strcalc_core::Calculus;
+    use strcalc_core::{AutomataEngine, Calculus};
     use strcalc_logic::Formula;
 
     fn sigma() -> Alphabet {

@@ -6,11 +6,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use strcalc_alphabet::{Alphabet, Str, Sym};
-use strcalc_core::cache::{AutomatonCache, CacheKey, CompiledArtifact};
-use strcalc_core::engine::DbResolver;
+use strcalc_core::cache::{AutomatonCache, CompiledArtifact};
 use strcalc_core::enumeval::DomainEvaluator;
-use strcalc_core::{Planner, Strategy};
-use strcalc_logic::compile::{CompileError, Compiler};
+use strcalc_core::{AutomataEngine, CoreError, Planner, Strategy};
 use strcalc_logic::rewrite::RewriteTrace;
 use strcalc_logic::Formula;
 use strcalc_relational::Database;
@@ -49,10 +47,6 @@ impl Rng {
 #[derive(Debug, Clone)]
 pub struct Validator {
     pub alphabet: Alphabet,
-    /// Symbol-space cap for automaton complements.
-    pub cap: usize,
-    /// Minimize intermediate automata above this many states.
-    pub minimize_threshold: usize,
     /// How many databases the differential fallback generates when no
     /// concrete database is supplied.
     pub fallback_databases: usize,
@@ -62,29 +56,28 @@ pub struct Validator {
     pub fallback_assignments: usize,
     /// Seed for the generated databases (the validator is deterministic).
     pub seed: u64,
-    /// Optional shared compilation cache: both sides of every automata
-    /// decision are looked up before compiling, so repeated validation
-    /// of the same formulas (e.g. a corpus run) is amortized.
-    cache: Option<Arc<AutomatonCache>>,
+    /// The engine both sides of every automata decision compile
+    /// through. With a cache attached ([`Validator::with_cache`]) they
+    /// are looked up before compiling, so repeated validation of the
+    /// same formulas (e.g. a corpus run) is amortized.
+    pub(crate) engine: AutomataEngine,
 }
 
 impl Validator {
     pub fn new(alphabet: Alphabet) -> Validator {
         Validator {
             alphabet,
-            cap: 2_000_000,
-            minimize_threshold: 64,
             fallback_databases: 4,
             fallback_len: 3,
             fallback_assignments: 4_096,
             seed: 0x5ca1_ab1e,
-            cache: None,
+            engine: AutomataEngine::new(),
         }
     }
 
     /// Attaches a shared compilation cache.
     pub fn with_cache(mut self, cache: Arc<AutomatonCache>) -> Validator {
-        self.cache = Some(cache);
+        self.engine = self.engine.with_cache(cache);
         self
     }
 
@@ -104,40 +97,6 @@ impl Validator {
                 Ok(Strategy::BoundedSearch)
             )
         })
-    }
-
-    fn cache_key(&self, f: &Formula, db: &Database) -> CacheKey {
-        let mut config = strcalc_logic::Fp::new();
-        config
-            .u64(self.cap as u64)
-            .u64(self.minimize_threshold as u64);
-        CacheKey {
-            formula: strcalc_logic::fingerprint(f),
-            instance: db.fingerprint(),
-            schema: db.schema().fingerprint(),
-            alphabet: self.alphabet.fingerprint(),
-            config: config.finish(),
-        }
-    }
-
-    /// Compile through the attached cache (or directly without one).
-    fn compile_cached(
-        &self,
-        compiler: &Compiler,
-        f: &Formula,
-        db: &Database,
-    ) -> Result<Arc<CompiledArtifact>, CompileError> {
-        match &self.cache {
-            Some(cache) => {
-                let (artifact, _) = cache.get_or_insert_with(self.cache_key(f, db), || {
-                    compiler.compile(f).map(CompiledArtifact::from_compiled)
-                })?;
-                Ok(artifact)
-            }
-            None => Ok(Arc::new(CompiledArtifact::from_compiled(
-                compiler.compile(f)?,
-            ))),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -227,22 +186,13 @@ impl Validator {
         after: &Formula,
         db: &Database,
         scope: Scope,
-    ) -> Result<Verdict, CompileError> {
-        let resolver = DbResolver::new(db);
-        let adom: Vec<Str> = db.adom().into_iter().collect();
-        let compiler = Compiler {
-            k: self.k(),
-            cap: self.cap,
-            rels: &resolver,
-            adom: Some(&adom),
-            minimize_threshold: self.minimize_threshold,
-        };
-        let ca = self.compile_cached(&compiler, before, db)?;
-        let cb = self.compile_cached(&compiler, after, db)?;
+    ) -> Result<Verdict, CoreError> {
+        let ca = self.engine.compile_shared(before, &self.alphabet, db)?;
+        let cb = self.engine.compile_shared(after, &self.alphabet, db)?;
         let union = var_union(&ca, &cb);
         let a = align_to(&ca, &union)?;
         let b = align_to(&cb, &union)?;
-        match disagreement(&a, &b, self.cap)? {
+        match disagreement(&a, &b, self.engine.cap)? {
             None => Ok(Verdict::Validated { scope }),
             Some((tuple, holds_before)) => Ok(Verdict::Refuted(Witness {
                 vars: union,

@@ -5,7 +5,8 @@
 //! it holds, `∅` otherwise. The relational route — the default for
 //! safe-range formulas — is checked against the forced automata route.
 
-use strcalc::core::{Plan, PlanOp, Planner, Strategy};
+use strcalc::analyze::Code;
+use strcalc::core::{Budget, ExecCx, FaultPlan, Plan, PlanOp, Planner, Strategy};
 use strcalc::logic::parse_formula;
 use strcalc::prelude::*;
 use strcalc::sqlfront::{compile_select, parse_select, Catalog};
@@ -91,6 +92,42 @@ fn automata() {
         "exists x. exists y. (U(x) & U(y) & x < y)",
         true,
     );
+}
+
+#[test]
+fn degraded_automata_sentences() {
+    // A sentence that holds (a < ab), forced to automata and denied its
+    // compile two ways: a starved budget (SA401) and an injected compile
+    // abort (SA413). Each falls back to the bounded collapse domain and,
+    // like every exact run, answers {()} with no tuples enumerated.
+    let sentence = plan(
+        &Planner::new().force(Strategy::Automata),
+        &[],
+        "exists x. exists y. (U(x) & U(y) & x < y)",
+    );
+    let starved = ExecCx::production().with_budget(Budget {
+        states: 1,
+        ..Budget::unlimited()
+    });
+    let aborted = ExecCx::production().with_faults(FaultPlan {
+        abort_compile: true,
+        ..FaultPlan::none()
+    });
+    for (cx, code) in [
+        (starved, Code::DegradedExactToBounded),
+        (aborted, Code::DeadlineCompileAborted),
+    ] {
+        let (out, report) = sentence.execute_in(&db(), &cx).unwrap();
+        assert!(
+            report.degradations.iter().any(|d| d.code == code),
+            "{}",
+            report.summary()
+        );
+        assert!(!report.verdict.is_exact());
+        let answer = out.expect_finite();
+        assert_eq!((answer.arity(), answer.len()), (0, 1), "{code:?}");
+        assert_eq!(report.tuples_enumerated, 0, "{code:?}");
+    }
 }
 
 /// Checks that the default planner sends `plan` down the relational
