@@ -22,8 +22,8 @@
 //! ## Eviction
 //!
 //! Entries land in one of 8 shards by key hash; each shard holds a byte
-//! budget (total budget / 8, bytes estimated by
-//! `SyncNfa::approx_bytes`). Insertion over budget evicts
+//! budget (total budget / 8, an automaton artifact's bytes estimated by
+//! `SyncDfa::approx_bytes`). Insertion over budget evicts
 //! least-recently-used entries (per-shard logical clock) until the shard
 //! fits. A single artifact larger than the shard budget is still served
 //! to the caller but not retained.
@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 
 use strcalc_automata::DenseDfa;
 use strcalc_logic::compile::Compiled;
-use strcalc_synchro::SyncNfa;
+use strcalc_synchro::{SyncDfa, SyncFiniteness};
 
 const SHARDS: usize = 8;
 const DEFAULT_BUDGET: usize = 64 * 1024 * 1024;
@@ -75,28 +75,70 @@ impl CacheKey {
 }
 
 /// An immutable compiled artifact, shared between the cache and
-/// in-flight evaluations.
+/// in-flight evaluations: the compiled automaton determinized and
+/// trimmed once, with its finiteness verdict, so a read only walks it.
+/// The compiled automaton itself is not kept; its size survives as two
+/// figures for the executor's report.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
-    pub auto: SyncNfa,
-    /// Sorted free-variable names, one automaton track each.
-    pub var_names: Vec<String>,
-    /// Estimated heap footprint, fixed at insertion time.
-    pub bytes: usize,
+    dfa: SyncDfa,
+    finiteness: SyncFiniteness,
+    var_names: Vec<String>,
+    compiled_states: usize,
+    compiled_bytes: usize,
+    bytes: usize,
 }
 
 impl CompiledArtifact {
+    /// Determinizes, trims and decides finiteness of a compilation.
     pub fn from_compiled(c: Compiled) -> CompiledArtifact {
-        let bytes = c.auto.approx_bytes()
+        let dfa = c.auto.to_dfa();
+        let finiteness = dfa.finiteness();
+        let bytes = dfa.approx_bytes()
             + c.var_names
                 .iter()
                 .map(|v| std::mem::size_of::<String>() + v.len())
                 .sum::<usize>();
         CompiledArtifact {
-            auto: c.auto,
+            compiled_states: c.auto.num_states(),
+            compiled_bytes: c.auto.approx_bytes(),
+            dfa,
+            finiteness,
             var_names: c.var_names,
             bytes,
         }
+    }
+
+    /// The determinized, trimmed automaton.
+    pub fn dfa(&self) -> &SyncDfa {
+        &self.dfa
+    }
+
+    /// The finiteness verdict of [`Self::dfa`], decided at construction.
+    pub fn finiteness(&self) -> SyncFiniteness {
+        self.finiteness
+    }
+
+    /// Sorted free-variable names, one automaton track each.
+    pub fn var_names(&self) -> &[String] {
+        &self.var_names
+    }
+
+    /// States of the automaton the compiler built, before determinizing.
+    pub fn compiled_states(&self) -> usize {
+        self.compiled_states
+    }
+
+    /// Estimated heap bytes of the automaton the compiler built
+    /// ([`SyncNfa::approx_bytes`](strcalc_synchro::SyncNfa::approx_bytes)).
+    pub fn compiled_bytes(&self) -> usize {
+        self.compiled_bytes
+    }
+
+    /// Estimated heap footprint of what the artifact holds — the DFA and
+    /// the variable names — charged against the cache's byte budget.
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
@@ -487,11 +529,38 @@ mod tests {
     }
 
     fn artifact(bytes: usize) -> CompiledArtifact {
+        let dfa = strcalc_synchro::SyncNfa::empty(2, vec![0]).to_dfa();
         CompiledArtifact {
-            auto: SyncNfa::empty(2, vec![0]),
+            finiteness: dfa.finiteness(),
+            dfa,
             var_names: vec!["x".into()],
+            compiled_states: 0,
+            compiled_bytes: 0,
             bytes,
         }
+    }
+
+    #[test]
+    fn artifact_keeps_the_dfa_its_verdict_and_the_compiled_figures() {
+        use strcalc_alphabet::Alphabet;
+        use strcalc_logic::compile::Compiler;
+        use strcalc_synchro::SyncFiniteness;
+        // A union: the subset construction merges its two starts.
+        let f = strcalc_logic::parse_formula(&Alphabet::ab(), r#"x <= "ab" | x = "ab""#).unwrap();
+        let compiled = Compiler::pure(2).compile(&f).unwrap();
+        let (states, bytes) = (compiled.auto.num_states(), compiled.auto.approx_bytes());
+        let art = CompiledArtifact::from_compiled(compiled);
+        assert_eq!(
+            (art.compiled_states(), art.compiled_bytes()),
+            (states, bytes)
+        );
+        assert!(art.dfa().num_states() < states);
+        assert_eq!(art.finiteness(), SyncFiniteness::Finite(3));
+        assert_eq!(
+            art.bytes(),
+            art.dfa().approx_bytes() + std::mem::size_of::<String>() + 1,
+            "the budget charges the DFA and the name `x`"
+        );
     }
 
     #[test]

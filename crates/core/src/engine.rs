@@ -144,7 +144,7 @@ impl AutomataEngine {
         CacheKey {
             formula: strcalc_logic::fingerprint(f),
             instance: db.fingerprint(),
-            schema: db.schema().fingerprint(),
+            schema: db.schema_fingerprint(),
             alphabet: alphabet.fingerprint(),
             config: config.finish(),
         }
@@ -273,13 +273,13 @@ impl AutomataEngine {
                 "eval_bool requires a sentence".into(),
             ));
         }
-        Ok(self.artifact(q, db)?.auto.is_true())
+        Ok(self.artifact(q, db)?.dfa().is_true())
     }
 
     /// Exact output cardinality without materializing (`None` =
     /// infinite).
     pub fn count(&self, q: &Query, db: &Database) -> Result<Option<u64>, CoreError> {
-        Ok(match self.artifact(q, db)?.auto.finiteness() {
+        Ok(match self.artifact(q, db)?.finiteness() {
             SyncFiniteness::Empty => Some(0),
             SyncFiniteness::Finite(n) => Some(n),
             SyncFiniteness::Infinite => None,
@@ -294,7 +294,7 @@ impl AutomataEngine {
         }
         let artifact = self.artifact(q, db)?;
         let by_track: Vec<&Str> = artifact
-            .var_names
+            .var_names()
             .iter()
             .map(|name| {
                 let pos = q
@@ -305,11 +305,13 @@ impl AutomataEngine {
                 &tuple[pos]
             })
             .collect();
-        Ok(artifact.auto.accepts(&by_track))
+        Ok(artifact.dfa().accepts(&by_track))
     }
 
-    /// Evaluation against an already-compiled artifact (the shared body
-    /// of [`Self::eval`] and the plan's automata executor).
+    /// Evaluation against an already-compiled artifact: the one reader
+    /// of an answer off an automaton, shared by [`Self::eval`], the
+    /// plan's automata executor and [`crate::safety::state_safety`]. It
+    /// reads the artifact's stored verdict and walks its stored DFA.
     pub(crate) fn eval_artifact(
         &self,
         q: &Query,
@@ -323,30 +325,24 @@ impl AutomataEngine {
             .iter()
             .map(|h| {
                 artifact
-                    .var_names
+                    .var_names()
                     .iter()
                     .position(|v| v == h)
                     .expect("validated: head = free vars")
             })
             .collect();
-        match artifact.auto.finiteness() {
+        let permute = |t: Vec<Str>| -> Vec<Str> { perm.iter().map(|&i| t[i].clone()).collect() };
+        match artifact.finiteness() {
             SyncFiniteness::Empty => Ok(EvalOutput::Finite(Relation::new(q.arity()))),
-            SyncFiniteness::Finite(_) => {
-                let tuples = artifact.auto.try_enumerate_finite()?;
-                let rel = Relation::from_tuples(
-                    q.arity(),
-                    tuples
-                        .into_iter()
-                        .map(|t| perm.iter().map(|&i| t[i].clone()).collect()),
-                );
+            SyncFiniteness::Finite(n) => {
+                let tuples = artifact.dfa().enumerate_acyclic();
+                debug_assert_eq!(tuples.len() as u64, n);
+                let rel = Relation::from_tuples(q.arity(), tuples.into_iter().map(permute));
                 Ok(EvalOutput::Finite(rel))
             }
             SyncFiniteness::Infinite => {
-                let raw = artifact.auto.enumerate(db.max_len() + 8, self.sample);
-                let sample = raw
-                    .into_iter()
-                    .map(|t| perm.iter().map(|&i| t[i].clone()).collect())
-                    .collect();
+                let raw = artifact.dfa().enumerate(db.max_len() + 8, self.sample);
+                let sample = raw.into_iter().map(permute).collect();
                 Ok(EvalOutput::Infinite { sample })
             }
         }

@@ -452,7 +452,7 @@ impl Plan {
         let out = if self.is_boolean() {
             EvalOutput::Finite(Relation::from_tuples(
                 0,
-                artifact.auto.is_true().then(Vec::new),
+                artifact.dfa().is_true().then(Vec::new),
             ))
         } else {
             self.engine.eval_artifact(q, db, &artifact)?
@@ -461,8 +461,8 @@ impl Plan {
             EvalOutput::Finite(rel) => rel.len(),
             EvalOutput::Infinite { sample } => sample.len(),
         };
-        let states = artifact.auto.num_states();
-        let bytes = artifact.auto.approx_bytes();
+        let states = artifact.compiled_states();
+        let bytes = artifact.compiled_bytes();
         let rep = &mut run.report;
         rep.automaton_states = states;
         rep.artifact_bytes = bytes;

@@ -12,8 +12,9 @@ use strcalc_relational::{Database, Relation};
 use strcalc_synchro::nfa::Var;
 use strcalc_synchro::{atoms, conv, SyncFiniteness, SyncNfa};
 
+use crate::cache::CompiledArtifact;
 use crate::engine::AutomataEngine;
-use crate::query::{Calculus, CoreError, Query};
+use crate::query::{Calculus, CoreError, EvalOutput, Query};
 
 /// The state-safety verdict for a query on a concrete database —
 /// decidable for all four calculi (Proposition 7 / Corollary 8), and
@@ -32,49 +33,21 @@ impl StateSafety {
     }
 }
 
-/// Decides state-safety of `q` on `db` (Proposition 7, algorithmically).
+/// Decides state-safety of `q` on `db` (Proposition 7, algorithmically):
+/// the answer read off the compiled automaton by the engine's one reader.
 pub fn state_safety(
     engine: &AutomataEngine,
     q: &Query,
     db: &Database,
 ) -> Result<StateSafety, CoreError> {
-    let compiled = engine.compile(q, db)?;
-    let perm: Vec<usize> = q
-        .head
-        .iter()
-        .map(|h| {
-            compiled
-                .var_names
-                .iter()
-                .position(|v| v == h)
-                .expect("validated head")
-        })
-        .collect();
-    match compiled.auto.finiteness() {
-        SyncFiniteness::Empty => Ok(StateSafety::Safe {
-            output: Relation::new(q.arity()),
-            count: 0,
-        }),
-        SyncFiniteness::Finite(count) => {
-            let tuples = compiled.auto.try_enumerate_finite()?;
-            let output = Relation::from_tuples(
-                q.arity(),
-                tuples
-                    .into_iter()
-                    .map(|t| perm.iter().map(|&i| t[i].clone()).collect()),
-            );
-            Ok(StateSafety::Safe { output, count })
-        }
-        SyncFiniteness::Infinite => {
-            let raw = compiled.auto.enumerate(db.max_len() + 8, engine.sample);
-            Ok(StateSafety::Unsafe {
-                sample: raw
-                    .into_iter()
-                    .map(|t| perm.iter().map(|&i| t[i].clone()).collect())
-                    .collect(),
-            })
-        }
-    }
+    let artifact = CompiledArtifact::from_compiled(engine.compile(q, db)?);
+    Ok(match engine.eval_artifact(q, db, &artifact)? {
+        EvalOutput::Finite(output) => StateSafety::Safe {
+            count: output.len() as u64,
+            output,
+        },
+        EvalOutput::Infinite { sample } => StateSafety::Unsafe { sample },
+    })
 }
 
 /// A range-restricted query `(γ_k, φ)` in the sense of Section 6.1:
@@ -151,8 +124,9 @@ impl RangeRestricted {
             let gamma = self.gamma_automaton(db, track as Var);
             auto = auto.intersect(&gamma)?;
         }
+        let dfa = auto.to_dfa();
         debug_assert!(
-            !matches!(auto.finiteness(), SyncFiniteness::Infinite),
+            !matches!(dfa.finiteness(), SyncFiniteness::Infinite),
             "γ-bounded output must be finite"
         );
         let perm: Vec<usize> = self
@@ -167,7 +141,7 @@ impl RangeRestricted {
                     .expect("validated head")
             })
             .collect();
-        let tuples = auto.try_enumerate_finite()?;
+        let tuples = dfa.try_enumerate_finite()?;
         Ok(Relation::from_tuples(
             self.query.arity(),
             tuples

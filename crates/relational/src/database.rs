@@ -95,13 +95,20 @@ impl Schema {
     /// Cache-key component: compiled artifacts for one schema can be
     /// invalidated together when the schema changes.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = strcalc_logic::Fp::new();
-        fp.u64(self.arities.len() as u64);
-        for (name, &arity) in &self.arities {
-            fp.str(name).u64(arity as u64);
-        }
-        fp.finish()
+        schema_fingerprint(self.arities.iter().map(|(n, &a)| (n.as_str(), a)))
     }
+}
+
+/// The schema fingerprint of `(name, arity)` pairs in name order — one
+/// definition for [`Schema::fingerprint`] and
+/// [`Database::schema_fingerprint`].
+fn schema_fingerprint<'a>(rels: impl ExactSizeIterator<Item = (&'a str, usize)>) -> u64 {
+    let mut fp = strcalc_logic::Fp::new();
+    fp.u64(rels.len() as u64);
+    for (name, arity) in rels {
+        fp.str(name).u64(arity as u64);
+    }
+    fp.finish()
 }
 
 /// One finite relation: a set of equal-arity tuples, kept sorted
@@ -266,9 +273,21 @@ impl Database {
         out
     }
 
+    /// The schema's fingerprint, equal to `self.schema().fingerprint()`
+    /// without building the [`Schema`].
+    pub fn schema_fingerprint(&self) -> u64 {
+        schema_fingerprint(self.rels.iter().map(|(n, r)| (n.as_str(), r.arity())))
+    }
+
     /// Length of the longest active-domain string (0 for empty DB).
     pub fn max_len(&self) -> usize {
-        self.adom().iter().map(Str::len).max().unwrap_or(0)
+        self.rels
+            .values()
+            .flat_map(Relation::iter)
+            .flatten()
+            .map(Str::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total number of tuples across relations.
@@ -362,6 +381,7 @@ mod tests {
         assert_eq!(adom.len(), 3);
         assert_eq!(db.max_len(), 3);
         assert_eq!(db.total_tuples(), 2);
+        assert_eq!(Database::new().max_len(), 0);
     }
 
     #[test]
@@ -394,6 +414,16 @@ mod tests {
         c.insert("V", vec![s("a")]).unwrap();
         assert_ne!(a.schema().fingerprint(), c.schema().fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn schema_fingerprint_needs_no_schema() {
+        let mut db = Database::new();
+        assert_eq!(db.schema_fingerprint(), db.schema().fingerprint());
+        db.insert("U", vec![s("a")]).unwrap();
+        db.insert("R", vec![s("ab"), s("b")]).unwrap();
+        db.declare("E", 3).unwrap();
+        assert_eq!(db.schema_fingerprint(), db.schema().fingerprint());
     }
 
     #[test]

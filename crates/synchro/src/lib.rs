@@ -27,13 +27,16 @@
 //! over a concrete database compiles to one [`SyncNfa`] recognizing
 //! exactly its output under the natural (infinite-domain) semantics. The
 //! paper's **state-safety** decision (Proposition 7) is then literally
-//! [`SyncNfa::finiteness`].
+//! [`SyncNfa::finiteness`], read off the determinized, trimmed
+//! [`SyncDfa`] that [`SyncNfa::to_dfa`] builds once.
 
 pub mod atoms;
 pub mod conv;
+pub mod dfa;
 pub mod nfa;
 
 pub use conv::{ConvSym, TrackVec, MAX_TRACKS, PAD};
+pub use dfa::SyncDfa;
 pub use nfa::{SyncFiniteness, SyncNfa, Var};
 
 use std::fmt;

@@ -15,7 +15,7 @@
 //! 3. Transitions never carry the all-`⊥` symbol for the automaton's
 //!    arity.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use strcalc_alphabet::{Str, Sym};
 
@@ -30,7 +30,7 @@ pub type StateId = u32;
 
 /// Finiteness verdict for a synchronized automaton's language — the
 /// engine behind the paper's state-safety decision (Proposition 7).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncFiniteness {
     /// No tuple is accepted.
     Empty,
@@ -945,116 +945,13 @@ impl SyncNfa {
 
     /// Exact finiteness verdict with counting — the state-safety decision.
     pub fn finiteness(&self) -> SyncFiniteness {
-        let d = self.determinize().trim();
-        if !d.accepting.iter().any(|&a| a) {
-            return SyncFiniteness::Empty;
-        }
-        // Cycle detection on the trimmed deterministic graph (every state
-        // useful): any cycle ⇒ infinite.
-        if d.has_cycle() {
-            return SyncFiniteness::Infinite;
-        }
-        // DAG count of accepted words = accepted tuples (deterministic, so
-        // no double counting; convolution is a bijection on tuples).
-        let n = d.num_states();
-        let mut memo: Vec<Option<u64>> = vec![None; n];
-        fn count(d: &SyncNfa, q: usize, memo: &mut Vec<Option<u64>>) -> u64 {
-            if let Some(c) = memo[q] {
-                return c;
-            }
-            let mut c: u64 = if d.accepting[q] { 1 } else { 0 };
-            for ts in d.trans[q].values() {
-                for &t in ts {
-                    c = c.saturating_add(count(d, t as usize, memo));
-                }
-            }
-            memo[q] = Some(c);
-            c
-        }
-        SyncFiniteness::Finite(count(&d, d.starts[0] as usize, &mut memo))
-    }
-
-    fn has_cycle(&self) -> bool {
-        #[derive(Clone, Copy, PartialEq)]
-        enum M {
-            W,
-            G,
-            B,
-        }
-        let n = self.num_states();
-        let mut mark = vec![M::W; n];
-        let succ: Vec<Vec<StateId>> = (0..n)
-            .map(|q| {
-                let mut s: Vec<StateId> = self.trans[q]
-                    .values()
-                    .flat_map(|ts| ts.iter().copied())
-                    .collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            })
-            .collect();
-        for root in 0..n {
-            if mark[root] != M::W {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-            mark[root] = M::G;
-            while let Some(top) = stack.last_mut() {
-                let (q, i) = *top;
-                if i >= succ[q].len() {
-                    mark[q] = M::B;
-                    stack.pop();
-                    continue;
-                }
-                top.1 += 1;
-                let t = succ[q][i] as usize;
-                match mark[t] {
-                    M::G => return true,
-                    M::W => {
-                        mark[t] = M::G;
-                        stack.push((t, 0));
-                    }
-                    M::B => {}
-                }
-            }
-        }
-        false
+        self.to_dfa().finiteness()
     }
 
     /// Enumerates accepted tuples in order of convolution length, up to
     /// `limit` tuples and convolution length `max_len`.
     pub fn enumerate(&self, max_len: usize, limit: usize) -> Vec<Vec<Str>> {
-        let d = self.determinize().trim();
-        let arity = d.arity();
-        let mut out = Vec::new();
-        let mut frontier: Vec<(StateId, Vec<ConvSym>)> =
-            d.starts.iter().map(|&s| (s, Vec::new())).collect();
-        for _len in 0..=max_len {
-            for (q, w) in &frontier {
-                if d.accepting[*q as usize] {
-                    out.push(conv::deconvolve(w, arity));
-                    if out.len() >= limit {
-                        return out;
-                    }
-                }
-            }
-            let mut next = Vec::new();
-            for (q, w) in &frontier {
-                for (&sym, ts) in &d.trans[*q as usize] {
-                    for &t in ts {
-                        let mut w2 = w.clone();
-                        w2.push(sym);
-                        next.push((t, w2));
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        out
+        self.to_dfa().enumerate(max_len, limit)
     }
 
     /// Enumerates **all** tuples of a finite language.
@@ -1074,54 +971,12 @@ impl SyncNfa {
     /// the non-panicking form for callers whose finiteness verdict comes
     /// from elsewhere.
     pub fn try_enumerate_finite(&self) -> Result<Vec<Vec<Str>>, SynchroError> {
-        match self.finiteness() {
-            SyncFiniteness::Empty => Ok(Vec::new()),
-            SyncFiniteness::Finite(n) => {
-                let d = self.determinize().trim();
-                let words = d.enumerate(d.num_states(), usize::MAX);
-                debug_assert_eq!(words.len() as u64, n);
-                Ok(words)
-            }
-            SyncFiniteness::Infinite => Err(SynchroError::InfiniteLanguage),
-        }
+        self.to_dfa().try_enumerate_finite()
     }
 
     /// The shortest (by convolution length) accepted tuple, if any.
     pub fn witness(&self) -> Option<Vec<Str>> {
-        let d = self.determinize().trim();
-        let arity = d.arity();
-        let start = *d.starts.first()?;
-        if d.accepting[start as usize] {
-            return Some(conv::deconvolve(&[], arity));
-        }
-        let n = d.num_states();
-        let mut prev: Vec<Option<(StateId, ConvSym)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[start as usize] = true;
-        let mut queue = VecDeque::from([start]);
-        while let Some(q) = queue.pop_front() {
-            for (&sym, ts) in &d.trans[q as usize] {
-                for &t in ts {
-                    if seen[t as usize] {
-                        continue;
-                    }
-                    seen[t as usize] = true;
-                    prev[t as usize] = Some((q, sym));
-                    if d.accepting[t as usize] {
-                        let mut word = Vec::new();
-                        let mut cur = t;
-                        while let Some((p, s)) = prev[cur as usize] {
-                            word.push(s);
-                            cur = p;
-                        }
-                        word.reverse();
-                        return Some(conv::deconvolve(&word, arity));
-                    }
-                    queue.push_back(t);
-                }
-            }
-        }
-        None
+        self.to_dfa().witness()
     }
 }
 

@@ -1,10 +1,14 @@
 //! Property-based differential testing of the synchronized-automata
 //! layer against brute-force reference semantics: random trees of atoms
 //! and first-order operations, checked pointwise on all small tuples.
+//! The DFA reader ([`SyncNfa::to_dfa`]) is also checked against a
+//! reference that determinizes and trims on every call.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use strcalc_alphabet::{Alphabet, Str};
-use strcalc_synchro::{atoms, SyncFiniteness, SyncNfa};
+use strcalc_synchro::{atoms, conv, ConvSym, SyncFiniteness, SyncNfa};
 
 /// A tiny relational "expression" language we can interpret both as an
 /// automaton and as a predicate on (x, y).
@@ -99,8 +103,138 @@ fn len_at_most(var: u32, n: usize) -> SyncNfa {
     a
 }
 
+/// A random synchronized NFA built from `e`: the binary relation itself
+/// (union makes it nondeterministic), its projection onto `x` (the pad
+/// closure adds more nondeterminism), or either cut to strings of
+/// length ≤ 2 (finite).
+fn arb_nfa() -> impl Strategy<Value = SyncNfa> {
+    (arb_expr(), 0..4u8).prop_map(|(e, shape)| {
+        let auto = to_auto(&e).cylindrify(&[0, 1]).unwrap();
+        let bound = len_at_most(0, 2).intersect(&len_at_most(1, 2)).unwrap();
+        match shape {
+            0 => auto,
+            1 => auto.project(1).unwrap(),
+            2 => auto.intersect(&bound).unwrap(),
+            _ => auto.intersect(&bound).unwrap().project(1).unwrap(),
+        }
+    })
+}
+
+/// The reading each call made before the DFA was kept: determinize and
+/// trim afresh, then walk the result breadth first.
+fn reference_enumerate(a: &SyncNfa, max_len: usize, limit: usize) -> Vec<Vec<Str>> {
+    let d = a.determinize().trim();
+    let mut out = Vec::new();
+    let mut frontier: Vec<(u32, Vec<ConvSym>)> =
+        d.starts.iter().map(|&s| (s, Vec::new())).collect();
+    for _ in 0..=max_len {
+        for (q, w) in &frontier {
+            if d.accepting[*q as usize] {
+                out.push(conv::deconvolve(w, d.arity()));
+                if out.len() >= limit {
+                    return out;
+                }
+            }
+        }
+        let mut next = Vec::new();
+        for (q, w) in &frontier {
+            for (&sym, ts) in &d.trans[*q as usize] {
+                for &t in ts {
+                    let mut w2 = w.clone();
+                    w2.push(sym);
+                    next.push((t, w2));
+                }
+            }
+        }
+        frontier = next;
+        if frontier.is_empty() {
+            break;
+        }
+    }
+    out
+}
+
+/// The finiteness verdict of a fresh determinize-and-trim, decided by
+/// peeling states of in-degree zero (Kahn): states left over lie on or
+/// behind a cycle, and every trimmed state is useful, so the language is
+/// infinite; otherwise accepted words are counted along the peel order.
+fn reference_finiteness(a: &SyncNfa) -> SyncFiniteness {
+    let d = a.determinize().trim();
+    if !d.accepting.iter().any(|&acc| acc) {
+        return SyncFiniteness::Empty;
+    }
+    let n = d.num_states();
+    let mut indegree = vec![0usize; n];
+    for ts in d.trans.iter().flat_map(|m| m.values()) {
+        for &t in ts {
+            indegree[t as usize] += 1;
+        }
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&q| indegree[q] == 0).collect();
+    let mut order = Vec::new();
+    while let Some(q) = ready.pop() {
+        order.push(q);
+        for ts in d.trans[q].values() {
+            for &t in ts {
+                indegree[t as usize] -= 1;
+                if indegree[t as usize] == 0 {
+                    ready.push(t as usize);
+                }
+            }
+        }
+    }
+    if order.len() < n {
+        return SyncFiniteness::Infinite;
+    }
+    let mut paths = vec![0u64; n];
+    for &s in &d.starts {
+        paths[s as usize] = 1;
+    }
+    let mut count = 0u64;
+    for &q in &order {
+        if d.accepting[q] {
+            count += paths[q];
+        }
+        for ts in d.trans[q].values() {
+            for &t in ts {
+                paths[t as usize] += paths[q];
+            }
+        }
+    }
+    SyncFiniteness::Finite(count)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dfa_reader_matches_per_call_determinization(a in arb_nfa()) {
+        let dfa = a.to_dfa();
+        let verdict = dfa.finiteness();
+        prop_assert_eq!(verdict, reference_finiteness(&a));
+        match verdict {
+            SyncFiniteness::Infinite => {
+                // The answer reader's infinite sample: the first tuples in
+                // the same order, so answers and EXPLAIN samples repeat.
+                prop_assert_eq!(dfa.enumerate(6, 5), reference_enumerate(&a, 6, 5));
+                prop_assert!(dfa.try_enumerate_finite().is_err());
+            }
+            SyncFiniteness::Empty | SyncFiniteness::Finite(_) => {
+                let got = dfa.try_enumerate_finite().unwrap();
+                let want = reference_enumerate(&a, usize::MAX, usize::MAX);
+                let got_set: BTreeSet<&Vec<Str>> = got.iter().collect();
+                let want_set: BTreeSet<&Vec<Str>> = want.iter().collect();
+                prop_assert_eq!(got_set, want_set);
+                prop_assert_eq!(got.len(), want.len(), "no tuple twice");
+                prop_assert_eq!(dfa.enumerate_acyclic(), got.clone());
+                for t in &got {
+                    let refs: Vec<&Str> = t.iter().collect();
+                    prop_assert!(a.accepts(&refs) && dfa.accepts(&refs));
+                }
+            }
+        }
+        prop_assert_eq!(a.finiteness(), verdict);
+    }
 
     #[test]
     fn boolean_trees_match_reference(e in arb_expr()) {

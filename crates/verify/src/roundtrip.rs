@@ -52,7 +52,7 @@ pub fn validate_ra_to_calculus(v: &Validator, e: &RaExpr, db: &Database) -> Verd
     };
     // The translation names output columns c0..c(n-1); permute the
     // direct tuples into the automaton's (sorted) track order.
-    let Some(perm) = column_permutation(&compiled.var_names, &direct) else {
+    let Some(perm) = column_permutation(compiled.var_names(), &direct) else {
         return Verdict::Unknown {
             reason: "translated formula's free variables do not match the output columns".into(),
             checks: 0,
@@ -60,8 +60,8 @@ pub fn validate_ra_to_calculus(v: &Validator, e: &RaExpr, db: &Database) -> Verd
     };
     compare_against_relation(
         v,
-        &compiled.auto,
-        compiled.var_names.clone(),
+        compiled.dfa().as_nfa(),
+        compiled.var_names().to_vec(),
         &direct,
         &perm,
     )
@@ -128,7 +128,7 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
     };
     // Direct tuples are in head order; the automaton's tracks are the
     // sorted head variables.
-    let Some(perm) = head_permutation(&compiled.var_names, &q.head) else {
+    let Some(perm) = head_permutation(compiled.var_names(), &q.head) else {
         return Verdict::Unknown {
             reason: "compiled track names do not match the query head".into(),
             checks: 0,
@@ -136,8 +136,8 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
     };
     compare_against_relation(
         v,
-        &compiled.auto,
-        compiled.var_names.clone(),
+        compiled.dfa().as_nfa(),
+        compiled.var_names().to_vec(),
         &via_algebra,
         &perm,
     )

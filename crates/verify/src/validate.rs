@@ -393,8 +393,8 @@ fn rel_arities(before: &Formula, after: &Formula) -> Result<BTreeMap<String, usi
 
 /// Sorted union of the two compilations' free variables.
 fn var_union(a: &CompiledArtifact, b: &CompiledArtifact) -> Vec<String> {
-    let mut union: BTreeSet<String> = a.var_names.iter().cloned().collect();
-    union.extend(b.var_names.iter().cloned());
+    let mut union: BTreeSet<String> = a.var_names().iter().cloned().collect();
+    union.extend(b.var_names().iter().cloned());
     union.into_iter().collect()
 }
 
@@ -402,7 +402,7 @@ fn var_union(a: &CompiledArtifact, b: &CompiledArtifact) -> Vec<String> {
 /// (its own variables are a subset), cylindrifying the missing tracks.
 fn align_to(c: &CompiledArtifact, union: &[String]) -> Result<SyncNfa, SynchroError> {
     let map: Vec<Var> = c
-        .var_names
+        .var_names()
         .iter()
         .map(|n| {
             union
@@ -411,7 +411,7 @@ fn align_to(c: &CompiledArtifact, union: &[String]) -> Result<SyncNfa, SynchroEr
                 .expect("union contains every compiled variable") as Var
         })
         .collect();
-    let renamed = c.auto.rename(|v| map[v as usize])?;
+    let renamed = c.dfa().as_nfa().rename(|v| map[v as usize])?;
     let want: Vec<Var> = (0..union.len() as Var).collect();
     renamed.cylindrify(&want)
 }
