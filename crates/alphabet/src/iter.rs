@@ -16,7 +16,14 @@ pub struct StringsExactly {
 }
 
 impl StringsExactly {
-    pub(crate) fn new(k: Sym, n: usize) -> Self {
+    /// `Σ^n` over the first `k` symbols, as
+    /// [`Alphabet::strings_exactly`](crate::Alphabet::strings_exactly)
+    /// for a caller that holds only the alphabet's size.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is zero (an [`Alphabet`](crate::Alphabet) is never empty).
+    pub fn new(k: Sym, n: usize) -> Self {
         assert!(k >= 1, "alphabet must be nonempty");
         StringsExactly {
             k,
@@ -61,7 +68,14 @@ pub struct StringsUpTo {
 }
 
 impl StringsUpTo {
-    pub(crate) fn new(k: Sym, n: usize) -> Self {
+    /// `Σ^{≤n}` over the first `k` symbols, as
+    /// [`Alphabet::strings_up_to`](crate::Alphabet::strings_up_to) for a
+    /// caller that holds only the alphabet's size.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is zero (an [`Alphabet`](crate::Alphabet) is never empty).
+    pub fn new(k: Sym, n: usize) -> Self {
         StringsUpTo {
             k,
             n,

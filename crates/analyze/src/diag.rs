@@ -153,7 +153,7 @@ pub enum Code {
     /// domain below the plan's declared bound.
     DegradedSearchDepthClamped,
     /// Informational: the budget capability a plan was seeded with
-    /// (from the planlint certificate plus admission classification).
+    /// (from the plan's planlint certificate).
     BudgetReport,
     /// Structural degradation: a cooperative deadline fired at a scan
     /// checkpoint and the scan was truncated; the report carries a

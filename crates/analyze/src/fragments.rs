@@ -46,7 +46,7 @@ use strcalc_logic::{Atom, Formula, Fp, Lang, StructureClass, Term};
 
 use crate::diag::{children, Code, Finding, FormulaPath};
 use crate::langs::LangTable;
-use crate::saferange::{self, NodeVerdicts};
+use crate::saferange::NodeVerdicts;
 use crate::signature::{atom_class, term_class};
 
 // ---------------------------------------------------------------------
@@ -691,15 +691,6 @@ pub(crate) fn check(
     (FragmentAnalysis { root, class, table }, findings)
 }
 
-/// The fragment pass on its own (alphabet size `k`; `monoid_cap` bounds
-/// the star-freeness decision procedure, as in the signature pass),
-/// running the range-restriction pass it reads from.
-pub(crate) fn analyze(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
-    let langs = LangTable::build(f, k).monoid_cap(monoid_cap);
-    let (_, _, safe) = saferange::check(f, &langs);
-    check(f, &langs, &safe)
-}
-
 impl Cx<'_> {
     /// Synthesizes the node's attributes bottom-up and records every
     /// node's lattice point.
@@ -824,6 +815,15 @@ mod tests {
 
     fn ab() -> Alphabet {
         Alphabet::ab()
+    }
+
+    /// The fragment pass on its own (alphabet size `k`; `monoid_cap`
+    /// bounds the star-freeness decision procedure), running the
+    /// range-restriction pass it reads from.
+    fn analyze(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
+        let langs = LangTable::build(f, k).monoid_cap(monoid_cap);
+        let (_, _, safe) = crate::saferange::check(f, &langs);
+        check(f, &langs, &safe)
     }
 
     fn re(src: &str) -> Regex {

@@ -60,7 +60,6 @@ use std::collections::BTreeMap;
 use strcalc_alphabet::{Alphabet, Sym};
 use strcalc_logic::{Formula, StructureClass};
 
-pub mod admission;
 pub mod cost;
 pub mod diag;
 pub mod fragments;
@@ -70,7 +69,6 @@ pub mod saferange;
 pub mod scope;
 pub mod signature;
 
-pub use admission::AdmissionReport;
 pub use cost::CostEstimate;
 pub use diag::{Code, Diagnostic, FormulaPath, LintLevel, PathSeg, Severity};
 pub use fragments::{EvalClass, FragmentAnalysis, FragmentPoint, LikeMatcher, ScanPlan};

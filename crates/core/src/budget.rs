@@ -6,20 +6,16 @@
 //! length `B` (copied into the `BoundedSearch { budget }` root), and
 //! the cache's byte budget. A [`Budget`] replaces them with one
 //! capability value that is handed *down* the plan tree: the planner
-//! seeds it from the planlint resource certificate plus
-//! `analyze::admission::classify`, every executor checks the budget it
-//! was handed (see `Plan::execute_in`), and a parent node hands each
-//! child an explicit sub-budget via [`Budget::child_for`] /
-//! [`Budget::split`]. Exhaustion never truncates silently: per
+//! seeds it from the plan's planlint resource certificate, every
+//! executor checks the budget it was handed (see `Plan::execute_in`),
+//! and a parent node hands each child an explicit sub-budget via
+//! [`Budget::child_for`]. Exhaustion never truncates silently: per
 //! [`DegradationPolicy`] the run either degrades *structurally* —
 //! exact → bounded verdict, dense → sparse walk, cached →
 //! recompile-denied — surfacing an SA4xx [`Degradation`] in the
 //! `ExecReport`, or fails with `CoreError::BudgetExhausted`.
-//!
-//! The arithmetic follows the cache's byte-accounting idiom
-//! (`checked_sub` + `debug_assert`, panic-audit round 6): a debit that
-//! would underflow is an accounting bug in debug builds and saturates
-//! in release builds, never wrapping.
+//! Settlement checks the observed actuals with [`Budget::admits`]: an
+//! actual above a finite dimension is an SA400 event.
 
 // Panic-audit round 7: budgets sit on every execution path, so the
 // module is unwrap-free; invariants are spelled out as messaged
@@ -99,20 +95,19 @@ impl Budget {
         }
     }
 
-    /// Seeds a budget from resource certificates: the planlint
-    /// root certificate joined with the admission classifier's formula
-    /// certificate (both are sound upper bounds, so the seeded budget
-    /// admits the certified run exactly — degradation only fires when
-    /// a caller *narrows* the capability). A zero joined bound means
-    /// the strategy builds no automata; that dimension is unlimited.
-    pub fn seeded(plan_cert: &ResourceCert, admission_cert: &ResourceCert, depth: usize) -> Budget {
-        let dim = |a: u64, b: u64| match a.max(b) {
+    /// Seeds a budget from the plan's planlint certificate (a sound
+    /// upper bound, so the seeded budget admits the certified run
+    /// exactly — degradation only fires when a caller *narrows* the
+    /// capability). A zero bound means the strategy builds no
+    /// automata; that dimension is unlimited.
+    pub fn seeded(cert: &ResourceCert, depth: usize) -> Budget {
+        let dim = |hi: u64| match hi {
             0 => UNLIMITED,
             hi => hi,
         };
         Budget {
-            states: dim(plan_cert.states.hi, admission_cert.states.hi),
-            bytes: dim(plan_cert.bytes.hi, admission_cert.bytes.hi),
+            states: dim(cert.states.hi),
+            bytes: dim(cert.bytes.hi),
             wall_time_ms: UNLIMITED,
             search_depth: depth,
             degradation_policy: DegradationPolicy::Degrade,
@@ -141,28 +136,6 @@ impl Budget {
             bytes: self.bytes.min(demand.bytes.hi.max(1)),
             ..*self
         }
-    }
-
-    /// Splits the states/bytes dimensions evenly across `n` children
-    /// (unlimited dimensions stay unlimited). Used when children carry
-    /// no certificates of their own to clamp against.
-    pub fn split(&self, n: usize) -> Vec<Budget> {
-        let n = n.max(1);
-        let share = |dim: u64| {
-            if dim == UNLIMITED {
-                UNLIMITED
-            } else {
-                dim / n as u64
-            }
-        };
-        vec![
-            Budget {
-                states: share(self.states),
-                bytes: share(self.bytes),
-                ..*self
-            };
-            n
-        ]
     }
 
     /// One-line rendering for EXPLAIN (`∞` for unlimited dimensions).
@@ -243,8 +216,7 @@ impl LedgerEntry {
 }
 
 /// The per-run budget ledger: one [`LedgerEntry`] per plan node, in
-/// pre-order (parents before children), plus a charge account for
-/// post-execution actuals.
+/// pre-order (parents before children).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BudgetLedger {
     pub entries: Vec<LedgerEntry>,
@@ -258,107 +230,6 @@ impl BudgetLedger {
     /// Whether every node's handed budget covered its demand.
     pub fn all_within(&self) -> bool {
         self.entries.iter().all(|e| e.within)
-    }
-}
-
-/// A charge account over one [`Budget`]: actuals are debited as they
-/// are observed, credits (returned capability) are bounded by what was
-/// charged. Follows the cache's `checked_sub` + `debug_assert`
-/// accounting idiom: underflow is an accounting bug in debug builds
-/// and saturates (never wraps) in release builds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetAccount {
-    remaining_states: u64,
-    remaining_bytes: u64,
-    charged_states: u64,
-    charged_bytes: u64,
-}
-
-impl BudgetAccount {
-    pub fn new(budget: &Budget) -> BudgetAccount {
-        BudgetAccount {
-            remaining_states: budget.states,
-            remaining_bytes: budget.bytes,
-            charged_states: 0,
-            charged_bytes: 0,
-        }
-    }
-
-    pub fn remaining_states(&self) -> u64 {
-        self.remaining_states
-    }
-
-    pub fn remaining_bytes(&self) -> u64 {
-        self.remaining_bytes
-    }
-
-    /// Debits observed states; `false` means the account could not
-    /// cover the charge (the remainder is drained to zero, and the
-    /// caller must surface an SA400 — never swallow the shortfall).
-    pub fn charge_states(&mut self, amount: u64) -> bool {
-        Self::debit(&mut self.remaining_states, &mut self.charged_states, amount)
-    }
-
-    /// Debits observed bytes (same contract as [`Self::charge_states`]).
-    pub fn charge_bytes(&mut self, amount: u64) -> bool {
-        Self::debit(&mut self.remaining_bytes, &mut self.charged_bytes, amount)
-    }
-
-    /// Returns previously charged states (a child handed capability
-    /// back, e.g. a minimized automaton freed early). Crediting more
-    /// than was charged is an accounting underflow: `debug_assert` in
-    /// debug builds, clamped to the charged total in release builds.
-    pub fn give_back_states(&mut self, amount: u64) {
-        Self::credit(
-            &mut self.remaining_states,
-            &mut self.charged_states,
-            amount,
-            "states",
-        );
-    }
-
-    /// Returns previously charged bytes (same contract as
-    /// [`Self::give_back_states`]).
-    pub fn give_back_bytes(&mut self, amount: u64) {
-        Self::credit(
-            &mut self.remaining_bytes,
-            &mut self.charged_bytes,
-            amount,
-            "bytes",
-        );
-    }
-
-    fn debit(remaining: &mut u64, charged: &mut u64, amount: u64) -> bool {
-        if *remaining == UNLIMITED {
-            return true;
-        }
-        match remaining.checked_sub(amount) {
-            Some(rest) => {
-                *remaining = rest;
-                *charged = charged.saturating_add(amount);
-                true
-            }
-            None => {
-                // Drain rather than wrap; the caller reports the
-                // shortfall (SA400), so nothing is silent.
-                *charged = charged.saturating_add(*remaining);
-                *remaining = 0;
-                false
-            }
-        }
-    }
-
-    fn credit(remaining: &mut u64, charged: &mut u64, amount: u64, what: &str) {
-        let rest = charged.checked_sub(amount);
-        debug_assert!(
-            rest.is_some(),
-            "budget accounting underflow: {charged} {what} charged, crediting {amount}",
-        );
-        let credited = amount.min(*charged);
-        *charged = rest.unwrap_or(0);
-        if *remaining != UNLIMITED {
-            *remaining = remaining.saturating_add(credited);
-        }
     }
 }
 
@@ -498,19 +369,18 @@ mod tests {
     }
 
     #[test]
-    fn seeded_budget_admits_its_own_certificates() {
+    fn seeded_budget_admits_its_own_certificate() {
         let plan_cert = cert(4096, 1 << 22);
-        let adm = cert(8192, 1 << 20);
-        let b = Budget::seeded(&plan_cert, &adm, 4);
+        let b = Budget::seeded(&plan_cert, 4);
         assert!(b.admits(&plan_cert));
-        assert!(b.admits(&adm));
-        assert_eq!(b.states, 8192);
+        assert!(!b.admits(&cert(4097, 1 << 22)));
+        assert_eq!((b.states, b.bytes), (4096, 1 << 22));
         assert_eq!(b.search_depth, 4);
     }
 
     #[test]
     fn zero_certificate_seeds_unlimited_dimensions() {
-        let b = Budget::seeded(&ResourceCert::ZERO, &ResourceCert::ZERO, 4);
+        let b = Budget::seeded(&ResourceCert::ZERO, 4);
         assert_eq!(b.states, UNLIMITED);
         assert_eq!(b.bytes, UNLIMITED);
         assert!(b.admits(&cert(u64::MAX, u64::MAX)));
@@ -527,76 +397,6 @@ mod tests {
         assert_eq!((child.states, child.bytes), (40, 400));
         let greedy = parent.child_for(&cert(1_000_000, 1_000_000));
         assert_eq!((greedy.states, greedy.bytes), (100, 1000));
-    }
-
-    #[test]
-    fn split_shares_evenly_and_keeps_unlimited() {
-        let b = Budget {
-            states: 90,
-            bytes: UNLIMITED,
-            ..Budget::unlimited()
-        };
-        let parts = b.split(3);
-        assert_eq!(parts.len(), 3);
-        for p in parts {
-            assert_eq!(p.states, 30);
-            assert_eq!(p.bytes, UNLIMITED);
-        }
-    }
-
-    #[test]
-    fn account_charges_and_refuses_overdraft() {
-        let b = Budget {
-            states: 10,
-            bytes: 100,
-            ..Budget::unlimited()
-        };
-        let mut acct = BudgetAccount::new(&b);
-        assert!(acct.charge_states(6));
-        assert!(acct.charge_bytes(40));
-        assert_eq!(acct.remaining_states(), 4);
-        // Overdraft drains to zero and reports failure — the caller
-        // surfaces SA400, so no shortfall is silent.
-        assert!(!acct.charge_states(5));
-        assert_eq!(acct.remaining_states(), 0);
-        // Unlimited dimensions never debit.
-        let mut free = BudgetAccount::new(&Budget::unlimited());
-        assert!(free.charge_states(u64::MAX));
-        assert!(free.charge_states(u64::MAX));
-    }
-
-    #[test]
-    fn split_and_return_round_trips_exactly() {
-        let b = Budget {
-            states: 100,
-            bytes: 100,
-            ..Budget::unlimited()
-        };
-        let mut acct = BudgetAccount::new(&b);
-        assert!(acct.charge_states(70));
-        acct.give_back_states(70);
-        assert_eq!(acct.remaining_states(), 100);
-        assert!(acct.charge_bytes(30));
-        acct.give_back_bytes(30);
-        assert_eq!(acct.remaining_bytes(), 100);
-    }
-
-    /// Regression (panic-audit round 7): returning more capability
-    /// than was charged is an accounting underflow — caught by the
-    /// `debug_assert` in debug builds, exactly like the cache's byte
-    /// accounting.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "budget accounting underflow")]
-    fn returning_more_than_charged_is_an_accounting_bug() {
-        let b = Budget {
-            states: 100,
-            bytes: 100,
-            ..Budget::unlimited()
-        };
-        let mut acct = BudgetAccount::new(&b);
-        assert!(acct.charge_states(10));
-        acct.give_back_states(11);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!
 //! ## Key design
 //!
-//! The ISSUE-level key `(formula, schema, alphabet)` is **not sound**
-//! here: the compiler inlines relation *tuples* and the active domain
-//! into the automaton, so the artifact depends on database content, not
-//! just its shape. [`CacheKey`] therefore carries both an `instance`
-//! fingerprint (full content, [`Database::fingerprint`]) and a `schema`
-//! fingerprint — the latter purely so [`AutomatonCache::invalidate_schema`]
-//! can drop every entry of one schema in one call when the schema
-//! changes. Virtual (automaton-valued) relations bypass the cache
-//! entirely: their content has no stable fingerprint.
+//! A key of `(formula, schema, alphabet)` would **not be sound** here:
+//! the compiler inlines relation *tuples* and the active domain into
+//! the automaton, so the artifact depends on database content, not just
+//! its shape. [`CacheKey`] therefore carries an `instance` fingerprint
+//! of the full content ([`Database::fingerprint`], which hashes every
+//! relation name, arity and tuple, so it subsumes the schema). A write
+//! changes the fingerprint, so stale entries simply stop being hit and
+//! age out through the LRU. Virtual (automaton-valued) relations bypass
+//! the cache entirely: their content has no stable fingerprint.
 //!
 //! ## Eviction
 //!
@@ -51,10 +51,8 @@ const DEFAULT_BUDGET: usize = 64 * 1024 * 1024;
 pub struct CacheKey {
     /// α-invariant formula fingerprint ([`strcalc_logic::fingerprint`]).
     pub formula: u64,
-    /// Full database content fingerprint.
+    /// Full database content fingerprint (names, arities and tuples).
     pub instance: u64,
-    /// Schema fingerprint (names + arities) — the invalidation group.
-    pub schema: u64,
     /// Alphabet fingerprint.
     pub alphabet: u64,
     /// Engine configuration (cap, minimize threshold) — different
@@ -195,8 +193,7 @@ pub struct CacheStatsSnapshot {
     pub misses: u64,
     /// Entries dropped by the byte-budget LRU.
     pub evictions: u64,
-    /// Entries dropped by explicit invalidation (`clear`,
-    /// `invalidate_schema`, `invalidate_instance`).
+    /// Entries dropped by explicit invalidation (`clear`).
     pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -452,36 +449,6 @@ impl AutomatonCache {
             .fetch_add(dropped, Ordering::Relaxed);
     }
 
-    /// Drops every artifact compiled under the given schema fingerprint
-    /// — the explicit invalidation hook for schema changes.
-    pub fn invalidate_schema(&self, schema_fp: u64) {
-        self.invalidate_where(|k| k.schema == schema_fp);
-    }
-
-    /// Drops every artifact compiled against the given database content
-    /// fingerprint (finer-grained than schema invalidation).
-    pub fn invalidate_instance(&self, instance_fp: u64) {
-        self.invalidate_where(|k| k.instance == instance_fp);
-    }
-
-    fn invalidate_where(&self, pred: impl Fn(&CacheKey) -> bool) {
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut s = shard.lock().unwrap_or_else(|p| p.into_inner());
-            let victims: Vec<CacheKey> = s.map.keys().filter(|k| pred(k)).copied().collect();
-            for k in victims {
-                if let Some(e) = s.map.remove(&k) {
-                    let bytes = e.cached.bytes();
-                    s.debit(bytes);
-                    dropped += 1;
-                }
-            }
-        }
-        self.stats
-            .invalidations
-            .fetch_add(dropped, Ordering::Relaxed);
-    }
-
     /// Entries currently resident.
     pub fn len(&self) -> usize {
         self.shards
@@ -522,7 +489,6 @@ mod tests {
         CacheKey {
             formula,
             instance: 7,
-            schema: 3,
             alphabet: 11,
             config: 13,
         }
@@ -642,9 +608,10 @@ mod tests {
 
     #[test]
     fn mixed_artifact_accounting_stays_exact() {
-        // Insert, replace (both directions), evict, and invalidate with
-        // both artifact kinds resident; the byte account must return to
-        // zero with no underflow (debug_assert in `debit` would fire).
+        // Insert, replace (both directions) and evict with both artifact
+        // kinds resident; draining through the accounted eviction path
+        // must return the byte account to zero with no underflow
+        // (debug_assert in `debit` would fire).
         let cache = AutomatonCache::new();
         cache.insert(key(30), Arc::new(artifact(100)));
         cache.insert_dense(key(31), Arc::new(dense_artifact()));
@@ -654,7 +621,7 @@ mod tests {
         cache.insert_dense(key(30), Arc::new(dense_artifact()));
         cache.insert(key(31), Arc::new(artifact(40)));
         assert_eq!(cache.stats().bytes, dense_bytes + 40);
-        cache.invalidate_instance(7);
+        cache.evict_for_reservation(usize::MAX);
         assert_eq!(cache.stats().bytes, 0);
         assert!(cache.is_empty());
     }
@@ -742,21 +709,5 @@ mod tests {
         cache.evict_for_reservation(usize::MAX);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().bytes, 0);
-    }
-
-    #[test]
-    fn schema_invalidation_is_targeted() {
-        let cache = AutomatonCache::new();
-        let mut other_schema = key(1);
-        other_schema.schema = 99;
-        cache.insert(key(1), Arc::new(artifact(10)));
-        cache.insert(key(2), Arc::new(artifact(10)));
-        cache.insert(other_schema, Arc::new(artifact(10)));
-        cache.invalidate_schema(3);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&other_schema).is_some());
-        assert_eq!(cache.stats().invalidations, 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 }

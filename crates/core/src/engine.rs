@@ -125,8 +125,7 @@ impl AutomataEngine {
     }
 
     /// The cache key for compiling `f` over `alphabet` against `db`
-    /// under this engine's configuration. Public so callers can
-    /// invalidate precisely.
+    /// under this engine's configuration.
     ///
     /// The key folds in the formula's fragment classification
     /// ([`strcalc_analyze::fragments::class_fingerprint`]): the formula
@@ -144,7 +143,6 @@ impl AutomataEngine {
         CacheKey {
             formula: strcalc_logic::fingerprint(f),
             instance: db.fingerprint(),
-            schema: db.schema_fingerprint(),
             alphabet: alphabet.fingerprint(),
             config: config.finish(),
         }
@@ -153,9 +151,8 @@ impl AutomataEngine {
     /// The cache key for a dense DFA table over `lang` under `alphabet`.
     ///
     /// A dense table depends only on the language and the alphabet —
-    /// not on the instance, the schema, or this engine's automata
-    /// configuration — so the instance and schema channels are zeroed
-    /// (the table survives data changes) and the config channel carries
+    /// not on the instance or this engine's automata configuration — so
+    /// the instance channel is zeroed (the table survives data changes) and the config channel carries
     /// a fixed tier tag so dense slots can never alias a compiled
     /// automaton whose formula fingerprint happens to collide with a
     /// language fingerprint.
@@ -165,7 +162,6 @@ impl AutomataEngine {
         CacheKey {
             formula: strcalc_logic::lang_fingerprint(lang),
             instance: 0,
-            schema: 0,
             alphabet: alphabet.fingerprint(),
             config: config.finish(),
         }

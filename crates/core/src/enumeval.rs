@@ -155,7 +155,19 @@ impl EnumEngine {
         db: &Database,
         deadline: &Deadline,
     ) -> Result<(Relation, usize, bool), CoreError> {
-        let domain = self.domain(q, db);
+        self.eval_over(q, db, self.domain(q, db), deadline)
+    }
+
+    /// [`Self::eval`] over a `domain` the caller already built with
+    /// [`Self::domain`], so a caller that reports its size builds it
+    /// once.
+    pub(crate) fn eval_over(
+        &self,
+        q: &Query,
+        db: &Database,
+        domain: Vec<Str>,
+        deadline: &Deadline,
+    ) -> Result<(Relation, usize, bool), CoreError> {
         let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize)
             .with_deadline(deadline.clone());
         let mut env: HashMap<String, Str> = HashMap::new();

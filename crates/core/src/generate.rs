@@ -58,7 +58,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use strcalc_alphabet::{Alphabet, Str, Sym};
+use strcalc_alphabet::{Alphabet, Str, StringsExactly, StringsUpTo, Sym};
 use strcalc_analyze::cost;
 use strcalc_analyze::fragments::flatten_and;
 use strcalc_analyze::langs::LangTable;
@@ -1060,14 +1060,13 @@ impl<'p, 'db> Exec<'p, 'db> {
                 Some((&first, rest)) if first == a => list(vec![Str::from_syms(rest.to_vec())]),
                 _ => list(Vec::new()),
             },
-            Kind::EqLen => {
-                let n = other(1 - p).len();
-                Box::new(Strings::new(k, n, n))
-            }
-            Kind::ShorterEq => Box::new(Strings::new(k, 0, other(1).len())),
+            // Length generators enumerate lazily: over a long string
+            // their candidates are exponentially many.
+            Kind::EqLen => Box::new(StringsExactly::new(k, other(1 - p).len())),
+            Kind::ShorterEq => Box::new(StringsUpTo::new(k, other(1).len())),
             Kind::Shorter => match other(1).len() {
                 0 => list(Vec::new()),
-                n => Box::new(Strings::new(k, 0, n - 1)),
+                n => Box::new(StringsUpTo::new(k, n - 1)),
             },
             Kind::PL(l) => {
                 let x = other(0);
@@ -1145,52 +1144,6 @@ fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>]) -> bool {
             env[slot] = Some(value);
             true
         }
-    }
-}
-
-/// `Σ^{lo..=hi}` over `k` symbols, shortest first, one string at a
-/// time: a length generator over a long string must not materialize
-/// its exponentially many candidates.
-struct Strings {
-    k: Sym,
-    hi: usize,
-    /// The next string, or `None` once exhausted.
-    cur: Option<Vec<Sym>>,
-}
-
-impl Strings {
-    fn new(k: Sym, lo: usize, hi: usize) -> Strings {
-        let empty = lo > hi || (k == 0 && lo > 0);
-        Strings {
-            k,
-            hi,
-            cur: (!empty).then(|| vec![0; lo]),
-        }
-    }
-}
-
-impl Iterator for Strings {
-    type Item = Str;
-
-    fn next(&mut self) -> Option<Str> {
-        let cur = self.cur.as_mut()?;
-        let out = Str::from_syms(cur.clone());
-        // Odometer step; on overflow, the first string one longer.
-        let mut i = cur.len();
-        loop {
-            if i == 0 {
-                let n = cur.len() + 1;
-                self.cur = (n <= self.hi && self.k > 0).then(|| vec![0; n]);
-                break;
-            }
-            i -= 1;
-            cur[i] += 1;
-            if cur[i] < self.k {
-                break;
-            }
-            cur[i] = 0;
-        }
-        Some(out)
     }
 }
 

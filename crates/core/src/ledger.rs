@@ -4,10 +4,9 @@
 //! runs, each individually within budget, from collectively exhausting
 //! the process. A [`SharedLedger`] is a global pool of automaton
 //! states, artifact bytes, and concurrent-run slots that governed runs
-//! **reserve against before execution** (seeded from the plan's peak
-//! certificate — the same abstract-interpretation bound
-//! `admission::classify` reports) and release at settlement via the
-//! [`Reservation`] guard's `Drop`.
+//! **reserve against before execution** (the plan's peak planlint
+//! certificate, the same bound its budget is seeded from) and release
+//! at settlement via the [`Reservation`] guard's `Drop`.
 //!
 //! Over-subscription is never silent: [`SharedLedger::try_reserve`]
 //! returns a structured [`AdmissionShortfall`] (surfaced as

@@ -47,8 +47,8 @@ pub mod trace;
 pub mod translate;
 
 pub use budget::{
-    Budget, BudgetAccount, BudgetLedger, CacheEvent, CacheEventKind, Degradation,
-    DegradationPolicy, ExecVerdict, LedgerEntry,
+    Budget, BudgetLedger, CacheEvent, CacheEventKind, Degradation, DegradationPolicy, ExecVerdict,
+    LedgerEntry,
 };
 pub use cache::{AutomatonCache, CacheKey, CacheStatsSnapshot, CompiledArtifact};
 pub use clock::{Clock, Deadline, MonotonicClock, VirtualClock};

@@ -62,14 +62,14 @@
 use std::sync::Arc;
 
 use strcalc_alphabet::{Str, Sym};
-use strcalc_analyze::planlint::{fmt_bound, ResourceCert};
+use strcalc_analyze::planlint::{fmt_bound, Interval, ResourceCert};
 use strcalc_analyze::{Code, ScanPlan};
 use strcalc_automata::{DenseDfa, Dfa};
 use strcalc_relational::{Database, Relation};
 
 use crate::budget::{
-    Budget, BudgetAccount, BudgetLedger, CacheEvent, Degradation, DegradationPolicy, ExecVerdict,
-    LedgerEntry, UNLIMITED,
+    Budget, BudgetLedger, CacheEvent, Degradation, DegradationPolicy, ExecVerdict, LedgerEntry,
+    UNLIMITED,
 };
 use crate::cache::{CompiledArtifact, DenseArtifact};
 use crate::clock::{Clock, Deadline, MonotonicClock, VirtualClock};
@@ -425,11 +425,23 @@ impl Plan {
         }
     }
 
-    fn enum_engine(&self) -> EnumEngine {
-        EnumEngine {
+    /// The collapse interpreter: evaluates `q` over its bounded domain,
+    /// built once. Returns `(answer, frontier candidates completed,
+    /// truncated, domain size)`.
+    fn collapse(
+        &self,
+        q: &Query,
+        db: &Database,
+        deadline: &Deadline,
+    ) -> Result<(Relation, usize, bool, usize), CoreError> {
+        let engine = EnumEngine {
             slack: self.slack,
             ..EnumEngine::default()
-        }
+        };
+        let domain = engine.domain(q, db);
+        let domain_size = domain.len();
+        let (rel, seen, truncated) = engine.eval_over(q, db, domain, deadline)?;
+        Ok((rel, seen, truncated, domain_size))
     }
 
     /// The automata executor: compiles the plan's automaton (through the
@@ -479,9 +491,7 @@ impl Plan {
     /// The active-domain enumeration executor.
     fn run_enum(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
         let q = self.typed_query()?;
-        let engine = self.enum_engine();
-        let domain_size = engine.domain(q, db).len();
-        let (rel, seen, truncated) = engine.eval(q, db, &run.deadline)?;
+        let (rel, seen, truncated, domain_size) = self.collapse(q, db, &run.deadline)?;
         if truncated {
             let what = if self.is_boolean() {
                 "quantifier evaluation interrupted mid-frontier".to_string()
@@ -686,9 +696,7 @@ impl Plan {
         if injected {
             run.degrade(Code::FaultInjected, "root", "injected compile abort");
         }
-        let engine = self.enum_engine();
-        let domain_size = engine.domain(q, db).len();
-        let (rel, _, _) = engine.eval(q, db, &Deadline::unlimited())?;
+        let (rel, _, _, domain_size) = self.collapse(q, db, &Deadline::unlimited())?;
         run.degrade(
             Code::DeadlineCompileAborted,
             "root",
@@ -813,9 +821,7 @@ impl Plan {
                 ),
             );
         }
-        let engine = self.enum_engine();
-        let domain_size = engine.domain(q, db).len();
-        let (rel, seen, truncated) = engine.eval(q, db, &run.deadline)?;
+        let (rel, seen, truncated, domain_size) = self.collapse(q, db, &run.deadline)?;
         if truncated {
             // The bounded fallback can itself run out of time; the
             // verdict stays `Bounded` (a subset of a bounded answer is
@@ -904,16 +910,16 @@ impl Plan {
         ConcatEvaluator::new(self.alphabet().clone(), effective)
     }
 
-    /// Post-execution settlement: charges the observed actuals to a
-    /// [`BudgetAccount`] (fresh compilations only — a cache hit serves
-    /// resident bytes the cache's own budget already accounts). Any
-    /// overdraft is an SA400 event — the run completed, but the
-    /// capability was overdrawn, and that is never silent. Wall time is
-    /// *not* checked here: the in-flight [`Deadline`] already enforced
-    /// it at checkpoints, deterministically, so settlement has nothing
-    /// nondeterministic left to add.
+    /// Post-execution settlement: checks the observed actuals against
+    /// the handed budget (fresh compilations only — a cache hit serves
+    /// resident bytes the cache's own budget already accounts). An
+    /// actual above a finite dimension is an SA400 event — the run
+    /// completed, but the capability was overdrawn, and that is never
+    /// silent. Wall time is *not* checked here: the in-flight
+    /// [`Deadline`] already enforced it at checkpoints,
+    /// deterministically, so settlement has nothing nondeterministic
+    /// left to add.
     fn settle(&self, run: &mut Run) {
-        let mut acct = BudgetAccount::new(&run.budget);
         let (states, bytes) = if run.report.cache_hit {
             (0, 0)
         } else {
@@ -922,8 +928,11 @@ impl Plan {
                 run.report.artifact_bytes as u64,
             )
         };
-        let ok = acct.charge_states(states) && acct.charge_bytes(bytes);
-        if !ok {
+        let actuals = ResourceCert {
+            states: Interval::point(states),
+            bytes: Interval::point(bytes),
+        };
+        if !run.budget.admits(&actuals) {
             let detail = format!(
                 "post-execution actuals ({states} states, {bytes} bytes) overdrew the \
                  handed budget ({})",

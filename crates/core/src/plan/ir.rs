@@ -245,9 +245,9 @@ pub struct Plan {
     /// Whole-plan resource certificate (the root node's), attached by
     /// final verification. Execution cross-checks actuals against it.
     pub(crate) root_cert: Option<ResourceCert>,
-    /// The budget capability the planner seeded from the planlint
-    /// certificate plus `analyze::admission::classify`. `execute` runs
-    /// under it unless the caller's `ExecCx` carries another.
+    /// The budget capability the planner seeded from the plan's peak
+    /// planlint certificate. `execute` runs under it unless the
+    /// caller's `ExecCx` carries another.
     pub(crate) budget: Budget,
     /// The compiled program a `Relational` root executes.
     pub(crate) program: Option<Arc<Program>>,
@@ -297,10 +297,10 @@ impl Plan {
         self.root_cert
     }
 
-    /// The budget capability the planner seeded this plan with (from
-    /// the planlint certificate joined with the admission classifier's
-    /// formula certificate). [`Plan::execute`](crate::plan::Plan)
-    /// governs itself under this budget; an `ExecCx` budget overrides it.
+    /// The budget capability the planner seeded this plan with, from
+    /// the plan's peak planlint certificate.
+    /// [`Plan::execute`](crate::plan::Plan) governs itself under this
+    /// budget; an `ExecCx` budget overrides it.
     pub fn seeded_budget(&self) -> Budget {
         self.budget
     }

@@ -48,12 +48,7 @@ pub use ir::{Plan, PlanNode, PlanOp, Strategy};
 pub use lint::{PlanChecker, PlanLintReport};
 pub use passes::PassTrace;
 
-/// Monoid cap for the admission classifier's star-freeness probe when
-/// seeding budgets (matches the analyzer's default).
-const ADMISSION_MONOID_CAP: usize = 100_000;
-
 use strcalc_alphabet::Alphabet;
-use strcalc_analyze::admission;
 use strcalc_analyze::cost;
 use strcalc_analyze::fragments;
 use strcalc_analyze::planlint::{self as cert_domain, ResourceCert, DENSIFY_THRESHOLD};
@@ -375,25 +370,17 @@ impl Planner {
         // Seed the budget capability from the plan's *peak* certified
         // demand (certificates are not monotone down the tree — an
         // interior product can peak above the minimized root, and the
-        // capability must cover the deepest intermediate). When the
-        // plan IR certifies nothing (pure interpreters), fall back to
-        // the admission classifier's formula-level certificate — the
-        // classifier runs monoid probes, so it is consulted only on
-        // that cold path to keep planning inside its 5% overhead
-        // budget. Both are sound upper bounds, so the seeded budget
-        // admits the certified run exactly: back-compat `execute` never
-        // degrades unless a caller narrows the capability. This is
-        // where the ambient limits are subsumed — the seeded
+        // capability must cover the deepest intermediate). Every
+        // automaton leaf certifies at least one state, so an automata
+        // plan's peak is never zero; a zero peak means the strategy
+        // builds no automata and leaves those dimensions unlimited.
+        // The certificate is a sound upper bound, so the seeded budget
+        // admits the certified run exactly: `execute` never degrades
+        // unless a caller narrows the capability. The seeded
         // `search_depth` is the planner's bound `B`, and the complement
         // cap's safety role moves to the per-node states hand-down in
         // the exec governor.
-        let peak = exec::subtree_peak(&root);
-        let budget = if peak.is_zero() && strategy == Strategy::Automata {
-            let admission = admission::classify(formula, k, ADMISSION_MONOID_CAP);
-            Budget::seeded(&peak, &admission.cert, self.bound)
-        } else {
-            Budget::seeded(&peak, &cert_domain::ResourceCert::ZERO, self.bound)
-        };
+        let budget = Budget::seeded(&exec::subtree_peak(&root), self.bound);
 
         Ok(Plan {
             strategy,

@@ -16,6 +16,7 @@
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
+use strcalc_core::budget::UNLIMITED;
 use strcalc_core::{
     Budget, Calculus, ConcatEvaluator, Deadline, DegradationPolicy, EvalOutput, ExecCx, FaultPlan,
     Planner, Query, Strategy as PlanStrategy,
@@ -92,9 +93,14 @@ proptest! {
         let q = query_of(f);
         let db = db();
         let plan = Planner::new().force(PlanStrategy::Automata).plan(&q).expect("plans");
+        // Every automaton leaf certifies at least one state, so the
+        // seeded budget is finite and covers the plan's certificate.
+        let seeded = plan.seeded_budget();
+        prop_assert!(seeded.states != UNLIMITED && seeded.bytes != UNLIMITED, "{}", seeded);
+        prop_assert!(seeded.admits(&plan.certificate().expect("certified")));
         let (exact, _) = plan.execute(&db).expect("ungoverned");
         let (governed, report) = plan
-            .execute_in(&db, &under(plan.seeded_budget()))
+            .execute_in(&db, &under(seeded))
             .expect("governed");
         prop_assert_eq!(governed, exact);
         prop_assert!(report.verdict.is_exact());

@@ -1,5 +1,4 @@
-//! Hash-consing for formulas: stable α-invariant fingerprints and a
-//! structural interner.
+//! Formula identity: stable α-invariant fingerprints and α-equivalence.
 //!
 //! The compilation pipeline re-pays the formula → automaton cost on every
 //! call even for the same query, so `strcalc-core` keys a compilation
@@ -13,19 +12,12 @@
 //!    (`freshen_bound`), so syntactically different but α-equivalent
 //!    formulas must collide *on purpose*: bound variables are encoded by
 //!    de Bruijn index, free variables by name. `∃x.P(x)` and `∃y.P(y)`
-//!    fingerprint (and intern) identically.
+//!    fingerprint identically.
 //!
 //! Language atoms (`in`/`pl`) carry an optional display name next to their
 //! [`Regex`]; the name is presentation-only, so fingerprints and
 //! [`alpha_eq`] look at the regex alone — `LIKE 'a%'` and an equivalent
 //! hand-written `/a.*/` with identical ASTs dedupe.
-//!
-//! [`Interner`] builds on both: it hands out [`Arc<Formula>`]s such that
-//! α-equivalent inputs share one allocation, with hit/miss counters for
-//! observability.
-
-use std::collections::HashMap;
-use std::sync::Arc;
 
 use strcalc_automata::Regex;
 
@@ -470,61 +462,12 @@ fn term_eq(a: &Term, b: &Term, env_a: &[&str], env_b: &[&str]) -> bool {
     }
 }
 
-/// A hash-consing table: α-equivalent formulas intern to one shared
-/// [`Arc`]. Fingerprint collisions are resolved by [`alpha_eq`], so a
-/// collision can never conflate distinct formulas.
-#[derive(Debug, Default)]
-pub struct Interner {
-    table: HashMap<u64, Vec<Arc<Formula>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Interner {
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
-    /// Interns `f`, returning the canonical shared node for its
-    /// α-equivalence class (and that class's fingerprint).
-    pub fn intern(&mut self, f: &Formula) -> (Arc<Formula>, u64) {
-        let fp = fingerprint(f);
-        let bucket = self.table.entry(fp).or_default();
-        if let Some(existing) = bucket.iter().find(|g| alpha_eq(g, f)) {
-            self.hits += 1;
-            return (Arc::clone(existing), fp);
-        }
-        self.misses += 1;
-        let node = Arc::new(f.clone());
-        bucket.push(Arc::clone(&node));
-        (node, fp)
-    }
-
-    /// Number of distinct α-equivalence classes stored.
-    pub fn len(&self) -> usize {
-        self.table.values().map(Vec::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Interns that found an existing node.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Interns that allocated a new node.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_formula;
     use crate::transform::freshen_bound;
+    use std::collections::HashMap;
     use strcalc_alphabet::Alphabet;
 
     fn f(src: &str) -> Formula {
@@ -609,18 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn freshened_rewrites_dedupe_in_the_interner() {
-        let mut interner = Interner::new();
+    fn freshened_rewrites_keep_their_identity() {
         let orig = f("exists y. (U(y) & x <= y) & exists y. (U(y) & y <= x)");
         let fresh = freshen_bound(&orig);
         assert_ne!(orig, fresh, "freshening renames bound vars");
-        let (a, fpa) = interner.intern(&orig);
-        let (b, fpb) = interner.intern(&fresh);
-        assert!(Arc::ptr_eq(&a, &b), "α-equivalent formulas share a node");
-        assert_eq!(fpa, fpb);
-        assert_eq!(interner.len(), 1);
-        assert_eq!(interner.hits(), 1);
-        assert_eq!(interner.misses(), 1);
+        assert!(alpha_eq(&orig, &fresh));
+        assert_eq!(fingerprint(&orig), fingerprint(&fresh));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod transform;
 
 pub use compile::{CompileError, Compiled, Compiler, RelResolver, Resolved};
 pub use formula::{Atom, Formula, Lang, Restrict, Term};
-pub use intern::{alpha_eq, fingerprint, lang_fingerprint, Fp, Interner};
+pub use intern::{alpha_eq, fingerprint, lang_fingerprint, Fp};
 pub use parser::{parse_formula, MAX_NESTING_DEPTH};
 pub use rewrite::{RewriteStep, RewriteTrace, Rewriter, TraceEntry};
 pub use transform::StructureClass;

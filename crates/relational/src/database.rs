@@ -90,25 +90,6 @@ impl Schema {
     pub fn is_unary(&self) -> bool {
         self.arities.values().all(|&a| a == 1)
     }
-
-    /// Stable fingerprint of the schema (relation names and arities).
-    /// Cache-key component: compiled artifacts for one schema can be
-    /// invalidated together when the schema changes.
-    pub fn fingerprint(&self) -> u64 {
-        schema_fingerprint(self.arities.iter().map(|(n, &a)| (n.as_str(), a)))
-    }
-}
-
-/// The schema fingerprint of `(name, arity)` pairs in name order — one
-/// definition for [`Schema::fingerprint`] and
-/// [`Database::schema_fingerprint`].
-fn schema_fingerprint<'a>(rels: impl ExactSizeIterator<Item = (&'a str, usize)>) -> u64 {
-    let mut fp = strcalc_logic::Fp::new();
-    fp.u64(rels.len() as u64);
-    for (name, arity) in rels {
-        fp.str(name).u64(arity as u64);
-    }
-    fp.finish()
 }
 
 /// One finite relation: a set of equal-arity tuples, kept sorted
@@ -273,12 +254,6 @@ impl Database {
         out
     }
 
-    /// The schema's fingerprint, equal to `self.schema().fingerprint()`
-    /// without building the [`Schema`].
-    pub fn schema_fingerprint(&self) -> u64 {
-        schema_fingerprint(self.rels.iter().map(|(n, r)| (n.as_str(), r.arity())))
-    }
-
     /// Length of the longest active-domain string (0 for empty DB).
     pub fn max_len(&self) -> usize {
         self.rels
@@ -401,29 +376,21 @@ mod tests {
         a.insert("U", vec![s("a")]).unwrap();
         let mut b = Database::new();
         b.insert("U", vec![s("a")]).unwrap();
-        assert_eq!(a.schema().fingerprint(), b.schema().fingerprint());
         assert_eq!(a.fingerprint(), b.fingerprint());
 
-        // Same schema, different content: schema fp agrees, db fp differs.
+        // Same schema, different content.
         b.insert("U", vec![s("b")]).unwrap();
-        assert_eq!(a.schema().fingerprint(), b.schema().fingerprint());
         assert_ne!(a.fingerprint(), b.fingerprint());
 
-        // Different schema.
+        // Different schema, same strings.
         let mut c = Database::new();
         c.insert("V", vec![s("a")]).unwrap();
-        assert_ne!(a.schema().fingerprint(), c.schema().fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
 
-    #[test]
-    fn schema_fingerprint_needs_no_schema() {
-        let mut db = Database::new();
-        assert_eq!(db.schema_fingerprint(), db.schema().fingerprint());
-        db.insert("U", vec![s("a")]).unwrap();
-        db.insert("R", vec![s("ab"), s("b")]).unwrap();
-        db.declare("E", 3).unwrap();
-        assert_eq!(db.schema_fingerprint(), db.schema().fingerprint());
+        // A declared empty relation changes the schema alone.
+        let before = c.fingerprint();
+        c.declare("E", 3).unwrap();
+        assert_ne!(before, c.fingerprint());
     }
 
     #[test]
