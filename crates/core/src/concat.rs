@@ -9,10 +9,19 @@
 //!   is not a synchronized-regular relation, so the automatic-structure
 //!   machinery (and with it every decision procedure of Section 6) stops
 //!   applying;
-//! * the only general evaluation strategy left is **bounded search**
-//!   ([`ConcatEvaluator`]): quantifiers range over `Σ^{≤B}` for a user-
-//!   supplied bound `B`, with no completeness guarantee as `B` grows —
-//!   mirroring the semi-decidability of the full semantics;
+//! * the only general evaluation strategy left is **bounded search**:
+//!   every variable ranges over `Σ^{≤B}` for a user-supplied bound `B`,
+//!   with no completeness guarantee as `B` grows — mirroring the
+//!   semi-decidability of the full semantics. The planner runs it as a
+//!   `generate` program: Theorem 3's flow rules still carry range
+//!   restriction through `concat` (a bound `x` and `y` fix `z = x·y`, a
+//!   bound `z` has `|z|+1` splits), so only a variable nothing
+//!   restricts walks `Σ^{≤B}`, and no value longer than `B` is ever
+//!   bound. [`ConcatEvaluator`] interprets the formula over `Σ^{≤B}`
+//!   directly, one assignment at a time: it is the independent
+//!   reference the tests and experiments compare with, and the plan's
+//!   executor for the formulas the lowering refuses (those with a
+//!   restricted quantifier);
 //! * expressiveness beyond `S_len` is witnessed executably: the query
 //!   `∃y (x = y·y)` defines the copy language `{ww}`, which is not
 //!   regular, while every `RC(S_len)`-definable subset of `Σ*` is regular

@@ -26,6 +26,9 @@
 //! | `pl(x, y, L)` (`x` bound, `L` finite) | `x·w` for `w ∈ L` |
 //! | `in(t, L)` (`L` finite) | the words of `L`, enumerated lazily |
 //! | `ins(x, p, y, a)` | the insertion (deletion) points of the bound side |
+//! | `concat(x, y, z)` (`x`, `y` bound; bounded search) | the computed `z = x·y` |
+//! | `concat(x, y, z)` (`z` bound; bounded search) | the `\|z\|+1` splits, or the remainder of `z` after a bound prefix `x` (before a bound suffix `y`) |
+//! | `Domain` step (bounded search) | `Σ^{≤depth}`, for a variable nothing else generates |
 //!
 //! Which languages are finite comes from the analyzer's
 //! [`LangTable`], the table its range-restriction verdicts read, so the
@@ -42,6 +45,17 @@
 //! that `x` finds its generator. A formula whose lowering leaves some
 //! variable without a generator (for instance `R(x) ∧ ∃y ¬(x ⪯ y)`) is
 //! refused, and the planner keeps it on the automata route.
+//!
+//! **Bounded search** runs on the same executor ([`Program::lower`] with
+//! `search: Some(B)`). Concatenation lowers there, with the generators
+//! of `saferange::confined_terms`' `concat` rules, and a variable that
+//! the binding order leaves unbound takes its values from a `Domain`
+//! step over `Σ^{≤depth}`. So do the free variables of a shape that
+//! cannot generate them (`¬`, `∀`, an uneven `∨`), which then runs as a
+//! test. Every value longer than the run's `depth` is rejected when it
+//! is bound, so the answer is exactly the bounded answer: the one
+//! `ConcatEvaluator` computes with every variable ranging over
+//! `Σ^{≤depth}`. Only a restricted quantifier is refused.
 //!
 //! Stored strings outside the alphabet follow the scan executors'
 //! convention: a row holding one denotes nothing, so generators skip it.
@@ -150,6 +164,7 @@ enum Kind {
     InLang(usize),
     PL(usize),
     Insert(Sym),
+    Concat,
 }
 
 /// A compiled atom.
@@ -207,6 +222,9 @@ enum Step {
     },
     /// Binds `slots` from the distinct tuples a subformula yields.
     Sub { node: Node, slots: Vec<Slot> },
+    /// Binds `slot` to each string of `Σ^{≤depth}`, the run's search
+    /// domain: bounded search only, for a variable nothing generates.
+    Domain(Slot),
     /// A test over bound variables.
     Filter(Node),
 }
@@ -242,18 +260,25 @@ impl Program {
     /// space cap the tree's `Complement` nodes carry; without an
     /// alphabet the tree's labels stay empty, which is enough to decide
     /// the route.
+    ///
+    /// `search: Some(B)` compiles for bounded search over `Σ^{≤B}`
+    /// instead: `concat` atoms lower, and a variable without a
+    /// generator takes its values from a `Domain` step. Only a
+    /// restricted quantifier is then refused.
     pub(crate) fn lower(
         f: &Formula,
         head: &[String],
         k: Sym,
         alphabet: Option<&Alphabet>,
         cap: usize,
+        search: Option<usize>,
     ) -> Option<(Program, PlanNode)> {
         let table = LangTable::build(f, k);
         let mut lower = Lower {
             k,
             alphabet,
             cap,
+            search,
             table: &table,
             scope: Vec::new(),
             slots: 0,
@@ -278,8 +303,16 @@ impl Program {
         ))
     }
 
-    /// Runs the program against `db` under `deadline`.
-    pub(crate) fn run(&self, db: &Database, deadline: &Deadline) -> Result<Outcome, CoreError> {
+    /// Runs the program against `db` under `deadline`. No variable is
+    /// bound to a string longer than `depth`, and a `Domain` step
+    /// ranges over `Σ^{≤depth}`; the relational route passes
+    /// `usize::MAX`.
+    pub(crate) fn run(
+        &self,
+        db: &Database,
+        deadline: &Deadline,
+        depth: usize,
+    ) -> Result<Outcome, CoreError> {
         let mut rels = Vec::with_capacity(self.relations.len());
         for (name, arity) in &self.relations {
             let rel = db
@@ -300,6 +333,7 @@ impl Program {
             rels,
             indexes: vec![None; self.indexes],
             env: vec![None; self.slots],
+            depth,
             bindings: 0,
             deadline,
         };
@@ -335,6 +369,9 @@ struct Lower<'a> {
     k: Sym,
     alphabet: Option<&'a Alphabet>,
     cap: usize,
+    /// The bound `B` of bounded search, which lowers `concat` and
+    /// supplies the `Σ^{≤B}` domain; `None` on the relational route.
+    search: Option<usize>,
     /// Finiteness and DFA of each `in`/`pl` language of the formula.
     table: &'a LangTable,
     /// Variable name → slot, innermost binder last.
@@ -354,6 +391,17 @@ struct Chain {
     steps: Vec<Step>,
     trees: Vec<PlanNode>,
     placed: Vec<bool>,
+}
+
+impl Chain {
+    /// An empty chain over `n` conjuncts.
+    fn new(n: usize) -> Chain {
+        Chain {
+            steps: Vec::new(),
+            trees: Vec::new(),
+            placed: vec![false; n],
+        }
+    }
 }
 
 impl Lower<'_> {
@@ -425,7 +473,9 @@ impl Lower<'_> {
             Atom::InLang(_, l) => Kind::InLang(self.lang(l)?),
             Atom::PL(_, _, l) => Kind::PL(self.lang(l)?),
             Atom::InsertAfter(_, _, _, s) => Kind::Insert(*s),
-            // Concatenation never reaches this route (Proposition 1).
+            // Concatenation lowers only for bounded search: the exact
+            // route has no answer to give (Proposition 1).
+            Atom::ConcatEq(..) if self.search.is_some() => Kind::Concat,
             Atom::ConcatEq(..) => return None,
         };
         let terms = a
@@ -483,21 +533,32 @@ impl Lower<'_> {
         if unbound.is_empty() {
             return self.test(f, bound);
         }
+        let side = |g: &Formula| -> BTreeSet<String> {
+            g.free_vars()
+                .into_iter()
+                .filter(|v| !bound.contains(v))
+                .collect()
+        };
         match f {
             Formula::And(..) | Formula::Atom(_) => self.chain(f, bound),
-            Formula::Or(a, b) => {
-                let side = |g: &Formula| -> BTreeSet<String> {
-                    g.free_vars()
-                        .into_iter()
-                        .filter(|v| !bound.contains(v))
-                        .collect()
-                };
-                if side(a) != unbound || side(b) != unbound {
-                    return None;
-                }
+            Formula::Or(a, b) if side(a) == unbound && side(b) == unbound => {
                 self.union(f, a, b, bound)
             }
             Formula::Exists(v, g) => self.project(f, v, g, bound),
+            // A shape that generates nothing (`¬`, `∀`, an uneven `∨`):
+            // under bounded search its free variables range over the
+            // domain and it runs as a test.
+            _ if self.search.is_some() => {
+                let mut chain = Chain::new(0);
+                for v in &unbound {
+                    self.domain(v, &mut chain)?;
+                }
+                let all: BTreeSet<String> = bound.union(&unbound).cloned().collect();
+                let (node, tree) = self.test(f, &all)?;
+                chain.steps.push(Step::Filter(node));
+                chain.trees.push(tree);
+                Some(self.finish(f, chain))
+            }
             _ => None,
         }
     }
@@ -577,40 +638,81 @@ impl Lower<'_> {
     }
 
     /// A flattened `∧` chain, in the binding order `saferange` derives.
+    /// Under bounded search, a variable the order leaves unbound takes
+    /// its values from the domain, and the order is derived again: the
+    /// new value may let a conjunct generate another variable.
     fn chain(&mut self, f: &Formula, bound: &BTreeSet<String>) -> Lowered {
         let mut conjuncts = Vec::new();
         flatten_and(f, &mut conjuncts);
-        let order = binding_order(&conjuncts, bound, self.table);
+        let mut order = binding_order(&conjuncts, bound, self.table).into_iter();
         let mut have = bound.clone();
-        let mut chain = Chain {
-            steps: Vec::new(),
-            trees: Vec::new(),
-            placed: vec![false; conjuncts.len()],
-        };
+        let mut chain = Chain::new(conjuncts.len());
         self.filters(&conjuncts, &have, &mut chain)?;
-        for b in order {
-            self.bind(
-                conjuncts[b.conjunct],
-                b.conjunct,
-                &b.vars,
-                &have,
-                &mut chain,
-            )?;
-            have.extend(b.vars);
-            self.filters(&conjuncts, &have, &mut chain)?;
+        loop {
+            // Set when a subformula binds more than the order foresaw.
+            let mut stale = false;
+            for b in order.by_ref() {
+                let vars: Vec<String> = b.vars.into_iter().filter(|v| !have.contains(v)).collect();
+                if vars.is_empty() {
+                    continue;
+                }
+                let fresh =
+                    self.bind(conjuncts[b.conjunct], b.conjunct, &vars, &have, &mut chain)?;
+                stale = fresh.len() > vars.len();
+                have.extend(fresh);
+                self.filters(&conjuncts, &have, &mut chain)?;
+                if stale {
+                    break;
+                }
+            }
+            if !stale {
+                if self.search.is_none() {
+                    break;
+                }
+                let Some(v) = f.free_vars().into_iter().find(|v| !have.contains(v)) else {
+                    break;
+                };
+                self.domain(&v, &mut chain)?;
+                have.insert(v);
+                self.filters(&conjuncts, &have, &mut chain)?;
+            }
+            order = binding_order(&conjuncts, &have, self.table).into_iter();
         }
         if chain.placed.iter().any(|p| !p) {
             return None;
         }
+        Some(self.finish(f, chain))
+    }
+
+    /// The node and plan tree of a completed chain.
+    fn finish(&self, f: &Formula, mut chain: Chain) -> (Node, PlanNode) {
         let tree = match chain.trees.len() {
-            1 => chain.trees.pop()?,
+            1 => chain.trees.remove(0),
             _ => self.interior(PlanOp::Product, f, chain.trees),
         };
-        Some((Node::Chain(chain.steps), tree))
+        (Node::Chain(chain.steps), tree)
+    }
+
+    /// A `Domain` step binding `v` to each string of the search domain.
+    fn domain(&self, v: &str, chain: &mut Chain) -> Option<()> {
+        let bound = self.search?;
+        chain.steps.push(Step::Domain(self.slot(v)?));
+        chain.trees.push(self.plan(
+            PlanOp::Generate {
+                var: v.to_string(),
+                label: format!("Σ^≤{bound}"),
+            },
+            &Formula::True,
+            vec![v.to_string()],
+            Vec::new(),
+        ));
+        Some(())
     }
 
     /// The step binding `vars` from conjunct `c` (the `i`-th), given
-    /// `have`.
+    /// `have`. Returns the variables it binds: `vars`, and under bounded
+    /// search every other unbound variable of a compound conjunct, which
+    /// its lowering binds from the domain.
     fn bind(
         &mut self,
         c: &Formula,
@@ -618,7 +720,7 @@ impl Lower<'_> {
         vars: &[String],
         have: &BTreeSet<String>,
         chain: &mut Chain,
-    ) -> Option<()> {
+    ) -> Option<Vec<String>> {
         let free = c.free_vars();
         if !vars.iter().all(|v| free.contains(v)) {
             // An unsatisfiable conjunct confines every variable
@@ -639,15 +741,17 @@ impl Lower<'_> {
             chain.steps.push(step);
         } else {
             let (node, tree) = self.gen(c, have)?;
-            let slots = vars
+            let fresh: Vec<String> = free.into_iter().filter(|v| !have.contains(v)).collect();
+            let slots = fresh
                 .iter()
                 .map(|v| self.slot(v))
                 .collect::<Option<Vec<_>>>()?;
             chain.steps.push(Step::Sub { node, slots });
             chain.trees.push(tree);
             chain.placed[i] = true;
+            return Some(fresh);
         }
-        Some(())
+        Some(vars.to_vec())
     }
 
     /// Places every conjunct whose variables are all bound as a filter:
@@ -782,6 +886,8 @@ struct Exec<'p, 'db> {
     rows: Vec<Option<Rows<'db>>>,
     indexes: Vec<Option<Rc<Index>>>,
     env: Vec<Option<Val<'db>>>,
+    /// The longest value a variable may be bound to.
+    depth: usize,
     bindings: u64,
     deadline: &'p Deadline,
 }
@@ -884,6 +990,18 @@ impl<'p, 'db> Exec<'p, 'db> {
                 }
                 Ok(Flow::Go)
             }
+            Step::Domain(slot) => {
+                for w in StringsUpTo::new(self.prog.k, self.depth) {
+                    self.tick()?;
+                    self.env[*slot] = Some(Cow::Owned(w));
+                    let flow = self.steps(rest, k);
+                    self.env[*slot] = None;
+                    if flow? == Flow::Stop {
+                        return Ok(Flow::Stop);
+                    }
+                }
+                Ok(Flow::Go)
+            }
             Step::Generate {
                 atom,
                 positions,
@@ -923,7 +1041,7 @@ impl<'p, 'db> Exec<'p, 'db> {
         let was_bound = self.env[slot].is_some();
         for w in self.candidates(atom, p) {
             self.tick()?;
-            let flow = if bind(term, Cow::Owned(w), &mut self.env) {
+            let flow = if bind(term, Cow::Owned(w), &mut self.env, self.depth) {
                 self.generate_values(atom, more, check, rest, k)
             } else {
                 Ok(Flow::Go)
@@ -975,7 +1093,7 @@ impl<'p, 'db> Exec<'p, 'db> {
             let bound = atom.terms.iter().enumerate().all(|(i, t)| {
                 key.contains(&i)
                     || t.chain_var().is_none_or(|s| !slots.contains(&s))
-                    || bind(t, Cow::Borrowed(&row[i]), &mut self.env)
+                    || bind(t, Cow::Borrowed(&row[i]), &mut self.env, self.depth)
             });
             let flow = if bound {
                 self.steps(rest, k)
@@ -1082,6 +1200,20 @@ impl<'p, 'db> Exec<'p, 'db> {
                 (None, 1, _) => list(other(2).prefixes().collect()),
                 (None, _, _) => list(deletions(&other(2), a)),
             },
+            // z = x·y: the product, the remainder of a bound operand,
+            // or the |z|+1 splits.
+            Kind::Concat => {
+                let z = other(2);
+                let z = z.syms();
+                let part = |s: &[Sym]| Str::from_syms(s.to_vec());
+                list(match (p, val(0), val(1)) {
+                    (2, _, _) => vec![other(0).concat(&other(1))],
+                    (0, _, Some(y)) => z.strip_suffix(y.syms()).map(part).into_iter().collect(),
+                    (1, Some(x), _) => z.strip_prefix(x.syms()).map(part).into_iter().collect(),
+                    (0, _, None) => (0..=z.len()).map(|n| part(&z[..n])).collect(),
+                    _ => (0..=z.len()).map(|n| part(&z[n..])).collect(),
+                })
+            }
             _ => list(Vec::new()),
         }
     }
@@ -1123,14 +1255,15 @@ impl<'p, 'db> Exec<'p, 'db> {
                 x.is_prefix_of(&y) && langs[l].dfa.accepts(&y.subtract(&x))
             }
             Kind::Insert(a) => val(0)?.insert_after(&*val(1)?, a).as_ref() == Some(&*val(2)?),
+            Kind::Concat => val(0)?.concat(&*val(1)?) == *val(2)?,
         })
     }
 }
 
 /// Binds the variable of the injective chain `t` so that `t` evaluates
-/// to `w`; `false` when no value does, or when the variable is already
-/// bound to another one.
-fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>]) -> bool {
+/// to `w`; `false` when no value does, when that value is longer than
+/// `depth`, or when the variable is already bound to another one.
+fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>], depth: usize) -> bool {
     let value = match t {
         CTerm::Var(_) => Some(w),
         _ => t.invert(w.syms()).map(Cow::Owned),
@@ -1138,6 +1271,9 @@ fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>]) -> bool {
     let (Some(slot), Some(value)) = (t.chain_var(), value) else {
         return false;
     };
+    if value.len() > depth {
+        return false;
+    }
     match &env[slot] {
         Some(old) => *old == value,
         None => {

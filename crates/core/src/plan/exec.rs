@@ -3,8 +3,9 @@
 //! Every run takes one path, [`Plan::execute_in`]; [`Plan::execute`] is
 //! that path in the production context. It dispatches on the plan's
 //! root operator and hands the work to the matching executor — the
-//! automata engine's artifact pipeline, the relational route's nested
-//! loops, the enumeration interpreter, the bounded search, or a
+//! automata engine's artifact pipeline, a compiled program's nested
+//! loops (the relational route and bounded search), the enumeration
+//! interpreter, the bounded-search fallback, or a
 //! relation scan — and reports
 //! post-execution actuals (states built, bytes held, cache hits, tuples
 //! enumerated) for `EXPLAIN`. Before executing, the plan is re-verified
@@ -97,8 +98,9 @@ pub struct ExecReport {
     /// Tuples materialized (or sampled, for infinite outputs).
     pub tuples_enumerated: usize,
     /// Size of the finite quantifier domain (interpreter strategies; 0
-    /// for automata). On the relational route: the bindings its
-    /// generators produced.
+    /// for automata). On a compiled program (the relational route, and
+    /// bounded search whenever it lowers): the bindings its generators
+    /// produced.
     pub domain_size: usize,
     /// SA240 calibration warnings: actuals that exceeded the plan's
     /// resource certificate. Empty when the certificate held (always,
@@ -507,35 +509,54 @@ impl Plan {
 
     /// The relational executor: runs the plan's compiled program — nested
     /// loops in binding order, each variable bound by its generator. It
-    /// builds no automaton; `domain_size` reports the bindings its
-    /// generators produced. A deadline expiry keeps the tuples completed
+    /// builds no automaton. A deadline expiry keeps the tuples completed
     /// so far (SA411).
     fn run_relational(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
+        self.run_program(db, run, usize::MAX, Code::DeadlineScanTruncated)
+    }
+
+    /// Runs the plan's compiled program with no value longer than
+    /// `depth`; `domain_size` reports the bindings its generators
+    /// produced. On a deadline expiry the tuples completed so far stay,
+    /// and `code` records the truncation.
+    fn run_program(
+        &self,
+        db: &Database,
+        run: &mut Run,
+        depth: usize,
+        code: Code,
+    ) -> Result<Relation, CoreError> {
         let program = self.program.as_ref().ok_or_else(|| {
-            CoreError::Unsupported(
-                "malformed plan: a Relational root without its compiled program".into(),
-            )
+            CoreError::Unsupported(format!(
+                "malformed plan: a {} root without its compiled program",
+                self.root.op.name()
+            ))
         })?;
-        let out = program.run(db, &run.deadline)?;
+        let out = program.run(db, &run.deadline, depth)?;
         if out.truncated {
             let what = format!("generated {} bindings", out.bindings);
-            run.report.verdict =
-                self.truncate(run, Code::DeadlineScanTruncated, what, &out.answer)?;
+            run.report.verdict = self.truncate(run, code, what, &out.answer)?;
         }
         run.report.tuples_enumerated = self.enumerated(out.answer.len());
         run.report.domain_size = out.bindings as usize;
         Ok(out.answer)
     }
 
-    /// The bounded-search executor, at the depth [`Plan::governed_search`]
-    /// allows.
+    /// The bounded-search executor, at the depth [`Plan::governed_depth`]
+    /// allows: the plan's compiled program, whose generators bind what
+    /// they can and whose `Domain` steps walk `Σ^{≤depth}`. A formula
+    /// the lowering refused runs on [`ConcatEvaluator`] instead.
     fn run_search(
         &self,
         bound: usize,
         db: &Database,
         run: &mut Run,
     ) -> Result<Relation, CoreError> {
-        let evaluator = self.governed_search(bound, run);
+        let depth = self.governed_depth(bound, run);
+        if self.program.is_some() {
+            return self.run_program(db, run, depth, Code::DeadlineSearchClamped);
+        }
+        let evaluator = ConcatEvaluator::new(self.alphabet().clone(), depth);
         let (rel, explored, truncated) =
             evaluator.eval(self.formula(), self.head(), db, &run.deadline)?;
         if truncated {
@@ -887,12 +908,12 @@ impl Plan {
         Ok(out)
     }
 
-    /// The bounded-search evaluator under governance: it runs at the
-    /// *minimum* of the plan's declared bound and the handed
-    /// `search_depth` capability (this subsumes the ambient
-    /// `BoundedSearch { budget }` operand). When the capability clamps,
-    /// the run records SA404 and its verdict becomes `Bounded`.
-    fn governed_search(&self, bound: usize, run: &mut Run) -> ConcatEvaluator {
+    /// The bounded-search depth under governance: the *minimum* of the
+    /// plan's declared bound and the handed `search_depth` capability
+    /// (this subsumes the ambient `BoundedSearch { budget }` operand).
+    /// When the capability clamps, the run records SA404 and its verdict
+    /// becomes `Bounded`.
+    fn governed_depth(&self, bound: usize, run: &mut Run) -> usize {
         let effective = bound.min(run.budget.search_depth);
         if effective < bound {
             run.degrade(
@@ -907,7 +928,7 @@ impl Plan {
                 reason: format!("search depth clamped to {effective} by the handed budget"),
             };
         }
-        ConcatEvaluator::new(self.alphabet().clone(), effective)
+        effective
     }
 
     /// Post-execution settlement: checks the observed actuals against

@@ -39,7 +39,10 @@ pub enum Strategy {
     /// with a slack fringe (an [`PlanOp::EnumerateFinite`] root — the
     /// `EnumEngine` path; Propositions 2 / Theorem 2).
     ActiveDomainEnum,
-    /// Interpret over `Σ^{≤B}` (the `ConcatEvaluator` path — the only
+    /// Every variable ranges over `Σ^{≤B}`: the compiled `generate`
+    /// program binds what the formula range-restricts and walks
+    /// `Σ^{≤B}` for the rest (`ConcatEvaluator` when the lowering
+    /// refuses the formula) — the only
     /// general strategy once concatenation appears; Proposition 1).
     BoundedSearch,
     /// Linear scan of one stored relation with Petersen-class LIKE
@@ -81,8 +84,10 @@ pub enum PlanOp {
     /// (enumeration and bounded-search strategies); on the relational
     /// route, a filter over variables bound before it.
     Interpret { label: String },
-    /// Leaf of the relational route: bind `var` from the values the atom
-    /// `label` generates — the atom that range-restricts it.
+    /// Leaf of a compiled program (the relational route or bounded
+    /// search): bind `var` from the values the atom `label` generates —
+    /// the atom that range-restricts it — or, under bounded search, from
+    /// the search domain (`label` `Σ^≤B`).
     Generate { var: String, label: String },
     /// Conjunction: synchronized product (automata) or short-circuit
     /// `&&` (interpreters). N-ary after the fuse pass.
@@ -104,7 +109,10 @@ pub enum PlanOp {
     /// Root of the materializing strategies: enumerate the finite output
     /// (or sample an infinite one).
     EnumerateFinite,
-    /// Root of the concat strategy: search assignments over `Σ^{≤budget}`.
+    /// Root of the concat strategy: every variable ranges over
+    /// `Σ^{≤budget}`. Over a compiled program's tree it runs like
+    /// [`PlanOp::Relational`]; over `Interpret` leaves, on
+    /// `ConcatEvaluator`.
     BoundedSearch { budget: usize },
     /// Root of the relational route (under
     /// [`Strategy::ActiveDomainEnum`]): nested loops over the tree below,
@@ -249,7 +257,8 @@ pub struct Plan {
     /// planlint certificate. `execute` runs under it unless the
     /// caller's `ExecCx` carries another.
     pub(crate) budget: Budget,
-    /// The compiled program a `Relational` root executes.
+    /// The compiled program a `Relational` root executes, and a
+    /// `BoundedSearch` root whenever the lowering took its formula.
     pub(crate) program: Option<Arc<Program>>,
 }
 

@@ -369,7 +369,9 @@ impl PlanChecker {
                 );
             }
             PlanOp::Generate { .. } | PlanOp::Relational
-                if self.strategy != Strategy::ActiveDomainEnum =>
+                if self.strategy != Strategy::ActiveDomainEnum
+                    && !(self.strategy == Strategy::BoundedSearch
+                        && matches!(node.op, PlanOp::Generate { .. })) =>
             {
                 emit(
                     Code::PlanStrategyMismatch,
@@ -378,7 +380,11 @@ impl PlanChecker {
                         node.op.name(),
                         self.strategy.name()
                     ),
-                    Some("the relational route lowers only under active-domain-enum".into()),
+                    Some(
+                        "a compiled program runs only under active-domain-enum (a \
+                         Relational root) and bounded-search"
+                            .into(),
+                    ),
                 );
             }
             PlanOp::Complement { cap: 0 } => {

@@ -159,7 +159,8 @@ impl Planner {
     ) -> Result<(Strategy, Option<(Program, PlanNode)>), CoreError> {
         let strategy = self.fragment_strategy(formula, k)?;
         if strategy == Strategy::Automata && self.force.is_none() && self.engine.cache.is_none() {
-            if let Some(lowered) = Program::lower(formula, head, k, alphabet, self.engine.cap) {
+            if let Some(lowered) = Program::lower(formula, head, k, alphabet, self.engine.cap, None)
+            {
                 return Ok((Strategy::ActiveDomainEnum, Some(lowered)));
             }
         }
@@ -289,7 +290,16 @@ impl Planner {
             },
             PlanSource::Query(q) => self.route(&q.formula, &q.head, Some(alphabet), k)?,
         };
-        let (program, tree) = match relational {
+        // Bounded search runs a compiled program too whenever the
+        // lowering takes the formula, with `Σ^{≤B}` as its domain.
+        let lowered = match relational {
+            None if strategy == Strategy::BoundedSearch => {
+                let search = Some(self.bound);
+                Program::lower(formula, head, k, Some(alphabet), self.engine.cap, search)
+            }
+            lowered => lowered,
+        };
+        let (program, tree) = match lowered {
             Some((program, tree)) => (Some(Arc::new(program)), tree),
             None => (None, self.lower(formula, alphabet, strategy, k)),
         };

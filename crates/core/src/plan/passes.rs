@@ -120,6 +120,14 @@ pub(super) fn restrict(
 ) -> (PlanNode, PassTrace) {
     const PASS: &str = "restrict";
     match (strategy, source) {
+        (Strategy::BoundedSearch, _) => (
+            node,
+            PassTrace::new(
+                PASS,
+                false,
+                "quantifiers already bounded by the search root",
+            ),
+        ),
         _ if relational => (
             node,
             PassTrace::new(
@@ -147,14 +155,6 @@ pub(super) fn restrict(
                 ),
             )
         }
-        (Strategy::BoundedSearch, _) => (
-            node,
-            PassTrace::new(
-                PASS,
-                false,
-                "quantifiers already bounded by the search root",
-            ),
-        ),
         (Strategy::LikeLinearScan | Strategy::DenseDfaScan, _) => (
             node,
             PassTrace::new(

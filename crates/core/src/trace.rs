@@ -36,13 +36,14 @@ use crate::budget::{Budget, CacheEvent, CacheEventKind, DegradationPolicy, Ledge
 use crate::engine::AutomataEngine;
 use crate::faults::FaultPlan;
 use crate::json::{self, FromJson, Json, JsonError};
-use crate::plan::{ExecCx, ExecReport, PassTrace, Plan, Planner};
+use crate::plan::{ExecCx, ExecReport, PassTrace, Plan, PlanOp, Planner};
 use crate::query::{Calculus, CoreError, EvalOutput, Query};
 
 /// Trace format version; bumped on any field change. Version 2 added
 /// the fault plan (including the recorded deadline-fire checkpoint)
-/// and the `kind` discriminant on cache events.
-pub const TRACE_VERSION: u64 = 2;
+/// and the `kind` discriminant on cache events; version 3 the bound of
+/// a bounded-search plan.
+pub const TRACE_VERSION: u64 = 3;
 
 /// The post-execution actuals, as recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -73,6 +74,10 @@ pub struct ExecTrace {
     pub db_fingerprint: u64,
     /// The budget capability the run was governed under.
     pub budget: Budget,
+    /// The bound `B` of a `BoundedSearch` plan (`None` for the other
+    /// strategies): replay plans with it, so a handed `search_depth`
+    /// clamps the replayed run exactly as it clamped the recorded one.
+    pub search_bound: Option<u64>,
     /// The fault plan the run executed under. For clean production
     /// runs this still carries the checkpoint at which the real-clock
     /// deadline fired (if it did), which is what lets replay re-arm
@@ -179,6 +184,10 @@ impl ExecTrace {
             plan_fingerprint: plan_fingerprint(plan),
             db_fingerprint: db.fingerprint(),
             budget: *budget,
+            search_bound: match plan.root.op {
+                PlanOp::BoundedSearch { budget } => Some(budget as u64),
+                _ => None,
+            },
             faults: report.faults,
             passes: plan.passes.clone(),
             ledger: report.ledger.entries.clone(),
@@ -240,7 +249,7 @@ macro_rules! json_record {
 json_record! {
     ExecTrace {
         version, calculus, head, formula, alphabet, strategy, plan_fingerprint,
-        db_fingerprint, budget, faults, passes, ledger, cache_events, degradations,
+        db_fingerprint, budget, search_bound, faults, passes, ledger, cache_events, degradations,
         verdict, actuals, output_fp, output_len
     }
     FaultPlan { seed, deadline_at_checkpoint, fail_cache_insert, abort_compile, ledger_contention }
@@ -328,8 +337,8 @@ pub fn replay(
     let alphabet = Alphabet::new(&trace.alphabet)
         .map_err(|e| CoreError::Unsupported(format!("replay: bad alphabet: {e}")))?;
     let mut planner = Planner::for_engine(engine);
-    if trace.budget.search_depth != usize::MAX {
-        planner = planner.with_bound(trace.budget.search_depth);
+    if let Some(bound) = trace.search_bound {
+        planner = planner.with_bound(bound as usize);
     }
     let plan = if trace.calculus == "RC_concat" {
         let formula = parse_formula(&alphabet, &trace.formula)
@@ -404,6 +413,12 @@ fn diff_traces(recorded: &ExecTrace, replayed: &ExecTrace) -> Vec<String> {
         "budget",
         &recorded.budget.summary(),
         &replayed.budget.summary(),
+    );
+    field(
+        &mut diffs,
+        "search_bound",
+        &format!("{:?}", recorded.search_bound),
+        &format!("{:?}", replayed.search_bound),
     );
     if recorded.faults != replayed.faults {
         diffs.push(format!(
@@ -610,6 +625,53 @@ mod tests {
         assert!(report.diffs.iter().any(|d| d.contains("db_fingerprint")));
     }
 
+    /// A bounded-search trace replays at its plan's bound, whatever the
+    /// budget's `search_depth`: unlimited (which used to replay at the
+    /// default bound 4) or narrower than the bound (which used to
+    /// replay unclamped, losing SA404).
+    #[test]
+    fn replay_keeps_a_bounded_plans_bound() {
+        let ab = Alphabet::ab();
+        let mut database = Database::new();
+        database
+            .insert_unary_parsed(&ab, "R", &["aa", "abab", "bbbb"])
+            .unwrap();
+        let formula = parse_formula(&ab, "exists z. (concat(x, x, z) & R(z))").unwrap();
+        let head = vec!["x".to_string()];
+        let narrow = Budget {
+            search_depth: 2,
+            ..Budget::unlimited()
+        };
+        for (bound, budget) in [
+            (3, Budget::unlimited()),
+            (2, Budget::unlimited()),
+            (3, narrow),
+        ] {
+            let plan = Planner::new()
+                .with_bound(bound)
+                .plan_formula(&ab, &head, &formula)
+                .unwrap();
+            let cx = ExecCx::production().with_budget(budget);
+            let (out, report) = plan.execute_in(&database, &cx).unwrap();
+            let trace = ExecTrace::record(&plan, &budget, &report, &database, &out).unwrap();
+            let trace = ExecTrace::parse(&trace.to_json()).unwrap();
+            assert_eq!(trace.search_bound, Some(bound as u64));
+            assert_eq!(trace.output_len, 1, "only x = a fits Σ^≤{bound}");
+            let clamped = budget.search_depth < bound;
+            assert_eq!(
+                trace.degradations.iter().any(|d| d.starts_with("SA404")),
+                clamped
+            );
+            let replayed = replay(&trace, &AutomataEngine::new(), &database).unwrap();
+            assert!(
+                replayed.is_clean(),
+                "bound {bound}, depth {}: {:?}",
+                budget.search_depth,
+                replayed.diffs
+            );
+        }
+    }
+
     #[test]
     fn malformed_trace_json_is_rejected_not_panicked() {
         for bad in [
@@ -618,6 +680,7 @@ mod tests {
             "[1,2",
             r#"{"version":1}"#,
             r#"{"version":2}"#,
+            r#"{"version":3}"#,
             r#"{"version":99}"#,
             "nope",
             r#"{"version":2,"calculus":3}"#,

@@ -4,13 +4,15 @@
 //! (same slack), and [`ConcatEvaluator::eval`] (same bound) — run on
 //! the formula the plan runs, `plan.formula()`, after its rewrite pass.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{
-    AutomataEngine, Calculus, ConcatEvaluator, Deadline, EnumEngine, EvalOutput, Plan, Planner,
-    Query, Strategy as PlanStrategy,
+    AutomataEngine, Budget, Calculus, ConcatEvaluator, Deadline, EnumEngine, EvalOutput, ExecCx,
+    ExecVerdict, Plan, PlanOp, Planner, Query, Strategy as PlanStrategy,
 };
-use strcalc_logic::{Formula, Term};
+use strcalc_logic::{parse_formula, Formula, Term};
 use strcalc_relational::Database;
 
 /// Random formulas with free variable `x`, over the unary relation `R`
@@ -56,6 +58,50 @@ fn arb_concat_formula() -> impl Strategy<Value = Formula> {
             Formula::concat_eq(Term::var("x"), Term::var("x"), Term::var("z")),
         ))
     })
+}
+
+/// `concat` atoms in each binding shape the bounded-search lowering
+/// has, over `x` (the random body's free variable), `u` and `w`.
+const CONCAT_SHAPES: [&str; 7] = [
+    // `w = x·u` computed from two generated operands.
+    "R(x) & R(u) & concat(x, u, w)",
+    // The |w|+1 splits of a generated `w`.
+    "R(w) & concat(x, u, w)",
+    // `u` is what remains of `w` after the prefix `x`.
+    "R(x) & R(w) & concat(x, u, w)",
+    // Nothing restricts `x`: it ranges over the domain, `u` splits it.
+    "concat(u, u, x)",
+    // Under `¬`.
+    "R(x) & !(exists u. (R(u) & concat(u, u, x)))",
+    // Under `∀`.
+    "R(x) & forall u. (concat(u, u, x) -> R(u))",
+    // A subformula restricts `x` and binds `u` from the domain too;
+    // then `w = x·u` is computed.
+    "(exists v. (R(v) & x <= v & last(u, 'a'))) & concat(x, u, w)",
+];
+
+/// A random body with `x` free, conjoined with concat shape `shape`.
+fn arb_shaped_concat() -> impl Strategy<Value = Formula> {
+    (arb_formula(), 0..CONCAT_SHAPES.len()).prop_map(|(f, shape)| {
+        let closed = if f.free_vars().contains("y") {
+            Formula::exists("y", f)
+        } else {
+            f
+        };
+        let atoms = parse_formula(&Alphabet::ab(), CONCAT_SHAPES[shape]).expect("shape parses");
+        closed.and(atoms)
+    })
+}
+
+/// The variables the plan's `Generate` leaves bind.
+fn generated(plan: &Plan) -> BTreeSet<String> {
+    let mut vars = BTreeSet::new();
+    plan.root.visit(&mut |n| {
+        if let PlanOp::Generate { var, .. } = &n.op {
+            vars.insert(var.clone());
+        }
+    });
+    vars
 }
 
 fn db() -> Database {
@@ -161,6 +207,43 @@ proptest! {
         prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
         let (routed, _) = plan.execute(&db).expect("routed bounded search");
         prop_assert_eq!(routed, EvalOutput::Finite(direct));
+    }
+
+    // Bounded search runs as a generator program in every concat
+    // binding shape, and its answer is `ConcatEvaluator`'s at the same
+    // effective depth: the plan's bound, or a narrower handed one.
+    #[test]
+    fn generated_bounded_search_matches_the_evaluator(f in arb_shaped_concat()) {
+        let ab = Alphabet::ab();
+        let db = db();
+        let head: Vec<String> = f.free_vars().into_iter().collect();
+        let direct = |bound: usize, plan: &Plan| {
+            ConcatEvaluator::new(ab.clone(), bound)
+                .eval(plan.formula(), &head, &db, &Deadline::unlimited())
+                .expect("direct bounded search")
+                .0
+        };
+        for bound in [2, 3] {
+            let plan = Planner::new()
+                .with_bound(bound)
+                .plan_formula(&ab, &head, &f)
+                .expect("plans");
+            prop_assert!(matches!(plan.root.op, PlanOp::BoundedSearch { .. }));
+            let generated = generated(&plan);
+            for v in &head {
+                prop_assert!(generated.contains(v), "no Generate leaf binds {}", v);
+            }
+            let (routed, report) = plan.execute(&db).expect("routed bounded search");
+            prop_assert_eq!(routed, EvalOutput::Finite(direct(bound, &plan)));
+            prop_assert!(report.verdict.is_exact());
+            if bound == 3 {
+                let narrow = Budget { search_depth: 2, ..plan.seeded_budget() };
+                let cx = ExecCx::production().with_budget(narrow);
+                let (clamped, report) = plan.execute_in(&db, &cx).expect("clamped search");
+                prop_assert_eq!(clamped, EvalOutput::Finite(direct(2, &plan)));
+                prop_assert!(matches!(report.verdict, ExecVerdict::Bounded { .. }));
+            }
+        }
     }
 
     // Boolean routing agrees across all three strategies.

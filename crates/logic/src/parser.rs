@@ -41,7 +41,8 @@ use crate::LogicError;
 
 /// The deepest nesting the formula and SQL parsers accept: each
 /// parenthesis, negation, quantifier body, implication, term function
-/// and (in SQL) subquery opens one level.
+/// and (in SQL) subquery opens one level, and so does each link of an
+/// `&` or `|` chain.
 pub const MAX_NESTING_DEPTH: usize = 512;
 
 /// Parses a formula over the given alphabet.
@@ -304,19 +305,36 @@ impl<'a> P<'a> {
     }
 
     fn or(&mut self) -> Result<Formula, LogicError> {
-        let mut f = self.and()?;
-        while self.peek() == Some(&Tok::Pipe) {
-            self.pos += 1;
-            f = f.or(self.and()?);
-        }
-        Ok(f)
+        self.chain(&Tok::Pipe, Self::and, Formula::or)
     }
 
     fn and(&mut self) -> Result<Formula, LogicError> {
-        let mut f = self.unary()?;
-        while self.peek() == Some(&Tok::Amp) {
+        self.chain(&Tok::Amp, Self::unary, Formula::and)
+    }
+
+    /// A left-deep chain `operand (sep operand)*`. Each link nests the
+    /// chain so far one level deeper in the tree the passes after the
+    /// parser recurse into, so the `n`-th link counts as `n` open levels
+    /// at the chain's position. The operands parse at the chain's own
+    /// level.
+    fn chain(
+        &mut self,
+        sep: &Tok,
+        operand: fn(&mut Self) -> Result<Formula, LogicError>,
+        join: fn(Formula, Formula) -> Formula,
+    ) -> Result<Formula, LogicError> {
+        let mut f = operand(self)?;
+        let mut links = 0;
+        while self.peek() == Some(sep) {
+            links += 1;
+            if self.depth + links > MAX_NESTING_DEPTH {
+                return Err(LogicError::NestingTooDeep {
+                    pos: self.peek_pos(),
+                    limit: MAX_NESTING_DEPTH,
+                });
+            }
             self.pos += 1;
-            f = f.and(self.unary()?);
+            f = join(f, operand(self)?);
         }
         Ok(f)
     }
@@ -742,10 +760,12 @@ mod tests {
 
     #[test]
     fn the_depth_count_is_balanced_after_errors_and_siblings() {
-        // Sibling groups close their levels: many shallow groups in a
-        // row are fine however many there are.
-        let siblings = vec!["((R(x)))"; 2_000].join(" & ");
-        assert!(parse_formula(&ab(), &siblings).is_ok());
+        // Sibling groups close their levels: 500 groups of two levels
+        // each stay within the cap. Only the chain's links add up, so
+        // 2 000 of them are too deep.
+        let siblings = |n: usize| vec!["((R(x)))"; n].join(" & ");
+        assert!(parse_formula(&ab(), &siblings(500)).is_ok());
+        assert!(too_deep(&siblings(2_000)));
         // A group that fails inside still closes its level: the error
         // is the syntax error, not a depth error.
         let err = parse_formula(&ab(), &format!("{}(x @ y)", "(".repeat(10))).unwrap_err();

@@ -91,3 +91,39 @@ fn input_at_the_cap_runs_through_the_relational_route() {
         assert_eq!(out.expect_finite(), expected);
     });
 }
+
+/// `R(x) & … & R(x)` and `R(x) | … | R(x)` with `links` links.
+fn chain(sep: &str, links: usize) -> String {
+    vec!["R(x)"; links + 1].join(sep)
+}
+
+#[test]
+fn long_and_or_chains_are_refused_at_the_cap() {
+    with_main_stack(|| {
+        let ab = Alphabet::ab();
+        let mut db = Database::new();
+        db.insert_unary_parsed(&ab, "R", &["a", "ab", "b"]).unwrap();
+        for sep in [" & ", " | "] {
+            // Each link nests the chain so far one level deeper in the
+            // parsed tree, so a chain longer than the cap is refused like
+            // parentheses nested that deep.
+            for links in [MAX_NESTING_DEPTH + 1, 5_000] {
+                let err = parse_formula(&ab, &chain(sep, links)).unwrap_err();
+                assert!(
+                    matches!(err, LogicError::NestingTooDeep { limit, .. } if limit == MAX_NESTING_DEPTH),
+                    "{sep:?} × {links}: {err:?}"
+                );
+            }
+            // A chain at the cap analyzes, plans and runs.
+            let f = parse_formula(&ab, &chain(sep, MAX_NESTING_DEPTH)).unwrap();
+            let analysis = Analyzer::new(StructureClass::S).analyze(&ab, &f);
+            assert!(!analysis.has_errors(), "{}", analysis.render());
+            let plan = Planner::new()
+                .plan_formula(&ab, &["x".to_string()], &f)
+                .unwrap();
+            let (out, report) = plan.execute(&db).unwrap();
+            assert!(report.verdict.is_exact());
+            assert_eq!(out.expect_finite(), db.relation("R").unwrap().clone());
+        }
+    });
+}
