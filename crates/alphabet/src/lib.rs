@@ -250,6 +250,14 @@ impl Str {
         &self.syms
     }
 
+    /// Whether every symbol is below `k`, i.e. the string is over a
+    /// `k`-symbol alphabet. A branch-free maximum over the whole string,
+    /// not a short-circuit `any`, so that the loop vectorizes.
+    #[inline]
+    pub fn within(&self, k: Sym) -> bool {
+        self.syms.iter().copied().max().is_none_or(|m| m < k)
+    }
+
     /// Length `|x|`.
     #[inline]
     pub fn len(&self) -> usize {

@@ -159,10 +159,9 @@ pub enum Code {
     /// checkpoint and the scan was truncated; the report carries a
     /// rows-seen watermark and a `Bounded` verdict.
     DeadlineScanTruncated,
-    /// Structural degradation: a cooperative deadline fired during
-    /// active-domain enumeration or bounded concat search; the searched
-    /// frontier was clamped at the checkpoint and the verdict is
-    /// `Bounded` (or `Unknown` for boolean runs).
+    /// Structural degradation: a cooperative deadline fired during a
+    /// bounded concat search; the search stopped at the checkpoint and
+    /// the verdict is `Bounded` (or `Unknown` for boolean runs).
     DeadlineSearchClamped,
     /// Structural degradation: a cooperative deadline fired (or a fault
     /// aborted) before automaton compilation; the run fell back to the

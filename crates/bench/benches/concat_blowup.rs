@@ -6,7 +6,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, s_query};
-use strcalc_core::{AutomataEngine, ConcatEvaluator, Deadline};
+use strcalc_core::{AutomataEngine, ConcatEvaluator};
 use strcalc_relational::Database;
 
 fn bench(c: &mut Criterion) {
@@ -21,10 +21,7 @@ fn bench(c: &mut Criterion) {
             |b, eval| {
                 b.iter(|| {
                     let x = ["x".to_string()];
-                    eval.eval(&ww, &x, &db, &Deadline::unlimited())
-                        .unwrap()
-                        .0
-                        .len()
+                    eval.eval(&ww, &x, &db).unwrap().len()
                 })
             },
         );

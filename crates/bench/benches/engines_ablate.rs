@@ -3,13 +3,12 @@
 //! * trie encoding of database relations vs a naive per-tuple union;
 //! * aggressive vs lazy minimization thresholds in the compiler;
 //! * product order (smallest-first is built in; we chart threshold
-//!   effects instead);
-//! * enumeration-engine memoization on/off.
+//!   effects instead).
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_alphabet::Str;
 use strcalc_bench::{ab, s_query};
-use strcalc_core::{AutomataEngine, Deadline, EnumEngine};
+use strcalc_core::AutomataEngine;
 use strcalc_synchro::{atoms, SyncNfa};
 use strcalc_workloads::Workload;
 
@@ -77,24 +76,6 @@ fn bench(c: &mut Criterion) {
             &engine,
             |b, engine| b.iter(|| engine.eval_bool(&q, &db).unwrap()),
         );
-    }
-    group.finish();
-
-    // --- enumeration-engine memoization ---
-    let mut group = c.benchmark_group("ablate_memo");
-    let db = Workload::new(ab(), 25).unary_db(20, 5);
-    let q = s_query(
-        &[],
-        "forallA x. (U(x) -> existsA y. (U(y) & (x <= y | y <= x)))",
-    );
-    for memo in [true, false] {
-        let engine = EnumEngine {
-            memoize: memo,
-            slack: Some(1),
-        };
-        group.bench_with_input(BenchmarkId::new("memoize", memo), &engine, |b, engine| {
-            b.iter(|| engine.eval(&q, &db, &Deadline::unlimited()).unwrap())
-        });
     }
     group.finish();
 }

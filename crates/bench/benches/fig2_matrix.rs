@@ -6,7 +6,7 @@
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
 use strcalc_core::safety::state_safety;
-use strcalc_core::{AutomataEngine, Calculus, Deadline, EnumEngine, Query};
+use strcalc_core::{AutomataEngine, Calculus, EnumEngine, Query};
 
 fn probe(calc: Calculus) -> Query {
     let src = match calc {
@@ -31,15 +31,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("collapse_baseline", calc.name()),
             &q,
-            |b, q| {
-                b.iter(|| {
-                    baseline
-                        .eval(q, &db, &Deadline::unlimited())
-                        .unwrap()
-                        .0
-                        .len()
-                })
-            },
+            |b, q| b.iter(|| baseline.eval(q, &db).unwrap().len()),
         );
         group.bench_with_input(BenchmarkId::new("state_safety", calc.name()), &q, |b, q| {
             b.iter(|| state_safety(&engine, q, &db).unwrap().is_safe())

@@ -4,7 +4,7 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use strcalc_bench::{s_query, unary_db};
-use strcalc_core::{AutomataEngine, Deadline, EnumEngine};
+use strcalc_core::{AutomataEngine, EnumEngine};
 
 fn bench(c: &mut Criterion) {
     let engine = AutomataEngine::new();
@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         });
         if n <= 200 {
             group.bench_with_input(BenchmarkId::new("enum_baseline", n), &db, |b, db| {
-                b.iter(|| baseline.eval(&q, db, &Deadline::unlimited()).unwrap())
+                b.iter(|| baseline.eval(&q, db).unwrap())
             });
         }
     }

@@ -3,6 +3,8 @@
 //! matrix, and the headline complexity sweeps (E3–E11).
 //!
 //! Run with `cargo run --release -p strcalc-bench --bin experiments`.
+//! Exits non-zero when an agreement column reads `false`: E1 `holds`,
+//! E2 `engines agree` or E7 `agree` (E7's `3-col?` is data).
 
 use std::time::Instant;
 
@@ -11,7 +13,7 @@ use strcalc_core::mso3col::{three_colorable_via_slen, Graph};
 use strcalc_core::safety::state_safety;
 use strcalc_core::separations::figure1_report;
 use strcalc_core::{
-    AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, Deadline, EnumEngine, Query,
+    AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, EnumEngine, Query,
 };
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
@@ -27,28 +29,37 @@ fn ms(t: Instant) -> f64 {
 
 fn main() {
     println!("# strcalc experiments — measured reproduction tables\n");
-    figure1();
-    figure2();
+    let mut agree = figure1();
+    agree &= figure2();
     e3_concat();
     e4_e5_scaling();
     e6_slen();
-    e7_three_col();
+    agree &= e7_three_col();
     e10_state_safety();
     e11_cq_safety();
     println!("\n(done — paste into EXPERIMENTS.md)");
+    if !agree {
+        eprintln!("experiments: an agreement column (E1, E2 or E7) reads false");
+        std::process::exit(1);
+    }
 }
 
-fn figure1() {
+/// E1; whether every separation holds.
+fn figure1() -> bool {
     println!("## E1 — Figure 1 separation evidence\n");
     println!("| edge | witness | holds |");
     println!("|---|---|---|");
+    let mut all = true;
     for row in figure1_report(&ab()).expect("report") {
         println!("| {} | {} | {} |", row.edge, row.witness, row.holds);
+        all &= row.holds;
     }
     println!();
+    all
 }
 
-fn figure2() {
+/// E2; whether the collapse route agrees with automata on every calculus.
+fn figure2() -> bool {
     println!("## E2 — Figure 2, measured\n");
     println!(
         "| calculus | exact eval (ms) | collapse baseline (ms) | state-safety (ms) | \
@@ -58,6 +69,7 @@ fn figure2() {
     let engine = AutomataEngine::new();
     let baseline = EnumEngine::with_slack(1);
     let db = Workload::new(ab(), 9).unary_db(24, 6);
+    let mut all = true;
     for calc in Calculus::all() {
         let src = match calc {
             Calculus::S => "exists y. (U(y) & x <= y & last(x,'a'))",
@@ -70,7 +82,7 @@ fn figure2() {
         let exact = engine.eval(&q, &db).unwrap().expect_finite();
         let t_exact = ms(t);
         let t = Instant::now();
-        let (approx, _, _) = baseline.eval(&q, &db, &Deadline::unlimited()).unwrap();
+        let approx = baseline.eval(&q, &db).unwrap();
         let t_base = ms(t);
         let t = Instant::now();
         let safe = state_safety(&engine, &q, &db).unwrap().is_safe();
@@ -84,8 +96,10 @@ fn figure2() {
             if safe { "safe" } else { "unsafe" },
             exact == approx,
         );
+        all &= exact == approx;
     }
     println!();
+    all
 }
 
 fn e3_concat() {
@@ -98,11 +112,7 @@ fn e3_concat() {
         let eval = ConcatEvaluator::new(ab(), bound);
         let t = Instant::now();
         let head = ["x".to_string()];
-        let n = eval
-            .eval(&ww, &head, &db, &Deadline::unlimited())
-            .unwrap()
-            .0
-            .len();
+        let n = eval.eval(&ww, &head, &db).unwrap().len();
         println!("| {bound} | {} | {n} | {:.2} |", eval.domain_size(), ms(t));
     }
     println!();
@@ -160,7 +170,7 @@ fn e6_slen() {
         let t1 = ms(t);
         let t2 = if max_len <= 8 {
             let t = Instant::now();
-            let _ = baseline.eval(&q, &db, &Deadline::unlimited()).unwrap();
+            let _ = baseline.eval(&q, &db).unwrap();
             format!("{:.2}", ms(t))
         } else {
             "—".to_string()
@@ -170,7 +180,9 @@ fn e6_slen() {
     println!();
 }
 
-fn e7_three_col() {
+/// E7; whether the `S_len` sentence agrees with backtracking on every
+/// graph.
+fn e7_three_col() -> bool {
     println!("## E7 — 3-colorability via RC(S_len) on width-1 DBs (Prop. 5)\n");
     println!("| graph | 3-col? | S_len sentence (ms) | backtracking (µs) | agree |");
     println!("|---|---|---|---|---|");
@@ -182,6 +194,7 @@ fn e7_three_col() {
         ("K3", Graph::complete(3)),
         ("K4", Graph::complete(4)),
     ];
+    let mut all = true;
     for (name, g) in graphs {
         let t = Instant::now();
         let via = three_colorable_via_slen(&engine, &ab(), &g).unwrap();
@@ -193,8 +206,10 @@ fn e7_three_col() {
             "| {name} | {direct} | {t1:.1} | {t2:.1} | {} |",
             via == direct
         );
+        all &= via == direct;
     }
     println!();
+    all
 }
 
 fn e10_state_safety() {

@@ -64,8 +64,8 @@ pub struct Budget {
     pub bytes: u64,
     /// Wall-clock allowance in milliseconds, enforced *in flight* by a
     /// cooperative [`Deadline`](crate::clock::Deadline) polled at
-    /// coarse checkpoints (per dense batch, per enumeration-frontier
-    /// candidate, per search assignment, before compilation). Expiry
+    /// coarse checkpoints (per dense batch, per 4096 bindings of a
+    /// compiled program, before compilation). Expiry
     /// degrades structurally (SA41x, `Bounded`/`Unknown` verdict) at
     /// the checkpoint — and because degradations record the
     /// *checkpoint index*, never elapsed time, the event replays

@@ -8,8 +8,8 @@
 //!
 //! This module closes both gaps. A [`Deadline`] is threaded through
 //! every long-running loop and polled at **coarse checkpoints** (one
-//! per 4096-row dense batch, per enumeration-frontier candidate, per
-//! search-depth level) so the overhead stays inside the 5% governance
+//! per 4096-row dense batch, per 4096 bindings of a compiled program,
+//! before compiling) so the overhead stays inside the 5% governance
 //! gate. The deadline reads time through the [`Clock`] trait:
 //! production uses [`MonotonicClock`] (a real `Instant`), while replay
 //! re-arms the run with a frozen [`VirtualClock`] plus the recorded

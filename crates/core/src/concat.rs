@@ -17,11 +17,9 @@
 //!   restriction through `concat` (a bound `x` and `y` fix `z = x·y`, a
 //!   bound `z` has `|z|+1` splits), so only a variable nothing
 //!   restricts walks `Σ^{≤B}`, and no value longer than `B` is ever
-//!   bound. [`ConcatEvaluator`] interprets the formula over `Σ^{≤B}`
-//!   directly, one assignment at a time: it is the independent
-//!   reference the tests and experiments compare with, and the plan's
-//!   executor for the formulas the lowering refuses (those with a
-//!   restricted quantifier);
+//!   bound. [`ConcatEvaluator`] is the naive [`DomainEvaluator`] over
+//!   `Σ^{≤B}`, one assignment at a time: the independent reference the
+//!   tests and experiments compare with;
 //! * expressiveness beyond `S_len` is witnessed executably: the query
 //!   `∃y (x = y·y)` defines the copy language `{ww}`, which is not
 //!   regular, while every `RC(S_len)`-definable subset of `Σ*` is regular
@@ -37,7 +35,6 @@ use strcalc_logic::transform::fragment;
 use strcalc_logic::{Formula, StructureClass, Term};
 use strcalc_relational::{Database, Relation};
 
-use crate::clock::Deadline;
 use crate::enumeval::DomainEvaluator;
 use crate::query::CoreError;
 
@@ -54,114 +51,34 @@ impl ConcatEvaluator {
         ConcatEvaluator { alphabet, bound }
     }
 
-    fn domain(&self) -> Vec<Str> {
-        self.alphabet.strings_up_to(self.bound).collect()
-    }
-
     /// Evaluates `formula` with the `head` variables free; free
     /// variables also range over `Σ^{≤B}`. The result is the
     /// **bounded** answer set — a subset of the true (possibly
     /// undecidable) answer. A sentence (empty head) is a 0-ary query:
-    /// its answer is `{()}` when it holds and `∅` otherwise. Callers
-    /// that want no deadline pass [`Deadline::unlimited`].
-    ///
-    /// The deadline is polled once per depth-0 assignment (the search's
-    /// outermost frontier — each frontier step covers
-    /// `|Σ^{≤B}|^(arity-1)` inner work, so the poll is coarse). On
-    /// expiry the search stops and returns the assignments explored so
-    /// far: every emitted tuple was fully verified, so the partial
-    /// answer is a sound subset of the bounded answer. Returns
-    /// `(tuples, depth0_assignments_explored, truncated)`; a sentence's
-    /// one (empty) assignment counts as explored once its search starts.
+    /// its answer is `{()}` when it holds and `∅` otherwise.
     pub fn eval(
         &self,
         formula: &Formula,
         head: &[String],
         db: &Database,
-        deadline: &Deadline,
-    ) -> Result<(Relation, usize, bool), CoreError> {
-        let free = formula.free_vars();
+    ) -> Result<Relation, CoreError> {
         let mut head_sorted: Vec<String> = head.to_vec();
         head_sorted.sort();
-        let free_sorted: Vec<String> = free.into_iter().collect();
-        if head_sorted != free_sorted {
+        let free: Vec<String> = formula.free_vars().into_iter().collect();
+        if head_sorted != free {
             return Err(CoreError::HeadMismatch {
                 head: head.to_vec(),
-                free: free_sorted,
+                free,
             });
         }
-        let domain = self.domain();
-        let mut ev = DomainEvaluator::new(&self.alphabet, db, domain.clone(), false)
-            .with_deadline(deadline.clone());
-        let mut out = Relation::new(head.len());
-        let mut env = std::collections::HashMap::new();
-        let mut tuple = vec![Str::epsilon(); head.len()];
-        let mut explored = 0usize;
-        let mut truncated = false;
-        if head.is_empty() {
-            if deadline.checkpoint() {
-                return Ok((out, 0, true));
-            }
-            match search(
-                formula, head, &domain, &mut ev, &mut env, 0, &mut tuple, &mut out,
-            ) {
-                Ok(()) => {}
-                Err(CoreError::DeadlineExpired { .. }) => truncated = true,
-                Err(e) => return Err(e),
-            }
-            return Ok((out, 1, truncated));
-        }
-        for c in &domain {
-            if deadline.checkpoint() {
-                truncated = true;
-                break;
-            }
-            env.insert(head[0].clone(), c.clone());
-            tuple[0] = c.clone();
-            match search(
-                formula, head, &domain, &mut ev, &mut env, 1, &mut tuple, &mut out,
-            ) {
-                Ok(()) => explored += 1,
-                Err(CoreError::DeadlineExpired { .. }) => {
-                    truncated = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((out, explored, truncated))
+        let domain = self.alphabet.strings_up_to(self.bound).collect();
+        DomainEvaluator::new(&self.alphabet, db, domain).answer(formula, head)
     }
 
     /// The size of the bounded search space (for the blow-up benchmarks).
     pub fn domain_size(&self) -> usize {
         self.alphabet.count_up_to(self.bound)
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    formula: &Formula,
-    head: &[String],
-    domain: &[Str],
-    ev: &mut DomainEvaluator<'_>,
-    env: &mut std::collections::HashMap<String, Str>,
-    depth: usize,
-    tuple: &mut Vec<Str>,
-    out: &mut Relation,
-) -> Result<(), CoreError> {
-    if depth == head.len() {
-        if ev.eval(formula, env)? {
-            out.insert(tuple.clone());
-        }
-        return Ok(());
-    }
-    for c in domain {
-        env.insert(head[depth].clone(), c.clone());
-        tuple[depth] = c.clone();
-        search(formula, head, domain, ev, env, depth + 1, tuple, out)?;
-    }
-    env.remove(&head[depth]);
-    Ok(())
 }
 
 /// The copy-language query `φ(x) = ∃y (x = y·y)` — `RC_concat`'s
@@ -183,8 +100,8 @@ pub fn ww_query() -> Formula {
 pub fn ww_language_bounded(alphabet: &Alphabet, bound: usize) -> Vec<Str> {
     let eval = ConcatEvaluator::new(alphabet.clone(), bound);
     let db = Database::new();
-    let (rel, _, _) = eval
-        .eval(&ww_query(), &["x".to_string()], &db, &Deadline::unlimited())
+    let rel = eval
+        .eval(&ww_query(), &["x".to_string()], &db)
         .expect("invariant: ww_query is pure with head [x], so bounded eval cannot fail");
     rel.iter().map(|t| t[0].clone()).collect()
 }
@@ -280,8 +197,7 @@ mod tests {
 
     /// Whether the sentence `f` holds under the bounded semantics.
     fn holds(eval: &ConcatEvaluator, f: &Formula, db: &Database) -> bool {
-        let (rel, _, _) = eval.eval(f, &[], db, &Deadline::unlimited()).unwrap();
-        !rel.is_empty()
+        !eval.eval(f, &[], db).unwrap().is_empty()
     }
 
     #[test]

@@ -228,8 +228,8 @@ impl AutomataEngine {
     }
 
     /// The one compiler over a database: `db`'s relations (plus any
-    /// virtual ones) resolve the atoms, its active domain bounds the
-    /// restricted quantifiers.
+    /// virtual ones) resolve the atoms, the active domain of its
+    /// in-alphabet rows bounds the restricted quantifiers.
     fn compile_in(
         &self,
         f: &Formula,
@@ -238,9 +238,10 @@ impl AutomataEngine {
         virtuals: HashMap<String, SyncNfa>,
     ) -> Result<Compiled, CompileError> {
         let resolver = DbResolver { db, virtuals };
-        let adom: Vec<Str> = db.adom().into_iter().collect();
+        let k = alphabet.len() as u8;
+        let adom: Vec<Str> = db.adom_within(k).into_iter().collect();
         let compiler = Compiler {
-            k: alphabet.len() as u8,
+            k,
             cap: self.cap,
             rels: &resolver,
             adom: Some(&adom),

@@ -26,9 +26,10 @@
 //! | `pl(x, y, L)` (`x` bound, `L` finite) | `x·w` for `w ∈ L` |
 //! | `in(t, L)` (`L` finite) | the words of `L`, enumerated lazily |
 //! | `ins(x, p, y, a)` | the insertion (deletion) points of the bound side |
-//! | `concat(x, y, z)` (`x`, `y` bound; bounded search) | the computed `z = x·y` |
-//! | `concat(x, y, z)` (`z` bound; bounded search) | the `\|z\|+1` splits, or the remainder of `z` after a bound prefix `x` (before a bound suffix `y`) |
-//! | `Domain` step (bounded search) | `Σ^{≤depth}`, for a variable nothing else generates |
+//! | `concat(x, y, z)` (`x`, `y` bound; under a domain) | the computed `z = x·y` |
+//! | `concat(x, y, z)` (`z` bound; under a domain) | the `\|z\|+1` splits, or the remainder of `z` after a bound prefix `x` (before a bound suffix `y`) |
+//! | `Domain` step (under a domain) | the run's [`Domain`]: `Σ^{≤B}` or the collapse domain, for a variable nothing else generates |
+//! | range step of `∃v∈adom`, `∃v∈dom↓`, `∃\|v\|≤adom` (under a domain) | `adom`; the prefix closure of `adom` and of the quantified formula's other free variables; `Σ^{≤m}`, `m` the longest of those strings |
 //!
 //! Which languages are finite comes from the analyzer's
 //! [`LangTable`], the table its range-restriction verdicts read, so the
@@ -46,19 +47,20 @@
 //! variable without a generator (for instance `R(x) ∧ ∃y ¬(x ⪯ y)`) is
 //! refused, and the planner keeps it on the automata route.
 //!
-//! **Bounded search** runs on the same executor ([`Program::lower`] with
-//! `search: Some(B)`). Concatenation lowers there, with the generators
-//! of `saferange::confined_terms`' `concat` rules, and a variable that
-//! the binding order leaves unbound takes its values from a `Domain`
-//! step over `Σ^{≤depth}`. So do the free variables of a shape that
-//! cannot generate them (`¬`, `∀`, an uneven `∨`), which then runs as a
-//! test. Every value longer than the run's `depth` is rejected when it
-//! is bound, so the answer is exactly the bounded answer: the one
-//! `ConcatEvaluator` computes with every variable ranging over
-//! `Σ^{≤depth}`. Only a restricted quantifier is refused.
+//! **Under a domain** — `Σ^{≤B}` for bounded search, the collapse domain
+//! for the collapse route and the automata route's SA401/SA413
+//! fallbacks — [`Program::lower`] never refuses. `concat` lowers with
+//! the generators of `saferange::confined_terms`' rules, and a variable
+//! that the binding order leaves unbound, or that a shape cannot
+//! generate (`¬`, `∀`, an uneven `∨`, a restricted quantifier), takes
+//! its values from a `Domain` step. A restricted quantifier binds its
+//! variable from its range, and every other value is tested for domain
+//! membership when it is bound: the answer is the naive evaluator's,
+//! every head and unrestricted variable ranging over the domain.
 //!
 //! Stored strings outside the alphabet follow the scan executors'
-//! convention: a row holding one denotes nothing, so generators skip it.
+//! convention: a row holding one denotes nothing, so generators skip it
+//! and the active domain leaves it out.
 //!
 //! The executor polls the run's deadline once before it starts and then
 //! every [`CHECKPOINT_EVERY`] bindings; an expiry unwinds with the tuples
@@ -79,11 +81,11 @@ use strcalc_analyze::langs::LangTable;
 use strcalc_analyze::saferange::{binding_order, confined_terms};
 use strcalc_automata::{Dfa, StateId};
 use strcalc_logic::transform::nnf;
-use strcalc_logic::{Atom, CompileError, Formula, Lang, Term};
+use strcalc_logic::{Atom, CompileError, Formula, Lang, Restrict, Term};
 use strcalc_relational::{Database, Relation};
 
 use crate::clock::Deadline;
-use crate::plan::{PlanNode, PlanOp};
+use crate::plan::{restrict_name, PlanNode, PlanOp};
 use crate::query::CoreError;
 
 /// Bindings between two deadline polls.
@@ -93,8 +95,59 @@ const CHECKPOINT_EVERY: u64 = 4096;
 /// slot of its own, so shadowing needs no bookkeeping at run time.
 type Slot = usize;
 
-/// A bound value: borrowed from a stored row, or generated.
+/// A bound value: borrowed from a stored row or the domain, or
+/// generated.
 type Val<'db> = Cow<'db, Str>;
+
+/// The finite set of strings a run binds values from: every head and
+/// unrestricted variable takes a member, and a `Domain` step walks it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Domain {
+    /// `Σ^{≤n}`; `usize::MAX` stands for `Σ*` (the relational route).
+    UpTo(usize),
+    /// An explicit set of strings, sorted.
+    Set(Vec<Str>),
+}
+
+impl Domain {
+    /// Whether `w` is a member. On `Σ^{≤n}` one length compare.
+    #[inline]
+    pub fn contains(&self, w: &Str) -> bool {
+        match self {
+            Domain::UpTo(n) => w.len() <= *n,
+            Domain::Set(set) => set.binary_search(w).is_ok(),
+        }
+    }
+
+    /// The number of strings over `alphabet`.
+    pub fn size(&self, alphabet: &Alphabet) -> usize {
+        match self {
+            Domain::UpTo(n) => alphabet.count_up_to(*n),
+            Domain::Set(set) => set.len(),
+        }
+    }
+
+    /// The strings over `alphabet`, in order.
+    pub fn strings(&self, alphabet: &Alphabet) -> Vec<Str> {
+        match self {
+            Domain::UpTo(n) => alphabet.strings_up_to(*n).collect(),
+            Domain::Set(set) => set.clone(),
+        }
+    }
+}
+
+/// `Σ*`, the relational route's domain.
+pub(crate) const SIGMA_STAR: Domain = Domain::UpTo(usize::MAX);
+
+/// What planning knows of a program's [`Domain`]: the plan labels its
+/// `Domain` steps with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DomainKind {
+    /// `Σ^{≤B}`: bounded search.
+    UpTo(usize),
+    /// The query's collapse domain, built from the database at run time.
+    Collapse,
+}
 
 /// A term over slots.
 #[derive(Debug)]
@@ -222,9 +275,16 @@ enum Step {
     },
     /// Binds `slots` from the distinct tuples a subformula yields.
     Sub { node: Node, slots: Vec<Slot> },
-    /// Binds `slot` to each string of `Σ^{≤depth}`, the run's search
-    /// domain: bounded search only, for a variable nothing generates.
+    /// Binds `slot` to each string of the run's domain, for a variable
+    /// nothing generates.
     Domain(Slot),
+    /// Binds `slot` to each value of a restricted quantifier's range;
+    /// `scope` holds the quantified formula's other free variables.
+    Range {
+        slot: Slot,
+        restrict: Restrict,
+        scope: Vec<Slot>,
+    },
     /// A test over bound variables.
     Filter(Node),
 }
@@ -261,24 +321,24 @@ impl Program {
     /// alphabet the tree's labels stay empty, which is enough to decide
     /// the route.
     ///
-    /// `search: Some(B)` compiles for bounded search over `Σ^{≤B}`
-    /// instead: `concat` atoms lower, and a variable without a
-    /// generator takes its values from a `Domain` step. Only a
-    /// restricted quantifier is then refused.
+    /// `domain: Some(_)` compiles for a run over a finite [`Domain`]
+    /// instead: `concat` atoms and restricted quantifiers lower, and a
+    /// variable without a generator takes its values from a `Domain`
+    /// step. The lowering then always succeeds.
     pub(crate) fn lower(
         f: &Formula,
         head: &[String],
         k: Sym,
         alphabet: Option<&Alphabet>,
         cap: usize,
-        search: Option<usize>,
+        domain: Option<DomainKind>,
     ) -> Option<(Program, PlanNode)> {
         let table = LangTable::build(f, k);
         let mut lower = Lower {
             k,
             alphabet,
             cap,
-            search,
+            domain,
             table: &table,
             scope: Vec::new(),
             slots: 0,
@@ -303,15 +363,29 @@ impl Program {
         ))
     }
 
-    /// Runs the program against `db` under `deadline`. No variable is
-    /// bound to a string longer than `depth`, and a `Domain` step
-    /// ranges over `Σ^{≤depth}`; the relational route passes
-    /// `usize::MAX`.
-    pub(crate) fn run(
+    /// [`Program::lower`] under a domain, which takes every formula: a
+    /// refusal there is a lowering bug, reported as an error.
+    pub(crate) fn lower_over(
+        f: &Formula,
+        head: &[String],
+        k: Sym,
+        alphabet: Option<&Alphabet>,
+        cap: usize,
+        domain: DomainKind,
+    ) -> Result<(Program, PlanNode), CoreError> {
+        Program::lower(f, head, k, alphabet, cap, Some(domain)).ok_or_else(|| {
+            CoreError::Unsupported("the lowering over a finite domain refused the formula".into())
+        })
+    }
+
+    /// Runs the program against `db` under `deadline`. Every variable
+    /// but a restricted quantifier's takes a member of `domain`, and a
+    /// `Domain` step walks it; the relational route passes `Σ*`.
+    pub(crate) fn run<'db>(
         &self,
-        db: &Database,
+        db: &'db Database,
         deadline: &Deadline,
-        depth: usize,
+        domain: &'db Domain,
     ) -> Result<Outcome, CoreError> {
         let mut rels = Vec::with_capacity(self.relations.len());
         for (name, arity) in &self.relations {
@@ -329,11 +403,13 @@ impl Program {
         }
         let mut ex = Exec {
             prog: self,
+            db,
             rows: vec![None; rels.len()],
             rels,
             indexes: vec![None; self.indexes],
             env: vec![None; self.slots],
-            depth,
+            domain,
+            adom: None,
             bindings: 0,
             deadline,
         };
@@ -369,9 +445,9 @@ struct Lower<'a> {
     k: Sym,
     alphabet: Option<&'a Alphabet>,
     cap: usize,
-    /// The bound `B` of bounded search, which lowers `concat` and
-    /// supplies the `Σ^{≤B}` domain; `None` on the relational route.
-    search: Option<usize>,
+    /// The domain a run walks, which lowers `concat` and restricted
+    /// quantifiers; `None` on the relational route.
+    domain: Option<DomainKind>,
     /// Finiteness and DFA of each `in`/`pl` language of the formula.
     table: &'a LangTable,
     /// Variable name → slot, innermost binder last.
@@ -473,9 +549,9 @@ impl Lower<'_> {
             Atom::InLang(_, l) => Kind::InLang(self.lang(l)?),
             Atom::PL(_, _, l) => Kind::PL(self.lang(l)?),
             Atom::InsertAfter(_, _, _, s) => Kind::Insert(*s),
-            // Concatenation lowers only for bounded search: the exact
-            // route has no answer to give (Proposition 1).
-            Atom::ConcatEq(..) if self.search.is_some() => Kind::Concat,
+            // Concatenation lowers only under a domain: the exact route
+            // has no answer to give (Proposition 1).
+            Atom::ConcatEq(..) if self.domain.is_some() => Kind::Concat,
             Atom::ConcatEq(..) => return None,
         };
         let terms = a
@@ -516,7 +592,7 @@ impl Lower<'_> {
     /// An interior plan node whose tracks derive from its children.
     fn interior(&self, op: PlanOp, f: &Formula, children: Vec<PlanNode>) -> PlanNode {
         let mut vars: BTreeSet<String> = children.iter().flat_map(|c| c.vars.clone()).collect();
-        if let PlanOp::Project { var } = &op {
+        if let PlanOp::Project { var } | PlanOp::RestrictQuantifiers { var: Some(var), .. } = &op {
             vars.remove(var);
         }
         self.plan(op, f, vars.into_iter().collect(), children)
@@ -545,10 +621,10 @@ impl Lower<'_> {
                 self.union(f, a, b, bound)
             }
             Formula::Exists(v, g) => self.project(f, v, g, bound),
-            // A shape that generates nothing (`¬`, `∀`, an uneven `∨`):
-            // under bounded search its free variables range over the
-            // domain and it runs as a test.
-            _ if self.search.is_some() => {
+            // A shape that generates nothing (`¬`, `∀`, an uneven `∨`,
+            // a restricted quantifier): under a domain its free
+            // variables range over the domain and it runs as a test.
+            _ if self.domain.is_some() => {
                 let mut chain = Chain::new(0);
                 for v in &unbound {
                     self.domain(v, &mut chain)?;
@@ -590,10 +666,57 @@ impl Lower<'_> {
                 let inner = nnf(&g.as_ref().clone().not());
                 self.complement(f, &Formula::exists(v.clone(), inner), bound)
             }
-            // Restricted quantifiers keep their collapse-domain
-            // semantics on the other routes.
+            // A restricted quantifier binds its variable from its range,
+            // which only a run over a domain computes; ∀v∈r g ≡ ¬∃v∈r ¬g.
+            Formula::ExistsR(r, v, g) if self.domain.is_some() => self.range(f, *r, v, g, bound),
+            Formula::ForallR(r, v, g) if self.domain.is_some() => {
+                let exists = Formula::exists_r(*r, v.clone(), g.as_ref().clone().not());
+                self.complement(f, &exists, bound)
+            }
             Formula::ExistsR(..) | Formula::ForallR(..) => None,
         }
+    }
+
+    /// `∃v∈r g` with its free variables bound: a range step binding `v`,
+    /// then `g` as a test.
+    fn range(
+        &mut self,
+        f: &Formula,
+        restrict: Restrict,
+        v: &str,
+        g: &Formula,
+        bound: &BTreeSet<String>,
+    ) -> Lowered {
+        let scope = g
+            .free_vars()
+            .iter()
+            .filter(|w| *w != v)
+            .map(|w| self.slot(w))
+            .collect::<Option<Vec<_>>>()?;
+        let mut inner = bound.clone();
+        inner.insert(v.to_string());
+        let slot = self.push(v);
+        let body = self.test(g, &inner);
+        self.scope.pop();
+        let (body, tree) = body?;
+        let leaf = self.source_leaf(v, restrict_name(restrict).to_string());
+        let product = self.interior(PlanOp::Product, f, vec![leaf, tree]);
+        let var = Some(v.to_string());
+        let tree = self.interior(
+            PlanOp::RestrictQuantifiers { var, restrict },
+            f,
+            vec![product],
+        );
+        let steps = vec![
+            Step::Range {
+                slot,
+                restrict,
+                scope,
+            },
+            Step::Filter(body),
+        ];
+        let body = Box::new(Node::Chain(steps));
+        Some((Node::Project { slot, body }, tree))
     }
 
     fn complement(&mut self, f: &Formula, g: &Formula, bound: &BTreeSet<String>) -> Lowered {
@@ -638,7 +761,7 @@ impl Lower<'_> {
     }
 
     /// A flattened `∧` chain, in the binding order `saferange` derives.
-    /// Under bounded search, a variable the order leaves unbound takes
+    /// Under a domain, a variable the order leaves unbound takes
     /// its values from the domain, and the order is derived again: the
     /// new value may let a conjunct generate another variable.
     fn chain(&mut self, f: &Formula, bound: &BTreeSet<String>) -> Lowered {
@@ -666,7 +789,7 @@ impl Lower<'_> {
                 }
             }
             if !stale {
-                if self.search.is_none() {
+                if self.domain.is_none() {
                     break;
                 }
                 let Some(v) = f.free_vars().into_iter().find(|v| !have.contains(v)) else {
@@ -693,25 +816,35 @@ impl Lower<'_> {
         (Node::Chain(chain.steps), tree)
     }
 
-    /// A `Domain` step binding `v` to each string of the search domain.
+    /// A `Domain` step binding `v` to each string of the run's domain.
     fn domain(&self, v: &str, chain: &mut Chain) -> Option<()> {
-        let bound = self.search?;
+        let label = match self.domain? {
+            DomainKind::UpTo(bound) => format!("Σ^≤{bound}"),
+            DomainKind::Collapse => "collapse domain".to_string(),
+        };
         chain.steps.push(Step::Domain(self.slot(v)?));
-        chain.trees.push(self.plan(
-            PlanOp::Generate {
-                var: v.to_string(),
-                label: format!("Σ^≤{bound}"),
-            },
-            &Formula::True,
-            vec![v.to_string()],
-            Vec::new(),
-        ));
+        chain.trees.push(self.source_leaf(v, label));
         Some(())
     }
 
+    /// The `Generate` leaf of a step that binds `v` from `label`, a set
+    /// of strings rather than an atom.
+    fn source_leaf(&self, v: &str, label: String) -> PlanNode {
+        let var = v.to_string();
+        self.plan(
+            PlanOp::Generate {
+                var: var.clone(),
+                label,
+            },
+            &Formula::True,
+            vec![var],
+            Vec::new(),
+        )
+    }
+
     /// The step binding `vars` from conjunct `c` (the `i`-th), given
-    /// `have`. Returns the variables it binds: `vars`, and under bounded
-    /// search every other unbound variable of a compound conjunct, which
+    /// `have`. Returns the variables it binds: `vars`, and under a
+    /// domain every other unbound variable of a compound conjunct, which
     /// its lowering binds from the domain.
     fn bind(
         &mut self,
@@ -881,15 +1014,25 @@ type Index = HashMap<Vec<Str>, Vec<u32>>;
 
 struct Exec<'p, 'db> {
     prog: &'p Program,
+    db: &'db Database,
     rels: Vec<&'db Relation>,
     /// Built on first use.
     rows: Vec<Option<Rows<'db>>>,
     indexes: Vec<Option<Rc<Index>>>,
     env: Vec<Option<Val<'db>>>,
-    /// The longest value a variable may be bound to.
-    depth: usize,
+    /// What every bound value but a range's is a member of.
+    domain: &'db Domain,
+    /// Built by the first range step.
+    adom: Option<Rc<Adom>>,
     bindings: u64,
     deadline: &'p Deadline,
+}
+
+/// The active domain of a run's in-alphabet rows, and its prefix
+/// closure, both sorted.
+struct Adom {
+    strings: Vec<Str>,
+    closure: Vec<Str>,
 }
 
 impl<'p, 'db> Exec<'p, 'db> {
@@ -991,16 +1134,22 @@ impl<'p, 'db> Exec<'p, 'db> {
                 Ok(Flow::Go)
             }
             Step::Domain(slot) => {
-                for w in StringsUpTo::new(self.prog.k, self.depth) {
-                    self.tick()?;
-                    self.env[*slot] = Some(Cow::Owned(w));
-                    let flow = self.steps(rest, k);
-                    self.env[*slot] = None;
-                    if flow? == Flow::Stop {
-                        return Ok(Flow::Stop);
+                let domain: &'db Domain = self.domain;
+                match domain {
+                    Domain::UpTo(n) => {
+                        let walk = StringsUpTo::new(self.prog.k, *n).map(Cow::Owned);
+                        self.walk(*slot, walk, rest, k)
                     }
+                    Domain::Set(set) => self.walk(*slot, set.iter().map(Cow::Borrowed), rest, k),
                 }
-                Ok(Flow::Go)
+            }
+            Step::Range {
+                slot,
+                restrict,
+                scope,
+            } => {
+                let range = self.range(*restrict, scope);
+                self.walk(*slot, range.map(Cow::Owned), rest, k)
             }
             Step::Generate {
                 atom,
@@ -1014,6 +1163,66 @@ impl<'p, 'db> Exec<'p, 'db> {
                 _ => self.generate_values(atom, positions, *check, rest, k),
             },
         }
+    }
+
+    /// Binds `slot` to each value of `values` in turn and continues with
+    /// the rest of the chain.
+    fn walk(
+        &mut self,
+        slot: Slot,
+        values: impl Iterator<Item = Val<'db>>,
+        rest: &'p [Step],
+        k: &mut dyn FnMut(&mut Self) -> Res,
+    ) -> Res {
+        for w in values {
+            self.tick()?;
+            self.env[slot] = Some(w);
+            let flow = self.steps(rest, k);
+            self.env[slot] = None;
+            if flow? == Flow::Stop {
+                return Ok(Flow::Stop);
+            }
+        }
+        Ok(Flow::Go)
+    }
+
+    /// The values of a restricted quantifier's range, under the current
+    /// bindings of the quantified formula's other free variables
+    /// (`scope`): the rule `logic::compile` uses.
+    fn range(&mut self, restrict: Restrict, scope: &[Slot]) -> Box<dyn Iterator<Item = Str>> {
+        let adom = self.adom();
+        let scoped = scope.iter().filter_map(|&s| self.env[s].as_deref());
+        match restrict {
+            Restrict::Active => {
+                Box::new((0..adom.strings.len()).map(move |i| adom.strings[i].clone()))
+            }
+            Restrict::PrefixDom => {
+                let extra: BTreeSet<Str> = scoped
+                    .flat_map(Str::prefixes)
+                    .filter(|p| adom.closure.binary_search(p).is_err())
+                    .collect();
+                let closure = (0..adom.closure.len()).map(move |i| adom.closure[i].clone());
+                Box::new(closure.chain(extra))
+            }
+            Restrict::LengthDom => match adom.strings.iter().chain(scoped).map(Str::len).max() {
+                Some(m) => Box::new(StringsUpTo::new(self.prog.k, m)),
+                None => Box::new(std::iter::empty()),
+            },
+        }
+    }
+
+    /// The run's active domain, built on first use.
+    fn adom(&mut self) -> Rc<Adom> {
+        let (db, k) = (self.db, self.prog.k);
+        Rc::clone(self.adom.get_or_insert_with(|| {
+            let strings = db.adom_within(k);
+            let closure = strcalc_alphabet::prefix_closure(&strings);
+            let sorted = |set: BTreeSet<Str>| set.into_iter().collect();
+            Rc::new(Adom {
+                closure: sorted(closure),
+                strings: sorted(strings),
+            })
+        }))
     }
 
     /// A value generator: binds the variable of each generated position
@@ -1041,7 +1250,7 @@ impl<'p, 'db> Exec<'p, 'db> {
         let was_bound = self.env[slot].is_some();
         for w in self.candidates(atom, p) {
             self.tick()?;
-            let flow = if bind(term, Cow::Owned(w), &mut self.env, self.depth) {
+            let flow = if bind(term, Cow::Owned(w), &mut self.env, self.domain) {
                 self.generate_values(atom, more, check, rest, k)
             } else {
                 Ok(Flow::Go)
@@ -1093,7 +1302,7 @@ impl<'p, 'db> Exec<'p, 'db> {
             let bound = atom.terms.iter().enumerate().all(|(i, t)| {
                 key.contains(&i)
                     || t.chain_var().is_none_or(|s| !slots.contains(&s))
-                    || bind(t, Cow::Borrowed(&row[i]), &mut self.env, self.depth)
+                    || bind(t, Cow::Borrowed(&row[i]), &mut self.env, self.domain)
             });
             let flow = if bound {
                 self.steps(rest, k)
@@ -1116,7 +1325,7 @@ impl<'p, 'db> Exec<'p, 'db> {
         let k = self.prog.k;
         let rows: Rows<'db> = self.rels[rel]
             .iter()
-            .filter(|t| t.iter().all(|s| s.syms().iter().all(|&c| c < k)))
+            .filter(|t| t.iter().all(|s| s.within(k)))
             .map(Vec::as_slice)
             .collect();
         self.rows[rel] = Some(Rc::clone(&rows));
@@ -1261,9 +1470,9 @@ impl<'p, 'db> Exec<'p, 'db> {
 }
 
 /// Binds the variable of the injective chain `t` so that `t` evaluates
-/// to `w`; `false` when no value does, when that value is longer than
-/// `depth`, or when the variable is already bound to another one.
-fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>], depth: usize) -> bool {
+/// to `w`; `false` when no value does, when that value is not in
+/// `domain`, or when the variable is already bound to another one.
+fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>], domain: &Domain) -> bool {
     let value = match t {
         CTerm::Var(_) => Some(w),
         _ => t.invert(w.syms()).map(Cow::Owned),
@@ -1271,7 +1480,7 @@ fn bind<'db>(t: &CTerm, w: Val<'db>, env: &mut [Option<Val<'db>>], depth: usize)
     let (Some(slot), Some(value)) = (t.chain_var(), value) else {
         return false;
     };
-    if value.len() > depth {
+    if !domain.contains(&value) {
         return false;
     }
     match &env[slot] {

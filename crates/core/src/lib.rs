@@ -6,9 +6,9 @@
 //! * [`AutomataEngine`] — **exact** natural-semantics evaluation via
 //!   automatic structures (quantifiers truly range over the infinite
 //!   `Σ*`), giving decidable state-safety (Proposition 7) for free.
-//! * [`EnumEngine`] — the collapse-based baseline: restricted
-//!   quantification over a finite domain derived from the database, per
-//!   Proposition 2 (prefix domain) and Theorem 2 (length domain).
+//! * [`EnumEngine`] — the collapse-based baseline: quantification over
+//!   a finite [`Domain`] derived from the database, per Proposition 2
+//!   (prefix domain) and Theorem 2 (length domain).
 //! * [`safety`] — state-safety, the range-restriction construction of
 //!   Theorem 3 / Theorem 7 (`(γ, φ)` queries), and the `S_len`
 //!   finiteness sentence of Section 6.1.
@@ -59,6 +59,7 @@ pub use effective::{FormulaEnumerator, SafeQueryEnumerator};
 pub use engine::AutomataEngine;
 pub use enumeval::EnumEngine;
 pub use faults::FaultPlan;
+pub use generate::Domain;
 pub use ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
 pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy};
 pub use query::{Calculus, CoreError, EvalOutput, Query};

@@ -4,9 +4,9 @@
 //! that path in the production context. It dispatches on the plan's
 //! root operator and hands the work to the matching executor — the
 //! automata engine's artifact pipeline, a compiled program's nested
-//! loops (the relational route and bounded search), the enumeration
-//! interpreter, the bounded-search fallback, or a
-//! relation scan — and reports
+//! loops (the relational route over `Σ*`, bounded search over
+//! `Σ^{≤B}`, and the collapse route over the query's collapse domain),
+//! or a relation scan — and reports
 //! post-execution actuals (states built, bytes held, cache hits, tuples
 //! enumerated) for `EXPLAIN`. Before executing, the plan is re-verified
 //! by planlint (defense in depth: a plan mutated after
@@ -33,7 +33,8 @@
 //!
 //! * exact automata → a bounded collapse-domain verdict (SA401), in
 //!   the translation validator's `Validated`/`Refuted`/`Unknown` shape
-//!   ([`ExecVerdict`]);
+//!   ([`ExecVerdict`]); the collapse program is lowered only then, so an
+//!   undegraded automata read plans nothing for it;
 //! * dense batched tables → the sparse per-tuple DFA walk (SA402);
 //! * a cold cache whose recompilation the budget denies → the same
 //!   bounded fallback, surfaced as recompile-denied (SA403);
@@ -74,10 +75,10 @@ use crate::budget::{
 };
 use crate::cache::{CompiledArtifact, DenseArtifact};
 use crate::clock::{Clock, Deadline, MonotonicClock, VirtualClock};
-use crate::concat::ConcatEvaluator;
 use crate::engine::Slot;
 use crate::enumeval::EnumEngine;
 use crate::faults::FaultPlan;
+use crate::generate::{Domain, DomainKind, Program, SIGMA_STAR};
 use crate::ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
 use crate::query::{CoreError, EvalOutput, Query};
 
@@ -97,10 +98,10 @@ pub struct ExecReport {
     pub cache_hit: bool,
     /// Tuples materialized (or sampled, for infinite outputs).
     pub tuples_enumerated: usize,
-    /// Size of the finite quantifier domain (interpreter strategies; 0
-    /// for automata). On a compiled program (the relational route, and
-    /// bounded search whenever it lowers): the bindings its generators
-    /// produced.
+    /// Size of the collapse domain on the collapse route and its SA401 /
+    /// SA413 fallbacks; rows scanned on a scan; on the relational route
+    /// and bounded search, the bindings the program produced; 0 for
+    /// automata.
     pub domain_size: usize,
     /// SA240 calibration warnings: actuals that exceeded the plan's
     /// resource certificate. Empty when the certificate held (always,
@@ -392,7 +393,7 @@ impl Plan {
         let out = match (&self.root.op, self.strategy) {
             (PlanOp::EnumerateFinite, Strategy::Automata) => self.run_automata(db, &mut run)?,
             (PlanOp::EnumerateFinite, Strategy::ActiveDomainEnum) => {
-                EvalOutput::Finite(self.run_enum(db, &mut run)?)
+                EvalOutput::Finite(self.run_collapse(db, &mut run)?)
             }
             (PlanOp::Relational, Strategy::ActiveDomainEnum) => {
                 EvalOutput::Finite(self.run_relational(db, &mut run)?)
@@ -427,23 +428,36 @@ impl Plan {
         }
     }
 
-    /// The collapse interpreter: evaluates `q` over its bounded domain,
-    /// built once. Returns `(answer, frontier candidates completed,
-    /// truncated, domain size)`.
+    /// The fallback of a degraded automata run (SA401, SA413): lowers
+    /// `q` over its collapse domain and runs it, under the run's
+    /// deadline when `governed`. A truncation is SA411-visible with its
+    /// bindings watermark. Returns the answer and the domain's size.
     fn collapse(
         &self,
         q: &Query,
         db: &Database,
-        deadline: &Deadline,
-    ) -> Result<(Relation, usize, bool, usize), CoreError> {
-        let engine = EnumEngine {
-            slack: self.slack,
-            ..EnumEngine::default()
+        run: &mut Run,
+        governed: bool,
+    ) -> Result<(Relation, usize), CoreError> {
+        let k = q.alphabet.len() as Sym;
+        let collapse = DomainKind::Collapse;
+        let (program, _) =
+            Program::lower_over(&q.formula, &q.head, k, None, self.engine.cap, collapse)?;
+        let domain = EnumEngine { slack: self.slack }.domain(q, db);
+        let deadline = if governed {
+            run.deadline.clone()
+        } else {
+            Deadline::unlimited()
         };
-        let domain = engine.domain(q, db);
-        let domain_size = domain.len();
-        let (rel, seen, truncated) = engine.eval_over(q, db, domain, deadline)?;
-        Ok((rel, seen, truncated, domain_size))
+        let out = program.run(db, &deadline, &domain)?;
+        if out.truncated {
+            let what = format!("generated {} bindings", out.bindings);
+            self.truncate(run, Code::DeadlineScanTruncated, what, &out.answer)?;
+        }
+        let size = domain.size(&q.alphabet);
+        run.report.tuples_enumerated = self.enumerated(out.answer.len());
+        run.report.domain_size = size;
+        Ok((out.answer, size))
     }
 
     /// The automata executor: compiles the plan's automaton (through the
@@ -490,20 +504,14 @@ impl Plan {
         Ok(out)
     }
 
-    /// The active-domain enumeration executor.
-    fn run_enum(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
+    /// The collapse executor: the plan's compiled program over the
+    /// query's collapse domain (Proposition 2, Theorem 2). A deadline
+    /// expiry keeps the tuples completed so far (SA411).
+    fn run_collapse(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
         let q = self.typed_query()?;
-        let (rel, seen, truncated, domain_size) = self.collapse(q, db, &run.deadline)?;
-        if truncated {
-            let what = if self.is_boolean() {
-                "quantifier evaluation interrupted mid-frontier".to_string()
-            } else {
-                format!("enumerated {seen} of {domain_size} frontier candidates")
-            };
-            run.report.verdict = self.truncate(run, Code::DeadlineScanTruncated, what, &rel)?;
-        }
-        run.report.tuples_enumerated = self.enumerated(rel.len());
-        run.report.domain_size = domain_size;
+        let domain = EnumEngine { slack: self.slack }.domain(q, db);
+        let rel = self.run_program(db, run, &domain, Code::DeadlineScanTruncated)?;
+        run.report.domain_size = domain.size(&q.alphabet);
         Ok(rel)
     }
 
@@ -512,18 +520,18 @@ impl Plan {
     /// builds no automaton. A deadline expiry keeps the tuples completed
     /// so far (SA411).
     fn run_relational(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
-        self.run_program(db, run, usize::MAX, Code::DeadlineScanTruncated)
+        self.run_program(db, run, &SIGMA_STAR, Code::DeadlineScanTruncated)
     }
 
-    /// Runs the plan's compiled program with no value longer than
-    /// `depth`; `domain_size` reports the bindings its generators
-    /// produced. On a deadline expiry the tuples completed so far stay,
-    /// and `code` records the truncation.
+    /// Runs the plan's compiled program over `domain`; `domain_size`
+    /// reports the bindings its generators produced. On a deadline
+    /// expiry the tuples completed so far stay, and `code` records the
+    /// truncation.
     fn run_program(
         &self,
         db: &Database,
         run: &mut Run,
-        depth: usize,
+        domain: &Domain,
         code: Code,
     ) -> Result<Relation, CoreError> {
         let program = self.program.as_ref().ok_or_else(|| {
@@ -532,7 +540,7 @@ impl Plan {
                 self.root.op.name()
             ))
         })?;
-        let out = program.run(db, &run.deadline, depth)?;
+        let out = program.run(db, &run.deadline, domain)?;
         if out.truncated {
             let what = format!("generated {} bindings", out.bindings);
             run.report.verdict = self.truncate(run, code, what, &out.answer)?;
@@ -544,8 +552,7 @@ impl Plan {
 
     /// The bounded-search executor, at the depth [`Plan::governed_depth`]
     /// allows: the plan's compiled program, whose generators bind what
-    /// they can and whose `Domain` steps walk `Σ^{≤depth}`. A formula
-    /// the lowering refused runs on [`ConcatEvaluator`] instead.
+    /// they can and whose `Domain` steps walk `Σ^{≤depth}`.
     fn run_search(
         &self,
         bound: usize,
@@ -553,19 +560,7 @@ impl Plan {
         run: &mut Run,
     ) -> Result<Relation, CoreError> {
         let depth = self.governed_depth(bound, run);
-        if self.program.is_some() {
-            return self.run_program(db, run, depth, Code::DeadlineSearchClamped);
-        }
-        let evaluator = ConcatEvaluator::new(self.alphabet().clone(), depth);
-        let (rel, explored, truncated) =
-            evaluator.eval(self.formula(), self.head(), db, &run.deadline)?;
-        if truncated {
-            let what = format!("explored {explored} depth-0 assignments");
-            run.report.verdict = self.truncate(run, Code::DeadlineSearchClamped, what, &rel)?;
-        }
-        run.report.tuples_enumerated = self.enumerated(rel.len());
-        run.report.domain_size = evaluator.domain_size();
-        Ok(rel)
+        self.run_program(db, run, &Domain::UpTo(depth), Code::DeadlineSearchClamped)
     }
 
     /// The pre-execution governor: walks the plan tree handing each
@@ -694,9 +689,9 @@ impl Plan {
     /// The deadline-fired-before-compile (or injected-abort) response:
     /// automaton compilation is abandoned and the query is evaluated
     /// over the bounded collapse domain instead (SA413). The collapse
-    /// evaluation itself runs without further deadline polls — the
-    /// degradation *is* the response, and it must complete to report
-    /// something sound rather than unwind into an empty answer.
+    /// program runs without further deadline polls — the degradation
+    /// *is* the response, and it must complete to report something
+    /// sound rather than unwind into an empty answer.
     fn compile_aborted(
         &self,
         q: &Query,
@@ -717,7 +712,7 @@ impl Plan {
         if injected {
             run.degrade(Code::FaultInjected, "root", "injected compile abort");
         }
-        let (rel, _, _, domain_size) = self.collapse(q, db, &Deadline::unlimited())?;
+        let (rel, domain_size) = self.collapse(q, db, run, false)?;
         run.degrade(
             Code::DeadlineCompileAborted,
             "root",
@@ -726,8 +721,6 @@ impl Plan {
                  the bounded collapse domain ({domain_size} strings)"
             ),
         );
-        run.report.tuples_enumerated = self.enumerated(rel.len());
-        run.report.domain_size = domain_size;
         run.report.verdict = ExecVerdict::Bounded {
             reason: format!(
                 "compile aborted at checkpoint {checkpoint}: evaluated over the bounded \
@@ -842,17 +835,9 @@ impl Plan {
                 ),
             );
         }
-        let (rel, seen, truncated, domain_size) = self.collapse(q, db, &run.deadline)?;
-        if truncated {
-            // The bounded fallback can itself run out of time; the
-            // verdict stays `Bounded` (a subset of a bounded answer is
-            // still a sound bound) but the truncation is SA411-visible
-            // with its frontier watermark.
-            let what = format!("enumerated {seen} of {domain_size} frontier candidates");
-            self.truncate(run, Code::DeadlineScanTruncated, what, &rel)?;
-        }
-        run.report.tuples_enumerated = self.enumerated(rel.len());
-        run.report.domain_size = domain_size;
+        // The fallback can itself run out of time; the verdict stays
+        // `Bounded` (a subset of a bounded answer is still a sound bound).
+        let (rel, domain_size) = self.collapse(q, db, run, true)?;
         run.report.verdict = ExecVerdict::Bounded {
             reason: format!(
                 "budget-exhausted: evaluated over the bounded collapse domain \
@@ -1240,22 +1225,18 @@ fn run_scan(
 /// The per-row filters: column equalities, the in-alphabet guard, and
 /// the linear LIKE matchers.
 ///
-/// The alphabet guard mirrors the automaton route's convention for
-/// stored strings containing symbols outside `Σ`: the relation trie is
-/// intersected with language atoms whose automata (and whose
-/// cylindrification fresh-letter range) only cover `0..k`, so any tuple
-/// with an out-of-`Σ` symbol in *any* column denotes `∅` there. The
-/// scans must agree, not silently match raw bytes.
+/// The alphabet guard is every route's convention for stored strings
+/// containing symbols outside `Σ`: a tuple with an out-of-`Σ` symbol in
+/// *any* column denotes nothing (the relation trie and the generators
+/// skip it too). The scans must agree, not silently match raw bytes.
 fn passes_row_filters(plan: &ScanPlan, t: &[Str], k: Sym) -> bool {
     for &(i, j) in &plan.eq_cols {
         if t[i] != t[j] {
             return false;
         }
     }
-    for s in t {
-        if !in_alphabet(s, k) {
-            return false;
-        }
+    if !t.iter().all(|s| s.within(k)) {
+        return false;
     }
     for (col, matcher, _) in &plan.filters {
         if !matcher.matches(t[*col].syms()) {
@@ -1263,11 +1244,4 @@ fn passes_row_filters(plan: &ScanPlan, t: &[Str], k: Sym) -> bool {
         }
     }
     true
-}
-
-/// Whether every symbol of `s` is below `k`. Written as a branch-free
-/// maximum over the whole string, not a short-circuit `any`, so that
-/// the loop vectorizes.
-fn in_alphabet(s: &Str, k: Sym) -> bool {
-    s.syms().iter().copied().max().is_none_or(|m| m < k)
 }

@@ -16,7 +16,8 @@ use crate::trace::calculus_name;
 use super::exec::ExecReport;
 use super::ir::{Plan, PlanNode, PlanOp};
 
-fn restrict_name(r: Restrict) -> &'static str {
+/// The name a plan gives a restricted quantifier's range.
+pub(crate) fn restrict_name(r: Restrict) -> &'static str {
     match r {
         Restrict::Active => "adom",
         Restrict::PrefixDom => "dom↓",

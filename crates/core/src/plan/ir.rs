@@ -3,9 +3,10 @@
 //! A [`Plan`] is a tree of [`PlanNode`]s describing how a query will be
 //! evaluated, plus the trace of the planning passes that shaped it. The
 //! tree is a faithful description of the work the executors perform —
-//! product constructions and complements for the automata strategy,
-//! finite-domain interpretation for the collapse and bounded-search
-//! strategies — annotated with per-node cost estimates from
+//! product constructions and complements for the automata strategy, a
+//! compiled program's generators and filters for the relational,
+//! collapse and bounded-search routes — annotated with per-node cost
+//! estimates from
 //! `strcalc-analyze`'s cost model.
 
 use std::sync::Arc;
@@ -35,15 +36,14 @@ pub enum Strategy {
     /// safe-range formula in which every variable has a generator: the
     /// relational route (a [`PlanOp::Relational`] root) binds each
     /// variable from the atom that range-restricts it (Theorems 3–4).
-    /// Forced, it interprets the formula over the finite collapse domain
-    /// with a slack fringe (an [`PlanOp::EnumerateFinite`] root — the
-    /// `EnumEngine` path; Propositions 2 / Theorem 2).
+    /// Forced, it runs the same kind of program over the finite collapse
+    /// domain with a slack fringe (an [`PlanOp::EnumerateFinite`] root —
+    /// the `EnumEngine` path; Propositions 2 / Theorem 2).
     ActiveDomainEnum,
     /// Every variable ranges over `Σ^{≤B}`: the compiled `generate`
     /// program binds what the formula range-restricts and walks
-    /// `Σ^{≤B}` for the rest (`ConcatEvaluator` when the lowering
-    /// refuses the formula) — the only
-    /// general strategy once concatenation appears; Proposition 1).
+    /// `Σ^{≤B}` for the rest — the only general strategy once
+    /// concatenation appears (Proposition 1).
     BoundedSearch,
     /// Linear scan of one stored relation with Petersen-class LIKE
     /// filters evaluated directly on the tuples — no automaton is ever
@@ -80,14 +80,14 @@ pub enum PlanOp {
     /// fingerprint of the alphabet it was lowered against so planlint
     /// can reject a leaf grafted from a differently-configured plan.
     CompileAutomaton { label: String, alphabet_fp: u64 },
-    /// Leaf: interpret an atom directly against the finite domain
-    /// (enumeration and bounded-search strategies); on the relational
-    /// route, a filter over variables bound before it.
+    /// Leaf: on a compiled program, a filter over variables bound before
+    /// it; on a scan, an atom the scan evaluates per row.
     Interpret { label: String },
-    /// Leaf of a compiled program (the relational route or bounded
-    /// search): bind `var` from the values the atom `label` generates —
-    /// the atom that range-restricts it — or, under bounded search, from
-    /// the search domain (`label` `Σ^≤B`).
+    /// Leaf of a compiled program: bind `var` from the values the atom
+    /// `label` generates — the atom that range-restricts it — or, over a
+    /// finite domain, from the domain (`label` `Σ^≤B` or `collapse
+    /// domain`) or a restricted quantifier's range (`adom`, `dom↓`,
+    /// `len≤adom`).
     Generate { var: String, label: String },
     /// Conjunction: synchronized product (automata) or short-circuit
     /// `&&` (interpreters). N-ary after the fuse pass.
@@ -99,7 +99,8 @@ pub enum PlanOp {
     /// Existential quantification: project the variable's track away.
     Project { var: String },
     /// Quantifier-range restriction. `var: Some(v)` restricts one
-    /// quantifier (a restricted quantifier in the formula); `var: None`
+    /// quantifier (a restricted quantifier in the formula; on a compiled
+    /// program its child binds `v` from the range first); `var: None`
     /// restricts *every* unrestricted quantifier to the collapse domain
     /// (inserted by the restrict pass for the enumeration strategy).
     RestrictQuantifiers {
@@ -110,9 +111,8 @@ pub enum PlanOp {
     /// (or sample an infinite one).
     EnumerateFinite,
     /// Root of the concat strategy: every variable ranges over
-    /// `Σ^{≤budget}`. Over a compiled program's tree it runs like
-    /// [`PlanOp::Relational`]; over `Interpret` leaves, on
-    /// `ConcatEvaluator`.
+    /// `Σ^{≤budget}`. Its compiled program's tree runs like
+    /// [`PlanOp::Relational`].
     BoundedSearch { budget: usize },
     /// Root of the relational route (under
     /// [`Strategy::ActiveDomainEnum`]): nested loops over the tree below,
@@ -257,8 +257,8 @@ pub struct Plan {
     /// planlint certificate. `execute` runs under it unless the
     /// caller's `ExecCx` carries another.
     pub(crate) budget: Budget,
-    /// The compiled program a `Relational` root executes, and a
-    /// `BoundedSearch` root whenever the lowering took its formula.
+    /// The compiled program a `Relational` root, a `BoundedSearch` root
+    /// and a forced collapse plan's `EnumerateFinite` root execute.
     pub(crate) program: Option<Arc<Program>>,
 }
 

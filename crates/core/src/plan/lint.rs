@@ -7,7 +7,7 @@
 //!
 //! 1. **typechecks** every node — operator arity (SA200), variable-track
 //!    agreement across `Product`/`Union`/`Project` edges and against the
-//!    query head (SA201) and, on the relational route, the binding order:
+//!    query head (SA201) and, on a compiled program, the binding order:
 //!    no filter reads a variable before its `Generate` binds it (SA201),
 //!    alphabet consistency into `CompileAutomaton`
 //!    leaves (SA202), complement caps (SA203), `CacheLookup` key
@@ -700,8 +700,8 @@ fn derived_vars<'a>(op: &PlanOp, children: &'a [PlanNode]) -> Option<Vec<&'a str
 /// a `Product`'s children left to right — with `bound` the variables
 /// bound so far. A `Generate` leaf binds its variable; a filter
 /// (`Interpret`, `Complement`) must read only bound variables; `Project`
-/// hides its variable from the enclosing binding; each `Union` branch
-/// must bind all of the union's variables.
+/// and a restricted quantifier hide their variable from the enclosing
+/// binding; each `Union` branch must bind all of the union's variables.
 fn check_bindings(
     node: &PlanNode,
     bound: &mut BTreeSet<String>,
@@ -734,7 +734,7 @@ fn check_bindings(
             }
             bind_children(node, &mut bound.clone(), stack, diagnostics);
         }
-        PlanOp::Project { var } => {
+        PlanOp::Project { var } | PlanOp::RestrictQuantifiers { var: Some(var), .. } => {
             let mut inner = bound.clone();
             inner.remove(var);
             bind_children(node, &mut inner, stack, diagnostics);

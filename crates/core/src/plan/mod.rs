@@ -2,13 +2,13 @@
 //!
 //! Historically each consumer hard-wired its own evaluation path: the
 //! SQL front-end called [`AutomataEngine`] directly, the collapse
-//! experiments built an `EnumEngine`, and concat demos constructed a
-//! `ConcatEvaluator`. The [`Planner`] centralizes that choice — the
+//! experiments built an `EnumEngine`, and concat demos built a bounded
+//! search of their own. The [`Planner`] centralizes that choice — the
 //! relational route when every variable of the formula has a generator,
-//! automata for the rest of the synchro fragment, active-domain
-//! enumeration under collapse when forced, bounded search for concat —
-//! and lowers the query into a typed [`Plan`] that the engines *execute*
-//! rather than own. Four traced passes shape the plan (rewrite → restrict →
+//! automata for the rest of the synchro fragment, the collapse domain
+//! when forced, bounded search for concat (the last three all run
+//! `generate` programs) — and lowers the query into a typed [`Plan`]
+//! that the engines *execute* rather than own. Four traced passes shape the plan (rewrite → restrict →
 //! fuse-adjacent-products → cache-assignment), and every plan renders a
 //! stable `EXPLAIN` (text and JSON) with per-node cost estimates from
 //! `strcalc-analyze` and post-execution actuals.
@@ -44,6 +44,7 @@ pub mod lint;
 mod passes;
 
 pub use exec::{ExecCx, ExecReport};
+pub(crate) use explain::restrict_name;
 pub use ir::{Plan, PlanNode, PlanOp, Strategy};
 pub use lint::{PlanChecker, PlanLintReport};
 pub use passes::PassTrace;
@@ -57,7 +58,7 @@ use strcalc_logic::Formula;
 
 use crate::budget::Budget;
 use crate::engine::AutomataEngine;
-use crate::generate::Program;
+use crate::generate::{DomainKind, Program};
 use crate::query::{CoreError, Query};
 
 use ir::PlanSource;
@@ -137,8 +138,8 @@ impl Planner {
     /// every variable — free or quantified — has a generator (the atom
     /// that range-restricts it, per `analyze::saferange`) takes the
     /// relational route instead: [`Strategy::ActiveDomainEnum`] under a
-    /// [`PlanOp::Relational`] root. Forcing `ActiveDomainEnum` keeps the
-    /// collapse-domain interpreter. A planner whose engine carries an
+    /// [`PlanOp::Relational`] root. Forcing `ActiveDomainEnum` runs the
+    /// formula over its collapse domain. A planner whose engine carries an
     /// [`AutomatonCache`](crate::AutomatonCache) keeps automata: its
     /// caller shares compiled automata across reads and accounts for
     /// them through the cache.
@@ -290,14 +291,25 @@ impl Planner {
             },
             PlanSource::Query(q) => self.route(&q.formula, &q.head, Some(alphabet), k)?,
         };
-        // Bounded search runs a compiled program too whenever the
-        // lowering takes the formula, with `Σ^{≤B}` as its domain.
-        let lowered = match relational {
-            None if strategy == Strategy::BoundedSearch => {
-                let search = Some(self.bound);
-                Program::lower(formula, head, k, Some(alphabet), self.engine.cap, search)
-            }
-            lowered => lowered,
+        // Bounded search and the forced collapse route run a compiled
+        // program too, over `Σ^{≤B}` and the collapse domain.
+        let is_relational = relational.is_some();
+        let domain = match strategy {
+            Strategy::BoundedSearch => Some(DomainKind::UpTo(self.bound)),
+            Strategy::ActiveDomainEnum => Some(DomainKind::Collapse),
+            _ => None,
+        };
+        let cap = self.engine.cap;
+        let lowered = match (relational, domain) {
+            (None, Some(d)) => Some(Program::lower_over(
+                formula,
+                head,
+                k,
+                Some(alphabet),
+                cap,
+                d,
+            )?),
+            (lowered, _) => lowered,
         };
         let (program, tree) = match lowered {
             Some((program, tree)) => (Some(Arc::new(program)), tree),
@@ -319,8 +331,7 @@ impl Planner {
         traces.push(t);
 
         // Pass 2: restrict (enumeration strategy only).
-        let (tree, mut t) =
-            passes::restrict(tree, strategy, program.is_some(), &source, self.slack);
+        let (tree, mut t) = passes::restrict(tree, strategy, is_relational, &source, self.slack);
         cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
         t.verified = true;
         traces.push(t);
@@ -346,7 +357,7 @@ impl Planner {
         // strategy checks included) and certificate annotation.
         let estimate = cost::estimate(formula, k);
         let mut root = match strategy {
-            Strategy::ActiveDomainEnum if program.is_some() => tree.wrap(PlanOp::Relational),
+            Strategy::ActiveDomainEnum if is_relational => tree.wrap(PlanOp::Relational),
             Strategy::Automata | Strategy::ActiveDomainEnum => tree.wrap(PlanOp::EnumerateFinite),
             Strategy::BoundedSearch => tree.wrap(PlanOp::BoundedSearch { budget: self.bound }),
             Strategy::LikeLinearScan => {
@@ -427,9 +438,9 @@ impl Planner {
 
     /// Structural lowering of a formula into plan operators. Leaves are
     /// `CompileAutomaton` for the automata strategy and `Interpret` for
-    /// the finite-domain interpreters; derived connectives lower through
-    /// their definitions (`∀ = ¬∃¬`, `→`/`↔` through `∨`/`∧`), exactly
-    /// as the compiler and interpreters treat them.
+    /// the scans; derived connectives lower through their definitions
+    /// (`∀ = ¬∃¬`, `→`/`↔` through `∨`/`∧`), exactly as the compiler
+    /// treats them.
     fn lower(&self, f: &Formula, alphabet: &Alphabet, strategy: Strategy, k: u8) -> PlanNode {
         let est = |g: &Formula| cost::estimate(g, k);
         let leaf = |g: &Formula| {
@@ -610,10 +621,7 @@ fn minus_var(vars: &[String], v: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::cache::AutomatonCache;
-    use crate::clock::Deadline;
-    use crate::concat::ConcatEvaluator;
-    use crate::enumeval::EnumEngine;
-    use crate::query::{Calculus, EvalOutput};
+    use crate::query::Calculus;
     use std::sync::Arc;
     use strcalc_logic::parse_formula;
     use strcalc_relational::Database;
@@ -780,39 +788,6 @@ mod tests {
         let (routed, report) = plan.execute(&db()).unwrap();
         assert_eq!(routed, direct);
         assert!(report.automaton_states > 0);
-    }
-
-    #[test]
-    fn planner_agrees_with_direct_enum_eval() {
-        let query = q(Calculus::S, &["x"], "U(x) & last(x, 'b')");
-        let (direct, _, _) = EnumEngine::with_slack(2)
-            .eval(&query, &db(), &Deadline::unlimited())
-            .unwrap();
-        let plan = Planner::new()
-            .force(Strategy::ActiveDomainEnum)
-            .with_slack(2)
-            .plan(&query)
-            .unwrap();
-        let (routed, _) = plan.execute(&db()).unwrap();
-        assert_eq!(routed, EvalOutput::Finite(direct));
-    }
-
-    #[test]
-    fn planner_agrees_with_direct_bounded_search() {
-        let formula = parse_formula(&ab(), "exists z. (concat(x, x, z) & U(z))").unwrap();
-        let head = vec!["x".to_string()];
-        let (direct, _, _) = ConcatEvaluator::new(ab(), 4)
-            .eval(&formula, &head, &db(), &Deadline::unlimited())
-            .unwrap();
-        let plan = Planner::new()
-            .with_bound(4)
-            .plan_formula(&ab(), &head, &formula)
-            .unwrap();
-        assert_eq!(plan.strategy, Strategy::BoundedSearch);
-        assert_eq!(plan.calculus(), None);
-        let (routed, report) = plan.execute(&db()).unwrap();
-        assert_eq!(routed, EvalOutput::Finite(direct));
-        assert!(report.domain_size > 0);
     }
 
     #[test]

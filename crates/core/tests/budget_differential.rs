@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::budget::UNLIMITED;
 use strcalc_core::{
-    Budget, Calculus, ConcatEvaluator, Deadline, DegradationPolicy, EvalOutput, ExecCx, FaultPlan,
-    Planner, Query, Strategy as PlanStrategy,
+    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, ExecCx, FaultPlan, Planner,
+    Query, Strategy as PlanStrategy,
 };
 use strcalc_core::{CoreError, ExecVerdict};
 use strcalc_logic::{Formula, Term};
@@ -194,8 +194,8 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
         ..Budget::unlimited()
     };
     let (clamped, report) = plan.execute_in(&db, &under(narrow)).unwrap();
-    let (direct, _, _) = ConcatEvaluator::new(ab.clone(), 2)
-        .eval(&formula, &head, &db, &Deadline::unlimited())
+    let direct = ConcatEvaluator::new(ab.clone(), 2)
+        .eval(&formula, &head, &db)
         .unwrap();
     assert_eq!(clamped, EvalOutput::Finite(direct));
     assert!(matches!(report.verdict, ExecVerdict::Bounded { .. }));
@@ -206,8 +206,8 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
 
     // A depth allowance at or above the plan's bound does not clamp.
     let (full, report) = plan.execute(&db).unwrap();
-    let (direct_full, _, _) = ConcatEvaluator::new(ab, 3)
-        .eval(&formula, &head, &db, &Deadline::unlimited())
+    let direct_full = ConcatEvaluator::new(ab, 3)
+        .eval(&formula, &head, &db)
         .unwrap();
     assert_eq!(full, EvalOutput::Finite(direct_full));
     assert!(report.verdict.is_exact());

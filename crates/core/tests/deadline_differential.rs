@@ -25,7 +25,7 @@ use strcalc_alphabet::Alphabet;
 use strcalc_core::cache::AutomatonCache;
 use strcalc_core::{
     replay, AutomataEngine, Budget, Calculus, CoreError, DegradationPolicy, ExecCx, ExecTrace,
-    FaultPlan, Planner, Query,
+    FaultPlan, Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
@@ -112,31 +112,41 @@ proptest! {
 
     // Invariant 2 (degrade policy): a deadline firing at the very
     // first checkpoint yields a structural degradation — non-exact
-    // verdict plus at least one SA41x event — never a quiet answer.
+    // verdict plus at least one SA41x event — never a quiet answer. On
+    // the default route, the forced collapse route, and the automata
+    // route starved into its SA401 collapse fallback.
     #[test]
     fn expired_runs_degrade_structurally(f in arb_formula(), fire in 1u64..4) {
         let q = query_of(f);
         let db = db();
-        let plan = Planner::new().plan(&q).expect("plans");
-        let cx = ExecCx::production()
-            .with_budget(Budget::unlimited())
-            .with_faults(deadline_at(fire));
-        match plan.execute_in(&db, &cx) {
-            Ok((_, report)) => {
-                if report.faults.deadline_at_checkpoint.is_some() {
-                    prop_assert!(!report.verdict.is_exact(),
-                        "a deadline-cut run is never exact: {}", report.summary());
-                    prop_assert!(
-                        report.degradations.iter().any(|d| is_sa41x(d.code.as_str())),
-                        "expiry must be SA41x-recorded: {:?}", report.degradations
-                    );
-                } else {
-                    // The run finished before checkpoint `fire`; it
-                    // must then be a clean exact run.
-                    prop_assert!(report.verdict.is_exact());
+        for (planner, starved) in [
+            (Planner::new(), false),
+            (Planner::new().force(PlanStrategy::ActiveDomainEnum), false),
+            (Planner::new().force(PlanStrategy::Automata), true),
+        ] {
+            let plan = planner.plan(&q).expect("plans");
+            let states = if starved { 1 } else { Budget::unlimited().states };
+            let cx = ExecCx::production()
+                .with_budget(Budget { states, ..Budget::unlimited() })
+                .with_faults(deadline_at(fire));
+            match plan.execute_in(&db, &cx) {
+                Ok((_, report)) => {
+                    if report.faults.deadline_at_checkpoint.is_some() {
+                        prop_assert!(!report.verdict.is_exact(),
+                            "a deadline-cut run is never exact: {}", report.summary());
+                        prop_assert!(
+                            report.degradations.iter().any(|d| is_sa41x(d.code.as_str())),
+                            "expiry must be SA41x-recorded: {:?}", report.degradations
+                        );
+                    } else {
+                        // The run finished before checkpoint `fire`; it
+                        // must then be a clean exact run, or the SA401
+                        // fallback's `Bounded` one.
+                        prop_assert_eq!(report.verdict.is_exact(), !starved);
+                    }
                 }
+                Err(e) => prop_assert!(false, "degrade policy never errors: {e:?}"),
             }
-            Err(e) => prop_assert!(false, "degrade policy never errors: {e:?}"),
         }
     }
 

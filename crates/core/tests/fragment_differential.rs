@@ -258,12 +258,13 @@ proptest! {
 
 /// Stored strings containing symbols outside the query alphabet denote
 /// no string of `Σ*`: the automaton route drops such tuples wholesale
-/// (the relation trie is intersected with language and cylindrification
-/// automata that only carry edges for `Σ`, in *every* column), and the
-/// scan routes must agree rather than matching raw bytes. Regression:
-/// the linear matchers used to compare out-of-`Σ` symbols literally, so
-/// a stored `"c"` matched `LIKE '%'` on the scan route but not on the
-/// automaton route.
+/// (the relation trie skips them, in *every* column), and the scan,
+/// relational and collapse routes must agree rather than matching raw
+/// bytes. Regressions: the linear matchers used to compare out-of-`Σ`
+/// symbols literally, so a stored `"c"` matched `LIKE '%'` on the scan
+/// route but not on the automaton route; and a bare `R(x)` returned the
+/// out-of-`Σ` row on the automaton and collapse routes, while the
+/// collapse route quantified over it.
 #[test]
 fn out_of_alphabet_rows_agree_with_the_automaton_route() {
     use strcalc_alphabet::Str;
@@ -310,6 +311,30 @@ fn out_of_alphabet_rows_agree_with_the_automaton_route() {
                 }
                 (a, b) => panic!("finiteness mismatch: {a:?} vs {b:?}"),
             }
+        }
+    }
+    // Shapes no scan takes, on forced automata, the default route and
+    // forced collapse.
+    let mut db = Database::new();
+    db.insert("R", vec![s("ab")]).unwrap();
+    db.insert("R", vec![ac()]).unwrap();
+    for (head, src, want) in [
+        (&["x"][..], "R(x)", 1),
+        (&[][..], "exists y. (R(y) & !last(y, 'b'))", 0),
+        (&["x"][..], "R(x) & !last(x, 'b')", 0),
+        (&[][..], "existsA y. !last(y, 'b')", 0),
+    ] {
+        let head = head.iter().map(|h| h.to_string()).collect();
+        let q = Query::parse(Calculus::S, ab(), head, src).expect("parses");
+        for planner in [
+            Planner::new().force(PlanStrategy::Automata),
+            Planner::new(),
+            Planner::new().force(PlanStrategy::ActiveDomainEnum),
+        ] {
+            let plan = planner.plan(&q).expect("plans");
+            let (out, _) = plan.execute(&db).expect("runs");
+            let out = out.expect_finite();
+            assert_eq!(out.len(), want, "{src} on {}", plan.strategy.name());
         }
     }
 }

@@ -1,19 +1,22 @@
 //! Differential property tests for the query planner: for random
-//! formulas, the planner-routed executors agree with the legacy direct
-//! calls they replaced — [`AutomataEngine::eval`], [`EnumEngine::eval`]
-//! (same slack), and [`ConcatEvaluator::eval`] (same bound) — run on
-//! the formula the plan runs, `plan.formula()`, after its rewrite pass.
+//! formulas, the planner-routed executors agree with the direct calls —
+//! [`AutomataEngine::eval`], the naive [`DomainEvaluator`] over
+//! [`EnumEngine::domain`] (same slack), and [`ConcatEvaluator::eval`]
+//! (same bound) — run on the formula the plan runs, `plan.formula()`,
+//! after its rewrite pass. The automata route's SA401 and SA413
+//! fallbacks answer as the forced collapse plan does.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
+use strcalc_core::enumeval::DomainEvaluator;
 use strcalc_core::{
-    AutomataEngine, Budget, Calculus, ConcatEvaluator, Deadline, EnumEngine, EvalOutput, ExecCx,
-    ExecVerdict, Plan, PlanOp, Planner, Query, Strategy as PlanStrategy,
+    AutomataEngine, Budget, Calculus, ConcatEvaluator, EnumEngine, EvalOutput, ExecCx, ExecVerdict,
+    FaultPlan, Plan, PlanOp, Planner, Query, Strategy as PlanStrategy,
 };
-use strcalc_logic::{parse_formula, Formula, Term};
-use strcalc_relational::Database;
+use strcalc_logic::{parse_formula, Formula, Restrict, Term};
+use strcalc_relational::{Database, Relation};
 
 /// Random formulas with free variable `x`, over the unary relation `R`
 /// and the S/S_len signature.
@@ -40,6 +43,26 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
             inner.clone().prop_map(Formula::not),
             inner.prop_map(|f| Formula::exists("y", f)),
         ]
+    })
+}
+
+/// A random body under each kind of restricted quantifier (`∃A/P/L y`,
+/// `∀A/P/L y`), joined with another random body by `∧`, by `∨` (where
+/// the quantifier runs once the other side's variables are bound) or
+/// under `¬`, so `x` stays free.
+fn arb_restricted_formula() -> impl Strategy<Value = Formula> {
+    (arb_formula(), 0..6usize, arb_formula(), 0..3usize).prop_map(|(f, kind, g, join)| {
+        let r = [Restrict::Active, Restrict::PrefixDom, Restrict::LengthDom][kind % 3];
+        let quantified = if kind >= 3 {
+            Formula::forall_r(r, "y", f)
+        } else {
+            Formula::exists_r(r, "y", f)
+        };
+        match join {
+            0 => quantified.and(g),
+            1 => g.or(quantified),
+            _ => g.and(quantified.not()),
+        }
     })
 }
 
@@ -111,6 +134,16 @@ fn db() -> Database {
     db
 }
 
+/// A database whose active domain's prefix closure is `R` itself and
+/// holds no `b`: a `dom↓` range that grows beyond its rule (say, with a
+/// value bound further out) changes answers here.
+fn prefix_poor_db() -> Database {
+    let mut db = Database::new();
+    db.insert_unary_parsed(&Alphabet::ab(), "R", &["", "a", "aa"])
+        .unwrap();
+    db
+}
+
 /// Pin `x` free so the query head is stable regardless of what the
 /// random formula mentions; quantify away a leftover free `y`.
 fn query_of(f: Formula) -> Query {
@@ -121,6 +154,40 @@ fn query_of(f: Formula) -> Query {
         pinned
     };
     Query::new(Calculus::SLen, Alphabet::ab(), vec!["x".into()], closed).expect("head = free vars")
+}
+
+/// The naive evaluator's answer to `q` over `q`'s collapse domain at
+/// `slack`.
+fn reference(q: &Query, db: &Database, slack: usize) -> Relation {
+    let domain = EnumEngine::with_slack(slack)
+        .domain(q, db)
+        .strings(&q.alphabet);
+    DomainEvaluator::new(&q.alphabet, db, domain)
+        .answer(&q.formula, &q.head)
+        .expect("reference eval")
+}
+
+/// The answers of the forced automata plan of `q` when it degrades to
+/// the collapse domain: starved (SA401) and compile-aborted (SA413).
+fn fallbacks(q: &Query, db: &Database) -> [EvalOutput; 2] {
+    let plan = Planner::new()
+        .force(PlanStrategy::Automata)
+        .with_slack(2)
+        .plan(q)
+        .expect("plans");
+    let starved = ExecCx::production().with_budget(Budget {
+        states: 1,
+        ..Budget::unlimited()
+    });
+    let aborted = ExecCx::production().with_faults(FaultPlan {
+        abort_compile: true,
+        ..FaultPlan::none()
+    });
+    [starved, aborted].map(|cx| {
+        let (out, report) = plan.execute_in(db, &cx).expect("degraded run");
+        assert!(!report.verdict.is_exact());
+        out
+    })
 }
 
 /// The typed query a plan runs: its (possibly rewritten) formula.
@@ -172,8 +239,8 @@ proptest! {
         }
     }
 
-    // Forced enumeration strategy ≡ `EnumEngine::eval` with the same
-    // slack.
+    // Forced enumeration strategy ≡ the naive evaluator over the same
+    // collapse domain (slack 2).
     #[test]
     fn planner_matches_direct_enum_eval(f in arb_formula()) {
         let q = query_of(f);
@@ -183,13 +250,56 @@ proptest! {
             .with_slack(2)
             .plan(&q)
             .expect("plans");
-        let (direct, _, _) = EnumEngine::with_slack(2)
-            .eval(&plan_query(&plan), &db, &Deadline::unlimited())
-            .expect("direct enum");
+        let direct = reference(&plan_query(&plan), &db, 2);
         prop_assert_eq!(plan.strategy, PlanStrategy::ActiveDomainEnum);
         let (routed, report) = plan.execute(&db).expect("routed enum");
         prop_assert_eq!(routed, EvalOutput::Finite(direct));
         prop_assert!(report.domain_size > 0, "collapse domain contains ε at least");
+    }
+
+    // With restricted quantifiers of every kind: the forced collapse
+    // plan lowers (its program binds each restricted variable from its
+    // range), equals the naive evaluator over the same collapse domain,
+    // and is what the automata route's SA401 and SA413 fallbacks
+    // answer.
+    #[test]
+    fn collapse_plan_matches_the_reference_and_the_fallbacks(f in arb_restricted_formula()) {
+        let q = query_of(f);
+        let plan = Planner::new()
+            .force(PlanStrategy::ActiveDomainEnum)
+            .with_slack(2)
+            .plan(&q)
+            .expect("the lowering over a domain never refuses");
+        prop_assert!(matches!(plan.root.op, PlanOp::EnumerateFinite));
+        for db in [db(), prefix_poor_db()] {
+            let (routed, _) = plan.execute(&db).expect("routed collapse");
+            let direct = EvalOutput::Finite(reference(&plan_query(&plan), &db, 2));
+            prop_assert_eq!(&routed, &direct);
+            for fallback in fallbacks(&plan_query(&plan), &db) {
+                prop_assert_eq!(&fallback, &routed);
+            }
+        }
+    }
+
+    // A concat formula with a restricted quantifier runs on a program
+    // too, and answers as `ConcatEvaluator` does.
+    #[test]
+    fn restricted_bounded_search_matches_the_evaluator(f in arb_restricted_formula()) {
+        let f = f.and(parse_formula(&Alphabet::ab(), "exists z. concat(x, x, z)").expect("parses"));
+        let f = if f.free_vars().contains("y") { Formula::exists("y", f) } else { f };
+        let db = db();
+        let head = vec!["x".to_string()];
+        let plan = Planner::new()
+            .with_bound(3)
+            .plan_formula(&Alphabet::ab(), &head, &f)
+            .expect("plans");
+        prop_assert!(matches!(plan.root.op, PlanOp::BoundedSearch { .. }));
+        prop_assert!(generated(&plan).contains("x"));
+        let direct = ConcatEvaluator::new(Alphabet::ab(), 3)
+            .eval(plan.formula(), &head, &db)
+            .expect("direct bounded search");
+        let (routed, _) = plan.execute(&db).expect("routed bounded search");
+        prop_assert_eq!(routed, EvalOutput::Finite(direct));
     }
 
     // Concat fragment ≡ `ConcatEvaluator::eval` with the same bound.
@@ -201,8 +311,8 @@ proptest! {
             .with_bound(3)
             .plan_formula(&Alphabet::ab(), &head, &f)
             .expect("plans");
-        let (direct, _, _) = ConcatEvaluator::new(Alphabet::ab(), 3)
-            .eval(plan.formula(), &head, &db, &Deadline::unlimited())
+        let direct = ConcatEvaluator::new(Alphabet::ab(), 3)
+            .eval(plan.formula(), &head, &db)
             .expect("direct bounded search");
         prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
         let (routed, _) = plan.execute(&db).expect("routed bounded search");
@@ -219,9 +329,8 @@ proptest! {
         let head: Vec<String> = f.free_vars().into_iter().collect();
         let direct = |bound: usize, plan: &Plan| {
             ConcatEvaluator::new(ab.clone(), bound)
-                .eval(plan.formula(), &head, &db, &Deadline::unlimited())
+                .eval(plan.formula(), &head, &db)
                 .expect("direct bounded search")
-                .0
         };
         for bound in [2, 3] {
             let plan = Planner::new()
@@ -261,10 +370,146 @@ proptest! {
             .with_slack(2)
             .plan(&q)
             .expect("plans");
-        let (enum_direct, _, _) = EnumEngine::with_slack(2)
-            .eval(&plan_query(&enum_plan), &db, &Deadline::unlimited())
-            .expect("enum");
+        let enum_direct = reference(&plan_query(&enum_plan), &db, 2);
         let (enum_routed, _) = enum_plan.execute(&db).expect("routed enum");
         prop_assert_eq!(enum_routed, EvalOutput::Finite(enum_direct));
     }
+}
+
+/// The `CALC | head | formula` lines of a corpus file.
+fn corpus(text: &str) -> Vec<(Calculus, Vec<String>, String)> {
+    let lines = text.lines().map(str::trim);
+    lines
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|line| {
+            let parts: Vec<&str> = line.splitn(3, '|').map(str::trim).collect();
+            let calculus = match parts[0] {
+                "S" => Calculus::S,
+                "S_left" => Calculus::SLeft,
+                "S_reg" => Calculus::SReg,
+                _ => Calculus::SLen,
+            };
+            let head = parts[1].split_whitespace().map(String::from).collect();
+            (calculus, head, parts[2].to_string())
+        })
+        .collect()
+}
+
+/// Every query of the fig. 2, fragments and sentences corpora lowers
+/// over a finite domain: the collapse domain (and its answer is the
+/// fallbacks' and the naive evaluator's), or `Σ^{≤B}` for the concat
+/// fixtures.
+#[test]
+fn every_corpus_query_lowers_over_a_domain() {
+    let ab = Alphabet::ab();
+    let mut db = db();
+    db.insert_unary_parsed(&ab, "U", &["a", "ab", "ba"])
+        .unwrap();
+    for (x, y) in [("a", "ab"), ("b", "b"), ("ab", "a")] {
+        db.insert("T", vec![ab.parse(x).unwrap(), ab.parse(y).unwrap()])
+            .unwrap();
+    }
+    let mut lowered = 0;
+    for text in [
+        include_str!("../../../tests/corpus/fig2.queries"),
+        include_str!("../../../tests/corpus/fragments.queries"),
+        include_str!("../../../tests/corpus/sentences.queries"),
+    ] {
+        for (calculus, head, src) in corpus(text) {
+            let Ok(q) = Query::parse(calculus, ab.clone(), head.clone(), &src) else {
+                let f = parse_formula(&ab, &src).unwrap();
+                let plan = Planner::new().plan_formula(&ab, &head, &f).unwrap();
+                assert!(
+                    matches!(plan.root.op, PlanOp::BoundedSearch { .. }),
+                    "{src}"
+                );
+                assert!(head.iter().all(|v| generated(&plan).contains(v)), "{src}");
+                lowered += 1;
+                continue;
+            };
+            let plan = Planner::new()
+                .force(PlanStrategy::ActiveDomainEnum)
+                .with_slack(2)
+                .plan(&q)
+                .unwrap_or_else(|e| panic!("{src}: {e}"));
+            let (routed, _) = plan.execute(&db).unwrap();
+            assert_eq!(routed, EvalOutput::Finite(reference(&q, &db, 2)), "{src}");
+            for fallback in fallbacks(&q, &db) {
+                assert_eq!(fallback, routed, "{src}");
+            }
+            lowered += 1;
+        }
+    }
+    assert_eq!(lowered, 23, "the three corpora hold 23 queries");
+}
+
+/// The collapse program equals the naive evaluator at slack 0 and 1,
+/// where extensions of stored strings fall outside the collapse domain
+/// and the program must not bind them.
+#[test]
+fn narrow_collapse_domains_match_the_reference() {
+    let mut db = Database::new();
+    db.insert_unary_parsed(&Alphabet::ab(), "R", &["ab", "ba", "bab"])
+        .unwrap();
+    for (calculus, head, src) in [
+        (Calculus::S, "x", "exists y. (R(y) & x <= y)"),
+        (Calculus::S, "x", "R(x) & existsP p. (p < x & last(p, 'b'))"),
+        (
+            Calculus::S,
+            "x",
+            "last(x, 'a') & forallP y. (y <= x -> !R(y))",
+        ),
+        (Calculus::SLen, "", "existsL x. (last(x,'a') & !R(x))"),
+        (Calculus::SLen, "x", "R(x) & forallA y. (R(y) -> !(x < y))"),
+        (Calculus::S, "x", "exists y. (R(y) & y < x)"),
+        (Calculus::SLeft, "x", "exists y. (R(y) & fa(y, x, 'a'))"),
+    ] {
+        let head = head.split_whitespace().map(String::from).collect();
+        let q = Query::parse(calculus, Alphabet::ab(), head, src).unwrap();
+        for slack in [0, 1] {
+            let routed = EnumEngine::with_slack(slack).eval(&q, &db).unwrap();
+            assert_eq!(routed, reference(&q, &db, slack), "slack {slack}: {src}");
+        }
+    }
+}
+
+/// The unary relation `U` the two direct-call checks below read.
+fn u_db() -> Database {
+    let mut db = Database::new();
+    db.insert_unary_parsed(&Alphabet::ab(), "U", &["ab", "ba", "bab", "a"])
+        .unwrap();
+    db
+}
+
+#[test]
+fn planner_agrees_with_direct_enum_eval() {
+    let ab = Alphabet::ab();
+    let query = Query::parse(Calculus::S, ab, vec!["x".into()], "U(x) & last(x, 'b')").unwrap();
+    let db = u_db();
+    let plan = Planner::new()
+        .force(PlanStrategy::ActiveDomainEnum)
+        .with_slack(2)
+        .plan(&query)
+        .unwrap();
+    let (routed, _) = plan.execute(&db).unwrap();
+    assert_eq!(routed, EvalOutput::Finite(reference(&query, &db, 2)));
+}
+
+#[test]
+fn planner_agrees_with_direct_bounded_search() {
+    let ab = Alphabet::ab();
+    let formula = parse_formula(&ab, "exists z. (concat(x, x, z) & U(z))").unwrap();
+    let head = vec!["x".to_string()];
+    let direct = ConcatEvaluator::new(ab.clone(), 4)
+        .eval(&formula, &head, &u_db())
+        .unwrap();
+    let plan = Planner::new()
+        .with_bound(4)
+        .plan_formula(&ab, &head, &formula)
+        .unwrap();
+    assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
+    assert_eq!(plan.calculus(), None);
+    let (routed, report) = plan.execute(&u_db()).unwrap();
+    assert_eq!(routed, EvalOutput::Finite(direct));
+    assert!(report.domain_size > 0);
 }

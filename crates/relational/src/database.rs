@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use strcalc_alphabet::{Alphabet, Str};
+use strcalc_alphabet::{Alphabet, Str, Sym};
 
 /// Errors from database manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,6 +254,21 @@ impl Database {
         out
     }
 
+    /// The active domain of the rows over the first `k` symbols: a row
+    /// holding a symbol `≥ k` denotes nothing there, so none of its
+    /// strings count.
+    pub fn adom_within(&self, k: Sym) -> BTreeSet<Str> {
+        let mut out = BTreeSet::new();
+        for r in self.rels.values() {
+            for t in r.iter() {
+                if t.iter().all(|s| s.within(k)) {
+                    out.extend(t.iter().cloned());
+                }
+            }
+        }
+        out
+    }
+
     /// Length of the longest active-domain string (0 for empty DB).
     pub fn max_len(&self) -> usize {
         self.rels
@@ -357,6 +372,11 @@ mod tests {
         assert_eq!(db.max_len(), 3);
         assert_eq!(db.total_tuples(), 2);
         assert_eq!(Database::new().max_len(), 0);
+        // A row with symbol 2 in any column adds none of its strings.
+        db.insert("R", vec![s("a"), Str::from_syms(vec![0, 2])])
+            .unwrap();
+        assert_eq!(db.adom().len(), 5);
+        assert_eq!(db.adom_within(2), adom);
     }
 
     #[test]

@@ -429,7 +429,8 @@ pub fn finite_set<'a, I: IntoIterator<Item = &'a Str>>(k: Sym, x: Var, words: I)
 ///
 /// This is how database relations enter the automaton pipeline: the
 /// convolution of each tuple is one word; the trie recognizes the finite
-/// language of all of them.
+/// language of all of them. A tuple holding a symbol `≥ k` is skipped,
+/// as every other route skips it.
 pub fn finite_relation(k: Sym, vars: Vec<Var>, tuples: &[Vec<Str>]) -> SyncNfa {
     let refs: Vec<Vec<&Str>> = tuples
         .iter()
@@ -461,6 +462,10 @@ pub fn finite_relation_refs(k: Sym, vars: Vec<Var>, tuples: &[Vec<&Str>]) -> Syn
     let mut edges: HashMap<(StateId, conv::ConvSym), StateId> = HashMap::new();
     for t in tuples {
         debug_assert_eq!(t.len(), vars.len(), "tuple arity mismatch");
+        // A tuple with a symbol outside the alphabet denotes nothing.
+        if !t.iter().all(|s| s.within(k)) {
+            continue;
+        }
         let reordered: Vec<&Str> = perm.iter().map(|&i| t[i]).collect();
         let word = conv::convolve(&reordered);
         let mut cur = root;

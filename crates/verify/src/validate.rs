@@ -266,7 +266,7 @@ impl Validator {
             v.extend(after.free_vars());
             v.into_iter().collect()
         };
-        let mut eval = DomainEvaluator::new(&self.alphabet, db, domain.clone(), true);
+        let mut eval = DomainEvaluator::new(&self.alphabet, db, domain.clone());
         let mut checks = 0usize;
         // Odometer over domain^|vars| (a single empty assignment for
         // sentences), capped at `fallback_assignments`.

@@ -1,9 +1,12 @@
 //! Differential testing across crates: the exact automata engine and the
 //! collapse-based enumeration engine must agree on randomly generated
 //! queries and databases — the empirical face of the collapse theorems
-//! (Theorem 1 for `S`, Theorem 2 for `S_len`).
+//! (Theorem 1 for `S`, Theorem 2 for `S_len`) — and the collapse route
+//! must agree with the naive reference evaluator over the same domain.
 
-use strcalc::core::{AutomataEngine, Calculus, Deadline, EnumEngine, Query};
+use strcalc::core::enumeval::DomainEvaluator;
+use strcalc::core::Calculus::{SLen, S};
+use strcalc::core::{AutomataEngine, Calculus, EnumEngine, Planner, Query, Strategy};
 use strcalc::logic::transform::fragment;
 use strcalc::logic::StructureClass;
 use strcalc::prelude::*;
@@ -37,11 +40,7 @@ fn random_s_sentences_agree() {
         let class = fragment(&f, 2, 1_000_000).unwrap();
         let q = Query::new(calculus_for(class), sigma.clone(), vec![], f).unwrap();
         let a = exact.eval_bool(&q, &db).unwrap();
-        let b = !baseline
-            .eval(&q, &db, &Deadline::unlimited())
-            .unwrap()
-            .0
-            .is_empty();
+        let b = !baseline.eval(&q, &db).unwrap().is_empty();
         assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula);
         checked += 1;
     }
@@ -63,11 +62,7 @@ fn random_slen_sentences_agree() {
         };
         let q = Query::new(Calculus::SLen, sigma.clone(), vec![], f).unwrap();
         let a = exact.eval_bool(&q, &db).unwrap();
-        let b = !baseline
-            .eval(&q, &db, &Deadline::unlimited())
-            .unwrap()
-            .0
-            .is_empty();
+        let b = !baseline.eval(&q, &db).unwrap().is_empty();
         assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula);
     }
 }
@@ -92,7 +87,7 @@ fn open_queries_agree_on_safe_outputs() {
         for (calc, src) in &sources {
             let q = Query::parse(*calc, sigma.clone(), vec!["x".into()], src).unwrap();
             let a = exact.eval(&q, &db).unwrap().expect_finite();
-            let (b, _, _) = baseline.eval(&q, &db, &Deadline::unlimited()).unwrap();
+            let b = baseline.eval(&q, &db).unwrap();
             assert_eq!(a, b, "seed {seed}: {src}");
         }
     }
@@ -127,6 +122,107 @@ fn three_engines_on_algebra_queries() {
             let q = Query::infer(sigma.clone(), head, f).unwrap();
             let via = exact.eval(&q, &db).unwrap().expect_finite();
             assert_eq!(direct, via, "seed {seed}: {e}");
+        }
+    }
+}
+
+/// The answers of the query `head | src` on `db` from the forced
+/// collapse plan, from the reference evaluator over the same collapse
+/// domain, and from the forced automata plan.
+fn collapse_reference_automata(
+    calc: Calculus,
+    head: &str,
+    src: &str,
+    db: &Database,
+) -> (Relation, Relation, Relation) {
+    let head = head.split_whitespace().map(String::from).collect();
+    let q = Query::parse(calc, Alphabet::ab(), head, src).unwrap();
+    let engine = EnumEngine::new();
+    let collapse = engine.eval(&q, db).unwrap();
+    let domain = engine.domain(&q, db).strings(&q.alphabet);
+    let reference = DomainEvaluator::new(&q.alphabet, db, domain)
+        .answer(&q.formula, &q.head)
+        .unwrap();
+    let automata = Planner::new()
+        .force(Strategy::Automata)
+        .plan(&q)
+        .unwrap()
+        .execute(db)
+        .unwrap()
+        .0
+        .expect_finite();
+    (collapse, reference, automata)
+}
+
+/// `∃y ∈ dom↓` ranges over the prefixes of the active domain and of the
+/// *quantified formula's* free variables, and `∃|y| ≤ adom` over the
+/// strings no longer than those: a variable bound further out does not
+/// widen the range. Regression: the collapse route widened it with every
+/// bound variable, so `z = "aaa"` put `"aa"` in the range of `y`.
+#[test]
+fn restricted_ranges_read_only_the_quantified_formulas_variables() {
+    let mut db = Database::new();
+    db.insert_unary_parsed(&Alphabet::ab(), "R", &["ab", "ba", "bab"])
+        .unwrap();
+    for (calc, head, src) in [
+        (S, "", r#"exists z. (z = "aaa" & existsP y. y = "aa")"#),
+        (
+            SLen,
+            "",
+            r#"exists z. (z = "aaaa" & existsL y. y = "aaaa")"#,
+        ),
+        (S, "x", r#"x = "aaa" & existsP y. y = "aa""#),
+        // The quantifier runs once `z` (`x`) is bound.
+        (
+            S,
+            "",
+            r#"exists z. (z = "aaa" & (last(z, 'b') | existsP y. y = "aa"))"#,
+        ),
+        (
+            SLen,
+            "",
+            r#"exists z. (z = "aaaa" & (last(z, 'b') | existsL y. y = "aaaa"))"#,
+        ),
+        (
+            S,
+            "x",
+            r#"x = "aaa" & (last(x, 'b') | existsP y. y = "aa")"#,
+        ),
+    ] {
+        let (collapse, reference, automata) = collapse_reference_automata(calc, head, src, &db);
+        assert!(automata.is_empty(), "{src}");
+        assert_eq!(collapse, automata, "{src}");
+        assert_eq!(reference, automata, "{src}");
+    }
+}
+
+/// The collapse route, the reference evaluator and the automata route
+/// agree, restricted quantifiers and their universal forms included.
+#[test]
+fn collapse_matches_the_reference_and_automata() {
+    let sigma = Alphabet::ab();
+    for seed in 0..4u64 {
+        let mut db = Workload::new(sigma.clone(), seed).unary_db(5, 3);
+        db.insert_unary_parsed(&sigma, "U", &["ab"]).unwrap();
+        for (calc, head, src) in [
+            (S, "x", "exists y. (U(y) & x <= y & last(x, 'a'))"),
+            (S, "x", "U(x) & existsP p. (p < x & last(p, 'b'))"),
+            (S, "x", "U(x) & forallP p. (p <= x -> !last(p, 'a'))"),
+            (
+                S,
+                "",
+                "existsA x. (last(x, 'b') & !(forallA y. (y <= x -> U(y))))",
+            ),
+            (SLen, "x", "exists y. (U(y) & el(x, y) & first(x, 'b'))"),
+            (
+                SLen,
+                "",
+                "existsL z. (last(z, 'a') & forallL w. (el(w, z) -> !U(w)))",
+            ),
+        ] {
+            let (collapse, reference, automata) = collapse_reference_automata(calc, head, src, &db);
+            assert_eq!(collapse, reference, "seed {seed}: {src}");
+            assert_eq!(collapse, automata, "seed {seed}: {src}");
         }
     }
 }

@@ -6,7 +6,7 @@
 use strcalc::core::mso3col::{three_colorable_via_slen, Graph};
 use strcalc::core::safety::{finite_by_sentence, state_safety, RangeRestricted};
 use strcalc::core::translate::ra_to_calculus;
-use strcalc::core::{AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, Deadline, Query};
+use strcalc::core::{AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, Query};
 use strcalc::logic::{CompileError, Compiler, Formula, Term};
 use strcalc::prelude::*;
 use strcalc::relational::{RaEvaluator, RaExpr};
@@ -85,13 +85,8 @@ fn proposition1_concat_is_not_automatic() {
     // Bounded search still answers, below its bound.
     let eval = ConcatEvaluator::new(ab(), 4);
     let ww = strcalc::core::concat::ww_query();
-    let (answer, _, _) = eval
-        .eval(
-            &ww,
-            &["x".to_string()],
-            &Database::new(),
-            &Deadline::unlimited(),
-        )
+    let answer = eval
+        .eval(&ww, &["x".to_string()], &Database::new())
         .unwrap();
     assert_eq!(answer.len(), 7);
 }
