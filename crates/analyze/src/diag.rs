@@ -16,7 +16,6 @@ use strcalc_logic::Formula;
 /// | `SA10x` | translation validation (strcalc-verify)|
 /// | `SA20x` | plan-IR typechecking (planlint)        |
 /// | `SA21x` | plan resource certificates             |
-/// | `SA22x` | pass-manager verification gates        |
 /// | `SA24x` | certificate/actuals calibration        |
 /// | `SA30x` | fragment inference (lattice + LIKE)    |
 /// | `SA40x` | budget governance & structural degradation |
@@ -26,7 +25,8 @@ use strcalc_logic::Formula;
 /// | `SA43x` | cross-query admission & fault injection |
 ///
 /// Codes are append-only: a code's meaning never changes once released,
-/// so lint-level configuration stays stable across versions.
+/// so lint-level configuration stays stable across versions. A retired
+/// code's number is never reused: `SA203`, `SA220`, `SA221`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// A term or atom requires a structure beyond the declared calculus.
@@ -76,9 +76,6 @@ pub enum Code {
     /// A `CompileAutomaton` leaf was lowered against a different
     /// alphabet than the plan executes under.
     PlanAlphabetMismatch,
-    /// A `Complement` node carries no symbol-space cap (cap 0): the
-    /// automaton complement could determinize without a safety bound.
-    PlanComplementUncapped,
     /// A `CacheLookup` node's key is inconsistent with the fingerprint
     /// scheme: its formula fingerprint does not match the plan's
     /// formula, or no shared cache is attached to serve it.
@@ -93,13 +90,6 @@ pub enum Code {
     /// Informational: the plan's resource certificate (state/byte upper
     /// bounds from the interval abstract domain).
     PlanCertificate,
-    /// A planning pass produced an ill-typed plan; the plan is rejected
-    /// at plan time instead of failing inside an executor.
-    PassBrokeTyping,
-    /// A planning pass inflated the plan's resource certificate: the
-    /// rewritten plan certifies strictly more states or bytes than the
-    /// plan it replaced.
-    PassInflatedCertificate,
     /// Post-execution calibration: the executor's actuals exceeded the
     /// certified upper bounds, i.e. the cost model's certificate was
     /// unsound for this database.
@@ -200,13 +190,10 @@ impl Code {
             Code::PlanOperatorArity => "SA200",
             Code::PlanTrackMismatch => "SA201",
             Code::PlanAlphabetMismatch => "SA202",
-            Code::PlanComplementUncapped => "SA203",
             Code::PlanCacheKeyMismatch => "SA204",
             Code::PlanStrategyMismatch => "SA205",
             Code::PlanDenseOverThreshold => "SA206",
             Code::PlanCertificate => "SA210",
-            Code::PassBrokeTyping => "SA220",
-            Code::PassInflatedCertificate => "SA221",
             Code::ActualsExceedCertificate => "SA240",
             Code::FragmentReport => "SA300",
             Code::ConcatBoundedFragment => "SA301",
@@ -253,13 +240,10 @@ impl Code {
             Code::PlanOperatorArity,
             Code::PlanTrackMismatch,
             Code::PlanAlphabetMismatch,
-            Code::PlanComplementUncapped,
             Code::PlanCacheKeyMismatch,
             Code::PlanStrategyMismatch,
             Code::PlanDenseOverThreshold,
             Code::PlanCertificate,
-            Code::PassBrokeTyping,
-            Code::PassInflatedCertificate,
             Code::ActualsExceedCertificate,
             Code::FragmentReport,
             Code::ConcatBoundedFragment,
@@ -291,12 +275,9 @@ impl Code {
             | Code::PlanOperatorArity
             | Code::PlanTrackMismatch
             | Code::PlanAlphabetMismatch
-            | Code::PlanComplementUncapped
             | Code::PlanCacheKeyMismatch
             | Code::PlanStrategyMismatch
             | Code::PlanDenseOverThreshold
-            | Code::PassBrokeTyping
-            | Code::PassInflatedCertificate
             | Code::PlanFragmentMismatch
             | Code::BudgetExhausted
             | Code::ReplayDivergence => Severity::Error,

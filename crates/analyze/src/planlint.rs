@@ -10,9 +10,9 @@
 //! and cache lookups pass through). The planner's verifier runs these
 //! transfer functions bottom-up over the plan DAG and attaches the
 //! resulting [`ResourceCert`] to every node; `EXPLAIN` prints it, the
-//! pass manager rejects passes that inflate it (SA221), and execution
-//! cross-checks it against the actuals (SA240) — every test run doubles
-//! as a soundness check of the model.
+//! planner seeds each plan's budget from it, and execution cross-checks
+//! it against the actuals (SA240) — every test run doubles as a
+//! soundness check of the model.
 //!
 //! Language atoms get **pattern-class tightening**: a regex that is the
 //! image of a SQL `LIKE` pattern (and most are, via the `sqlfront`

@@ -1,6 +1,6 @@
 //! Planning overhead. Every entry point now routes evaluation through
-//! the query planner (strategy decision, four passes, operator-tree
-//! lowering, cost annotation), so planning must be cheap relative to
+//! the query planner (rewrite, strategy decision, operator-tree
+//! lowering, verification, cost annotation), so planning must be cheap relative to
 //! what it fronts. This bench measures, on the Figure-2 probe queries,
 //! (a) planning alone, (b) a full compile+eval, and prints the headline
 //! ratio — planning is required to stay under 5% of compile time — so

@@ -1,8 +1,8 @@
 //! Explicit resource-budget capabilities for plan execution.
 //!
 //! Historically the engine bounded itself through three ad-hoc,
-//! *ambient* mechanisms: the automata engine's complement cap (copied
-//! into every `Complement { cap }` node), the planner's bounded-search
+//! *ambient* mechanisms: the automata engine's complement cap (once
+//! copied into every plan `Complement` node), the planner's bounded-search
 //! length `B` (copied into the `BoundedSearch { budget }` root), and
 //! the cache's byte budget. A [`Budget`] replaces them with one
 //! capability value that is handed *down* the plan tree: the planner

@@ -316,10 +316,8 @@ pub(crate) struct Outcome {
 impl Program {
     /// Compiles `f` with head `head` for the relational route, together
     /// with the plan tree that describes it (the caller adds the root).
-    /// `None` when some variable has no generator. `cap` is the symbol
-    /// space cap the tree's `Complement` nodes carry; without an
-    /// alphabet the tree's labels stay empty, which is enough to decide
-    /// the route.
+    /// `None` when some variable has no generator. Without an alphabet
+    /// the tree's labels stay empty, which is enough to decide the route.
     ///
     /// `domain: Some(_)` compiles for a run over a finite [`Domain`]
     /// instead: `concat` atoms and restricted quantifiers lower, and a
@@ -330,14 +328,12 @@ impl Program {
         head: &[String],
         k: Sym,
         alphabet: Option<&Alphabet>,
-        cap: usize,
         domain: Option<DomainKind>,
     ) -> Option<(Program, PlanNode)> {
         let table = LangTable::build(f, k);
         let mut lower = Lower {
             k,
             alphabet,
-            cap,
             domain,
             table: &table,
             scope: Vec::new(),
@@ -370,10 +366,9 @@ impl Program {
         head: &[String],
         k: Sym,
         alphabet: Option<&Alphabet>,
-        cap: usize,
         domain: DomainKind,
     ) -> Result<(Program, PlanNode), CoreError> {
-        Program::lower(f, head, k, alphabet, cap, Some(domain)).ok_or_else(|| {
+        Program::lower(f, head, k, alphabet, Some(domain)).ok_or_else(|| {
             CoreError::Unsupported("the lowering over a finite domain refused the formula".into())
         })
     }
@@ -444,7 +439,6 @@ impl Program {
 struct Lower<'a> {
     k: Sym,
     alphabet: Option<&'a Alphabet>,
-    cap: usize,
     /// The domain a run walks, which lowers `concat` and restricted
     /// quantifiers; `None` on the relational route.
     domain: Option<DomainKind>,
@@ -598,6 +592,12 @@ impl Lower<'_> {
         self.plan(op, f, vars.into_iter().collect(), children)
     }
 
+    /// A flat `Product` node over `children` (see [`PlanNode::product`]).
+    fn product(&self, f: &Formula, children: Vec<PlanNode>) -> PlanNode {
+        let node = self.interior(PlanOp::Product, f, children);
+        PlanNode::product(node.cost, node.vars, node.children)
+    }
+
     /// `f` with the variables in `bound` given: a generator of every
     /// other free variable, or a test when there is none.
     fn gen(&mut self, f: &Formula, bound: &BTreeSet<String>) -> Lowered {
@@ -700,7 +700,7 @@ impl Lower<'_> {
         self.scope.pop();
         let (body, tree) = body?;
         let leaf = self.source_leaf(v, restrict_name(restrict).to_string());
-        let product = self.interior(PlanOp::Product, f, vec![leaf, tree]);
+        let product = self.product(f, vec![leaf, tree]);
         let var = Some(v.to_string());
         let tree = self.interior(
             PlanOp::RestrictQuantifiers { var, restrict },
@@ -721,7 +721,7 @@ impl Lower<'_> {
 
     fn complement(&mut self, f: &Formula, g: &Formula, bound: &BTreeSet<String>) -> Lowered {
         let (node, tree) = self.test(g, bound)?;
-        let tree = self.interior(PlanOp::Complement { cap: self.cap }, f, vec![tree]);
+        let tree = self.interior(PlanOp::Complement, f, vec![tree]);
         Some((Node::Complement(Box::new(node)), tree))
     }
 
@@ -811,7 +811,7 @@ impl Lower<'_> {
     fn finish(&self, f: &Formula, mut chain: Chain) -> (Node, PlanNode) {
         let tree = match chain.trees.len() {
             1 => chain.trees.remove(0),
-            _ => self.interior(PlanOp::Product, f, chain.trees),
+            _ => self.product(f, chain.trees),
         };
         (Node::Chain(chain.steps), tree)
     }

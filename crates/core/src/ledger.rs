@@ -12,13 +12,12 @@
 //! returns a structured [`AdmissionShortfall`] (surfaced as
 //! `CoreError::AdmissionDenied`), and callers holding an
 //! `AutomatonCache` may evict cold entries to cover a byte shortfall
-//! before giving up (SA430). [`SharedLedger::reserve_blocking`] queues
-//! instead, waking when an earlier reservation settles.
+//! before giving up (SA430).
 
 #![deny(clippy::unwrap_used)]
 
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use crate::budget::UNLIMITED;
 
@@ -69,21 +68,13 @@ struct Avail {
     slots: u64,
 }
 
-#[derive(Debug)]
-struct Pool {
-    avail: Mutex<Avail>,
-    settled: Condvar,
-}
-
 /// An atomic global pool of states, bytes, and concurrent-run slots.
 ///
 /// Admission is a cold path (once per run, not per tuple), so the pool
-/// is a mutex + condvar rather than lock-free atomics: the condvar
-/// gives [`reserve_blocking`](SharedLedger::reserve_blocking) its
-/// queue-until-settlement semantics for free.
+/// is a mutex rather than lock-free atomics.
 #[derive(Debug)]
 pub struct SharedLedger {
-    pool: Arc<Pool>,
+    avail: Mutex<Avail>,
     capacity: Avail,
 }
 
@@ -97,10 +88,7 @@ impl SharedLedger {
             slots,
         };
         SharedLedger {
-            pool: Arc::new(Pool {
-                avail: Mutex::new(capacity),
-                settled: Condvar::new(),
-            }),
+            avail: Mutex::new(capacity),
             capacity,
         }
     }
@@ -114,8 +102,7 @@ impl SharedLedger {
         // A panic while holding the pool lock leaves only plain
         // counters behind; recover the guard rather than poisoning
         // every future admission.
-        self.pool
-            .avail
+        self.avail
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -168,45 +155,14 @@ impl SharedLedger {
         })
     }
 
-    /// Reserves, queuing until earlier reservations settle if the pool
-    /// is currently over-subscribed. Returns an error immediately —
-    /// without queuing — when `req` exceeds the ledger's total
-    /// capacity (no settlement could ever admit it).
-    pub fn reserve_blocking(
-        self: &Arc<Self>,
-        req: ReserveRequest,
-    ) -> Result<Reservation, AdmissionShortfall> {
-        let cap_short = Self::shortfall(&self.capacity, req);
-        if !cap_short.is_zero() {
-            return Err(cap_short);
-        }
-        let mut avail = self.lock();
-        while !Self::shortfall(&avail, req).is_zero() {
-            avail = self
-                .pool
-                .settled
-                .wait(avail)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        Self::debit(&mut avail, req);
-        Ok(Reservation {
-            ledger: Arc::clone(self),
-            req,
-        })
-    }
-
     /// Returns `n` bytes to the pool outside any reservation — the hook
     /// for reclaimed memory (e.g. cache entries evicted to cover a
-    /// shortfall) entering the admission account. Clamped to capacity;
-    /// wakes queued reservations.
+    /// shortfall) entering the admission account. Clamped to capacity.
     pub fn credit_bytes(&self, n: u64) {
-        {
-            let mut avail = self.lock();
-            if avail.bytes != UNLIMITED {
-                avail.bytes = avail.bytes.saturating_add(n).min(self.capacity.bytes);
-            }
+        let mut avail = self.lock();
+        if avail.bytes != UNLIMITED {
+            avail.bytes = avail.bytes.saturating_add(n).min(self.capacity.bytes);
         }
-        self.pool.settled.notify_all();
     }
 
     /// A snapshot of the currently available pool
@@ -218,7 +174,7 @@ impl SharedLedger {
 }
 
 /// A granted reservation; releases its states, bytes, and run slot
-/// back to the pool — and wakes queued reservations — when dropped.
+/// back to the pool when dropped.
 #[derive(Debug)]
 pub struct Reservation {
     ledger: Arc<SharedLedger>,
@@ -234,28 +190,25 @@ impl Reservation {
 
 impl Drop for Reservation {
     fn drop(&mut self) {
-        {
-            let mut avail = self.ledger.lock();
-            if avail.states != UNLIMITED {
-                avail.states = avail
-                    .states
-                    .saturating_add(self.req.states)
-                    .min(self.ledger.capacity.states);
-            }
-            if avail.bytes != UNLIMITED {
-                avail.bytes = avail
-                    .bytes
-                    .saturating_add(self.req.bytes)
-                    .min(self.ledger.capacity.bytes);
-            }
-            if avail.slots != UNLIMITED {
-                avail.slots = avail
-                    .slots
-                    .saturating_add(1)
-                    .min(self.ledger.capacity.slots);
-            }
+        let mut avail = self.ledger.lock();
+        if avail.states != UNLIMITED {
+            avail.states = avail
+                .states
+                .saturating_add(self.req.states)
+                .min(self.ledger.capacity.states);
         }
-        self.ledger.pool.settled.notify_all();
+        if avail.bytes != UNLIMITED {
+            avail.bytes = avail
+                .bytes
+                .saturating_add(self.req.bytes)
+                .min(self.ledger.capacity.bytes);
+        }
+        if avail.slots != UNLIMITED {
+            avail.slots = avail
+                .slots
+                .saturating_add(1)
+                .min(self.ledger.capacity.slots);
+        }
     }
 }
 
@@ -263,8 +216,6 @@ impl Drop for Reservation {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Duration;
 
     fn req(states: u64, bytes: u64) -> ReserveRequest {
         ReserveRequest { states, bytes }
@@ -308,29 +259,5 @@ mod tests {
         let _a = ledger.try_reserve(req(u64::MAX / 2, u64::MAX / 2)).unwrap();
         let _b = ledger.try_reserve(req(u64::MAX / 2, u64::MAX / 2)).unwrap();
         assert_eq!(ledger.available(), (UNLIMITED, UNLIMITED, UNLIMITED));
-    }
-
-    #[test]
-    fn blocking_reservation_queues_until_settlement() {
-        let ledger = Arc::new(SharedLedger::new(100, UNLIMITED, UNLIMITED));
-        let held = ledger.try_reserve(req(80, 0)).unwrap();
-        let ledger2 = Arc::clone(&ledger);
-        let waiter = thread::spawn(move || {
-            let r = ledger2.reserve_blocking(req(50, 0)).unwrap();
-            r.request().states
-        });
-        // Give the waiter time to actually block on the condvar.
-        thread::sleep(Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "waiter must queue, not spin through");
-        drop(held);
-        assert_eq!(waiter.join().unwrap(), 50);
-        assert_eq!(ledger.available(), (100, UNLIMITED, UNLIMITED));
-    }
-
-    #[test]
-    fn impossible_demand_fails_fast_instead_of_queuing() {
-        let ledger = Arc::new(SharedLedger::new(100, UNLIMITED, UNLIMITED));
-        let short = ledger.reserve_blocking(req(200, 0)).unwrap_err();
-        assert_eq!(short.states, 100);
     }
 }

@@ -441,8 +441,7 @@ impl Plan {
     ) -> Result<(Relation, usize), CoreError> {
         let k = q.alphabet.len() as Sym;
         let collapse = DomainKind::Collapse;
-        let (program, _) =
-            Program::lower_over(&q.formula, &q.head, k, None, self.engine.cap, collapse)?;
+        let (program, _) = Program::lower_over(&q.formula, &q.head, k, None, collapse)?;
         let domain = EnumEngine { slack: self.slack }.domain(q, db);
         let deadline = if governed {
             run.deadline.clone()
@@ -566,7 +565,7 @@ impl Plan {
     /// The pre-execution governor: walks the plan tree handing each
     /// node an explicit sub-budget and checking its certified demand
     /// against the budget it was *handed* — this is where the ambient
-    /// `Complement { cap }` / `BoundedSearch { budget }` limits are
+    /// complement cap and `BoundedSearch { budget }` limits are
     /// subsumed into one capability system. A `CacheLookup` subtree
     /// whose artifact is already resident demands nothing (serving a
     /// hit costs no fresh states or bytes); a cold one demands its

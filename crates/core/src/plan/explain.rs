@@ -34,7 +34,7 @@ fn op_label(op: &PlanOp) -> String {
         PlanOp::Generate { var, label } => format!("Generate {var} ← {label}"),
         PlanOp::Product => "Product".to_string(),
         PlanOp::Union => "Union".to_string(),
-        PlanOp::Complement { cap } => format!("Complement (cap {cap})"),
+        PlanOp::Complement => "Complement".to_string(),
         PlanOp::Project { var } => format!("Project {var}"),
         PlanOp::RestrictQuantifiers { var, restrict } => match var {
             Some(v) => format!("RestrictQuantifiers {v} ∈ {}", restrict_name(*restrict)),
@@ -147,17 +147,15 @@ impl Plan {
             class.name(),
             class.justification()
         );
-        let _ = writeln!(out, "passes:");
-        for p in &self.passes {
-            let _ = writeln!(
-                out,
-                "  {:<16} {:<7} {:<10} {}",
-                p.pass,
-                if p.changed { "changed" } else { "no-op" },
-                if p.verified { "verified" } else { "unverified" },
-                p.detail
-            );
-        }
+        let passes: Vec<String> = self
+            .passes
+            .iter()
+            .map(|p| {
+                let changed = if p.changed { "changed" } else { "no-op" };
+                format!("{} {changed} — {}", p.pass, p.detail)
+            })
+            .collect();
+        let _ = writeln!(out, "passes: {}", passes.join("; "));
         let _ = writeln!(out, "estimate: {}", self.estimate.summary());
         if let Some(cert) = self.root_cert.filter(|c| !c.is_zero()) {
             let _ = writeln!(out, "certificate: {}", cert.summary());

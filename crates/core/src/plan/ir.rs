@@ -1,7 +1,7 @@
 //! The typed query-plan IR.
 //!
 //! A [`Plan`] is a tree of [`PlanNode`]s describing how a query will be
-//! evaluated, plus the trace of the planning passes that shaped it. The
+//! evaluated, plus the trace of the rewrite pass that preceded it. The
 //! tree is a faithful description of the work the executors perform —
 //! product constructions and complements for the automata strategy, a
 //! compiled program's generators and filters for the relational,
@@ -90,19 +90,20 @@ pub enum PlanOp {
     /// `len≤adom`).
     Generate { var: String, label: String },
     /// Conjunction: synchronized product (automata) or short-circuit
-    /// `&&` (interpreters). N-ary after the fuse pass.
+    /// `&&` (interpreters). N-ary: the planner builds products flat, with
+    /// no `Product` child.
     Product,
     /// Disjunction.
     Union,
-    /// Negation; `cap` bounds the symbol space of automaton complements.
-    Complement { cap: usize },
+    /// Negation.
+    Complement,
     /// Existential quantification: project the variable's track away.
     Project { var: String },
     /// Quantifier-range restriction. `var: Some(v)` restricts one
     /// quantifier (a restricted quantifier in the formula; on a compiled
     /// program its child binds `v` from the range first); `var: None`
     /// restricts *every* unrestricted quantifier to the collapse domain
-    /// (inserted by the restrict pass for the enumeration strategy).
+    /// (under the root of a forced collapse plan).
     RestrictQuantifiers {
         var: Option<String>,
         restrict: Restrict,
@@ -121,7 +122,8 @@ pub enum PlanOp {
     /// before it. Builds no automaton.
     Relational,
     /// Serve the compiled artifact below from the shared
-    /// [`crate::cache::AutomatonCache`] (inserted by cache-assignment).
+    /// [`crate::cache::AutomatonCache`] (under the root of an automata
+    /// plan whose engine carries a cache).
     /// `formula_fp` is the α-invariant formula fingerprint of the cache
     /// key the lookup will use; planlint checks it against the plan's
     /// formula so a stale lookup node cannot serve the wrong artifact.
@@ -150,7 +152,7 @@ impl PlanOp {
             PlanOp::Generate { .. } => "Generate",
             PlanOp::Product => "Product",
             PlanOp::Union => "Union",
-            PlanOp::Complement { .. } => "Complement",
+            PlanOp::Complement => "Complement",
             PlanOp::Project { .. } => "Project",
             PlanOp::RestrictQuantifiers { .. } => "RestrictQuantifiers",
             PlanOp::EnumerateFinite => "EnumerateFinite",
@@ -194,6 +196,25 @@ impl PlanNode {
             cert: None,
             children,
         }
+    }
+
+    /// A `Product` over `children`, with the children of any `Product`
+    /// child spliced in, so products stay flat as the tree is built. The
+    /// node keeps the given cost and tracks.
+    pub(crate) fn product(
+        cost: CostEstimate,
+        vars: Vec<String>,
+        children: Vec<PlanNode>,
+    ) -> PlanNode {
+        let mut flat = Vec::with_capacity(children.len());
+        for c in children {
+            if c.op == PlanOp::Product {
+                flat.extend(c.children);
+            } else {
+                flat.push(c);
+            }
+        }
+        PlanNode::new(PlanOp::Product, cost, vars, flat)
     }
 
     /// Wraps this node under `op`, inheriting its cost estimate and
@@ -241,7 +262,7 @@ pub(crate) enum PlanSource {
 pub struct Plan {
     pub strategy: Strategy,
     pub root: PlanNode,
-    /// Trace of the planning passes, in the order they ran.
+    /// Trace of the planning passes: the formula rewrite.
     pub passes: Vec<PassTrace>,
     /// Whole-query cost estimate.
     pub estimate: CostEstimate,

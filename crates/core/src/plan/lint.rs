@@ -10,18 +10,17 @@
 //!    query head (SA201) and, on a compiled program, the binding order:
 //!    no filter reads a variable before its `Generate` binds it (SA201),
 //!    alphabet consistency into `CompileAutomaton`
-//!    leaves (SA202), complement caps (SA203), `CacheLookup` key
-//!    consistency with the fingerprint scheme (SA204), and root/leaf
-//!    agreement with the declared strategy (SA205);
+//!    leaves (SA202), `CacheLookup` key consistency with the
+//!    fingerprint scheme (SA204), and root/leaf agreement with the
+//!    declared strategy (SA205);
 //! 2. **abstractly interprets** the tree in the interval domain of
 //!    [`strcalc_analyze::planlint`], deriving a per-node
 //!    [`ResourceCert`] — sound upper bounds on automaton states and
 //!    bytes, with LIKE-pattern-class tightening at language leaves.
 //!
-//! The pass manager re-verifies after *every* pass: a pass that breaks
-//! typing is rejected with SA220, one that inflates the certificate
-//! with SA221 — both at plan time, before any executor sees the tree.
-//! [`super::Plan::execute`] re-checks the plan and cross-checks the
+//! The planner verifies every plan it builds once, on the finished tree:
+//! an error-level diagnostic rejects the plan at plan time, before any
+//! executor sees it. [`super::Plan::execute`] re-checks the plan and cross-checks the
 //! executor's actuals against the certificate, reporting SA240
 //! calibration warnings when the model's bounds are exceeded.
 
@@ -132,91 +131,35 @@ impl PlanChecker {
     /// root/strategy checks, and the certificate interpretation. Emits
     /// an SA210 note carrying the certificate when the plan is clean.
     pub fn check(&self, root: &PlanNode) -> PlanLintReport {
-        let mut report = self.run(root, true);
-        if !report.has_errors() {
-            if let Some(cert) = report.certificate.filter(|c| !c.is_zero()) {
-                report.diagnostics.push(Diagnostic {
-                    code: Code::PlanCertificate,
-                    severity: Code::PlanCertificate.default_severity(),
-                    path: FormulaPath::root(),
-                    message: format!("plan certificate: {}", cert.summary()),
-                    note: None,
-                });
-            }
+        let mut diagnostics = Vec::new();
+        let mut stack = Vec::new();
+        let cert = self.walk(root, &mut stack, &mut diagnostics);
+        let mut relational = false;
+        root.visit(&mut |n| {
+            relational |= matches!(n.op, PlanOp::Generate { .. } | PlanOp::Relational);
+        });
+        if relational {
+            check_bindings(root, &mut BTreeSet::new(), &mut stack, &mut diagnostics);
         }
-        report
-    }
-
-    /// Mid-pipeline verification of a tree that has not received its
-    /// root operator yet (the root/strategy checks are skipped).
-    pub fn check_stage(&self, tree: &PlanNode) -> PlanLintReport {
-        self.run(tree, false)
-    }
-
-    /// The pass-manager gate: verifies the tree a pass produced and
-    /// compares its certificate against the pre-pass baseline. Typing
-    /// errors are wrapped in SA220, certificate inflation in SA221.
-    pub fn gate(
-        &self,
-        pass: &str,
-        baseline: Option<&ResourceCert>,
-        tree: &PlanNode,
-        rooted: bool,
-    ) -> PlanLintReport {
-        let mut report = self.run(tree, rooted);
-        if report.has_errors() {
-            let codes: Vec<String> = report
-                .error_codes()
-                .iter()
-                .map(|c| c.as_str().to_string())
-                .collect();
+        self.check_root(root, &mut diagnostics);
+        let mut report = PlanLintReport {
+            diagnostics,
+            certificate: Some(cert),
+        };
+        if !report.has_errors() && !cert.is_zero() {
             report.diagnostics.push(Diagnostic {
-                code: Code::PassBrokeTyping,
-                severity: Code::PassBrokeTyping.default_severity(),
+                code: Code::PlanCertificate,
+                severity: Code::PlanCertificate.default_severity(),
                 path: FormulaPath::root(),
-                message: format!(
-                    "pass `{pass}` produced an ill-typed plan ({})",
-                    codes.join(", ")
-                ),
-                note: Some("the plan is rejected at plan time; no executor ran".into()),
+                message: format!("plan certificate: {}", cert.summary()),
+                note: None,
             });
-        }
-        if let (Some(before), Some(after)) = (baseline, report.certificate.as_ref()) {
-            if !before.admits(after) {
-                // Inflation delta via checked interval subtraction
-                // (clamped per dimension — a pass may inflate one
-                // dimension while shrinking the other).
-                let d_states = after
-                    .states
-                    .sat_sub(Interval::point(after.states.hi.min(before.states.hi)));
-                let d_bytes = after
-                    .bytes
-                    .sat_sub(Interval::point(after.bytes.hi.min(before.bytes.hi)));
-                report.diagnostics.push(Diagnostic {
-                    code: Code::PassInflatedCertificate,
-                    severity: Code::PassInflatedCertificate.default_severity(),
-                    path: FormulaPath::root(),
-                    message: format!(
-                        "pass `{pass}` inflated the resource certificate: {} → {} \
-                         (Δ states ≤{}, Δ bytes ≤{})",
-                        before.summary(),
-                        after.summary(),
-                        d_states.hi,
-                        d_bytes.hi
-                    ),
-                    note: Some(
-                        "a planning pass must not certify more states or bytes \
-                         than the plan it replaced"
-                            .into(),
-                    ),
-                });
-            }
         }
         report
     }
 
     /// Writes the derived certificate into every node (and returns the
-    /// root's). Run once by the planner after final verification.
+    /// root's). Run once by the planner after verification.
     pub(crate) fn annotate(&self, node: &mut PlanNode) -> ResourceCert {
         let n = node.children.len();
         let mut inline = [ResourceCert::ZERO; INLINE_CHILDREN];
@@ -239,30 +182,10 @@ impl PlanChecker {
         cert
     }
 
-    fn run(&self, root: &PlanNode, rooted: bool) -> PlanLintReport {
-        let mut diagnostics = Vec::new();
-        let mut stack = Vec::new();
-        let cert = self.walk(root, &mut stack, &mut diagnostics);
-        let mut relational = false;
-        root.visit(&mut |n| {
-            relational |= matches!(n.op, PlanOp::Generate { .. } | PlanOp::Relational);
-        });
-        if relational {
-            check_bindings(root, &mut BTreeSet::new(), &mut stack, &mut diagnostics);
-        }
-        if rooted {
-            self.check_root(root, &mut diagnostics);
-        }
-        PlanLintReport {
-            diagnostics,
-            certificate: Some(cert),
-        }
-    }
-
     /// Bottom-up: typechecks `node` and returns its derived certificate.
     ///
-    /// This runs once per pass stage on every plan ever built, so the
-    /// clean path is kept allocation-light: `stack` holds the child
+    /// This runs on every plan ever built, so the clean path is kept
+    /// allocation-light: `stack` holds the child
     /// indices from the root, and a [`FormulaPath`] is materialized from
     /// it only when a diagnostic actually fires; child certificates live
     /// in an inline buffer unless a (fused) product is unusually wide.
@@ -383,17 +306,6 @@ impl PlanChecker {
                     Some(
                         "a compiled program runs only under active-domain-enum (a \
                          Relational root) and bounded-search"
-                            .into(),
-                    ),
-                );
-            }
-            PlanOp::Complement { cap: 0 } => {
-                emit(
-                    Code::PlanComplementUncapped,
-                    "Complement carries no symbol-space cap".into(),
-                    Some(
-                        "automaton complementation determinizes; an uncapped \
-                         complement has no safety bound"
                             .into(),
                     ),
                 );
@@ -588,8 +500,7 @@ impl PlanChecker {
     /// children's. Only the automata strategy builds automata; the
     /// interpreter strategies certify zero. The dense-scan strategy
     /// certifies the dense-table bound of the re-derived scan plan at
-    /// every node — constant across pass stages, so wrapping the root
-    /// never reads as certificate inflation (SA221).
+    /// every node.
     fn node_cert(&self, node: &PlanNode, children: &[ResourceCert]) -> ResourceCert {
         if self.strategy == Strategy::DenseDfaScan {
             return self
@@ -612,7 +523,7 @@ impl PlanChecker {
             PlanOp::Interpret { .. } | PlanOp::Generate { .. } => ResourceCert::ZERO,
             PlanOp::Product => ResourceCert::product(children, self.k, tracks),
             PlanOp::Union => ResourceCert::union(children, self.k, tracks),
-            PlanOp::Complement { .. } => match children.first() {
+            PlanOp::Complement => match children.first() {
                 Some(c) => ResourceCert::complement(c, self.k, tracks),
                 None => ResourceCert::ZERO,
             },
@@ -639,7 +550,7 @@ fn arity_of(op: &PlanOp) -> (usize, usize) {
         }
         PlanOp::Product => (2, usize::MAX),
         PlanOp::Union => (2, 2),
-        PlanOp::Complement { .. }
+        PlanOp::Complement
         | PlanOp::Project { .. }
         | PlanOp::RestrictQuantifiers { .. }
         | PlanOp::EnumerateFinite
@@ -658,7 +569,7 @@ const INLINE_CHILDREN: usize = 4;
 /// The sorted, deduplicated track set an operator derives from its
 /// children, or `None` for leaves (their tracks are seeded from the
 /// formula and trusted). Borrows the children's strings — the verifier
-/// runs once per pass stage, so the clean path avoids cloning.
+/// runs on every plan built, so the clean path avoids cloning.
 fn derived_vars<'a>(op: &PlanOp, children: &'a [PlanNode]) -> Option<Vec<&'a str>> {
     let union = || {
         let mut vars: Vec<&str> = children
@@ -686,7 +597,7 @@ fn derived_vars<'a>(op: &PlanOp, children: &'a [PlanNode]) -> Option<Vec<&'a str
             }
             Some(vars)
         }
-        PlanOp::Complement { .. }
+        PlanOp::Complement
         | PlanOp::EnumerateFinite
         | PlanOp::Relational
         | PlanOp::BoundedSearch { .. }
@@ -719,7 +630,7 @@ fn check_bindings(
         PlanOp::Generate { var, .. } => {
             bound.insert(var.clone());
         }
-        PlanOp::Interpret { .. } | PlanOp::Complement { .. } => {
+        PlanOp::Interpret { .. } | PlanOp::Complement => {
             let missing = unbound(bound);
             if !missing.is_empty() {
                 unbound_diagnostic(
@@ -790,17 +701,6 @@ fn unbound_diagnostic(stack: &[usize], message: String, diagnostics: &mut Vec<Di
 }
 
 #[cfg(test)]
-impl PlanNode {
-    /// Test-only mutable pre-order visitor for corrupting trees.
-    pub(crate) fn visit_mut_for_test(&mut self, f: &mut impl FnMut(&mut PlanNode)) {
-        f(self);
-        for c in &mut self.children {
-            c.visit_mut_for_test(f);
-        }
-    }
-}
-
-#[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
@@ -864,24 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_wraps_typing_errors_in_sa220() {
-        let plan = probe();
-        let checker = PlanChecker::for_plan(&plan);
-        let mut tree = plan.root.clone();
-        // Corrupt: swap the projected variable so the schema derivation
-        // no longer matches the declared tracks.
-        tree.visit_mut_for_test(&mut |n| {
-            if let PlanOp::Project { var } = &mut n.op {
-                *var = "zzz".into();
-            }
-        });
-        let report = checker.gate("fuse-products", None, &tree, true);
-        let codes = report.error_codes();
-        assert!(codes.contains(&Code::PlanTrackMismatch), "{codes:?}");
-        assert!(codes.contains(&Code::PassBrokeTyping), "{codes:?}");
-    }
-
-    #[test]
     fn stale_scan_plans_are_rejected_with_sa305() {
         let plan_for = |re: &str| {
             let q = Query::parse(
@@ -923,25 +805,5 @@ mod tests {
             "{:?}",
             report.diagnostics
         );
-    }
-
-    #[test]
-    fn gate_flags_certificate_inflation_as_sa221() {
-        let plan = probe();
-        let checker = PlanChecker::for_plan(&plan);
-        let baseline = plan.certificate().unwrap();
-        // "Optimize" the plan by duplicating the product under a union:
-        // well-typed, but certifies strictly more states.
-        let inflated = PlanNode::new(
-            PlanOp::Union,
-            plan.root.cost.clone(),
-            plan.root.vars.clone(),
-            vec![plan.root.children[0].clone(), plan.root.children[0].clone()],
-        )
-        .wrap(PlanOp::EnumerateFinite);
-        let report = checker.gate("rewrite", Some(&baseline), &inflated, true);
-        assert!(report
-            .error_codes()
-            .contains(&Code::PassInflatedCertificate));
     }
 }

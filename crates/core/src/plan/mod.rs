@@ -8,10 +8,13 @@
 //! automata for the rest of the synchro fragment, the collapse domain
 //! when forced, bounded search for concat (the last three all run
 //! `generate` programs) — and lowers the query into a typed [`Plan`]
-//! that the engines *execute* rather than own. Four traced passes shape the plan (rewrite → restrict →
-//! fuse-adjacent-products → cache-assignment), and every plan renders a
-//! stable `EXPLAIN` (text and JSON) with per-node cost estimates from
-//! `strcalc-analyze` and post-execution actuals.
+//! that the engines *execute* rather than own. Planning runs in one
+//! step: a traced rewrite of the formula, the route, a lowering straight
+//! to the finished tree (flat products, the collapse restriction and the
+//! cache lookup built in), one planlint verification and the certificate
+//! annotation. Every plan renders a stable `EXPLAIN` (text and JSON)
+//! with per-node cost estimates from `strcalc-analyze` and
+//! post-execution actuals.
 //!
 //! ```
 //! use strcalc_core::plan::Planner;
@@ -52,11 +55,12 @@ pub use passes::PassTrace;
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::cost;
 use strcalc_analyze::fragments;
-use strcalc_analyze::planlint::{self as cert_domain, ResourceCert, DENSIFY_THRESHOLD};
+use strcalc_analyze::planlint::{self as cert_domain, DENSIFY_THRESHOLD};
 use strcalc_analyze::EvalClass;
 use strcalc_logic::Formula;
 
 use crate::budget::Budget;
+use crate::collapse::natural_restriction;
 use crate::engine::AutomataEngine;
 use crate::generate::{DomainKind, Program};
 use crate::query::{CoreError, Query};
@@ -160,8 +164,7 @@ impl Planner {
     ) -> Result<(Strategy, Option<(Program, PlanNode)>), CoreError> {
         let strategy = self.fragment_strategy(formula, k)?;
         if strategy == Strategy::Automata && self.force.is_none() && self.engine.cache.is_none() {
-            if let Some(lowered) = Program::lower(formula, head, k, alphabet, self.engine.cap, None)
-            {
+            if let Some(lowered) = Program::lower(formula, head, k, alphabet, None) {
                 return Ok((Strategy::ActiveDomainEnum, Some(lowered)));
             }
         }
@@ -256,10 +259,8 @@ impl Planner {
             PlanSource::Query(q) => q.alphabet.len() as u8,
             PlanSource::Raw { alphabet, .. } => alphabet.len() as u8,
         };
-        let mut traces = Vec::with_capacity(4);
-
-        // Pass 1: rewrite (formula-level).
-        let (source, mut t) = passes::rewrite(source);
+        // The rewrite pass (formula-level).
+        let (source, rewrite) = passes::rewrite(source);
 
         // Lower the (possibly rewritten) formula to the operator tree.
         let (formula, alphabet, head) = match &source {
@@ -299,16 +300,8 @@ impl Planner {
             Strategy::ActiveDomainEnum => Some(DomainKind::Collapse),
             _ => None,
         };
-        let cap = self.engine.cap;
         let lowered = match (relational, domain) {
-            (None, Some(d)) => Some(Program::lower_over(
-                formula,
-                head,
-                k,
-                Some(alphabet),
-                cap,
-                d,
-            )?),
+            (None, Some(d)) => Some(Program::lower_over(formula, head, k, Some(alphabet), d)?),
             (lowered, _) => lowered,
         };
         let (program, tree) = match lowered {
@@ -316,49 +309,31 @@ impl Planner {
             None => (None, self.lower(formula, alphabet, strategy, k)),
         };
 
-        // Planlint baseline: the lowered tree of the (post-rewrite)
-        // formula must typecheck, and its certificate anchors the
-        // non-inflation gate every later pass is held to.
-        let checker = lint::PlanChecker::new(
-            strategy,
-            head,
-            alphabet,
-            formula,
-            self.engine.cache.is_some(),
-        );
-        let mut cert = Self::verify_stage(&checker, &t.pass, None, &tree, false)?;
-        t.verified = true;
-        traces.push(t);
-
-        // Pass 2: restrict (enumeration strategy only).
-        let (tree, mut t) = passes::restrict(tree, strategy, is_relational, &source, self.slack);
-        cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
-        t.verified = true;
-        traces.push(t);
-
-        // Pass 3: fuse adjacent products.
-        let (tree, mut t) = passes::fuse_products(tree);
-        cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
-        t.verified = true;
-        traces.push(t);
-
-        // Pass 4: cache assignment.
-        let (tree, mut t) = passes::cache_assignment(
-            tree,
-            strategy,
-            self.engine.cache.is_some(),
-            strcalc_logic::fingerprint(formula),
-        );
-        cert = Self::verify_stage(&checker, &t.pass, Some(&cert), &tree, false)?;
-        t.verified = true;
-        traces.push(t);
-
-        // Root operator, then final full-plan verification (root and
-        // strategy checks included) and certificate annotation.
+        // The root operator, over the decoration its strategy carries: a
+        // forced collapse plan restricts every unrestricted quantifier to
+        // the calculus's natural collapse domain, and an automata plan
+        // whose engine carries a cache serves its compiled artifact
+        // through a `CacheLookup`.
         let estimate = cost::estimate(formula, k);
         let mut root = match strategy {
             Strategy::ActiveDomainEnum if is_relational => tree.wrap(PlanOp::Relational),
-            Strategy::Automata | Strategy::ActiveDomainEnum => tree.wrap(PlanOp::EnumerateFinite),
+            Strategy::ActiveDomainEnum => {
+                let tree = match &source {
+                    PlanSource::Query(q) => tree.wrap(PlanOp::RestrictQuantifiers {
+                        var: None,
+                        restrict: natural_restriction(q.calculus),
+                    }),
+                    // Raw sources plan only bounded search.
+                    PlanSource::Raw { .. } => tree,
+                };
+                tree.wrap(PlanOp::EnumerateFinite)
+            }
+            Strategy::Automata if self.engine.cache.is_some() => tree
+                .wrap(PlanOp::CacheLookup {
+                    formula_fp: strcalc_logic::fingerprint(formula),
+                })
+                .wrap(PlanOp::EnumerateFinite),
+            Strategy::Automata => tree.wrap(PlanOp::EnumerateFinite),
             Strategy::BoundedSearch => tree.wrap(PlanOp::BoundedSearch { budget: self.bound }),
             Strategy::LikeLinearScan => {
                 let plan = fragments::scan_plan(head, formula).ok_or_else(|| {
@@ -385,7 +360,24 @@ impl Planner {
                 })
             }
         };
-        Self::verify_stage(&checker, "root", Some(&cert), &root, true)?;
+
+        // One planlint verification of the finished plan (typing, root
+        // and strategy checks, certificate), then the certificate
+        // annotation of every node.
+        let checker = lint::PlanChecker::new(
+            strategy,
+            head,
+            alphabet,
+            formula,
+            self.engine.cache.is_some(),
+        );
+        let report = checker.check(&root);
+        if report.has_errors() {
+            return Err(CoreError::PlanRejected {
+                stage: "plan".to_string(),
+                diagnostics: report.rendered_errors(),
+            });
+        }
         let root_cert = checker.annotate(&mut root);
 
         // Seed the budget capability from the plan's *peak* certified
@@ -406,7 +398,7 @@ impl Planner {
         Ok(Plan {
             strategy,
             root,
-            passes: traces,
+            passes: vec![rewrite],
             estimate,
             source,
             engine: self.engine.clone(),
@@ -415,25 +407,6 @@ impl Planner {
             budget,
             program,
         })
-    }
-
-    /// One verify step of the pass manager: runs the planlint gate and
-    /// converts error-level diagnostics into a plan-time rejection.
-    fn verify_stage(
-        checker: &lint::PlanChecker,
-        stage: &str,
-        baseline: Option<&ResourceCert>,
-        tree: &PlanNode,
-        rooted: bool,
-    ) -> Result<ResourceCert, CoreError> {
-        let report = checker.gate(stage, baseline, tree, rooted);
-        if report.has_errors() {
-            return Err(CoreError::PlanRejected {
-                stage: stage.to_string(),
-                diagnostics: report.rendered_errors(),
-            });
-        }
-        Ok(report.certificate.unwrap_or(ResourceCert::ZERO))
     }
 
     /// Structural lowering of a formula into plan operators. Leaves are
@@ -474,20 +447,13 @@ impl Planner {
             Formula::Not(g) => {
                 let child = self.lower(g, alphabet, strategy, k);
                 let vars = child.vars.clone();
-                PlanNode::new(
-                    PlanOp::Complement {
-                        cap: self.engine.cap,
-                    },
-                    est(f),
-                    vars,
-                    vec![child],
-                )
+                PlanNode::new(PlanOp::Complement, est(f), vars, vec![child])
             }
             Formula::And(a, b) => {
                 let lhs = self.lower(a, alphabet, strategy, k);
                 let rhs = self.lower(b, alphabet, strategy, k);
                 let vars = union_sorted(&lhs.vars, &rhs.vars);
-                PlanNode::new(PlanOp::Product, est(f), vars, vec![lhs, rhs])
+                PlanNode::product(est(f), vars, vec![lhs, rhs])
             }
             Formula::Or(a, b) => {
                 let lhs = self.lower(a, alphabet, strategy, k);
@@ -533,14 +499,7 @@ impl Planner {
                     vars.clone(),
                     vec![child],
                 );
-                PlanNode::new(
-                    PlanOp::Complement {
-                        cap: self.engine.cap,
-                    },
-                    est(f),
-                    vars,
-                    vec![project],
-                )
+                PlanNode::new(PlanOp::Complement, est(f), vars, vec![project])
             }
             Formula::ExistsR(r, v, g) => {
                 let child = self.lower(g, alphabet, strategy, k);
@@ -570,14 +529,7 @@ impl Planner {
                     vars.clone(),
                     vec![child],
                 );
-                PlanNode::new(
-                    PlanOp::Complement {
-                        cap: self.engine.cap,
-                    },
-                    est(f),
-                    vars,
-                    vec![restricted],
-                )
+                PlanNode::new(PlanOp::Complement, est(f), vars, vec![restricted])
             }
         }
     }
@@ -746,13 +698,8 @@ mod tests {
             .plan(&q(Calculus::S, &["x"], "exists y. (U(y) & x <= y)"))
             .unwrap();
         let names: Vec<&str> = plan.passes.iter().map(|t| t.pass.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["rewrite", "restrict", "fuse-products", "cache-assignment"]
-        );
-        // No cache attached, automata strategy: restrict and cache are no-ops.
-        assert!(!plan.passes[1].changed);
-        assert!(!plan.passes[3].changed);
+        assert_eq!(names, vec!["rewrite"]);
+        assert!(!plan.passes[0].changed, "nothing to simplify");
     }
 
     #[test]
@@ -763,7 +710,14 @@ mod tests {
             .with_slack(2)
             .plan(&query)
             .unwrap();
-        assert!(plan.passes[1].changed, "restrict pass fires for enum");
+        assert_eq!(
+            plan.root.children[0].op,
+            PlanOp::RestrictQuantifiers {
+                var: None,
+                restrict: natural_restriction(Calculus::S),
+            },
+            "the collapse restriction sits under the root"
+        );
         let mut restricted = 0;
         plan.root.visit(&mut |n| {
             if matches!(n.op, PlanOp::RestrictQuantifiers { .. }) {
@@ -805,8 +759,8 @@ mod tests {
         let query = q(Calculus::S, &["x"], "exists y. (U(y) & x <= y)");
         let plan = Planner::for_engine(&engine).plan(&query).unwrap();
         assert!(
-            plan.passes[3].changed,
-            "cache-assignment fires with a cache"
+            matches!(plan.root.children[0].op, PlanOp::CacheLookup { .. }),
+            "the cache lookup sits under the root"
         );
         let mut cache_nodes = 0;
         plan.root.visit(&mut |n| {

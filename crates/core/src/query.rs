@@ -88,10 +88,11 @@ pub enum CoreError {
     /// carried so callers can render every diagnostic, not just the
     /// errors.
     StaticAnalysis(Box<Analysis>),
-    /// Planlint rejected the plan: a planning pass produced a tree that
-    /// fails typing (SA20x/SA22x) or inflates the resource certificate
-    /// (SA221). `stage` names the pass after which verification failed;
-    /// `diagnostics` are the rendered error-level diagnostics.
+    /// Planlint rejected the plan: its tree fails typing or disagrees
+    /// with its strategy or fragment (SA20x, SA305). `stage` is `plan`
+    /// when the planner's verification of the finished plan failed and
+    /// `execute` when the execute-time gate did; `diagnostics` are the
+    /// rendered error-level diagnostics.
     PlanRejected {
         stage: String,
         diagnostics: Vec<String>,

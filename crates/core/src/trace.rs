@@ -42,8 +42,9 @@ use crate::query::{Calculus, CoreError, EvalOutput, Query};
 /// Trace format version; bumped on any field change. Version 2 added
 /// the fault plan (including the recorded deadline-fire checkpoint)
 /// and the `kind` discriminant on cache events; version 3 the bound of
-/// a bounded-search plan.
-pub const TRACE_VERSION: u64 = 3;
+/// a bounded-search plan; version 4 records only the rewrite pass, and
+/// a pass without its `verified` flag.
+pub const TRACE_VERSION: u64 = 4;
 
 /// The post-execution actuals, as recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -253,7 +254,7 @@ json_record! {
         verdict, actuals, output_fp, output_len
     }
     FaultPlan { seed, deadline_at_checkpoint, fail_cache_insert, abort_compile, ledger_contention }
-    PassTrace { pass, changed, verified, detail }
+    PassTrace { pass, changed, detail }
     LedgerEntry { node, op, handed_states, handed_bytes, demand_states, demand_bytes, within }
     CacheEvent { kind, label, hit }
     TraceActuals { automaton_states, artifact_bytes, cache_hit, tuples_enumerated, domain_size }
@@ -437,16 +438,9 @@ fn diff_traces(recorded: &ExecTrace, replayed: &ExecTrace) -> Vec<String> {
             .find(|(a, b)| a != b)
             .map(|(a, b)| {
                 format!(
-                    " (first divergence: recorded `{} changed={} verified={} {}`, \
-                     replayed `{} changed={} verified={} {}`)",
-                    a.pass,
-                    a.changed,
-                    a.verified,
-                    a.detail,
-                    b.pass,
-                    b.changed,
-                    b.verified,
-                    b.detail
+                    " (first divergence: recorded `{} changed={} {}`, \
+                     replayed `{} changed={} {}`)",
+                    a.pass, a.changed, a.detail, b.pass, b.changed, b.detail
                 )
             })
             .unwrap_or_default();
@@ -681,6 +675,7 @@ mod tests {
             r#"{"version":1}"#,
             r#"{"version":2}"#,
             r#"{"version":3}"#,
+            r#"{"version":4}"#,
             r#"{"version":99}"#,
             "nope",
             r#"{"version":2,"calculus":3}"#,

@@ -1,8 +1,8 @@
 //! Mutation-style tests for planlint: every plan the planner produces
 //! verifies cleanly, and plans corrupted after planning — swapped
-//! arities, dropped complement caps, grafted alphabets, stale cache
-//! keys, wrong root operators, relational filters moved ahead of the
-//! generators that bind their variables — are rejected with the
+//! arities, grafted alphabets, stale cache keys, wrong root operators,
+//! relational filters moved ahead of the generators that bind their
+//! variables — are rejected with the
 //! matching SA2xx code, both by a direct [`PlanChecker`] run and by the
 //! execute-time lint gate.
 
@@ -162,28 +162,6 @@ fn sa202_grafted_alphabet_leaf_is_rejected() {
 }
 
 #[test]
-fn sa203_dropped_complement_cap_is_rejected() {
-    // The probe query has no negation; take one that lowers a Complement.
-    let q = Query::parse(
-        Calculus::S,
-        Alphabet::ab(),
-        vec!["x".into()],
-        "U(x) & !(x <= x)",
-    )
-    .unwrap();
-    let mut plan = Planner::new().plan(&q).unwrap();
-    let mut seen = false;
-    visit_mut(&mut plan.root, &mut |n| {
-        if let PlanOp::Complement { cap } = &mut n.op {
-            *cap = 0;
-            seen = true;
-        }
-    });
-    assert!(seen, "query should lower a Complement node");
-    assert_rejected(&plan, Code::PlanComplementUncapped);
-}
-
-#[test]
 fn sa204_stale_cache_key_is_rejected() {
     let engine = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
     let q = Query::parse(
@@ -201,7 +179,7 @@ fn sa204_stale_cache_key_is_rejected() {
             seen = true;
         }
     });
-    assert!(seen, "cache-assignment should insert a CacheLookup");
+    assert!(seen, "a cached automata plan carries a CacheLookup");
     assert_rejected(&plan, Code::PlanCacheKeyMismatch);
 }
 
@@ -252,7 +230,7 @@ fn sa201_negation_before_its_generate_is_rejected() {
     let mut plan = relational_probe("!last(x,'a')");
     let mut negated = false;
     plan.root
-        .visit(&mut |n| negated |= matches!(n.op, PlanOp::Complement { .. }));
+        .visit(&mut |n| negated |= matches!(n.op, PlanOp::Complement));
     assert!(negated, "the negated filter lowers to a Complement");
     filter_first(&mut plan);
     assert_rejected(&plan, Code::PlanTrackMismatch);
@@ -338,8 +316,16 @@ fn verified_plans_render_their_certificates() {
     let plan = probe();
     let text = plan.explain_text();
     assert!(text.contains("certificate: states ≤"), "{text}");
-    assert!(text.contains("verified"), "{text}");
+    assert!(
+        text.contains("passes: rewrite no-op — simplify is identity\n"),
+        "{text}"
+    );
     let json = plan.explain_json();
     assert!(json.contains("\"certificate\":{\"states\":["), "{json}");
-    assert!(json.contains("\"verified\":true"), "{json}");
+    assert!(
+        json.contains(
+            "\"passes\":[{\"pass\":\"rewrite\",\"changed\":false,\"detail\":\"simplify is identity\"}]"
+        ),
+        "{json}"
+    );
 }

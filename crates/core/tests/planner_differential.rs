@@ -7,13 +7,15 @@
 //! fallbacks answer as the forced collapse plan does.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::enumeval::DomainEvaluator;
 use strcalc_core::{
-    AutomataEngine, Budget, Calculus, ConcatEvaluator, EnumEngine, EvalOutput, ExecCx, ExecVerdict,
-    FaultPlan, Plan, PlanOp, Planner, Query, Strategy as PlanStrategy,
+    AutomataEngine, AutomatonCache, Budget, Calculus, ConcatEvaluator, EnumEngine, EvalOutput,
+    ExecCx, ExecVerdict, FaultPlan, Plan, PlanNode, PlanOp, Planner, Query,
+    Strategy as PlanStrategy,
 };
 use strcalc_logic::{parse_formula, Formula, Restrict, Term};
 use strcalc_relational::{Database, Relation};
@@ -374,6 +376,60 @@ proptest! {
         let (enum_routed, _) = enum_plan.execute(&db).expect("routed enum");
         prop_assert_eq!(enum_routed, EvalOutput::Finite(enum_direct));
     }
+
+    // Products are flat as built: no `Product` node has a `Product`
+    // child, under every planner and on bounded search.
+    #[test]
+    fn plan_trees_have_no_nested_products(f in arb_connective_formula()) {
+        let q = query_of(f);
+        let cached = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
+        for planner in [
+            Planner::new(),
+            Planner::new().force(PlanStrategy::Automata),
+            Planner::new().force(PlanStrategy::ActiveDomainEnum),
+            Planner::for_engine(&cached),
+        ] {
+            let plan = planner.plan(&q).expect("plans");
+            prop_assert!(products_are_flat(&plan.root), "{}", plan.explain_text());
+        }
+        let concat = q.formula.clone().and(Formula::exists(
+            "z",
+            Formula::concat_eq(Term::var("x"), Term::var("x"), Term::var("z")),
+        ));
+        let plan = Planner::new()
+            .plan_formula(&Alphabet::ab(), &q.head, &concat)
+            .expect("plans");
+        prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
+        prop_assert!(products_are_flat(&plan.root), "{}", plan.explain_text());
+    }
+}
+
+/// `arb_formula` bodies under the connectives it does not generate:
+/// `<->`, `->`, `forall` and the restricted quantifiers.
+fn arb_connective_formula() -> impl Strategy<Value = Formula> {
+    (
+        arb_formula(),
+        arb_formula(),
+        arb_restricted_formula(),
+        0..5usize,
+    )
+        .prop_map(|(f, g, restricted, shape)| match shape {
+            0 => f.iff(g),
+            1 => f.implies(g),
+            2 => Formula::forall("y", f).and(g),
+            3 => restricted,
+            _ => f.and(g.iff(restricted)),
+        })
+}
+
+/// Whether no `Product` node below `node` (itself included) has a
+/// `Product` child.
+fn products_are_flat(node: &PlanNode) -> bool {
+    let mut flat = true;
+    node.visit(&mut |n| {
+        flat &= n.op != PlanOp::Product || n.children.iter().all(|c| c.op != PlanOp::Product);
+    });
+    flat
 }
 
 /// The `CALC | head | formula` lines of a corpus file.

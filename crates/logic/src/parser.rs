@@ -42,7 +42,7 @@ use crate::LogicError;
 /// The deepest nesting the formula and SQL parsers accept: each
 /// parenthesis, negation, quantifier body, implication, term function
 /// and (in SQL) subquery opens one level, and so does each link of an
-/// `&` or `|` chain.
+/// `&`, `|` or `<->` chain.
 pub const MAX_NESTING_DEPTH: usize = 512;
 
 /// Parses a formula over the given alphabet.
@@ -287,12 +287,7 @@ impl<'a> P<'a> {
     }
 
     fn formula(&mut self) -> Result<Formula, LogicError> {
-        let mut f = self.implies()?;
-        while self.peek() == Some(&Tok::DArrow) {
-            self.pos += 1;
-            f = f.iff(self.implies()?);
-        }
-        Ok(f)
+        self.chain(&Tok::DArrow, Self::implies, Formula::iff)
     }
 
     fn implies(&mut self) -> Result<Formula, LogicError> {

@@ -787,7 +787,7 @@ mod tests {
         let text = plan.explain_text();
         assert!(text.contains("strategy: automata"), "{text}");
         assert!(text.contains("certificate: states ≤"), "{text}");
-        assert!(text.contains("verified"), "{text}");
+        assert!(text.contains("passes: rewrite "), "{text}");
         let json = plan.explain_json();
         assert!(json.contains("\"certificate\":{\"states\":["), "{json}");
         let default = compiled.explain().unwrap();
