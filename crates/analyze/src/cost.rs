@@ -212,7 +212,7 @@ thread_local! {
 
 /// Exact minimal-DFA state count of a language atom, memoized per
 /// thread. Shared by the cost estimate (log domain) and the planlint
-/// certifier (interval domain).
+/// certifier (upper-bound domain).
 pub(crate) fn lang_dfa_states(l: &Lang, k: Sym) -> usize {
     let key = (l.regex.clone(), k);
     LANG_STATES.with(|cache| {

@@ -88,7 +88,7 @@ pub enum Code {
     /// table it cannot certify, so the plan is rejected.
     PlanDenseOverThreshold,
     /// Informational: the plan's resource certificate (state/byte upper
-    /// bounds from the interval abstract domain).
+    /// bounds from the planlint abstract domain).
     PlanCertificate,
     /// Post-execution calibration: the executor's actuals exceeded the
     /// certified upper bounds, i.e. the cost model's certificate was

@@ -72,7 +72,7 @@ pub mod signature;
 pub use cost::CostEstimate;
 pub use diag::{Code, Diagnostic, FormulaPath, LintLevel, PathSeg, Severity};
 pub use fragments::{EvalClass, FragmentAnalysis, FragmentPoint, LikeMatcher, ScanPlan};
-pub use planlint::{Interval, ResourceCert};
+pub use planlint::ResourceCert;
 pub use saferange::SafeRangeInfo;
 pub use signature::SignatureInfo;
 

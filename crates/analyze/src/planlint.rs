@@ -1,18 +1,20 @@
-//! Plan-resource certification: the interval abstract domain behind
+//! Plan-resource certification: the upper-bound abstract domain behind
 //! `planlint` (the plan-IR verifier living in `strcalc-core`).
 //!
 //! The cost pass (SA030) predicts compiled-automaton sizes in a scalar
 //! log₂ domain — good enough to *rank* plans, but not to *certify* them.
-//! This module provides the sound counterpart: closed `u64` intervals
-//! `[lo, hi]` over automaton state counts and heap bytes, with
-//! saturating transfer functions for every plan operator (products
-//! multiply, unions add, complements determinize to `2^n`, projections
-//! and cache lookups pass through). The planner's verifier runs these
-//! transfer functions bottom-up over the plan DAG and attaches the
-//! resulting [`ResourceCert`] to every node; `EXPLAIN` prints it, the
-//! planner seeds each plan's budget from it, and execution cross-checks
-//! it against the actuals (SA240) — every test run doubles as a
-//! soundness check of the model.
+//! This module provides the sound counterpart: saturating `u64` upper
+//! bounds on automaton state counts and heap bytes, with a transfer
+//! function for every plan operator (products multiply, unions add,
+//! complements determinize to `2^n`, projections and cache lookups pass
+//! through). The automata route is sized by upper bounds alone, so that
+//! is all a certificate holds: every reader — the budget seed, the
+//! governor's ledger, admission, SA240 calibration and `EXPLAIN` — asks
+//! "at most how much". The planner's verifier runs these transfer
+//! functions bottom-up over the plan tree, in the same walk that
+//! typechecks it, and writes the resulting [`ResourceCert`] into every
+//! node; execution cross-checks it against the actuals (SA240), so
+//! every test run doubles as a soundness check of the model.
 //!
 //! Language atoms get **pattern-class tightening**: a regex that is the
 //! image of a SQL `LIKE` pattern (and most are, via the `sqlfront`
@@ -43,115 +45,13 @@ pub const REL_CERT_STATES: u64 = 4096;
 /// states even after completion.
 pub const STRUCT_CERT_STATES: u64 = 8;
 
-/// A closed interval `[lo, hi]` of `u64` resource counts. All
-/// arithmetic saturates: `u64::MAX` reads as "unbounded" and renders
-/// as `∞`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Interval {
-    pub lo: u64,
-    pub hi: u64,
-}
-
-impl Interval {
-    pub const ZERO: Interval = Interval::point(0);
-
-    pub const fn point(n: u64) -> Interval {
-        Interval { lo: n, hi: n }
-    }
-
-    pub const fn new(lo: u64, hi: u64) -> Interval {
-        Interval { lo, hi }
-    }
-
-    /// Interval addition, saturating.
-    pub fn sat_add(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_add(o.lo),
-            hi: self.hi.saturating_add(o.hi),
-        }
-    }
-
-    /// Interval multiplication, saturating (both bounds non-negative).
-    pub fn sat_mul(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_mul(o.lo),
-            hi: self.hi.saturating_mul(o.hi),
-        }
-    }
-
-    /// Least upper bound (interval hull).
-    pub fn join(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
-    /// Interval subtraction over the unsigned domain, `[lo−o.hi,
-    /// hi−o.lo]` clamped at zero. Follows the cache/budget accounting
-    /// idiom (`checked_sub` + `debug_assert`): subtracting more than
-    /// the bound holds is an underflow — asserted in debug builds (the
-    /// caller's demand exceeded its certified supply) and saturated to
-    /// zero, never wrapped, in release builds.
-    pub fn sat_sub(self, o: Interval) -> Interval {
-        let hi = self.hi.checked_sub(o.lo);
-        debug_assert!(
-            hi.is_some(),
-            "interval underflow: [{},{}] − [{},{}]",
-            self.lo,
-            self.hi,
-            o.lo,
-            o.hi
-        );
-        Interval {
-            lo: self.lo.saturating_sub(o.hi),
-            hi: hi.unwrap_or(0),
-        }
-    }
-
-    pub fn add_const(self, c: u64) -> Interval {
-        self.sat_add(Interval::point(c))
-    }
-
-    pub fn scale(self, c: u64) -> Interval {
-        self.sat_mul(Interval::point(c))
-    }
-
-    /// `2^self`, saturating — the determinization transfer function.
-    pub fn pow2(self) -> Interval {
-        Interval {
-            lo: pow2_sat(self.lo),
-            hi: pow2_sat(self.hi),
-        }
-    }
-
-    pub fn contains(self, v: u64) -> bool {
-        self.lo <= v && v <= self.hi
-    }
-
-    pub fn is_zero(self) -> bool {
-        self == Interval::ZERO
-    }
-}
-
+/// `2^n`, saturating — the determinization transfer function.
 fn pow2_sat(n: u64) -> u64 {
     if n >= 63 {
         u64::MAX
     } else {
         1u64 << n
     }
-}
-
-/// Saturating `base^exp`.
-fn pow_sat(base: u64, exp: u32) -> u64 {
-    let mut acc = 1u64;
-    for _ in 0..exp {
-        acc = acc.saturating_mul(base);
-        if acc == u64::MAX {
-            break;
-        }
-    }
-    acc
 }
 
 /// Renders a bound compactly: small values in decimal, large ones as a
@@ -162,7 +62,7 @@ pub fn fmt_bound(v: u64) -> String {
     } else if v > 1 << 20 {
         // `v > 2^20` makes the subtraction provably safe; keep the
         // checked form anyway (panic-audit: no unchecked `-` in the
-        // interval domain).
+        // certificate domain).
         let bits = 64 - v.checked_sub(1).unwrap_or(v).leading_zeros();
         format!("2^{bits}")
     } else {
@@ -170,20 +70,21 @@ pub fn fmt_bound(v: u64) -> String {
     }
 }
 
-/// A per-node resource certificate: sound upper (and trivial lower)
-/// bounds on the states and heap bytes of the automaton the node's
-/// subtree compiles to. Interpreter-strategy plans build no automata
-/// and certify [`ResourceCert::ZERO`].
+/// A per-node resource certificate: sound upper bounds on the states
+/// and heap bytes of the automaton the node's subtree compiles to. All
+/// arithmetic saturates: `u64::MAX` reads as "unbounded" and renders as
+/// `∞`. Interpreter-strategy plans build no automata and certify
+/// [`ResourceCert::ZERO`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceCert {
-    pub states: Interval,
-    pub bytes: Interval,
+    pub states: u64,
+    pub bytes: u64,
 }
 
 impl ResourceCert {
     pub const ZERO: ResourceCert = ResourceCert {
-        states: Interval::ZERO,
-        bytes: Interval::ZERO,
+        states: 0,
+        bytes: 0,
     };
 
     /// Byte bound charged per automaton state: a full transition table
@@ -192,18 +93,18 @@ impl ResourceCert {
     /// engine's `approx_bytes` accounting so the certificate stays an
     /// upper bound.
     pub fn per_state_bytes(k: Sym, tracks: usize) -> u64 {
-        pow_sat(u64::from(k) + 1, tracks as u32)
+        (u64::from(k) + 1)
+            .saturating_pow(tracks as u32)
             .saturating_mul(128)
             .saturating_add(256)
     }
 
-    /// A certificate from a state interval, with the byte bound derived
+    /// A certificate from a state bound, with the byte bound derived
     /// from the node's track count.
-    pub fn from_states(states: Interval, k: Sym, tracks: usize) -> ResourceCert {
-        let per = ResourceCert::per_state_bytes(k, tracks);
+    pub fn from_states(states: u64, k: Sym, tracks: usize) -> ResourceCert {
         ResourceCert {
             states,
-            bytes: Interval::new(0, states.hi.saturating_mul(per)),
+            bytes: states.saturating_mul(ResourceCert::per_state_bytes(k, tracks)),
         }
     }
 
@@ -211,8 +112,7 @@ impl ResourceCert {
     pub fn product(children: &[ResourceCert], k: Sym, tracks: usize) -> ResourceCert {
         let states = children
             .iter()
-            .map(|c| c.states)
-            .fold(Interval::point(1), Interval::sat_mul);
+            .fold(1, |acc: u64, c| acc.saturating_mul(c.states));
         ResourceCert::from_states(states, k, tracks)
     }
 
@@ -220,18 +120,15 @@ impl ResourceCert {
     pub fn union(children: &[ResourceCert], k: Sym, tracks: usize) -> ResourceCert {
         let states = children
             .iter()
-            .map(|c| c.states)
-            .fold(Interval::ZERO, Interval::sat_add)
-            .add_const(1);
+            .fold(1, |acc: u64, c| acc.saturating_add(c.states));
         ResourceCert::from_states(states, k, tracks)
     }
 
     /// Complement: determinize (`2^n`) then flip, plus a completion
-    /// sink. The lower bound collapses to 1 (complementing may reach a
-    /// trivial automaton).
+    /// sink.
     pub fn complement(child: &ResourceCert, k: Sym, tracks: usize) -> ResourceCert {
-        let hi = pow2_sat(child.states.hi).saturating_add(1);
-        ResourceCert::from_states(Interval::new(1, hi), k, tracks)
+        let states = pow2_sat(child.states).saturating_add(1);
+        ResourceCert::from_states(states, k, tracks)
     }
 
     /// State-preserving operators (projection, quantifier restriction,
@@ -241,23 +138,25 @@ impl ResourceCert {
         ResourceCert::from_states(child.states, k, tracks)
     }
 
-    /// `true` iff `other` certifies no more than `self` (the pass gate:
-    /// a rewritten plan must satisfy `fits_within` its predecessor's
-    /// certificate bounds).
-    pub fn admits(&self, other: &ResourceCert) -> bool {
-        other.states.hi <= self.states.hi && other.bytes.hi <= self.bytes.hi
+    /// The larger of two demands in each dimension: what a capability
+    /// must hold to cover both.
+    pub fn peak(self, other: ResourceCert) -> ResourceCert {
+        ResourceCert {
+            states: self.states.max(other.states),
+            bytes: self.bytes.max(other.bytes),
+        }
     }
 
     pub fn is_zero(&self) -> bool {
-        self.states.is_zero() && self.bytes.is_zero()
+        *self == ResourceCert::ZERO
     }
 
     /// Stable one-line rendering for `EXPLAIN` and diagnostics.
     pub fn summary(&self) -> String {
         format!(
             "states ≤{}, bytes ≤{}",
-            fmt_bound(self.states.hi),
-            fmt_bound(self.bytes.hi)
+            fmt_bound(self.states),
+            fmt_bound(self.bytes)
         )
     }
 }
@@ -426,10 +325,7 @@ pub fn dense_scan_cert(plan: &crate::fragments::ScanPlan, k: Sym) -> ResourceCer
         .iter()
         .map(|(_, l, _)| dense_table_bytes(lang_state_bound(l, k), k))
         .fold(0u64, u64::saturating_add);
-    ResourceCert {
-        states: Interval::new(0, states),
-        bytes: Interval::new(0, bytes),
-    }
+    ResourceCert { states, bytes }
 }
 
 /// Certified state bound for one atom's synchronized automaton.
@@ -461,7 +357,7 @@ pub fn leaf_cert(f: &Formula, k: Sym, tracks: usize) -> ResourceCert {
             2f64.powf(log2).ceil() as u64
         }
     };
-    ResourceCert::from_states(Interval::new(1, hi.max(1)), k, tracks)
+    ResourceCert::from_states(hi.max(1), k, tracks)
 }
 
 #[cfg(test)]
@@ -472,57 +368,13 @@ mod tests {
     use strcalc_automata::LikePattern;
 
     #[test]
-    fn interval_arithmetic_saturates() {
-        let big = Interval::new(1, u64::MAX - 1);
-        assert_eq!(big.sat_add(big).hi, u64::MAX);
-        assert_eq!(big.sat_mul(big).hi, u64::MAX);
-        assert_eq!(Interval::point(70).pow2().hi, u64::MAX);
-        assert_eq!(Interval::point(10).pow2(), Interval::point(1024));
-        assert_eq!(
-            Interval::new(2, 5).join(Interval::new(1, 9)),
-            Interval::new(1, 9)
-        );
-        assert!(Interval::new(2, 5).contains(3));
-        assert!(!Interval::new(2, 5).contains(6));
-    }
-
-    #[test]
-    fn interval_subtraction_is_checked_and_clamps() {
-        // Exact subtraction.
-        assert_eq!(
-            Interval::new(10, 100).sat_sub(Interval::new(2, 4)),
-            Interval::new(6, 98)
-        );
-        // The lower bound clamps at zero (the subtrahend's upper bound
-        // can exceed it without the whole interval underflowing).
-        assert_eq!(
-            Interval::new(3, 100).sat_sub(Interval::new(2, 7)),
-            Interval::new(0, 98)
-        );
-        assert_eq!(Interval::ZERO.sat_sub(Interval::ZERO), Interval::ZERO);
-    }
-
-    /// Regression (panic-audit round 7): subtracting more than the
-    /// upper bound holds is an accounting underflow, caught by the
-    /// `debug_assert` in debug builds — the same contract as the cache
-    /// and budget ledgers.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "interval underflow")]
-    fn interval_underflow_is_an_accounting_bug() {
-        let _ = Interval::new(1, 5).sat_sub(Interval::new(6, 10));
-    }
-
-    #[test]
     fn cert_transfer_functions() {
-        let a = ResourceCert::from_states(Interval::new(1, 8), 2, 1);
-        let b = ResourceCert::from_states(Interval::new(1, 64), 2, 1);
-        assert_eq!(ResourceCert::product(&[a, b], 2, 2).states.hi, 512);
-        assert_eq!(ResourceCert::union(&[a, b], 2, 2).states.hi, 73);
-        assert_eq!(ResourceCert::complement(&a, 2, 1).states.hi, 257);
+        let a = ResourceCert::from_states(8, 2, 1);
+        let b = ResourceCert::from_states(64, 2, 1);
+        assert_eq!(ResourceCert::product(&[a, b], 2, 2).states, 512);
+        assert_eq!(ResourceCert::union(&[a, b], 2, 2).states, 73);
+        assert_eq!(ResourceCert::complement(&a, 2, 1).states, 257);
         assert_eq!(ResourceCert::passthrough(&b, 2, 1).states, b.states);
-        assert!(b.admits(&a));
-        assert!(!a.admits(&b));
     }
 
     fn like_regex(sigma: &Alphabet, pattern: &str) -> Regex {

@@ -5,11 +5,15 @@
 //! copied into every plan `Complement` node), the planner's bounded-search
 //! length `B` (copied into the `BoundedSearch { budget }` root), and
 //! the cache's byte budget. A [`Budget`] replaces them with one
-//! capability value that is handed *down* the plan tree: the planner
-//! seeds it from the plan's planlint resource certificate, every
-//! executor checks the budget it was handed (see `Plan::execute_in`),
-//! and a parent node hands each child an explicit sub-budget via
-//! [`Budget::child_for`]. Exhaustion never truncates silently: per
+//! capability value that is handed *down* the plan tree. Its
+//! dimensions are upper bounds, like the planlint certificates it is
+//! measured against: the planner seeds it from the plan's peak
+//! certificate (the largest any node certifies, found by the same walk
+//! that derives them), every executor checks the budget it was handed
+//! (see `Plan::execute_in`), and a parent node hands each child an
+//! explicit sub-budget via [`Budget::child_for`], clamped to the
+//! child's subtree peak — computed once per run, for every node, before
+//! the governor walks the tree. Exhaustion never truncates silently: per
 //! [`DegradationPolicy`] the run either degrades *structurally* —
 //! exact → bounded verdict, dense → sparse walk, cached →
 //! recompile-denied — surfacing an SA4xx [`Degradation`] in the
@@ -106,8 +110,8 @@ impl Budget {
             hi => hi,
         };
         Budget {
-            states: dim(cert.states.hi),
-            bytes: dim(cert.bytes.hi),
+            states: dim(cert.states),
+            bytes: dim(cert.bytes),
             wall_time_ms: UNLIMITED,
             search_depth: depth,
             degradation_policy: DegradationPolicy::Degrade,
@@ -122,7 +126,7 @@ impl Budget {
 
     /// Whether this budget admits a certified demand in full.
     pub fn admits(&self, demand: &ResourceCert) -> bool {
-        demand.states.hi <= self.states && demand.bytes.hi <= self.bytes
+        demand.states <= self.states && demand.bytes <= self.bytes
     }
 
     /// The sub-budget a parent hands a child with certified demand
@@ -132,21 +136,14 @@ impl Budget {
     /// and policy are inherited — they are per-run, not per-node.
     pub fn child_for(&self, demand: &ResourceCert) -> Budget {
         Budget {
-            states: self.states.min(demand.states.hi.max(1)),
-            bytes: self.bytes.min(demand.bytes.hi.max(1)),
+            states: self.states.min(demand.states.max(1)),
+            bytes: self.bytes.min(demand.bytes.max(1)),
             ..*self
         }
     }
 
     /// One-line rendering for EXPLAIN (`∞` for unlimited dimensions).
     pub fn summary(&self) -> String {
-        let dim = |v: u64| {
-            if v == UNLIMITED {
-                "∞".to_string()
-            } else {
-                fmt_bound(v)
-            }
-        };
         let depth = if self.search_depth == usize::MAX {
             "∞".to_string()
         } else {
@@ -154,10 +151,10 @@ impl Budget {
         };
         format!(
             "states ≤{}, bytes ≤{}, depth ≤{}, wall ≤{}ms, policy {}",
-            dim(self.states),
-            dim(self.bytes),
+            fmt_bound(self.states),
+            fmt_bound(self.bytes),
             depth,
-            dim(self.wall_time_ms),
+            fmt_bound(self.wall_time_ms),
             self.degradation_policy.name()
         )
     }
@@ -359,13 +356,9 @@ impl CacheEventKind {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use strcalc_analyze::planlint::Interval;
 
     fn cert(states: u64, bytes: u64) -> ResourceCert {
-        ResourceCert {
-            states: Interval { lo: 1, hi: states },
-            bytes: Interval { lo: 0, hi: bytes },
-        }
+        ResourceCert { states, bytes }
     }
 
     #[test]

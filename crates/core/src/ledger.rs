@@ -19,16 +19,9 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::budget::UNLIMITED;
+use strcalc_analyze::planlint::ResourceCert;
 
-/// What a run asks the ledger for. States and bytes come from the
-/// plan's peak certificate (`hi` bounds); interpreter-only plans whose
-/// certificate is all-zero reserve a slot and nothing else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReserveRequest {
-    pub states: u64,
-    pub bytes: u64,
-}
+use crate::budget::UNLIMITED;
 
 /// The structured reason a reservation could not be granted: how much
 /// of each dimension was missing from the pool at the attempt.
@@ -107,7 +100,7 @@ impl SharedLedger {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn shortfall(avail: &Avail, req: ReserveRequest) -> AdmissionShortfall {
+    fn shortfall(avail: &Avail, req: ResourceCert) -> AdmissionShortfall {
         AdmissionShortfall {
             states: if avail.states == UNLIMITED {
                 0
@@ -123,7 +116,7 @@ impl SharedLedger {
         }
     }
 
-    fn debit(avail: &mut Avail, req: ReserveRequest) {
+    fn debit(avail: &mut Avail, req: ResourceCert) {
         if avail.states != UNLIMITED {
             avail.states -= req.states;
         }
@@ -135,13 +128,15 @@ impl SharedLedger {
         }
     }
 
-    /// Attempts to reserve `req` plus one run slot. On success the
-    /// returned guard holds the reservation until dropped (settlement).
-    /// On failure the pool is untouched and the shortfall reports what
-    /// was missing.
+    /// Attempts to reserve `req` — the plan's peak certificate — plus
+    /// one run slot; an interpreter-only plan, whose certificate is
+    /// zero, reserves a slot and nothing else. On success the returned
+    /// guard holds the reservation until dropped (settlement). On
+    /// failure the pool is untouched and the shortfall reports what was
+    /// missing.
     pub fn try_reserve(
         self: &Arc<Self>,
-        req: ReserveRequest,
+        req: ResourceCert,
     ) -> Result<Reservation, AdmissionShortfall> {
         let mut avail = self.lock();
         let short = Self::shortfall(&avail, req);
@@ -178,14 +173,7 @@ impl SharedLedger {
 #[derive(Debug)]
 pub struct Reservation {
     ledger: Arc<SharedLedger>,
-    req: ReserveRequest,
-}
-
-impl Reservation {
-    /// The request this reservation was granted for.
-    pub fn request(&self) -> ReserveRequest {
-        self.req
-    }
+    req: ResourceCert,
 }
 
 impl Drop for Reservation {
@@ -217,8 +205,8 @@ impl Drop for Reservation {
 mod tests {
     use super::*;
 
-    fn req(states: u64, bytes: u64) -> ReserveRequest {
-        ReserveRequest { states, bytes }
+    fn req(states: u64, bytes: u64) -> ResourceCert {
+        ResourceCert { states, bytes }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use engine::AutomataEngine;
 pub use enumeval::EnumEngine;
 pub use faults::FaultPlan;
 pub use generate::Domain;
-pub use ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
+pub use ledger::{AdmissionShortfall, Reservation, SharedLedger};
 pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy};
 pub use query::{Calculus, CoreError, EvalOutput, Query};
 pub use safety::{RangeRestricted, StateSafety};

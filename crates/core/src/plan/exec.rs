@@ -64,7 +64,7 @@
 use std::sync::Arc;
 
 use strcalc_alphabet::{Str, Sym};
-use strcalc_analyze::planlint::{fmt_bound, Interval, ResourceCert};
+use strcalc_analyze::planlint::{fmt_bound, ResourceCert};
 use strcalc_analyze::{Code, ScanPlan};
 use strcalc_automata::{DenseDfa, Dfa};
 use strcalc_relational::{Database, Relation};
@@ -79,11 +79,11 @@ use crate::engine::Slot;
 use crate::enumeval::EnumEngine;
 use crate::faults::FaultPlan;
 use crate::generate::{Domain, DomainKind, Program, SIGMA_STAR};
-use crate::ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
+use crate::ledger::{AdmissionShortfall, Reservation, SharedLedger};
 use crate::query::{CoreError, EvalOutput, Query};
 
 use super::ir::{Plan, PlanNode, PlanOp, PlanSource, Strategy};
-use super::lint::PlanChecker;
+use super::lint::{PlanChecker, Tree};
 
 /// Post-execution actuals, rendered into `EXPLAIN` output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,6 +212,9 @@ struct Run<'a> {
     /// governor admitted at zero demand, even if another reader evicts
     /// it meanwhile.
     slot: Option<Slot>,
+    /// The plan's peak certified demand, found by the governor's walk:
+    /// what admission reserves.
+    peak: ResourceCert,
 }
 
 impl Run<'_> {
@@ -386,6 +389,7 @@ impl Plan {
             deadline: cx.deadline_for(&budget),
             report: ExecReport::clean(self.strategy),
             slot: None,
+            peak: ResourceCert::ZERO,
         };
         self.govern(db, &mut run);
         let _reservation = self.admit(&mut run)?;
@@ -582,12 +586,15 @@ impl Plan {
             run.slot = self.engine.probe(&q.formula, &q.alphabet, db);
         }
         let resident = run.slot.as_ref().is_some_and(|s| s.resident.is_some());
+        let mut peaks = Vec::new();
+        run.peak = subtree_peaks(&self.root, &mut peaks);
         govern_node(
             &self.root,
             &run.budget,
             "root",
             resident,
             false,
+            &mut peaks[1..].iter(),
             &mut run.report.ledger,
         );
     }
@@ -603,11 +610,7 @@ impl Plan {
         let Some(ledger) = &run.cx.ledger else {
             return Ok(None);
         };
-        let peak = subtree_peak(&self.root);
-        let req = ReserveRequest {
-            states: peak.states.hi,
-            bytes: peak.bytes.hi,
-        };
+        let req = run.peak;
         let first = if run.cx.faults.ledger_contention {
             run.degrade(
                 Code::FaultInjected,
@@ -806,9 +809,9 @@ impl Plan {
         let node = run.exhausted_at();
         let demand = self
             .root_cert
-            .map(|c| fmt_bound(c.states.hi))
+            .map(|c| fmt_bound(c.states))
             .unwrap_or_else(|| "?".into());
-        let handed = fmt_handed(run.budget.states);
+        let handed = fmt_bound(run.budget.states);
         if matches!(run.slot, Some(Slot { resident: None, .. })) {
             run.degrade(
                 Code::DegradedRecompileDenied,
@@ -933,10 +936,7 @@ impl Plan {
                 run.report.artifact_bytes as u64,
             )
         };
-        let actuals = ResourceCert {
-            states: Interval::point(states),
-            bytes: Interval::point(bytes),
-        };
+        let actuals = ResourceCert { states, bytes };
         if !run.budget.admits(&actuals) {
             let detail = format!(
                 "post-execution actuals ({states} states, {bytes} bytes) overdrew the \
@@ -951,7 +951,7 @@ impl Plan {
     /// hands out verified plans, so this rejects plans mutated after
     /// planning (or forged without going through the planner).
     fn lint_gate(&self) -> Result<(), CoreError> {
-        let report = PlanChecker::for_plan(self).check(&self.root);
+        let report = PlanChecker::for_plan(self).verify(Tree::Read(&self.root));
         if report.has_errors() {
             return Err(CoreError::PlanRejected {
                 stage: "execute".to_string(),
@@ -973,18 +973,18 @@ impl Plan {
         if cert.is_zero() {
             return violations;
         }
-        if states as u64 > cert.states.hi {
+        if states as u64 > cert.states {
             violations.push(format!(
                 "SA240: actual automaton states {} exceed the certified bound {}",
                 states,
-                fmt_bound(cert.states.hi)
+                fmt_bound(cert.states)
             ));
         }
-        if bytes as u64 > cert.bytes.hi {
+        if bytes as u64 > cert.bytes {
             violations.push(format!(
                 "SA240: actual artifact bytes {} exceed the certified bound {}",
                 bytes,
-                fmt_bound(cert.bytes.hi)
+                fmt_bound(cert.bytes)
             ));
         }
         violations
@@ -1049,25 +1049,19 @@ impl Plan {
     }
 }
 
-/// `∞` for an unlimited dimension, `fmt_bound` otherwise.
-fn fmt_handed(v: u64) -> String {
-    if v == UNLIMITED {
-        "∞".to_string()
-    } else {
-        fmt_bound(v)
-    }
-}
-
 /// One step of the governor's walk: records the ledger entry for
 /// `node` against the budget it was handed, then hands each child an
-/// explicit sub-budget clamped to the child's own certificate.
-/// `resident` marks a subtree served by a warm cache (demand zero).
+/// explicit sub-budget clamped to the child's subtree peak, the next
+/// entry of `peaks` (the pre-order [`subtree_peaks`] of `node`'s
+/// descendants). `resident` marks a subtree served by a warm cache
+/// (demand zero).
 fn govern_node(
     node: &PlanNode,
     handed: &Budget,
     path: &str,
     cache_resident: bool,
     resident: bool,
+    peaks: &mut std::slice::Iter<ResourceCert>,
     ledger: &mut BudgetLedger,
 ) {
     let resident = resident || (cache_resident && matches!(node.op, PlanOp::CacheLookup { .. }));
@@ -1082,8 +1076,8 @@ fn govern_node(
         op: node.op.name().to_string(),
         handed_states: handed.states,
         handed_bytes: handed.bytes,
-        demand_states: demand.states.hi,
-        demand_bytes: demand.bytes.hi,
+        demand_states: demand.states,
+        demand_bytes: demand.bytes,
         within: handed.admits(demand),
     });
     for (i, c) in node.children.iter().enumerate() {
@@ -1092,7 +1086,8 @@ fn govern_node(
         // the tree (a product can peak above the minimized root), and
         // a child must be handed enough capability for its deepest
         // intermediate, never more than the parent holds.
-        let child_budget = handed.child_for(&subtree_peak(c));
+        let peak = peaks.next().expect("subtree_peaks holds one peak per node");
+        let child_budget = handed.child_for(peak);
         let child_path = format!("{path}/{i}");
         govern_node(
             c,
@@ -1100,22 +1095,24 @@ fn govern_node(
             &child_path,
             cache_resident,
             resident,
+            peaks,
             ledger,
         );
     }
 }
 
-/// The peak certified demand anywhere in `node`'s subtree (interval
-/// upper bounds only — this is what a capability must cover to let the
-/// subtree run). Exposed to the planner for budget seeding.
-pub(crate) fn subtree_peak(node: &PlanNode) -> ResourceCert {
-    let mut peak = ResourceCert::ZERO;
-    node.visit(&mut |n| {
-        if let Some(c) = &n.cert {
-            peak.states.hi = peak.states.hi.max(c.states.hi);
-            peak.bytes.hi = peak.bytes.hi.max(c.bytes.hi);
-        }
-    });
+/// Pushes the peak certified demand of every subtree of `node` onto
+/// `peaks`, in pre-order (`node`'s own first), and returns `node`'s:
+/// the largest certificate anywhere in the subtree, which is what a
+/// capability must cover to let the subtree run.
+fn subtree_peaks(node: &PlanNode, peaks: &mut Vec<ResourceCert>) -> ResourceCert {
+    let slot = peaks.len();
+    peaks.push(ResourceCert::ZERO);
+    let mut peak = node.cert.unwrap_or(ResourceCert::ZERO);
+    for c in &node.children {
+        peak = peak.peak(subtree_peaks(c, peaks));
+    }
+    peaks[slot] = peak;
     peak
 }
 

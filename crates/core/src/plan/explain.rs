@@ -81,10 +81,7 @@ fn render_node(out: &mut String, node: &PlanNode, prefix: &str, connector: &str,
 }
 
 fn cert_json(cert: &ResourceCert) -> Json {
-    Json::obj([
-        ("states", Json::arr([cert.states.lo, cert.states.hi])),
-        ("bytes", Json::arr([cert.bytes.lo, cert.bytes.hi])),
-    ])
+    Json::obj([("states", cert.states.into()), ("bytes", cert.bytes.into())])
 }
 
 /// Unlimited dimensions render as `null` (stable across integer-width

@@ -176,8 +176,9 @@ pub struct PlanNode {
     /// automaton/interpretation this subtree produces. Planlint checks
     /// these agree across every edge (SA201).
     pub vars: Vec<String>,
-    /// Resource certificate from the interval abstract interpretation;
-    /// `None` until the plan passes final verification.
+    /// Resource certificate (upper bounds) from planlint's abstract
+    /// interpretation; `None` until the planner's verification walk
+    /// writes it (leaves carry their seed from lowering).
     pub cert: Option<ResourceCert>,
     pub children: Vec<PlanNode>,
 }
@@ -267,6 +268,9 @@ pub struct Plan {
     /// Whole-query cost estimate.
     pub estimate: CostEstimate,
     pub(crate) source: PlanSource,
+    /// The formula the planner was given, when the rewrite pass replaced
+    /// it (`None`: it is [`Plan::formula`]).
+    pub(crate) given: Option<Formula>,
     /// Engine configuration the automata executor runs under.
     pub(crate) engine: AutomataEngine,
     /// Fringe width for the enumeration executor (`None` = derived).
@@ -290,6 +294,12 @@ impl Plan {
             PlanSource::Query(q) => &q.formula,
             PlanSource::Raw { formula, .. } => formula,
         }
+    }
+
+    /// The formula the planner was given, before the rewrite pass:
+    /// re-planning it reproduces this plan, rewrite included.
+    pub(crate) fn given_formula(&self) -> &Formula {
+        self.given.as_ref().unwrap_or_else(|| self.formula())
     }
 
     /// The output column order.

@@ -13,16 +13,21 @@
 //!    leaves (SA202), `CacheLookup` key consistency with the
 //!    fingerprint scheme (SA204), and root/leaf agreement with the
 //!    declared strategy (SA205);
-//! 2. **abstractly interprets** the tree in the interval domain of
+//! 2. **abstractly interprets** the tree in the upper-bound domain of
 //!    [`strcalc_analyze::planlint`], deriving a per-node
 //!    [`ResourceCert`] — sound upper bounds on automaton states and
 //!    bytes, with LIKE-pattern-class tightening at language leaves.
 //!
-//! The planner verifies every plan it builds once, on the finished tree:
-//! an error-level diagnostic rejects the plan at plan time, before any
-//! executor sees it. [`super::Plan::execute`] re-checks the plan and cross-checks the
-//! executor's actuals against the certificate, reporting SA240
-//! calibration warnings when the model's bounds are exceeded.
+//! Both happen in one bottom-up walk. The planner runs it once on the
+//! finished tree, which the walk annotates with every node's
+//! certificate as it goes; an error-level diagnostic rejects the plan at
+//! plan time, before any executor sees it. [`super::Plan::execute`]
+//! re-runs the walk read-only (a plan mutated after planning is
+//! rejected there) and cross-checks the executor's actuals against the
+//! certificate, reporting SA240 calibration warnings when the model's
+//! bounds are exceeded. Only [`PlanChecker::check`], the report that
+//! `strcalc-analyze --planlint` and `CompiledSql::planlint` print, adds
+//! the SA210 note that carries the certificate.
 
 use std::collections::BTreeSet;
 
@@ -30,7 +35,7 @@ use strcalc_alphabet::{Alphabet, Sym};
 use strcalc_analyze::diag::{Code, Diagnostic, FormulaPath, PathSeg};
 use strcalc_analyze::fragments;
 use strcalc_analyze::planlint::{
-    dense_scan_cert, dense_scan_states, Interval, ResourceCert, DENSIFY_THRESHOLD,
+    dense_scan_cert, dense_scan_states, ResourceCert, DENSIFY_THRESHOLD,
 };
 use strcalc_analyze::ScanPlan;
 use strcalc_logic::Formula;
@@ -45,6 +50,11 @@ pub struct PlanLintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Certificate of the checked (sub)tree's root.
     pub certificate: Option<ResourceCert>,
+    /// The largest certificate of any node in each dimension: what a
+    /// budget must cover to let the whole plan run (certificates are
+    /// not monotone down the tree — an interior product can peak above
+    /// the root).
+    pub peak: ResourceCert,
 }
 
 impl PlanLintReport {
@@ -127,26 +137,14 @@ impl PlanChecker {
         }
     }
 
-    /// Full verification of a finished plan: typing of every node, the
-    /// root/strategy checks, and the certificate interpretation. Emits
-    /// an SA210 note carrying the certificate when the plan is clean.
+    /// Full verification of a finished plan, as a report: typing of
+    /// every node, the root/strategy checks, and the certificate
+    /// interpretation, plus an SA210 note carrying the certificate when
+    /// the plan is clean.
     pub fn check(&self, root: &PlanNode) -> PlanLintReport {
-        let mut diagnostics = Vec::new();
-        let mut stack = Vec::new();
-        let cert = self.walk(root, &mut stack, &mut diagnostics);
-        let mut relational = false;
-        root.visit(&mut |n| {
-            relational |= matches!(n.op, PlanOp::Generate { .. } | PlanOp::Relational);
-        });
-        if relational {
-            check_bindings(root, &mut BTreeSet::new(), &mut stack, &mut diagnostics);
-        }
-        self.check_root(root, &mut diagnostics);
-        let mut report = PlanLintReport {
-            diagnostics,
-            certificate: Some(cert),
-        };
-        if !report.has_errors() && !cert.is_zero() {
+        let mut report = self.verify(Tree::Read(root));
+        let clean = !report.has_errors();
+        if let Some(cert) = report.certificate.filter(|c| clean && !c.is_zero()) {
             report.diagnostics.push(Diagnostic {
                 code: Code::PlanCertificate,
                 severity: Code::PlanCertificate.default_severity(),
@@ -158,62 +156,74 @@ impl PlanChecker {
         report
     }
 
-    /// Writes the derived certificate into every node (and returns the
-    /// root's). Run once by the planner after verification.
-    pub(crate) fn annotate(&self, node: &mut PlanNode) -> ResourceCert {
-        let n = node.children.len();
-        let mut inline = [ResourceCert::ZERO; INLINE_CHILDREN];
-        let mut spill: Vec<ResourceCert> = Vec::new();
-        for (i, c) in node.children.iter_mut().enumerate() {
-            let cert = self.annotate(c);
-            if n <= INLINE_CHILDREN {
-                inline[i] = cert;
-            } else {
-                spill.push(cert);
-            }
+    /// The verification itself, in one walk over `tree`: typing of every
+    /// node, the root/strategy checks, and each node's certificate —
+    /// written into the node when the walk is handed the planner's own
+    /// tree. The report's `peak` is the largest certificate of any node.
+    pub(crate) fn verify(&self, mut tree: Tree<'_>) -> PlanLintReport {
+        let mut diagnostics = Vec::new();
+        let mut stack = Vec::new();
+        let mut peak = ResourceCert::ZERO;
+        let cert = self.walk(&mut tree, &mut stack, &mut diagnostics, &mut peak);
+        let root = tree.node();
+        let mut relational = false;
+        root.visit(&mut |n| {
+            relational |= matches!(n.op, PlanOp::Generate { .. } | PlanOp::Relational);
+        });
+        if relational {
+            check_bindings(root, &mut BTreeSet::new(), &mut stack, &mut diagnostics);
         }
-        let child_certs: &[ResourceCert] = if n <= INLINE_CHILDREN {
-            &inline[..n]
-        } else {
-            &spill
-        };
-        let cert = self.node_cert(node, child_certs);
-        node.cert = Some(cert);
-        cert
+        self.check_root(root, &mut diagnostics);
+        PlanLintReport {
+            diagnostics,
+            certificate: Some(cert),
+            peak,
+        }
     }
 
-    /// Bottom-up: typechecks `node` and returns its derived certificate.
+    /// Bottom-up: typechecks the node, derives its certificate, writes
+    /// it into a [`Tree::Write`] node, and folds it into `peak`.
     ///
     /// This runs on every plan ever built, so the clean path is kept
     /// allocation-light: `stack` holds the child
     /// indices from the root, and a [`FormulaPath`] is materialized from
     /// it only when a diagnostic actually fires; child certificates live
-    /// in an inline buffer unless a (fused) product is unusually wide.
+    /// in an inline buffer unless a (flat) product is unusually wide.
     fn walk(
         &self,
-        node: &PlanNode,
+        tree: &mut Tree<'_>,
         stack: &mut Vec<usize>,
         diagnostics: &mut Vec<Diagnostic>,
+        peak: &mut ResourceCert,
     ) -> ResourceCert {
-        let n = node.children.len();
+        let n = tree.node().children.len();
         let mut inline = [ResourceCert::ZERO; INLINE_CHILDREN];
-        let mut spill: Vec<ResourceCert> = Vec::new();
-        for (i, c) in node.children.iter().enumerate() {
-            stack.push(i);
-            let cert = self.walk(c, stack, diagnostics);
-            stack.pop();
-            if n <= INLINE_CHILDREN {
-                inline[i] = cert;
-            } else {
-                spill.push(cert);
-            }
-        }
-        let child_certs: &[ResourceCert] = if n <= INLINE_CHILDREN {
-            &inline[..n]
+        let mut spill = Vec::new();
+        let child_certs = if n <= INLINE_CHILDREN {
+            &mut inline[..n]
         } else {
-            &spill
+            spill.resize(n, ResourceCert::ZERO);
+            &mut spill[..]
         };
+        for (i, slot) in child_certs.iter_mut().enumerate() {
+            stack.push(i);
+            *slot = self.walk(&mut tree.child(i), stack, diagnostics, peak);
+            stack.pop();
+        }
+        let node = tree.node();
+        self.check_node(node, stack, diagnostics);
+        let cert = self.node_cert(node, child_certs);
+        *peak = peak.peak(cert);
+        if let Tree::Write(node) = tree {
+            node.cert = Some(cert);
+        }
+        cert
+    }
 
+    /// The per-node typing checks: arity, tracks across the edge, and
+    /// the operator's own invariants.
+    fn check_node(&self, node: &PlanNode, stack: &[usize], diagnostics: &mut Vec<Diagnostic>) {
+        let n = node.children.len();
         let path = || FormulaPath(stack.iter().map(|&i| PathSeg::PlanChild(i)).collect());
         let mut emit = |code: Code, message: String, note: Option<String>| {
             diagnostics.push(Diagnostic {
@@ -239,7 +249,7 @@ impl PlanChecker {
                 None,
             );
             // Schema derivation below would only cascade noise.
-            return self.node_cert(node, child_certs);
+            return;
         }
 
         // SA201 — schema (variable-track) agreement across the edge.
@@ -432,8 +442,6 @@ impl PlanChecker {
             }
             _ => {}
         }
-
-        self.node_cert(node, child_certs)
     }
 
     /// Root-only checks: root operator and tracks versus the declared
@@ -518,7 +526,7 @@ impl PlanChecker {
                 // Hand-built leaf without a seed: fall back to the cost
                 // estimate, rounded up.
                 let hi = 2f64.powf(node.cost.log2_states.min(63.0)).ceil() as u64;
-                ResourceCert::from_states(Interval::new(1, hi.max(1)), self.k, tracks)
+                ResourceCert::from_states(hi.max(1), self.k, tracks)
             }),
             PlanOp::Interpret { .. } | PlanOp::Generate { .. } => ResourceCert::ZERO,
             PlanOp::Product => ResourceCert::product(children, self.k, tracks),
@@ -563,8 +571,31 @@ fn arity_of(op: &PlanOp) -> (usize, usize) {
 }
 
 /// Child certificates are buffered on the stack up to this width;
-/// beyond it (an unusually wide fused product) they spill to the heap.
+/// beyond it (an unusually wide flat product) they spill to the heap.
 const INLINE_CHILDREN: usize = 4;
+
+/// The tree a verification walks: a finished plan's, read only, or the
+/// planner's own, into whose nodes the walk writes their certificates.
+pub(crate) enum Tree<'a> {
+    Read(&'a PlanNode),
+    Write(&'a mut PlanNode),
+}
+
+impl Tree<'_> {
+    fn node(&self) -> &PlanNode {
+        match self {
+            Tree::Read(node) => node,
+            Tree::Write(node) => node,
+        }
+    }
+
+    fn child(&mut self, i: usize) -> Tree<'_> {
+        match self {
+            Tree::Read(node) => Tree::Read(&node.children[i]),
+            Tree::Write(node) => Tree::Write(&mut node.children[i]),
+        }
+    }
+}
 
 /// The sorted, deduplicated track set an operator derives from its
 /// children, or `None` for leaves (their tracks are seeded from the
@@ -724,8 +755,8 @@ mod tests {
         let report = PlanChecker::for_plan(&plan).check(&plan.root);
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
         let cert = plan.certificate().expect("automata plans are certified");
-        assert!(cert.states.hi > 0);
-        assert!(cert.bytes.hi > cert.states.hi);
+        assert!(cert.states > 0);
+        assert!(cert.bytes > cert.states);
         // Every node is annotated.
         plan.root.visit(&mut |n| assert!(n.cert.is_some()));
         // The SA210 note carries the certificate summary.
@@ -741,8 +772,8 @@ mod tests {
         let mut plan = probe();
         // Forge an absurdly tight certificate: one state, one byte.
         let tiny = ResourceCert {
-            states: Interval::point(1),
-            bytes: Interval::new(0, 1),
+            states: 1,
+            bytes: 1,
         };
         plan.root_cert = Some(tiny);
         let mut db = Database::new();

@@ -11,10 +11,10 @@
 //! that the engines *execute* rather than own. Planning runs in one
 //! step: a traced rewrite of the formula, the route, a lowering straight
 //! to the finished tree (flat products, the collapse restriction and the
-//! cache lookup built in), one planlint verification and the certificate
-//! annotation. Every plan renders a stable `EXPLAIN` (text and JSON)
-//! with per-node cost estimates from `strcalc-analyze` and
-//! post-execution actuals.
+//! cache lookup built in), and one planlint walk that verifies the tree
+//! and writes every node's certificate into it. Every plan renders a
+//! stable `EXPLAIN` (text and JSON) with per-node cost estimates from
+//! `strcalc-analyze` and post-execution actuals.
 //!
 //! ```
 //! use strcalc_core::plan::Planner;
@@ -260,7 +260,7 @@ impl Planner {
             PlanSource::Raw { alphabet, .. } => alphabet.len() as u8,
         };
         // The rewrite pass (formula-level).
-        let (source, rewrite) = passes::rewrite(source);
+        let (source, given, rewrite) = passes::rewrite(source);
 
         // Lower the (possibly rewritten) formula to the operator tree.
         let (formula, alphabet, head) = match &source {
@@ -361,9 +361,9 @@ impl Planner {
             }
         };
 
-        // One planlint verification of the finished plan (typing, root
-        // and strategy checks, certificate), then the certificate
-        // annotation of every node.
+        // One planlint walk over the finished plan: typing, root and
+        // strategy checks, and every node's certificate, written into
+        // the tree as it goes.
         let checker = lint::PlanChecker::new(
             strategy,
             head,
@@ -371,14 +371,13 @@ impl Planner {
             formula,
             self.engine.cache.is_some(),
         );
-        let report = checker.check(&root);
+        let report = checker.verify(lint::Tree::Write(&mut root));
         if report.has_errors() {
             return Err(CoreError::PlanRejected {
                 stage: "plan".to_string(),
                 diagnostics: report.rendered_errors(),
             });
         }
-        let root_cert = checker.annotate(&mut root);
 
         // Seed the budget capability from the plan's *peak* certified
         // demand (certificates are not monotone down the tree — an
@@ -393,7 +392,7 @@ impl Planner {
         // `search_depth` is the planner's bound `B`, and the complement
         // cap's safety role moves to the per-node states hand-down in
         // the exec governor.
-        let budget = Budget::seeded(&exec::subtree_peak(&root), self.bound);
+        let budget = Budget::seeded(&report.peak, self.bound);
 
         Ok(Plan {
             strategy,
@@ -401,9 +400,10 @@ impl Planner {
             passes: vec![rewrite],
             estimate,
             source,
+            given,
             engine: self.engine.clone(),
             slack: self.slack,
-            root_cert: Some(root_cert),
+            root_cert: report.certificate,
             budget,
             program,
         })

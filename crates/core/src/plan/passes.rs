@@ -36,8 +36,9 @@ impl PassTrace {
 /// `sqlfront`'s verified-rewrite gate: the rewritten formula must keep
 /// the same free variables, and (for a typed query) must still validate
 /// against the declared calculus. A rejected rewrite leaves the source
-/// untouched and records why.
-pub(super) fn rewrite(source: PlanSource) -> (PlanSource, PassTrace) {
+/// untouched and records why. An accepted one also hands back the
+/// formula it replaced, the one the planner was given.
+pub(super) fn rewrite(source: PlanSource) -> (PlanSource, Option<Formula>, PassTrace) {
     const PASS: &str = "rewrite";
     let formula = match &source {
         PlanSource::Query(q) => &q.formula,
@@ -45,23 +46,30 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, PassTrace) {
     };
     let simplified = simplify(formula);
     if simplified == *formula {
-        return (source, PassTrace::new(PASS, false, "simplify is identity"));
+        return (
+            source,
+            None,
+            PassTrace::new(PASS, false, "simplify is identity"),
+        );
     }
     if simplified.free_vars() != formula.free_vars() {
         return (
             source,
+            None,
             PassTrace::new(PASS, false, "rejected: rewrite changes the free variables"),
         );
     }
     match source {
-        PlanSource::Query(ref q) => {
+        PlanSource::Query(q) => {
             match Query::new(q.calculus, q.alphabet.clone(), q.head.clone(), simplified) {
                 Ok(rewritten) => (
                     PlanSource::Query(rewritten),
+                    Some(q.formula),
                     PassTrace::new(PASS, true, "simplified constant subformulas"),
                 ),
                 Err(_) => (
-                    source,
+                    PlanSource::Query(q),
+                    None,
                     PassTrace::new(
                         PASS,
                         false,
@@ -85,6 +93,7 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, PassTrace) {
                         head,
                         formula,
                     },
+                    None,
                     PassTrace::new(PASS, false, "rejected: rewrite fails fragment inference"),
                 );
             }
@@ -94,6 +103,7 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, PassTrace) {
                     head,
                     formula: simplified,
                 },
+                Some(formula),
                 PassTrace::new(PASS, true, "simplified constant subformulas"),
             )
         }

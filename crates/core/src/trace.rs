@@ -43,8 +43,10 @@ use crate::query::{Calculus, CoreError, EvalOutput, Query};
 /// the fault plan (including the recorded deadline-fire checkpoint)
 /// and the `kind` discriminant on cache events; version 3 the bound of
 /// a bounded-search plan; version 4 records only the rewrite pass, and
-/// a pass without its `verified` flag.
-pub const TRACE_VERSION: u64 = 4;
+/// a pass without its `verified` flag; version 5 records the formula
+/// the planner was given, before the rewrite, so replaying it
+/// re-plans the same rewrite.
+pub const TRACE_VERSION: u64 = 5;
 
 /// The post-execution actuals, as recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -63,7 +65,8 @@ pub struct ExecTrace {
     /// Calculus name (`RC(S)`, ..., or `RC_concat` for raw formulas).
     pub calculus: String,
     pub head: Vec<String>,
-    /// The formula in its rendered (re-parseable) form.
+    /// The formula the planner was given (before the rewrite pass), in
+    /// its rendered (re-parseable) form.
     pub formula: String,
     /// The alphabet's characters, in symbol order.
     pub alphabet: String,
@@ -179,7 +182,7 @@ impl ExecTrace {
             version: TRACE_VERSION,
             calculus: calculus_name(plan.calculus()),
             head: plan.head().to_vec(),
-            formula: plan.formula().render(plan.alphabet()),
+            formula: plan.given_formula().render(plan.alphabet()),
             alphabet: alphabet_text(plan.alphabet())?,
             strategy: plan.strategy.name().to_string(),
             plan_fingerprint: plan_fingerprint(plan),
@@ -676,6 +679,7 @@ mod tests {
             r#"{"version":2}"#,
             r#"{"version":3}"#,
             r#"{"version":4}"#,
+            r#"{"version":5}"#,
             r#"{"version":99}"#,
             "nope",
             r#"{"version":2,"calculus":3}"#,

@@ -402,6 +402,52 @@ proptest! {
         prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
         prop_assert!(products_are_flat(&plan.root), "{}", plan.explain_text());
     }
+
+    // Certificates are upper bounds: no run of a generated plan builds
+    // more states or bytes than its root certifies, so SA240 stays
+    // silent.
+    #[test]
+    fn certificates_bound_every_run(f in arb_formula()) {
+        certificates_hold(&query_of(f), &db());
+    }
+}
+
+/// Runs `q` under the forced-automata planner and under a cached
+/// planner (a cold run, then a cache hit), and checks every run against
+/// the plan's root certificate: no SA240 line, and the actual states
+/// and bytes within its bounds.
+fn certificates_hold(q: &Query, db: &Database) {
+    let cached = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
+    let forced = Planner::new().force(PlanStrategy::Automata);
+    let runs = [(&forced, 1), (&Planner::for_engine(&cached), 2)];
+    for (planner, times) in runs {
+        let plan = planner.plan(q).expect("plans");
+        assert_eq!(plan.strategy, PlanStrategy::Automata);
+        let cert = plan.certificate().expect("automata plans are certified");
+        for _ in 0..times {
+            let (_, report) = plan.execute(db).expect("runs");
+            assert!(
+                report.cert_violations.is_empty(),
+                "{:?}\n{}",
+                report.cert_violations,
+                plan.explain_text()
+            );
+            assert!(report.automaton_states as u64 <= cert.states);
+            assert!(report.artifact_bytes as u64 <= cert.bytes);
+        }
+    }
+}
+
+/// Union chains, whose certificates add up every operand: sixteen
+/// copies of `U(x)` certify 65 551 states, eight copies of `x = x`
+/// certify 71, and both compile to a few dozen states at most.
+#[test]
+fn union_chain_certificates_hold() {
+    let chain = |atom: &str, n: usize| vec![atom; n].join(" | ");
+    for src in [chain("U(x)", 16), chain("x = x", 8)] {
+        let q = Query::parse(Calculus::S, Alphabet::ab(), vec!["x".into()], &src).unwrap();
+        certificates_hold(&q, &u_db());
+    }
 }
 
 /// `arb_formula` bodies under the connectives it does not generate:
@@ -496,7 +542,7 @@ fn every_corpus_query_lowers_over_a_domain() {
             lowered += 1;
         }
     }
-    assert_eq!(lowered, 23, "the three corpora hold 23 queries");
+    assert_eq!(lowered, 25, "the three corpora hold 25 queries");
 }
 
 /// The collapse program equals the naive evaluator at slack 0 and 1,

@@ -8,11 +8,12 @@ use std::sync::Arc;
 use std::thread;
 
 use strcalc_alphabet::Alphabet;
+use strcalc_analyze::ResourceCert;
 use strcalc_core::budget::UNLIMITED;
 use strcalc_core::cache::AutomatonCache;
 use strcalc_core::{
     replay, AutomataEngine, Budget, Calculus, CoreError, ExecCx, ExecTrace, ExecVerdict, Planner,
-    Query, ReserveRequest, SharedLedger, Strategy,
+    Query, SharedLedger, Strategy,
 };
 use strcalc_relational::Database;
 
@@ -114,10 +115,7 @@ fn over_subscribed_ledger_admits_exactly_one() {
 
     // Run A holds the single run slot (a governed run mid-execution).
     let held = ledger
-        .try_reserve(ReserveRequest {
-            states: 0,
-            bytes: 0,
-        })
+        .try_reserve(ResourceCert::ZERO)
         .expect("an idle ledger admits");
 
     // Run B races against it from another thread and must be denied:

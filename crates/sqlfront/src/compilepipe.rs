@@ -72,10 +72,9 @@ impl CompiledSql {
 
     /// Runs the plan-IR verifier over this statement's plan and returns
     /// the full [`PlanLintReport`] — the SQL-facing planlint entry. The
-    /// planner already gates every pass, so a report with errors can
-    /// only come from a plan mutated after planning; the interesting
-    /// payload here is the SA210 certificate note and the per-node
-    /// resource bounds on [`Plan::root`].
+    /// planner verifies every plan it builds and refuses one that fails,
+    /// so this report carries no errors; its payload is the SA210
+    /// certificate note and the per-node upper bounds on [`Plan::root`].
     pub fn planlint(&self, planner: &Planner) -> Result<PlanLintReport, CoreError> {
         let plan = self.plan(planner)?;
         Ok(PlanChecker::for_plan(&plan).check(&plan.root))
@@ -789,7 +788,12 @@ mod tests {
         assert!(text.contains("certificate: states ≤"), "{text}");
         assert!(text.contains("passes: rewrite "), "{text}");
         let json = plan.explain_json();
-        assert!(json.contains("\"certificate\":{\"states\":["), "{json}");
+        let cert = plan.certificate().unwrap();
+        let pinned = format!(
+            "\"certificate\":{{\"states\":{},\"bytes\":{}}}",
+            cert.states, cert.bytes
+        );
+        assert!(json.contains(&pinned), "{json}");
         let default = compiled.explain().unwrap();
         assert!(
             default.contains("strategy: active-domain-enum"),

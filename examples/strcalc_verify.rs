@@ -31,9 +31,9 @@
 //! against the same database snapshot through a *fresh* engine; the run
 //! fails on any node-by-node divergence (plan fingerprint, cache
 //! sequence, degradation events, output fingerprint), on any
-//! degradation in the clean configuration, or on a starved re-run that
-//! fails to record its degradations — CI runs this as the
-//! `replay-corpus` job.
+//! degradation or SA240 certificate violation in the clean
+//! configuration, or on a starved re-run that fails to record its
+//! degradations — CI runs this as the `replay-corpus` job.
 //!
 //! With `--chaos`, every query of the same three corpora runs once per
 //! fault seed under a deterministic injected fault plan (deadline fire
@@ -624,6 +624,11 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
         }
         for d in &report.degradations {
             problems.push(format!("clean run degraded: {}", d.render()));
+        }
+        // The certificate is an upper bound: an actual above it (SA240)
+        // means the abstract domain is miscalibrated.
+        for v in &report.cert_violations {
+            problems.push(format!("clean run {v}"));
         }
         let trace = ExecTrace::record(&plan, &budget, &report, &db, &out).expect("trace records");
 
