@@ -26,7 +26,7 @@ use strcalc_logic::Formula;
 ///
 /// Codes are append-only: a code's meaning never changes once released,
 /// so lint-level configuration stays stable across versions. A retired
-/// code's number is never reused: `SA203`, `SA220`, `SA221`.
+/// code's number is never reused: `SA203`, `SA220`, `SA221`, `SA400`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// A term or atom requires a structure beyond the declared calculus.
@@ -121,11 +121,6 @@ pub enum Code {
     /// plan's strategy or scan program disagrees with it: the plan is
     /// stale relative to the fragment the formula actually inhabits.
     PlanFragmentMismatch,
-    /// A budget capability was exhausted and could not be honored: the
-    /// fail policy rejected the run, or post-execution actuals exceeded
-    /// the handed budget (so the run, though complete, overdrew its
-    /// capability — never silent).
-    BudgetExhausted,
     /// Structural degradation: the exact automata evaluation exceeded
     /// its handed budget and fell back to a bounded (collapse-domain)
     /// verdict in the `Validated`/`Refuted`/`Unknown` shape.
@@ -201,7 +196,6 @@ impl Code {
             Code::LikeGeneralClass => "SA303",
             Code::FragmentStarFreeFallback => "SA304",
             Code::PlanFragmentMismatch => "SA305",
-            Code::BudgetExhausted => "SA400",
             Code::DegradedExactToBounded => "SA401",
             Code::DegradedDenseToSparse => "SA402",
             Code::DegradedRecompileDenied => "SA403",
@@ -251,7 +245,6 @@ impl Code {
             Code::LikeGeneralClass,
             Code::FragmentStarFreeFallback,
             Code::PlanFragmentMismatch,
-            Code::BudgetExhausted,
             Code::DegradedExactToBounded,
             Code::DegradedDenseToSparse,
             Code::DegradedRecompileDenied,
@@ -279,7 +272,6 @@ impl Code {
             | Code::PlanStrategyMismatch
             | Code::PlanDenseOverThreshold
             | Code::PlanFragmentMismatch
-            | Code::BudgetExhausted
             | Code::ReplayDivergence => Severity::Error,
             Code::CostReport
             | Code::RewriteValidated

@@ -108,14 +108,6 @@ impl Analyzer {
         self
     }
 
-    /// Sets the same lint level for every code.
-    pub fn lint_all(mut self, level: LintLevel) -> Analyzer {
-        for code in Code::all() {
-            self.levels.insert(code, level);
-        }
-        self
-    }
-
     /// Cap on the syntactic-monoid exploration used to decide
     /// star-freeness of `in`/`pl` languages.
     pub fn monoid_cap(mut self, cap: usize) -> Analyzer {

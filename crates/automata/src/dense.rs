@@ -366,14 +366,6 @@ impl DenseDfa {
         self.accepting[(s / self.num_classes) as usize]
     }
 
-    /// Counts the members of a column — the bench kernel.
-    pub fn count_matches<'a, I>(&self, col: I) -> usize
-    where
-        I: IntoIterator<Item = &'a Str>,
-    {
-        col.into_iter().filter(|w| self.accepts(w)).count()
-    }
-
     /// Alphabet size the table was compiled for.
     pub fn alphabet_size(&self) -> Sym {
         self.k

@@ -73,11 +73,6 @@ impl Dfa {
         self.trans.len()
     }
 
-    /// Whether the DFA has no states (never true for constructed DFAs).
-    pub fn is_empty_automaton(&self) -> bool {
-        self.trans.is_empty()
-    }
-
     /// Membership test.
     pub fn accepts(&self, w: &Str) -> bool {
         let mut q = self.start;

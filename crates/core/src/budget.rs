@@ -5,21 +5,21 @@
 //! copied into every plan `Complement` node), the planner's bounded-search
 //! length `B` (copied into the `BoundedSearch { budget }` root), and
 //! the cache's byte budget. A [`Budget`] replaces them with one
-//! capability value that is handed *down* the plan tree. Its
-//! dimensions are upper bounds, like the planlint certificates it is
-//! measured against: the planner seeds it from the plan's peak
-//! certificate (the largest any node certifies, found by the same walk
-//! that derives them), every executor checks the budget it was handed
-//! (see `Plan::execute_in`), and a parent node hands each child an
-//! explicit sub-budget via [`Budget::child_for`], clamped to the
-//! child's subtree peak — computed once per run, for every node, before
-//! the governor walks the tree. Exhaustion never truncates silently: per
-//! [`DegradationPolicy`] the run either degrades *structurally* —
-//! exact → bounded verdict, dense → sparse walk, cached →
-//! recompile-denied — surfacing an SA4xx [`Degradation`] in the
-//! `ExecReport`, or fails with `CoreError::BudgetExhausted`.
-//! Settlement checks the observed actuals with [`Budget::admits`]: an
-//! actual above a finite dimension is an SA400 event.
+//! capability value per run. Its dimensions are upper bounds, like the
+//! planlint certificates it is measured against: the planner seeds it
+//! from the plan's peak certificate (the largest any node certifies,
+//! found by the same walk that derives them), and a caller may narrow
+//! it (see `Plan::execute_in`). Governing a run is one comparison per
+//! node: the run is exhausted at the first node, in pre-order, whose
+//! certificate the budget does not [admit](Budget::admits) — and a run
+//! whose cached artifact is resident demands nothing. Exhaustion never
+//! truncates silently: per [`DegradationPolicy`] the run either degrades
+//! *structurally* — exact → bounded verdict, dense → sparse walk,
+//! cached → recompile-denied — surfacing an SA4xx [`Degradation`] in the
+//! `ExecReport`, or fails with `CoreError::BudgetExhausted`. A run no
+//! node exhausts stays within its certificates, so an actual above the
+//! budget is above a certificate too: the `SA240` calibration check
+//! reports it.
 
 // Panic-audit round 7: budgets sit on every execution path, so the
 // module is unwrap-free; invariants are spelled out as messaged
@@ -35,7 +35,7 @@ use strcalc_analyze::Code;
 /// debits and always admits.
 pub const UNLIMITED: u64 = u64::MAX;
 
-/// What an executor does when a handed budget is exhausted.
+/// What a run does when its budget is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DegradationPolicy {
     /// Degrade structurally (exact → bounded verdict, dense → sparse
@@ -57,14 +57,14 @@ impl DegradationPolicy {
     }
 }
 
-/// A resource-budget capability: what a plan (or plan node) is allowed
-/// to spend. Handed down explicitly — a node checks the budget it was
-/// *given*, not an ambient global.
+/// A resource-budget capability: what a run is allowed to spend. Passed
+/// in explicitly — every node's certificate is checked against the
+/// run's budget, not an ambient global.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
-    /// Automaton states the subtree may build ([`UNLIMITED`] = no cap).
+    /// Automaton states the run may build ([`UNLIMITED`] = no cap).
     pub states: u64,
-    /// Artifact/table bytes the subtree may hold resident.
+    /// Artifact/table bytes the run may hold resident.
     pub bytes: u64,
     /// Wall-clock allowance in milliseconds, enforced *in flight* by a
     /// cooperative [`Deadline`](crate::clock::Deadline) polled at
@@ -129,19 +129,6 @@ impl Budget {
         demand.states <= self.states && demand.bytes <= self.bytes
     }
 
-    /// The sub-budget a parent hands a child with certified demand
-    /// `demand`: the child receives what its certificate asks for,
-    /// clamped to what the parent itself holds (a child can never be
-    /// handed more capability than its parent has). Depth, wall-time
-    /// and policy are inherited — they are per-run, not per-node.
-    pub fn child_for(&self, demand: &ResourceCert) -> Budget {
-        Budget {
-            states: self.states.min(demand.states.max(1)),
-            bytes: self.bytes.min(demand.bytes.max(1)),
-            ..*self
-        }
-    }
-
     /// One-line rendering for EXPLAIN (`∞` for unlimited dimensions).
     pub fn summary(&self) -> String {
         let depth = if self.search_depth == usize::MAX {
@@ -172,39 +159,30 @@ impl fmt::Display for Budget {
     }
 }
 
-/// One row of the per-node budget ledger: which capability a node was
-/// handed, what its certificate demanded, and whether the hand-down
-/// covered the demand. Recorded for *every* plan node — the ledger is
-/// the proof that no executor ran against an ambient limit.
+/// One row of the per-node budget ledger: what a node's certificate
+/// demanded and whether the run's budget admits it. Recorded for
+/// *every* plan node — the ledger is the proof that no executor ran
+/// against an ambient limit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// Path from the root, `root` / `root/0/1` (child indices).
     pub node: String,
     /// The node's operator name.
     pub op: String,
-    pub handed_states: u64,
-    pub handed_bytes: u64,
+    /// The node's certificate; zero when the run's cached artifact is
+    /// resident (serving it builds nothing).
     pub demand_states: u64,
     pub demand_bytes: u64,
-    /// Whether the handed budget admits the certified demand.
+    /// Whether the run's budget admits the demand.
     pub within: bool,
 }
 
 impl LedgerEntry {
     pub fn render(&self) -> String {
-        let dim = |v: u64| {
-            if v == UNLIMITED {
-                "∞".to_string()
-            } else {
-                v.to_string()
-            }
-        };
         format!(
-            "{} {}: handed states {} bytes {}, demand states {} bytes {} — {}",
+            "{} {}: demand states {} bytes {} — {}",
             self.node,
             self.op,
-            dim(self.handed_states),
-            dim(self.handed_bytes),
             self.demand_states,
             self.demand_bytes,
             if self.within { "within" } else { "exhausted" }
@@ -224,7 +202,7 @@ impl BudgetLedger {
         self.entries.is_empty()
     }
 
-    /// Whether every node's handed budget covered its demand.
+    /// Whether the run's budget admits every node's demand.
     pub fn all_within(&self) -> bool {
         self.entries.iter().all(|e| e.within)
     }
@@ -377,19 +355,6 @@ mod tests {
         assert_eq!(b.states, UNLIMITED);
         assert_eq!(b.bytes, UNLIMITED);
         assert!(b.admits(&cert(u64::MAX, u64::MAX)));
-    }
-
-    #[test]
-    fn child_budget_is_clamped_by_the_parent() {
-        let parent = Budget {
-            states: 100,
-            bytes: 1000,
-            ..Budget::unlimited()
-        };
-        let child = parent.child_for(&cert(40, 400));
-        assert_eq!((child.states, child.bytes), (40, 400));
-        let greedy = parent.child_for(&cert(1_000_000, 1_000_000));
-        assert_eq!((greedy.states, greedy.bytes), (100, 1000));
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl<'a> DbResolver<'a> {
             virtuals: HashMap::new(),
         }
     }
-
-    pub fn with_virtual(mut self, name: impl Into<String>, auto: SyncNfa) -> Self {
-        self.virtuals.insert(name.into(), auto);
-        self
-    }
 }
 
 impl<'a> RelResolver for DbResolver<'a> {

@@ -24,12 +24,12 @@
 //!
 //! Execution is *resource-governed*: every run holds a [`Budget`]
 //! capability — the planner-seeded one unless its [`ExecCx`] carries
-//! another. A pre-execution governor walks the plan tree handing each
-//! node an explicit sub-budget ([`Budget::child_for`]) and checking the
-//! node's certified demand against the budget it was *handed* — not
-//! against ambient caps. The walk is recorded as a per-node
-//! [`BudgetLedger`]. On exhaustion the run degrades structurally per
-//! [`DegradationPolicy`]:
+//! another. A pre-execution governor checks every node's certificate
+//! against that one budget — not against ambient caps — and records the
+//! result as a per-node [`BudgetLedger`]; a run whose cached artifact is
+//! resident demands nothing. The run is exhausted at the first node, in
+//! pre-order, whose certificate the budget does not admit, and then
+//! degrades structurally per [`DegradationPolicy`]:
 //!
 //! * exact automata → a bounded collapse-domain verdict (SA401), in
 //!   the translation validator's `Validated`/`Refuted`/`Unknown` shape
@@ -49,9 +49,8 @@
 //!
 //! * a [`Clock`] behind a cooperative [`Deadline`], polled at coarse
 //!   checkpoints inside every long-running loop — a finite
-//!   `wall_time_ms` now terminates the run *in flight* (SA411 scan
-//!   truncation, SA412 search clamp, SA413 compile abort) instead of
-//!   being noticed post-hoc at settlement;
+//!   `wall_time_ms` terminates the run *in flight* (SA411 scan
+//!   truncation, SA412 search clamp, SA413 compile abort);
 //! * an optional [`SharedLedger`] the run must reserve against before
 //!   executing — over-subscription across concurrent runs surfaces as
 //!   `CoreError::AdmissionDenied`, optionally after evicting cold cache
@@ -83,7 +82,6 @@ use crate::ledger::{AdmissionShortfall, Reservation, SharedLedger};
 use crate::query::{CoreError, EvalOutput, Query};
 
 use super::ir::{Plan, PlanNode, PlanOp, PlanSource, Strategy};
-use super::lint::{PlanChecker, Tree};
 
 /// Post-execution actuals, rendered into `EXPLAIN` output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,8 +113,8 @@ pub struct ExecReport {
     /// handed budget covered the run (the no-silent-truncation
     /// invariant: reduced work ⇒ a recorded event).
     pub degradations: Vec<Degradation>,
-    /// The governor's per-node ledger: what each node was handed, what
-    /// its certificate demanded, whether the hand-down covered it.
+    /// The governor's per-node ledger: what each node's certificate
+    /// demanded and whether the run's budget admits it.
     pub ledger: BudgetLedger,
     /// Cache interactions in execution order (the deterministic trace
     /// pins this sequence).
@@ -196,8 +194,8 @@ impl ExecReport {
     }
 }
 
-/// One governed run, threaded through every executor: the budget it was
-/// handed, its context and deadline, and the report it writes into as
+/// One governed run, threaded through every executor: its budget, its
+/// context and deadline, and the report it writes into as
 /// it goes. The governor's ledger, every degradation and every cache
 /// event land in `report` in execution order; nothing is copied over
 /// at the end.
@@ -212,14 +210,11 @@ struct Run<'a> {
     /// governor admitted at zero demand, even if another reader evicts
     /// it meanwhile.
     slot: Option<Slot>,
-    /// The plan's peak certified demand, found by the governor's walk:
-    /// what admission reserves.
-    peak: ResourceCert,
 }
 
 impl Run<'_> {
-    /// The ledger entry of the first node whose handed budget did not
-    /// cover its demand, if any.
+    /// The ledger entry of the first node, in pre-order, whose demand
+    /// the run's budget does not admit, if any.
     fn exhausted(&self) -> Option<&LedgerEntry> {
         self.report.ledger.entries.iter().find(|e| !e.within)
     }
@@ -360,14 +355,14 @@ impl Plan {
     }
 
     /// Executes the plan under the context `cx`: its budget (the seeded
-    /// one unless set) is the capability the governor hands down, its
+    /// one unless set) is the capability every node is governed by, its
     /// clock backs the in-flight deadline, its ledger gates admission,
     /// and its fault plan arms deterministic injection points.
     ///
-    /// The governor hands every plan node a sub-budget, records the
-    /// [`BudgetLedger`], and on exhaustion degrades structurally per
-    /// the budget's [`DegradationPolicy`] (or rejects the run under
-    /// `Fail`). Degraded answers carry a non-`Exact` [`ExecVerdict`]
+    /// The governor checks every plan node's certificate against the
+    /// budget, records the [`BudgetLedger`], and on exhaustion degrades
+    /// structurally per the budget's [`DegradationPolicy`] (or rejects
+    /// the run under `Fail`). Degraded answers carry a non-`Exact` [`ExecVerdict`]
     /// and SA4xx events — never a silently truncated result.
     ///
     /// A sentence is a 0-ary query: its answer is the 0-ary relation,
@@ -389,7 +384,6 @@ impl Plan {
             deadline: cx.deadline_for(&budget),
             report: ExecReport::clean(self.strategy),
             slot: None,
-            peak: ResourceCert::ZERO,
         };
         self.govern(db, &mut run);
         let _reservation = self.admit(&mut run)?;
@@ -417,7 +411,6 @@ impl Plan {
                 )))
             }
         };
-        self.settle(&mut run);
         run.report.faults = cx.recorded(&run.deadline);
         Ok((out, run.report))
     }
@@ -566,15 +559,14 @@ impl Plan {
         self.run_program(db, run, &Domain::UpTo(depth), Code::DeadlineSearchClamped)
     }
 
-    /// The pre-execution governor: walks the plan tree handing each
-    /// node an explicit sub-budget and checking its certified demand
-    /// against the budget it was *handed* — this is where the ambient
-    /// complement cap and `BoundedSearch { budget }` limits are
-    /// subsumed into one capability system. A `CacheLookup` subtree
-    /// whose artifact is already resident demands nothing (serving a
-    /// hit costs no fresh states or bytes); a cold one demands its
-    /// full certificate, which is what the recompile-denied path (SA403)
-    /// keys off.
+    /// The pre-execution governor: checks every node's certificate
+    /// against the run's budget, in pre-order, into the ledger — this is
+    /// where the ambient complement cap and `BoundedSearch { budget }`
+    /// limits are subsumed into one capability. A run whose
+    /// `CacheLookup` finds its artifact resident demands nothing
+    /// (serving a hit builds no states or bytes); a cold one demands
+    /// every certificate, which is what the recompile-denied path
+    /// (SA403) keys off.
     fn govern(&self, db: &Database, run: &mut Run) {
         let mut has_cache_lookup = false;
         self.root.visit(&mut |n| {
@@ -586,15 +578,11 @@ impl Plan {
             run.slot = self.engine.probe(&q.formula, &q.alphabet, db);
         }
         let resident = run.slot.as_ref().is_some_and(|s| s.resident.is_some());
-        let mut peaks = Vec::new();
-        run.peak = subtree_peaks(&self.root, &mut peaks);
-        govern_node(
+        record_ledger(
             &self.root,
-            &run.budget,
             "root",
+            &run.budget,
             resident,
-            false,
-            &mut peaks[1..].iter(),
             &mut run.report.ledger,
         );
     }
@@ -605,12 +593,12 @@ impl Plan {
     /// holds a cache, cold entries are evicted to cover missing bytes
     /// (SA430, with a typed cache event) and the reservation retried;
     /// only a shortfall that survives eviction denies the run. The
-    /// returned guard holds the reservation until settlement (drop).
+    /// returned guard holds the reservation until the run ends (drop).
     fn admit(&self, run: &mut Run) -> Result<Option<Reservation>, CoreError> {
         let Some(ledger) = &run.cx.ledger else {
             return Ok(None);
         };
-        let req = run.peak;
+        let req = self.peak;
         let first = if run.cx.faults.ledger_contention {
             run.degrade(
                 Code::FaultInjected,
@@ -792,14 +780,14 @@ impl Plan {
         }
     }
 
-    /// The exact → bounded structural degradation: the automata
-    /// executor's certified demand exceeded its handed budget, so the
-    /// query is evaluated over the bounded collapse domain instead and
-    /// the answer carries a `Bounded` verdict (the validator's shape) — a
-    /// sound statement about a bounded domain, never a silently
-    /// truncated exact answer. Surfaced as SA403 when a shared cache
-    /// could have served the run but the artifact was cold and the
-    /// budget denies recompiling it, SA401 otherwise.
+    /// The exact → bounded structural degradation: a node's certified
+    /// demand exceeded the run's budget, so the query is evaluated over
+    /// the bounded collapse domain instead and the answer carries a
+    /// `Bounded` verdict (the validator's shape) — a sound statement
+    /// about a bounded domain, never a silently truncated exact answer.
+    /// Surfaced as SA403 when a shared cache could have served the run
+    /// but the artifact was cold and the budget denies recompiling it,
+    /// SA401 otherwise.
     fn degraded_bounded(
         &self,
         q: &Query,
@@ -808,7 +796,8 @@ impl Plan {
     ) -> Result<Relation, CoreError> {
         let node = run.exhausted_at();
         let demand = self
-            .root_cert
+            .root
+            .cert
             .map(|c| fmt_bound(c.states))
             .unwrap_or_else(|| "?".into());
         let handed = fmt_bound(run.budget.states);
@@ -854,7 +843,7 @@ impl Plan {
     /// [`run_scan`]; they differ only in where the language filters come
     /// from. The dense scan serves its tables from the engine's cache
     /// (or densifies them). The LIKE scan, and a dense scan whose
-    /// tables' certified bytes exceed the handed budget, walk each
+    /// tables' certified bytes exceed the run's budget, walk each
     /// language's sparse DFA instead. The sparse walk is exact, so the
     /// degraded verdict stays `Exact`, but the fallback is still
     /// SA402-recorded.
@@ -918,40 +907,11 @@ impl Plan {
         effective
     }
 
-    /// Post-execution settlement: checks the observed actuals against
-    /// the handed budget (fresh compilations only — a cache hit serves
-    /// resident bytes the cache's own budget already accounts). An
-    /// actual above a finite dimension is an SA400 event — the run
-    /// completed, but the capability was overdrawn, and that is never
-    /// silent. Wall time is *not* checked here: the in-flight
-    /// [`Deadline`] already enforced it at checkpoints,
-    /// deterministically, so settlement has nothing nondeterministic
-    /// left to add.
-    fn settle(&self, run: &mut Run) {
-        let (states, bytes) = if run.report.cache_hit {
-            (0, 0)
-        } else {
-            (
-                run.report.automaton_states as u64,
-                run.report.artifact_bytes as u64,
-            )
-        };
-        let actuals = ResourceCert { states, bytes };
-        if !run.budget.admits(&actuals) {
-            let detail = format!(
-                "post-execution actuals ({states} states, {bytes} bytes) overdrew the \
-                 handed budget ({})",
-                run.budget.summary()
-            );
-            run.degrade(Code::BudgetExhausted, "root", detail);
-        }
-    }
-
-    /// Re-verifies the plan before executing it. `Planner::build` only
-    /// hands out verified plans, so this rejects plans mutated after
-    /// planning (or forged without going through the planner).
+    /// Re-verifies the plan before executing it, with the checker that
+    /// verified it at plan time. `Planner::build` only hands out
+    /// verified plans, so this rejects plans mutated after planning.
     fn lint_gate(&self) -> Result<(), CoreError> {
-        let report = PlanChecker::for_plan(self).verify(Tree::Read(&self.root));
+        let report = self.checker.reverify(self);
         if report.has_errors() {
             return Err(CoreError::PlanRejected {
                 stage: "execute".to_string(),
@@ -967,7 +927,7 @@ impl Plan {
     /// abstract domain (not the executor) is miscalibrated.
     fn calibrate(&self, states: usize, bytes: usize) -> Vec<String> {
         let mut violations = Vec::new();
-        let Some(cert) = self.root_cert else {
+        let Some(cert) = self.root.cert else {
             return violations;
         };
         if cert.is_zero() {
@@ -1049,71 +1009,31 @@ impl Plan {
     }
 }
 
-/// One step of the governor's walk: records the ledger entry for
-/// `node` against the budget it was handed, then hands each child an
-/// explicit sub-budget clamped to the child's subtree peak, the next
-/// entry of `peaks` (the pre-order [`subtree_peaks`] of `node`'s
-/// descendants). `resident` marks a subtree served by a warm cache
-/// (demand zero).
-fn govern_node(
+/// Records the ledger rows of `node` (at `path`) and its descendants,
+/// in pre-order: each node demands its certificate — nothing when the
+/// run's cached artifact is `resident` — and is within when `budget`
+/// admits the demand.
+fn record_ledger(
     node: &PlanNode,
-    handed: &Budget,
     path: &str,
-    cache_resident: bool,
+    budget: &Budget,
     resident: bool,
-    peaks: &mut std::slice::Iter<ResourceCert>,
     ledger: &mut BudgetLedger,
 ) {
-    let resident = resident || (cache_resident && matches!(node.op, PlanOp::CacheLookup { .. }));
-    let zero = ResourceCert::ZERO;
-    let demand = if resident {
-        &zero
-    } else {
-        node.cert.as_ref().unwrap_or(&zero)
+    let demand = match node.cert {
+        Some(cert) if !resident => cert,
+        _ => ResourceCert::ZERO,
     };
     ledger.entries.push(LedgerEntry {
         node: path.to_string(),
         op: node.op.name().to_string(),
-        handed_states: handed.states,
-        handed_bytes: handed.bytes,
         demand_states: demand.states,
         demand_bytes: demand.bytes,
-        within: handed.admits(demand),
+        within: budget.admits(&demand),
     });
     for (i, c) in node.children.iter().enumerate() {
-        // The hand-down clamps to the child's *subtree peak*, not the
-        // child's own certificate: certificates are not monotone down
-        // the tree (a product can peak above the minimized root), and
-        // a child must be handed enough capability for its deepest
-        // intermediate, never more than the parent holds.
-        let peak = peaks.next().expect("subtree_peaks holds one peak per node");
-        let child_budget = handed.child_for(peak);
-        let child_path = format!("{path}/{i}");
-        govern_node(
-            c,
-            &child_budget,
-            &child_path,
-            cache_resident,
-            resident,
-            peaks,
-            ledger,
-        );
+        record_ledger(c, &format!("{path}/{i}"), budget, resident, ledger);
     }
-}
-
-/// Pushes the peak certified demand of every subtree of `node` onto
-/// `peaks`, in pre-order (`node`'s own first), and returns `node`'s:
-/// the largest certificate anywhere in the subtree, which is what a
-/// capability must cover to let the subtree run.
-fn subtree_peaks(node: &PlanNode, peaks: &mut Vec<ResourceCert>) -> ResourceCert {
-    let slot = peaks.len();
-    peaks.push(ResourceCert::ZERO);
-    let mut peak = node.cert.unwrap_or(ResourceCert::ZERO);
-    for c in &node.children {
-        peak = peak.peak(subtree_peaks(c, peaks));
-    }
-    peaks[slot] = peak;
-    peak
 }
 
 /// Validates the scan plan's relation against the database.
@@ -1183,7 +1103,7 @@ fn run_scan(
         }
         // One deadline poll per batch, *before* committing to it: a
         // fire terminates the scan at a batch boundary with the
-        // rows-seen watermark intact, not at settlement.
+        // rows-seen watermark intact.
         if deadline.checkpoint() {
             truncated = true;
             break;

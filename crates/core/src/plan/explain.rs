@@ -154,7 +154,7 @@ impl Plan {
             .collect();
         let _ = writeln!(out, "passes: {}", passes.join("; "));
         let _ = writeln!(out, "estimate: {}", self.estimate.summary());
-        if let Some(cert) = self.root_cert.filter(|c| !c.is_zero()) {
+        if let Some(cert) = self.root.cert.filter(|c| !c.is_zero()) {
             let _ = writeln!(out, "certificate: {}", cert.summary());
         }
         let _ = writeln!(out, "budget: {}", self.budget.summary());
@@ -200,7 +200,7 @@ impl Plan {
             ),
             ("plan", node_json(&self.root)),
         ];
-        if let Some(cert) = self.root_cert.filter(|c| !c.is_zero()) {
+        if let Some(cert) = self.root.cert.filter(|c| !c.is_zero()) {
             fields.push(("certificate", cert_json(&cert)));
         }
         fields.push(("budget", budget_json(&self.budget)));

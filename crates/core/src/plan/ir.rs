@@ -22,6 +22,7 @@ use crate::engine::AutomataEngine;
 use crate::generate::Program;
 use crate::query::{Calculus, Query};
 
+use super::lint::PlanChecker;
 use super::passes::PassTrace;
 
 /// The evaluation strategies the legacy entry points hard-coded, now
@@ -275,9 +276,12 @@ pub struct Plan {
     pub(crate) engine: AutomataEngine,
     /// Fringe width for the enumeration executor (`None` = derived).
     pub(crate) slack: Option<usize>,
-    /// Whole-plan resource certificate (the root node's), attached by
-    /// final verification. Execution cross-checks actuals against it.
-    pub(crate) root_cert: Option<ResourceCert>,
+    /// The largest certificate of any node, from the planner's
+    /// verification walk: what admission reserves.
+    pub(crate) peak: ResourceCert,
+    /// The checker that verified the plan, holding the invariants it
+    /// derived from the formula once; the execute-time gate re-runs it.
+    pub(crate) checker: PlanChecker,
     /// The budget capability the planner seeded from the plan's peak
     /// planlint certificate. `execute` runs under it unless the
     /// caller's `ExecCx` carries another.
@@ -334,7 +338,7 @@ impl Plan {
     /// states and bytes of the automaton this plan compiles to (zero
     /// for the interpreter strategies, which build no automata).
     pub fn certificate(&self) -> Option<ResourceCert> {
-        self.root_cert
+        self.root.cert
     }
 
     /// The budget capability the planner seeded this plan with, from

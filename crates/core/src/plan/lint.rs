@@ -21,8 +21,10 @@
 //! Both happen in one bottom-up walk. The planner runs it once on the
 //! finished tree, which the walk annotates with every node's
 //! certificate as it goes; an error-level diagnostic rejects the plan at
-//! plan time, before any executor sees it. [`super::Plan::execute`]
-//! re-runs the walk read-only (a plan mutated after planning is
+//! plan time, before any executor sees it. The plan keeps the checker,
+//! so the invariants it derives from the formula (fingerprints, fragment,
+//! scan plan) are computed once per plan; [`super::Plan::execute`]
+//! re-runs its walk read-only (a plan mutated after planning is
 //! rejected there) and cross-checks the executor's actuals against the
 //! certificate, reporting SA240 calibration warnings when the model's
 //! bounds are exceeded. Only [`PlanChecker::check`], the report that
@@ -164,13 +166,16 @@ impl PlanChecker {
         let mut diagnostics = Vec::new();
         let mut stack = Vec::new();
         let mut peak = ResourceCert::ZERO;
-        let cert = self.walk(&mut tree, &mut stack, &mut diagnostics, &mut peak);
+        let mut program = false;
+        let cert = self.walk(
+            &mut tree,
+            &mut stack,
+            &mut diagnostics,
+            &mut peak,
+            &mut program,
+        );
         let root = tree.node();
-        let mut relational = false;
-        root.visit(&mut |n| {
-            relational |= matches!(n.op, PlanOp::Generate { .. } | PlanOp::Relational);
-        });
-        if relational {
+        if program {
             check_bindings(root, &mut BTreeSet::new(), &mut stack, &mut diagnostics);
         }
         self.check_root(root, &mut diagnostics);
@@ -181,8 +186,31 @@ impl PlanChecker {
         }
     }
 
+    /// The execute-time gate: re-verifies `plan`'s tree against the
+    /// invariants this checker derived when the plan was built, and
+    /// rejects a plan whose strategy changed since (SA205).
+    pub(crate) fn reverify(&self, plan: &Plan) -> PlanLintReport {
+        let mut report = self.verify(Tree::Read(&plan.root));
+        if plan.strategy != self.strategy {
+            report.diagnostics.push(Diagnostic {
+                code: Code::PlanStrategyMismatch,
+                severity: Code::PlanStrategyMismatch.default_severity(),
+                path: FormulaPath::root(),
+                message: format!(
+                    "the plan declares strategy {} but was verified under {}",
+                    plan.strategy.name(),
+                    self.strategy.name()
+                ),
+                note: None,
+            });
+        }
+        report
+    }
+
     /// Bottom-up: typechecks the node, derives its certificate, writes
-    /// it into a [`Tree::Write`] node, and folds it into `peak`.
+    /// it into a [`Tree::Write`] node, and folds it into `peak`; `program`
+    /// records whether a compiled program's node (a `Generate` leaf or a
+    /// `Relational` root) was seen, whose binding order is then checked.
     ///
     /// This runs on every plan ever built, so the clean path is kept
     /// allocation-light: `stack` holds the child
@@ -195,6 +223,7 @@ impl PlanChecker {
         stack: &mut Vec<usize>,
         diagnostics: &mut Vec<Diagnostic>,
         peak: &mut ResourceCert,
+        program: &mut bool,
     ) -> ResourceCert {
         let n = tree.node().children.len();
         let mut inline = [ResourceCert::ZERO; INLINE_CHILDREN];
@@ -207,10 +236,11 @@ impl PlanChecker {
         };
         for (i, slot) in child_certs.iter_mut().enumerate() {
             stack.push(i);
-            *slot = self.walk(&mut tree.child(i), stack, diagnostics, peak);
+            *slot = self.walk(&mut tree.child(i), stack, diagnostics, peak, program);
             stack.pop();
         }
         let node = tree.node();
+        *program |= matches!(node.op, PlanOp::Generate { .. } | PlanOp::Relational);
         self.check_node(node, stack, diagnostics);
         let cert = self.node_cert(node, child_certs);
         *peak = peak.peak(cert);
@@ -775,7 +805,7 @@ mod tests {
             states: 1,
             bytes: 1,
         };
-        plan.root_cert = Some(tiny);
+        plan.root.cert = Some(tiny);
         let mut db = Database::new();
         db.insert_unary_parsed(&Alphabet::ab(), "U", &["ab", "ba", "a"])
             .unwrap();

@@ -387,11 +387,11 @@ impl Planner {
         // plan's peak is never zero; a zero peak means the strategy
         // builds no automata and leaves those dimensions unlimited.
         // The certificate is a sound upper bound, so the seeded budget
-        // admits the certified run exactly: `execute` never degrades
+        // admits every node's certificate: `execute` never degrades
         // unless a caller narrows the capability. The seeded
         // `search_depth` is the planner's bound `B`, and the complement
-        // cap's safety role moves to the per-node states hand-down in
-        // the exec governor.
+        // cap's safety role moves to the exec governor, which checks
+        // every node's states against the run's budget.
         let budget = Budget::seeded(&report.peak, self.bound);
 
         Ok(Plan {
@@ -403,7 +403,8 @@ impl Planner {
             given,
             engine: self.engine.clone(),
             slack: self.slack,
-            root_cert: report.certificate,
+            peak: report.peak,
+            checker,
             budget,
             program,
         })

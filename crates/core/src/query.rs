@@ -99,10 +99,11 @@ pub enum CoreError {
     },
     /// The query output is infinite but a finite result was required.
     InfiniteOutput,
-    /// A handed budget capability was exhausted under the fail policy
+    /// The run's budget capability was exhausted under the fail policy
     /// (`DegradationPolicy::Fail`): the run is rejected instead of
-    /// degrading. `node` is the ledger path of the first plan node
-    /// whose certified demand exceeded the budget it was handed.
+    /// degrading. `node` is the ledger path of the first plan node, in
+    /// pre-order, whose certificate the budget does not admit, and
+    /// `detail` its rendered ledger row.
     BudgetExhausted { node: String, detail: String },
     /// The cross-query [`SharedLedger`](crate::ledger::SharedLedger)
     /// could not admit the run: its certified reservation exceeded the

@@ -10,7 +10,7 @@ use strcalc_logic::transform::quantifier_rank;
 use strcalc_logic::{Atom, Formula, Term};
 use strcalc_relational::{Database, Relation};
 use strcalc_synchro::nfa::Var;
-use strcalc_synchro::{atoms, conv, SyncFiniteness, SyncNfa};
+use strcalc_synchro::{atoms, SyncFiniteness, SyncNfa};
 
 use crate::cache::CompiledArtifact;
 use crate::engine::AutomataEngine;
@@ -294,31 +294,6 @@ pub fn s_finiteness_gap_witness(k: u8) -> (SyncNfa, bool, bool) {
 pub fn prefix_closure_automaton(k: u8, var: Var, words: &[Str]) -> SyncNfa {
     let closed = prefix_close_dfa(&trie_dfa(k, words));
     atoms::in_dfa(k, var, &closed)
-}
-
-/// The convolution-free helper: a one-track automaton accepting exactly
-/// `words` (exposed for benchmarks comparing trie encodings).
-pub fn finite_set_automaton(k: u8, var: Var, words: &[Str]) -> SyncNfa {
-    atoms::finite_set(k, var, words.iter())
-}
-
-/// Sanity helper for tests: the number of one-track strings accepted up
-/// to a length bound.
-pub fn count_accepted_up_to(
-    auto: &SyncNfa,
-    alphabet: &strcalc_alphabet::Alphabet,
-    n: usize,
-) -> usize {
-    assert_eq!(auto.arity(), 1);
-    alphabet
-        .strings_up_to(n)
-        .filter(|w| auto.accepts(&[w]))
-        .count()
-}
-
-/// Packs a letter for single-track automata (test helper re-export).
-pub fn unary_sym(s: u8) -> conv::ConvSym {
-    conv::pack(&[Some(s)])
 }
 
 #[cfg(test)]

@@ -45,8 +45,9 @@ use crate::query::{Calculus, CoreError, EvalOutput, Query};
 /// a bounded-search plan; version 4 records only the rewrite pass, and
 /// a pass without its `verified` flag; version 5 records the formula
 /// the planner was given, before the rewrite, so replaying it
-/// re-plans the same rewrite.
-pub const TRACE_VERSION: u64 = 5;
+/// re-plans the same rewrite; version 6 drops the ledger rows' handed
+/// capability (every node is checked against the recorded budget).
+pub const TRACE_VERSION: u64 = 6;
 
 /// The post-execution actuals, as recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -258,7 +259,7 @@ json_record! {
     }
     FaultPlan { seed, deadline_at_checkpoint, fail_cache_insert, abort_compile, ledger_contention }
     PassTrace { pass, changed, detail }
-    LedgerEntry { node, op, handed_states, handed_bytes, demand_states, demand_bytes, within }
+    LedgerEntry { node, op, demand_states, demand_bytes, within }
     CacheEvent { kind, label, hit }
     TraceActuals { automaton_states, artifact_bytes, cache_hit, tuples_enumerated, domain_size }
 }
@@ -680,6 +681,7 @@ mod tests {
             r#"{"version":3}"#,
             r#"{"version":4}"#,
             r#"{"version":5}"#,
+            r#"{"version":6}"#,
             r#"{"version":99}"#,
             "nope",
             r#"{"version":2,"calculus":3}"#,

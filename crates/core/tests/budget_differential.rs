@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::budget::UNLIMITED;
 use strcalc_core::{
-    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, ExecCx, FaultPlan, Planner,
-    Query, Strategy as PlanStrategy,
+    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, ExecCx, FaultPlan, PlanNode,
+    Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_core::{CoreError, ExecVerdict};
 use strcalc_logic::{Formula, Term};
@@ -83,6 +83,40 @@ fn under(budget: Budget) -> ExecCx {
     ExecCx::production().with_budget(budget)
 }
 
+/// The budget of exactly `plan`'s root certificate.
+fn root_certificate(plan: &strcalc_core::Plan) -> Budget {
+    let cert = plan.certificate().expect("automata plans are certified");
+    Budget {
+        states: cert.states,
+        bytes: cert.bytes,
+        ..Budget::unlimited()
+    }
+}
+
+/// The ledger path of the first node under `node` (at `path`), in
+/// pre-order, whose certificate `budget` does not admit.
+fn first_over(node: &PlanNode, path: String, budget: &Budget) -> Option<String> {
+    if !budget.admits(&node.cert.expect("every node is certified")) {
+        return Some(path);
+    }
+    node.children
+        .iter()
+        .enumerate()
+        .find_map(|(i, c)| first_over(c, format!("{path}/{i}"), budget))
+}
+
+/// The forced collapse plan's answer: the reference an SA401 fallback
+/// must reproduce.
+fn collapse_answer(q: &Query, db: &Database) -> EvalOutput {
+    Planner::new()
+        .force(PlanStrategy::ActiveDomainEnum)
+        .plan(q)
+        .expect("collapse plan")
+        .execute(db)
+        .expect("collapse run")
+        .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -135,6 +169,40 @@ proptest! {
         prop_assert_eq!(report.automaton_states, 0, "no automaton was built");
     }
 
+    // A budget of exactly the root certificate exhausts the plans whose
+    // certificates peak below the root (a product above the minimized,
+    // projected root): the run degrades at the first such node in
+    // pre-order, to the collapse answer. A plan whose certificates all
+    // fit runs exactly.
+    #[test]
+    fn root_certificate_budget_exhausts_at_the_first_node_over_it(f in arb_formula()) {
+        let q = query_of(f);
+        let db = db();
+        let plan = Planner::new().force(PlanStrategy::Automata).plan(&q).expect("plans");
+        let budget = root_certificate(&plan);
+        let (answer, report) = plan.execute_in(&db, &under(budget)).expect("governed run");
+        match first_over(&plan.root, "root".to_string(), &budget) {
+            Some(node) => {
+                let sa401: Vec<&str> = report
+                    .degradations
+                    .iter()
+                    .filter(|d| d.code.as_str() == "SA401")
+                    .map(|d| d.node.as_str())
+                    .collect();
+                prop_assert_eq!(sa401, vec![node.as_str()], "{}", report.summary());
+                prop_assert_ne!(node.as_str(), "root", "the root fits its own certificate");
+                prop_assert_eq!(answer, collapse_answer(&q, &db));
+                prop_assert!(!report.verdict.is_exact());
+            }
+            None => {
+                let (exact, _) = plan.execute(&db).expect("exact run");
+                prop_assert_eq!(answer, exact);
+                prop_assert!(report.verdict.is_exact(), "{}", report.summary());
+                prop_assert!(report.degradations.is_empty(), "{}", report.summary());
+            }
+        }
+    }
+
     // The no-silent-truncation invariant, stated end-to-end: whenever
     // a starved answer differs from the exact answer, the report says
     // so (non-exact verdict + SA4xx events). A wrong-but-quiet run is
@@ -171,6 +239,34 @@ proptest! {
             prop_assert!(!report.degradations.is_empty());
         }
     }
+}
+
+/// The probe the root-certificate proptest generalizes: `x <= y`'s
+/// product out-certifies the projected root, so a budget of exactly
+/// the root certificate exhausts an inner node, and the run degrades
+/// there to the collapse answer.
+#[test]
+fn root_certificate_budget_exhausts_an_inner_product() {
+    let q = Query::parse(
+        Calculus::S,
+        Alphabet::ab(),
+        vec!["x".into()],
+        "exists y. (R(y) & x <= y)",
+    )
+    .unwrap();
+    let db = db();
+    let plan = Planner::new()
+        .force(PlanStrategy::Automata)
+        .plan(&q)
+        .unwrap();
+    let budget = root_certificate(&plan);
+    let node = first_over(&plan.root, "root".to_string(), &budget).expect("a node is over");
+    assert_ne!(node, "root");
+    let (answer, report) = plan.execute_in(&db, &under(budget)).unwrap();
+    assert_eq!(answer, collapse_answer(&q, &db));
+    assert_eq!(report.degradations.len(), 1, "{}", report.summary());
+    assert_eq!(report.degradations[0].code.as_str(), "SA401");
+    assert_eq!(report.degradations[0].node, node);
 }
 
 /// Bounded search: a handed `search_depth` narrower than the plan's

@@ -103,11 +103,6 @@ impl Rewriter {
         self
     }
 
-    /// The step names, in application order.
-    pub fn step_names(&self) -> Vec<&'static str> {
-        self.steps.iter().map(|s| s.name).collect()
-    }
-
     /// Applies the chain and returns only the final formula.
     pub fn rewrite(&self, f: &Formula) -> Formula {
         self.rewrite_traced(f).output

@@ -66,14 +66,6 @@ impl SyncNfa {
         self.trans.len()
     }
 
-    /// Total number of transitions (for diagnostics and benches).
-    pub fn num_transitions(&self) -> usize {
-        self.trans
-            .iter()
-            .map(|m| m.values().map(Vec::len).sum::<usize>())
-            .sum()
-    }
-
     /// Approximate heap footprint in bytes. Used by the compilation
     /// cache for byte-accounted eviction, so it only needs to be a fair
     /// estimate (per-entry `BTreeMap` overhead is approximated, not
@@ -593,15 +585,6 @@ impl SyncNfa {
         }
         out.starts = self.starts.clone();
         Ok(out.trim())
-    }
-
-    /// Projects away several variables.
-    pub fn project_many(&self, vars: &[Var]) -> Result<SyncNfa, SynchroError> {
-        let mut cur = self.clone();
-        for &v in vars {
-            cur = cur.project(v)?;
-        }
-        Ok(cur)
     }
 
     /// The `∃^∞` quantifier: returns an automaton over the *remaining*

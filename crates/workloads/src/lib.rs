@@ -251,19 +251,6 @@ impl Workload {
     }
 }
 
-/// Databases sized along a sweep, for data-complexity scaling runs.
-pub fn unary_sweep(
-    alphabet: &Alphabet,
-    seed: u64,
-    sizes: &[usize],
-    max_len: usize,
-) -> Vec<Database> {
-    sizes
-        .iter()
-        .map(|&n| Workload::new(alphabet.clone(), seed ^ n as u64).unary_db(n, max_len))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

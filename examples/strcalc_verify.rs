@@ -33,7 +33,10 @@
 //! sequence, degradation events, output fingerprint), on any
 //! degradation or SA240 certificate violation in the clean
 //! configuration, or on a starved re-run that fails to record its
-//! degradations — CI runs this as the `replay-corpus` job.
+//! degradations. Each plan also runs under a budget of exactly its root
+//! certificate, which exhausts the plans whose certificates peak below
+//! the root at an inner node; every such degraded run is replayed too —
+//! CI runs this as the `replay-corpus` job.
 //!
 //! With `--chaos`, every query of the same three corpora runs once per
 //! fault seed under a deterministic injected fault plan (deadline fire
@@ -587,6 +590,43 @@ fn corpus_engine(plan_case: &dyn Fn(&AutomataEngine) -> Plan) -> impl Fn() -> Au
     }
 }
 
+/// Runs a corpus case on a fresh engine under the budget `budget` picks
+/// for its plan and, when the run degraded, replays its trace through
+/// another fresh engine. Every problem lands in `problems`, prefixed
+/// with `label`; returns whether the run degraded.
+fn replay_degraded(
+    label: &str,
+    budget: &dyn Fn(&Plan) -> Budget,
+    plan_case: &dyn Fn(&AutomataEngine) -> Plan,
+    fresh_engine: &dyn Fn() -> AutomataEngine,
+    db: &Database,
+    problems: &mut Vec<String>,
+) -> bool {
+    let plan = plan_case(&fresh_engine());
+    let budget = budget(&plan);
+    let (out, report) = plan
+        .execute_in(db, &ExecCx::production().with_budget(budget))
+        .expect("governed run");
+    if !report.ledger.all_within() && report.degradations.is_empty() {
+        problems.push(format!(
+            "{label} run was silently truncated (no SA4xx recorded)"
+        ));
+    }
+    if report.degradations.is_empty() {
+        return false;
+    }
+    let trace = ExecTrace::record(&plan, &budget, &report, db, &out).expect("trace records");
+    match replay(&trace, &fresh_engine(), db) {
+        Ok(rep) => problems.extend(
+            rep.diffs
+                .into_iter()
+                .map(|d| format!("{label} replay: {d}")),
+        ),
+        Err(e) => problems.push(format!("{label} replay failed: {e}")),
+    }
+    true
+}
+
 /// `--replay`: the deterministic-trace golden corpus. Every corpus
 /// query is recorded, JSON-round-tripped, and replayed through a fresh
 /// engine; see the module docs for the exact gate.
@@ -604,6 +644,7 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
     let label_w = cases.iter().map(|(_, _, f)| f.len()).max().unwrap_or(0);
     let mut failures = 0usize;
     let mut degraded_replays = 0usize;
+    let mut narrowed_replays = 0usize;
     for (calculus, head, src) in &cases {
         let plan_case =
             |engine: &AutomataEngine| plan_corpus_case(ab, *calculus, head, src, engine);
@@ -654,31 +695,42 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
         // the clean run above warmed `recorder`'s cache, and a replay
         // reproduces a trace only from the cache state the recording
         // started from.
-        let starved = Budget {
+        let starved = |_: &Plan| Budget {
             states: 1,
             bytes: 1,
             ..Budget::unlimited()
         };
-        let s_recorder = fresh_engine();
-        let s_plan = plan_case(&s_recorder);
-        let (s_out, s_report) = s_plan
-            .execute_in(&db, &ExecCx::production().with_budget(starved))
-            .expect("starved run");
-        if !s_report.ledger.all_within() && s_report.degradations.is_empty() {
-            problems.push("starved run was silently truncated (no SA4xx recorded)".into());
-        }
-        if !s_report.degradations.is_empty() {
+        if replay_degraded(
+            "starved",
+            &starved,
+            &plan_case,
+            &fresh_engine,
+            &db,
+            &mut problems,
+        ) {
             degraded_replays += 1;
-            let s_trace = ExecTrace::record(&s_plan, &starved, &s_report, &db, &s_out)
-                .expect("trace records");
-            match replay(&s_trace, &fresh_engine(), &db) {
-                Ok(rep) => problems.extend(
-                    rep.diffs
-                        .into_iter()
-                        .map(|d| format!("degraded replay: {d}")),
-                ),
-                Err(e) => problems.push(format!("degraded replay failed: {e}")),
+        }
+
+        // Narrowed configuration: a budget of exactly the root
+        // certificate. It exhausts a plan at the first node, in
+        // pre-order, whose certificate peaks above the root.
+        let narrowed = |plan: &Plan| {
+            let cert = plan.certificate().expect("planned plans are certified");
+            Budget {
+                states: cert.states,
+                bytes: cert.bytes,
+                ..plan.seeded_budget()
             }
+        };
+        if replay_degraded(
+            "narrowed",
+            &narrowed,
+            &plan_case,
+            &fresh_engine,
+            &db,
+            &mut problems,
+        ) {
+            narrowed_replays += 1;
         }
 
         let verdict = if problems.is_empty() {
@@ -699,7 +751,11 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
         }
     }
     println!(
-        "\n{} corpus traces replayed ({degraded_replays} degraded-mode), {failures} divergence(s)",
+        "\n{narrowed_replays} of {} runs under their root certificate degraded and replayed",
+        cases.len()
+    );
+    println!(
+        "{} corpus traces replayed ({degraded_replays} degraded-mode), {failures} divergence(s)",
         cases.len()
     );
     if failures > 0 {

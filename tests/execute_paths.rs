@@ -5,8 +5,13 @@
 //! it holds, `∅` otherwise. The relational route — the default for
 //! safe-range formulas — is checked against the forced automata route.
 
+use std::sync::Arc;
 use strcalc::analyze::Code;
-use strcalc::core::{Budget, ExecCx, FaultPlan, Plan, PlanOp, Planner, Strategy};
+
+use strcalc::core::{
+    AutomataEngine, AutomatonCache, Budget, DegradationPolicy, ExecCx, FaultPlan, Plan, PlanOp,
+    Planner, Strategy,
+};
 use strcalc::logic::parse_formula;
 use strcalc::prelude::*;
 use strcalc::sqlfront::{compile_select, parse_select, Catalog};
@@ -127,6 +132,35 @@ fn degraded_automata_sentences() {
         let answer = out.expect_finite();
         assert_eq!((answer.arity(), answer.len()), (0, 1), "{code:?}");
         assert_eq!(report.tuples_enumerated, 0, "{code:?}");
+    }
+}
+
+#[test]
+fn warm_cached_read_ignores_a_narrowed_budget() {
+    // A resident artifact costs nothing to serve, so once a cold run has
+    // compiled it, a budget far below the plan's certificate still reads
+    // it exactly — under either policy.
+    let engine = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
+    let cached = plan(
+        &Planner::for_engine(&engine).force(Strategy::Automata),
+        &["x"],
+        "exists y. (U(y) & x <= y)",
+    );
+    let (cold, report) = cached.execute(&db()).unwrap();
+    assert!(!report.cache_hit, "{}", report.summary());
+    let narrow = Budget {
+        states: 2,
+        bytes: 2,
+        ..Budget::unlimited()
+    };
+    for budget in [narrow, narrow.with_policy(DegradationPolicy::Fail)] {
+        let cx = ExecCx::production().with_budget(budget);
+        let (warm, report) = cached.execute_in(&db(), &cx).unwrap();
+        assert!(report.verdict.is_exact(), "{}", report.summary());
+        assert!(report.cache_hit, "{}", report.summary());
+        assert!(report.degradations.is_empty(), "{}", report.summary());
+        assert!(report.ledger.all_within(), "{}", report.summary());
+        assert_eq!(warm, cold);
     }
 }
 
