@@ -20,15 +20,11 @@
 //! size and reliably separates "compiles instantly" from "will
 //! determinize a large product", which is all a lint needs.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use strcalc_alphabet::Sym;
-use strcalc_automata::Regex;
 use strcalc_logic::transform::{nnf, quantifier_rank};
-use strcalc_logic::{Atom, Formula, Lang};
+use strcalc_logic::{Atom, Formula};
 
 use crate::diag::{Code, Finding, FormulaPath};
+use crate::langs::LangTable;
 
 /// Saturation point for the log₂ state bound (≈ 10^300 states).
 const LOG2_CAP: f64 = 1e3;
@@ -75,8 +71,10 @@ impl CostEstimate {
 
 /// Standalone cost estimation for a (sub)formula — the same model the
 /// SA030 pass runs, without any findings. The query planner calls this
-/// per plan node to annotate `EXPLAIN` output.
-pub fn estimate(f: &Formula, k: Sym) -> CostEstimate {
+/// per plan node to annotate `EXPLAIN` output. Language atoms are
+/// charged the size of their DFA in `langs`, the language table of the
+/// query's fact sheet.
+pub fn estimate(f: &Formula, langs: &LangTable) -> CostEstimate {
     let normal = nnf(f);
     let mut rel_atoms = 0usize;
     let mut lang_atoms = 0usize;
@@ -92,28 +90,31 @@ pub fn estimate(f: &Formula, k: Sym) -> CostEstimate {
     CostEstimate {
         quantifier_rank: quantifier_rank(f),
         alternation_depth: alternation_depth(&normal, Block::None),
-        log2_states: log2_states(&normal, k),
+        log2_states: log2_states(&normal, langs),
         rel_atoms,
         lang_atoms,
     }
 }
 
-/// Runs the pass. `budget_log2_states` is the SA031 threshold.
-pub(crate) fn check(f: &Formula, k: Sym, budget_log2_states: f64) -> (CostEstimate, Vec<Finding>) {
-    let estimate = estimate(f, k);
+/// SA031 threshold: log₂ of the acceptable state-count bound.
+const BUDGET_LOG2_STATES: f64 = 20.0;
+
+/// Runs the pass.
+pub(crate) fn check(f: &Formula, langs: &LangTable) -> (CostEstimate, Vec<Finding>) {
+    let estimate = estimate(f, langs);
     let mut findings = vec![Finding::new(
         Code::CostReport,
         FormulaPath::root(),
         estimate.summary(),
     )];
-    if estimate.log2_states > budget_log2_states {
+    if estimate.log2_states > BUDGET_LOG2_STATES {
         findings.push(
             Finding::new(
                 Code::StateBoundExceedsBudget,
                 FormulaPath::root(),
                 format!(
                     "estimated state bound 2^{:.1} exceeds the budget of 2^{:.1}",
-                    estimate.log2_states, budget_log2_states
+                    estimate.log2_states, BUDGET_LOG2_STATES
                 ),
             )
             .with_note(
@@ -161,72 +162,40 @@ fn alternation_depth(f: &Formula, current: Block) -> usize {
 }
 
 /// log₂ upper bound on compiled automaton states. Assumes NNF.
-fn log2_states(f: &Formula, k: Sym) -> f64 {
+fn log2_states(f: &Formula, langs: &LangTable) -> f64 {
     let states = match f {
         Formula::True | Formula::False => 1.0f64.log2(),
-        Formula::Atom(a) => atom_log2_states(a, k),
+        Formula::Atom(a) => atom_log2_states(a, langs),
         // Complement of a (complete, deterministic) atom automaton has
         // the same states.
-        Formula::Not(g) => log2_states(g, k),
+        Formula::Not(g) => log2_states(g, langs),
         // Product construction: states multiply ⇒ logs add.
-        Formula::And(a, b) => log2_states(a, k) + log2_states(b, k),
+        Formula::And(a, b) => log2_states(a, langs) + log2_states(b, langs),
         // Union: |A| + |B| ≤ 2·max ⇒ max + 1 in the log domain.
         Formula::Or(a, b) | Formula::Implies(a, b) => {
-            log2_states(a, k).max(log2_states(b, k)) + 1.0
+            log2_states(a, langs).max(log2_states(b, langs)) + 1.0
         }
         // a ↔ b expands to (a∧b) ∨ (¬a∧¬b) under NNF: two products.
-        Formula::Iff(a, b) => log2_states(a, k) + log2_states(b, k) + 1.0,
+        Formula::Iff(a, b) => log2_states(a, langs) + log2_states(b, langs) + 1.0,
         // Projection keeps the state set (yields an NFA; cost deferred
         // until a ∀ forces determinization).
-        Formula::Exists(_, g) | Formula::ExistsR(_, _, g) => log2_states(g, k),
+        Formula::Exists(_, g) | Formula::ExistsR(_, _, g) => log2_states(g, langs),
         // ∀ = ¬∃¬: determinization of the projected NFA, 2^n states ⇒
         // the log₂ bound becomes n itself.
         Formula::Forall(_, g) | Formula::ForallR(_, _, g) => {
-            let inner = log2_states(g, k);
+            let inner = log2_states(g, langs);
             2.0f64.powf(inner.min(LOG2_CAP.log2()))
         }
     };
     states.min(LOG2_CAP)
 }
 
-fn atom_log2_states(a: &Atom, k: Sym) -> f64 {
+fn atom_log2_states(a: &Atom, langs: &LangTable) -> f64 {
     match a {
         Atom::Rel(..) => REL_ATOM_STATES.log2(),
-        Atom::InLang(_, l) | Atom::PL(_, _, l) => lang_log2_states(l, k),
+        Atom::InLang(_, l) | Atom::PL(_, _, l) => (langs.states(l) as f64).log2() + 1.0,
         _ => STRUCT_ATOM_STATES.log2(),
     }
-}
-
-thread_local! {
-    /// Regex → DFA sizing is the only expensive step of the estimate, and
-    /// the query planner re-estimates per plan node; memoize per thread.
-    /// Keyed by the full regex structure *and* the alphabet size: the
-    /// same regex determinizes to different DFAs under different
-    /// alphabets, and — now that planlint turns these sizes into sound
-    /// resource certificates — a hash collision silently substituting
-    /// one pattern's size for another's is no longer acceptable. (The
-    /// engine configuration does not participate: `Lang::to_dfa` depends
-    /// on nothing but the regex and `k`.)
-    static LANG_STATES: RefCell<HashMap<(Regex, Sym), usize>> = RefCell::new(HashMap::new());
-}
-
-/// Exact minimal-DFA state count of a language atom, memoized per
-/// thread. Shared by the cost estimate (log domain) and the planlint
-/// certifier (upper-bound domain).
-pub(crate) fn lang_dfa_states(l: &Lang, k: Sym) -> usize {
-    let key = (l.regex.clone(), k);
-    LANG_STATES.with(|cache| {
-        if let Some(&v) = cache.borrow().get(&key) {
-            return v;
-        }
-        let v = l.to_dfa(k).len().max(1);
-        cache.borrow_mut().insert(key, v);
-        v
-    })
-}
-
-fn lang_log2_states(l: &Lang, k: Sym) -> f64 {
-    (lang_dfa_states(l, k) as f64).log2() + 1.0
 }
 
 #[cfg(test)]
@@ -234,14 +203,20 @@ fn lang_log2_states(l: &Lang, k: Sym) -> f64 {
 mod tests {
     use super::*;
     use strcalc_alphabet::Alphabet;
+    use strcalc_alphabet::Sym;
     use strcalc_automata::Regex;
     use strcalc_logic::{Lang, Term};
+
+    /// The pass over a table of `f`'s own languages.
+    fn check(f: &Formula, k: Sym) -> (CostEstimate, Vec<Finding>) {
+        super::check(f, &LangTable::build(f, k))
+    }
 
     #[test]
     fn flat_query_is_cheap() {
         let f = Formula::rel("R", vec![Term::var("x")])
             .and(Formula::prefix(Term::var("y"), Term::var("x")));
-        let (est, findings) = check(&f, 2, 20.0);
+        let (est, findings) = check(&f, 2);
         assert_eq!(est.quantifier_rank, 0);
         assert_eq!(est.alternation_depth, 0);
         assert_eq!(est.rel_atoms, 1);
@@ -254,8 +229,8 @@ mod tests {
     fn forall_explodes_the_bound() {
         let body = Formula::rel("R", vec![Term::var("x"), Term::var("y")])
             .and(Formula::rel("S", vec![Term::var("y")]));
-        let cheap = check(&Formula::exists("y", body.clone()), 2, 20.0).0;
-        let dear = check(&Formula::forall("y", body), 2, 20.0).0;
+        let cheap = check(&Formula::exists("y", body.clone()), 2).0;
+        let dear = check(&Formula::forall("y", body), 2).0;
         // 2^12 products determinize: the log bound itself becomes ~2^12
         // (saturated at the cap), far above the existential's.
         assert!(cheap.log2_states < 20.0);
@@ -266,7 +241,7 @@ mod tests {
     fn budget_violation_reported() {
         let body = Formula::rel("R", vec![Term::var("x"), Term::var("y")])
             .and(Formula::rel("S", vec![Term::var("y")]));
-        let (_, findings) = check(&Formula::forall("y", body), 2, 20.0);
+        let (_, findings) = check(&Formula::forall("y", body), 2);
         assert!(findings
             .iter()
             .any(|f| f.code == Code::StateBoundExceedsBudget));
@@ -279,7 +254,7 @@ mod tests {
             "x",
             Formula::exists("y", Formula::eq(Term::var("x"), Term::var("y"))),
         );
-        assert_eq!(check(&f, 2, 100.0).0.alternation_depth, 1);
+        assert_eq!(check(&f, 2).0.alternation_depth, 1);
         // ∃x∀y∃z — three blocks.
         let g = Formula::exists(
             "x",
@@ -288,7 +263,7 @@ mod tests {
                 Formula::exists("z", Formula::eq(Term::var("x"), Term::var("z"))),
             ),
         );
-        let est = check(&g, 2, 100.0).0;
+        let est = check(&g, 2).0;
         assert_eq!(est.alternation_depth, 3);
         assert_eq!(est.quantifier_rank, 3);
     }
@@ -299,41 +274,16 @@ mod tests {
         let body = Formula::rel("R", vec![Term::var("x"), Term::var("y")]);
         let f = Formula::forall("y", body.clone()).not();
         let g = Formula::exists("y", body.not());
-        assert_eq!(
-            check(&f, 2, 100.0).0.log2_states,
-            check(&g, 2, 100.0).0.log2_states
-        );
+        assert_eq!(check(&f, 2).0.log2_states, check(&g, 2).0.log2_states);
     }
 
     #[test]
     fn language_atoms_charged_their_dfa_size() {
         let ab = Alphabet::ab();
         let l = Lang::new(Regex::parse(&ab, "(aa)*").unwrap());
-        let (est, _) = check(&Formula::in_lang(Term::var("x"), l), 2, 100.0);
+        let (est, _) = check(&Formula::in_lang(Term::var("x"), l), 2);
         assert_eq!(est.lang_atoms, 1);
         assert!(est.log2_states >= 1.0);
-    }
-
-    #[test]
-    fn lang_memo_is_keyed_by_regex_structure_and_alphabet() {
-        let ab = Alphabet::ab();
-        let pats = ["(aa)*", "(ab)*", "a", "b*", "(a|b)*a"];
-        // Two rounds: the second is served from the memo and must still
-        // agree with a fresh computation for every (regex, k) pair — a
-        // memo keyed by a lossy hash or missing the alphabet size would
-        // leak one entry's size into another's.
-        for round in 0..2 {
-            for p in pats {
-                let l = Lang::new(Regex::parse(&ab, p).unwrap());
-                for k in [2 as Sym, 3 as Sym] {
-                    assert_eq!(
-                        lang_dfa_states(&l, k),
-                        l.to_dfa(k).len().max(1),
-                        "round {round}, pattern {p}, k {k}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -343,7 +293,7 @@ mod tests {
         for _ in 0..8 {
             f = Formula::forall("x", f);
         }
-        let (est, _) = check(&f, 2, 100.0);
+        let (est, _) = check(&f, 2);
         assert!(est.log2_states.is_finite());
         assert!(est.log2_states <= LOG2_CAP);
     }

@@ -53,8 +53,8 @@ pub enum Code {
     /// Informational cost report: quantifier rank, alternation depth and
     /// the product-construction state bound.
     CostReport,
-    /// The estimated product-construction state bound exceeds the
-    /// configured budget.
+    /// The estimated product-construction state bound exceeds the budget
+    /// of 2^20 states.
     StateBoundExceedsBudget,
     /// The translation validator refuted a rewrite step: the pre- and
     /// post-rewrite formulas disagree on a concrete witness assignment.
@@ -117,24 +117,25 @@ pub enum Code {
     /// under the monoid cap; the subformula was conservatively placed in
     /// the regular-representable (non-collapse-safe) fragment.
     FragmentStarFreeFallback,
-    /// The plan verifier re-derived the formula's fragment and the
-    /// plan's strategy or scan program disagrees with it: the plan is
-    /// stale relative to the fragment the formula actually inhabits.
+    /// The plan's strategy or scan program disagrees with the fragment
+    /// the formula's fact sheet records: the plan is stale relative to
+    /// the fragment the formula actually inhabits.
     PlanFragmentMismatch,
-    /// Structural degradation: the exact automata evaluation exceeded
-    /// its handed budget and fell back to a bounded (collapse-domain)
-    /// verdict in the `Validated`/`Refuted`/`Unknown` shape.
+    /// Structural degradation: a plan node's certificate exceeded the
+    /// run's budget, and the exact automata evaluation fell back to a
+    /// bounded (collapse-domain) verdict in the
+    /// `Validated`/`Refuted`/`Unknown` shape.
     DegradedExactToBounded,
     /// Structural degradation: the dense batched DFA tables exceeded
-    /// the handed byte budget and the scan fell back to the sparse
+    /// the run's byte budget and the scan fell back to the sparse
     /// per-tuple DFA walk (same answer, no dense tables held).
     DegradedDenseToSparse,
     /// Structural degradation: the artifact was not resident in the
-    /// shared cache and the handed budget denies recompilation, so the
+    /// shared cache and the run's budget denies recompilation, so the
     /// run degraded instead of compiling fresh.
     DegradedRecompileDenied,
     /// Structural degradation: the bounded-search depth was clamped to
-    /// the handed `search_depth` capability, shrinking the searched
+    /// the run's `search_depth` capability, shrinking the searched
     /// domain below the plan's declared bound.
     DegradedSearchDepthClamped,
     /// Informational: the budget capability a plan was seeded with

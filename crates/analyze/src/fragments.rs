@@ -35,8 +35,8 @@
 //! Findings are the stable `SA3xx` family: `SA300` (fragment report),
 //! `SA301` (concat-bounded), `SA302`/`SA303` (LIKE linear/general
 //! class), `SA304` (star-freeness undecided fallback). `SA305` is
-//! reserved for the plan verifier, which re-derives the class and
-//! rejects plans that disagree with it.
+//! reserved for the plan verifier, which reads the class from the
+//! query's fact sheet and rejects plans that disagree with it.
 
 use std::collections::BTreeMap;
 
@@ -47,7 +47,7 @@ use strcalc_logic::{Atom, Formula, Fp, Lang, StructureClass, Term};
 use crate::diag::{children, Code, Finding, FormulaPath};
 use crate::langs::LangTable;
 use crate::saferange::NodeVerdicts;
-use crate::signature::{atom_class, term_class};
+use crate::signature::atom_findings;
 
 // ---------------------------------------------------------------------
 // LIKE pattern classes
@@ -274,10 +274,9 @@ pub struct ScanPlan {
 impl ScanPlan {
     fn fp_into(&self, fp: &mut Fp) {
         fp.str(&self.relation).u64(self.arity as u64);
+        // The projection follows the query's head order, which the
+        // compiled automaton a cache key names does not depend on.
         fp.u64(self.projection.len() as u64);
-        for c in &self.projection {
-            fp.u64(*c as u64);
-        }
         fp.u64(self.filters.len() as u64);
         for (c, m, _) in &self.filters {
             fp.u64(*c as u64);
@@ -487,6 +486,33 @@ pub enum EvalClass {
 }
 
 impl EvalClass {
+    /// The scan program of a scan-shaped class.
+    pub fn scan(&self) -> Option<&ScanPlan> {
+        match self {
+            EvalClass::LikeLinear(plan) | EvalClass::LikeGeneral(plan) => Some(plan),
+            EvalClass::AutomataTame | EvalClass::ConcatBounded => None,
+        }
+    }
+
+    /// Fingerprint of the class, including the full scan program of a
+    /// scan-shaped one. Mixed into compilation cache keys so a formula
+    /// re-classified after a rewrite can never alias a cache entry
+    /// produced under the old class.
+    pub fn fingerprint(&self) -> u64 {
+        let tag = match self {
+            EvalClass::ConcatBounded => 1,
+            EvalClass::AutomataTame => 2,
+            EvalClass::LikeLinear(_) => 3,
+            EvalClass::LikeGeneral(_) => 4,
+        };
+        let mut fp = Fp::new();
+        fp.u64(tag);
+        if let Some(plan) = self.scan() {
+            plan.fp_into(&mut fp);
+        }
+        fp.finish()
+    }
+
     /// Stable class name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -521,7 +547,7 @@ impl EvalClass {
 }
 
 /// `true` iff a concatenation atom appears anywhere in `f`.
-pub fn contains_concat(f: &Formula) -> bool {
+fn contains_concat(f: &Formula) -> bool {
     let mut found = false;
     f.visit(&mut |g| {
         if matches!(g, Formula::Atom(Atom::ConcatEq(..))) {
@@ -531,43 +557,18 @@ pub fn contains_concat(f: &Formula) -> bool {
     found
 }
 
-/// Infers the evaluation class of `f`. Purely syntactic (no automaton or
-/// DFA construction), so it is safe on the planner's hot path.
-pub fn eval_class(f: &Formula) -> EvalClass {
+/// Infers the evaluation class of `f` with output columns `head`, which
+/// the scan plan projects onto. Purely syntactic; a query's
+/// [`FactSheet`](crate::FactSheet) holds the result.
+pub fn eval_class(head: &[String], f: &Formula) -> EvalClass {
     if contains_concat(f) {
         return EvalClass::ConcatBounded;
     }
-    let head: Vec<String> = f.free_vars().into_iter().collect();
-    match scan_plan(&head, f) {
+    match scan_plan(head, f) {
         Some(plan) if plan.dense_filters.is_empty() => EvalClass::LikeLinear(plan),
         Some(plan) => EvalClass::LikeGeneral(plan),
         None => EvalClass::AutomataTame,
     }
-}
-
-/// Fingerprint of the evaluation class (including the full scan program
-/// for linear-class queries). Mixed into compilation cache keys so a
-/// formula re-classified after a rewrite can never alias a cache entry
-/// produced under the old class.
-pub fn class_fingerprint(f: &Formula) -> u64 {
-    let mut fp = Fp::new();
-    match eval_class(f) {
-        EvalClass::ConcatBounded => {
-            fp.u64(1);
-        }
-        EvalClass::AutomataTame => {
-            fp.u64(2);
-        }
-        EvalClass::LikeLinear(plan) => {
-            fp.u64(3);
-            plan.fp_into(&mut fp);
-        }
-        EvalClass::LikeGeneral(plan) => {
-            fp.u64(4);
-            plan.fp_into(&mut fp);
-        }
-    }
-    fp.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -638,20 +639,26 @@ struct Attrs {
 }
 
 struct Cx<'a> {
+    declared: StructureClass,
     langs: &'a LangTable,
     safe: &'a NodeVerdicts,
     table: Vec<(FormulaPath, FragmentPoint)>,
     findings: Vec<Finding>,
 }
 
-/// Runs the pass over `f`, reading star-freeness from `langs` and the
-/// safe-range attribute from the range-restriction pass's verdicts.
+/// Runs the pass over `f`, reading star-freeness from `langs`, the
+/// safe-range attribute from the range-restriction pass's verdicts, and
+/// the evaluation class from the query's fact sheet. At each atom it
+/// also emits the signature pass's findings against `declared`.
 pub(crate) fn check(
     f: &Formula,
+    declared: StructureClass,
     langs: &LangTable,
+    class: &EvalClass,
     safe: &NodeVerdicts,
 ) -> (FragmentAnalysis, Vec<Finding>) {
     let mut cx = Cx {
+        declared,
         langs,
         safe,
         table: Vec::new(),
@@ -660,7 +667,6 @@ pub(crate) fn check(
     cx.walk(f, &FormulaPath::root());
     let (table, mut findings) = (cx.table, cx.findings);
     let root = table.last().expect("the root is the last table entry").1;
-    let class = eval_class(f);
 
     findings.push(
         Finding::new(
@@ -688,6 +694,7 @@ pub(crate) fn check(
             ),
         );
     }
+    let class = class.clone();
     (FragmentAnalysis { root, class, table }, findings)
 }
 
@@ -738,13 +745,10 @@ impl Cx<'_> {
     }
 
     fn atom(&mut self, a: &Atom, path: &FormulaPath) -> Attrs {
+        let structure = atom_findings(a, path, self.declared, self.langs, &mut self.findings);
         if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
             self.lang_findings(a, l, path);
         }
-        let structure = a
-            .terms()
-            .into_iter()
-            .fold(atom_class(a, self.langs), |s, t| s.join(term_class(t).0));
         Attrs {
             structure,
             quantifier_free: true,
@@ -821,9 +825,15 @@ mod tests {
     /// bounds the star-freeness decision procedure), running the
     /// range-restriction pass it reads from.
     fn analyze(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
-        let langs = LangTable::build(f, k).monoid_cap(monoid_cap);
+        let langs = LangTable::build_capped(f, k, monoid_cap);
         let (_, _, safe) = crate::saferange::check(f, &langs);
-        check(f, &langs, &safe)
+        check(f, StructureClass::Concat, &langs, &class_of(f), &safe)
+    }
+
+    /// The evaluation class with the free variables, sorted, as head.
+    fn class_of(f: &Formula) -> EvalClass {
+        let head: Vec<String> = f.free_vars().into_iter().collect();
+        eval_class(&head, f)
     }
 
     fn re(src: &str) -> Regex {
@@ -971,21 +981,21 @@ mod tests {
     #[test]
     fn eval_class_routes_the_three_ways() {
         assert_eq!(
-            eval_class(&like_query("ab.*")).name(),
+            class_of(&like_query("ab.*")).name(),
             "like-linear",
             "linear LIKE lookup"
         );
         assert_eq!(
-            eval_class(&Formula::rel("U", vec![Term::var("x")])).name(),
+            class_of(&Formula::rel("U", vec![Term::var("x")])).name(),
             "automata-tame"
         );
         let concat = Formula::concat_eq(Term::var("x"), Term::var("y"), Term::var("z"));
-        assert_eq!(eval_class(&concat).name(), "concat-bounded");
+        assert_eq!(class_of(&concat).name(), "concat-bounded");
         // A general-class LIKE routes to the dense-scannable class.
-        assert_eq!(eval_class(&like_query("a.*b.*a")).name(), "like-general");
+        assert_eq!(class_of(&like_query("a.*b.*a")).name(), "like-general");
         // ... but a shape outside the scan class stays automata-tame.
         assert_eq!(
-            eval_class(
+            class_of(
                 &Formula::rel("U", vec![Term::var("x")])
                     .and(Formula::rel("V", vec![Term::var("x")]))
                     .and(Formula::in_lang(Term::var("x"), lang("a.*b.*a")))
@@ -1002,10 +1012,10 @@ mod tests {
         let tame = Formula::rel("U", vec![Term::var("x")]);
         let concat = Formula::concat_eq(Term::var("x"), Term::var("y"), Term::var("z"));
         let fps = [
-            class_fingerprint(&linear),
-            class_fingerprint(&other_pattern),
-            class_fingerprint(&tame),
-            class_fingerprint(&concat),
+            class_of(&linear).fingerprint(),
+            class_of(&other_pattern).fingerprint(),
+            class_of(&tame).fingerprint(),
+            class_of(&concat).fingerprint(),
         ];
         let mut uniq = fps.to_vec();
         uniq.sort_unstable();
@@ -1013,9 +1023,20 @@ mod tests {
         assert_eq!(uniq.len(), fps.len(), "classes and plans must separate");
         // Same class, same plan: stable.
         assert_eq!(
-            class_fingerprint(&linear),
-            class_fingerprint(&like_query("ab.*"))
+            class_of(&linear).fingerprint(),
+            class_of(&like_query("ab.*")).fingerprint()
         );
+        // The head order moves the projection, not the fingerprint: the
+        // automaton a cache key names does not depend on it.
+        let pair = Formula::rel("T", vec![Term::var("x"), Term::var("y")])
+            .and(Formula::in_lang(Term::var("x"), lang("ab.*")));
+        let (xy, yx) = (
+            ["x".to_string(), "y".to_string()],
+            ["y".to_string(), "x".to_string()],
+        );
+        let (by_xy, by_yx) = (eval_class(&xy, &pair), eval_class(&yx, &pair));
+        assert_ne!(by_xy, by_yx);
+        assert_eq!(by_xy.fingerprint(), by_yx.fingerprint());
     }
 
     #[test]

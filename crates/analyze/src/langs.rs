@@ -1,17 +1,16 @@
-//! Language facts shared by the passes of one analysis.
+//! Language facts shared by every stage that reads one query.
 //!
 //! The signature, range-restriction and fragment passes all ask the same
 //! two questions about every `in`/`pl` language: is it finite, and is it
 //! star-free? [`LangTable::build`] compiles each distinct language of the
-//! formula to its DFA exactly once and records its finiteness, so the
-//! passes read verdicts instead of re-determinizing. Star-freeness is
-//! decided on first request, since only some passes ask for it. The
-//! planner's relational route reads the same table: which languages are
-//! finite decides which atoms can generate values, and the DFAs are the
-//! ones its filters run. The table lives for one formula only: nothing
+//! formula to its DFA exactly once and decides both, so the passes read
+//! verdicts instead of re-determinizing. The planner's relational route
+//! reads the same table: which languages are finite decides which atoms
+//! can generate values, and the DFAs are the ones its filters run. A
+//! query's [`FactSheet`](crate::FactSheet) holds its one table; nothing
 //! is shared across statements.
 
-use std::cell::OnceCell;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use strcalc_alphabet::Sym;
@@ -20,35 +19,55 @@ use strcalc_automata::starfree::is_star_free;
 use strcalc_automata::{AutomataError, Dfa, Regex};
 use strcalc_logic::{Atom, Formula, Lang};
 
+/// Monoid size at which the star-freeness decision gives up.
+pub const MONOID_CAP: usize = 1_000_000;
+
+thread_local! {
+    static COMPILED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many languages [`LangTable::build`] has compiled on this thread.
+pub fn compiled_on_this_thread() -> u64 {
+    COMPILED.with(Cell::get)
+}
+
 /// What the passes need to know about one language.
+#[derive(Debug)]
 struct LangFacts {
     dfa: Dfa,
     /// The language is finite (or empty).
     finite: bool,
     /// Star-freeness of the language, or the monoid-cap error when the
-    /// decision procedure gave up; decided on first request.
-    star_free: OnceCell<Result<bool, AutomataError>>,
+    /// decision procedure gave up.
+    star_free: Result<bool, AutomataError>,
 }
 
 /// The facts of every language of one formula, keyed by regex.
+#[derive(Debug)]
 pub struct LangTable {
     facts: HashMap<Regex, LangFacts>,
-    /// Monoid size at which the star-freeness decision gives up.
-    monoid_cap: usize,
+    k: Sym,
 }
 
 impl LangTable {
     /// Compiles each distinct language of `f` once over a `k`-symbol
-    /// alphabet and decides its finiteness.
+    /// alphabet and decides its finiteness and star-freeness.
     pub fn build(f: &Formula, k: Sym) -> LangTable {
+        LangTable::build_capped(f, k, MONOID_CAP)
+    }
+
+    /// [`LangTable::build`] with the star-freeness decision giving up at
+    /// a monoid of `monoid_cap` elements.
+    pub(crate) fn build_capped(f: &Formula, k: Sym, monoid_cap: usize) -> LangTable {
         let mut facts = HashMap::new();
         f.visit(&mut |g| {
             if let Formula::Atom(Atom::InLang(_, l) | Atom::PL(_, _, l)) = g {
                 if !facts.contains_key(&l.regex) {
+                    COMPILED.with(|n| n.set(n.get() + 1));
                     let dfa = l.to_dfa(k);
                     let finite =
                         matches!(dfa.finiteness(), Finiteness::Empty | Finiteness::Finite(_));
-                    let star_free = OnceCell::new();
+                    let star_free = is_star_free(&dfa, monoid_cap);
                     facts.insert(
                         l.regex.clone(),
                         LangFacts {
@@ -60,16 +79,12 @@ impl LangTable {
                 }
             }
         });
-        LangTable {
-            facts,
-            monoid_cap: 100_000,
-        }
+        LangTable { facts, k }
     }
 
-    /// Sets the monoid size at which star-freeness decisions give up.
-    pub(crate) fn monoid_cap(mut self, cap: usize) -> LangTable {
-        self.monoid_cap = cap;
-        self
+    /// The alphabet size the languages are compiled over.
+    pub fn k(&self) -> Sym {
+        self.k
     }
 
     /// Whether `l` is finite (or empty); `false` for a language the
@@ -86,12 +101,18 @@ impl LangTable {
     /// Star-freeness of `l`, which must occur in the formula the table
     /// was built from.
     pub(crate) fn star_free(&self, l: &Lang) -> &Result<bool, AutomataError> {
-        let facts = self
+        &self
             .facts
             .get(&l.regex)
-            .expect("every language of the analyzed formula is in its table");
-        facts
+            .expect("every language of the analyzed formula is in its table")
             .star_free
-            .get_or_init(|| is_star_free(&facts.dfa, self.monoid_cap))
+    }
+
+    /// The state count of `l`'s DFA (at least 1), which the cost
+    /// estimate and the certificates charge. A language outside the
+    /// table (in a plan node grafted from another query) is compiled.
+    pub(crate) fn states(&self, l: &Lang) -> usize {
+        let dfa = self.dfa(l).map_or_else(|| l.to_dfa(self.k).len(), Dfa::len);
+        dfa.max(1)
     }
 }

@@ -6,8 +6,9 @@
 //! passes run in sequence:
 //!
 //! 1. **Signature check** ([`signature`]): infers the minimal structure
-//!    (`S` / `S_left` / `S_reg` / `S_len` / concatenation) required per
-//!    subformula and errors when the query exceeds its declared calculus
+//!    (`S` / `S_left` / `S_reg` / `S_len` / concatenation) the query
+//!    requires, once, in its [`FactSheet`]; the fragment pass's walk
+//!    errors at each atom or term that exceeds the declared calculus
 //!    (`SA001`, `SA002`, `SA003`).
 //! 2. **Range restriction** ([`saferange`]): a sound under-approximation
 //!    of the safe-range fragment; free variables that are not provably
@@ -17,7 +18,7 @@
 //!    (`SA020`), shadowing (`SA021`), vacuous quantifiers (`SA022`).
 //! 4. **Cost estimation** ([`cost`]): quantifier rank, `∃/∀` alternation
 //!    depth and a product-construction state bound (`SA030` report,
-//!    `SA031` when the bound exceeds the configured budget).
+//!    `SA031` when the bound exceeds 2^20 states).
 //! 5. **Fragment inference** ([`fragments`]): places every subformula at
 //!    a point in the paper's fragment lattice (quantifier-free /
 //!    safe-range / collapse-safe / automata-tame / concat-bounded),
@@ -25,10 +26,12 @@
 //!    infers the evaluation class the planner keys its strategy on
 //!    (`SA300`–`SA304`; `SA305` belongs to the plan verifier).
 //!
-//! The passes share their work: each distinct `in`/`pl` language is
-//! compiled to its minimal DFA once per analysis, and its finiteness and
-//! star-freeness are read by every pass that needs them; range
-//! restriction is one walk that iterates each flattened `∧` chain to its
+//! The passes share their work through the query's [`FactSheet`]: each
+//! distinct `in`/`pl` language is compiled to its minimal DFA once per
+//! query, and its finiteness and star-freeness are read by every pass
+//! and every later stage that needs them; the signature and the
+//! evaluation class are inferred once with them. Range restriction is
+//! one walk that iterates each flattened `∧` chain to its
 //! fixpoint, re-evaluating a conjunct only when another one restricts
 //! its free variables, and the fragment pass reads its safe-range
 //! verdicts, so analysis time tracks formula size instead of growing
@@ -36,9 +39,10 @@
 //!
 //! Severities are shaped by per-code [`LintLevel`]s (allow / warn /
 //! deny), mirroring a compiler's lint configuration. The analyzer is
-//! used standalone (see the `strcalc-analyze` example binary), by
-//! `strcalc_core::Query::analyzed`, and by the SQL front-end's
-//! analyze-then-compile pipeline.
+//! used standalone (see the `strcalc-analyze` example binary), and by
+//! `strcalc_core::Query::analyzed` and the SQL front-end's
+//! analyze-then-compile pipeline, which run it over the sheet their
+//! query already holds ([`Analyzer::diagnose`]).
 //!
 //! ```
 //! use strcalc_alphabet::Alphabet;
@@ -67,6 +71,7 @@ pub mod langs;
 pub mod planlint;
 pub mod saferange;
 pub mod scope;
+pub mod sheet;
 pub mod signature;
 
 pub use cost::CostEstimate;
@@ -74,30 +79,24 @@ pub use diag::{Code, Diagnostic, FormulaPath, LintLevel, PathSeg, Severity};
 pub use fragments::{EvalClass, FragmentAnalysis, FragmentPoint, LikeMatcher, ScanPlan};
 pub use planlint::ResourceCert;
 pub use saferange::SafeRangeInfo;
+pub use sheet::FactSheet;
 pub use signature::SignatureInfo;
 
-use diag::Finding;
-
 /// Configured analyzer. Build one with [`Analyzer::new`], adjust lint
-/// levels and budgets with the builder methods, then call
-/// [`Analyzer::analyze`] (the analyzer is reusable across queries).
+/// levels with [`Analyzer::lint`], then call [`Analyzer::analyze`] (the
+/// analyzer is reusable across queries).
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     declared: StructureClass,
-    monoid_cap: usize,
-    budget_log2_states: f64,
     levels: BTreeMap<Code, LintLevel>,
 }
 
 impl Analyzer {
     /// Analyzer for a query declared to live in `declared`, with default
-    /// lint levels (everything at [`LintLevel::Warn`]), the default
-    /// star-freeness monoid cap, and a state-bound budget of `2^20`.
+    /// lint levels (everything at [`LintLevel::Warn`]).
     pub fn new(declared: StructureClass) -> Analyzer {
         Analyzer {
             declared,
-            monoid_cap: 100_000,
-            budget_log2_states: 20.0,
             levels: BTreeMap::new(),
         }
     }
@@ -108,43 +107,32 @@ impl Analyzer {
         self
     }
 
-    /// Cap on the syntactic-monoid exploration used to decide
-    /// star-freeness of `in`/`pl` languages.
-    pub fn monoid_cap(mut self, cap: usize) -> Analyzer {
-        self.monoid_cap = cap;
-        self
-    }
-
-    /// SA031 threshold: log₂ of the acceptable state-count bound.
-    pub fn budget_log2_states(mut self, budget: f64) -> Analyzer {
-        self.budget_log2_states = budget;
-        self
-    }
-
     fn level(&self, code: Code) -> LintLevel {
         self.levels.get(&code).copied().unwrap_or_default()
     }
 
-    /// Runs all four passes over `f` and returns the aggregated
+    /// Runs all five passes over `f` and returns the aggregated
     /// [`Analysis`]. The alphabet supplies the symbol count for language
     /// compilation; no database is consulted.
     pub fn analyze(&self, alphabet: &Alphabet, f: &Formula) -> Analysis {
-        let k = alphabet.len() as Sym;
-        let langs = langs::LangTable::build(f, k).monoid_cap(self.monoid_cap);
-        let mut findings: Vec<Finding> = Vec::new();
+        let head: Vec<String> = f.free_vars().into_iter().collect();
+        let sheet = FactSheet::build(f, &head, alphabet.len() as Sym);
+        self.diagnose(f, &sheet)
+    }
 
-        let (signature, sig_findings) = signature::check(f, self.declared, &langs);
-        findings.extend(sig_findings);
-
-        let (safe_range, sr_findings, node_safe) = saferange::check(f, &langs);
-        findings.extend(sr_findings);
+    /// [`Analyzer::analyze`] over the fact sheet already built for `f`:
+    /// the diagnostic passes read its language table, signature and
+    /// evaluation class instead of deriving them again.
+    pub fn diagnose(&self, f: &Formula, sheet: &FactSheet) -> Analysis {
+        let (safe_range, mut findings, node_safe) = saferange::check(f, &sheet.langs);
 
         findings.extend(scope::check(f));
 
-        let (cost, cost_findings) = cost::check(f, k, self.budget_log2_states);
+        let (cost, cost_findings) = cost::check(f, &sheet.langs);
         findings.extend(cost_findings);
 
-        let (fragment, fragment_findings) = fragments::check(f, &langs, &node_safe);
+        let (fragment, fragment_findings) =
+            fragments::check(f, self.declared, &sheet.langs, &sheet.class, &node_safe);
         findings.extend(fragment_findings);
 
         let mut diagnostics: Vec<Diagnostic> = findings
@@ -171,8 +159,7 @@ impl Analyzer {
 
         Analysis {
             declared: self.declared,
-            inferred: signature.inferred,
-            signature,
+            inferred: sheet.signature.inferred,
             safe_range,
             cost,
             fragment,
@@ -188,8 +175,6 @@ pub struct Analysis {
     pub declared: StructureClass,
     /// The minimal structure the formula actually requires.
     pub inferred: StructureClass,
-    /// Signature-pass details.
-    pub signature: SignatureInfo,
     /// Range-restriction details.
     pub safe_range: SafeRangeInfo,
     /// Cost estimate.

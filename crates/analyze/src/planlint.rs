@@ -32,6 +32,7 @@ use strcalc_logic::{Atom, Formula, Lang};
 
 use crate::cost;
 use crate::fragments::{like_items, LikeItem};
+use crate::langs::LangTable;
 
 /// Certified state bound charged per database-relation atom: a trie
 /// over the stored strings, unknowable without the database. Covers
@@ -269,12 +270,12 @@ pub fn classify_like(re: &Regex) -> Option<LikeShape> {
 }
 
 /// Certified DFA state bound for a language atom: the LIKE-class closed
-/// form when the regex is LIKE-shaped, otherwise the exact (memoized)
-/// DFA size plus completion headroom.
-pub fn lang_state_bound(l: &Lang, k: Sym) -> u64 {
+/// form when the regex is LIKE-shaped, otherwise the exact DFA size in
+/// `langs` (the query's language table) plus completion headroom.
+pub fn lang_state_bound(l: &Lang, langs: &LangTable) -> u64 {
     match classify_like(&l.regex) {
         Some(shape) => shape.state_bound(),
-        None => cost::lang_dfa_states(l, k) as u64 + 2,
+        None => langs.states(l) as u64 + 2,
     }
 }
 
@@ -307,10 +308,10 @@ pub fn dense_table_bytes(states: u64, k: Sym) -> u64 {
 /// Certified state bound for a dense scan: the largest language bound
 /// among the plan's dense filters (each filter compiles to its own
 /// table; they run sequentially, so the peak automaton is the max).
-pub fn dense_scan_states(plan: &crate::fragments::ScanPlan, k: Sym) -> u64 {
+pub fn dense_scan_states(plan: &crate::fragments::ScanPlan, langs: &LangTable) -> u64 {
     plan.dense_filters
         .iter()
-        .map(|(_, l, _)| lang_state_bound(l, k))
+        .map(|(_, l, _)| lang_state_bound(l, langs))
         .max()
         .unwrap_or(0)
 }
@@ -318,25 +319,27 @@ pub fn dense_scan_states(plan: &crate::fragments::ScanPlan, k: Sym) -> u64 {
 /// Resource certificate for a dense scan node: peak states from
 /// [`dense_scan_states`], bytes summed over every resident table (all
 /// filters' tables are live for the duration of the batch).
-pub fn dense_scan_cert(plan: &crate::fragments::ScanPlan, k: Sym) -> ResourceCert {
-    let states = dense_scan_states(plan, k);
+pub fn dense_scan_cert(plan: &crate::fragments::ScanPlan, langs: &LangTable) -> ResourceCert {
+    let states = dense_scan_states(plan, langs);
     let bytes = plan
         .dense_filters
         .iter()
-        .map(|(_, l, _)| dense_table_bytes(lang_state_bound(l, k), k))
+        .map(|(_, l, _)| dense_table_bytes(lang_state_bound(l, langs), langs.k()))
         .fold(0u64, u64::saturating_add);
     ResourceCert { states, bytes }
 }
 
 /// Certified state bound for one atom's synchronized automaton.
-pub fn atom_state_bound(a: &Atom, k: Sym) -> u64 {
+pub fn atom_state_bound(a: &Atom, langs: &LangTable) -> u64 {
     match a {
         Atom::Rel(..) => REL_CERT_STATES,
-        Atom::InLang(_, l) => lang_state_bound(l, k),
+        Atom::InLang(_, l) => lang_state_bound(l, langs),
         // `pl(x, y, L)` runs `L`'s DFA on the residual track after the
         // shared prefix; the two-track synchronization at most doubles
         // it (plus completion).
-        Atom::PL(_, _, l) => lang_state_bound(l, k).saturating_mul(2).saturating_add(4),
+        Atom::PL(_, _, l) => lang_state_bound(l, langs)
+            .saturating_mul(2)
+            .saturating_add(4),
         // Concat atoms are never compiled (bounded search interprets
         // them); certify nothing.
         Atom::ConcatEq(..) => 0,
@@ -346,18 +349,18 @@ pub fn atom_state_bound(a: &Atom, k: Sym) -> u64 {
 
 /// Seed certificate for a `CompileAutomaton` leaf evaluating the atomic
 /// formula `f` with `tracks` variable tracks.
-pub fn leaf_cert(f: &Formula, k: Sym, tracks: usize) -> ResourceCert {
+pub fn leaf_cert(f: &Formula, langs: &LangTable, tracks: usize) -> ResourceCert {
     let hi = match f {
         Formula::True | Formula::False => 2,
-        Formula::Atom(a) => atom_state_bound(a, k),
+        Formula::Atom(a) => atom_state_bound(a, langs),
         // Non-atomic leaves do not occur in planner-built trees; fall
         // back to the (log-domain) cost estimate, rounded up.
         other => {
-            let log2 = cost::estimate(other, k).log2_states.min(63.0);
+            let log2 = cost::estimate(other, langs).log2_states.min(63.0);
             2f64.powf(log2).ceil() as u64
         }
     };
-    ResourceCert::from_states(hi.max(1), k, tracks)
+    ResourceCert::from_states(hi.max(1), langs.k(), tracks)
 }
 
 #[cfg(test)]

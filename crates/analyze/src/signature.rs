@@ -8,150 +8,124 @@
 //! to the exact term or atom that caused it ([`Code::SignatureExceedsDeclared`],
 //! [`Code::ConcatInTameCalculus`]).
 //!
-//! Unlike `strcalc_logic::transform::fragment`, this inference is total:
-//! when star-freeness cannot be decided under the monoid cap the language
-//! is conservatively classified `S_reg` and a
-//! [`Code::StarFreeUndecided`] finding is recorded instead of an error.
+//! The inference is total: when star-freeness cannot be decided under
+//! the monoid cap the language is conservatively classified `S_reg` and
+//! a [`Code::StarFreeUndecided`] finding is recorded instead of an
+//! error. A query's [`FactSheet`](crate::FactSheet) carries the inferred
+//! class; the fragment pass's walk attributes each violation of the
+//! declared calculus to its atom or term.
 
-use strcalc_alphabet::Sym;
 use strcalc_logic::{Atom, Formula, StructureClass, Term};
 
-use crate::diag::{children, Code, Finding, FormulaPath, PathSeg};
+use crate::diag::{Code, Finding, FormulaPath, PathSeg};
 use crate::fragments::lang_label;
 use crate::langs::LangTable;
 
-/// Result of the signature pass.
+/// Result of signature inference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureInfo {
     /// Least structure class covering the whole formula (conservative:
     /// undecided star-freeness counts as `S_reg`).
     pub inferred: StructureClass,
-    /// Number of `in`/`pl` languages whose star-freeness was undecided.
+    /// Number of `in`/`pl` atoms whose language's star-freeness was
+    /// undecided.
     pub star_free_undecided: usize,
 }
 
-/// Total fragment inference: like `strcalc_logic::transform::fragment`
-/// but never fails — languages whose star-freeness is undecided under
-/// `monoid_cap` are conservatively classified `S_reg`.
-pub fn infer(f: &Formula, k: Sym, monoid_cap: usize) -> StructureClass {
-    let langs = LangTable::build(f, k).monoid_cap(monoid_cap);
-    let (info, _) = check(f, StructureClass::Concat, &langs);
-    info.inferred
-}
-
-/// Runs the pass: infers the minimal structure and reports every term or
-/// atom exceeding `declared`. Star-freeness verdicts come from `langs`.
-pub(crate) fn check(
-    f: &Formula,
-    declared: StructureClass,
-    langs: &LangTable,
-) -> (SignatureInfo, Vec<Finding>) {
-    let mut cx = Cx {
-        declared,
-        langs,
+/// Infers the least structure class covering every atom and term of
+/// `f`, reading star-freeness verdicts from `langs`.
+pub(crate) fn inferred(f: &Formula, langs: &LangTable) -> SignatureInfo {
+    let mut info = SignatureInfo {
         inferred: StructureClass::S,
         star_free_undecided: 0,
-        findings: Vec::new(),
     };
-    cx.formula(f, &FormulaPath::root());
-    (
-        SignatureInfo {
-            inferred: cx.inferred,
-            star_free_undecided: cx.star_free_undecided,
-        },
-        cx.findings,
-    )
+    f.visit(&mut |g| {
+        if let Formula::Atom(a) = g {
+            for t in a.terms() {
+                info.inferred = info.inferred.join(term_class(t).0);
+            }
+            info.inferred = info.inferred.join(atom_class(a, langs));
+            if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
+                if langs.star_free(l).is_err() {
+                    info.star_free_undecided += 1;
+                }
+            }
+        }
+    });
+    info
 }
 
-struct Cx<'a> {
+/// The structure atom `a` requires, terms included, with the signature
+/// findings the fragment pass's walk emits at `path`: each term function
+/// (at `path/term[i]`) and the atom itself when they exceed `declared`,
+/// and the undecided star-freeness of its language.
+pub(crate) fn atom_findings(
+    a: &Atom,
+    path: &FormulaPath,
     declared: StructureClass,
-    langs: &'a LangTable,
-    inferred: StructureClass,
-    star_free_undecided: usize,
-    findings: Vec<Finding>,
-}
-
-impl Cx<'_> {
-    fn formula(&mut self, f: &Formula, path: &FormulaPath) {
-        if let Formula::Atom(a) = f {
-            self.atom(a, path);
-        }
-        for (seg, g) in children(f) {
-            self.formula(g, &path.child(seg));
-        }
-    }
-
-    fn atom(&mut self, a: &Atom, path: &FormulaPath) {
-        for (i, t) in a.terms().iter().enumerate() {
-            self.term(t, &path.child(PathSeg::Term(i)));
-        }
-        let class = atom_class(a, self.langs);
-        if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
-            if let Err(e) = self.langs.star_free(l) {
-                self.star_free_undecided += 1;
-                self.findings.push(
-                    Finding::new(
-                        Code::StarFreeUndecided,
-                        path.clone(),
-                        format!(
-                            "star-freeness of language {} is undecided under the monoid \
-                             cap; conservatively classified S_reg",
-                            lang_label(l)
-                        ),
-                    )
-                    .with_note(e.to_string()),
-                );
-            }
-        }
-        self.inferred = self.inferred.join(class);
-        if !class.leq(self.declared) {
-            if matches!(a, Atom::ConcatEq(..)) {
-                self.findings.push(
-                    Finding::new(
-                        Code::ConcatInTameCalculus,
-                        path.clone(),
-                        format!(
-                            "concatenation atom in a query declared RC({})",
-                            self.declared.name()
-                        ),
-                    )
-                    .with_note(
-                        "RC over concatenation is computationally complete \
-                         (Proposition 1); no tame calculus admits it"
-                            .to_string(),
-                    ),
-                );
-            } else {
-                self.findings.push(Finding::new(
-                    Code::SignatureExceedsDeclared,
-                    path.clone(),
-                    format!(
-                        "atom {} requires {} but the query is declared RC({})",
-                        atom_name(a),
-                        class.name(),
-                        self.declared.name()
-                    ),
-                ));
-            }
-        }
-    }
-
-    fn term(&mut self, t: &Term, path: &FormulaPath) {
+    langs: &LangTable,
+    out: &mut Vec<Finding>,
+) -> StructureClass {
+    let declared_name = declared.name();
+    let mut structure = atom_class(a, langs);
+    for (i, t) in a.terms().iter().enumerate() {
         let (class, feature) = term_class(t);
-        self.inferred = self.inferred.join(class);
-        if !class.leq(self.declared) {
-            self.findings.push(Finding::new(
+        structure = structure.join(class);
+        if !class.leq(declared) {
+            out.push(Finding::new(
                 Code::SignatureExceedsDeclared,
-                path.clone(),
+                path.child(PathSeg::Term(i)),
                 format!(
-                    "term function {} requires {} but the query is declared RC({})",
+                    "term function {} requires {} but the query is declared RC({declared_name})",
                     feature.unwrap_or("<none>"),
                     class.name(),
-                    self.declared.name()
                 ),
             ));
         }
     }
+    if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
+        if let Err(e) = langs.star_free(l) {
+            out.push(
+                Finding::new(
+                    Code::StarFreeUndecided,
+                    path.clone(),
+                    format!(
+                        "star-freeness of language {} is undecided under the monoid cap; \
+                         conservatively classified S_reg",
+                        lang_label(l)
+                    ),
+                )
+                .with_note(e.to_string()),
+            );
+        }
+    }
+    let class = atom_class(a, langs);
+    if class.leq(declared) {
+        return structure;
+    }
+    out.push(if matches!(a, Atom::ConcatEq(..)) {
+        Finding::new(
+            Code::ConcatInTameCalculus,
+            path.clone(),
+            format!("concatenation atom in a query declared RC({declared_name})"),
+        )
+        .with_note(
+            "RC over concatenation is computationally complete (Proposition 1); no tame \
+             calculus admits it"
+                .to_string(),
+        )
+    } else {
+        Finding::new(
+            Code::SignatureExceedsDeclared,
+            path.clone(),
+            format!(
+                "atom {} requires {} but the query is declared RC({declared_name})",
+                atom_name(a),
+                class.name()
+            ),
+        )
+    });
+    structure
 }
 
 /// The structure class an atom requires, its terms aside. A language
@@ -217,7 +191,7 @@ pub(crate) fn atom_name(a: &Atom) -> &'static str {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use strcalc_alphabet::Alphabet;
+    use strcalc_alphabet::{Alphabet, Sym};
     use strcalc_automata::Regex;
     use strcalc_logic::Lang;
 
@@ -225,13 +199,29 @@ mod tests {
         Regex::parse(&Alphabet::ab(), t).unwrap()
     }
 
+    /// The inference, and the signature findings the fragment pass
+    /// emits, over a table whose star-freeness decision gives up at
+    /// `monoid_cap`.
     fn check(
         f: &Formula,
         declared: StructureClass,
         k: Sym,
         monoid_cap: usize,
     ) -> (SignatureInfo, Vec<Finding>) {
-        super::check(f, declared, &LangTable::build(f, k).monoid_cap(monoid_cap))
+        let langs = LangTable::build_capped(f, k, monoid_cap);
+        let (_, _, safe) = crate::saferange::check(f, &langs);
+        let head: Vec<String> = f.free_vars().into_iter().collect();
+        let class = crate::fragments::eval_class(&head, f);
+        let (_, findings) = crate::fragments::check(f, declared, &langs, &class, &safe);
+        let signature = [
+            Code::SignatureExceedsDeclared,
+            Code::ConcatInTameCalculus,
+            Code::StarFreeUndecided,
+        ];
+        let findings = findings
+            .into_iter()
+            .filter(|fi| signature.contains(&fi.code));
+        (inferred(f, &langs), findings.collect())
     }
 
     #[test]
@@ -301,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_logic_fragment_when_decidable() {
+    fn inference_matches_logic_fragment_when_decidable() {
         use strcalc_logic::transform::fragment;
         let cases = [
             Formula::prefix(Term::var("x"), Term::var("y")),
@@ -311,7 +301,8 @@ mod tests {
             Formula::concat_eq(Term::var("x"), Term::var("y"), Term::var("z")),
         ];
         for f in cases {
-            assert_eq!(infer(&f, 2, 100_000), fragment(&f, 2, 100_000).unwrap());
+            let (info, _) = check(&f, StructureClass::Concat, 2, 100_000);
+            assert_eq!(info.inferred, fragment(&f, 2, 100_000).unwrap());
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
-use strcalc_analyze::{signature, Analysis, Analyzer, Code, FragmentPoint};
+use strcalc_analyze::{Analysis, Analyzer, Code, FactSheet, FragmentPoint};
 use strcalc_automata::Regex;
 use strcalc_core::safety::state_safety;
 use strcalc_core::{AutomataEngine, Calculus, Query};
@@ -103,6 +103,12 @@ fn db() -> Database {
     db
 }
 
+/// The structure class a formula's fact sheet infers.
+fn inferred(f: &Formula) -> StructureClass {
+    let head: Vec<String> = f.free_vars().into_iter().collect();
+    FactSheet::build(f, &head, 2).signature.inferred
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -112,11 +118,11 @@ proptest! {
     // atoms are a subset).
     #[test]
     fn signature_inference_is_monotone(f in arb_formula()) {
-        let whole = signature::infer(&f, 2, 100_000);
+        let whole = inferred(&f);
         let mut subs: Vec<Formula> = Vec::new();
         f.visit(&mut |sub| subs.push(sub.clone()));
         for sub in &subs {
-            let part = signature::infer(sub, 2, 100_000);
+            let part = inferred(sub);
             prop_assert!(
                 part.leq(whole),
                 "subformula needs {part:?} but the whole formula only {whole:?}\n\
@@ -125,7 +131,7 @@ proptest! {
         }
         // Embedding into a larger context is monotone too.
         let wrapped = Formula::exists("z", f.clone().and(Formula::True));
-        prop_assert!(whole.leq(signature::infer(&wrapped, 2, 100_000)));
+        prop_assert!(whole.leq(inferred(&wrapped)));
     }
 
     // Soundness: any query the *dynamic* state-safety check finds

@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("analyze_overhead");
     for calc in Calculus::all() {
         let q = probe(calc);
-        let analyzer = Analyzer::new(calc.structure_class()).monoid_cap(1_000_000);
+        let analyzer = Analyzer::new(calc.structure_class());
         group.bench_with_input(BenchmarkId::new("analyze", calc.name()), &q, |b, q| {
             b.iter(|| {
                 let analysis = analyzer.analyze(&q.alphabet, &q.formula);

@@ -1,8 +1,8 @@
-//! Budget-governance overhead. Every `Plan::execute` now runs under an
+//! Budget-governance overhead. Every `Plan::execute` runs under an
 //! explicit resource budget: a pre-execution governor walks the plan
-//! tree handing each node its sub-budget, the run keeps a per-node
-//! ledger, and a settlement pass charges the measured actuals. All of
-//! that must be noise next to the work it governs, so this bench
+//! tree once in pre-order, checking whether the run's budget admits
+//! each node's certificate, and records one row per node in the run's
+//! ledger. That must be noise next to the work it governs, so this bench
 //! measures, on the Figure-2 probe queries, (a) a direct ungoverned
 //! compile+eval through the automata engine, and (b) the governed
 //! `Plan::execute` on a pre-built plan, and gates the difference at 5%.
@@ -38,9 +38,9 @@ fn bench(c: &mut Criterion) {
             b.iter(|| engine.eval(q, &db).expect("probes evaluate"))
         });
 
-        // The governed run on a pre-built plan: governor pre-walk,
-        // ledger, degradation dispatch, and settlement on top of the
-        // same compile + eval.
+        // The governed run on a pre-built plan: the governor's admit
+        // check per node, the ledger and the degradation dispatch on top
+        // of the same compile + eval.
         group.bench_with_input(
             BenchmarkId::new("governed", calc.name()),
             &plan,

@@ -1,10 +1,10 @@
 //! Fragment inference: what classification costs and what it buys.
 //!
-//! Since PR 7 the planner's strategy selection is a lookup on the
-//! inferred fragment attribute (`analyze::fragments::eval_class`), so
-//! (a) inference must be a small fraction of planning — the existing
-//! 5% plan-overhead budget already includes it, this bench isolates
-//! the share — and (b) the payoff must be real: a linear-class LIKE
+//! The planner's strategy selection is a lookup on the inferred
+//! evaluation class (`analyze::fragments::eval_class`, run once when a
+//! query builds its fact sheet), so (a) inference must be small next to
+//! planning — this bench reports its size as a share of a plan — and
+//! (b) the payoff must be real: a linear-class LIKE
 //! query routed to the scan fast path must beat the same query forced
 //! through automaton compilation. Headline numbers land in
 //! `BENCH_7.json` via `BENCH_JSON` (CI archives it in the bench-json
@@ -53,9 +53,9 @@ fn bench(c: &mut Criterion) {
         let q = probe(src);
         // Classification alone: the attribute fixpoint over the AST.
         group.bench_with_input(BenchmarkId::new("eval_class", class), &q, |b, q| {
-            b.iter(|| fragments::eval_class(&q.formula))
+            b.iter(|| fragments::eval_class(&q.head, &q.formula))
         });
-        // The planning it now sits inside.
+        // The planning that reads it.
         group.bench_with_input(BenchmarkId::new("plan", class), &q, |b, q| {
             b.iter(|| planner.plan(q).expect("probes always plan"))
         });
@@ -84,7 +84,7 @@ fn bench(c: &mut Criterion) {
     for (class, src) in LIKE_PROBES {
         let q = probe(src);
         let infer = median_round(rounds, iters, || {
-            fragments::eval_class(&q.formula);
+            fragments::eval_class(&q.head, &q.formula);
         });
         let plan = median_round(rounds, iters, || {
             planner.plan(&q).expect("probes always plan");

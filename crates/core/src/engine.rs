@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use strcalc_alphabet::{Alphabet, Str};
+use strcalc_analyze::FactSheet;
 use strcalc_logic::compile::{Compiled, Compiler, Resolved};
 use strcalc_logic::{CompileError, Formula, RelResolver};
 use strcalc_relational::{Database, Relation};
@@ -119,24 +120,24 @@ impl AutomataEngine {
         self.cache.as_ref()
     }
 
-    /// The cache key for compiling `f` over `alphabet` against `db`
-    /// under this engine's configuration.
+    /// The cache key for compiling the formula whose fact sheet is
+    /// `sheet` over `alphabet` against `db` under this engine's
+    /// configuration.
     ///
-    /// The key folds in the formula's fragment classification
-    /// ([`strcalc_analyze::fragments::class_fingerprint`]): the formula
-    /// fingerprint is α-invariant but classification-blind, so a
-    /// formula re-classified after a rewrite (e.g. into the linear LIKE
-    /// class, whose executor builds no automaton) must not alias the
-    /// automaton another classification compiled under the same
-    /// structural fingerprint.
-    pub fn cache_key(&self, f: &Formula, alphabet: &Alphabet, db: &Database) -> CacheKey {
+    /// The key folds in the formula's evaluation class (the sheet's
+    /// class fingerprint): the formula fingerprint is α-invariant but
+    /// classification-blind, so a formula re-classified after a rewrite
+    /// (e.g. into the linear LIKE class, whose executor builds no
+    /// automaton) must not alias the automaton another classification
+    /// compiled under the same structural fingerprint.
+    pub fn cache_key(&self, sheet: &FactSheet, alphabet: &Alphabet, db: &Database) -> CacheKey {
         let mut config = strcalc_logic::Fp::new();
         config
             .u64(self.cap as u64)
             .u64(self.minimize_threshold as u64)
-            .u64(strcalc_analyze::fragments::class_fingerprint(f));
+            .u64(sheet.class_fingerprint);
         CacheKey {
-            formula: strcalc_logic::fingerprint(f),
+            formula: sheet.fingerprint,
             instance: db.fingerprint(),
             alphabet: alphabet.fingerprint(),
             config: config.finish(),
@@ -162,11 +163,17 @@ impl AutomataEngine {
         }
     }
 
-    /// Looks `f`'s artifact up in the attached cache: one counted
-    /// lookup. `None` when no cache is attached.
-    pub(crate) fn probe(&self, f: &Formula, alphabet: &Alphabet, db: &Database) -> Option<Slot> {
+    /// Looks up the artifact of the formula whose fact sheet is `sheet`
+    /// in the attached cache: one counted lookup. `None` when no cache
+    /// is attached.
+    pub(crate) fn probe(
+        &self,
+        sheet: &FactSheet,
+        alphabet: &Alphabet,
+        db: &Database,
+    ) -> Option<Slot> {
         let cache = self.cache.as_ref()?;
-        let key = self.cache_key(f, alphabet, db);
+        let key = self.cache_key(sheet, alphabet, db);
         let resident = cache.get(&key);
         Some(Slot { key, resident })
     }
@@ -189,7 +196,8 @@ impl AutomataEngine {
 
     /// The artifact for `f` against `db`: served from the attached
     /// cache when resident, otherwise compiled (and stored when a cache
-    /// is attached). Virtual-relation compilations
+    /// is attached). The key reads `f`'s fact sheet, built here only
+    /// when a cache is attached. Virtual-relation compilations
     /// ([`Self::compile_with`]) never touch the cache.
     pub fn compile_shared(
         &self,
@@ -197,7 +205,23 @@ impl AutomataEngine {
         alphabet: &Alphabet,
         db: &Database,
     ) -> Result<Arc<CompiledArtifact>, CompileError> {
-        match self.probe(f, alphabet, db) {
+        let head: Vec<String> = f.free_vars().into_iter().collect();
+        let sheet = self
+            .cache
+            .as_ref()
+            .map(|_| FactSheet::build(f, &head, alphabet.len() as u8));
+        self.compile_cached(sheet.as_ref(), f, alphabet, db)
+    }
+
+    /// [`Self::compile_shared`] with `f`'s fact sheet in hand.
+    fn compile_cached(
+        &self,
+        sheet: Option<&FactSheet>,
+        f: &Formula,
+        alphabet: &Alphabet,
+        db: &Database,
+    ) -> Result<Arc<CompiledArtifact>, CompileError> {
+        match sheet.and_then(|sheet| self.probe(sheet, alphabet, db)) {
             Some(Slot {
                 resident: Some(hit),
                 ..
@@ -247,7 +271,7 @@ impl AutomataEngine {
 
     /// The cached-or-compiled artifact for a typed query.
     fn artifact(&self, q: &Query, db: &Database) -> Result<Arc<CompiledArtifact>, CoreError> {
-        Ok(self.compile_shared(&q.formula, &q.alphabet, db)?)
+        Ok(self.compile_cached(Some(q.sheet()), &q.formula, &q.alphabet, db)?)
     }
 
     /// Exact evaluation: a finite relation (tuples in head order) or an
@@ -557,7 +581,7 @@ mod tests {
         let engine = AutomataEngine::new();
         let scan = q(Calculus::SReg, &["x"], "R(x) & in(x, /a.*/)");
         let tame = q(Calculus::SReg, &["x"], "R(x) & in(x, /(aa)*/)");
-        let key = |q: &Query| engine.cache_key(&q.formula, &q.alphabet, &db());
+        let key = |q: &Query| engine.cache_key(q.sheet(), &q.alphabet, &db());
         let k_scan = key(&scan);
         let k_tame = key(&tame);
         assert_ne!(

@@ -31,10 +31,10 @@
 //! | `Domain` step (under a domain) | the run's [`Domain`]: `Σ^{≤B}` or the collapse domain, for a variable nothing else generates |
 //! | range step of `∃v∈adom`, `∃v∈dom↓`, `∃\|v\|≤adom` (under a domain) | `adom`; the prefix closure of `adom` and of the quantified formula's other free variables; `Σ^{≤m}`, `m` the longest of those strings |
 //!
-//! Which languages are finite comes from the analyzer's
-//! [`LangTable`], the table its range-restriction verdicts read, so the
-//! route and the SA010 verdicts cannot disagree; planning never
-//! enumerates a language.
+//! Which languages are finite comes from the [`LangTable`] of the
+//! query's fact sheet, the table the analyzer's range-restriction
+//! verdicts read, so the route and the SA010 verdicts cannot disagree;
+//! planning never compiles a language again and never enumerates one.
 //!
 //! A generated value passes through the term's injective `append` /
 //! `prepend` chain backwards to reach its variable. The conjunct is then
@@ -315,8 +315,10 @@ pub(crate) struct Outcome {
 
 impl Program {
     /// Compiles `f` with head `head` for the relational route, together
-    /// with the plan tree that describes it (the caller adds the root).
-    /// `None` when some variable has no generator. Without an alphabet
+    /// with the plan tree that describes it (the caller adds the root),
+    /// reading finiteness and DFAs from `table`, the language table of
+    /// the query's fact sheet. `None` when some variable has no
+    /// generator. Without an alphabet
     /// the tree's labels stay empty, which is enough to decide the route.
     ///
     /// `domain: Some(_)` compiles for a run over a finite [`Domain`]
@@ -326,16 +328,14 @@ impl Program {
     pub(crate) fn lower(
         f: &Formula,
         head: &[String],
-        k: Sym,
+        table: &LangTable,
         alphabet: Option<&Alphabet>,
         domain: Option<DomainKind>,
     ) -> Option<(Program, PlanNode)> {
-        let table = LangTable::build(f, k);
         let mut lower = Lower {
-            k,
             alphabet,
             domain,
-            table: &table,
+            table,
             scope: Vec::new(),
             slots: 0,
             relations: Vec::new(),
@@ -353,7 +353,7 @@ impl Program {
                 relations: lower.relations,
                 langs: lower.langs,
                 indexes: lower.indexes,
-                k,
+                k: table.k(),
             },
             tree,
         ))
@@ -364,11 +364,11 @@ impl Program {
     pub(crate) fn lower_over(
         f: &Formula,
         head: &[String],
-        k: Sym,
+        table: &LangTable,
         alphabet: Option<&Alphabet>,
         domain: DomainKind,
     ) -> Result<(Program, PlanNode), CoreError> {
-        Program::lower(f, head, k, alphabet, Some(domain)).ok_or_else(|| {
+        Program::lower(f, head, table, alphabet, Some(domain)).ok_or_else(|| {
             CoreError::Unsupported("the lowering over a finite domain refused the formula".into())
         })
     }
@@ -437,7 +437,6 @@ impl Program {
 // ---------------------------------------------------------------------
 
 struct Lower<'a> {
-    k: Sym,
     alphabet: Option<&'a Alphabet>,
     /// The domain a run walks, which lowers `concat` and restricted
     /// quantifiers; `None` on the relational route.
@@ -567,7 +566,7 @@ impl Lower<'_> {
         vars: Vec<String>,
         children: Vec<PlanNode>,
     ) -> PlanNode {
-        PlanNode::new(op, cost::estimate(f, self.k), vars, children)
+        PlanNode::new(op, cost::estimate(f, self.table), vars, children)
     }
 
     /// An `Interpret` leaf testing `f`.

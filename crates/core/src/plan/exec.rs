@@ -436,9 +436,9 @@ impl Plan {
         run: &mut Run,
         governed: bool,
     ) -> Result<(Relation, usize), CoreError> {
-        let k = q.alphabet.len() as Sym;
+        let langs = &q.sheet().langs;
         let collapse = DomainKind::Collapse;
-        let (program, _) = Program::lower_over(&q.formula, &q.head, k, None, collapse)?;
+        let (program, _) = Program::lower_over(&q.formula, &q.head, langs, None, collapse)?;
         let domain = EnumEngine { slack: self.slack }.domain(q, db);
         let deadline = if governed {
             run.deadline.clone()
@@ -575,7 +575,7 @@ impl Plan {
             }
         });
         if let (true, Ok(q)) = (has_cache_lookup, self.typed_query()) {
-            run.slot = self.engine.probe(&q.formula, &q.alphabet, db);
+            run.slot = self.engine.probe(q.sheet(), &q.alphabet, db);
         }
         let resident = run.slot.as_ref().is_some_and(|s| s.resident.is_some());
         record_ledger(
@@ -795,20 +795,16 @@ impl Plan {
         run: &mut Run,
     ) -> Result<Relation, CoreError> {
         let node = run.exhausted_at();
-        let demand = self
-            .root
-            .cert
-            .map(|c| fmt_bound(c.states))
-            .unwrap_or_else(|| "?".into());
-        let handed = fmt_bound(run.budget.states);
+        let refused = run
+            .exhausted()
+            .map_or_else(String::new, |e| refusal(e, &run.budget));
         if matches!(run.slot, Some(Slot { resident: None, .. })) {
             run.degrade(
                 Code::DegradedRecompileDenied,
                 node.clone(),
                 format!(
-                    "artifact not resident and recompilation (certified states ≤{demand}) \
-                     exceeds the handed budget (states ≤{handed}); degrading to a bounded \
-                     verdict"
+                    "artifact not resident and the budget denies recompiling it ({refused}); \
+                     degrading to a bounded verdict"
                 ),
             );
             run.degrade(
@@ -820,10 +816,7 @@ impl Plan {
             run.degrade(
                 Code::DegradedExactToBounded,
                 node,
-                format!(
-                    "certified states ≤{demand} exceed the handed budget (states ≤{handed}); \
-                     evaluating over the bounded collapse domain"
-                ),
+                format!("{refused}; evaluating over the bounded collapse domain"),
             );
         }
         // The fallback can itself run out of time; the verdict stays
@@ -1034,6 +1027,29 @@ fn record_ledger(
     for (i, c) in node.children.iter().enumerate() {
         record_ledger(c, &format!("{path}/{i}"), budget, resident, ledger);
     }
+}
+
+/// An exhausted ledger row in each dimension the run's budget refused:
+/// `root/0 Product: certified bytes ≤2^28 exceed the budget's ≤2^27`.
+fn refusal(entry: &LedgerEntry, budget: &Budget) -> String {
+    let dims = [
+        ("states", entry.demand_states, budget.states),
+        ("bytes", entry.demand_bytes, budget.bytes),
+    ];
+    let refused: Vec<String> = dims
+        .iter()
+        .filter(|(_, demand, allowed)| demand > allowed)
+        .map(|(dim, demand, allowed)| {
+            let (demand, allowed) = (fmt_bound(*demand), fmt_bound(*allowed));
+            format!("{dim} ≤{demand} exceed the budget's ≤{allowed}")
+        })
+        .collect();
+    format!(
+        "{} {}: certified {}",
+        entry.node,
+        entry.op,
+        refused.join(", ")
+    )
 }
 
 /// Validates the scan plan's relation against the database.

@@ -137,7 +137,7 @@ impl Plan {
             self.formula().render(sigma)
         );
         let _ = writeln!(out, "strategy: {}", self.strategy.name());
-        let class = strcalc_analyze::fragments::eval_class(self.formula());
+        let class = &self.sheet().class;
         let _ = writeln!(
             out,
             "fragment: {} — {}",
@@ -174,7 +174,7 @@ impl Plan {
     /// The `EXPLAIN` document, with post-execution actuals as an extra
     /// object.
     pub fn explain_doc(&self, actuals: Option<&ExecReport>) -> Json {
-        let class = strcalc_analyze::fragments::eval_class(self.formula());
+        let class = &self.sheet().class;
         let mut fields = vec![
             ("strategy", self.strategy.name().into()),
             (

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::cost::CostEstimate;
 use strcalc_analyze::planlint::ResourceCert;
-use strcalc_analyze::ScanPlan;
+use strcalc_analyze::{FactSheet, ScanPlan};
 use strcalc_logic::{Formula, Restrict};
 
 use crate::budget::Budget;
@@ -131,16 +131,16 @@ pub enum PlanOp {
     CacheLookup { formula_fp: u64 },
     /// Root of the linear-scan strategy: stream the stored relation,
     /// apply the LIKE matchers and column equalities tuple-by-tuple,
-    /// and project the head columns. Planlint re-derives the scan plan
-    /// from the formula and rejects a stale one (SA305).
+    /// and project the head columns. Planlint compares the scan plan
+    /// with the formula's fact sheet and rejects a stale one (SA305).
     LikeScan { plan: ScanPlan },
     /// Root of the dense-scan strategy: run the relation's columns
     /// through byte-class-compressed dense DFA tables in batches (one
     /// dispatch per batch), then apply the linear matchers and column
     /// equalities and project. `threshold` is the densification bound
-    /// the planner certified the tables against; planlint re-derives
-    /// the scan plan (SA305) and rejects a node whose certified state
-    /// bound exceeds the threshold (SA206).
+    /// the planner certified the tables against; planlint checks the
+    /// scan plan against the fact sheet (SA305) and rejects a node whose
+    /// certified state bound exceeds the threshold (SA206).
     DenseScan { plan: ScanPlan, threshold: u64 },
 }
 
@@ -256,6 +256,7 @@ pub(crate) enum PlanSource {
         alphabet: Alphabet,
         head: Vec<String>,
         formula: Formula,
+        sheet: Arc<FactSheet>,
     },
 }
 
@@ -318,6 +319,14 @@ impl Plan {
         match &self.source {
             PlanSource::Query(q) => &q.alphabet,
             PlanSource::Raw { alphabet, .. } => alphabet,
+        }
+    }
+
+    /// The fact sheet of the formula this plan evaluates.
+    pub(crate) fn sheet(&self) -> &Arc<FactSheet> {
+        match &self.source {
+            PlanSource::Query(q) => &q.sheet,
+            PlanSource::Raw { sheet, .. } => sheet,
         }
     }
 

@@ -21,9 +21,10 @@
 //! Both happen in one bottom-up walk. The planner runs it once on the
 //! finished tree, which the walk annotates with every node's
 //! certificate as it goes; an error-level diagnostic rejects the plan at
-//! plan time, before any executor sees it. The plan keeps the checker,
-//! so the invariants it derives from the formula (fingerprints, fragment,
-//! scan plan) are computed once per plan; [`super::Plan::execute`]
+//! plan time, before any executor sees it. The checker reads the
+//! formula's fingerprint, fragment and scan plan from the query's fact
+//! sheet instead of deriving them, and the plan keeps the checker;
+//! [`super::Plan::execute`]
 //! re-runs its walk read-only (a plan mutated after planning is
 //! rejected there) and cross-checks the executor's actuals against the
 //! certificate, reporting SA240 calibration warnings when the model's
@@ -32,15 +33,14 @@
 //! the SA210 note that carries the certificate.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use strcalc_alphabet::{Alphabet, Sym};
+use strcalc_alphabet::Alphabet;
 use strcalc_analyze::diag::{Code, Diagnostic, FormulaPath, PathSeg};
-use strcalc_analyze::fragments;
 use strcalc_analyze::planlint::{
     dense_scan_cert, dense_scan_states, ResourceCert, DENSIFY_THRESHOLD,
 };
-use strcalc_analyze::ScanPlan;
-use strcalc_logic::Formula;
+use strcalc_analyze::FactSheet;
 
 use super::ir::{Plan, PlanNode, PlanOp, Strategy};
 
@@ -88,24 +88,18 @@ impl PlanLintReport {
 }
 
 /// Verifies plan trees against one plan's invariants (strategy, head,
-/// alphabet, formula fingerprint, cache attachment).
+/// alphabet, cache attachment, and the formula's fact sheet).
 #[derive(Debug, Clone)]
 pub struct PlanChecker {
     strategy: Strategy,
     head: BTreeSet<String>,
     alphabet_fp: u64,
-    formula_fp: u64,
     cache_attached: bool,
-    k: Sym,
-    /// Whether the plan's formula is in the concat-bounded fragment —
-    /// re-derived here so a plan that claims a non-concat strategy for
-    /// a concat formula is rejected with SA305 (Proposition 1).
-    concat_bounded: bool,
-    /// The scan plan fragment inference derives for this formula and
-    /// head, or `None` when the formula is outside the linear LIKE
-    /// class. A `LikeScan` or `DenseScan` root must carry exactly this
-    /// plan (SA305).
-    expected_scan: Option<ScanPlan>,
+    /// The formula's fact sheet: its fingerprint keys the cache lookup
+    /// (SA204), a concat formula under a non-concat strategy is rejected
+    /// with SA305 (Proposition 1), and a `LikeScan` or `DenseScan` root
+    /// must carry exactly its scan plan (SA305).
+    sheet: Arc<FactSheet>,
 }
 
 impl PlanChecker {
@@ -115,27 +109,26 @@ impl PlanChecker {
             plan.strategy,
             plan.head(),
             plan.alphabet(),
-            plan.formula(),
+            Arc::clone(plan.sheet()),
             plan.engine.cache.is_some(),
         )
     }
 
+    /// A checker for a plan under `strategy` of the formula whose fact
+    /// sheet is `sheet`.
     pub fn new(
         strategy: Strategy,
         head: &[String],
         alphabet: &Alphabet,
-        formula: &Formula,
+        sheet: Arc<FactSheet>,
         cache_attached: bool,
     ) -> PlanChecker {
         PlanChecker {
             strategy,
             head: head.iter().cloned().collect(),
             alphabet_fp: alphabet.fingerprint(),
-            formula_fp: strcalc_logic::fingerprint(formula),
             cache_attached,
-            k: alphabet.len() as Sym,
-            concat_bounded: fragments::contains_concat(formula),
-            expected_scan: fragments::scan_plan(head, formula),
+            sheet,
         }
     }
 
@@ -358,7 +351,7 @@ impl PlanChecker {
                         None,
                     );
                 }
-                if *formula_fp != self.formula_fp {
+                if *formula_fp != self.sheet.fingerprint {
                     emit(
                         Code::PlanCacheKeyMismatch,
                         "CacheLookup key fingerprint does not match the plan's formula".into(),
@@ -378,11 +371,11 @@ impl PlanChecker {
                         None,
                     );
                 }
-                // SA305 — the scan plan must be exactly what fragment
-                // inference re-derives from the plan's formula; a node
-                // grafted from another plan (or left stale by a rewrite)
-                // would scan the wrong relation or columns.
-                match &self.expected_scan {
+                // SA305 — the scan plan must be exactly the one in the
+                // formula's fact sheet; a node grafted from another plan
+                // (or left stale by a rewrite) would scan the wrong
+                // relation or columns.
+                match self.sheet.class.scan() {
                     Some(expected) if expected == plan => {}
                     Some(_) => emit(
                         Code::PlanFragmentMismatch,
@@ -411,10 +404,10 @@ impl PlanChecker {
                     );
                 }
                 // SA305 — as for LikeScan, the scan plan must be exactly
-                // what fragment inference re-derives, and it must carry
-                // at least one general filter (a dense node with none
-                // would be a LikeScan wearing the wrong certificate).
-                match &self.expected_scan {
+                // the fact sheet's, and it must carry at least one
+                // general filter (a dense node with none would be a
+                // LikeScan wearing the wrong certificate).
+                match self.sheet.class.scan() {
                     Some(expected) if expected == plan && !plan.dense_filters.is_empty() => {}
                     Some(expected) if expected == plan => emit(
                         Code::PlanFragmentMismatch,
@@ -454,7 +447,7 @@ impl PlanChecker {
                         None,
                     );
                 }
-                let bound = dense_scan_states(plan, self.k);
+                let bound = dense_scan_states(plan, &self.sheet.langs);
                 if bound > *threshold {
                     emit(
                         Code::PlanDenseOverThreshold,
@@ -477,10 +470,10 @@ impl PlanChecker {
     /// Root-only checks: root operator and tracks versus the declared
     /// strategy and head.
     fn check_root(&self, root: &PlanNode, diagnostics: &mut Vec<Diagnostic>) {
-        // SA305 — strategy versus the re-derived fragment: a concat
+        // SA305 — strategy versus the fact sheet's fragment: a concat
         // formula admits only bounded search (Proposition 1), whatever
         // the plan claims.
-        if self.concat_bounded && self.strategy != Strategy::BoundedSearch {
+        if self.sheet.contains_concat() && self.strategy != Strategy::BoundedSearch {
             diagnostics.push(Diagnostic {
                 code: Code::PlanFragmentMismatch,
                 severity: Code::PlanFragmentMismatch.default_severity(),
@@ -537,32 +530,33 @@ impl PlanChecker {
     /// The abstract transfer function: this node's certificate from its
     /// children's. Only the automata strategy builds automata; the
     /// interpreter strategies certify zero. The dense-scan strategy
-    /// certifies the dense-table bound of the re-derived scan plan at
+    /// certifies the dense-table bound of the fact sheet's scan plan at
     /// every node.
     fn node_cert(&self, node: &PlanNode, children: &[ResourceCert]) -> ResourceCert {
         if self.strategy == Strategy::DenseDfaScan {
             return self
-                .expected_scan
-                .as_ref()
-                .map(|p| dense_scan_cert(p, self.k))
+                .sheet
+                .class
+                .scan()
+                .map(|p| dense_scan_cert(p, &self.sheet.langs))
                 .unwrap_or(ResourceCert::ZERO);
         }
         if self.strategy != Strategy::Automata {
             return ResourceCert::ZERO;
         }
-        let tracks = node.vars.len();
+        let (k, tracks) = (self.sheet.langs.k(), node.vars.len());
         match &node.op {
             PlanOp::CompileAutomaton { .. } => node.cert.unwrap_or_else(|| {
                 // Hand-built leaf without a seed: fall back to the cost
                 // estimate, rounded up.
                 let hi = 2f64.powf(node.cost.log2_states.min(63.0)).ceil() as u64;
-                ResourceCert::from_states(hi.max(1), self.k, tracks)
+                ResourceCert::from_states(hi.max(1), k, tracks)
             }),
             PlanOp::Interpret { .. } | PlanOp::Generate { .. } => ResourceCert::ZERO,
-            PlanOp::Product => ResourceCert::product(children, self.k, tracks),
-            PlanOp::Union => ResourceCert::union(children, self.k, tracks),
+            PlanOp::Product => ResourceCert::product(children, k, tracks),
+            PlanOp::Union => ResourceCert::union(children, k, tracks),
             PlanOp::Complement => match children.first() {
-                Some(c) => ResourceCert::complement(c, self.k, tracks),
+                Some(c) => ResourceCert::complement(c, k, tracks),
                 None => ResourceCert::ZERO,
             },
             PlanOp::Project { .. }
@@ -573,7 +567,7 @@ impl PlanChecker {
             | PlanOp::CacheLookup { .. }
             | PlanOp::LikeScan { .. }
             | PlanOp::DenseScan { .. } => match children.first() {
-                Some(c) => ResourceCert::passthrough(c, self.k, tracks),
+                Some(c) => ResourceCert::passthrough(c, k, tracks),
                 None => ResourceCert::ZERO,
             },
         }
@@ -840,7 +834,8 @@ mod tests {
         let b = plan_for("b.*");
         assert_eq!(a.strategy, Strategy::LikeLinearScan);
         // Graft the other query's scan plan onto this plan's root: the
-        // checker re-derives the scan from the formula and refuses.
+        // checker reads the scan from the formula's fact sheet and
+        // refuses.
         let mut forged = a.clone();
         forged.root.op = b.root.op.clone();
         let report = PlanChecker::for_plan(&forged).check(&forged.root);

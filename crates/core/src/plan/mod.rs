@@ -54,16 +54,16 @@ pub use passes::PassTrace;
 
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::cost;
-use strcalc_analyze::fragments;
+use strcalc_analyze::langs::LangTable;
 use strcalc_analyze::planlint::{self as cert_domain, DENSIFY_THRESHOLD};
-use strcalc_analyze::EvalClass;
+use strcalc_analyze::{EvalClass, FactSheet, ScanPlan};
 use strcalc_logic::Formula;
 
 use crate::budget::Budget;
 use crate::collapse::natural_restriction;
 use crate::engine::AutomataEngine;
 use crate::generate::{DomainKind, Program};
-use crate::query::{CoreError, Query};
+use crate::query::{check_head, CoreError, Query};
 
 use ir::PlanSource;
 
@@ -130,8 +130,9 @@ impl Planner {
 
     /// The strategy this planner would pick for `formula` over an
     /// alphabet of size `k` — the single decision procedure every entry
-    /// point shares, a lookup on the inferred fragment
-    /// (`strcalc_analyze::fragments::eval_class`): bounded search for
+    /// point shares, a lookup on the evaluation class of the formula's
+    /// fact sheet ([`strcalc_analyze::FactSheet`], built here for the
+    /// call and dropped; a plan reads its query's): bounded search for
     /// the concat-bounded class, a linear relation scan for the linear
     /// LIKE class, a dense table scan for the general scan class when
     /// the certified state bound (which depends on `k`) fits the
@@ -149,31 +150,33 @@ impl Planner {
     /// them through the cache.
     pub fn strategy_for(&self, formula: &Formula, k: u8) -> Result<Strategy, CoreError> {
         let head: Vec<String> = formula.free_vars().into_iter().collect();
-        Ok(self.route(formula, &head, None, k)?.0)
+        let sheet = FactSheet::build(formula, &head, k);
+        Ok(self.route(formula, &head, &sheet, None)?.0)
     }
 
-    /// The strategy for `formula`, with the compiled relational program
-    /// and its plan tree when the relational route takes it. Without an
-    /// alphabet the tree carries no labels.
+    /// The strategy for `formula`, whose fact sheet is `sheet`, with the
+    /// compiled relational program and its plan tree when the relational
+    /// route takes it. Without an alphabet the tree carries no labels.
     fn route(
         &self,
         formula: &Formula,
         head: &[String],
+        sheet: &FactSheet,
         alphabet: Option<&Alphabet>,
-        k: u8,
     ) -> Result<(Strategy, Option<(Program, PlanNode)>), CoreError> {
-        let strategy = self.fragment_strategy(formula, k)?;
+        let strategy = self.fragment_strategy(sheet)?;
         if strategy == Strategy::Automata && self.force.is_none() && self.engine.cache.is_none() {
-            if let Some(lowered) = Program::lower(formula, head, k, alphabet, None) {
+            if let Some(lowered) = Program::lower(formula, head, &sheet.langs, alphabet, None) {
                 return Ok((Strategy::ActiveDomainEnum, Some(lowered)));
             }
         }
         Ok((strategy, None))
     }
 
-    /// The lookup on the inferred fragment alone.
-    fn fragment_strategy(&self, formula: &Formula, k: u8) -> Result<Strategy, CoreError> {
-        match fragments::eval_class(formula) {
+    /// The lookup on the evaluation class alone.
+    fn fragment_strategy(&self, sheet: &FactSheet) -> Result<Strategy, CoreError> {
+        let langs = &sheet.langs;
+        match &sheet.class {
             EvalClass::ConcatBounded => match self.force {
                 Some(Strategy::Automata)
                 | Some(Strategy::ActiveDomainEnum)
@@ -192,7 +195,7 @@ impl Planner {
                 _ => Ok(self.force.unwrap_or(Strategy::LikeLinearScan)),
             },
             EvalClass::LikeGeneral(plan) => {
-                let bound = cert_domain::dense_scan_states(&plan, k);
+                let bound = cert_domain::dense_scan_states(plan, langs);
                 match self.force {
                     Some(Strategy::LikeLinearScan) => Err(CoreError::Unsupported(
                         "the linear-scan strategy requires a formula in the linear LIKE class"
@@ -237,39 +240,42 @@ impl Planner {
         head: &[String],
         formula: &Formula,
     ) -> Result<Plan, CoreError> {
-        if fragments::contains_concat(formula) {
-            if !passes::head_matches(head, formula) {
-                return Err(CoreError::HeadMismatch {
-                    head: head.to_vec(),
-                    free: formula.free_vars().into_iter().collect(),
-                });
-            }
-            return self.build(PlanSource::Raw {
+        let sheet = FactSheet::build(formula, head, alphabet.len() as u8);
+        let source = if sheet.contains_concat() {
+            check_head(head, formula)?;
+            PlanSource::Raw {
                 alphabet: alphabet.clone(),
                 head: head.to_vec(),
                 formula: formula.clone(),
-            });
-        }
-        let q = Query::infer(alphabet.clone(), head.to_vec(), formula.clone())?;
-        self.build(PlanSource::Query(q))
+                sheet: Arc::new(sheet),
+            }
+        } else {
+            let q = Query::typed(
+                None,
+                alphabet.clone(),
+                head.to_vec(),
+                formula.clone(),
+                sheet,
+            )?;
+            check_head(head, formula)?;
+            PlanSource::Query(q)
+        };
+        self.build(source)
     }
 
     fn build(&self, source: PlanSource) -> Result<Plan, CoreError> {
-        let k = match &source {
-            PlanSource::Query(q) => q.alphabet.len() as u8,
-            PlanSource::Raw { alphabet, .. } => alphabet.len() as u8,
-        };
         // The rewrite pass (formula-level).
         let (source, given, rewrite) = passes::rewrite(source);
 
         // Lower the (possibly rewritten) formula to the operator tree.
-        let (formula, alphabet, head) = match &source {
-            PlanSource::Query(q) => (&q.formula, &q.alphabet, &q.head),
+        let (formula, alphabet, head, sheet) = match &source {
+            PlanSource::Query(q) => (&q.formula, &q.alphabet, &q.head, &q.sheet),
             PlanSource::Raw {
                 formula,
                 alphabet,
                 head,
-            } => (formula, alphabet, head),
+                sheet,
+            } => (formula, alphabet, head, sheet),
         };
         // Strategy selection runs on the *post-rewrite* formula: the
         // rewrite can move a formula into (or out of) the linear LIKE
@@ -290,7 +296,7 @@ impl Planner {
                     ))
                 }
             },
-            PlanSource::Query(q) => self.route(&q.formula, &q.head, Some(alphabet), k)?,
+            PlanSource::Query(q) => self.route(&q.formula, &q.head, sheet, Some(alphabet))?,
         };
         // Bounded search and the forced collapse route run a compiled
         // program too, over `Σ^{≤B}` and the collapse domain.
@@ -301,12 +307,18 @@ impl Planner {
             _ => None,
         };
         let lowered = match (relational, domain) {
-            (None, Some(d)) => Some(Program::lower_over(formula, head, k, Some(alphabet), d)?),
+            (None, Some(d)) => Some(Program::lower_over(
+                formula,
+                head,
+                &sheet.langs,
+                Some(alphabet),
+                d,
+            )?),
             (lowered, _) => lowered,
         };
         let (program, tree) = match lowered {
             Some((program, tree)) => (Some(Arc::new(program)), tree),
-            None => (None, self.lower(formula, alphabet, strategy, k)),
+            None => (None, self.lower(formula, alphabet, strategy, &sheet.langs)),
         };
 
         // The root operator, over the decoration its strategy carries: a
@@ -314,7 +326,7 @@ impl Planner {
         // the calculus's natural collapse domain, and an automata plan
         // whose engine carries a cache serves its compiled artifact
         // through a `CacheLookup`.
-        let estimate = cost::estimate(formula, k);
+        let estimate = cost::estimate(formula, &sheet.langs);
         let mut root = match strategy {
             Strategy::ActiveDomainEnum if is_relational => tree.wrap(PlanOp::Relational),
             Strategy::ActiveDomainEnum => {
@@ -330,35 +342,20 @@ impl Planner {
             }
             Strategy::Automata if self.engine.cache.is_some() => tree
                 .wrap(PlanOp::CacheLookup {
-                    formula_fp: strcalc_logic::fingerprint(formula),
+                    formula_fp: sheet.fingerprint,
                 })
                 .wrap(PlanOp::EnumerateFinite),
             Strategy::Automata => tree.wrap(PlanOp::EnumerateFinite),
             Strategy::BoundedSearch => tree.wrap(PlanOp::BoundedSearch { budget: self.bound }),
-            Strategy::LikeLinearScan => {
-                let plan = fragments::scan_plan(head, formula).ok_or_else(|| {
-                    CoreError::Unsupported(
-                        "the linear-scan strategy requires a formula in the linear LIKE class"
-                            .into(),
-                    )
-                })?;
-                tree.wrap(PlanOp::LikeScan { plan })
-            }
-            Strategy::DenseDfaScan => {
-                let plan = fragments::scan_plan(head, formula)
-                    .filter(|p| !p.dense_filters.is_empty())
-                    .ok_or_else(|| {
-                        CoreError::Unsupported(
-                            "the dense-scan strategy requires general language filters over \
-                             one stored relation"
-                                .into(),
-                        )
-                    })?;
-                tree.wrap(PlanOp::DenseScan {
-                    plan,
-                    threshold: DENSIFY_THRESHOLD,
-                })
-            }
+            // The class lookup picks the linear scan only for the linear
+            // LIKE class and the dense scan only for the general one.
+            Strategy::LikeLinearScan => tree.wrap(PlanOp::LikeScan {
+                plan: scan_of(sheet)?,
+            }),
+            Strategy::DenseDfaScan => tree.wrap(PlanOp::DenseScan {
+                plan: scan_of(sheet)?,
+                threshold: DENSIFY_THRESHOLD,
+            }),
         };
 
         // One planlint walk over the finished plan: typing, root and
@@ -368,7 +365,7 @@ impl Planner {
             strategy,
             head,
             alphabet,
-            formula,
+            Arc::clone(sheet),
             self.engine.cache.is_some(),
         );
         let report = checker.verify(lint::Tree::Write(&mut root));
@@ -415,8 +412,14 @@ impl Planner {
     /// the scans; derived connectives lower through their definitions
     /// (`∀ = ¬∃¬`, `→`/`↔` through `∨`/`∧`), exactly as the compiler
     /// treats them.
-    fn lower(&self, f: &Formula, alphabet: &Alphabet, strategy: Strategy, k: u8) -> PlanNode {
-        let est = |g: &Formula| cost::estimate(g, k);
+    fn lower(
+        &self,
+        f: &Formula,
+        alphabet: &Alphabet,
+        strategy: Strategy,
+        langs: &LangTable,
+    ) -> PlanNode {
+        let est = |g: &Formula| cost::estimate(g, langs);
         let leaf = |g: &Formula| {
             let label = g.render(alphabet);
             // Leaf tracks come from the atom; interior nodes derive
@@ -437,7 +440,7 @@ impl Planner {
                     // Seed the certificate with the atom's certified
                     // state bound (LIKE-class tightened for language
                     // atoms); interior certs derive from these.
-                    n.cert = Some(cert_domain::leaf_cert(g, k, n.vars.len()));
+                    n.cert = Some(cert_domain::leaf_cert(g, langs, n.vars.len()));
                     n
                 }
                 _ => PlanNode::new(PlanOp::Interpret { label }, est(g), tracks, Vec::new()),
@@ -446,26 +449,26 @@ impl Planner {
         match f {
             Formula::True | Formula::False | Formula::Atom(_) => leaf(f),
             Formula::Not(g) => {
-                let child = self.lower(g, alphabet, strategy, k);
+                let child = self.lower(g, alphabet, strategy, langs);
                 let vars = child.vars.clone();
                 PlanNode::new(PlanOp::Complement, est(f), vars, vec![child])
             }
             Formula::And(a, b) => {
-                let lhs = self.lower(a, alphabet, strategy, k);
-                let rhs = self.lower(b, alphabet, strategy, k);
+                let lhs = self.lower(a, alphabet, strategy, langs);
+                let rhs = self.lower(b, alphabet, strategy, langs);
                 let vars = union_sorted(&lhs.vars, &rhs.vars);
                 PlanNode::product(est(f), vars, vec![lhs, rhs])
             }
             Formula::Or(a, b) => {
-                let lhs = self.lower(a, alphabet, strategy, k);
-                let rhs = self.lower(b, alphabet, strategy, k);
+                let lhs = self.lower(a, alphabet, strategy, langs);
+                let rhs = self.lower(b, alphabet, strategy, langs);
                 let vars = union_sorted(&lhs.vars, &rhs.vars);
                 PlanNode::new(PlanOp::Union, est(f), vars, vec![lhs, rhs])
             }
             // a → b ≡ ¬a ∨ b.
             Formula::Implies(a, b) => {
                 let equiv = a.as_ref().clone().not().or(b.as_ref().clone());
-                let mut node = self.lower(&equiv, alphabet, strategy, k);
+                let mut node = self.lower(&equiv, alphabet, strategy, langs);
                 node.cost = est(f);
                 node
             }
@@ -473,13 +476,13 @@ impl Planner {
             Formula::Iff(a, b) => {
                 let pos = a.as_ref().clone().and(b.as_ref().clone());
                 let neg = a.as_ref().clone().not().and(b.as_ref().clone().not());
-                let lhs = self.lower(&pos, alphabet, strategy, k);
-                let rhs = self.lower(&neg, alphabet, strategy, k);
+                let lhs = self.lower(&pos, alphabet, strategy, langs);
+                let rhs = self.lower(&neg, alphabet, strategy, langs);
                 let vars = union_sorted(&lhs.vars, &rhs.vars);
                 PlanNode::new(PlanOp::Union, est(f), vars, vec![lhs, rhs])
             }
             Formula::Exists(v, g) => {
-                let child = self.lower(g, alphabet, strategy, k);
+                let child = self.lower(g, alphabet, strategy, langs);
                 let vars = minus_var(&child.vars, v);
                 PlanNode::new(
                     PlanOp::Project { var: v.clone() },
@@ -492,7 +495,7 @@ impl Planner {
             Formula::Forall(v, g) => {
                 let inner_not = g.as_ref().clone().not();
                 let exists = Formula::exists(v.clone(), inner_not.clone());
-                let child = self.lower(&inner_not, alphabet, strategy, k);
+                let child = self.lower(&inner_not, alphabet, strategy, langs);
                 let vars = minus_var(&child.vars, v);
                 let project = PlanNode::new(
                     PlanOp::Project { var: v.clone() },
@@ -503,7 +506,7 @@ impl Planner {
                 PlanNode::new(PlanOp::Complement, est(f), vars, vec![project])
             }
             Formula::ExistsR(r, v, g) => {
-                let child = self.lower(g, alphabet, strategy, k);
+                let child = self.lower(g, alphabet, strategy, langs);
                 let vars = minus_var(&child.vars, v);
                 PlanNode::new(
                     PlanOp::RestrictQuantifiers {
@@ -519,7 +522,7 @@ impl Planner {
             Formula::ForallR(r, v, g) => {
                 let inner_not = g.as_ref().clone().not();
                 let exists = Formula::exists_r(*r, v.clone(), inner_not.clone());
-                let child = self.lower(&inner_not, alphabet, strategy, k);
+                let child = self.lower(&inner_not, alphabet, strategy, langs);
                 let vars = minus_var(&child.vars, v);
                 let restricted = PlanNode::new(
                     PlanOp::RestrictQuantifiers {
@@ -534,6 +537,14 @@ impl Planner {
             }
         }
     }
+}
+
+/// The scan program of a scan-shaped formula, which the class lookup
+/// alone routes to the scan strategies.
+fn scan_of(sheet: &FactSheet) -> Result<ScanPlan, CoreError> {
+    sheet.class.scan().cloned().ok_or_else(|| {
+        CoreError::Unsupported("the scan strategies require a scan-shaped formula".into())
+    })
 }
 
 /// Merge of two sorted, deduplicated track lists (plan-node `vars` are

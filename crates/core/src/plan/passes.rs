@@ -3,7 +3,10 @@
 //! restriction, flat products, the cache lookup — is built into the tree
 //! as [`super::Planner`] lowers it.
 
-use strcalc_logic::transform::{fragment, simplify};
+use std::sync::Arc;
+
+use strcalc_analyze::FactSheet;
+use strcalc_logic::transform::simplify;
 use strcalc_logic::Formula;
 
 use crate::query::Query;
@@ -32,7 +35,9 @@ impl PassTrace {
 }
 
 /// The rewrite pass: light constant folding via `simplify`, accepted
-/// only when it provably stays in-fragment. The guard mirrors
+/// only when it provably stays in-fragment. An accepted rewrite builds
+/// the fact sheet of the simplified formula; an identity one keeps the
+/// source's. The guard mirrors
 /// `sqlfront`'s verified-rewrite gate: the rewritten formula must keep
 /// the same free variables, and (for a typed query) must still validate
 /// against the declared calculus. A rejected rewrite leaves the source
@@ -82,16 +87,18 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, Option<Formula>, PassT
             alphabet,
             head,
             formula,
+            sheet,
         } => {
             // The concat fragment has no declared calculus to violate,
-            // but the rewrite must still parse as *some* fragment.
-            let k = alphabet.len() as u8;
-            if fragment(&simplified, k, 1_000_000).is_err() {
+            // but the rewrite must still pass fragment inference.
+            let simplified_sheet = FactSheet::build(&simplified, &head, alphabet.len() as u8);
+            if simplified_sheet.signature.star_free_undecided > 0 {
                 return (
                     PlanSource::Raw {
                         alphabet,
                         head,
                         formula,
+                        sheet,
                     },
                     None,
                     PassTrace::new(PASS, false, "rejected: rewrite fails fragment inference"),
@@ -102,21 +109,11 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, Option<Formula>, PassT
                     alphabet,
                     head,
                     formula: simplified,
+                    sheet: Arc::new(simplified_sheet),
                 },
                 Some(formula),
                 PassTrace::new(PASS, true, "simplified constant subformulas"),
             )
         }
     }
-}
-
-/// Shared helper for the rewrite guard: does `f` still mention exactly
-/// the variables in `head` freely? (Used by `Planner::plan_formula` for
-/// the raw-concat entry, where no `Query` validates the head.)
-pub(super) fn head_matches(head: &[String], f: &Formula) -> bool {
-    let mut sorted: Vec<String> = head.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    let free: Vec<String> = f.free_vars().into_iter().collect();
-    sorted == free && sorted.len() == head.len()
 }

@@ -1,10 +1,12 @@
 //! Typed queries over the four tame calculi.
 
 use std::fmt;
+use std::sync::Arc;
 
 use strcalc_alphabet::{Alphabet, Str};
-use strcalc_analyze::{Analysis, Analyzer};
-use strcalc_logic::transform::fragment;
+use strcalc_analyze::langs::MONOID_CAP;
+use strcalc_analyze::{Analysis, Analyzer, FactSheet};
+use strcalc_automata::AutomataError;
 use strcalc_logic::{CompileError, Formula, LogicError, StructureClass};
 use strcalc_relational::{DbError, RaError, Relation};
 use strcalc_synchro::SynchroError;
@@ -213,7 +215,13 @@ impl From<RaError> for CoreError {
 
 /// A typed query: a calculus, an alphabet, a head (the output column
 /// order) and a formula whose free variables are exactly the head.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A query carries the [`FactSheet`] of its formula and head, built
+/// once when the query is: every later stage (analysis, routing,
+/// lowering, planlint, EXPLAIN, the cache key) reads it. The public
+/// fields are the query as built; a query with another formula is a
+/// new query.
+#[derive(Debug, Clone)]
 pub struct Query {
     pub calculus: Calculus,
     pub alphabet: Alphabet,
@@ -221,13 +229,14 @@ pub struct Query {
     /// set; a sentence has an empty head.
     pub head: Vec<String>,
     pub formula: Formula,
+    pub(crate) sheet: Arc<FactSheet>,
 }
 
 impl Query {
     /// Builds and validates a query: the head must list exactly the free
     /// variables, and every atom must fit the declared calculus
-    /// (star-freeness of `in`/`pl` languages is decided with a default
-    /// monoid cap).
+    /// (star-freeness of `in`/`pl` languages is decided under
+    /// [`strcalc_analyze::langs::MONOID_CAP`]).
     pub fn new(
         calculus: Calculus,
         alphabet: Alphabet,
@@ -235,19 +244,8 @@ impl Query {
         formula: Formula,
     ) -> Result<Query, CoreError> {
         check_head(&head, &formula)?;
-        let inferred = fragment(&formula, alphabet.len() as u8, 1_000_000)?;
-        if !inferred.leq(calculus.structure_class()) {
-            return Err(CoreError::FragmentViolation {
-                declared: calculus,
-                inferred,
-            });
-        }
-        Ok(Query {
-            calculus,
-            alphabet,
-            head,
-            formula,
-        })
+        let sheet = FactSheet::build(&formula, &head, alphabet.len() as u8);
+        Query::typed(Some(calculus), alphabet, head, formula, sheet)
     }
 
     /// Builds a query, inferring the least sufficient calculus. The
@@ -258,24 +256,48 @@ impl Query {
         head: Vec<String>,
         formula: Formula,
     ) -> Result<Query, CoreError> {
-        let inferred = fragment(&formula, alphabet.len() as u8, 1_000_000)?;
-        let calculus = match inferred {
-            StructureClass::S => Calculus::S,
-            StructureClass::SLeft => Calculus::SLeft,
-            StructureClass::SReg => Calculus::SReg,
-            StructureClass::SLen => Calculus::SLen,
-            StructureClass::Concat => {
+        let sheet = FactSheet::build(&formula, &head, alphabet.len() as u8);
+        let q = Query::typed(None, alphabet, head, formula, sheet)?;
+        check_head(&q.head, &q.formula)?;
+        Ok(q)
+    }
+
+    /// A query over `sheet`, the fact sheet of `formula` and `head`, in
+    /// the `declared` calculus, or in the least one the sheet infers
+    /// when `None`. The head is the caller's to check.
+    pub(crate) fn typed(
+        declared: Option<Calculus>,
+        alphabet: Alphabet,
+        head: Vec<String>,
+        formula: Formula,
+        sheet: FactSheet,
+    ) -> Result<Query, CoreError> {
+        if sheet.signature.star_free_undecided > 0 {
+            let cap = AutomataError::MonoidTooLarge { cap: MONOID_CAP };
+            return Err(LogicError::StarFreeUndecided(cap.to_string()).into());
+        }
+        let inferred = sheet.signature.inferred;
+        let calculus = match (declared, inferred) {
+            (Some(declared), _) if !inferred.leq(declared.structure_class()) => {
+                return Err(CoreError::FragmentViolation { declared, inferred })
+            }
+            (Some(declared), _) => declared,
+            (None, StructureClass::S) => Calculus::S,
+            (None, StructureClass::SLeft) => Calculus::SLeft,
+            (None, StructureClass::SReg) => Calculus::SReg,
+            (None, StructureClass::SLen) => Calculus::SLen,
+            (None, StructureClass::Concat) => {
                 return Err(CoreError::Unsupported(
                     "concatenation queries belong to RC_concat; use ConcatEvaluator".into(),
                 ))
             }
         };
-        check_head(&head, &formula)?;
         Ok(Query {
             calculus,
             alphabet,
             head,
             formula,
+            sheet: Arc::new(sheet),
         })
     }
 
@@ -292,39 +314,31 @@ impl Query {
 
     /// Builds a query with the full static analyzer in the loop
     /// (opt-in: [`Query::new`] only enforces the fragment check). Runs
-    /// `strcalc-analyze`'s four passes with default lint levels; if any
-    /// diagnostic is error-level the query is rejected with
-    /// [`CoreError::StaticAnalysis`], otherwise the query is returned
-    /// together with the [`Analysis`] (whose warnings and notes the
-    /// caller can surface).
+    /// `strcalc-analyze`'s passes over the query's fact sheet with
+    /// default lint levels; if any diagnostic is error-level the query is
+    /// rejected with [`CoreError::StaticAnalysis`], otherwise the query
+    /// is returned together with the [`Analysis`] (whose warnings and
+    /// notes the caller can surface). Other lint levels apply through
+    /// [`Analyzer::diagnose`] over [`Query::sheet`].
     pub fn analyzed(
         calculus: Calculus,
         alphabet: Alphabet,
         head: Vec<String>,
         formula: Formula,
     ) -> Result<(Query, Analysis), CoreError> {
-        Query::analyzed_with(calculus, alphabet, head, formula, |a| a)
-    }
-
-    /// [`Query::analyzed`] with analyzer configuration: `configure`
-    /// receives the default analyzer for `calculus` and can adjust lint
-    /// levels or budgets before it runs.
-    pub fn analyzed_with(
-        calculus: Calculus,
-        alphabet: Alphabet,
-        head: Vec<String>,
-        formula: Formula,
-        configure: impl FnOnce(Analyzer) -> Analyzer,
-    ) -> Result<(Query, Analysis), CoreError> {
-        // Same monoid cap as `Query::new`, so the two paths agree on
-        // star-freeness.
-        let analyzer = configure(Analyzer::new(calculus.structure_class()).monoid_cap(1_000_000));
-        let analysis = analyzer.analyze(&alphabet, &formula);
+        let sheet = FactSheet::build(&formula, &head, alphabet.len() as u8);
+        let analysis = Analyzer::new(calculus.structure_class()).diagnose(&formula, &sheet);
         if analysis.has_errors() {
             return Err(CoreError::StaticAnalysis(Box::new(analysis)));
         }
-        let query = Query::new(calculus, alphabet, head, formula)?;
+        check_head(&head, &formula)?;
+        let query = Query::typed(Some(calculus), alphabet, head, formula, sheet)?;
         Ok((query, analysis))
+    }
+
+    /// The fact sheet of the query's formula and head.
+    pub fn sheet(&self) -> &FactSheet {
+        &self.sheet
     }
 
     /// `true` iff this is a sentence (Boolean query).
@@ -339,7 +353,7 @@ impl Query {
 }
 
 /// The head must list exactly the formula's free variables, each once.
-fn check_head(head: &[String], formula: &Formula) -> Result<(), CoreError> {
+pub(crate) fn check_head(head: &[String], formula: &Formula) -> Result<(), CoreError> {
     let free: Vec<String> = formula.free_vars().into_iter().collect();
     let mut head_sorted = head.to_vec();
     head_sorted.sort();
@@ -489,29 +503,19 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_with_honours_lint_config() {
+    fn lint_levels_apply_to_the_query_sheet() {
         use strcalc_analyze::{Code, LintLevel};
         let f = Formula::prefix(Term::var("x"), Term::var("y"));
+        let q = Query::new(Calculus::S, ab(), vec!["x".into(), "y".into()], f).unwrap();
+        let sa010 = Code::FreeVarNotRangeRestricted;
+        let under = |level| Analyzer::new(StructureClass::S).lint(sa010, level);
         // Deny SA010: the unsafe query is now rejected.
-        let err = Query::analyzed_with(
-            Calculus::S,
-            ab(),
-            vec!["x".into(), "y".into()],
-            f.clone(),
-            |a| a.lint(Code::FreeVarNotRangeRestricted, LintLevel::Deny),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::StaticAnalysis(_)));
-        // Allow it: accepted with no SA010 diagnostic at all.
-        let (_, analysis) =
-            Query::analyzed_with(Calculus::S, ab(), vec!["x".into(), "y".into()], f, |a| {
-                a.lint(Code::FreeVarNotRangeRestricted, LintLevel::Allow)
-            })
-            .unwrap();
-        assert_eq!(
-            analysis.with_code(Code::FreeVarNotRangeRestricted).count(),
-            0
-        );
+        assert!(under(LintLevel::Deny)
+            .diagnose(&q.formula, q.sheet())
+            .has_errors());
+        // Allow it: no SA010 diagnostic at all.
+        let allowed = under(LintLevel::Allow).diagnose(&q.formula, q.sheet());
+        assert_eq!(allowed.with_code(sa010).count(), 0);
     }
 
     #[test]

@@ -76,7 +76,6 @@ impl RangeRestricted {
     pub fn derive(query: Query) -> RangeRestricted {
         let mut max_const = 0usize;
         let mut max_dfa = 0usize;
-        let k_alpha = query.alphabet.len() as u8;
         query.formula.visit(&mut |sub| {
             if let Formula::Atom(a) = sub {
                 for t in a.terms() {
@@ -85,7 +84,7 @@ impl RangeRestricted {
                     }
                 }
                 if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
-                    max_dfa = max_dfa.max(l.to_dfa(k_alpha).len());
+                    max_dfa = max_dfa.max(query.sheet().langs.dfa(l).map_or(0, Dfa::len));
                 }
             }
         });

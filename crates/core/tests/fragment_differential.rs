@@ -163,9 +163,9 @@ proptest! {
         p in 0..PATTERNS.len(),
         shape in 0usize..5,
     ) {
-        let (f, _) = candidate(PATTERNS[p], shape);
+        let (f, head) = candidate(PATTERNS[p], shape);
         let strategy = Planner::new().strategy_for(&f, 2).expect("never concat");
-        match fragments::eval_class(&f) {
+        match fragments::eval_class(&head, &f) {
             EvalClass::LikeLinear(_) => prop_assert_eq!(strategy, PlanStrategy::LikeLinearScan),
             // The pool's general-class patterns are tiny, so their
             // state bounds always fit the default threshold.
@@ -226,7 +226,7 @@ proptest! {
     #[test]
     fn forced_automata_agrees_with_the_scan(p in 0..PATTERNS.len(), shape in 0usize..4) {
         let (f, head) = candidate(PATTERNS[p], shape);
-        let class = fragments::eval_class(&f);
+        let class = fragments::eval_class(&head, &f);
         if matches!(class, EvalClass::LikeLinear(_) | EvalClass::LikeGeneral(_)) {
             let linear = matches!(class, EvalClass::LikeLinear(_));
             let q = Query::new(Calculus::SReg, ab(), head, f).expect("head = free vars");

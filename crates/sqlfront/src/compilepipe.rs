@@ -165,15 +165,15 @@ pub fn compile_select_with(
     opts: &CompileOptions,
 ) -> Result<CompiledSql, SqlError> {
     let mut compiled = compile_raw(alphabet, catalog, stmt)?;
-    // Analyze against the calculus the query was inferred into, with the
-    // same monoid cap `Query::infer` used, so star-freeness verdicts
-    // agree between the two layers.
-    let mut analyzer =
-        Analyzer::new(compiled.query.calculus.structure_class()).monoid_cap(1_000_000);
+    // Analyze against the calculus the query was inferred into, over the
+    // fact sheet `Query::infer` built, so the two layers share one
+    // language table and one set of star-freeness verdicts.
+    let mut analyzer = Analyzer::new(compiled.query.calculus.structure_class());
     for (code, level) in &opts.lints {
         analyzer = analyzer.lint(*code, *level);
     }
-    let mut analysis = analyzer.analyze(alphabet, &compiled.query.formula);
+    let query = &compiled.query;
+    let mut analysis = analyzer.diagnose(&query.formula, query.sheet());
     if analysis.has_errors() {
         return Err(rejection(
             "static analysis rejected the query",

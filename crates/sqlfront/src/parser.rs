@@ -49,7 +49,8 @@ pub enum SqlErrorKind {
     /// A malformed or unsupported statement.
     Invalid,
     /// A statement nesting deeper than [`MAX_NESTING_DEPTH`] levels:
-    /// one per parenthesis, `NOT` and `TRIM` term, two per subquery.
+    /// one per parenthesis, `NOT` and `TRIM` term and `AND`/`OR` chain
+    /// link, two per subquery.
     NestingTooDeep,
 }
 
@@ -269,14 +270,19 @@ impl<'a> P<'a> {
         f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
     ) -> Result<T, SqlError> {
         if self.depth >= MAX_NESTING_DEPTH {
-            let mut e = self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels"));
-            e.kind = SqlErrorKind::NestingTooDeep;
-            return Err(e);
+            return Err(self.too_deep());
         }
         self.depth += 1;
         let out = f(self);
         self.depth -= 1;
         out
+    }
+
+    /// The refusal of input nested past [`MAX_NESTING_DEPTH`].
+    fn too_deep(&self) -> SqlError {
+        let mut e = self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels"));
+        e.kind = SqlErrorKind::NestingTooDeep;
+        e
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -371,19 +377,31 @@ impl<'a> P<'a> {
     }
 
     fn cond(&mut self) -> Result<Cond, SqlError> {
-        let mut c = self.cond_and()?;
-        while self.is_keyword("or") {
-            self.pos += 1;
-            c = Cond::Or(Box::new(c), Box::new(self.cond_and()?));
-        }
-        Ok(c)
+        self.chain("or", Self::cond_and, Cond::Or)
     }
 
     fn cond_and(&mut self) -> Result<Cond, SqlError> {
-        let mut c = self.cond_unary()?;
-        while self.is_keyword("and") {
+        self.chain("and", Self::cond_unary, Cond::And)
+    }
+
+    /// A left-deep chain `operand (keyword operand)*`. As in the formula
+    /// parser, the `n`-th link nests the chain so far `n` levels deep, so
+    /// it counts as `n` open levels; the operands parse at the chain's.
+    fn chain(
+        &mut self,
+        keyword: &str,
+        operand: fn(&mut Self) -> Result<Cond, SqlError>,
+        join: fn(Box<Cond>, Box<Cond>) -> Cond,
+    ) -> Result<Cond, SqlError> {
+        let mut c = operand(self)?;
+        let mut links = 0;
+        while self.is_keyword(keyword) {
+            links += 1;
+            if self.depth + links > MAX_NESTING_DEPTH {
+                return Err(self.too_deep());
+            }
             self.pos += 1;
-            c = Cond::And(Box::new(c), Box::new(self.cond_unary()?));
+            c = join(Box::new(c), Box::new(operand(self)?));
         }
         Ok(c)
     }
@@ -724,6 +742,14 @@ mod tests {
         assert_eq!(kind(&parens(MAX_NESTING_DEPTH + 1)), deep);
         assert_eq!(kind(&subqueries(MAX_NESTING_DEPTH / 2)), None);
         assert_eq!(kind(&subqueries(MAX_NESTING_DEPTH / 2 + 1)), deep);
+        // Each link of an AND/OR chain counts one level, as in the
+        // formula parser.
+        let chain =
+            |sep: &str, links: usize| format!("{select}{}", vec!["r.x = r.y"; links + 1].join(sep));
+        for sep in [" AND ", " OR "] {
+            assert_eq!(kind(&chain(sep, MAX_NESTING_DEPTH)), None);
+            assert_eq!(kind(&chain(sep, MAX_NESTING_DEPTH + 1)), deep);
+        }
         // Other errors keep their kind.
         assert_eq!(kind("SELECT FROM r"), Some(SqlErrorKind::Invalid));
     }

@@ -49,7 +49,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use strcalc::alphabet::Alphabet;
-use strcalc::analyze::{fragments, EvalClass};
+use strcalc::analyze::{EvalClass, FactSheet};
 use strcalc::core::plan::PlanChecker;
 use strcalc::core::{
     replay, AutomataEngine, AutomatonCache, Budget, Calculus, EvalOutput, ExecCx, ExecTrace,
@@ -417,14 +417,14 @@ fn planlint_corpus(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
         // iteration order), matching how the examples run these queries.
         let head: Vec<String> = f.free_vars().into_iter().collect();
         // Strategy the fragment inference demands for an unforced plan.
-        let class = fragments::eval_class(&f);
-        let expected = match &class {
+        let sheet = FactSheet::build(&f, &head, sigma.len() as u8);
+        let expected = match &sheet.class {
             EvalClass::LikeLinear(_) => "like-linear-scan",
             // General-class scans densify only when every language
             // filter's certified state bound fits the threshold the
             // (default-configured) planner uses.
             EvalClass::LikeGeneral(plan) => {
-                let bound = strcalc_analyze::planlint::dense_scan_states(plan, sigma.len() as u8);
+                let bound = strcalc_analyze::planlint::dense_scan_states(plan, &sheet.langs);
                 if bound <= strcalc_analyze::planlint::DENSIFY_THRESHOLD {
                     "dense-dfa-scan"
                 } else {
@@ -454,7 +454,7 @@ fn planlint_corpus(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
                         failures += 1;
                         format!(
                             "REJECTED [fragment {} demands {expected}, plan chose {}]",
-                            class.name(),
+                            sheet.class.name(),
                             plan.strategy.name()
                         )
                     } else {
@@ -465,7 +465,7 @@ fn planlint_corpus(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
                     };
                     println!(
                         "  {src:<label_w$}  {tag:<6}  {:<16}  {verdict}",
-                        class.name()
+                        sheet.class.name()
                     );
                     let errors = report
                         .diagnostics
@@ -481,7 +481,7 @@ fn planlint_corpus(ab: &Alphabet, dna: &Alphabet) -> ExitCode {
                     failures += 1;
                     println!(
                         "  {src:<label_w$}  {tag:<6}  {:<16}  NO PLAN: {e}",
-                        class.name()
+                        sheet.class.name()
                     );
                 }
             }

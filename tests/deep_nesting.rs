@@ -9,7 +9,7 @@ use strcalc::core::json;
 use strcalc::core::{PlanOp, Planner, Strategy};
 use strcalc::logic::{parse_formula, LogicError, StructureClass, MAX_NESTING_DEPTH};
 use strcalc::prelude::*;
-use strcalc::sqlfront::{parse_select, SqlErrorKind};
+use strcalc::sqlfront::{compile_select, parse_select, Catalog, SqlErrorKind};
 
 /// Runs `f` on a thread with the 8 MiB stack a main thread usually
 /// gets: the cap is sized for it, and unoptimized builds overflow the
@@ -127,6 +127,50 @@ fn long_and_or_chains_are_refused_at_the_cap() {
             let (out, report) = plan.execute(&db).unwrap();
             assert!(report.verdict.is_exact());
             assert_eq!(out.expect_finite(), db.relation("R").unwrap().clone());
+        }
+    });
+}
+
+/// `SELECT f.name FROM f WHERE f.name LIKE 'a%' AND …` with `links`
+/// links joined by `sep`.
+fn sql_chain(sep: &str, links: usize) -> String {
+    format!(
+        "SELECT f.name FROM f WHERE {}",
+        vec!["f.name LIKE 'a%'"; links + 1].join(sep)
+    )
+}
+
+#[test]
+fn long_sql_where_chains_are_refused_before_the_planner() {
+    with_main_stack(|| {
+        let ab = Alphabet::ab();
+        let mut catalog = Catalog::new();
+        catalog.add_table("f", &["name"]);
+        let mut db = Database::new();
+        db.insert_unary_parsed(&ab, "f", &["a", "ab", "b"]).unwrap();
+        let planner = Planner::new();
+        for sep in [" AND ", " OR "] {
+            // Past the cap the parser refuses the chain with a typed
+            // error; a left-deep tree that long would overflow the
+            // planner's stack.
+            let compiled = parse_select(&ab, &sql_chain(sep, 5_000))
+                .and_then(|stmt| compile_select(&ab, &catalog, &stmt));
+            match compiled {
+                Ok(c) => panic!(
+                    "{sep:?} × 5000 compiled; plan: {:?}",
+                    c.plan(&planner).map(|p| p.strategy)
+                ),
+                Err(e) => assert_eq!(e.kind, SqlErrorKind::NestingTooDeep, "{sep:?}: {e}"),
+            }
+            // At the cap the chain compiles, plans and runs.
+            let stmt = parse_select(&ab, &sql_chain(sep, MAX_NESTING_DEPTH)).unwrap();
+            let plan = compile_select(&ab, &catalog, &stmt)
+                .unwrap()
+                .plan(&planner)
+                .unwrap();
+            let (out, report) = plan.execute(&db).unwrap();
+            assert!(report.verdict.is_exact());
+            assert_eq!(out.len(), Some(2), "{sep:?}: 'a' and 'ab' match");
         }
     });
 }

@@ -7,19 +7,8 @@
 use strcalc::core::enumeval::DomainEvaluator;
 use strcalc::core::Calculus::{SLen, S};
 use strcalc::core::{AutomataEngine, Calculus, EnumEngine, Planner, Query, Strategy};
-use strcalc::logic::transform::fragment;
-use strcalc::logic::StructureClass;
 use strcalc::prelude::*;
 use strcalc::workloads::Workload;
-
-fn calculus_for(class: StructureClass) -> Calculus {
-    match class {
-        StructureClass::S => Calculus::S,
-        StructureClass::SLeft => Calculus::SLeft,
-        StructureClass::SReg => Calculus::SReg,
-        StructureClass::SLen | StructureClass::Concat => Calculus::SLen,
-    }
-}
 
 #[test]
 fn random_s_sentences_agree() {
@@ -37,8 +26,7 @@ fn random_s_sentences_agree() {
             Some(v) => Formula::exists(v.clone(), Formula::rel("U", vec![Term::var(v)]).and(f)),
             None => f,
         };
-        let class = fragment(&f, 2, 1_000_000).unwrap();
-        let q = Query::new(calculus_for(class), sigma.clone(), vec![], f).unwrap();
+        let q = Query::infer(sigma.clone(), vec![], f).unwrap();
         let a = exact.eval_bool(&q, &db).unwrap();
         let b = !baseline.eval(&q, &db).unwrap().is_empty();
         assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula);

@@ -133,6 +133,27 @@ fn degraded_automata_sentences() {
         assert_eq!((answer.arity(), answer.len()), (0, 1), "{code:?}");
         assert_eq!(report.tuples_enumerated, 0, "{code:?}");
     }
+    // A budget with unlimited states and one byte: the SA401 detail
+    // names the first node whose certificate it refuses, and only the
+    // refused dimension.
+    let narrow_bytes = ExecCx::production().with_budget(Budget {
+        bytes: 1,
+        ..Budget::unlimited()
+    });
+    let (out, report) = sentence.execute_in(&db(), &narrow_bytes).unwrap();
+    assert_eq!(out.expect_finite().len(), 1);
+    let exhausted = report.ledger.entries.iter().find(|e| !e.within).unwrap();
+    let sa401 = report
+        .degradations
+        .iter()
+        .find(|d| d.code == Code::DegradedExactToBounded)
+        .unwrap();
+    assert_eq!(sa401.node, exhausted.node);
+    let row = format!("{} {}: certified bytes ≤", exhausted.node, exhausted.op);
+    assert!(sa401.detail.starts_with(&row), "{}", sa401.detail);
+    let refused = "exceed the budget's ≤1;";
+    assert!(sa401.detail.contains(refused), "{}", sa401.detail);
+    assert!(!sa401.detail.contains("states"), "{}", sa401.detail);
 }
 
 #[test]
