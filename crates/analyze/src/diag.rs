@@ -22,11 +22,12 @@ use strcalc_logic::Formula;
 /// | `SA410` | budget reports (informational)         |
 /// | `SA411`–`SA41x` | in-flight deadline degradation |
 /// | `SA42x` | trace replay                           |
-/// | `SA43x` | cross-query admission & fault injection |
+/// | `SA43x` | fault injection                        |
 ///
 /// Codes are append-only: a code's meaning never changes once released,
 /// so lint-level configuration stays stable across versions. A retired
-/// code's number is never reused: `SA203`, `SA220`, `SA221`, `SA400`.
+/// code's number is never reused: `SA203`, `SA220`, `SA221`, `SA400`,
+/// `SA430`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// A term or atom requires a structure beyond the declared calculus.
@@ -156,12 +157,8 @@ pub enum Code {
     /// Replaying a recorded execution trace diverged from the original
     /// run: the node-by-node diff is non-empty.
     ReplayDivergence,
-    /// Informational: a `SharedLedger` reservation shortfall was
-    /// satisfied by evicting cold `AutomatonCache` entries instead of
-    /// rejecting admission.
-    AdmissionReservationEvicted,
     /// A deterministic fault-injection point fired (cache-insert
-    /// failure, compile abort, ledger contention); the structural
+    /// failure, compile abort); the structural
     /// response is recorded so the run replays bit-for-bit.
     FaultInjected,
 }
@@ -206,7 +203,6 @@ impl Code {
             Code::DeadlineSearchClamped => "SA412",
             Code::DeadlineCompileAborted => "SA413",
             Code::ReplayDivergence => "SA420",
-            Code::AdmissionReservationEvicted => "SA430",
             Code::FaultInjected => "SA431",
         }
     }
@@ -255,7 +251,6 @@ impl Code {
             Code::DeadlineSearchClamped,
             Code::DeadlineCompileAborted,
             Code::ReplayDivergence,
-            Code::AdmissionReservationEvicted,
             Code::FaultInjected,
         ]
     }
@@ -280,8 +275,7 @@ impl Code {
             | Code::FragmentReport
             | Code::LikeLinearClass
             | Code::LikeGeneralClass
-            | Code::BudgetReport
-            | Code::AdmissionReservationEvicted => Severity::Note,
+            | Code::BudgetReport => Severity::Note,
             _ => Severity::Warning,
         }
     }

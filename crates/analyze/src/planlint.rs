@@ -9,7 +9,7 @@
 //! complements determinize to `2^n`, projections and cache lookups pass
 //! through). The automata route is sized by upper bounds alone, so that
 //! is all a certificate holds: every reader — the budget seed, the
-//! governor's ledger, admission, SA240 calibration and `EXPLAIN` — asks
+//! governor's ledger, SA240 calibration and `EXPLAIN` — asks
 //! "at most how much". The planner's verifier runs these transfer
 //! functions bottom-up over the plan tree, in the same walk that
 //! typechecks it, and writes the resulting [`ResourceCert`] into every

@@ -49,13 +49,13 @@ fn bench(c: &mut Criterion) {
     .unwrap();
     group.bench_function("calc_to_algebra_translate", |b| {
         b.iter(|| {
-            adom_calculus_to_algebra(&q.formula, &q.head, &schema)
+            adom_calculus_to_algebra(q.formula(), q.head(), &schema)
                 .unwrap()
                 .size()
         })
     });
     group.bench_function("calc_to_algebra_then_eval", |b| {
-        let e = adom_calculus_to_algebra(&q.formula, &q.head, &schema).unwrap();
+        let e = adom_calculus_to_algebra(q.formula(), q.head(), &schema).unwrap();
         b.iter(|| ra_eval.eval(&e, &db).unwrap().len())
     });
 

@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
         let analyzer = Analyzer::new(calc.structure_class());
         group.bench_with_input(BenchmarkId::new("analyze", calc.name()), &q, |b, q| {
             b.iter(|| {
-                let analysis = analyzer.analyze(&q.alphabet, &q.formula);
+                let analysis = analyzer.analyze(q.alphabet(), q.formula());
                 assert!(!analysis.has_errors());
                 analysis.diagnostics.len()
             })

@@ -53,7 +53,7 @@ fn bench(c: &mut Criterion) {
         let q = probe(src);
         // Classification alone: the attribute fixpoint over the AST.
         group.bench_with_input(BenchmarkId::new("eval_class", class), &q, |b, q| {
-            b.iter(|| fragments::eval_class(&q.head, &q.formula))
+            b.iter(|| fragments::eval_class(q.head(), q.formula()))
         });
         // The planning that reads it.
         group.bench_with_input(BenchmarkId::new("plan", class), &q, |b, q| {
@@ -84,7 +84,7 @@ fn bench(c: &mut Criterion) {
     for (class, src) in LIKE_PROBES {
         let q = probe(src);
         let infer = median_round(rounds, iters, || {
-            fragments::eval_class(&q.head, &q.formula);
+            fragments::eval_class(q.head(), q.formula());
         });
         let plan = median_round(rounds, iters, || {
             planner.plan(&q).expect("probes always plan");

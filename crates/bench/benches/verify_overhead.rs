@@ -33,14 +33,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| engine.compile(q, &db).unwrap().var_names.len())
         });
         group.bench_with_input(BenchmarkId::new("rewrite", calc.name()), &q, |b, q| {
-            b.iter(|| rewriter.rewrite_traced(&q.formula).steps.len())
+            b.iter(|| rewriter.rewrite_traced(q.formula()).steps.len())
         });
         group.bench_with_input(
             BenchmarkId::new("rewrite_and_validate", calc.name()),
             &q,
             |b, q| {
                 b.iter(|| {
-                    let trace = rewriter.rewrite_traced(&q.formula);
+                    let trace = rewriter.rewrite_traced(q.formula());
                     let steps = validator.validate_trace_on(&trace, &db);
                     assert!(steps.iter().all(|s| s.verdict.is_validated()));
                     steps.len()

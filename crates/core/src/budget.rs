@@ -288,27 +288,14 @@ impl CacheEvent {
             hit,
         }
     }
-
-    /// A budget-aware eviction triggered by a shared-ledger
-    /// reservation shortfall (SA430).
-    pub fn reservation_eviction(label: impl Into<String>) -> CacheEvent {
-        CacheEvent {
-            kind: CacheEventKind::ReservationEviction,
-            label: label.into(),
-            hit: false,
-        }
-    }
 }
 
-/// The kind of a [`CacheEvent`]: an ordinary lookup, or an eviction
-/// the admission ledger forced to satisfy a reservation (the typed
-/// event satellite of the cross-query admission work).
+/// The kind of a [`CacheEvent`]. Traces record it, so a new kind of
+/// interaction can join without changing the event's shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEventKind {
     /// A compile or dense-table fetch through the cache.
     Lookup,
-    /// Cold entries evicted to cover a `SharedLedger` byte shortfall.
-    ReservationEviction,
 }
 
 impl CacheEventKind {
@@ -316,7 +303,6 @@ impl CacheEventKind {
     pub fn name(self) -> &'static str {
         match self {
             CacheEventKind::Lookup => "lookup",
-            CacheEventKind::ReservationEviction => "reservation-evict",
         }
     }
 
@@ -324,7 +310,6 @@ impl CacheEventKind {
     pub fn parse(s: &str) -> Option<CacheEventKind> {
         match s {
             "lookup" => Some(CacheEventKind::Lookup),
-            "reservation-evict" => Some(CacheEventKind::ReservationEviction),
             _ => None,
         }
     }

@@ -399,42 +399,6 @@ impl AutomatonCache {
         Ok((artifact, true))
     }
 
-    /// Evicts cold (LRU) entries shard by shard until at least
-    /// `bytes_needed` estimated bytes have been reclaimed, independent
-    /// of the per-shard byte budget. This is the admission hook: a
-    /// governed run short on `SharedLedger` bytes reclaims cache memory
-    /// to cover the shortfall (SA430) instead of being denied outright.
-    /// Counted against the eviction statistic. Returns
-    /// `(freed_bytes, entries_dropped)`.
-    pub fn evict_for_reservation(&self, bytes_needed: usize) -> (usize, u64) {
-        let mut freed = 0usize;
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            if freed >= bytes_needed {
-                break;
-            }
-            let mut s = shard.lock().unwrap_or_else(|p| p.into_inner());
-            while freed < bytes_needed && !s.map.is_empty() {
-                let victim = s
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty shard has a minimum");
-                if let Some(e) = s.map.remove(&victim) {
-                    let bytes = e.cached.bytes();
-                    s.debit(bytes);
-                    freed += bytes;
-                    dropped += 1;
-                }
-            }
-        }
-        if dropped > 0 {
-            self.stats.evictions.fetch_add(dropped, Ordering::Relaxed);
-        }
-        (freed, dropped)
-    }
-
     /// Drops everything.
     pub fn clear(&self) {
         let mut dropped = 0u64;
@@ -546,17 +510,9 @@ mod tests {
     fn byte_budget_evicts_lru() {
         // Budget so small every shard holds ~1 entry of this size.
         let cache = AutomatonCache::with_budget(8 * 150);
-        // Two keys in the SAME shard (identical non-formula parts are not
-        // enough; force it by searching).
+        // Two keys in the SAME shard.
         let k1 = key(1);
-        let mut k2 = key(2);
-        for f in 2..200 {
-            k2 = key(f);
-            if k2.shard() == k1.shard() {
-                break;
-            }
-        }
-        assert_eq!(k1.shard(), k2.shard(), "found a colliding shard");
+        let k2 = key_in_shard_of(k1, 2);
         cache.insert(k1, Arc::new(artifact(100)));
         cache.insert(k2, Arc::new(artifact(100)));
         // 200 bytes > 150 budget → the LRU (k1) was evicted.
@@ -606,22 +562,62 @@ mod tests {
         assert_eq!(calls, 1);
     }
 
+    /// Asserts that every shard's byte account equals the bytes of the
+    /// entries resident in it.
+    fn assert_exact_accounting(cache: &AutomatonCache) {
+        for (i, shard) in cache.shards.iter().enumerate() {
+            let s = shard.lock().unwrap();
+            let resident: usize = s.map.values().map(|e| e.cached.bytes()).sum();
+            assert_eq!(s.bytes, resident, "shard {i}: byte account drifted");
+        }
+    }
+
+    /// A key of the same shard as `of`, searched from `from` upwards.
+    fn key_in_shard_of(of: CacheKey, from: u64) -> CacheKey {
+        (from..)
+            .map(key)
+            .find(|k| *k != of && k.shard() == of.shard())
+            .unwrap()
+    }
+
+    /// Drains the cache through LRU eviction: an insert larger than the
+    /// shard budget evicts every entry of its shard, itself last.
+    fn drain(cache: &AutomatonCache) {
+        for shard in 0..SHARDS {
+            let k = (1_000_000..).map(key).find(|k| k.shard() == shard).unwrap();
+            cache.insert(k, Arc::new(artifact(cache.per_shard_budget + 1)));
+        }
+    }
+
     #[test]
     fn mixed_artifact_accounting_stays_exact() {
         // Insert, replace (both directions) and evict with both artifact
-        // kinds resident; draining through the accounted eviction path
-        // must return the byte account to zero with no underflow
-        // (debug_assert in `debit` would fire).
-        let cache = AutomatonCache::new();
-        cache.insert(key(30), Arc::new(artifact(100)));
-        cache.insert_dense(key(31), Arc::new(dense_artifact()));
+        // kinds resident in one shard; the account must match the
+        // resident entries at every step and drain to zero with no
+        // underflow (debug_assert in `debit` would fire).
         let dense_bytes = dense_artifact().bytes;
+        let budget = 2 * dense_bytes + 100;
+        let cache = AutomatonCache::with_budget(SHARDS * budget);
+        let (k1, k2) = (key(30), key_in_shard_of(key(30), 31));
+        cache.insert(k1, Arc::new(artifact(100)));
+        cache.insert_dense(k2, Arc::new(dense_artifact()));
         assert_eq!(cache.stats().bytes, 100 + dense_bytes);
+        assert_exact_accounting(&cache);
         // Replace the automaton slot with a dense one and vice versa.
-        cache.insert_dense(key(30), Arc::new(dense_artifact()));
-        cache.insert(key(31), Arc::new(artifact(40)));
+        cache.insert_dense(k1, Arc::new(dense_artifact()));
+        assert_exact_accounting(&cache);
+        cache.insert(k2, Arc::new(artifact(40)));
         assert_eq!(cache.stats().bytes, dense_bytes + 40);
-        cache.evict_for_reservation(usize::MAX);
+        assert_exact_accounting(&cache);
+        assert_eq!(cache.stats().evictions, 0);
+        // An insert past the shard budget evicts the LRU slot (the
+        // dense one at `k1`) and keeps the rest.
+        let k3 = key_in_shard_of(k1, k2.formula + 1);
+        cache.insert(k3, Arc::new(artifact(budget - 40)));
+        assert!(cache.get_dense(&k1).is_none());
+        assert_eq!(cache.stats().bytes, budget);
+        assert_exact_accounting(&cache);
+        drain(&cache);
         assert_eq!(cache.stats().bytes, 0);
         assert!(cache.is_empty());
     }
@@ -631,14 +627,7 @@ mod tests {
         let dense_bytes = dense_artifact().bytes;
         let cache = AutomatonCache::with_budget(8 * (dense_bytes + dense_bytes / 2));
         let k1 = key(1);
-        let mut k2 = key(2);
-        for f in 2..200 {
-            k2 = key(f);
-            if k2.shard() == k1.shard() {
-                break;
-            }
-        }
-        assert_eq!(k1.shard(), k2.shard(), "found a colliding shard");
+        let k2 = key_in_shard_of(k1, 2);
         cache.insert_dense(k1, Arc::new(dense_artifact()));
         cache.insert_dense(k2, Arc::new(dense_artifact()));
         assert!(cache.get_dense(&k1).is_none(), "LRU dense entry evicted");
@@ -647,42 +636,25 @@ mod tests {
         assert_eq!(cache.stats().bytes, dense_bytes);
     }
 
-    #[test]
-    fn reservation_eviction_reclaims_cold_bytes_first() {
-        let cache = AutomatonCache::new();
-        cache.insert(key(40), Arc::new(artifact(100)));
-        cache.insert(key(41), Arc::new(artifact(100)));
-        // Touch key 41 so key 40 is the colder entry.
-        assert!(cache.get(&key(41)).is_some());
-        let (freed, dropped) = cache.evict_for_reservation(50);
-        assert!(freed >= 50);
-        assert_eq!(dropped, 1);
-        assert_eq!(cache.stats().evictions, 1);
-        // Reclaiming more than resident drains the cache and reports
-        // what it actually freed.
-        let (freed, dropped) = cache.evict_for_reservation(usize::MAX);
-        assert_eq!((freed, dropped), (100, 1));
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().bytes, 0);
-    }
-
-    /// Regression: reservation eviction racing lookup-then-insert (the
-    /// engine's probe and fill) must keep the shard byte account exact. A drift in
-    /// either direction is caught — an over-count leaves resident
-    /// bytes after draining every entry, an under-count trips the
+    /// Regression: LRU eviction racing lookup-then-insert (the engine's
+    /// probe and fill) must keep the shard byte account exact. A drift
+    /// in either direction is caught — an over-count makes a shard's
+    /// account exceed its resident entries, an under-count trips the
     /// `debit` underflow `debug_assert` mid-race.
     #[test]
-    fn reservation_eviction_races_lookup_or_insert_without_byte_drift() {
+    fn lru_eviction_races_lookup_or_insert_without_byte_drift() {
         use std::sync::atomic::AtomicBool;
 
-        let cache = Arc::new(AutomatonCache::new());
+        // Four 64-byte entries fit a shard; the writers' 64 keys spread
+        // over 8 shards, so most inserts evict.
+        let cache = Arc::new(AutomatonCache::with_budget(SHARDS * 4 * 64));
         let stop = Arc::new(AtomicBool::new(false));
         let evictor = {
             let cache = Arc::clone(&cache);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    cache.evict_for_reservation(64);
+                    drain(&cache);
                 }
             })
         };
@@ -704,9 +676,9 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         evictor.join().unwrap();
-        // Drain through the accounted eviction path: an exact account
-        // ends at zero bytes with zero entries.
-        cache.evict_for_reservation(usize::MAX);
+        assert_exact_accounting(&cache);
+        // An exact account drains to zero bytes with zero entries.
+        drain(&cache);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().bytes, 0);
     }

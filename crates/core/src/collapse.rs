@@ -63,12 +63,12 @@ pub fn restrict_quantifiers(f: &Formula, r: Restrict) -> Formula {
 /// The query with its quantifiers naively restricted (the collapse normal
 /// form's *shape*).
 pub fn restricted_query(q: &Query) -> Result<Query, CoreError> {
-    let r = natural_restriction(q.calculus);
+    let r = natural_restriction(q.calculus());
     Query::new(
-        q.calculus,
-        q.alphabet.clone(),
-        q.head.clone(),
-        restrict_quantifiers(&q.formula, r),
+        q.calculus(),
+        q.alphabet().clone(),
+        q.head().to_vec(),
+        restrict_quantifiers(q.formula(), r),
     )
 }
 

@@ -31,8 +31,7 @@
 #![deny(clippy::unwrap_used)]
 
 use strcalc_alphabet::{Alphabet, Str};
-use strcalc_logic::transform::fragment;
-use strcalc_logic::{Formula, StructureClass, Term};
+use strcalc_logic::{Formula, Term};
 use strcalc_relational::{Database, Relation};
 
 use crate::enumeval::DomainEvaluator;
@@ -104,13 +103,6 @@ pub fn ww_language_bounded(alphabet: &Alphabet, bound: usize) -> Vec<Str> {
         .eval(&ww_query(), &["x".to_string()], &db)
         .expect("invariant: ww_query is pure with head [x], so bounded eval cannot fail");
     rel.iter().map(|t| t[0].clone()).collect()
-}
-
-/// The fragment checker confirms concat queries sit at the lattice top.
-pub fn ww_query_is_concat_only(alphabet: &Alphabet) -> bool {
-    fragment(&ww_query(), alphabet.len() as u8, 1_000_000)
-        .map(|c| c == StructureClass::Concat)
-        .unwrap_or(false)
 }
 
 /// A deterministic Turing-machine *step* relation encoded as an
@@ -188,11 +180,6 @@ mod tests {
         assert!(words.contains(&s("")));
         assert!(words.contains(&s("abab")));
         assert!(!words.contains(&s("aab")));
-    }
-
-    #[test]
-    fn ww_is_concat_only() {
-        assert!(ww_query_is_concat_only(&ab()));
     }
 
     /// Whether the sentence `f` holds under the bounded semantics.

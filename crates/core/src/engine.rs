@@ -243,7 +243,7 @@ impl AutomataEngine {
         db: &Database,
         virtuals: HashMap<String, SyncNfa>,
     ) -> Result<Compiled, CoreError> {
-        Ok(self.compile_in(&q.formula, &q.alphabet, db, virtuals)?)
+        Ok(self.compile_in(q.formula(), q.alphabet(), db, virtuals)?)
     }
 
     /// The one compiler over a database: `db`'s relations (plus any
@@ -271,7 +271,7 @@ impl AutomataEngine {
 
     /// The cached-or-compiled artifact for a typed query.
     fn artifact(&self, q: &Query, db: &Database) -> Result<Arc<CompiledArtifact>, CoreError> {
-        Ok(self.compile_cached(Some(q.sheet()), &q.formula, &q.alphabet, db)?)
+        Ok(self.compile_cached(Some(q.sheet()), q.formula(), q.alphabet(), db)?)
     }
 
     /// Exact evaluation: a finite relation (tuples in head order) or an
@@ -314,7 +314,7 @@ impl AutomataEngine {
             .iter()
             .map(|name| {
                 let pos = q
-                    .head
+                    .head()
                     .iter()
                     .position(|h| h == name)
                     .expect("validated head");
@@ -337,7 +337,7 @@ impl AutomataEngine {
         // Column permutation: track order is sorted names; the head may
         // order them differently.
         let perm: Vec<usize> = q
-            .head
+            .head()
             .iter()
             .map(|h| {
                 artifact
@@ -581,7 +581,7 @@ mod tests {
         let engine = AutomataEngine::new();
         let scan = q(Calculus::SReg, &["x"], "R(x) & in(x, /a.*/)");
         let tame = q(Calculus::SReg, &["x"], "R(x) & in(x, /(aa)*/)");
-        let key = |q: &Query| engine.cache_key(q.sheet(), &q.alphabet, &db());
+        let key = |q: &Query| engine.cache_key(q.sheet(), q.alphabet(), &db());
         let k_scan = key(&scan);
         let k_tame = key(&tame);
         assert_ne!(

@@ -80,14 +80,14 @@ impl EnumEngine {
     pub fn domain(&self, q: &Query, db: &Database) -> Domain {
         let slack = self
             .slack
-            .unwrap_or_else(|| quantifier_rank(&q.formula) + 1);
-        let mut base: BTreeSet<Str> = db.adom_within(q.alphabet.len() as u8);
-        collect_constants(&q.formula, &mut base);
-        match q.calculus {
+            .unwrap_or_else(|| quantifier_rank(q.formula()) + 1);
+        let mut base: BTreeSet<Str> = db.adom_within(q.alphabet().len() as u8);
+        collect_constants(q.formula(), &mut base);
+        match q.calculus() {
             Calculus::S | Calculus::SReg => {
-                Domain::Set(prefix_fringe(&q.alphabet, &base, slack, false))
+                Domain::Set(prefix_fringe(q.alphabet(), &base, slack, false))
             }
-            Calculus::SLeft => Domain::Set(prefix_fringe(&q.alphabet, &base, slack, true)),
+            Calculus::SLeft => Domain::Set(prefix_fringe(q.alphabet(), &base, slack, true)),
             Calculus::SLen => Domain::UpTo(base.iter().map(Str::len).max().unwrap_or(0) + slack),
         }
     }
@@ -427,7 +427,7 @@ mod tests {
         for query in &queries {
             let a = exact.eval(query, &db()).unwrap().expect_finite();
             let b = answer(&baseline, query);
-            assert_eq!(a, b, "engines disagree on {}", query.formula);
+            assert_eq!(a, b, "engines disagree on {}", query.formula());
         }
     }
 
@@ -459,7 +459,7 @@ mod tests {
         for query in &sentences {
             let a = exact.eval_bool(query, &db()).unwrap();
             let b = !answer(&baseline, query).is_empty();
-            assert_eq!(a, b, "engines disagree on {}", query.formula);
+            assert_eq!(a, b, "engines disagree on {}", query.formula());
         }
     }
 

@@ -2,10 +2,9 @@
 //!
 //! A [`FaultPlan`] names the injection points a governed run arms
 //! before execution: a deadline that fires at checkpoint `N`, a cache
-//! insert that fails, an automaton compile that aborts, or a shared
-//! ledger that reports artificial contention. Every point is a pure
-//! function of the plan — no randomness at fire time — so the plan can
-//! be recorded into an [`ExecTrace`](crate::trace::ExecTrace) and the
+//! insert that fails, or an automaton compile that aborts. Every point
+//! is a pure function of the plan — no randomness at fire time — so the
+//! plan can be recorded into an [`ExecTrace`](crate::trace::ExecTrace) and the
 //! run replayed bit-for-bit, SA4xx degradation sequence included.
 //!
 //! This is also how *real* deadline expiry becomes replayable: when a
@@ -35,9 +34,6 @@ pub struct FaultPlan {
     /// Abort automaton compilation before it starts; the run degrades
     /// to the bounded collapse-domain evaluation (SA413 + SA431).
     pub abort_compile: bool,
-    /// Report an artificial `SharedLedger` shortfall on the first
-    /// reservation attempt, exercising the eviction/denial path.
-    pub ledger_contention: bool,
 }
 
 /// splitmix64 finalizer: a cheap, well-mixed u64 → u64 hash.
@@ -59,7 +55,7 @@ impl FaultPlan {
     /// degradation to one injection), selected and parameterized by
     /// independent splitmix draws.
     pub fn from_seed(seed: u64) -> FaultPlan {
-        let kind = splitmix(seed) % 4;
+        let kind = splitmix(seed) % 3;
         let mut plan = FaultPlan {
             seed,
             ..FaultPlan::default()
@@ -71,18 +67,14 @@ impl FaultPlan {
                 plan.deadline_at_checkpoint = Some(1 + splitmix(seed ^ 1) % 8);
             }
             1 => plan.fail_cache_insert = true,
-            2 => plan.abort_compile = true,
-            _ => plan.ledger_contention = true,
+            _ => plan.abort_compile = true,
         }
         plan
     }
 
     /// Whether no injection point is armed.
     pub fn is_none(&self) -> bool {
-        self.deadline_at_checkpoint.is_none()
-            && !self.fail_cache_insert
-            && !self.abort_compile
-            && !self.ledger_contention
+        self.deadline_at_checkpoint.is_none() && !self.fail_cache_insert && !self.abort_compile
     }
 
     /// A short stable rendering for traces and logs, e.g.
@@ -100,9 +92,6 @@ impl FaultPlan {
         }
         if self.abort_compile {
             parts.push("abort-compile".to_string());
-        }
-        if self.ledger_contention {
-            parts.push("ledger-contention".to_string());
         }
         parts.join("+")
     }
@@ -129,8 +118,7 @@ mod tests {
             assert_eq!(a.seed, seed);
             let armed = usize::from(a.deadline_at_checkpoint.is_some())
                 + usize::from(a.fail_cache_insert)
-                + usize::from(a.abort_compile)
-                + usize::from(a.ledger_contention);
+                + usize::from(a.abort_compile);
             assert_eq!(armed, 1, "seed {seed} arms exactly one point");
         }
     }
@@ -141,7 +129,6 @@ mod tests {
         assert!(plans.iter().any(|p| p.deadline_at_checkpoint.is_some()));
         assert!(plans.iter().any(|p| p.fail_cache_insert));
         assert!(plans.iter().any(|p| p.abort_compile));
-        assert!(plans.iter().any(|p| p.ledger_contention));
     }
 
     #[test]
@@ -160,11 +147,7 @@ mod tests {
             deadline_at_checkpoint: Some(3),
             fail_cache_insert: true,
             abort_compile: true,
-            ledger_contention: true,
         };
-        assert_eq!(
-            p.summary(),
-            "deadline@3+fail-cache-insert+abort-compile+ledger-contention"
-        );
+        assert_eq!(p.summary(), "deadline@3+fail-cache-insert+abort-compile");
     }
 }

@@ -37,7 +37,6 @@ pub mod enumeval;
 pub mod faults;
 mod generate;
 pub mod json;
-pub mod ledger;
 pub mod mso3col;
 pub mod plan;
 pub mod query;
@@ -60,7 +59,6 @@ pub use engine::AutomataEngine;
 pub use enumeval::EnumEngine;
 pub use faults::FaultPlan;
 pub use generate::Domain;
-pub use ledger::{AdmissionShortfall, Reservation, SharedLedger};
 pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy};
 pub use query::{Calculus, CoreError, EvalOutput, Query};
 pub use safety::{RangeRestricted, StateSafety};

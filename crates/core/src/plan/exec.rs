@@ -44,17 +44,13 @@
 //! and under `DegradationPolicy::Fail` the run is instead rejected
 //! with `CoreError::BudgetExhausted`.
 //!
-//! Beyond the budget, the [`ExecCx`] (execution context) holds three
+//! Beyond the budget, the [`ExecCx`] (execution context) holds two
 //! robustness hooks:
 //!
 //! * a [`Clock`] behind a cooperative [`Deadline`], polled at coarse
 //!   checkpoints inside every long-running loop — a finite
 //!   `wall_time_ms` terminates the run *in flight* (SA411 scan
 //!   truncation, SA412 search clamp, SA413 compile abort);
-//! * an optional [`SharedLedger`] the run must reserve against before
-//!   executing — over-subscription across concurrent runs surfaces as
-//!   `CoreError::AdmissionDenied`, optionally after evicting cold cache
-//!   entries to cover a byte shortfall (SA430);
 //! * a [`FaultPlan`] of deterministic injection points (SA431),
 //!   recorded into the report so traces replay injected runs —
 //!   including real deadline fires, re-armed at their recorded
@@ -66,6 +62,7 @@ use strcalc_alphabet::{Str, Sym};
 use strcalc_analyze::planlint::{fmt_bound, ResourceCert};
 use strcalc_analyze::{Code, ScanPlan};
 use strcalc_automata::{DenseDfa, Dfa};
+use strcalc_logic::Lang;
 use strcalc_relational::{Database, Relation};
 
 use crate::budget::{
@@ -78,7 +75,6 @@ use crate::engine::Slot;
 use crate::enumeval::EnumEngine;
 use crate::faults::FaultPlan;
 use crate::generate::{Domain, DomainKind, Program, SIGMA_STAR};
-use crate::ledger::{AdmissionShortfall, Reservation, SharedLedger};
 use crate::query::{CoreError, EvalOutput, Query};
 
 use super::ir::{Plan, PlanNode, PlanOp, PlanSource, Strategy};
@@ -234,11 +230,10 @@ impl Run<'_> {
 
 /// The execution context a governed run carries: the [`Budget`] it is
 /// handed (the plan's seeded one unless set), the clock its deadline
-/// reads, the shared admission ledger it reserves against, and the
-/// deterministic fault plan it is armed with. [`Plan::execute`] uses
-/// [`ExecCx::production`]; trace replay uses [`ExecCx::replay`] so
-/// recorded runs — including deadline fires and injected faults —
-/// reproduce bit for bit.
+/// reads, and the deterministic fault plan it is armed with.
+/// [`Plan::execute`] uses [`ExecCx::production`]; trace replay uses
+/// [`ExecCx::replay`] so recorded runs — including deadline fires and
+/// injected faults — reproduce bit for bit.
 #[derive(Clone)]
 pub struct ExecCx {
     /// The budget capability for this run; `None` runs under the plan's
@@ -250,8 +245,6 @@ pub struct ExecCx {
     /// clock; replay: a frozen [`VirtualClock`] (only a recorded fire
     /// checkpoint can expire the deadline).
     pub clock: Arc<dyn Clock>,
-    /// The cross-query admission pool, if this run is subject to one.
-    pub ledger: Option<Arc<SharedLedger>>,
 }
 
 impl std::fmt::Debug for ExecCx {
@@ -259,35 +252,27 @@ impl std::fmt::Debug for ExecCx {
         f.debug_struct("ExecCx")
             .field("budget", &self.budget)
             .field("faults", &self.faults)
-            .field("ledger", &self.ledger.is_some())
             .finish()
     }
 }
 
 impl ExecCx {
     /// The production context: the plan's seeded budget, a real
-    /// monotonic clock, no fault injection, no shared ledger.
+    /// monotonic clock, no fault injection.
     pub fn production() -> ExecCx {
         ExecCx {
             budget: None,
             faults: FaultPlan::none(),
             clock: Arc::new(MonotonicClock::new()),
-            ledger: None,
         }
     }
 
     /// The replay context for a recorded fault plan: a frozen virtual
-    /// clock (wall time cannot fire anything; only the plan's recorded
-    /// checkpoint can), and an unlimited ledger exactly when the plan
-    /// injects ledger contention (so the SA431 admission path replays).
+    /// clock, so wall time cannot fire anything; only the plan's
+    /// recorded checkpoint can.
     pub fn replay(faults: FaultPlan) -> ExecCx {
         ExecCx {
             budget: None,
-            ledger: if faults.ledger_contention {
-                Some(Arc::new(SharedLedger::unlimited()))
-            } else {
-                None
-            },
             faults,
             clock: Arc::new(VirtualClock::frozen()),
         }
@@ -303,12 +288,6 @@ impl ExecCx {
     /// Arms this context with a fault plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> ExecCx {
         self.faults = faults;
-        self
-    }
-
-    /// Attaches a shared admission ledger.
-    pub fn with_ledger(mut self, ledger: Arc<SharedLedger>) -> ExecCx {
-        self.ledger = Some(ledger);
         self
     }
 
@@ -356,8 +335,8 @@ impl Plan {
 
     /// Executes the plan under the context `cx`: its budget (the seeded
     /// one unless set) is the capability every node is governed by, its
-    /// clock backs the in-flight deadline, its ledger gates admission,
-    /// and its fault plan arms deterministic injection points.
+    /// clock backs the in-flight deadline, and its fault plan arms
+    /// deterministic injection points.
     ///
     /// The governor checks every plan node's certificate against the
     /// budget, records the [`BudgetLedger`], and on exhaustion degrades
@@ -386,7 +365,6 @@ impl Plan {
             slot: None,
         };
         self.govern(db, &mut run);
-        let _reservation = self.admit(&mut run)?;
         self.fail_gate(&run)?;
         let out = match (&self.root.op, self.strategy) {
             (PlanOp::EnumerateFinite, Strategy::Automata) => self.run_automata(db, &mut run)?,
@@ -438,7 +416,7 @@ impl Plan {
     ) -> Result<(Relation, usize), CoreError> {
         let langs = &q.sheet().langs;
         let collapse = DomainKind::Collapse;
-        let (program, _) = Program::lower_over(&q.formula, &q.head, langs, None, collapse)?;
+        let (program, _) = Program::lower_over(q.formula(), q.head(), langs, None, collapse)?;
         let domain = EnumEngine { slack: self.slack }.domain(q, db);
         let deadline = if governed {
             run.deadline.clone()
@@ -450,7 +428,7 @@ impl Plan {
             let what = format!("generated {} bindings", out.bindings);
             self.truncate(run, Code::DeadlineScanTruncated, what, &out.answer)?;
         }
-        let size = domain.size(&q.alphabet);
+        let size = domain.size(q.alphabet());
         run.report.tuples_enumerated = self.enumerated(out.answer.len());
         run.report.domain_size = size;
         Ok((out.answer, size))
@@ -507,7 +485,7 @@ impl Plan {
         let q = self.typed_query()?;
         let domain = EnumEngine { slack: self.slack }.domain(q, db);
         let rel = self.run_program(db, run, &domain, Code::DeadlineScanTruncated)?;
-        run.report.domain_size = domain.size(&q.alphabet);
+        run.report.domain_size = domain.size(q.alphabet());
         Ok(rel)
     }
 
@@ -575,7 +553,7 @@ impl Plan {
             }
         });
         if let (true, Ok(q)) = (has_cache_lookup, self.typed_query()) {
-            run.slot = self.engine.probe(q.sheet(), &q.alphabet, db);
+            run.slot = self.engine.probe(q.sheet(), q.alphabet(), db);
         }
         let resident = run.slot.as_ref().is_some_and(|s| s.resident.is_some());
         record_ledger(
@@ -585,68 +563,6 @@ impl Plan {
             resident,
             &mut run.report.ledger,
         );
-    }
-
-    /// Cross-query admission: reserves the plan's peak certified demand
-    /// (plus one run slot) against the context's [`SharedLedger`], if
-    /// any. A shortfall is not immediately fatal — when the engine
-    /// holds a cache, cold entries are evicted to cover missing bytes
-    /// (SA430, with a typed cache event) and the reservation retried;
-    /// only a shortfall that survives eviction denies the run. The
-    /// returned guard holds the reservation until the run ends (drop).
-    fn admit(&self, run: &mut Run) -> Result<Option<Reservation>, CoreError> {
-        let Some(ledger) = &run.cx.ledger else {
-            return Ok(None);
-        };
-        let req = self.peak;
-        let first = if run.cx.faults.ledger_contention {
-            run.degrade(
-                Code::FaultInjected,
-                "root",
-                "injected ledger contention: the first reservation attempt reports an \
-                 artificial byte shortfall",
-            );
-            Err(AdmissionShortfall {
-                bytes: req.bytes.max(1),
-                ..AdmissionShortfall::default()
-            })
-        } else {
-            ledger.try_reserve(req)
-        };
-        let short = match first {
-            Ok(r) => return Ok(Some(r)),
-            Err(short) => short,
-        };
-        if short.bytes > 0 {
-            if let Some(cache) = self.engine.cache() {
-                let (freed, dropped) = cache.evict_for_reservation(short.bytes as usize);
-                if dropped > 0 {
-                    run.report
-                        .cache_events
-                        .push(CacheEvent::reservation_eviction(format!(
-                            "reservation-evict:{dropped}"
-                        )));
-                    run.degrade(
-                        Code::AdmissionReservationEvicted,
-                        "root",
-                        format!(
-                            "evicted {dropped} cold cache entries ({freed} bytes) to cover a \
-                             reservation shortfall"
-                        ),
-                    );
-                    ledger.credit_bytes(freed as u64);
-                }
-            }
-        }
-        match ledger.try_reserve(req) {
-            Ok(r) => Ok(Some(r)),
-            Err(short) => Err(CoreError::AdmissionDenied {
-                detail: format!(
-                    "{short} for a request of {} states, {} bytes",
-                    req.states, req.bytes
-                ),
-            }),
-        }
     }
 
     /// The shared deadline-expiry response: records the SA41x event
@@ -746,7 +662,7 @@ impl Plan {
             }) => Ok((Arc::clone(hit), false)),
             slot => {
                 let key = slot.as_ref().filter(|_| retain).map(|s| s.key);
-                Ok((self.engine.fill(key, &q.formula, &q.alphabet, db)?, true))
+                Ok((self.engine.fill(key, q.formula(), q.alphabet(), db)?, true))
             }
         }
     }
@@ -864,8 +780,8 @@ impl Plan {
             // plans and is the dense scan's SA402 target).
             plan.dense_filters
                 .iter()
-                .map(|(col, lang, _)| (*col, LangFilter::Sparse(lang.to_dfa(k))))
-                .collect()
+                .map(|(col, lang, _)| Ok((*col, LangFilter::Sparse(self.filter_dfa(*col, lang)?))))
+                .collect::<Result<_, CoreError>>()?
         };
         let (out, scanned, truncated) = run_scan(plan, rel, k, &filters, &run.deadline);
         run.report.domain_size = scanned;
@@ -955,16 +871,15 @@ impl Plan {
         plan: &ScanPlan,
         retain: bool,
         rep: &mut ExecReport,
-    ) -> Result<Vec<(usize, LangFilter)>, CoreError> {
+    ) -> Result<Vec<(usize, LangFilter<'_>)>, CoreError> {
         let engine = &self.engine;
         let alphabet = self.alphabet();
         let mut any_fresh = false;
         let mut tables = Vec::with_capacity(plan.dense_filters.len());
         for (col, lang, _) in &plan.dense_filters {
             let densify = || {
-                Ok::<_, CoreError>(DenseArtifact::from_dense(DenseDfa::compile(
-                    &lang.to_dfa(alphabet.len() as Sym),
-                )))
+                let dfa = self.filter_dfa(*col, lang)?;
+                Ok::<_, CoreError>(DenseArtifact::from_dense(DenseDfa::compile(dfa)))
             };
             let (artifact, fresh) = match engine.cache() {
                 // An injected cache-insert failure (`retain == false`)
@@ -990,6 +905,18 @@ impl Plan {
         rep.cache_hit = engine.cache.is_some() && !any_fresh;
         rep.cert_violations = self.calibrate(rep.automaton_states, rep.artifact_bytes);
         Ok(tables)
+    }
+
+    /// The DFA of a scan filter's language, compiled once into the
+    /// plan's fact sheet. The scan plan is read off that sheet, so a
+    /// language missing from it is a malformed plan.
+    fn filter_dfa(&self, col: usize, lang: &Lang) -> Result<&Dfa, CoreError> {
+        self.sheet().langs.dfa(lang).ok_or_else(|| {
+            CoreError::Unsupported(format!(
+                "malformed plan: the language filtering column {col} is not in the plan's \
+                 fact sheet"
+            ))
+        })
     }
 
     fn typed_query(&self) -> Result<&crate::query::Query, CoreError> {
@@ -1074,9 +1001,9 @@ fn scan_relation<'a>(plan: &ScanPlan, db: &'a Database) -> Result<&'a Relation, 
 /// One language filter of a scan: a dense table streamed a batch at a
 /// time through [`DenseDfa::match_mask`], or a sparse DFA walked row by
 /// row.
-enum LangFilter {
+enum LangFilter<'a> {
     Dense(Arc<DenseArtifact>),
-    Sparse(Dfa),
+    Sparse(&'a Dfa),
 }
 
 /// Rows per scan batch: small enough that the gather buffer and mask

@@ -277,9 +277,6 @@ pub struct Plan {
     pub(crate) engine: AutomataEngine,
     /// Fringe width for the enumeration executor (`None` = derived).
     pub(crate) slack: Option<usize>,
-    /// The largest certificate of any node, from the planner's
-    /// verification walk: what admission reserves.
-    pub(crate) peak: ResourceCert,
     /// The checker that verified the plan, holding the invariants it
     /// derived from the formula once; the execute-time gate re-runs it.
     pub(crate) checker: PlanChecker,
@@ -296,7 +293,7 @@ impl Plan {
     /// The formula this plan evaluates (after the rewrite pass).
     pub fn formula(&self) -> &Formula {
         match &self.source {
-            PlanSource::Query(q) => &q.formula,
+            PlanSource::Query(q) => q.formula(),
             PlanSource::Raw { formula, .. } => formula,
         }
     }
@@ -310,14 +307,14 @@ impl Plan {
     /// The output column order.
     pub fn head(&self) -> &[String] {
         match &self.source {
-            PlanSource::Query(q) => &q.head,
+            PlanSource::Query(q) => q.head(),
             PlanSource::Raw { head, .. } => head,
         }
     }
 
     pub fn alphabet(&self) -> &Alphabet {
         match &self.source {
-            PlanSource::Query(q) => &q.alphabet,
+            PlanSource::Query(q) => q.alphabet(),
             PlanSource::Raw { alphabet, .. } => alphabet,
         }
     }
@@ -333,7 +330,7 @@ impl Plan {
     /// The declared calculus, or `None` for the concat fragment.
     pub fn calculus(&self) -> Option<Calculus> {
         match &self.source {
-            PlanSource::Query(q) => Some(q.calculus),
+            PlanSource::Query(q) => Some(q.calculus()),
             PlanSource::Raw { .. } => None,
         }
     }

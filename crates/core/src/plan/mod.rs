@@ -269,13 +269,13 @@ impl Planner {
 
         // Lower the (possibly rewritten) formula to the operator tree.
         let (formula, alphabet, head, sheet) = match &source {
-            PlanSource::Query(q) => (&q.formula, &q.alphabet, &q.head, &q.sheet),
+            PlanSource::Query(q) => (q.formula(), q.alphabet(), q.head(), &q.sheet),
             PlanSource::Raw {
                 formula,
                 alphabet,
                 head,
                 sheet,
-            } => (formula, alphabet, head, sheet),
+            } => (formula, alphabet, head.as_slice(), sheet),
         };
         // Strategy selection runs on the *post-rewrite* formula: the
         // rewrite can move a formula into (or out of) the linear LIKE
@@ -296,7 +296,7 @@ impl Planner {
                     ))
                 }
             },
-            PlanSource::Query(q) => self.route(&q.formula, &q.head, sheet, Some(alphabet))?,
+            PlanSource::Query(q) => self.route(q.formula(), q.head(), sheet, Some(alphabet))?,
         };
         // Bounded search and the forced collapse route run a compiled
         // program too, over `Σ^{≤B}` and the collapse domain.
@@ -333,7 +333,7 @@ impl Planner {
                 let tree = match &source {
                     PlanSource::Query(q) => tree.wrap(PlanOp::RestrictQuantifiers {
                         var: None,
-                        restrict: natural_restriction(q.calculus),
+                        restrict: natural_restriction(q.calculus()),
                     }),
                     // Raw sources plan only bounded search.
                     PlanSource::Raw { .. } => tree,
@@ -400,7 +400,6 @@ impl Planner {
             given,
             engine: self.engine.clone(),
             slack: self.slack,
-            peak: report.peak,
             checker,
             budget,
             program,

@@ -46,7 +46,7 @@ impl PassTrace {
 pub(super) fn rewrite(source: PlanSource) -> (PlanSource, Option<Formula>, PassTrace) {
     const PASS: &str = "rewrite";
     let formula = match &source {
-        PlanSource::Query(q) => &q.formula,
+        PlanSource::Query(q) => q.formula(),
         PlanSource::Raw { formula, .. } => formula,
     };
     let simplified = simplify(formula);
@@ -66,10 +66,15 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, Option<Formula>, PassT
     }
     match source {
         PlanSource::Query(q) => {
-            match Query::new(q.calculus, q.alphabet.clone(), q.head.clone(), simplified) {
+            match Query::new(
+                q.calculus(),
+                q.alphabet().clone(),
+                q.head().to_vec(),
+                simplified,
+            ) {
                 Ok(rewritten) => (
                     PlanSource::Query(rewritten),
-                    Some(q.formula),
+                    Some(q.into_formula()),
                     PassTrace::new(PASS, true, "simplified constant subformulas"),
                 ),
                 Err(_) => (

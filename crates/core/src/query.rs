@@ -107,10 +107,6 @@ pub enum CoreError {
     /// pre-order, whose certificate the budget does not admit, and
     /// `detail` its rendered ledger row.
     BudgetExhausted { node: String, detail: String },
-    /// The cross-query [`SharedLedger`](crate::ledger::SharedLedger)
-    /// could not admit the run: its certified reservation exceeded the
-    /// available pool (even after budget-aware cache eviction).
-    AdmissionDenied { detail: String },
     /// A cooperative deadline fired under `DegradationPolicy::Fail`:
     /// the run is rejected at the checkpoint instead of degrading.
     /// `checkpoint` is the (deterministic, replayable) checkpoint index
@@ -162,9 +158,6 @@ impl fmt::Display for CoreError {
                 f,
                 "budget exhausted at {node} under the fail policy: {detail}"
             ),
-            CoreError::AdmissionDenied { detail } => {
-                write!(f, "admission denied by the shared ledger: {detail}")
-            }
             CoreError::DeadlineExpired { checkpoint, detail } => write!(
                 f,
                 "deadline expired at checkpoint {checkpoint} under the fail policy: {detail}"
@@ -218,17 +211,15 @@ impl From<RaError> for CoreError {
 ///
 /// A query carries the [`FactSheet`] of its formula and head, built
 /// once when the query is: every later stage (analysis, routing,
-/// lowering, planlint, EXPLAIN, the cache key) reads it. The public
-/// fields are the query as built; a query with another formula is a
-/// new query.
+/// lowering, planlint, EXPLAIN, the cache key) reads it. The parts are
+/// read-only, so the sheet always describes the query; a query with
+/// another formula is a new query.
 #[derive(Debug, Clone)]
 pub struct Query {
-    pub calculus: Calculus,
-    pub alphabet: Alphabet,
-    /// Output column order. Must equal the formula's free variables as a
-    /// set; a sentence has an empty head.
-    pub head: Vec<String>,
-    pub formula: Formula,
+    calculus: Calculus,
+    alphabet: Alphabet,
+    head: Vec<String>,
+    formula: Formula,
     pub(crate) sheet: Arc<FactSheet>,
 }
 
@@ -334,6 +325,33 @@ impl Query {
         check_head(&head, &formula)?;
         let query = Query::typed(Some(calculus), alphabet, head, formula, sheet)?;
         Ok((query, analysis))
+    }
+
+    /// The calculus the query was declared in, or the least one it was
+    /// inferred to need.
+    pub fn calculus(&self) -> Calculus {
+        self.calculus
+    }
+
+    /// The alphabet the query's strings range over.
+    pub fn alphabet(&self) -> &Alphabet {
+        &self.alphabet
+    }
+
+    /// Output column order: the formula's free variables, each once. A
+    /// sentence has an empty head.
+    pub fn head(&self) -> &[String] {
+        &self.head
+    }
+
+    /// The formula the query evaluates.
+    pub fn formula(&self) -> &Formula {
+        &self.formula
+    }
+
+    /// The formula, taken out of a query that is no longer needed.
+    pub(crate) fn into_formula(self) -> Formula {
+        self.formula
     }
 
     /// The fact sheet of the query's formula and head.

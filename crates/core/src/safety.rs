@@ -76,7 +76,7 @@ impl RangeRestricted {
     pub fn derive(query: Query) -> RangeRestricted {
         let mut max_const = 0usize;
         let mut max_dfa = 0usize;
-        query.formula.visit(&mut |sub| {
+        query.formula().visit(&mut |sub| {
             if let Formula::Atom(a) = sub {
                 for t in a.terms() {
                     if let Term::Const(c) = t {
@@ -88,7 +88,7 @@ impl RangeRestricted {
                 }
             }
         });
-        let k = quantifier_rank(&query.formula) + max_const + max_dfa + 1;
+        let k = quantifier_rank(query.formula()) + max_const + max_dfa + 1;
         RangeRestricted { query, k }
     }
 
@@ -101,9 +101,9 @@ impl RangeRestricted {
     /// * `S_len`: all strings of length ≤ maxlen(adom) + k (Theorem 3's
     ///   `γ` for `S_len`).
     pub fn gamma_automaton(&self, db: &Database, var: Var) -> SyncNfa {
-        let k_alpha = self.query.alphabet.len() as u8;
+        let k_alpha = self.query.alphabet().len() as u8;
         let adom: Vec<Str> = db.adom().into_iter().collect();
-        match self.query.calculus {
+        match self.query.calculus() {
             Calculus::S | Calculus::SReg => prefix_extend_automaton(k_alpha, var, &adom, 0, self.k),
             Calculus::SLeft => prefix_extend_automaton(k_alpha, var, &adom, self.k, self.k),
             Calculus::SLen => {
@@ -130,7 +130,7 @@ impl RangeRestricted {
         );
         let perm: Vec<usize> = self
             .query
-            .head
+            .head()
             .iter()
             .map(|h| {
                 compiled

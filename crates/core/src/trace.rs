@@ -46,8 +46,9 @@ use crate::query::{Calculus, CoreError, EvalOutput, Query};
 /// a pass without its `verified` flag; version 5 records the formula
 /// the planner was given, before the rewrite, so replaying it
 /// re-plans the same rewrite; version 6 drops the ledger rows' handed
-/// capability (every node is checked against the recorded budget).
-pub const TRACE_VERSION: u64 = 6;
+/// capability (every node is checked against the recorded budget);
+/// version 7 drops the fault plan's ledger-contention point.
+pub const TRACE_VERSION: u64 = 7;
 
 /// The post-execution actuals, as recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -257,7 +258,7 @@ json_record! {
         db_fingerprint, budget, search_bound, faults, passes, ledger, cache_events, degradations,
         verdict, actuals, output_fp, output_len
     }
-    FaultPlan { seed, deadline_at_checkpoint, fail_cache_insert, abort_compile, ledger_contention }
+    FaultPlan { seed, deadline_at_checkpoint, fail_cache_insert, abort_compile }
     PassTrace { pass, changed, detail }
     LedgerEntry { node, op, demand_states, demand_bytes, within }
     CacheEvent { kind, label, hit }
@@ -331,7 +332,7 @@ impl ReplayReport {
 /// and any recorded deadline fire is re-armed at its exact checkpoint,
 /// so SA41x degradations reproduce bit for bit. A replay exercises the
 /// whole pipeline — parsing, fragment inference, planning, governance,
-/// admission, execution. To reproduce the recorded cache sequence,
+/// execution. To reproduce the recorded cache sequence,
 /// hand in an engine whose cache is in the same state the recording
 /// started from (the corpus harness uses a fresh cache on both sides).
 pub fn replay(
@@ -682,6 +683,7 @@ mod tests {
             r#"{"version":4}"#,
             r#"{"version":5}"#,
             r#"{"version":6}"#,
+            r#"{"version":7}"#,
             r#"{"version":99}"#,
             "nope",
             r#"{"version":2,"calculus":3}"#,

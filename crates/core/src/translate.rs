@@ -658,7 +658,7 @@ mod tests {
             .unwrap()
             .expect_finite();
 
-        let expr = adom_calculus_to_algebra(&q.formula, &head, &schema).unwrap();
+        let expr = adom_calculus_to_algebra(q.formula(), &head, &schema).unwrap();
         let via_algebra = RaEvaluator::new(ab()).eval(&expr, &database).unwrap();
         if head.is_empty() {
             // Flag convention.

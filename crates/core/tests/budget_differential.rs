@@ -226,7 +226,7 @@ proptest! {
     // Boolean routing under starvation obeys the same contract.
     #[test]
     fn starved_boolean_runs_carry_their_verdict(f in arb_formula()) {
-        let g = Formula::exists("x", query_of(f).formula.clone());
+        let g = Formula::exists("x", query_of(f).formula().clone());
         let q = Query::new(Calculus::SLen, Alphabet::ab(), vec![], g).expect("sentence");
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");

@@ -163,9 +163,9 @@ fn query_of(f: Formula) -> Query {
 fn reference(q: &Query, db: &Database, slack: usize) -> Relation {
     let domain = EnumEngine::with_slack(slack)
         .domain(q, db)
-        .strings(&q.alphabet);
-    DomainEvaluator::new(&q.alphabet, db, domain)
-        .answer(&q.formula, &q.head)
+        .strings(q.alphabet());
+    DomainEvaluator::new(q.alphabet(), db, domain)
+        .answer(q.formula(), q.head())
         .expect("reference eval")
 }
 
@@ -360,7 +360,7 @@ proptest! {
     // Boolean routing agrees across all three strategies.
     #[test]
     fn planner_matches_direct_bool_eval(f in arb_formula()) {
-        let g = Formula::exists("x", query_of(f).formula.clone());
+        let g = Formula::exists("x", query_of(f).formula().clone());
         let q = Query::new(Calculus::SLen, Alphabet::ab(), vec![], g).expect("sentence");
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
@@ -392,12 +392,12 @@ proptest! {
             let plan = planner.plan(&q).expect("plans");
             prop_assert!(products_are_flat(&plan.root), "{}", plan.explain_text());
         }
-        let concat = q.formula.clone().and(Formula::exists(
+        let concat = q.formula().clone().and(Formula::exists(
             "z",
             Formula::concat_eq(Term::var("x"), Term::var("x"), Term::var("z")),
         ));
         let plan = Planner::new()
-            .plan_formula(&Alphabet::ab(), &q.head, &concat)
+            .plan_formula(&Alphabet::ab(), q.head(), &concat)
             .expect("plans");
         prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
         prop_assert!(products_are_flat(&plan.root), "{}", plan.explain_text());

@@ -1,19 +1,14 @@
-//! End-to-end acceptance tests for the robustness layer: a real
-//! wall-clock deadline cutting a dense scan mid-flight (and replaying
-//! bit-for-bit from the recorded checkpoint), and cross-query
-//! admission over a shared ledger.
+//! End-to-end acceptance test for the robustness layer: a real
+//! wall-clock deadline cutting a dense scan mid-flight, and replaying
+//! bit-for-bit from the recorded checkpoint.
 
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread;
 
 use strcalc_alphabet::Alphabet;
-use strcalc_analyze::ResourceCert;
-use strcalc_core::budget::UNLIMITED;
 use strcalc_core::cache::AutomatonCache;
 use strcalc_core::{
-    replay, AutomataEngine, Budget, Calculus, CoreError, ExecCx, ExecTrace, ExecVerdict, Planner,
-    Query, SharedLedger, Strategy,
+    replay, AutomataEngine, Budget, Calculus, ExecCx, ExecTrace, ExecVerdict, Planner, Query,
+    Strategy,
 };
 use strcalc_relational::Database;
 
@@ -103,68 +98,4 @@ fn dense_scan_exceeding_a_real_deadline_truncates_at_a_checkpoint_and_replays() 
         replayed.diffs
     );
     assert_eq!(replayed.replayed.faults.deadline_at_checkpoint, Some(fired));
-}
-
-/// Cross-query admission: two governed runs sharing a one-slot ledger
-/// over-subscribe it — while the first reservation is in flight the
-/// second run is denied admission (exactly one admission), and once
-/// the slot settles the denied run re-admits and answers exactly.
-#[test]
-fn over_subscribed_ledger_admits_exactly_one() {
-    let ledger = Arc::new(SharedLedger::new(UNLIMITED, UNLIMITED, 1));
-
-    // Run A holds the single run slot (a governed run mid-execution).
-    let held = ledger
-        .try_reserve(ResourceCert::ZERO)
-        .expect("an idle ledger admits");
-
-    // Run B races against it from another thread and must be denied:
-    // the slot dimension is exhausted and no eviction can mint slots.
-    let (tx, rx) = mpsc::channel();
-    let contender = {
-        let ledger = Arc::clone(&ledger);
-        thread::spawn(move || {
-            let mut db = Database::new();
-            db.insert_unary_parsed(&Alphabet::ab(), "R", &["", "a", "ab", "bab"])
-                .unwrap();
-            let q = Query::parse(
-                Calculus::S,
-                Alphabet::ab(),
-                vec!["x".into()],
-                "exists y. (R(y) & x <= y)",
-            )
-            .unwrap();
-            let plan = Planner::new().plan(&q).unwrap();
-            let cx = ExecCx::production()
-                .with_budget(Budget::unlimited())
-                .with_ledger(Arc::clone(&ledger));
-            let denied = plan.execute_in(&db, &cx);
-            tx.send(()).unwrap();
-            // After run A settles, the same run admits and is exact.
-            let (out, report) = loop {
-                match plan.execute_in(&db, &cx) {
-                    Ok(ok) => break ok,
-                    Err(CoreError::AdmissionDenied { .. }) => thread::yield_now(),
-                    Err(e) => panic!("unexpected error: {e:?}"),
-                }
-            };
-            (denied, out, report)
-        })
-    };
-
-    // Wait until run B has been refused, then settle run A.
-    rx.recv().unwrap();
-    drop(held);
-
-    let (denied, out, report) = contender.join().expect("contender thread");
-    assert!(
-        matches!(denied, Err(CoreError::AdmissionDenied { .. })),
-        "over-subscription is a typed rejection, got {denied:?}"
-    );
-    assert!(report.verdict.is_exact());
-    assert!(report.degradations.is_empty());
-    assert!(matches!(out, strcalc_core::EvalOutput::Finite(_)));
-
-    // All three dimensions drained back to capacity.
-    assert_eq!(ledger.available(), (UNLIMITED, UNLIMITED, 1));
 }

@@ -33,7 +33,7 @@ pub struct CompiledSql {
 impl CompiledSql {
     /// The inferred minimal calculus.
     pub fn calculus(&self) -> Calculus {
-        self.query.calculus
+        self.query.calculus()
     }
 
     /// Surviving diagnostics at warning level or above.
@@ -168,12 +168,12 @@ pub fn compile_select_with(
     // Analyze against the calculus the query was inferred into, over the
     // fact sheet `Query::infer` built, so the two layers share one
     // language table and one set of star-freeness verdicts.
-    let mut analyzer = Analyzer::new(compiled.query.calculus.structure_class());
+    let mut analyzer = Analyzer::new(compiled.query.calculus().structure_class());
     for (code, level) in &opts.lints {
         analyzer = analyzer.lint(*code, *level);
     }
     let query = &compiled.query;
-    let mut analysis = analyzer.diagnose(&query.formula, query.sheet());
+    let mut analysis = analyzer.diagnose(query.formula(), query.sheet());
     if analysis.has_errors() {
         return Err(rejection(
             "static analysis rejected the query",
@@ -189,7 +189,7 @@ pub fn compile_select_with(
         for (code, level) in &opts.lints {
             gate = gate.lint(*code, *level);
         }
-        let outcome = gate.rewrite(&compiled.query.formula);
+        let outcome = gate.rewrite(compiled.query.formula());
         if outcome.rejected() {
             return Err(rejection(
                 "translation validation rejected the rewrite",
@@ -201,11 +201,11 @@ pub fn compile_select_with(
             // when the rewrite changed the free variables (e.g. a head
             // column collapsed away) or no longer fits the calculus.
             if let Some(output) = outcome.output() {
-                if output.free_vars() == compiled.query.formula.free_vars() {
+                if output.free_vars() == compiled.query.formula().free_vars() {
                     if let Ok(q) = Query::new(
-                        compiled.query.calculus,
+                        compiled.query.calculus(),
                         alphabet.clone(),
-                        compiled.query.head.clone(),
+                        compiled.query.head().to_vec(),
                         output.clone(),
                     ) {
                         compiled.query = q;
@@ -738,7 +738,7 @@ mod tests {
         );
         assert!(after_second.hits > after_first.hits);
         // Identical output either way.
-        assert_eq!(first.query.formula, second.query.formula);
+        assert_eq!(first.query.formula(), second.query.formula());
         let out = AutomataEngine::new()
             .eval(&second.query, &db())
             .unwrap()

@@ -74,7 +74,7 @@ pub fn validate_ra_to_calculus(v: &Validator, e: &RaExpr, db: &Database) -> Verd
 /// convention (`Rε` non-empty ⇔ true).
 pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> Verdict {
     let schema = db.schema();
-    let expr = match adom_calculus_to_algebra(&q.formula, &q.head, &schema) {
+    let expr = match adom_calculus_to_algebra(q.formula(), q.head(), &schema) {
         Ok(e) => e,
         Err(err) => {
             return Verdict::Unknown {
@@ -92,7 +92,7 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
             }
         }
     };
-    if q.head.is_empty() {
+    if q.head().is_empty() {
         // Flag convention: the sentence is true iff `Rε`-flagged output
         // is non-empty.
         let exact = match v.engine.eval_bool(q, db) {
@@ -117,7 +117,7 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
             scope: Scope::Database("the given instance".into()),
         });
     }
-    let compiled = match v.engine.compile_shared(&q.formula, &q.alphabet, db) {
+    let compiled = match v.engine.compile_shared(q.formula(), q.alphabet(), db) {
         Ok(c) => c,
         Err(err) => {
             return Verdict::Unknown {
@@ -128,7 +128,7 @@ pub fn validate_calculus_to_algebra(v: &Validator, q: &Query, db: &Database) -> 
     };
     // Direct tuples are in head order; the automaton's tracks are the
     // sorted head variables.
-    let Some(perm) = head_permutation(compiled.var_names(), &q.head) else {
+    let Some(perm) = head_permutation(compiled.var_names(), q.head()) else {
         return Verdict::Unknown {
             reason: "compiled track names do not match the query head".into(),
             checks: 0,

@@ -40,10 +40,11 @@
 //!
 //! With `--chaos`, every query of the same three corpora runs once per
 //! fault seed under a deterministic injected fault plan (deadline fire
-//! at a fixed checkpoint, cache-insert failure, compile abort, ledger
-//! contention); the run fails if a fired fault is not surfaced as a typed SA4xx
-//! degradation or if the recorded trace does not replay bit-for-bit —
-//! CI runs this as the `chaos-corpus` job.
+//! at a fixed checkpoint, cache-insert failure, compile abort); the run
+//! fails if a fired fault is not surfaced as a typed SA4xx degradation,
+//! if the recorded trace does not replay bit-for-bit, or if some fault
+//! kind has no observable effect on any query — CI runs this as the
+//! `chaos-corpus` job.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -769,12 +770,13 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
 /// `--chaos`: the deterministic fault-injection corpus. Every golden
 /// corpus query runs once per fault seed under an injected
 /// [`FaultPlan`] — deadline fires at a fixed checkpoint, cache-insert
-/// failures, compile aborts, ledger contention — through the replay
-/// execution context (frozen virtual clock, matching ledger config).
-/// The gate: a fired fault must surface as a typed SA4xx degradation
-/// (never a silent partial answer), and the recorded trace must replay
-/// bit-for-bit through a fresh engine, injected degradation sequence
-/// included — CI runs this as the `chaos-corpus` job.
+/// failures, compile aborts — through the replay execution context
+/// (frozen virtual clock). The gate: a fired fault must surface as a
+/// typed SA4xx degradation (never a silent partial answer), the
+/// recorded trace must replay bit-for-bit through a fresh engine,
+/// injected degradation sequence included, and every fault kind must
+/// have an observable effect somewhere in the corpus — CI runs this as
+/// the `chaos-corpus` job.
 fn chaos_corpus(ab: &Alphabet) -> ExitCode {
     const SEEDS: std::ops::Range<u64> = 1..9;
     let db = replay_database(ab);
@@ -791,6 +793,13 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
     let mut runs = 0usize;
     let mut fired = 0usize;
     let mut failures = 0usize;
+    // Per fault kind: runs armed with it, and runs where it had an
+    // observable effect.
+    let mut kinds = [
+        ("deadline", 0usize, 0usize),
+        ("fail-cache-insert", 0, 0),
+        ("abort-compile", 0, 0),
+    ];
     for (calculus, head, src) in &cases {
         let plan_case =
             |engine: &AutomataEngine| plan_corpus_case(ab, *calculus, head, src, engine);
@@ -800,6 +809,14 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
         for seed in SEEDS {
             let faults = FaultPlan::from_seed(seed);
             runs += 1;
+            let kind = if faults.deadline_at_checkpoint.is_some() {
+                0
+            } else if faults.fail_cache_insert {
+                1
+            } else {
+                2
+            };
+            kinds[kind].1 += 1;
             // Record under a fresh engine + cache per run so the cache
             // sequence (including injected insert failures) is a
             // cold-start sequence the replayer reproduces.
@@ -817,6 +834,7 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
             // A deadline that fired is never a quiet partial answer.
             if report.faults.deadline_at_checkpoint.is_some() {
                 fired += 1;
+                kinds[kind].2 += 1;
                 if report.verdict.is_exact() {
                     problems.push(format!("seed {seed}: deadline fired but verdict is exact"));
                 }
@@ -830,9 +848,10 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
                     ));
                 }
             } else if !report.degradations.is_empty() {
-                // Other injected faults (cache insert, contention)
+                // Other injected faults (cache insert, compile abort)
                 // surfaced as typed events.
                 fired += 1;
+                kinds[kind].2 += 1;
             }
 
             // The chaos gate: the trace (injected degradations and
@@ -866,8 +885,13 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
          {failures} divergence(s)",
         cases.len()
     );
-    if fired == 0 {
-        eprintln!("chaos corpus FAILED: no injected fault had any observable effect");
+    let by_kind: Vec<String> = kinds
+        .iter()
+        .map(|(name, armed, effects)| format!("{name} {armed} runs ({effects} with effects)"))
+        .collect();
+    println!("by fault kind: {}", by_kind.join(", "));
+    if let Some((name, ..)) = kinds.iter().find(|(_, _, effects)| *effects == 0) {
+        eprintln!("chaos corpus FAILED: no `{name}` fault had any observable effect");
         return ExitCode::FAILURE;
     }
     if failures > 0 {

@@ -87,7 +87,7 @@ fn calculus_to_algebra_equivalence() {
         for (head, src) in &sources {
             let head: Vec<String> = head.iter().map(|h| h.to_string()).collect();
             let q = Query::parse(Calculus::SLen, sigma.clone(), head.clone(), src).unwrap();
-            let expr = adom_calculus_to_algebra(&q.formula, &head, &schema).unwrap();
+            let expr = adom_calculus_to_algebra(q.formula(), &head, &schema).unwrap();
             let via_algebra = ra.eval(&expr, &db).unwrap();
             if head.is_empty() {
                 let exact = engine.eval_bool(&q, &db).unwrap();
@@ -115,7 +115,7 @@ fn full_circle_calculus_algebra_calculus() {
             "existsA y. (R(x, y) & x <= y)",
         )
         .unwrap();
-        let expr = adom_calculus_to_algebra(&q.formula, &head, &schema).unwrap();
+        let expr = adom_calculus_to_algebra(q.formula(), &head, &schema).unwrap();
         let f2 = ra_to_calculus(&expr, &schema).unwrap();
         let q2 = Query::infer(sigma.clone(), vec!["c0".into()], f2).unwrap();
         let a = engine.eval(&q, &db).unwrap().expect_finite();

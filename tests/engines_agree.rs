@@ -29,7 +29,7 @@ fn random_s_sentences_agree() {
         let q = Query::infer(sigma.clone(), vec![], f).unwrap();
         let a = exact.eval_bool(&q, &db).unwrap();
         let b = !baseline.eval(&q, &db).unwrap().is_empty();
-        assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula);
+        assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula());
         checked += 1;
     }
     assert_eq!(checked, 40);
@@ -51,7 +51,7 @@ fn random_slen_sentences_agree() {
         let q = Query::new(Calculus::SLen, sigma.clone(), vec![], f).unwrap();
         let a = exact.eval_bool(&q, &db).unwrap();
         let b = !baseline.eval(&q, &db).unwrap().is_empty();
-        assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula);
+        assert_eq!(a, b, "seed {seed} disagreement on {}", q.formula());
     }
 }
 
@@ -127,9 +127,9 @@ fn collapse_reference_automata(
     let q = Query::parse(calc, Alphabet::ab(), head, src).unwrap();
     let engine = EnumEngine::new();
     let collapse = engine.eval(&q, db).unwrap();
-    let domain = engine.domain(&q, db).strings(&q.alphabet);
-    let reference = DomainEvaluator::new(&q.alphabet, db, domain)
-        .answer(&q.formula, &q.head)
+    let domain = engine.domain(&q, db).strings(q.alphabet());
+    let reference = DomainEvaluator::new(q.alphabet(), db, domain)
+        .answer(q.formula(), q.head())
         .unwrap();
     let automata = Planner::new()
         .force(Strategy::Automata)

@@ -67,7 +67,7 @@ fn sentence_matches_automata_on_random_queries() {
         let auto = unary_output_automaton(&engine, &q, &db);
         let direct = !matches!(auto.finiteness(), SyncFiniteness::Infinite);
         let via_sentence = finite_by_sentence(&engine, &sigma, auto).unwrap();
-        assert_eq!(direct, via_sentence, "seed {seed}: {}", q.formula);
+        assert_eq!(direct, via_sentence, "seed {seed}: {}", q.formula());
         if direct {
             finite_seen += 1;
         } else {

@@ -43,9 +43,11 @@ fn gamma_bound_recovers_safe_outputs_and_truncates_unsafe_ones() {
             match state_safety(&engine, &q, &db).unwrap() {
                 StateSafety::Safe { output, .. } => {
                     assert_eq!(
-                        output, restricted,
+                        output,
+                        restricted,
                         "seed {seed}: (γ_{}, φ) ≠ φ on a safe DB for {}",
-                        rr.k, q.formula
+                        rr.k,
+                        q.formula()
                     );
                     safe_count += 1;
                 }
