@@ -251,11 +251,18 @@ impl Str {
     }
 
     /// Whether every symbol is below `k`, i.e. the string is over a
-    /// `k`-symbol alphabet. A branch-free maximum over the whole string,
-    /// not a short-circuit `any`, so that the loop vectorizes.
+    /// `k`-symbol alphabet.
     #[inline]
     pub fn within(&self, k: Sym) -> bool {
-        self.syms.iter().copied().max().is_none_or(|m| m < k)
+        self.max_sym().is_none_or(|m| m < k)
+    }
+
+    /// The largest symbol (`None` for `ε`). A branch-free maximum over
+    /// the whole string, not a short-circuit search, so that the loop
+    /// vectorizes.
+    #[inline]
+    pub fn max_sym(&self) -> Option<Sym> {
+        self.syms.iter().copied().max()
     }
 
     /// Length `|x|`.

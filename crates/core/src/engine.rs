@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use strcalc_alphabet::{Alphabet, Str};
+use strcalc_alphabet::{Alphabet, Str, Sym};
 use strcalc_analyze::FactSheet;
 use strcalc_logic::compile::{Compiled, Compiler, Resolved};
 use strcalc_logic::{CompileError, Formula, RelResolver};
@@ -20,22 +20,14 @@ use strcalc_synchro::{SyncFiniteness, SyncNfa};
 use crate::cache::{AutomatonCache, CacheKey, CompiledArtifact};
 use crate::query::{CoreError, EvalOutput, Query};
 
-/// Resolver backed by a concrete database.
+/// Resolver backed by a concrete database over the first `k` symbols.
 pub struct DbResolver<'a> {
     pub db: &'a Database,
+    pub k: Sym,
     /// Additional *virtual* relations given directly as automata (used by
     /// the finiteness sentence of Section 6.1, where `U` is a possibly
     /// infinite query output).
     pub virtuals: HashMap<String, SyncNfa>,
-}
-
-impl<'a> DbResolver<'a> {
-    pub fn new(db: &'a Database) -> DbResolver<'a> {
-        DbResolver {
-            db,
-            virtuals: HashMap::new(),
-        }
-    }
 }
 
 impl<'a> RelResolver for DbResolver<'a> {
@@ -59,7 +51,7 @@ impl<'a> RelResolver for DbResolver<'a> {
                         found: arity,
                     });
                 }
-                Ok(Resolved::Tuples(r.iter().cloned().collect()))
+                Ok(Resolved::Tuples(r.rows_within(self.k).cloned().collect()))
             }
             None => Err(CompileError::UnknownRelation(name.to_string())),
         }
@@ -256,8 +248,8 @@ impl AutomataEngine {
         db: &Database,
         virtuals: HashMap<String, SyncNfa>,
     ) -> Result<Compiled, CompileError> {
-        let resolver = DbResolver { db, virtuals };
         let k = alphabet.len() as u8;
+        let resolver = DbResolver { db, k, virtuals };
         let adom: Vec<Str> = db.adom_within(k).into_iter().collect();
         let compiler = Compiler {
             k,

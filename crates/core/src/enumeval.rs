@@ -43,7 +43,7 @@ use strcalc_alphabet::{Alphabet, Str};
 use strcalc_automata::Dfa;
 use strcalc_logic::transform::quantifier_rank;
 use strcalc_logic::{Atom, Formula, Lang, Restrict, Term};
-use strcalc_relational::{Database, Relation};
+use strcalc_relational::{Database, Relation, Row};
 
 use crate::generate::Domain;
 use crate::plan::{Planner, Strategy};
@@ -173,10 +173,10 @@ impl<'a> DomainEvaluator<'a> {
     /// variable ranging over the domain. A sentence's answer is `{()}`
     /// when it holds and `∅` otherwise.
     pub fn answer(&mut self, f: &Formula, head: &[String]) -> Result<Relation, CoreError> {
-        let mut out = Relation::new(head.len());
+        let mut out = Vec::new();
         let mut tuple = Vec::with_capacity(head.len());
         self.head_loop(f, head, &mut HashMap::new(), &mut tuple, &mut out)?;
-        Ok(out)
+        Ok(Relation::from_tuples(head.len(), out))
     }
 
     fn head_loop(
@@ -185,11 +185,11 @@ impl<'a> DomainEvaluator<'a> {
         head: &[String],
         env: &mut HashMap<String, Str>,
         tuple: &mut Vec<Str>,
-        out: &mut Relation,
+        out: &mut Vec<Row>,
     ) -> Result<(), CoreError> {
         let Some((v, rest)) = head.split_first() else {
             if self.eval(f, env)? {
-                out.insert(tuple.clone());
+                out.push(Row::from(&tuple[..]));
             }
             return Ok(());
         };

@@ -19,7 +19,7 @@
 /// The deterministic injection points a run is armed with.
 ///
 /// `FaultPlan::default()` injects nothing. Seed-addressed plans come
-/// from [`FaultPlan::from_seed`], which derives every point from one
+/// from [`FaultPlan::from_seed`], which derives the plan from one
 /// `u64` via a splitmix finalizer, so a chaos schedule is reproducible
 /// from its seed alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,6 +35,15 @@ pub struct FaultPlan {
     /// to the bounded collapse-domain evaluation (SA413 + SA431).
     pub abort_compile: bool,
 }
+
+/// The checkpoint a seeded deadline fires at. Checkpoint indices are
+/// 1-based, and every governed run polls its first one before any work:
+/// a scan before its first batch, the automata route before compiling,
+/// a `generate` program before its first binding. Later polls come once
+/// per 4 096 rows or bindings, which a run over a small instance (the
+/// chaos corpora's) never reaches, so a later fire point would arm a
+/// fault that never fires.
+const DEADLINE_FIRE_POINT: u64 = 1;
 
 /// splitmix64 finalizer: a cheap, well-mixed u64 → u64 hash.
 fn splitmix(mut z: u64) -> u64 {
@@ -52,8 +61,8 @@ impl FaultPlan {
 
     /// Derives a plan deterministically from a seed: exactly one fault
     /// kind is armed per seed (so a chaos corpus attributes each
-    /// degradation to one injection), selected and parameterized by
-    /// independent splitmix draws.
+    /// degradation to one injection), selected by a splitmix draw. A
+    /// deadline fires at the first checkpoint.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let kind = splitmix(seed) % 3;
         let mut plan = FaultPlan {
@@ -61,11 +70,7 @@ impl FaultPlan {
             ..FaultPlan::default()
         };
         match kind {
-            0 => {
-                // Checkpoint indices are 1-based; keep the fire point
-                // small so even tiny corpora reach it.
-                plan.deadline_at_checkpoint = Some(1 + splitmix(seed ^ 1) % 8);
-            }
+            0 => plan.deadline_at_checkpoint = Some(DEADLINE_FIRE_POINT),
             1 => plan.fail_cache_insert = true,
             _ => plan.abort_compile = true,
         }
@@ -132,10 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn deadline_fire_points_are_small() {
+    fn deadline_seeds_fire_at_the_first_checkpoint() {
         for seed in 0..256 {
             if let Some(n) = FaultPlan::from_seed(seed).deadline_at_checkpoint {
-                assert!((1..=8).contains(&n), "fire point {n} out of range");
+                assert_eq!(n, DEADLINE_FIRE_POINT, "seed {seed}");
             }
         }
     }

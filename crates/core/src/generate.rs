@@ -82,7 +82,7 @@ use strcalc_analyze::saferange::{binding_order, confined_terms};
 use strcalc_automata::{Dfa, StateId};
 use strcalc_logic::transform::nnf;
 use strcalc_logic::{Atom, CompileError, Formula, Lang, Restrict, Term};
-use strcalc_relational::{Database, Relation};
+use strcalc_relational::{Database, Relation, Row};
 
 use crate::clock::Deadline;
 use crate::plan::{restrict_name, PlanNode, PlanOp};
@@ -409,7 +409,7 @@ impl Program {
             deadline,
         };
         let boolean = self.head.is_empty();
-        let mut tuples: HashSet<Vec<Str>> = HashSet::new();
+        let mut tuples: HashSet<Row> = HashSet::new();
         let head = &self.head;
         let truncated = deadline.checkpoint()
             || ex
@@ -1321,11 +1321,9 @@ impl<'p, 'db> Exec<'p, 'db> {
         if let Some(rows) = &self.rows[rel] {
             return Rc::clone(rows);
         }
-        let k = self.prog.k;
         let rows: Rows<'db> = self.rels[rel]
-            .iter()
-            .filter(|t| t.iter().all(|s| s.within(k)))
-            .map(Vec::as_slice)
+            .rows_within(self.prog.k)
+            .map(|t| &**t)
             .collect();
         self.rows[rel] = Some(Rc::clone(&rows));
         rows

@@ -63,7 +63,7 @@ use strcalc_analyze::planlint::{fmt_bound, ResourceCert};
 use strcalc_analyze::{Code, ScanPlan};
 use strcalc_automata::{DenseDfa, Dfa};
 use strcalc_logic::Lang;
-use strcalc_relational::{Database, Relation};
+use strcalc_relational::{Database, Relation, Row};
 
 use crate::budget::{
     Budget, BudgetLedger, CacheEvent, Degradation, DegradationPolicy, ExecVerdict, LedgerEntry,
@@ -1012,15 +1012,18 @@ enum LangFilter<'a> {
 /// the checkpoint-overhead gate.
 const SCAN_BATCH: usize = 4096;
 
-/// The batched scan loop. Per batch of [`SCAN_BATCH`] rows it polls the
-/// deadline, builds the row mask from the cheap per-row filters
-/// (column equalities, alphabet guard, linear LIKE matchers), narrows
-/// it with each language filter — one table dispatch per batch for a
-/// dense filter — and collects the surviving rows' projections. The
-/// answer is built from them in one pass. No automaton is constructed
-/// here. Returns the answer, the number of rows scanned (the `EXPLAIN`
-/// actuals report it as `domain_size` — and, on truncation, the
-/// rows-seen watermark), and whether the deadline cut the scan short.
+/// The batched scan loop. It walks the relation's rows in batches of
+/// [`SCAN_BATCH`]. Per batch it polls the deadline, builds the row mask
+/// from the cheap per-row filters (column equalities, the alphabet guard
+/// when the relation's symbol ceiling does not rule it out, linear LIKE
+/// matchers), narrows it with each language filter — one table dispatch
+/// per batch for a dense filter — and keeps the surviving rows. When the
+/// projection is the identity the answer is those stored rows themselves,
+/// shared ([`Relation::subsequence`]); otherwise their projections are
+/// sorted into a new relation. No automaton is constructed here. Returns
+/// the answer, the number of rows scanned (the `EXPLAIN` actuals report
+/// it as `domain_size` — and, on truncation, the rows-seen watermark),
+/// and whether the deadline cut the scan short.
 fn run_scan(
     plan: &ScanPlan,
     rel: &Relation,
@@ -1028,19 +1031,29 @@ fn run_scan(
     filters: &[(usize, LangFilter)],
     deadline: &Deadline,
 ) -> (Relation, usize, bool) {
-    let mut rows: Vec<Vec<Str>> = Vec::new();
+    let identity = plan.projection.iter().copied().eq(0..rel.arity());
+    let keep = |t: &Row| -> Row {
+        if identity {
+            Arc::clone(t)
+        } else {
+            plan.projection.iter().map(|&c| t[c].clone()).collect()
+        }
+    };
+    // The alphabet guard, unless the ceiling shows every row passes it.
+    let guard = (!rel.within(k)).then_some(k);
+    let mut kept: Vec<Row> = Vec::new();
     let mut scanned = 0usize;
     let mut truncated = false;
     let mut mask = [false; SCAN_BATCH];
     // Buffers sized to the relation when it is smaller than a batch: a
     // short scan must not pay for a full batch's allocation.
     let width = rel.len().min(SCAN_BATCH);
-    let mut batch: Vec<&Vec<Str>> = Vec::with_capacity(width);
+    let mut batch: Vec<&Row> = Vec::with_capacity(width);
     let mut col_buf: Vec<&Str> = Vec::with_capacity(width);
-    let mut tuples = rel.iter();
+    let mut rows = rel.iter();
     loop {
         batch.clear();
-        batch.extend(tuples.by_ref().take(SCAN_BATCH));
+        batch.extend(rows.by_ref().take(SCAN_BATCH));
         if batch.is_empty() {
             break;
         }
@@ -1054,7 +1067,7 @@ fn run_scan(
         scanned += batch.len();
         let live = &mut mask[..batch.len()];
         for (m, t) in live.iter_mut().zip(&batch) {
-            *m = passes_row_filters(plan, t, k);
+            *m = passes_row_filters(plan, t, guard);
         }
         for (col, filter) in filters {
             match filter {
@@ -1070,15 +1083,19 @@ fn run_scan(
                 }
             }
         }
-        for (_, t) in live.iter().zip(&batch).filter(|(m, _)| **m) {
-            rows.push(plan.projection.iter().map(|&c| t[c].clone()).collect());
-        }
+        kept.extend(
+            live.iter()
+                .zip(&batch)
+                .filter(|(m, _)| **m)
+                .map(|(_, t)| keep(t)),
+        );
     }
-    (
-        Relation::from_tuples(plan.projection.len(), rows),
-        scanned,
-        truncated,
-    )
+    let out = if identity {
+        rel.subsequence(kept)
+    } else {
+        Relation::from_tuples(plan.projection.len(), kept)
+    };
+    (out, scanned, truncated)
 }
 
 /// The per-row filters: column equalities, the in-alphabet guard, and
@@ -1088,14 +1105,18 @@ fn run_scan(
 /// containing symbols outside `Σ`: a tuple with an out-of-`Σ` symbol in
 /// *any* column denotes nothing (the relation trie and the generators
 /// skip it too). The scans must agree, not silently match raw bytes.
-fn passes_row_filters(plan: &ScanPlan, t: &[Str], k: Sym) -> bool {
+/// `guard` is `Σ`'s size, or `None` when the relation's ceiling already
+/// shows every row is over `Σ`.
+fn passes_row_filters(plan: &ScanPlan, t: &[Str], guard: Option<Sym>) -> bool {
     for &(i, j) in &plan.eq_cols {
         if t[i] != t[j] {
             return false;
         }
     }
-    if !t.iter().all(|s| s.within(k)) {
-        return false;
+    if let Some(k) = guard {
+        if !t.iter().all(|s| s.within(k)) {
+            return false;
+        }
     }
     for (col, matcher, _) in &plan.filters {
         if !matcher.matches(t[*col].syms()) {

@@ -145,7 +145,7 @@ impl RangeRestricted {
             self.query.arity(),
             tuples
                 .into_iter()
-                .map(|t| perm.iter().map(|&i| t[i].clone()).collect()),
+                .map(|t| perm.iter().map(|&i| t[i].clone()).collect::<Vec<_>>()),
         ))
     }
 

@@ -27,7 +27,7 @@
 // the module is unwrap-free end to end.
 #![deny(clippy::unwrap_used)]
 
-use strcalc_alphabet::Alphabet;
+use strcalc_alphabet::{Alphabet, Str};
 use strcalc_analyze::Code;
 use strcalc_logic::{parse_formula, Fp};
 use strcalc_relational::Database;
@@ -152,9 +152,12 @@ fn output_fingerprint(plan: &Plan, out: &EvalOutput) -> (u64, u64) {
         fp.u8(holds as u8);
         return (fp.finish(), holds as u64);
     }
-    let (tag, tuples) = match out {
-        EvalOutput::Finite(rel) => ("finite", rel.iter().collect::<Vec<_>>()),
-        EvalOutput::Infinite { sample } => ("infinite-sample", sample.iter().collect()),
+    let (tag, tuples): (_, Vec<&[Str]>) = match out {
+        EvalOutput::Finite(rel) => ("finite", rel.iter().map(|t| &**t).collect()),
+        EvalOutput::Infinite { sample } => (
+            "infinite-sample",
+            sample.iter().map(Vec::as_slice).collect(),
+        ),
     };
     fp.str(tag);
     fp.u64(tuples.len() as u64);

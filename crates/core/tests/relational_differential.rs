@@ -417,7 +417,10 @@ fn a_trim_column_is_tested_after_the_row_binds() {
         .unwrap();
     let out = plan.execute(&db()).unwrap().0.expect_finite();
     let bab = ab().parse("bab").unwrap();
-    assert_eq!(out.iter().collect::<Vec<_>>(), vec![&vec![bab]]);
+    assert_eq!(
+        out.iter().map(|t| t.to_vec()).collect::<Vec<_>>(),
+        vec![vec![bab]]
+    );
 }
 
 /// `(a|b)` thirty times over: 2^30 words behind a 31-state DFA.

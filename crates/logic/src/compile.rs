@@ -16,6 +16,7 @@
 //! falls outside this machinery (Proposition 1 of the paper).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use strcalc_alphabet::{Str, Sym};
 use strcalc_synchro::nfa::Var;
@@ -26,8 +27,11 @@ use crate::transform::{freshen_bound, lower_terms};
 
 /// How a relation atom resolves.
 pub enum Resolved {
-    /// A finite tuple set (the ordinary database case).
-    Tuples(Vec<Vec<Str>>),
+    /// A finite tuple set (the ordinary database case): the stored rows,
+    /// shared. Every row is over the compiler's first `k` symbols; a
+    /// resolver drops a stored row holding a symbol `≥ k`, which denotes
+    /// nothing.
+    Tuples(Vec<Arc<[Str]>>),
     /// An arbitrary synchronized-regular relation, as an automaton whose
     /// tracks (vars `0..arity`) are the relation's components in order.
     /// This is how *virtual* relations — e.g. a query output that may be

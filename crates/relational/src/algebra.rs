@@ -14,7 +14,7 @@ use strcalc_logic::compile::{Compiled, Compiler};
 use strcalc_logic::transform::fragment;
 use strcalc_logic::{CompileError, Formula, LogicError, StructureClass, Term};
 
-use crate::database::{Database, Relation, Schema};
+use crate::database::{Database, Relation, Row, Schema};
 
 /// An algebra expression.
 ///
@@ -321,20 +321,16 @@ impl RaEvaluator {
                 Ok(Relation::from_tuples(
                     cols.len(),
                     rel.iter()
-                        .map(|t| cols.iter().map(|&c| t[c].clone()).collect()),
+                        .map(|t| cols.iter().map(|&c| t[c].clone()).collect::<Row>()),
                 ))
             }
             RaExpr::Product(a, b) => {
                 let (x, y) = (self.eval(a, db)?, self.eval(b, db)?);
-                let mut out = Relation::new(x.arity() + y.arity());
-                for t in x.iter() {
-                    for u in y.iter() {
-                        let mut row = t.clone();
-                        row.extend(u.iter().cloned());
-                        out.insert(row);
-                    }
-                }
-                Ok(out)
+                let rows = x
+                    .iter()
+                    .flat_map(|t| y.iter().map(move |u| t.iter().chain(u.iter()).cloned()))
+                    .map(Iterator::collect::<Row>);
+                Ok(Relation::from_tuples(x.arity() + y.arity(), rows))
             }
             RaExpr::Union(a, b) => {
                 let (x, y) = (self.eval(a, db)?, self.eval(b, db)?);
@@ -344,11 +340,10 @@ impl RaEvaluator {
                         right: y.arity(),
                     });
                 }
-                let mut out = x;
-                for t in y.iter() {
-                    out.insert(t.clone());
-                }
-                Ok(out)
+                Ok(Relation::from_tuples(
+                    x.arity(),
+                    x.iter().chain(y.iter()).cloned(),
+                ))
             }
             RaExpr::Diff(a, b) => {
                 let (x, y) = (self.eval(a, db)?, self.eval(b, db)?);
@@ -394,15 +389,11 @@ impl RaEvaluator {
                         });
                     }
                 }
-                let mut out = Relation::new(rel.arity() + 1);
-                for t in rel.iter() {
-                    if let Some(v) = t[*i].insert_after(&t[*j], *a) {
-                        let mut row = t.clone();
-                        row.push(v);
-                        out.insert(row);
-                    }
-                }
-                Ok(out)
+                let rows = rel.iter().filter_map(|t| {
+                    let v = t[*i].insert_after(&t[*j], *a)?;
+                    Some(t.iter().cloned().chain([v]).collect::<Row>())
+                });
+                Ok(Relation::from_tuples(rel.arity() + 1, rows))
             }
         }
     }
@@ -431,15 +422,12 @@ impl RaEvaluator {
                 arity: rel.arity(),
             });
         }
-        let mut out = Relation::new(rel.arity() + 1);
-        for t in rel.iter() {
-            for v in f(&t[i]) {
-                let mut row = t.clone();
-                row.push(v);
-                out.insert(row);
-            }
-        }
-        Ok(out)
+        let rows = rel.iter().flat_map(|t| {
+            f(&t[i])
+                .into_iter()
+                .map(|v| t.iter().cloned().chain([v]).collect::<Row>())
+        });
+        Ok(Relation::from_tuples(rel.arity() + 1, rows))
     }
 
     fn eval_select(&self, rel: &Relation, alpha: &Formula) -> Result<Relation, RaError> {
@@ -480,14 +468,11 @@ impl RaEvaluator {
                 });
             }
         }
-        let mut out = Relation::new(rel.arity());
-        for t in rel.iter() {
+        let kept = rel.iter().filter(|t| {
             let args: Vec<&Str> = entry.col_of_track.iter().map(|&c| &t[c]).collect();
-            if entry.compiled.auto.accepts(&args) {
-                out.insert(t.clone());
-            }
-        }
-        Ok(out)
+            entry.compiled.auto.accepts(&args)
+        });
+        Ok(rel.subsequence(kept.cloned().collect()))
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use strcalc_alphabet::{Alphabet, Str, Sym};
 
@@ -92,32 +93,172 @@ impl Schema {
     }
 }
 
-/// One finite relation: a set of equal-arity tuples, kept sorted
-/// (shortlex componentwise) for determinism.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One stored row: a relation's tuple, shared. Cloning a row, a
+/// relation or a database bumps a count; no string is copied.
+pub type Row = Arc<[Str]>;
+
+/// Rows per leaf at most. A leaf that grows past it splits in two, so an
+/// insert shifts at most this many rows whatever the relation's size.
+const LEAF_ROWS: usize = 32;
+
+/// A row's sort key: the first eight bytes of an order-preserving
+/// encoding of the row, big-endian and zero-padded. Each string encodes
+/// as its length in one byte, then its symbols; a string of 255 symbols
+/// or more encodes as the byte 255 alone and ends the encoding. Rows in
+/// increasing order have non-decreasing keys, so comparing keys settles
+/// most comparisons without reading a row; rows with equal keys are
+/// compared in full.
+fn sort_key(t: &[Str]) -> u64 {
+    let mut key = [0u8; 8];
+    let mut at = 0;
+    for s in t {
+        let long = s.len() >= 0xFF;
+        let syms = if long { &[][..] } else { s.syms() };
+        for &b in [s.len().min(0xFF) as u8].iter().chain(syms) {
+            let Some(slot) = key.get_mut(at) else {
+                return u64::from_be_bytes(key);
+            };
+            *slot = b;
+            at += 1;
+        }
+        if long {
+            break;
+        }
+    }
+    u64::from_be_bytes(key)
+}
+
+/// A run of consecutive rows, each row's sort key beside it.
+#[derive(Clone)]
+struct Leaf {
+    keys: Vec<u64>,
+    rows: Vec<Row>,
+}
+
+impl Leaf {
+    fn with_capacity(n: usize) -> Leaf {
+        Leaf {
+            keys: Vec::with_capacity(n),
+            rows: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, t: Row) {
+        self.keys.push(sort_key(&t));
+        self.rows.push(t);
+    }
+
+    /// Whether every row of this (non-empty) leaf sorts below `t`.
+    fn below(&self, key: u64, t: &[Str]) -> bool {
+        match (self.keys.last(), self.rows.last()) {
+            (Some(&k), Some(r)) => (k, &**r) < (key, t),
+            _ => false,
+        }
+    }
+
+    /// Where `t` (with sort key `key`) is stored, or where it belongs.
+    fn search(&self, key: u64, t: &[Str]) -> Result<usize, usize> {
+        let lo = self.keys.partition_point(|&k| k < key);
+        let ties = self.keys[lo..].partition_point(|&k| k == key);
+        self.rows[lo..lo + ties]
+            .binary_search_by(|r| (**r).cmp(t))
+            .map(|j| lo + j)
+            .map_err(|j| lo + j)
+    }
+}
+
+/// One finite relation: a set of equal-arity tuples.
+///
+/// The rows are shared ([`Row`]) and kept in strictly increasing order
+/// (shortlex componentwise), cut into leaves of at most 32 rows, each
+/// row's sort key stored beside it. A scan walks the leaves in order,
+/// and an answer that keeps some of a relation's rows
+/// ([`Relation::subsequence`]) shares them without copying a string or
+/// sorting again. [`Relation::contains`] is a binary search.
+/// [`Relation::insert`] is a binary search plus a shift of at most one
+/// leaf; build a large relation with [`Relation::from_tuples`], which
+/// sorts and deduplicates once.
+///
+/// The relation also keeps a symbol ceiling: an upper bound on the
+/// largest symbol of any stored string, recorded as rows are added.
+/// [`Relation::within`] reads it, so deciding that every row is over
+/// the first `k` symbols is one comparison. Equality and `Debug` read
+/// the rows alone: two relations with the same rows are equal however
+/// they were built.
+#[derive(Clone)]
 pub struct Relation {
     arity: usize,
-    tuples: BTreeSet<Vec<Str>>,
+    /// Non-empty leaves whose concatenation is strictly increasing.
+    leaves: Vec<Leaf>,
+    len: usize,
+    /// At least the largest stored symbol; `None` while no row holds a
+    /// symbol.
+    ceiling: Option<Sym>,
+}
+
+/// The largest symbol of a row's strings.
+fn row_ceiling(t: &[Str]) -> Option<Sym> {
+    t.iter().filter_map(Str::max_sym).max()
 }
 
 impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             arity,
-            tuples: BTreeSet::new(),
+            leaves: Vec::new(),
+            len: 0,
+            ceiling: None,
         }
     }
 
-    /// Builds a relation from tuples (all must share the given arity).
-    /// The set is built in one pass — sorted, deduplicated and
-    /// bulk-loaded — rather than by one insert per tuple.
-    pub fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Vec<Str>>) -> Relation {
+    /// Builds a relation from tuples (all must share the given arity),
+    /// sorting and deduplicating them once.
+    pub fn from_tuples<T: Into<Row>>(
+        arity: usize,
+        tuples: impl IntoIterator<Item = T>,
+    ) -> Relation {
+        let mut rows: Vec<Row> = tuples
+            .into_iter()
+            .map(Into::into)
+            .inspect(|t| assert_eq!(t.len(), arity, "tuple arity mismatch"))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let ceiling = rows.iter().filter_map(|t| row_ceiling(t)).max();
+        Relation::from_sorted(arity, rows, ceiling)
+    }
+
+    /// A relation of some of this relation's own rows, in the order they
+    /// are stored: sorted and distinct by construction, so nothing is
+    /// compared, copied or sorted. Its ceiling is this relation's.
+    pub fn subsequence(&self, rows: Vec<Row>) -> Relation {
+        debug_assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "a subsequence keeps the stored order"
+        );
+        debug_assert!(rows.iter().all(|t| t.len() == self.arity));
+        Relation::from_sorted(self.arity, rows, self.ceiling)
+    }
+
+    /// Cuts strictly increasing rows into leaves.
+    fn from_sorted(arity: usize, rows: Vec<Row>, ceiling: Option<Sym>) -> Relation {
+        let len = rows.len();
+        let mut leaves: Vec<Leaf> = Vec::with_capacity(len.div_ceil(LEAF_ROWS));
+        for t in rows {
+            match leaves.last_mut() {
+                Some(leaf) if leaf.rows.len() < LEAF_ROWS => leaf.push(t),
+                _ => {
+                    let mut leaf = Leaf::with_capacity(LEAF_ROWS);
+                    leaf.push(t);
+                    leaves.push(leaf);
+                }
+            }
+        }
         Relation {
             arity,
-            tuples: tuples
-                .into_iter()
-                .inspect(|t| assert_eq!(t.len(), arity, "tuple arity mismatch"))
-                .collect(),
+            leaves,
+            len,
+            ceiling,
         }
     }
 
@@ -126,28 +267,105 @@ impl Relation {
     }
 
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
+    }
+
+    /// Whether every stored string is over the first `k` symbols: one
+    /// comparison against the ceiling. When it fails, some row may hold
+    /// a symbol `≥ k`, and [`Relation::rows_within`] drops such rows.
+    pub fn within(&self, k: Sym) -> bool {
+        self.ceiling.is_none_or(|m| m < k)
+    }
+
+    /// The leaf where `t` is stored or belongs (the first not wholly
+    /// below it, else the last), and the row's place in it. `None` when
+    /// the relation is empty.
+    fn find(&self, key: u64, t: &[Str]) -> Option<(usize, Result<usize, usize>)> {
+        let last = self.leaves.len().checked_sub(1)?;
+        let i = self
+            .leaves
+            .partition_point(|leaf| leaf.below(key, t))
+            .min(last);
+        Some((i, self.leaves[i].search(key, t)))
     }
 
     pub fn contains(&self, t: &[Str]) -> bool {
-        self.tuples.contains(t)
+        matches!(self.find(sort_key(t), t), Some((_, Ok(_))))
     }
 
-    pub fn insert(&mut self, t: Vec<Str>) -> bool {
+    /// Adds a row; `false` when it was already stored. A row that sorts
+    /// last is appended.
+    pub fn insert(&mut self, t: impl Into<Row>) -> bool {
+        let t: Row = t.into();
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
-        self.tuples.insert(t)
+        let key = sort_key(&t);
+        let ceiling = row_ceiling(&t);
+        match self.find(key, &t) {
+            None => {
+                let mut leaf = Leaf::with_capacity(LEAF_ROWS + 1);
+                leaf.push(t);
+                self.leaves.push(leaf);
+            }
+            Some((_, Ok(_))) => return false,
+            Some((i, Err(j))) => {
+                let leaf = &mut self.leaves[i];
+                leaf.keys.insert(j, key);
+                leaf.rows.insert(j, t);
+                if leaf.rows.len() > LEAF_ROWS {
+                    // The upper half gets a whole leaf's room, so the
+                    // inserts that refill it do not reallocate.
+                    let half = leaf.rows.len() / 2;
+                    let mut upper = Leaf::with_capacity(LEAF_ROWS + 1);
+                    upper.keys.extend(leaf.keys.drain(half..));
+                    upper.rows.extend(leaf.rows.drain(half..));
+                    self.leaves.insert(i + 1, upper);
+                }
+            }
+        }
+        self.len += 1;
+        self.ceiling = self.ceiling.max(ceiling);
+        true
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Vec<Str>> {
-        self.tuples.iter()
+    /// The rows in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = &Row> + Clone {
+        self.leaves.iter().flat_map(|leaf| &leaf.rows)
     }
 
-    pub fn tuples(&self) -> &BTreeSet<Vec<Str>> {
-        &self.tuples
+    /// The rows over the first `k` symbols, in increasing order. A row
+    /// holding a symbol `≥ k` denotes nothing there, on every route;
+    /// no row is checked when the ceiling shows there is none.
+    pub fn rows_within(&self, k: Sym) -> impl Iterator<Item = &Row> + Clone {
+        let all = self.within(k);
+        self.iter()
+            .filter(move |t| all || t.iter().all(|s| s.within(k)))
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.arity == other.arity && self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Rows<'a>(&'a Relation);
+        impl fmt::Debug for Rows<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Relation")
+            .field("arity", &self.arity)
+            .field("tuples", &Rows(self))
+            .finish()
     }
 }
 
@@ -260,10 +478,8 @@ impl Database {
     pub fn adom_within(&self, k: Sym) -> BTreeSet<Str> {
         let mut out = BTreeSet::new();
         for r in self.rels.values() {
-            for t in r.iter() {
-                if t.iter().all(|s| s.within(k)) {
-                    out.extend(t.iter().cloned());
-                }
+            for t in r.rows_within(k) {
+                out.extend(t.iter().cloned());
             }
         }
         out
@@ -274,8 +490,7 @@ impl Database {
         self.rels
             .values()
             .flat_map(Relation::iter)
-            .flatten()
-            .map(Str::len)
+            .flat_map(|t| t.iter().map(Str::len))
             .max()
             .unwrap_or(0)
     }
@@ -296,7 +511,7 @@ impl Database {
         for (name, rel) in &self.rels {
             fp.str(name).u64(rel.arity() as u64).u64(rel.len() as u64);
             for tuple in rel.iter() {
-                for s in tuple {
+                for s in tuple.iter() {
                     fp.bytes(s.syms());
                 }
             }
@@ -452,7 +667,41 @@ mod tests {
         assert_eq!(bulk, one_by_one);
         assert_eq!(bulk.len(), 5);
         assert!(bulk.iter().is_sorted());
-        assert_eq!(Relation::from_tuples(3, []), Relation::new(3));
+        assert_eq!(Relation::from_tuples::<Row>(3, []), Relation::new(3));
+    }
+
+    #[test]
+    fn rows_past_the_sort_key_compare_in_full() {
+        // First strings too long for the key's length byte, and first
+        // strings that share their length and first symbols: the keys
+        // tie, and the rows still sort shortlex.
+        let long = |n: usize, first: u8| {
+            let mut syms = vec![0; n];
+            syms[0] = first;
+            Str::from_syms(syms)
+        };
+        let rows = [
+            vec![long(300, 1), s("a")],
+            vec![long(255, 1), s("b")],
+            vec![long(256, 0), s("a")],
+            vec![long(254, 1), s("a")],
+            vec![long(254, 0), s("bb")],
+            vec![s("abababa"), s("b")],
+            vec![s("abababb"), s("a")],
+            vec![s("abababa"), s("a")],
+            vec![s("ab"), s("abababa")],
+            vec![s("ab"), s("abababb")],
+        ];
+        let mut one_by_one = Relation::new(2);
+        for t in rows.iter().rev() {
+            assert!(one_by_one.insert(t.clone()));
+        }
+        let bulk = Relation::from_tuples(2, rows.clone());
+        assert_eq!(one_by_one, bulk);
+        let sorted: BTreeSet<Vec<Str>> = rows.iter().cloned().collect();
+        assert!(bulk.iter().map(|t| t.to_vec()).eq(sorted));
+        assert!(rows.iter().all(|t| one_by_one.contains(t)));
+        assert!(!one_by_one.contains(&[long(255, 1), s("a")]));
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub mod algebra;
 pub mod database;
 
 pub use algebra::{RaError, RaEvaluator, RaExpr};
-pub use database::{Database, DbError, Relation, Schema};
+pub use database::{Database, DbError, Relation, Row, Schema};

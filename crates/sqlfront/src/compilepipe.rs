@@ -525,7 +525,7 @@ mod tests {
             .eval(&compiled.query, &db())
             .unwrap()
             .expect_finite();
-        let tuples: Vec<Vec<strcalc_alphabet::Str>> = out.iter().cloned().collect();
+        let tuples: Vec<Vec<strcalc_alphabet::Str>> = out.iter().map(|t| t.to_vec()).collect();
         (compiled, tuples)
     }
 

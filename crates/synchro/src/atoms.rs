@@ -429,12 +429,14 @@ pub fn finite_set<'a, I: IntoIterator<Item = &'a Str>>(k: Sym, x: Var, words: I)
 ///
 /// This is how database relations enter the automaton pipeline: the
 /// convolution of each tuple is one word; the trie recognizes the finite
-/// language of all of them. A tuple holding a symbol `≥ k` is skipped,
-/// as every other route skips it.
-pub fn finite_relation(k: Sym, vars: Vec<Var>, tuples: &[Vec<Str>]) -> SyncNfa {
+/// language of all of them. Every tuple must be over the first `k`
+/// symbols: a stored row holding a symbol `≥ k` denotes nothing, and the
+/// caller drops it (`Relation::rows_within` in `strcalc-relational`,
+/// which checks no row when the relation's symbol ceiling is below `k`).
+pub fn finite_relation<T: AsRef<[Str]>>(k: Sym, vars: Vec<Var>, tuples: &[T]) -> SyncNfa {
     let refs: Vec<Vec<&Str>> = tuples
         .iter()
-        .map(|t| t.iter().collect::<Vec<&Str>>())
+        .map(|t| t.as_ref().iter().collect::<Vec<&Str>>())
         .collect();
     finite_relation_refs(k, vars, &refs)
 }
@@ -462,10 +464,10 @@ pub fn finite_relation_refs(k: Sym, vars: Vec<Var>, tuples: &[Vec<&Str>]) -> Syn
     let mut edges: HashMap<(StateId, conv::ConvSym), StateId> = HashMap::new();
     for t in tuples {
         debug_assert_eq!(t.len(), vars.len(), "tuple arity mismatch");
-        // A tuple with a symbol outside the alphabet denotes nothing.
-        if !t.iter().all(|s| s.within(k)) {
-            continue;
-        }
+        debug_assert!(
+            t.iter().all(|s| s.within(k)),
+            "the caller drops tuples outside the alphabet"
+        );
         let reordered: Vec<&Str> = perm.iter().map(|&i| t[i]).collect();
         let word = conv::convolve(&reordered);
         let mut cur = root;
@@ -675,7 +677,7 @@ mod tests {
 
     #[test]
     fn empty_relation() {
-        let a = finite_relation(2, vec![0, 1], &[]);
+        let a = finite_relation::<Vec<Str>>(2, vec![0, 1], &[]);
         check2(&a, 2, |_, _| false, "empty R");
         assert!(a.is_empty_lang());
     }

@@ -179,7 +179,7 @@ fn compare_against_relation(
 ) -> Verdict {
     let k = v.alphabet.len() as u8;
     let by_track: Vec<Vec<&Str>> = rel
-        .iter()
+        .rows_within(k)
         .map(|t| perm.iter().map(|&i| &t[i]).collect())
         .collect();
     let vars: Vec<Var> = (0..var_names.len() as Var).collect();

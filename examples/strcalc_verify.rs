@@ -40,11 +40,11 @@
 //!
 //! With `--chaos`, every query of the same three corpora runs once per
 //! fault seed under a deterministic injected fault plan (deadline fire
-//! at a fixed checkpoint, cache-insert failure, compile abort); the run
+//! at the first checkpoint, cache-insert failure, compile abort); the run
 //! fails if a fired fault is not surfaced as a typed SA4xx degradation,
 //! if the recorded trace does not replay bit-for-bit, or if some fault
-//! kind has no observable effect on any query — CI runs this as the
-//! `chaos-corpus` job.
+//! kind or some seed's plan has no observable effect on any query — CI
+//! runs this as the `chaos-corpus` job.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -769,14 +769,14 @@ fn replay_corpus(ab: &Alphabet) -> ExitCode {
 
 /// `--chaos`: the deterministic fault-injection corpus. Every golden
 /// corpus query runs once per fault seed under an injected
-/// [`FaultPlan`] — deadline fires at a fixed checkpoint, cache-insert
+/// [`FaultPlan`] — deadline fires at the first checkpoint, cache-insert
 /// failures, compile aborts — through the replay execution context
 /// (frozen virtual clock). The gate: a fired fault must surface as a
 /// typed SA4xx degradation (never a silent partial answer), the
 /// recorded trace must replay bit-for-bit through a fresh engine,
-/// injected degradation sequence included, and every fault kind must
-/// have an observable effect somewhere in the corpus — CI runs this as
-/// the `chaos-corpus` job.
+/// injected degradation sequence included, and every fault kind and
+/// every seed's plan must have an observable effect somewhere in the
+/// corpus — CI runs this as the `chaos-corpus` job.
 fn chaos_corpus(ab: &Alphabet) -> ExitCode {
     const SEEDS: std::ops::Range<u64> = 1..9;
     let db = replay_database(ab);
@@ -800,6 +800,8 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
         ("fail-cache-insert", 0, 0),
         ("abort-compile", 0, 0),
     ];
+    // Per seed: queries where its plan had an observable effect.
+    let mut seed_effects = vec![0usize; SEEDS.count()];
     for (calculus, head, src) in &cases {
         let plan_case =
             |engine: &AutomataEngine| plan_corpus_case(ab, *calculus, head, src, engine);
@@ -832,9 +834,14 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
                 ExecTrace::record(&plan, &budget, &report, &db, &out).expect("trace records");
 
             // A deadline that fired is never a quiet partial answer.
-            if report.faults.deadline_at_checkpoint.is_some() {
+            let effect =
+                report.faults.deadline_at_checkpoint.is_some() || !report.degradations.is_empty();
+            if effect {
                 fired += 1;
                 kinds[kind].2 += 1;
+                seed_effects[(seed - SEEDS.start) as usize] += 1;
+            }
+            if report.faults.deadline_at_checkpoint.is_some() {
                 if report.verdict.is_exact() {
                     problems.push(format!("seed {seed}: deadline fired but verdict is exact"));
                 }
@@ -847,11 +854,6 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
                         "seed {seed}: deadline fired without an SA41x degradation"
                     ));
                 }
-            } else if !report.degradations.is_empty() {
-                // Other injected faults (cache insert, compile abort)
-                // surfaced as typed events.
-                fired += 1;
-                kinds[kind].2 += 1;
             }
 
             // The chaos gate: the trace (injected degradations and
@@ -890,8 +892,25 @@ fn chaos_corpus(ab: &Alphabet) -> ExitCode {
         .map(|(name, armed, effects)| format!("{name} {armed} runs ({effects} with effects)"))
         .collect();
     println!("by fault kind: {}", by_kind.join(", "));
+    let by_seed: Vec<String> = SEEDS
+        .zip(&seed_effects)
+        .map(|(seed, effects)| {
+            format!(
+                "{seed} {} ({effects})",
+                FaultPlan::from_seed(seed).summary()
+            )
+        })
+        .collect();
+    println!("by seed (queries with effects): {}", by_seed.join(", "));
     if let Some((name, ..)) = kinds.iter().find(|(_, _, effects)| *effects == 0) {
         eprintln!("chaos corpus FAILED: no `{name}` fault had any observable effect");
+        return ExitCode::FAILURE;
+    }
+    if let Some((seed, _)) = SEEDS.zip(&seed_effects).find(|(_, effects)| **effects == 0) {
+        let plan = FaultPlan::from_seed(seed).summary();
+        eprintln!(
+            "chaos corpus FAILED: seed {seed} ({plan}) had no observable effect on any query"
+        );
         return ExitCode::FAILURE;
     }
     if failures > 0 {

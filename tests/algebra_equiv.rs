@@ -14,7 +14,7 @@ fn dbs(seeds: std::ops::Range<u64>) -> Vec<Database> {
             let mut db = wl.binary_db(6, 3);
             let uni = wl.unary_db(5, 3);
             for t in uni.relation("U").unwrap().iter() {
-                db.insert("U", t.clone()).unwrap();
+                db.insert("U", t.to_vec()).unwrap();
             }
             db.declare("U", 1).unwrap();
             db
