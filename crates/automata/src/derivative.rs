@@ -100,21 +100,48 @@ pub fn derivative_dfa(k: Sym, r: &Regex, cap: usize) -> Option<Dfa> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use strcalc_alphabet::Alphabet;
 
     fn re(t: &str) -> Regex {
         Regex::parse(&Alphabet::ab(), t).unwrap()
     }
 
-    #[test]
-    fn derivative_matcher_agrees_with_dfa() {
-        let alphabet = Alphabet::ab();
-        for src in ["a(b|a)*b", "(ab)*", "a*b*a*", ".*ab.*", "(a|b)(a|b)", ""] {
-            let r = re(src);
-            let d = Dfa::from_regex(2, &r);
-            for w in alphabet.strings_up_to(6) {
-                assert_eq!(matches(&r, &w), d.accepts(&w), "{src} on {w}");
-            }
+    /// Raw regex trees over symbols `0..k` (no smart constructors, so
+    /// unnormalized shapes such as `(r*)*` and `r|r` occur).
+    fn arb_regex(k: Sym) -> impl Strategy<Value = Regex> {
+        let leaf = prop_oneof![(0..k).prop_map(Regex::Sym), Just(Regex::Any)];
+        leaf.prop_recursive(4, 24, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, b)| Regex::Union(Box::new(a), Box::new(b))),
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, b)| Regex::Concat(Box::new(a), Box::new(b))),
+                inner.prop_map(|a| Regex::Star(Box::new(a))),
+            ]
+        })
+    }
+
+    /// The derivative matcher and the Thompson → subset → minimize DFA
+    /// accept the same words of length ≤ 6.
+    fn matchers_agree(alphabet: &Alphabet, r: &Regex) {
+        let d = Dfa::from_regex(alphabet.len() as Sym, r);
+        for w in alphabet.strings_up_to(6) {
+            assert_eq!(matches(r, &w), d.accepts(&w), "{r:?} on {w}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn derivative_matcher_agrees_with_dfa_over_two_symbols(r in arb_regex(2)) {
+            matchers_agree(&Alphabet::ab(), &r);
+        }
+
+        #[test]
+        fn derivative_matcher_agrees_with_dfa_over_three_symbols(r in arb_regex(3)) {
+            matchers_agree(&Alphabet::new("abc").unwrap(), &r);
         }
     }
 

@@ -73,24 +73,19 @@ impl Dfa {
         self.trans.len()
     }
 
-    /// Membership test.
+    /// Membership test. A symbol outside `0..k` has no transition, so a
+    /// word holding one is rejected.
     pub fn accepts(&self, w: &Str) -> bool {
-        let mut q = self.start;
-        for &s in w.syms() {
-            match self.trans[q as usize][s as usize] {
-                Some(t) => q = t,
-                None => return false,
-            }
-        }
-        self.accepting[q as usize]
+        self.run_from(self.start, w)
+            .is_some_and(|q| self.accepting[q as usize])
     }
 
     /// Runs the DFA from `state` over `w`; `None` if a transition is
-    /// missing.
+    /// missing (a symbol outside `0..k` included).
     pub fn run_from(&self, state: StateId, w: &Str) -> Option<StateId> {
         let mut q = state;
         for &s in w.syms() {
-            q = self.trans[q as usize][s as usize]?;
+            q = self.trans[q as usize].get(s as usize).copied().flatten()?;
         }
         Some(q)
     }
@@ -604,6 +599,17 @@ mod tests {
         assert!(d.accepts(&s("aaab")));
         assert!(!d.accepts(&s("ba")));
         assert!(!d.accepts(&s("")));
+    }
+
+    /// A symbol outside `0..k` is a missing transition: `Σ*` and its
+    /// complete DFAs reject a word holding one instead of panicking.
+    #[test]
+    fn symbols_outside_the_alphabet_are_rejected() {
+        let w = Str::from_syms(vec![0, 2]);
+        for d in [Dfa::universal(2), dfa("a.*"), dfa("a.*").complement()] {
+            assert!(!d.accepts(&w));
+            assert_eq!(d.run_from(d.start, &w), None);
+        }
     }
 
     #[test]

@@ -6,22 +6,23 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, s_query};
-use strcalc_core::{AutomataEngine, ConcatEvaluator};
+use strcalc_core::{AutomataEngine, Domain, DomainEvaluator};
 use strcalc_relational::Database;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("concat_blowup");
     let db = Database::new();
     let ww = strcalc_core::concat::ww_query();
+    let ab = ab();
     for bound in [2usize, 4, 6, 8] {
-        let eval = ConcatEvaluator::new(ab(), bound);
         group.bench_with_input(
             BenchmarkId::new("ww_bounded_search", bound),
-            &eval,
-            |b, eval| {
+            &bound,
+            |b, &bound| {
                 b.iter(|| {
                     let x = ["x".to_string()];
-                    eval.eval(&ww, &x, &db).unwrap().len()
+                    let eval = DomainEvaluator::new(&ab, &db, Domain::UpTo(bound));
+                    eval.answer(&ww, &x).unwrap().len()
                 })
             },
         );
@@ -30,7 +31,7 @@ fn bench(c: &mut Criterion) {
     // length strings of a's", regular) via the exact engine — flat cost.
     let engine = AutomataEngine::new();
     let mut dbu = Database::new();
-    dbu.insert_unary_parsed(&ab(), "U", &["aa"]).unwrap();
+    dbu.insert_unary_parsed(&ab, "U", &["aa"]).unwrap();
     let q = s_query(&[], "existsA x. U(x)");
     group.bench_function("tame_contrast_rc_s", |b| {
         b.iter(|| engine.eval_bool(&q, &dbu).unwrap())

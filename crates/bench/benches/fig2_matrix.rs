@@ -6,7 +6,7 @@
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
 use strcalc_core::safety::state_safety;
-use strcalc_core::{AutomataEngine, Calculus, EnumEngine, Query};
+use strcalc_core::{AutomataEngine, Calculus, Planner, Query, Strategy};
 
 fn probe(calc: Calculus) -> Query {
     let src = match calc {
@@ -20,7 +20,9 @@ fn probe(calc: Calculus) -> Query {
 
 fn bench(c: &mut Criterion) {
     let engine = AutomataEngine::new();
-    let baseline = EnumEngine::with_slack(1);
+    let baseline = Planner::new()
+        .force(Strategy::ActiveDomainEnum)
+        .with_slack(1);
     let db = unary_db(24, 6, 9);
     let mut group = c.benchmark_group("fig2_matrix");
     for calc in Calculus::all() {
@@ -31,7 +33,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("collapse_baseline", calc.name()),
             &q,
-            |b, q| b.iter(|| baseline.eval(q, &db).unwrap().len()),
+            |b, q| b.iter(|| baseline.plan(q).unwrap().execute(&db).unwrap().0.len()),
         );
         group.bench_with_input(BenchmarkId::new("state_safety", calc.name()), &q, |b, q| {
             b.iter(|| state_safety(&engine, q, &db).unwrap().is_safe())

@@ -7,12 +7,14 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, slen_query};
-use strcalc_core::{AutomataEngine, EnumEngine};
+use strcalc_core::{AutomataEngine, Planner, Strategy};
 use strcalc_workloads::Workload;
 
 fn bench(c: &mut Criterion) {
     let engine = AutomataEngine::new();
-    let baseline = EnumEngine::with_slack(0);
+    let baseline = Planner::new()
+        .force(Strategy::ActiveDomainEnum)
+        .with_slack(0);
     // "Two distinct stored strings have equal length" — the simplest
     // genuinely length-aware sentence.
     let q = slen_query(
@@ -41,7 +43,7 @@ fn bench(c: &mut Criterion) {
             // The collapse route ranges `z` over Σ^{≤maxlen}, exponentially
             // many strings, and stops at its first witness.
             group.bench_with_input(BenchmarkId::new("enum_lenquant", max_len), &db, |b, db| {
-                b.iter(|| baseline.eval(&q_open, db).unwrap())
+                b.iter(|| baseline.plan(&q_open).unwrap().execute(db).unwrap())
             });
         }
     }

@@ -4,11 +4,13 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use strcalc_bench::{s_query, unary_db};
-use strcalc_core::{AutomataEngine, EnumEngine};
+use strcalc_core::{AutomataEngine, Planner, Strategy};
 
 fn bench(c: &mut Criterion) {
     let engine = AutomataEngine::new();
-    let baseline = EnumEngine::with_slack(1);
+    let baseline = Planner::new()
+        .force(Strategy::ActiveDomainEnum)
+        .with_slack(1);
     // A Boolean RC(S) query: "some stored string has a proper prefix also
     // stored" — prefix-structure heavy, exercised on the trie encoding.
     let q = s_query(&[], "existsA x. existsA y. (U(x) & U(y) & x < y)");
@@ -21,7 +23,7 @@ fn bench(c: &mut Criterion) {
         });
         if n <= 200 {
             group.bench_with_input(BenchmarkId::new("enum_baseline", n), &db, |b, db| {
-                b.iter(|| baseline.eval(&q, db).unwrap())
+                b.iter(|| baseline.plan(&q).unwrap().execute(db).unwrap())
             });
         }
     }

@@ -13,7 +13,7 @@ use strcalc_core::mso3col::{three_colorable_via_slen, Graph};
 use strcalc_core::safety::state_safety;
 use strcalc_core::separations::figure1_report;
 use strcalc_core::{
-    AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, EnumEngine, Query,
+    AutomataEngine, Calculus, ConjunctiveQuery, Domain, DomainEvaluator, Planner, Query, Strategy,
 };
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
@@ -67,7 +67,9 @@ fn figure2() -> bool {
     );
     println!("|---|---|---|---|---|");
     let engine = AutomataEngine::new();
-    let baseline = EnumEngine::with_slack(1);
+    let baseline = Planner::new()
+        .force(Strategy::ActiveDomainEnum)
+        .with_slack(1);
     let db = Workload::new(ab(), 9).unary_db(24, 6);
     let mut all = true;
     for calc in Calculus::all() {
@@ -82,7 +84,8 @@ fn figure2() -> bool {
         let exact = engine.eval(&q, &db).unwrap().expect_finite();
         let t_exact = ms(t);
         let t = Instant::now();
-        let approx = baseline.eval(&q, &db).unwrap();
+        let approx = baseline.plan(&q).unwrap().execute(&db).unwrap().0;
+        let approx = approx.expect_finite();
         let t_base = ms(t);
         let t = Instant::now();
         let safe = state_safety(&engine, &q, &db).unwrap().is_safe();
@@ -106,14 +109,16 @@ fn e3_concat() {
     println!("## E3 — RC_concat bounded-search blow-up (Prop. 1)\n");
     println!("| bound B | |Σ^≤B| | ww answers | time (ms) |");
     println!("|---|---|---|---|");
-    let db = Database::new();
+    let (sigma, db) = (ab(), Database::new());
     let ww = strcalc_core::concat::ww_query();
+    let head = ["x".to_string()];
     for bound in [2usize, 4, 6, 8] {
-        let eval = ConcatEvaluator::new(ab(), bound);
+        let domain = Domain::UpTo(bound);
+        let size = domain.size(&sigma);
         let t = Instant::now();
-        let head = ["x".to_string()];
-        let n = eval.eval(&ww, &head, &db).unwrap().len();
-        println!("| {bound} | {} | {n} | {:.2} |", eval.domain_size(), ms(t));
+        let eval = DomainEvaluator::new(&sigma, &db, domain);
+        let n = eval.answer(&ww, &head).unwrap().len();
+        println!("| {bound} | {size} | {n} | {:.2} |", ms(t));
     }
     println!();
 }
@@ -155,7 +160,9 @@ fn e6_slen() {
     println!("| maxlen | automata (ms) | enum baseline (ms) |");
     println!("|---|---|---|");
     let engine = AutomataEngine::new();
-    let baseline = EnumEngine::with_slack(0);
+    let baseline = Planner::new()
+        .force(Strategy::ActiveDomainEnum)
+        .with_slack(0);
     let q = Query::parse(
         Calculus::SLen,
         ab(),
@@ -170,7 +177,7 @@ fn e6_slen() {
         let t1 = ms(t);
         let t2 = if max_len <= 8 {
             let t = Instant::now();
-            let _ = baseline.eval(&q, &db).unwrap();
+            let _ = baseline.plan(&q).unwrap().execute(&db).unwrap();
             format!("{:.2}", ms(t))
         } else {
             "—".to_string()

@@ -13,13 +13,13 @@
 //!   every variable ranges over `Σ^{≤B}` for a user-supplied bound `B`,
 //!   with no completeness guarantee as `B` grows — mirroring the
 //!   semi-decidability of the full semantics. The planner runs it as a
-//!   `generate` program: Theorem 3's flow rules still carry range
-//!   restriction through `concat` (a bound `x` and `y` fix `z = x·y`, a
-//!   bound `z` has `|z|+1` splits), so only a variable nothing
-//!   restricts walks `Σ^{≤B}`, and no value longer than `B` is ever
-//!   bound. [`ConcatEvaluator`] is the naive [`DomainEvaluator`] over
-//!   `Σ^{≤B}`, one assignment at a time: the independent reference the
-//!   tests and experiments compare with;
+//!   `generate` program ([`crate::Planner::plan_formula`]): Theorem 3's
+//!   flow rules still carry range restriction through `concat` (a bound
+//!   `x` and `y` fix `z = x·y`, a bound `z` has `|z|+1` splits), so only
+//!   a variable nothing restricts walks `Σ^{≤B}`, and no value longer
+//!   than `B` is ever bound. The naive [`DomainEvaluator`] over
+//!   `Domain::UpTo(B)`, one assignment at a time, is the independent
+//!   reference the tests and experiments compare with;
 //! * expressiveness beyond `S_len` is witnessed executably: the query
 //!   `∃y (x = y·y)` defines the copy language `{ww}`, which is not
 //!   regular, while every `RC(S_len)`-definable subset of `Σ*` is regular
@@ -32,53 +32,11 @@
 
 use strcalc_alphabet::{Alphabet, Str};
 use strcalc_logic::{Formula, Term};
-use strcalc_relational::{Database, Relation};
+use strcalc_relational::Database;
 
 use crate::enumeval::DomainEvaluator;
+use crate::generate::Domain;
 use crate::query::CoreError;
-
-/// Bounded-search evaluation for `RC_concat` formulas.
-#[derive(Debug, Clone)]
-pub struct ConcatEvaluator {
-    pub alphabet: Alphabet,
-    /// Length bound `B`: quantifiers range over `Σ^{≤B}`.
-    pub bound: usize,
-}
-
-impl ConcatEvaluator {
-    pub fn new(alphabet: Alphabet, bound: usize) -> ConcatEvaluator {
-        ConcatEvaluator { alphabet, bound }
-    }
-
-    /// Evaluates `formula` with the `head` variables free; free
-    /// variables also range over `Σ^{≤B}`. The result is the
-    /// **bounded** answer set — a subset of the true (possibly
-    /// undecidable) answer. A sentence (empty head) is a 0-ary query:
-    /// its answer is `{()}` when it holds and `∅` otherwise.
-    pub fn eval(
-        &self,
-        formula: &Formula,
-        head: &[String],
-        db: &Database,
-    ) -> Result<Relation, CoreError> {
-        let mut head_sorted: Vec<String> = head.to_vec();
-        head_sorted.sort();
-        let free: Vec<String> = formula.free_vars().into_iter().collect();
-        if head_sorted != free {
-            return Err(CoreError::HeadMismatch {
-                head: head.to_vec(),
-                free,
-            });
-        }
-        let domain = self.alphabet.strings_up_to(self.bound).collect();
-        DomainEvaluator::new(&self.alphabet, db, domain).answer(formula, head)
-    }
-
-    /// The size of the bounded search space (for the blow-up benchmarks).
-    pub fn domain_size(&self) -> usize {
-        self.alphabet.count_up_to(self.bound)
-    }
-}
 
 /// The copy-language query `φ(x) = ∃y (x = y·y)` — `RC_concat`'s
 /// signature trick.
@@ -97,10 +55,9 @@ pub fn ww_query() -> Formula {
 /// exactly the even-length copies — and returns the count, which grows as
 /// `|Σ|^n` (not `O(1)`-state recognizable).
 pub fn ww_language_bounded(alphabet: &Alphabet, bound: usize) -> Vec<Str> {
-    let eval = ConcatEvaluator::new(alphabet.clone(), bound);
     let db = Database::new();
-    let rel = eval
-        .eval(&ww_query(), &["x".to_string()], &db)
+    let rel = DomainEvaluator::new(alphabet, &db, Domain::UpTo(bound))
+        .answer(&ww_query(), &["x".to_string()])
         .expect("invariant: ww_query is pure with head [x], so bounded eval cannot fail");
     rel.iter().map(|t| t[0].clone()).collect()
 }
@@ -182,9 +139,10 @@ mod tests {
         assert!(!words.contains(&s("aab")));
     }
 
-    /// Whether the sentence `f` holds under the bounded semantics.
-    fn holds(eval: &ConcatEvaluator, f: &Formula, db: &Database) -> bool {
-        !eval.eval(f, &[], db).unwrap().is_empty()
+    /// Whether the sentence `f` holds over `Σ^{≤bound}`.
+    fn holds(alphabet: &Alphabet, bound: usize, f: &Formula, db: &Database) -> bool {
+        let eval = DomainEvaluator::new(alphabet, db, Domain::UpTo(bound));
+        !eval.answer(f, &[]).unwrap().is_empty()
     }
 
     #[test]
@@ -204,15 +162,13 @@ mod tests {
                     )),
             ),
         );
-        let eval = ConcatEvaluator::new(ab(), 3);
-        assert!(holds(&eval, &f, &Database::new()));
+        assert!(holds(&ab(), 3, &f, &Database::new()));
     }
 
     #[test]
     fn tm_step_relation() {
         let alpha = Alphabet::new("abqh").unwrap();
         let step = tm_step_formula(&alpha).unwrap();
-        let eval = ConcatEvaluator::new(alpha.clone(), 4);
         // qaa ⊢ bqa ⊢ bbq? The machine: q reading a → b, move right.
         // Configuration "qaab": u=ε, v="ab": c=q a ab?? — encode c="qaab".
         let s = |t: &str| alpha.parse(t).unwrap();
@@ -226,22 +182,14 @@ mod tests {
                 Formula::rel("C", vec![Term::var("c"), Term::var("c2")]).and(step.clone()),
             ),
         );
-        assert!(holds(&eval, &f, &env_db));
+        assert!(holds(&alpha, 4, &f, &env_db));
         // A non-step pair fails.
         let mut bad_db = Database::new();
         bad_db.insert("C", vec![s("qaab"), s("qqqq")]).unwrap();
-        assert!(!holds(&eval, &f, &bad_db));
+        assert!(!holds(&alpha, 4, &f, &bad_db));
         // Halting: qb ⊢ hb.
         let mut halt_db = Database::new();
         halt_db.insert("C", vec![s("qba"), s("hba")]).unwrap();
-        assert!(holds(&eval, &f, &halt_db));
-    }
-
-    #[test]
-    fn domain_size_grows_exponentially() {
-        let e2 = ConcatEvaluator::new(ab(), 2);
-        let e4 = ConcatEvaluator::new(ab(), 4);
-        assert_eq!(e2.domain_size(), 7);
-        assert_eq!(e4.domain_size(), 31);
+        assert!(holds(&alpha, 4, &f, &halt_db));
     }
 }

@@ -6,7 +6,7 @@
 //! length. Both results rewrite the formula; the collapse route instead
 //! runs the *original* formula with every head and unrestricted variable
 //! ranging over a finite domain derived from the database, padded with a
-//! **slack** fringe ([`EnumEngine::domain`]):
+//! **slack** fringe ([`collapse_domain`]):
 //!
 //! * `S` / `S_reg`: the prefix closure of `adom ∪ constants`, extended by
 //!   all suffixes of length ≤ slack;
@@ -24,88 +24,56 @@
 //! (Corollary 4) — the domain itself is `|Σ|^maxlen`.
 //!
 //! The planner runs the collapse route as a `generate` program over this
-//! domain (a forced [`Strategy::ActiveDomainEnum`] plan, and the SA401 /
-//! SA413 fallbacks of the automata route); [`EnumEngine::eval`] runs the
-//! same program. [`DomainEvaluator`] is the naive, ungoverned
-//! reference: it interprets the formula one assignment at a time, every
-//! quantifier looping over its range. Tests, the translation validator
-//! and [`crate::ConcatEvaluator`] (the same evaluator over `Σ^{≤B}`)
-//! compare against it.
+//! domain (a forced [`crate::Strategy::ActiveDomainEnum`] plan, and the
+//! SA401 / SA413 fallbacks of the automata route).
+//!
+//! [`DomainEvaluator`] is the naive, ungoverned reference every route is
+//! checked against: it interprets the formula one assignment at a time
+//! over a [`Domain`], every quantifier looping over its range, and it
+//! decides `in` / `pl` atoms with Brzozowski derivatives
+//! ([`strcalc_automata::derivative::matches`]), so it shares no automaton
+//! with the routes it checks. Over `Σ^{≤B}` it is the bounded-search
+//! semantics of `RC_concat` ([`crate::concat`]).
 
 // Panic audit: this module sits on the hot evaluation path, so every
 // potential panic must be a messaged `expect` documenting its invariant
 // (tests are exempt below).
 #![deny(clippy::unwrap_used)]
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 use strcalc_alphabet::{Alphabet, Str};
-use strcalc_automata::Dfa;
+use strcalc_automata::{derivative, Regex};
 use strcalc_logic::transform::quantifier_rank;
-use strcalc_logic::{Atom, Formula, Lang, Restrict, Term};
+use strcalc_logic::{Atom, Formula, Restrict, Term};
 use strcalc_relational::{Database, Relation, Row};
 
 use crate::generate::Domain;
-use crate::plan::{Planner, Strategy};
-use crate::query::{Calculus, CoreError, Query};
-
-/// The collapse route's configuration.
-#[derive(Debug, Clone, Default)]
-pub struct EnumEngine {
-    /// Fringe width; `None` derives `quantifier_rank + 1` per query.
-    pub slack: Option<usize>,
-}
+use crate::query::{check_head, Calculus, CoreError, Query};
 
 /// The naive evaluator over an explicit finite domain.
 pub struct DomainEvaluator<'a> {
-    pub alphabet: &'a Alphabet,
-    pub db: &'a Database,
+    alphabet: &'a Alphabet,
+    db: &'a Database,
     /// What head and unrestricted variables range over.
-    pub domain: Vec<Str>,
+    domain: Vec<Str>,
     /// The active domain of the in-alphabet rows, sorted.
     adom: Vec<Str>,
-    dfa_cache: HashMap<Lang, Dfa>,
 }
 
-impl EnumEngine {
-    pub fn new() -> EnumEngine {
-        EnumEngine::default()
-    }
-
-    pub fn with_slack(slack: usize) -> EnumEngine {
-        EnumEngine { slack: Some(slack) }
-    }
-
-    /// The finite collapse domain for `q` on `db`.
-    pub fn domain(&self, q: &Query, db: &Database) -> Domain {
-        let slack = self
-            .slack
-            .unwrap_or_else(|| quantifier_rank(q.formula()) + 1);
-        let mut base: BTreeSet<Str> = db.adom_within(q.alphabet().len() as u8);
-        collect_constants(q.formula(), &mut base);
-        match q.calculus() {
-            Calculus::S | Calculus::SReg => {
-                Domain::Set(prefix_fringe(q.alphabet(), &base, slack, false))
-            }
-            Calculus::SLeft => Domain::Set(prefix_fringe(q.alphabet(), &base, slack, true)),
-            Calculus::SLen => Domain::UpTo(base.iter().map(Str::len).max().unwrap_or(0) + slack),
+/// The finite collapse domain for `q` on `db`. `slack` is the fringe
+/// width; `None` derives `quantifier_rank + 1` from the formula.
+pub fn collapse_domain(q: &Query, db: &Database, slack: Option<usize>) -> Domain {
+    let slack = slack.unwrap_or_else(|| quantifier_rank(q.formula()) + 1);
+    let mut base: BTreeSet<Str> = db.adom_within(q.alphabet().len() as u8);
+    collect_constants(q.formula(), &mut base);
+    match q.calculus() {
+        Calculus::S | Calculus::SReg => {
+            Domain::Set(prefix_fringe(q.alphabet(), &base, slack, false))
         }
-    }
-
-    /// Evaluates `q` over its collapse domain: the program a forced
-    /// [`Strategy::ActiveDomainEnum`] plan runs, at this slack. **Assumes
-    /// the query is range-restricted** (safe with output inside the
-    /// domain); use the automata engine for exact semantics on arbitrary
-    /// queries. A sentence is a 0-ary query: its answer is `{()}` when it
-    /// holds and `∅` otherwise.
-    pub fn eval(&self, q: &Query, db: &Database) -> Result<Relation, CoreError> {
-        let planner = Planner {
-            slack: self.slack,
-            force: Some(Strategy::ActiveDomainEnum),
-            ..Planner::new()
-        };
-        // The collapse route answers a finite relation by construction.
-        Ok(planner.plan(q)?.execute(db)?.0.expect_finite())
+        Calculus::SLeft => Domain::Set(prefix_fringe(q.alphabet(), &base, slack, true)),
+        Calculus::SLen => Domain::UpTo(base.iter().map(Str::len).max().unwrap_or(0) + slack),
     }
 }
 
@@ -159,20 +127,23 @@ fn collect_term_constants(t: &Term, out: &mut BTreeSet<Str>) {
 }
 
 impl<'a> DomainEvaluator<'a> {
-    pub fn new(alphabet: &'a Alphabet, db: &'a Database, domain: Vec<Str>) -> DomainEvaluator<'a> {
+    /// An evaluator whose head and unrestricted variables range over
+    /// `domain` (a finite one: not `Σ*`).
+    pub fn new(alphabet: &'a Alphabet, db: &'a Database, domain: Domain) -> DomainEvaluator<'a> {
         DomainEvaluator {
             alphabet,
             db,
-            domain,
+            domain: domain.strings(alphabet),
             adom: db.adom_within(alphabet.len() as u8).into_iter().collect(),
-            dfa_cache: HashMap::new(),
         }
     }
 
     /// The tuples, in head order, that satisfy `f` with every head
-    /// variable ranging over the domain. A sentence's answer is `{()}`
-    /// when it holds and `∅` otherwise.
-    pub fn answer(&mut self, f: &Formula, head: &[String]) -> Result<Relation, CoreError> {
+    /// variable ranging over the domain; the head must list `f`'s free
+    /// variables. A sentence's answer is `{()}` when it holds and `∅`
+    /// otherwise.
+    pub fn answer(&self, f: &Formula, head: &[String]) -> Result<Relation, CoreError> {
+        check_head(head, f)?;
         let mut out = Vec::new();
         let mut tuple = Vec::with_capacity(head.len());
         self.head_loop(f, head, &mut HashMap::new(), &mut tuple, &mut out)?;
@@ -180,7 +151,7 @@ impl<'a> DomainEvaluator<'a> {
     }
 
     fn head_loop(
-        &mut self,
+        &self,
         f: &Formula,
         head: &[String],
         env: &mut HashMap<String, Str>,
@@ -205,7 +176,7 @@ impl<'a> DomainEvaluator<'a> {
     }
 
     /// Evaluates a term to a string under `env`.
-    pub fn term_value(&self, t: &Term, env: &HashMap<String, Str>) -> Result<Str, CoreError> {
+    fn term_value(&self, t: &Term, env: &HashMap<String, Str>) -> Result<Str, CoreError> {
         Ok(match t {
             Term::Var(v) => env
                 .get(v)
@@ -220,7 +191,7 @@ impl<'a> DomainEvaluator<'a> {
 
     /// Evaluates a formula under `env`, unrestricted quantifiers ranging
     /// over the domain and restricted ones over their ranges.
-    pub fn eval(&mut self, f: &Formula, env: &mut HashMap<String, Str>) -> Result<bool, CoreError> {
+    pub fn eval(&self, f: &Formula, env: &mut HashMap<String, Str>) -> Result<bool, CoreError> {
         Ok(match f {
             Formula::True => true,
             Formula::False => false,
@@ -246,32 +217,28 @@ impl<'a> DomainEvaluator<'a> {
         v: &str,
         g: &Formula,
         env: &HashMap<String, Str>,
-    ) -> Vec<Str> {
-        let scope: Vec<&Str> = g
-            .free_vars()
-            .iter()
-            .filter(|w| *w != v)
-            .filter_map(|w| env.get(w))
-            .collect();
-        match restrict {
-            None => self.domain.clone(),
-            Some(Restrict::Active) => self.adom.clone(),
-            Some(Restrict::PrefixDom) => {
-                strcalc_alphabet::prefix_closure(self.adom.iter().chain(scope))
-                    .into_iter()
-                    .collect()
-            }
-            Some(Restrict::LengthDom) => match self.adom.iter().chain(scope).map(Str::len).max() {
-                Some(m) => self.alphabet.strings_up_to(m).collect(),
-                None => Vec::new(),
-            },
-        }
+    ) -> Cow<'_, [Str]> {
+        let restrict = match restrict {
+            None => return Cow::Borrowed(&self.domain),
+            Some(Restrict::Active) => return Cow::Borrowed(&self.adom),
+            Some(r) => r,
+        };
+        let free = g.free_vars();
+        let others = free.iter().filter(|w| *w != v).filter_map(|w| env.get(w));
+        let scope = self.adom.iter().chain(others);
+        Cow::Owned(match (restrict, scope.clone().map(Str::len).max()) {
+            (Restrict::PrefixDom, _) => strcalc_alphabet::prefix_closure(scope)
+                .into_iter()
+                .collect(),
+            (_, Some(m)) => self.alphabet.strings_up_to(m).collect(),
+            (_, None) => Vec::new(),
+        })
     }
 
     /// Whether some `v` in its range makes `g` evaluate to `holds`: `∃v g`
     /// with `holds`, and `¬∀v g` without.
     fn witness(
-        &mut self,
+        &self,
         v: &str,
         g: &Formula,
         env: &mut HashMap<String, Str>,
@@ -280,8 +247,8 @@ impl<'a> DomainEvaluator<'a> {
     ) -> Result<bool, CoreError> {
         let saved = env.get(v).cloned();
         let mut found = false;
-        for c in self.range(restrict, v, g, env) {
-            env.insert(v.to_string(), c);
+        for c in self.range(restrict, v, g, env).iter() {
+            env.insert(v.to_string(), c.clone());
             if self.eval(g, env)? == holds {
                 found = true;
                 break;
@@ -294,7 +261,7 @@ impl<'a> DomainEvaluator<'a> {
         Ok(found)
     }
 
-    fn eval_atom(&mut self, a: &Atom, env: &HashMap<String, Str>) -> Result<bool, CoreError> {
+    fn eval_atom(&self, a: &Atom, env: &HashMap<String, Str>) -> Result<bool, CoreError> {
         Ok(match a {
             Atom::Rel(name, ts) => {
                 let vals: Result<Vec<Str>, _> =
@@ -329,16 +296,10 @@ impl<'a> DomainEvaluator<'a> {
                 self.term_value(x, env)?.lex_cmp(&self.term_value(y, env)?)
                     != std::cmp::Ordering::Greater
             }
-            Atom::InLang(t, l) => {
-                let v = self.term_value(t, env)?;
-                self.dfa(l).accepts(&v)
-            }
+            Atom::InLang(t, l) => self.in_lang(&self.term_value(t, env)?, &l.regex),
             Atom::PL(x, y, l) => {
                 let (vx, vy) = (self.term_value(x, env)?, self.term_value(y, env)?);
-                vx.is_prefix_of(&vy) && {
-                    let suffix = vy.subtract(&vx);
-                    self.dfa(l).accepts(&suffix)
-                }
+                vx.is_prefix_of(&vy) && self.in_lang(&vy.subtract(&vx), &l.regex)
             }
             Atom::InsertAfter(x, p, y, a) => {
                 let (vx, vp, vy) = (
@@ -359,11 +320,10 @@ impl<'a> DomainEvaluator<'a> {
         })
     }
 
-    fn dfa(&mut self, l: &Lang) -> &Dfa {
-        let k = self.alphabet.len() as u8;
-        self.dfa_cache
-            .entry(l.clone())
-            .or_insert_with(|| l.to_dfa(k))
+    /// Whether `w ∈ L(r)`: a language over `Σ` holds no word with a
+    /// symbol outside it.
+    fn in_lang(&self, w: &Str, r: &Regex) -> bool {
+        w.within(self.alphabet.len() as u8) && derivative::matches(r, w)
     }
 }
 
@@ -371,6 +331,7 @@ impl<'a> DomainEvaluator<'a> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::plan::{Planner, Strategy};
     use strcalc_alphabet::Alphabet;
 
     fn ab() -> Alphabet {
@@ -398,9 +359,18 @@ mod tests {
         .unwrap()
     }
 
-    /// The engine's answer.
-    fn answer(engine: &EnumEngine, q: &Query) -> Relation {
-        engine.eval(q, &db()).unwrap()
+    /// The reference answer over `q`'s collapse domain at the derived
+    /// slack, checked against the forced collapse plan's.
+    fn answer(q: &Query) -> Relation {
+        let db = db();
+        let domain = collapse_domain(q, &db, None);
+        let reference = DomainEvaluator::new(q.alphabet(), &db, domain)
+            .answer(q.formula(), q.head())
+            .unwrap();
+        let plan = Planner::new().force(Strategy::ActiveDomainEnum).plan(q);
+        let routed = plan.unwrap().execute(&db).unwrap().0.expect_finite();
+        assert_eq!(reference, routed, "{}", q.formula());
+        reference
     }
 
     #[test]
@@ -423,10 +393,9 @@ mod tests {
             q(Calculus::SLeft, &["x"], "exists y. (R(y) & fa(y,x,'b'))"),
         ];
         let exact = AutomataEngine::new();
-        let baseline = EnumEngine::new();
         for query in &queries {
             let a = exact.eval(query, &db()).unwrap().expect_finite();
-            let b = answer(&baseline, query);
+            let b = answer(query);
             assert_eq!(a, b, "engines disagree on {}", query.formula());
         }
     }
@@ -455,10 +424,9 @@ mod tests {
             ),
         ];
         let exact = AutomataEngine::new();
-        let baseline = EnumEngine::new();
         for query in &sentences {
             let a = exact.eval_bool(query, &db()).unwrap();
-            let b = !answer(&baseline, query).is_empty();
+            let b = !answer(query).is_empty();
             assert_eq!(a, b, "engines disagree on {}", query.formula());
         }
     }
@@ -470,25 +438,25 @@ mod tests {
             &["x"],
             "exists y. (R(y) & x = prepend('a', y))",
         );
-        let out = answer(&EnumEngine::new(), &query);
+        let out = answer(&query);
         assert_eq!(out.len(), 3);
         assert!(out.contains(&[s("aba")]));
     }
 
     #[test]
     fn domain_shapes() {
-        let e = EnumEngine::with_slack(1);
-        let dq = e.domain(&q(Calculus::S, &["x"], "R(x)"), &db());
+        let domain = |calc| collapse_domain(&q(calc, &["x"], "R(x)"), &db(), Some(1));
+        let dq = domain(Calculus::S);
         // prefix closure of {ab,ba,bab} = {ε,a,ab,b,ba,bab} (6), each
         // extended by ≤1 symbol: 6 + new one-extensions.
         assert!(dq.contains(&s("")));
         assert!(dq.contains(&s("babb")));
         assert!(!dq.contains(&s("babba")));
 
-        let dl = e.domain(&q(Calculus::SLen, &["x"], "R(x)"), &db());
+        let dl = domain(Calculus::SLen);
         assert_eq!(dl, Domain::UpTo(4)); // maxlen 3 + slack 1
 
-        let dleft = e.domain(&q(Calculus::SLeft, &["x"], "R(x)"), &db());
+        let dleft = domain(Calculus::SLeft);
         assert!(dleft.contains(&s("abab"))); // a·bab prepended
     }
 }

@@ -6,9 +6,13 @@
 //! * [`AutomataEngine`] — **exact** natural-semantics evaluation via
 //!   automatic structures (quantifiers truly range over the infinite
 //!   `Σ*`), giving decidable state-safety (Proposition 7) for free.
-//! * [`EnumEngine`] — the collapse-based baseline: quantification over
-//!   a finite [`Domain`] derived from the database, per Proposition 2
-//!   (prefix domain) and Theorem 2 (length domain).
+//! * [`Planner`] — one decision procedure for every entry point: the
+//!   relational route, automata, scans, the collapse route (quantification
+//!   over a finite [`Domain`] derived from the database, per Proposition 2
+//!   and Theorem 2) and bounded search, each run as a [`Plan`].
+//! * [`DomainEvaluator`] — the naive, automaton-free reference every
+//!   route is checked against: the paper's definitions evaluated over a
+//!   finite [`Domain`] (the [`collapse_domain`], or `Σ^{≤B}`).
 //! * [`safety`] — state-safety, the range-restriction construction of
 //!   Theorem 3 / Theorem 7 (`(γ, φ)` queries), and the `S_len`
 //!   finiteness sentence of Section 6.1.
@@ -52,11 +56,10 @@ pub use budget::{
 pub use cache::{AutomatonCache, CacheKey, CacheStatsSnapshot, CompiledArtifact};
 pub use clock::{Clock, Deadline, MonotonicClock, VirtualClock};
 pub use collapse::{collapse_holds_on, restrict_quantifiers, restricted_query};
-pub use concat::ConcatEvaluator;
 pub use cqsafety::{ConjunctiveQuery, CqSafety, UnionOfCqs};
 pub use effective::{FormulaEnumerator, SafeQueryEnumerator};
 pub use engine::AutomataEngine;
-pub use enumeval::EnumEngine;
+pub use enumeval::{collapse_domain, DomainEvaluator};
 pub use faults::FaultPlan;
 pub use generate::Domain;
 pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy};

@@ -72,7 +72,7 @@ use crate::budget::{
 use crate::cache::{CompiledArtifact, DenseArtifact};
 use crate::clock::{Clock, Deadline, MonotonicClock, VirtualClock};
 use crate::engine::Slot;
-use crate::enumeval::EnumEngine;
+use crate::enumeval::collapse_domain;
 use crate::faults::FaultPlan;
 use crate::generate::{Domain, DomainKind, Program, SIGMA_STAR};
 use crate::query::{CoreError, EvalOutput, Query};
@@ -417,7 +417,7 @@ impl Plan {
         let langs = &q.sheet().langs;
         let collapse = DomainKind::Collapse;
         let (program, _) = Program::lower_over(q.formula(), q.head(), langs, None, collapse)?;
-        let domain = EnumEngine { slack: self.slack }.domain(q, db);
+        let domain = collapse_domain(q, db, self.slack);
         let deadline = if governed {
             run.deadline.clone()
         } else {
@@ -483,7 +483,7 @@ impl Plan {
     /// expiry keeps the tuples completed so far (SA411).
     fn run_collapse(&self, db: &Database, run: &mut Run) -> Result<Relation, CoreError> {
         let q = self.typed_query()?;
-        let domain = EnumEngine { slack: self.slack }.domain(q, db);
+        let domain = collapse_domain(q, db, self.slack);
         let rel = self.run_program(db, run, &domain, Code::DeadlineScanTruncated)?;
         run.report.domain_size = domain.size(q.alphabet());
         Ok(rel)

@@ -38,8 +38,8 @@ pub enum Strategy {
     /// relational route (a [`PlanOp::Relational`] root) binds each
     /// variable from the atom that range-restricts it (Theorems 3–4).
     /// Forced, it runs the same kind of program over the finite collapse
-    /// domain with a slack fringe (an [`PlanOp::EnumerateFinite`] root —
-    /// the `EnumEngine` path; Propositions 2 / Theorem 2).
+    /// domain with a slack fringe (an [`PlanOp::EnumerateFinite`] root;
+    /// Propositions 2 / Theorem 2).
     ActiveDomainEnum,
     /// Every variable ranges over `Σ^{≤B}`: the compiled `generate`
     /// program binds what the formula range-restricts and walks

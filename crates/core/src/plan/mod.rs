@@ -1,19 +1,18 @@
 //! The query planner: one decision procedure for all entry points.
 //!
-//! Historically each consumer hard-wired its own evaluation path: the
-//! SQL front-end called [`AutomataEngine`] directly, the collapse
-//! experiments built an `EnumEngine`, and concat demos built a bounded
-//! search of their own. The [`Planner`] centralizes that choice — the
-//! relational route when every variable of the formula has a generator,
-//! automata for the rest of the synchro fragment, the collapse domain
-//! when forced, bounded search for concat (the last three all run
-//! `generate` programs) — and lowers the query into a typed [`Plan`]
-//! that the engines *execute* rather than own. Planning runs in one
-//! step: a traced rewrite of the formula, the route, a lowering straight
-//! to the finished tree (flat products, the collapse restriction and the
-//! cache lookup built in), and one planlint walk that verifies the tree
-//! and writes every node's certificate into it. Every plan renders a
-//! stable `EXPLAIN` (text and JSON) with per-node cost estimates from
+//! The SQL front-end, the collapse experiments and the concat demos
+//! all plan through the [`Planner`], which makes the one choice of
+//! route — the relational route when every variable of the formula has
+//! a generator, automata for the rest of the synchro fragment, the
+//! collapse domain when forced, bounded search for concat (the last
+//! three all run `generate` programs) — and lowers the query into a
+//! typed [`Plan`] that the engines *execute* rather than own. Planning
+//! runs in one step: a traced rewrite of the formula, the route, a
+//! lowering straight to the finished tree (flat products, the collapse
+//! restriction and the cache lookup built in), and one planlint walk
+//! that verifies the tree and writes every node's certificate into it.
+//! Every plan renders a stable `EXPLAIN` (text and JSON) with per-node
+//! cost estimates from
 //! `strcalc-analyze` and post-execution actuals.
 //!
 //! ```

@@ -277,11 +277,10 @@ impl Query {
             (None, StructureClass::SLeft) => Calculus::SLeft,
             (None, StructureClass::SReg) => Calculus::SReg,
             (None, StructureClass::SLen) => Calculus::SLen,
-            (None, StructureClass::Concat) => {
-                return Err(CoreError::Unsupported(
-                    "concatenation queries belong to RC_concat; use ConcatEvaluator".into(),
-                ))
-            }
+            (None, StructureClass::Concat) => return Err(CoreError::Unsupported(
+                "concatenation queries belong to RC_concat; plan them with Planner::plan_formula"
+                    .into(),
+            )),
         };
         Ok(Query {
             calculus,

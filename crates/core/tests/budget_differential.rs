@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::budget::UNLIMITED;
 use strcalc_core::{
-    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, ExecCx, FaultPlan, PlanNode,
-    Planner, Query, Strategy as PlanStrategy,
+    Budget, Calculus, DegradationPolicy, Domain, DomainEvaluator, EvalOutput, ExecCx, FaultPlan,
+    PlanNode, Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_core::{CoreError, ExecVerdict};
 use strcalc_logic::{Formula, Term};
@@ -290,8 +290,8 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
         ..Budget::unlimited()
     };
     let (clamped, report) = plan.execute_in(&db, &under(narrow)).unwrap();
-    let direct = ConcatEvaluator::new(ab.clone(), 2)
-        .eval(&formula, &head, &db)
+    let direct = DomainEvaluator::new(&ab, &db, Domain::UpTo(2))
+        .answer(&formula, &head)
         .unwrap();
     assert_eq!(clamped, EvalOutput::Finite(direct));
     assert!(matches!(report.verdict, ExecVerdict::Bounded { .. }));
@@ -302,8 +302,8 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
 
     // A depth allowance at or above the plan's bound does not clamp.
     let (full, report) = plan.execute(&db).unwrap();
-    let direct_full = ConcatEvaluator::new(ab, 3)
-        .eval(&formula, &head, &db)
+    let direct_full = DomainEvaluator::new(&ab, &db, Domain::UpTo(3))
+        .answer(&formula, &head)
         .unwrap();
     assert_eq!(full, EvalOutput::Finite(direct_full));
     assert!(report.verdict.is_exact());

@@ -1,20 +1,19 @@
 //! Differential property tests for the query planner: for random
 //! formulas, the planner-routed executors agree with the direct calls —
-//! [`AutomataEngine::eval`], the naive [`DomainEvaluator`] over
-//! [`EnumEngine::domain`] (same slack), and [`ConcatEvaluator::eval`]
-//! (same bound) — run on the formula the plan runs, `plan.formula()`,
-//! after its rewrite pass. The automata route's SA401 and SA413
-//! fallbacks answer as the forced collapse plan does.
+//! [`AutomataEngine::eval`], and the naive [`DomainEvaluator`] over
+//! [`collapse_domain`] (same slack) or over `Σ^{≤B}` (same bound) — run
+//! on the formula the plan runs, `plan.formula()`, after its rewrite
+//! pass. The automata route's SA401 and SA413 fallbacks answer as the
+//! forced collapse plan does.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
-use strcalc_core::enumeval::DomainEvaluator;
 use strcalc_core::{
-    AutomataEngine, AutomatonCache, Budget, Calculus, ConcatEvaluator, EnumEngine, EvalOutput,
-    ExecCx, ExecVerdict, FaultPlan, Plan, PlanNode, PlanOp, Planner, Query,
+    collapse_domain, AutomataEngine, AutomatonCache, Budget, Calculus, Domain, DomainEvaluator,
+    EvalOutput, ExecCx, ExecVerdict, FaultPlan, Plan, PlanNode, PlanOp, Planner, Query,
     Strategy as PlanStrategy,
 };
 use strcalc_logic::{parse_formula, Formula, Restrict, Term};
@@ -161,12 +160,17 @@ fn query_of(f: Formula) -> Query {
 /// The naive evaluator's answer to `q` over `q`'s collapse domain at
 /// `slack`.
 fn reference(q: &Query, db: &Database, slack: usize) -> Relation {
-    let domain = EnumEngine::with_slack(slack)
-        .domain(q, db)
-        .strings(q.alphabet());
+    let domain = collapse_domain(q, db, Some(slack));
     DomainEvaluator::new(q.alphabet(), db, domain)
         .answer(q.formula(), q.head())
         .expect("reference eval")
+}
+
+/// The naive evaluator's answer to `f` over `Σ^{≤bound}`.
+fn bounded(f: &Formula, head: &[String], db: &Database, bound: usize) -> Relation {
+    DomainEvaluator::new(&Alphabet::ab(), db, Domain::UpTo(bound))
+        .answer(f, head)
+        .expect("direct bounded search")
 }
 
 /// The answers of the forced automata plan of `q` when it degrades to
@@ -284,7 +288,7 @@ proptest! {
     }
 
     // A concat formula with a restricted quantifier runs on a program
-    // too, and answers as `ConcatEvaluator` does.
+    // too, and answers as the naive evaluator over `Σ^{≤3}` does.
     #[test]
     fn restricted_bounded_search_matches_the_evaluator(f in arb_restricted_formula()) {
         let f = f.and(parse_formula(&Alphabet::ab(), "exists z. concat(x, x, z)").expect("parses"));
@@ -297,14 +301,12 @@ proptest! {
             .expect("plans");
         prop_assert!(matches!(plan.root.op, PlanOp::BoundedSearch { .. }));
         prop_assert!(generated(&plan).contains("x"));
-        let direct = ConcatEvaluator::new(Alphabet::ab(), 3)
-            .eval(plan.formula(), &head, &db)
-            .expect("direct bounded search");
+        let direct = bounded(plan.formula(), &head, &db, 3);
         let (routed, _) = plan.execute(&db).expect("routed bounded search");
         prop_assert_eq!(routed, EvalOutput::Finite(direct));
     }
 
-    // Concat fragment ≡ `ConcatEvaluator::eval` with the same bound.
+    // Concat fragment ≡ the naive evaluator over `Σ^{≤B}`, same bound.
     #[test]
     fn planner_matches_direct_bounded_search(f in arb_concat_formula()) {
         let db = db();
@@ -313,27 +315,21 @@ proptest! {
             .with_bound(3)
             .plan_formula(&Alphabet::ab(), &head, &f)
             .expect("plans");
-        let direct = ConcatEvaluator::new(Alphabet::ab(), 3)
-            .eval(plan.formula(), &head, &db)
-            .expect("direct bounded search");
+        let direct = bounded(plan.formula(), &head, &db, 3);
         prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
         let (routed, _) = plan.execute(&db).expect("routed bounded search");
         prop_assert_eq!(routed, EvalOutput::Finite(direct));
     }
 
     // Bounded search runs as a generator program in every concat
-    // binding shape, and its answer is `ConcatEvaluator`'s at the same
+    // binding shape, and its answer is the naive evaluator's at the same
     // effective depth: the plan's bound, or a narrower handed one.
     #[test]
     fn generated_bounded_search_matches_the_evaluator(f in arb_shaped_concat()) {
         let ab = Alphabet::ab();
         let db = db();
         let head: Vec<String> = f.free_vars().into_iter().collect();
-        let direct = |bound: usize, plan: &Plan| {
-            ConcatEvaluator::new(ab.clone(), bound)
-                .eval(plan.formula(), &head, &db)
-                .expect("direct bounded search")
-        };
+        let direct = |bound: usize, plan: &Plan| bounded(plan.formula(), &head, &db, bound);
         for bound in [2, 3] {
             let plan = Planner::new()
                 .with_bound(bound)
@@ -569,7 +565,12 @@ fn narrow_collapse_domains_match_the_reference() {
         let head = head.split_whitespace().map(String::from).collect();
         let q = Query::parse(calculus, Alphabet::ab(), head, src).unwrap();
         for slack in [0, 1] {
-            let routed = EnumEngine::with_slack(slack).eval(&q, &db).unwrap();
+            let plan = Planner::new()
+                .force(PlanStrategy::ActiveDomainEnum)
+                .with_slack(slack)
+                .plan(&q)
+                .unwrap();
+            let routed = plan.execute(&db).unwrap().0.expect_finite();
             assert_eq!(routed, reference(&q, &db, slack), "slack {slack}: {src}");
         }
     }
@@ -602,9 +603,7 @@ fn planner_agrees_with_direct_bounded_search() {
     let ab = Alphabet::ab();
     let formula = parse_formula(&ab, "exists z. (concat(x, x, z) & U(z))").unwrap();
     let head = vec!["x".to_string()];
-    let direct = ConcatEvaluator::new(ab.clone(), 4)
-        .eval(&formula, &head, &u_db())
-        .unwrap();
+    let direct = bounded(&formula, &head, &u_db(), 4);
     let plan = Planner::new()
         .with_bound(4)
         .plan_formula(&ab, &head, &formula)

@@ -382,16 +382,21 @@ impl Database {
 
     /// Inserts a tuple, creating the relation (with the tuple's arity) on
     /// first use.
-    pub fn insert(&mut self, name: impl Into<String>, tuple: Vec<Str>) -> Result<(), DbError> {
-        let name = name.into();
+    pub fn insert(
+        &mut self,
+        name: impl AsRef<str> + Into<String>,
+        tuple: Vec<Str>,
+    ) -> Result<(), DbError> {
         if tuple.is_empty() {
-            return Err(DbError::ZeroArity(name));
+            return Err(DbError::ZeroArity(name.into()));
         }
-        match self.rels.get_mut(&name) {
+        // The name is looked up as `&str`: a row for a stored relation
+        // allocates no `String`.
+        match self.rels.get_mut(name.as_ref()) {
             Some(r) => {
                 if r.arity() != tuple.len() {
                     return Err(DbError::ArityMismatch {
-                        relation: name,
+                        relation: name.into(),
                         expected: r.arity(),
                         got: tuple.len(),
                     });
@@ -401,7 +406,7 @@ impl Database {
             None => {
                 let mut r = Relation::new(tuple.len());
                 r.insert(tuple);
-                self.rels.insert(name, r);
+                self.rels.insert(name.into(), r);
             }
         }
         Ok(())

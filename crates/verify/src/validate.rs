@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use strcalc_alphabet::{Alphabet, Str, Sym};
 use strcalc_core::cache::{AutomatonCache, CompiledArtifact};
-use strcalc_core::enumeval::DomainEvaluator;
-use strcalc_core::{AutomataEngine, CoreError, Planner, Strategy};
+use strcalc_core::{AutomataEngine, CoreError, Domain, DomainEvaluator, Planner, Strategy};
 use strcalc_logic::rewrite::RewriteTrace;
 use strcalc_logic::Formula;
 use strcalc_relational::Database;
@@ -256,17 +255,17 @@ impl Validator {
     /// run under the *same* bounded semantics, so a disagreement is a
     /// faithful witness for that semantics; agreement proves nothing.
     fn differential_bounded(&self, before: &Formula, after: &Formula, db: &Database) -> Verdict {
-        let mut domain: BTreeSet<Str> = db.adom();
-        for s in self.alphabet.strings_up_to(self.fallback_len) {
-            domain.insert(s);
-        }
+        // A row holding a symbol outside `Σ` denotes nothing on every
+        // route, so it seeds no value.
+        let mut domain: BTreeSet<Str> = db.adom_within(self.alphabet.len() as Sym);
+        domain.extend(self.alphabet.strings_up_to(self.fallback_len));
         let domain: Vec<Str> = domain.into_iter().collect();
         let vars: Vec<String> = {
             let mut v = before.free_vars();
             v.extend(after.free_vars());
             v.into_iter().collect()
         };
-        let mut eval = DomainEvaluator::new(&self.alphabet, db, domain.clone());
+        let eval = DomainEvaluator::new(&self.alphabet, db, Domain::Set(domain.clone()));
         let mut checks = 0usize;
         // Odometer over domain^|vars| (a single empty assignment for
         // sentences), capped at `fallback_assignments`.
@@ -578,6 +577,22 @@ mod tests {
             panic!("expected refutation");
         };
         assert!(matches!(w.scope, Scope::BoundedDomain(_)));
+    }
+
+    /// A stored row holding a symbol outside `Σ` denotes nothing, so the
+    /// bounded fallback's domain leaves it out: the language atom never
+    /// sees it, and two orderings of the same conjunction agree.
+    #[test]
+    fn bounded_fallback_ignores_rows_outside_the_alphabet() {
+        let mut db = Database::new();
+        db.insert("R", vec![Str::from_syms(vec![0, 2])]).unwrap();
+        let concat = "exists y. exists z. concat(y, z, x)";
+        let before = f(&format!("R(x) & in(x, /a.*/) & {concat}"));
+        let after = f(&format!("in(x, /a.*/) & {concat} & R(x)"));
+        match v().equivalent_on(&before, &after, &db) {
+            Verdict::Unknown { checks, .. } => assert!(checks > 0),
+            other => panic!("expected Unknown, got {}", other.render(&sigma())),
+        }
     }
 
     #[test]

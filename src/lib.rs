@@ -59,7 +59,7 @@ pub use strcalc_workloads as workloads;
 pub mod prelude {
     pub use strcalc_alphabet::{Alphabet, Str, Sym};
     pub use strcalc_automata::{Dfa, Nfa, Regex};
-    pub use strcalc_core::{AutomataEngine, Calculus, EnumEngine, EvalOutput, Query, StateSafety};
+    pub use strcalc_core::{AutomataEngine, Calculus, EvalOutput, Planner, Query, StateSafety};
     pub use strcalc_logic::{Formula, Term};
     pub use strcalc_relational::{Database, Relation, Schema};
 }

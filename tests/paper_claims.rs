@@ -6,7 +6,9 @@
 use strcalc::core::mso3col::{three_colorable_via_slen, Graph};
 use strcalc::core::safety::{finite_by_sentence, state_safety, RangeRestricted};
 use strcalc::core::translate::ra_to_calculus;
-use strcalc::core::{AutomataEngine, Calculus, ConcatEvaluator, ConjunctiveQuery, Query};
+use strcalc::core::{
+    AutomataEngine, Calculus, ConjunctiveQuery, Domain, DomainEvaluator, Planner, Query,
+};
 use strcalc::logic::{CompileError, Compiler, Formula, Term};
 use strcalc::prelude::*;
 use strcalc::relational::{RaEvaluator, RaExpr};
@@ -82,12 +84,17 @@ fn proposition1_concat_is_not_automatic() {
         Compiler::pure(2).compile(&f),
         Err(CompileError::ConcatNotAutomatic)
     ));
-    // Bounded search still answers, below its bound.
-    let eval = ConcatEvaluator::new(ab(), 4);
+    // Bounded search still answers, below its bound, as the naive
+    // evaluator over Σ^{≤4} does.
     let ww = strcalc::core::concat::ww_query();
-    let answer = eval
-        .eval(&ww, &["x".to_string()], &Database::new())
+    let head = ["x".to_string()];
+    let db = Database::new();
+    let plan = Planner::new().with_bound(4).plan_formula(&ab(), &head, &ww);
+    let answer = plan.unwrap().execute(&db).unwrap().0.expect_finite();
+    let reference = DomainEvaluator::new(&ab(), &db, Domain::UpTo(4))
+        .answer(&ww, &head)
         .unwrap();
+    assert_eq!(answer, reference);
     assert_eq!(answer.len(), 7);
 }
 
