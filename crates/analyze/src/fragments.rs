@@ -25,7 +25,8 @@
 //! pattern-class classifier** (arXiv 1903.06195): LIKE-shaped languages
 //! (`lit`/`_`/`%` concatenations) are split into *linear* classes —
 //! literal, fixed-length, prefix, suffix, infix, prefix+suffix — that a
-//! scan matches in `O(|w|·|p|)` without automaton construction, versus
+//! scan matches in at most `O(|w|·|p|)` time (one pass for an infix of
+//! up to eight symbols) without automaton construction, versus
 //! the *general* class (≥3 literal segments, or `_` mixed with `%`)
 //! that keeps the automaton path. [`eval_class`] combines both analyses
 //! into the evaluation class the planner keys its strategy on, and
@@ -53,8 +54,13 @@ use crate::signature::atom_findings;
 // LIKE pattern classes
 // ---------------------------------------------------------------------
 
-/// A linear-class LIKE pattern, compiled to a direct word matcher. Every
-/// variant runs in `O(|w| · |pattern|)` time with no automaton.
+/// A linear-class LIKE pattern, compiled to a direct word matcher, with
+/// no automaton. The anchored variants compare at most `|pattern|`
+/// symbols. [`LikeMatcher::Infix`] reads each symbol of the word once
+/// through a rolling window of the pattern's first eight symbols and
+/// compares the rest of a longer pattern only where that head matches:
+/// one pass for a pattern of at most eight symbols, `O(|w| · |pattern|)`
+/// at worst beyond.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LikeMatcher {
     /// `%` (possibly repeated): any string.
@@ -88,9 +94,7 @@ impl LikeMatcher {
             }
             LikeMatcher::Prefix(p) => w.len() >= p.len() && w[..p.len()] == p[..],
             LikeMatcher::Suffix(s) => w.len() >= s.len() && w[w.len() - s.len()..] == s[..],
-            LikeMatcher::Infix(m) => {
-                m.is_empty() || (w.len() >= m.len() && w.windows(m.len()).any(|win| win == &m[..]))
-            }
+            LikeMatcher::Infix(m) => occurs_in(m, w),
             LikeMatcher::PrefixSuffix(p, s) => {
                 w.len() >= p.len() + s.len()
                     && w[..p.len()] == p[..]
@@ -136,6 +140,53 @@ impl LikeMatcher {
             fp.bytes(part);
         }
     }
+}
+
+/// Symbols of an infix pattern compared as one word: eight bytes of a
+/// `u64`.
+const WORD_SYMS: usize = 8;
+
+/// Whether `m` occurs in `w`, reading each symbol of `w` once. A rolling
+/// window of the last [`WORD_SYMS`] symbols read, packed into a `u64`,
+/// is compared with `m`'s first (at most eight) symbols; the rest of a
+/// longer pattern is compared only where that head matches.
+fn occurs_in(m: &[Sym], w: &[Sym]) -> bool {
+    if m.len() > w.len() {
+        return false;
+    }
+    let h = m.len().min(WORD_SYMS);
+    if h == 0 {
+        return true;
+    }
+    let pack = |syms: &[Sym]| syms.iter().fold(0u64, |acc, &s| acc << 8 | u64::from(s));
+    let head = pack(&m[..h]);
+    let keep = u64::MAX >> (8 * (WORD_SYMS - h));
+    let tail = &m[h..];
+    // The window starts primed with the first `h - 1` symbols, so after
+    // each symbol read its low `h` bytes hold the `h` symbols ending at
+    // it; `end` is where such a head match ends and the tail must begin.
+    // A head ending past `last` leaves no room for the tail.
+    let last = w.len() - tail.len();
+    let found = |window: u64, end: usize| window & keep == head && w[end..][..tail.len()] == *tail;
+    let mut window = pack(&w[..h - 1]);
+    let mut end = h;
+    // Two symbols per step: the window advances by one shift and one
+    // `or` per pair, and both windows are checked off that chain.
+    let mut pairs = w[h - 1..last].chunks_exact(2);
+    for pair in &mut pairs {
+        let (a, b) = (u64::from(pair[0]), u64::from(pair[1]));
+        let first = window << 8 | a;
+        window = window << 16 | a << 8 | b;
+        if found(first, end) || found(window, end + 1) {
+            return true;
+        }
+        end += 2;
+    }
+    if let [s] = pairs.remainder() {
+        window = window << 8 | u64::from(*s);
+        return found(window, end);
+    }
+    false
 }
 
 /// One slot of a flattened LIKE-shaped regex.

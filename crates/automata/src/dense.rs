@@ -20,6 +20,15 @@
 //! The sink reuses an existing dead state when the completed automaton
 //! already has one, so densification never exceeds the state bounds the
 //! plan verifier certifies from the LIKE shape taxonomy.
+//!
+//! A walk stops reading a string once its verdict is fixed. The table
+//! records two sinks: the dead state (reject) and the *accepting sink*,
+//! an accepting state every in-Σ class maps back to itself (`b.*a.*`
+//! after its `a`). In the accepting sink the verdict is "no remaining
+//! symbol is `≥ k`", one vectorizable pass instead of a table walk, so
+//! the ∅-outside-Σ convention holds. [`DenseDfa::match_mask`] walks a
+//! batch eight strings at a time in lockstep and retires a group once
+//! every lane is decided.
 
 // Panic audit: this module sits on the hot evaluation path, so every
 // potential panic must be a messaged `expect` documenting its invariant
@@ -59,6 +68,12 @@ pub struct DenseDfa {
     /// doomed states into one, so `state == dead` is the complete
     /// "can never accept" test and walks may stop there early.
     dead: u32,
+    /// Premultiplied accepting-sink row offset: the accepting state
+    /// every in-Σ class maps back to itself (minimization leaves at
+    /// most one). A walk there accepts iff no remaining symbol is
+    /// `>= k`, so walks may stop there early too. Equals `dead` when
+    /// the automaton has no accepting sink.
+    accept: u32,
     /// Per-state acceptance (plain state index, not premultiplied).
     accepting: Vec<bool>,
 }
@@ -66,15 +81,16 @@ pub struct DenseDfa {
 /// Strings stepped per iteration of the batched walker. A single DFA
 /// walk is latency-bound — each step waits on the previous table load —
 /// so the batched matcher walks this many strings in lockstep to keep
-/// several independent loads in flight per cycle. `match_lanes` unrolls
+/// several independent loads in flight per cycle. `lockstep` unrolls
 /// the lanes into named locals (so states stay in registers), which
 /// pins this at 8 — the destructuring there fails to compile otherwise.
 const LANES: usize = 8;
 
-/// How many lockstep iterations run between whole-group trap checks.
-/// The check is how a group stops early once every lane is in the dead
-/// state (the batched analogue of the sparse walk's missing-transition
-/// exit); the stride keeps it out of the per-byte path.
+/// How many bytes the lockstep walk steps between whole-group checks.
+/// The check is how a group stops early once every lane is decided —
+/// in the dead state (the batched analogue of the sparse walk's
+/// missing-transition exit) or in the accepting sink; the stride keeps
+/// it out of the per-byte path.
 const DEAD_CHECK_STRIDE: usize = 8;
 
 /// Widest pair-stride row (`num_classes²`) the compiler materializes.
@@ -111,6 +127,12 @@ impl DenseDfa {
             }
         };
         let n = trans.len();
+        // The accepting sink, if any: an accepting state that every
+        // in-Σ symbol maps back to itself (its out-of-Σ column is the
+        // dead sink, like every row's).
+        let accept = (0..n)
+            .find(|&q| accepting[q] && trans[q].iter().all(|t| *t == Some(q as StateId)))
+            .unwrap_or(sink);
         // `complete()` totalized every original row; the appended sink
         // row is total by construction.
         debug_assert!(trans.iter().all(|r| r.iter().all(Option::is_some)));
@@ -192,25 +214,20 @@ impl DenseDfa {
             classes_hi,
             start: d.start * nc,
             dead: sink as u32 * nc,
+            accept: accept as u32 * nc,
             accepting,
         }
     }
 
     /// Membership test over raw symbols. Any byte `>= k` routes through
     /// the sink class and rejects — the ∅-outside-Σ convention. Stops
-    /// at the first byte that traps the walk in the dead state, like
-    /// the sparse walk stops on a missing transition.
+    /// once the verdict is fixed: at the first byte that traps the walk
+    /// in the dead state, like the sparse walk stops on a missing
+    /// transition, or on reaching the accepting sink, where only the
+    /// rest of the string's symbols being in `Σ` is left to check.
     #[inline]
     pub fn accepts_syms(&self, syms: &[Sym]) -> bool {
-        let mut s = self.start;
-        for &b in syms {
-            let idx = (s + self.classes[b as usize] as u32) as usize;
-            s = self.table[idx];
-            if s == self.dead {
-                return false;
-            }
-        }
-        self.accepting[(s / self.num_classes) as usize]
+        self.finish(self.start, syms)
     }
 
     /// Membership test.
@@ -221,7 +238,8 @@ impl DenseDfa {
 
     /// Batched columnar matcher: runs every still-live row of a column
     /// through the table, clearing mask bits for non-members. One
-    /// dispatch per batch, not per string.
+    /// dispatch per batch, not per string; rows whose bit is already
+    /// clear are not read.
     ///
     /// The batch is walked `LANES` (8) strings at a time in lockstep, so
     /// the dependent table loads of independent strings overlap instead
@@ -230,20 +248,28 @@ impl DenseDfa {
     /// only spans the group's shortest string — covers nearly every
     /// byte, leaving ragged tails too short to matter.
     ///
-    /// A call is straight-line bounded work — no allocation growth, no
-    /// retries — proportional to the bytes in `col`. Deadline-governed
-    /// callers exploit that: they poll their cooperative deadline once
-    /// per batch *between* calls (4096 rows in the dense scan loop)
-    /// rather than threading a cancellation token through the lockstep
-    /// walk, which would put a branch in the hottest loop in the
-    /// engine.
+    /// A lane is *decided* once it sits in the dead state (reject) or
+    /// in the accepting sink (accept iff no remaining symbol is `≥ k`,
+    /// one vectorizable pass over the rest). Every 8 bytes a group
+    /// stops stepping if every lane is decided; each lane then finishes
+    /// with a scalar walk from its saved state.
+    ///
+    /// A call is bounded work — no retries, and index buffers no larger
+    /// than the batch — proportional to the bytes in `col`.
+    /// Deadline-governed callers exploit that: they poll their
+    /// cooperative deadline once per batch *between* calls (4096 rows in
+    /// the dense scan loop) rather than threading a cancellation token
+    /// through the lockstep walk, which would put a branch in the
+    /// hottest loop in the engine.
     ///
     /// # Panics
     ///
     /// Panics if `col` and `mask` differ in length.
     pub fn match_mask(&self, col: &[&Str], mask: &mut [bool]) {
         assert_eq!(col.len(), mask.len(), "column/mask length mismatch");
-        if col.len() < 2 * LANES {
+        if col.len() < 2 * LANES || self.pair.is_empty() {
+            // Short columns, and exotically wide class maps that skip
+            // the pair table, walk scalar on the single-step table.
             for (live, w) in mask.iter_mut().zip(col) {
                 if *live {
                     *live = self.accepts_syms(w.syms());
@@ -251,69 +277,70 @@ impl DenseDfa {
             }
             return;
         }
-        // Length-grouped walk order; ties keep column order. Lengths
-        // and indices both fit u32 (a batch column is far below 4G
-        // rows/bytes), so the key packs into one u64 sort.
-        let mut order: Vec<u64> = (0..col.len() as u64)
-            .map(|i| ((col[i as usize].syms().len() as u64) << 32) | i)
-            .collect();
-        order.sort_unstable();
-        for group in order.chunks_exact(LANES) {
-            self.match_lanes(col, mask, group);
-        }
-        for &key in order.chunks_exact(LANES).remainder() {
-            let r = (key & u32::MAX as u64) as usize;
-            if mask[r] {
-                mask[r] = self.accepts_syms(col[r].syms());
+        // Length-grouped walk order of the live rows: (length, row).
+        // Lengths and indices both fit u32 (a batch column is far below
+        // 4G rows/bytes). A stored relation's rows arrive sorted by
+        // length, and the pass that reads the lengths notices.
+        let mut order: Vec<(u32, u32)> = Vec::with_capacity(col.len());
+        let mut sorted = true;
+        for (i, w) in col.iter().enumerate() {
+            if mask[i] {
+                let len = w.syms().len() as u32;
+                sorted &= order.last().is_none_or(|&(prev, _)| prev <= len);
+                order.push((len, i as u32));
             }
+        }
+        if !sorted {
+            order.sort_unstable();
+        }
+        // Pair space premultiplies states by `num_classes²`; the
+        // single-step offsets are premultiplied by `num_classes`, so one
+        // more factor converts in, and dividing it back converts out
+        // (once per lane, when it finishes).
+        let nc = self.num_classes;
+        let (start, dead) = (self.start * nc, self.dead * nc);
+        for group in order.chunks_exact(LANES) {
+            let row: [usize; LANES] = std::array::from_fn(|i| group[i].1 as usize);
+            let full: [&[Sym]; LANES] = std::array::from_fn(|i| col[row[i]].syms());
+            let (states, stepped) = self.lockstep(full, start);
+            for i in 0..LANES {
+                // A dead lane needs no division to reject.
+                let s = states[i];
+                mask[row[i]] = s != dead && self.finish(s / nc, &full[i][stepped..]);
+            }
+        }
+        for &(_, r) in order.chunks_exact(LANES).remainder() {
+            mask[r as usize] = self.accepts_syms(col[r as usize].syms());
         }
     }
 
-    /// Steps one length-sorted group of [`LANES`] strings through the
-    /// pair-stride table in lockstep, two bytes per load. Up to the
-    /// group's shortest string every lane has a byte, so the inner loop
+    /// Steps [`LANES`] strings in lockstep through the pair-stride
+    /// table, two bytes per load, from the pair-space state `start`,
+    /// and returns each lane's state and the bytes every lane stepped.
+    /// The lanes come sorted by length, so the window is the first lane's
+    /// even prefix: inside it every lane has a byte, so the inner loop
     /// carries no length or liveness branches — just [`LANES`]
     /// independent column-lookup/table-load pairs per iteration. The
     /// lanes are unrolled into named locals so the states live in
-    /// registers, and each lane is pre-sliced to the lockstep window so
-    /// the byte indexing needs no bounds checks. The ragged tails (and
-    /// an odd trailing byte of the window) finish with scalar walks
-    /// from wherever lockstep left each lane.
-    fn match_lanes(&self, col: &[&Str], mask: &mut [bool], group: &[u64]) {
-        let mut row = [0usize; LANES];
-        let mut full: [&[Sym]; LANES] = [&[]; LANES];
-        for i in 0..LANES {
-            row[i] = (group[i] & u32::MAX as u64) as usize;
-            full[i] = col[row[i]].syms();
-        }
-        if self.pair.is_empty() {
-            // Exotically wide class maps skip the pair table; walk the
-            // group scalar on the single-step table.
-            for i in 0..LANES {
-                if mask[row[i]] {
-                    mask[row[i]] = self.accepts_syms(full[i]);
-                }
-            }
-            return;
-        }
-        // Sorted ascending, so the lockstep window is lane 0's length;
-        // the pair walk covers its even prefix.
-        let min_len = full[0].len();
-        let even = min_len & !1;
+    /// registers, and each lane is pre-sliced to the window so the
+    /// byte indexing needs one bounds check per step for all lanes.
+    ///
+    /// Every [`DEAD_CHECK_STRIDE`] bytes the walk stops if every lane is
+    /// decided. It is compiled out of line, so the walk's register
+    /// allocation does not depend on its caller.
+    #[inline(never)]
+    fn lockstep(&self, lanes: [&[Sym]; LANES], start: u32) -> ([u32; LANES], usize) {
+        debug_assert!(lanes.windows(2).all(|w| w[0].len() <= w[1].len()));
+        let even = lanes[0].len() & !1;
         let [w0, w1, w2, w3, w4, w5, w6, w7]: [&[Sym]; LANES] =
-            std::array::from_fn(|i| &full[i][..even]);
+            std::array::from_fn(|i| &lanes[i][..even]);
         let nc = self.num_classes;
         let lo = &self.classes;
         let hi = &self.classes_hi;
         let tbl = self.pair.as_slice();
-        // Pair space premultiplies states by `num_classes²`; the
-        // single-step offsets are premultiplied by `num_classes`, so
-        // one more factor converts in, and dividing it back converts
-        // out.
-        let start = self.start * nc;
-        let dead = self.dead * nc;
-        let (mut s0, mut s1, mut s2, mut s3) = (start, start, start, start);
-        let (mut s4, mut s5, mut s6, mut s7) = (start, start, start, start);
+        let (dead, sink) = (self.dead * nc, self.accept * nc);
+        let done = |s: u32| s == dead || s == sink;
+        let [mut s0, mut s1, mut s2, mut s3, mut s4, mut s5, mut s6, mut s7] = [start; LANES];
         let mut t = 0;
         while t < even {
             // DEAD_CHECK_STRIDE is even, so `stop` stays pair-aligned.
@@ -331,37 +358,39 @@ impl DenseDfa {
                 u += 2;
             }
             t = stop;
-            if s0 == dead
-                && s1 == dead
-                && s2 == dead
-                && s3 == dead
-                && s4 == dead
-                && s5 == dead
-                && s6 == dead
-                && s7 == dead
+            if done(s0)
+                && done(s1)
+                && done(s2)
+                && done(s3)
+                && done(s4)
+                && done(s5)
+                && done(s6)
+                && done(s7)
             {
-                // The whole group is trapped; the tail walks below see
-                // the dead state and reject on their first byte.
+                // Every lane is decided; `finish` reads each verdict.
                 break;
             }
         }
-        let states = [s0, s1, s2, s3, s4, s5, s6, s7];
-        for i in 0..LANES {
-            if mask[row[i]] {
-                mask[row[i]] = self.finish(states[i] / nc, &full[i][t..]);
-            }
-        }
+        ([s0, s1, s2, s3, s4, s5, s6, s7], t)
     }
 
-    /// Scalar walk from `s` over the remaining bytes of one lane.
+    /// Scalar walk from `s` over the remaining bytes of one lane,
+    /// stopping once the verdict is fixed. In the dead state the string
+    /// is rejected; in the accepting sink every in-`Σ` byte stays put
+    /// and any other byte leads to the dead state, so the string is
+    /// accepted iff no remaining symbol is `≥ k` — a pass the compiler
+    /// vectorizes.
     #[inline]
-    fn finish(&self, mut s: u32, rest: &[Sym]) -> bool {
-        for &b in rest {
-            let idx = (s + self.classes[b as usize] as u32) as usize;
-            s = self.table[idx];
+    fn finish(&self, mut s: u32, mut rest: &[Sym]) -> bool {
+        while let [b, tail @ ..] = rest {
             if s == self.dead {
                 return false;
             }
+            if s == self.accept {
+                return rest.iter().fold(true, |all, &b| all & (b < self.k));
+            }
+            s = self.table[(s + self.classes[*b as usize] as u32) as usize];
+            rest = tail;
         }
         self.accepting[(s / self.num_classes) as usize]
     }

@@ -21,9 +21,12 @@ use strcalc_relational::Database;
 use strcalc_workloads::Workload;
 
 /// General-class fig2-style filters: none is LIKE-shaped, so each one
-/// routes to the dense tier (the linear classes never reach it), and
-/// none has a reachable dead state over Σ, so both engines must scan
-/// every byte — these rows measure throughput and carry the ≥3× gate.
+/// routes to the dense tier (the linear classes never reach it). These
+/// rows measure throughput and carry the ≥3× gate. Both walks stop at
+/// the dead state; only the dense walker also stops at an accepting
+/// sink. `segments` has one: a row of `b.*a.*` is decided at its first
+/// `a`, after which the dense walker only checks that the rest is over
+/// Σ, while the sparse walk reads every byte of an accepted row.
 const PATTERNS: [(&str, &str); 3] = [
     ("segments", "b.*a.*"),
     ("parity", "(b*ab*a)*b*"),

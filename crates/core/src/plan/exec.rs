@@ -1017,13 +1017,14 @@ const SCAN_BATCH: usize = 4096;
 /// from the cheap per-row filters (column equalities, the alphabet guard
 /// when the relation's symbol ceiling does not rule it out, linear LIKE
 /// matchers), narrows it with each language filter — one table dispatch
-/// per batch for a dense filter — and keeps the surviving rows. When the
+/// per batch for a dense filter — and flags the surviving rows. When the
 /// projection is the identity the answer is those stored rows themselves,
-/// shared ([`Relation::subsequence`]); otherwise their projections are
-/// sorted into a new relation. No automaton is constructed here. Returns
-/// the answer, the number of rows scanned (the `EXPLAIN` actuals report
-/// it as `domain_size` — and, on truncation, the rows-seen watermark),
-/// and whether the deadline cut the scan short.
+/// shared with their stored sort keys ([`Relation::subsequence`]);
+/// otherwise their projections are sorted into a new relation. No
+/// automaton is constructed here. Returns the answer, the number of rows
+/// scanned (the `EXPLAIN` actuals report it as `domain_size` — and, on
+/// truncation, the rows-seen watermark), and whether the deadline cut
+/// the scan short.
 fn run_scan(
     plan: &ScanPlan,
     rel: &Relation,
@@ -1031,18 +1032,10 @@ fn run_scan(
     filters: &[(usize, LangFilter)],
     deadline: &Deadline,
 ) -> (Relation, usize, bool) {
-    let identity = plan.projection.iter().copied().eq(0..rel.arity());
-    let keep = |t: &Row| -> Row {
-        if identity {
-            Arc::clone(t)
-        } else {
-            plan.projection.iter().map(|&c| t[c].clone()).collect()
-        }
-    };
     // The alphabet guard, unless the ceiling shows every row passes it.
     let guard = (!rel.within(k)).then_some(k);
-    let mut kept: Vec<Row> = Vec::new();
-    let mut scanned = 0usize;
+    // One flag per scanned row, in the stored order.
+    let mut keep: Vec<bool> = Vec::with_capacity(rel.len());
     let mut truncated = false;
     let mut mask = [false; SCAN_BATCH];
     // Buffers sized to the relation when it is smaller than a batch: a
@@ -1064,7 +1057,6 @@ fn run_scan(
             truncated = true;
             break;
         }
-        scanned += batch.len();
         let live = &mut mask[..batch.len()];
         for (m, t) in live.iter_mut().zip(&batch) {
             *m = passes_row_filters(plan, t, guard);
@@ -1083,17 +1075,22 @@ fn run_scan(
                 }
             }
         }
-        kept.extend(
-            live.iter()
-                .zip(&batch)
-                .filter(|(m, _)| **m)
-                .map(|(_, t)| keep(t)),
-        );
+        keep.extend_from_slice(live);
     }
-    let out = if identity {
-        rel.subsequence(kept)
+    let scanned = keep.len();
+    let out = if plan.projection.iter().copied().eq(0..rel.arity()) {
+        rel.subsequence(&keep)
     } else {
-        Relation::from_tuples(plan.projection.len(), kept)
+        let kept = rel.iter().zip(keep).filter(|(_, kept)| *kept);
+        Relation::from_tuples(
+            plan.projection.len(),
+            kept.map(|(t, _)| {
+                plan.projection
+                    .iter()
+                    .map(|&c| t[c].clone())
+                    .collect::<Row>()
+            }),
+        )
     };
     (out, scanned, truncated)
 }

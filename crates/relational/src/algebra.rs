@@ -468,11 +468,14 @@ impl RaEvaluator {
                 });
             }
         }
-        let kept = rel.iter().filter(|t| {
-            let args: Vec<&Str> = entry.col_of_track.iter().map(|&c| &t[c]).collect();
-            entry.compiled.auto.accepts(&args)
-        });
-        Ok(rel.subsequence(kept.cloned().collect()))
+        let keep: Vec<bool> = rel
+            .iter()
+            .map(|t| {
+                let args: Vec<&Str> = entry.col_of_track.iter().map(|&c| &t[c]).collect();
+                entry.compiled.auto.accepts(&args)
+            })
+            .collect();
+        Ok(rel.subsequence(&keep))
     }
 }
 

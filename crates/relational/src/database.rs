@@ -173,11 +173,11 @@ impl Leaf {
 /// (shortlex componentwise), cut into leaves of at most 32 rows, each
 /// row's sort key stored beside it. A scan walks the leaves in order,
 /// and an answer that keeps some of a relation's rows
-/// ([`Relation::subsequence`]) shares them without copying a string or
-/// sorting again. [`Relation::contains`] is a binary search.
-/// [`Relation::insert`] is a binary search plus a shift of at most one
-/// leaf; build a large relation with [`Relation::from_tuples`], which
-/// sorts and deduplicates once.
+/// ([`Relation::subsequence`]) shares them and their keys without
+/// copying a string or sorting again. [`Relation::contains`] is a
+/// binary search. [`Relation::insert`] is a binary search plus a shift
+/// of at most one leaf; build a large relation with
+/// [`Relation::from_tuples`], which sorts and deduplicates once.
 ///
 /// The relation also keeps a symbol ceiling: an upper bound on the
 /// largest symbol of any stored string, recorded as rows are added.
@@ -225,34 +225,55 @@ impl Relation {
         rows.sort_unstable();
         rows.dedup();
         let ceiling = rows.iter().filter_map(|t| row_ceiling(t)).max();
-        Relation::from_sorted(arity, rows, ceiling)
+        Relation::from_keyed(arity, rows.into_iter().map(|t| (sort_key(&t), t)), ceiling)
     }
 
-    /// A relation of some of this relation's own rows, in the order they
-    /// are stored: sorted and distinct by construction, so nothing is
-    /// compared, copied or sorted. Its ceiling is this relation's.
-    pub fn subsequence(&self, rows: Vec<Row>) -> Relation {
+    /// The relation of the rows whose flag is set: `keep[i]` flags the
+    /// `i`-th row in increasing order, and rows past its end are left
+    /// out. The rows are shared and keep their stored sort keys, so
+    /// nothing is compared, copied, sorted or encoded again, and a leaf
+    /// with no row flagged is skipped whole. Its ceiling is this
+    /// relation's.
+    pub fn subsequence(&self, keep: &[bool]) -> Relation {
+        let mut flags = keep;
+        let kept = self.leaves.iter().flat_map(|leaf| {
+            let (here, rest) = flags.split_at(leaf.rows.len().min(flags.len()));
+            flags = rest;
+            let here = if here.contains(&true) { here } else { &[] };
+            leaf.keys
+                .iter()
+                .zip(&leaf.rows)
+                .zip(here)
+                .filter(|(_, kept)| **kept)
+                .map(|((&key, t), _)| (key, Arc::clone(t)))
+        });
+        let out = Relation::from_keyed(self.arity, kept, self.ceiling);
         debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
+            out.iter().zip(out.iter().skip(1)).all(|(a, b)| a < b),
             "a subsequence keeps the stored order"
         );
-        debug_assert!(rows.iter().all(|t| t.len() == self.arity));
-        Relation::from_sorted(self.arity, rows, self.ceiling)
+        out
     }
 
-    /// Cuts strictly increasing rows into leaves.
-    fn from_sorted(arity: usize, rows: Vec<Row>, ceiling: Option<Sym>) -> Relation {
-        let len = rows.len();
-        let mut leaves: Vec<Leaf> = Vec::with_capacity(len.div_ceil(LEAF_ROWS));
-        for t in rows {
-            match leaves.last_mut() {
-                Some(leaf) if leaf.rows.len() < LEAF_ROWS => leaf.push(t),
-                _ => {
-                    let mut leaf = Leaf::with_capacity(LEAF_ROWS);
-                    leaf.push(t);
-                    leaves.push(leaf);
-                }
+    /// Cuts strictly increasing rows, each beside its sort key, into
+    /// leaves.
+    fn from_keyed(
+        arity: usize,
+        rows: impl IntoIterator<Item = (u64, Row)>,
+        ceiling: Option<Sym>,
+    ) -> Relation {
+        let mut rows = rows.into_iter().peekable();
+        let mut leaves: Vec<Leaf> = Vec::with_capacity(rows.size_hint().0.div_ceil(LEAF_ROWS));
+        let mut len = 0;
+        while rows.peek().is_some() {
+            let mut leaf = Leaf::with_capacity(LEAF_ROWS);
+            for (key, t) in rows.by_ref().take(LEAF_ROWS) {
+                debug_assert_eq!(key, sort_key(&t), "a row keeps its own sort key");
+                leaf.keys.push(key);
+                leaf.rows.push(t);
             }
+            len += leaf.rows.len();
+            leaves.push(leaf);
         }
         Relation {
             arity,

@@ -106,7 +106,8 @@ proptest! {
         let (arity, rows) = case;
         let rel = Relation::from_tuples(arity, rows);
         let kept: Vec<Row> = rel.iter().filter(|t| t[0].within(k)).cloned().collect();
-        let sub = rel.subsequence(kept.clone());
+        let keep: Vec<bool> = rel.iter().map(|t| t[0].within(k)).collect();
+        let sub = rel.subsequence(&keep);
         let afresh = Relation::from_tuples(arity, kept.iter().map(|t| t.to_vec()));
         prop_assert_eq!(&sub, &afresh);
         prop_assert_eq!(sub.len(), kept.len());

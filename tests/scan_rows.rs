@@ -244,3 +244,56 @@ fn a_deadline_truncates_at_a_batch_with_its_watermark() {
         }
     }
 }
+
+#[test]
+fn a_deadline_watermark_holds_while_lanes_retire() {
+    // Rows up to 100 symbols long, so dense lanes retire at the dead
+    // state or the accepting sink in different strides and the rest are
+    // regrouped; none of it may move a batch checkpoint.
+    let db = unary(&words(3 * SCAN_BATCH, 100));
+    let stored = db.relation("U").unwrap();
+    assert!(stored.len() > 2 * SCAN_BATCH);
+    let dense: &[(&str, &str)] = &[
+        ("b.*a.*", "U(x) & in(x, /b.*a.*/)"),
+        ("b(a|b)*a(a|b)*", "U(x) & in(x, /b(a|b)*a(a|b)*/)"),
+        ("a.*b.*a", "U(x) & in(x, /a.*b.*a/)"),
+    ];
+    for &(pattern, src) in dense {
+        let plan = scan_plan(&["x"], src);
+        assert_eq!(plan.strategy, Strategy::DenseDfaScan, "{src}");
+        let (answer, report) = run(&plan, &db, &ExecCx::production());
+        assert!(report.verdict.is_exact(), "{src}");
+        assert_eq!(
+            rows(&answer),
+            expected(stored, pattern, 0, &[0], usize::MAX),
+            "{src}"
+        );
+        for (fire, seen) in [(1u64, 0usize), (2, SCAN_BATCH)] {
+            let cx = ExecCx::production().with_faults(FaultPlan {
+                deadline_at_checkpoint: Some(fire),
+                ..FaultPlan::none()
+            });
+            let (answer, report) = run(&plan, &db, &cx);
+            assert_eq!(report.domain_size, seen, "{src}");
+            let truncations: Vec<&str> = report
+                .degradations
+                .iter()
+                .filter(|d| d.code.as_str() == "SA411")
+                .map(|d| d.detail.as_str())
+                .collect();
+            assert_eq!(
+                truncations,
+                [format!(
+                    "deadline fired at checkpoint {fire}: scanned {seen} rows"
+                )],
+                "{src}"
+            );
+            assert_eq!(
+                rows(&answer),
+                expected(stored, pattern, 0, &[0], seen),
+                "{src}"
+            );
+            shares_rows(&answer, stored);
+        }
+    }
+}
