@@ -15,7 +15,7 @@
 //! class; the fragment pass's walk attributes each violation of the
 //! declared calculus to its atom or term.
 
-use strcalc_logic::{Atom, Formula, StructureClass, Term};
+use strcalc_logic::{term_class, Atom, Formula, Lang, StructureClass};
 
 use crate::diag::{Code, Finding, FormulaPath, PathSeg};
 use crate::fragments::lang_label;
@@ -128,41 +128,11 @@ pub(crate) fn atom_findings(
     structure
 }
 
-/// The structure class an atom requires, its terms aside. A language
-/// atom needs `S_reg` unless its language is known star-free.
+/// The structure class an atom requires, its terms aside, reading
+/// star-freeness from `langs`: a language atom needs `S_reg` unless its
+/// language is known star-free.
 pub(crate) fn atom_class(a: &Atom, langs: &LangTable) -> StructureClass {
-    match a {
-        Atom::Prepends(..) => StructureClass::SLeft,
-        Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) | Atom::InsertAfter(..) => {
-            StructureClass::SLen
-        }
-        Atom::ConcatEq(..) => StructureClass::Concat,
-        Atom::InLang(_, l) | Atom::PL(_, _, l) => match langs.star_free(l) {
-            Ok(true) => StructureClass::S,
-            _ => StructureClass::SReg,
-        },
-        _ => StructureClass::S,
-    }
-}
-
-/// Minimal structure for a term, plus the name of the first function
-/// responsible (for the diagnostic message).
-pub(crate) fn term_class(t: &Term) -> (StructureClass, Option<&'static str>) {
-    match t {
-        Term::Var(_) | Term::Const(_) => (StructureClass::S, None),
-        Term::Append(inner, _) => {
-            let (c, f) = term_class(inner);
-            (c, f.or(Some("append")))
-        }
-        Term::Prepend(_, inner) => {
-            let (c, _) = term_class(inner);
-            (StructureClass::SLeft.join(c), Some("prepend"))
-        }
-        Term::TrimLeading(_, inner) => {
-            let (c, _) = term_class(inner);
-            (StructureClass::SLeft.join(c), Some("trim"))
-        }
-    }
+    strcalc_logic::atom_class(a, |l: &Lang| matches!(langs.star_free(l), Ok(true)))
 }
 
 /// Short display name for an atom kind.
@@ -193,7 +163,7 @@ mod tests {
     use super::*;
     use strcalc_alphabet::{Alphabet, Sym};
     use strcalc_automata::Regex;
-    use strcalc_logic::Lang;
+    use strcalc_logic::{Lang, Term};
 
     fn re(t: &str) -> Regex {
         Regex::parse(&Alphabet::ab(), t).unwrap()
@@ -288,21 +258,5 @@ mod tests {
         let (_, findings) = check(&f, StructureClass::S, 2, 100_000);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].path.to_string(), "root/quant(y)/and.rhs");
-    }
-
-    #[test]
-    fn inference_matches_logic_fragment_when_decidable() {
-        use strcalc_logic::transform::fragment;
-        let cases = [
-            Formula::prefix(Term::var("x"), Term::var("y")),
-            Formula::prepends(Term::var("x"), Term::var("y"), 0),
-            Formula::eq_len(Term::var("x"), Term::var("y")),
-            Formula::in_lang(Term::var("x"), Lang::new(re("(aa)*"))),
-            Formula::concat_eq(Term::var("x"), Term::var("y"), Term::var("z")),
-        ];
-        for f in cases {
-            let (info, _) = check(&f, StructureClass::Concat, 2, 100_000);
-            assert_eq!(info.inferred, fragment(&f, 2, 100_000).unwrap());
-        }
     }
 }

@@ -37,6 +37,31 @@ pub use toregex::dfa_to_regex;
 
 use std::fmt;
 
+/// The deepest nesting the parsers of this workspace accept. In a
+/// regex or `SIMILAR` pattern each group and each postfix operator on a
+/// factor opens one level. The formula and SQL parsers re-export the
+/// same cap as `strcalc_logic::MAX_NESTING_DEPTH`; there each
+/// parenthesis, negation, quantifier body, implication, term function
+/// and (in SQL) subquery opens one level, and so does each link of an
+/// `&`, `|` or `<->` chain. Deeper input is refused with a typed error
+/// instead of exhausting the stack of the recursive-descent parsers (or
+/// of the recursive passes after them). The cap fits an 8 MiB stack — a
+/// main thread's usual size — even in unoptimized builds.
+pub const MAX_NESTING_DEPTH: usize = 512;
+
+/// Runs `f` on a thread with the 8 MiB stack [`MAX_NESTING_DEPTH`] is
+/// sized for: unoptimized builds overflow the test harness's 2 MiB
+/// worker threads before reaching the cap.
+#[cfg(test)]
+pub(crate) fn with_main_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("no panic");
+}
+
 /// State identifier within an automaton.
 pub type StateId = u32;
 
@@ -50,6 +75,9 @@ pub enum AutomataError {
     MonoidTooLarge { cap: usize },
     /// A symbol was out of range for the automaton's alphabet size.
     SymOutOfRange(u8),
+    /// A pattern nests deeper than [`MAX_NESTING_DEPTH`] levels; `pos`
+    /// is where the limit was crossed.
+    NestingTooDeep { pos: usize, limit: usize },
 }
 
 impl fmt::Display for AutomataError {
@@ -60,6 +88,12 @@ impl fmt::Display for AutomataError {
                 write!(f, "transition monoid exceeds cap of {cap} elements")
             }
             AutomataError::SymOutOfRange(s) => write!(f, "symbol {s} out of alphabet range"),
+            AutomataError::NestingTooDeep { pos, limit } => {
+                write!(
+                    f,
+                    "parse error at {pos}: nesting deeper than {limit} levels"
+                )
+            }
         }
     }
 }

@@ -9,7 +9,7 @@ use std::fmt;
 
 use strcalc_alphabet::{Alphabet, Sym};
 
-use crate::AutomataError;
+use crate::{AutomataError, MAX_NESTING_DEPTH};
 
 /// A regular expression over symbol indices `0..k`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -145,13 +145,16 @@ impl Regex {
     /// ```
     ///
     /// An empty concatenation denotes `ε`, so `()` and the empty pattern
-    /// both denote `{ε}`.
+    /// both denote `{ε}`. Each group and each postfix operator opens one
+    /// nesting level; past [`MAX_NESTING_DEPTH`] the pattern is refused
+    /// with [`AutomataError::NestingTooDeep`].
     pub fn parse(alphabet: &Alphabet, text: &str) -> Result<Regex, AutomataError> {
         let chars: Vec<char> = text.chars().collect();
         let mut p = Parser {
             alphabet,
             chars: &chars,
             pos: 0,
+            depth: 0,
         };
         let r = p.union()?;
         if p.pos != p.chars.len() {
@@ -226,11 +229,26 @@ struct Parser<'a> {
     alphabet: &'a Alphabet,
     chars: &'a [char],
     pos: usize,
+    /// Levels currently open; see [`MAX_NESTING_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<char> {
         self.chars.get(self.pos).copied()
+    }
+
+    /// Opens one more nesting level, or refuses the pattern when that
+    /// would pass [`MAX_NESTING_DEPTH`].
+    fn open(&mut self) -> Result<(), AutomataError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(AutomataError::NestingTooDeep {
+                pos: self.pos,
+                limit: MAX_NESTING_DEPTH,
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn union(&mut self) -> Result<Regex, AutomataError> {
@@ -255,23 +273,21 @@ impl<'a> Parser<'a> {
 
     fn factor(&mut self) -> Result<Regex, AutomataError> {
         let mut r = self.base()?;
+        let mut ops = 0;
         while let Some(c) = self.peek() {
-            match c {
-                '*' => {
-                    self.pos += 1;
-                    r = r.star();
-                }
-                '+' => {
-                    self.pos += 1;
-                    r = r.plus();
-                }
-                '?' => {
-                    self.pos += 1;
-                    r = r.opt();
-                }
+            let op = match c {
+                '*' => Regex::star,
+                '+' => Regex::plus,
+                '?' => Regex::opt,
                 _ => break,
-            }
+            };
+            // Each operator wraps `r` one level deeper.
+            self.open()?;
+            ops += 1;
+            self.pos += 1;
+            r = op(r);
         }
+        self.depth -= ops;
         Ok(r)
     }
 
@@ -282,8 +298,10 @@ impl<'a> Parser<'a> {
         })?;
         match c {
             '(' => {
+                self.open()?;
                 self.pos += 1;
                 let r = self.union()?;
+                self.depth -= 1;
                 if self.peek() != Some(')') {
                     return Err(AutomataError::Parse {
                         pos: self.pos,
@@ -365,6 +383,36 @@ mod tests {
         assert!(Regex::parse(&a, "(a").is_err());
         assert!(Regex::parse(&a, "*a").is_err());
         assert!(Regex::parse(&a, "a)").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        crate::with_main_stack(|| {
+            let a = Alphabet::ab();
+            let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+            let too_deep = |r: Result<Regex, AutomataError>| {
+                matches!(
+                    r,
+                    Err(AutomataError::NestingTooDeep {
+                        limit: MAX_NESTING_DEPTH,
+                        ..
+                    })
+                )
+            };
+            assert_eq!(
+                Regex::parse(&a, &parens(MAX_NESTING_DEPTH)),
+                Ok(Regex::Sym(0))
+            );
+            assert!(too_deep(Regex::parse(&a, &parens(MAX_NESTING_DEPTH + 1))));
+            assert!(too_deep(Regex::parse(&a, &parens(20_000))));
+            // Postfix operators nest too, inside groups as well.
+            let opts = |n: usize| format!("(a{})", "?".repeat(n));
+            assert!(Regex::parse(&a, &opts(MAX_NESTING_DEPTH - 1)).is_ok());
+            assert!(too_deep(Regex::parse(&a, &opts(MAX_NESTING_DEPTH))));
+            // Levels close again: siblings do not add up.
+            let siblings = parens(MAX_NESTING_DEPTH).repeat(3);
+            assert!(Regex::parse(&a, &siblings).is_ok());
+        });
     }
 
     #[test]

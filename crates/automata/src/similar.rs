@@ -21,15 +21,18 @@
 use strcalc_alphabet::Alphabet;
 
 use crate::regex::Regex;
-use crate::AutomataError;
+use crate::{AutomataError, MAX_NESTING_DEPTH};
 
-/// Compiles a `SIMILAR` pattern into a [`Regex`].
+/// Compiles a `SIMILAR` pattern into a [`Regex`]. Each group and each
+/// postfix operator opens one nesting level; past [`MAX_NESTING_DEPTH`]
+/// the pattern is refused with [`AutomataError::NestingTooDeep`].
 pub fn compile_similar(alphabet: &Alphabet, pattern: &str) -> Result<Regex, AutomataError> {
     let chars: Vec<char> = pattern.chars().collect();
     let mut p = SimilarParser {
         alphabet,
         chars: &chars,
         pos: 0,
+        depth: 0,
     };
     let r = p.alt()?;
     if p.pos != p.chars.len() {
@@ -45,6 +48,8 @@ struct SimilarParser<'a> {
     alphabet: &'a Alphabet,
     chars: &'a [char],
     pos: usize,
+    /// Levels currently open; see [`MAX_NESTING_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> SimilarParser<'a> {
@@ -57,6 +62,19 @@ impl<'a> SimilarParser<'a> {
             pos: self.pos,
             msg: msg.into(),
         }
+    }
+
+    /// Opens one more nesting level, or refuses the pattern when that
+    /// would pass [`MAX_NESTING_DEPTH`].
+    fn open(&mut self) -> Result<(), AutomataError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(AutomataError::NestingTooDeep {
+                pos: self.pos,
+                limit: MAX_NESTING_DEPTH,
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn alt(&mut self) -> Result<Regex, AutomataError> {
@@ -94,7 +112,13 @@ impl<'a> SimilarParser<'a> {
 
     fn item(&mut self) -> Result<Regex, AutomataError> {
         let mut r = self.base()?;
+        let mut ops = 0;
         while let Some(c) = self.peek() {
+            if matches!(c, '*' | '+' | '?' | '{') {
+                // Each operator wraps `r` one level deeper.
+                self.open()?;
+                ops += 1;
+            }
             match c {
                 '*' => {
                     self.pos += 1;
@@ -145,6 +169,7 @@ impl<'a> SimilarParser<'a> {
                 _ => break,
             }
         }
+        self.depth -= ops;
         Ok(r)
     }
 
@@ -173,8 +198,10 @@ impl<'a> SimilarParser<'a> {
                 Ok(Regex::Any)
             }
             '(' => {
+                self.open()?;
                 self.pos += 1;
                 let r = self.alt()?;
+                self.depth -= 1;
                 if self.peek() != Some(')') {
                     return Err(self.err("expected ')'"));
                 }
@@ -324,6 +351,34 @@ mod tests {
 
         let d = dfa("b{1,}");
         assert!(d.accepts(&s("b")) && d.accepts(&s("bbb")) && !d.accepts(&s("")));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        crate::with_main_stack(|| {
+            let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+            let too_deep = |r: Result<Regex, AutomataError>| {
+                matches!(
+                    r,
+                    Err(AutomataError::NestingTooDeep {
+                        limit: MAX_NESTING_DEPTH,
+                        ..
+                    })
+                )
+            };
+            assert_eq!(
+                compile_similar(&abc(), &parens(MAX_NESTING_DEPTH)),
+                Ok(Regex::Sym(0))
+            );
+            assert!(too_deep(compile_similar(
+                &abc(),
+                &parens(MAX_NESTING_DEPTH + 1)
+            )));
+            assert!(too_deep(compile_similar(&abc(), &parens(20_000))));
+            let opts = |n: usize| format!("(a{})", "?".repeat(n));
+            assert!(compile_similar(&abc(), &opts(MAX_NESTING_DEPTH - 1)).is_ok());
+            assert!(too_deep(compile_similar(&abc(), &opts(MAX_NESTING_DEPTH))));
+        });
     }
 
     #[test]

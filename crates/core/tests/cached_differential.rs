@@ -171,99 +171,3 @@ fn changed_data_is_recompiled_not_served_stale() {
     );
     assert_eq!(cache.stats().misses, misses + 1);
 }
-
-/// `CALC | head | formula` lines of a corpus file.
-fn corpus(text: &str) -> Vec<(Calculus, Vec<String>, String)> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|line| {
-            let parts: Vec<&str> = line.splitn(3, '|').map(str::trim).collect();
-            let calculus = match parts[0] {
-                "S" => Calculus::S,
-                "S_left" => Calculus::SLeft,
-                "S_reg" => Calculus::SReg,
-                _ => Calculus::SLen,
-            };
-            let head = parts[1].split_whitespace().map(String::from).collect();
-            (calculus, head, parts[2].to_string())
-        })
-        .collect()
-}
-
-/// The relations the corpora name: `U`, `R` and the binary `T`.
-fn corpus_db() -> Database {
-    let ab = Alphabet::ab();
-    let mut db = Database::new();
-    db.insert_unary_parsed(&ab, "R", &["", "a", "ab", "bab", "b", "aab"])
-        .expect("insert R");
-    db.insert_unary_parsed(&ab, "U", &["a", "ab", "aab", "ba", "bb", "abab"])
-        .expect("insert U");
-    for (x, y) in [("a", "ab"), ("b", "b"), ("ab", "a"), ("", "ba")] {
-        db.insert("T", vec![ab.parse(x).expect("x"), ab.parse(y).expect("y")])
-            .expect("insert T");
-    }
-    db
-}
-
-/// Every fig. 2, fragments and sentences corpus formula, plus open
-/// queries with infinite answers: a cache hit reads the same answer off
-/// the stored DFA as an uncached run, infinite samples included, and
-/// agrees with it on `count`, `contains` and `eval_bool`.
-#[test]
-fn corpora_read_the_same_answer_from_a_cache_hit() {
-    let ab = Alphabet::ab();
-    let db = corpus_db();
-    let infinite = "S | x | exists y. (U(y) & y <= x)\n\
-                    S | x y | R(x) & x <= y\n\
-                    S_len | y x | R(x) & el(x, y) | last(y, 'b')";
-    let (mut queries, mut infinite_answers) = (0, 0);
-    for text in [
-        include_str!("../../../tests/corpus/fig2.queries"),
-        include_str!("../../../tests/corpus/fragments.queries"),
-        include_str!("../../../tests/corpus/sentences.queries"),
-        infinite,
-    ] {
-        for (calculus, head, src) in corpus(text) {
-            let Ok(q) = Query::parse(calculus, ab.clone(), head, &src) else {
-                continue; // the concat fixtures leave the automata path
-            };
-            queries += 1;
-            let plain = AutomataEngine::new();
-            let cache = Arc::new(AutomatonCache::new());
-            let cached = AutomataEngine::new().with_cache(Arc::clone(&cache));
-            cached.eval(&q, &db).expect("cold eval");
-            let expected = plain.eval(&q, &db).expect("uncached eval");
-            assert_eq!(cached.eval(&q, &db).expect("hit"), expected, "{src}");
-            assert_eq!(
-                cached.count(&q, &db).expect("cached count"),
-                plain.count(&q, &db).expect("count"),
-                "{src}"
-            );
-            if q.is_boolean() {
-                assert_eq!(
-                    cached.eval_bool(&q, &db).expect("cached eval_bool"),
-                    plain.eval_bool(&q, &db).expect("eval_bool"),
-                    "{src}"
-                );
-            } else {
-                let probes: Vec<_> = ab.strings_up_to(2).collect();
-                let mut tuple = vec![probes[0].clone(); q.arity()];
-                for (i, probe) in probes.iter().enumerate() {
-                    tuple[i % q.arity()] = probe.clone();
-                    assert_eq!(
-                        cached.contains(&q, &db, &tuple).expect("cached contains"),
-                        plain.contains(&q, &db, &tuple).expect("contains"),
-                        "{src} on {tuple:?}"
-                    );
-                }
-            }
-            infinite_answers += usize::from(matches!(expected, EvalOutput::Infinite { .. }));
-            let stats = cache.stats();
-            assert_eq!(stats.misses, 1, "{src}: one compile, every later read hits");
-            assert!(stats.hits >= 2, "{src}");
-        }
-    }
-    assert!(queries >= 24, "only {queries} corpus queries compiled");
-    assert_eq!(infinite_answers, 3, "the infinite samples were compared");
-}

@@ -1,27 +1,18 @@
-//! Differential property tests for the dense DFA tier: the batched
-//! byte-class-compressed table, the sparse DFA walked per string, and
-//! full set-semantics query evaluation must agree on random batches —
-//! including empty relations and zero-length strings. At batch scale,
-//! every scan route must agree with the sparse walk, whole and when a
-//! deadline cuts the scan short.
+//! Differential tests for the scan routes at batch scale: the LIKE
+//! scan's linear matchers, the dense scan's tables and its SA402
+//! sparse-DFA fallback agree with a sparse `Dfa::accepts` filter, whole
+//! and when a wall-clock deadline cuts the scan short.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use strcalc_alphabet::{Alphabet, Str};
-use strcalc_automata::DenseDfa;
 use strcalc_core::{
     Budget, Calculus, Clock, EvalOutput, ExecCx, ExecReport, Planner, Query,
     Strategy as PlanStrategy, VirtualClock,
 };
 use strcalc_logic::Lang;
 use strcalc_relational::{Database, Relation};
-
-/// Fig. 2-style language filters: general-class shapes that densify
-/// plus linear shapes (which route to the tuple-at-a-time scan), so
-/// the set-semantics leg exercises both executors.
-const PATTERNS: &[&str] = &["(aa)*", "b.*a.*", "a.*b.*a", "(ab)*", ".*", "a.b"];
 
 /// A relation's rows, to compare with a reference set.
 fn rows(rel: &Relation) -> BTreeSet<Vec<Str>> {
@@ -35,88 +26,6 @@ fn ab() -> Alphabet {
 fn lang(pattern: &str) -> Lang {
     let regex = strcalc_automata::Regex::parse(&ab(), pattern).expect("pattern parses");
     Lang::named(format!("LIKE {pattern}"), regex)
-}
-
-/// Random batches over Σ = {a, b}: up to 40 strings of length 0..7,
-/// the empty batch and the empty string both reachable.
-fn arb_batch() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    prop::collection::vec(prop::collection::vec(0u8..2, 0..7), 0..40)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn batched_dense_agrees_with_sparse_and_set_semantics(
-        p in 0..PATTERNS.len(),
-        batch in arb_batch(),
-    ) {
-        let l = lang(PATTERNS[p]);
-        let sparse = l.to_dfa(2);
-        let dense = DenseDfa::compile(&sparse);
-        let strs: Vec<Str> = batch.iter().map(|s| Str::from_syms(s.clone())).collect();
-
-        // Leg 1: the batched dense table equals the sparse per-string walk.
-        let refs: Vec<&Str> = strs.iter().collect();
-        let mut mask = vec![true; refs.len()];
-        dense.match_mask(&refs, &mut mask);
-        for (i, s) in strs.iter().enumerate() {
-            prop_assert_eq!(mask[i], sparse.accepts(s), "string {:?}", s);
-        }
-
-        // Leg 2: set semantics — evaluating `U(x) & x ∈ L` over a
-        // relation holding the batch (deduplicated by storage) equals
-        // the accepted subset.
-        let mut db = Database::new();
-        db.declare("U", 1).unwrap();
-        for s in &strs {
-            db.insert("U", vec![s.clone()]).unwrap();
-        }
-        let q = Query::parse(
-            Calculus::SReg,
-            ab(),
-            vec!["x".into()],
-            &format!("U(x) & in(x, /{}/)", PATTERNS[p]),
-        )
-        .unwrap();
-        let plan = Planner::new().plan(&q).expect("plans");
-        let (out, report) = plan.execute(&db).expect("routed eval");
-        prop_assert_eq!(report.strategy, plan.strategy);
-        let expected: BTreeSet<Vec<Str>> = strs
-            .iter()
-            .filter(|s| sparse.accepts(s))
-            .map(|s| vec![s.clone()])
-            .collect();
-        match out {
-            EvalOutput::Finite(rel) => prop_assert_eq!(&rows(&rel), &expected),
-            other => prop_assert!(false, "expected finite output, got {other:?}"),
-        }
-    }
-}
-
-/// An empty stored relation flows through the batched executor without
-/// a single table dispatch going wrong: empty output, zero rows
-/// scanned, and the dense tables still compiled (their stats report).
-#[test]
-fn empty_relation_dense_scan_is_empty() {
-    let mut db = Database::new();
-    db.declare("U", 1).unwrap();
-    let q = Query::parse(
-        Calculus::SReg,
-        ab(),
-        vec!["x".into()],
-        "U(x) & in(x, /(aa)*/)",
-    )
-    .unwrap();
-    let plan = Planner::new().plan(&q).unwrap();
-    assert_eq!(plan.strategy, strcalc_core::Strategy::DenseDfaScan);
-    let (out, report) = plan.execute(&db).unwrap();
-    match out {
-        EvalOutput::Finite(rel) => assert!(rel.is_empty()),
-        other => panic!("expected finite output, got {other:?}"),
-    }
-    assert_eq!(report.domain_size, 0, "no rows to scan");
-    assert!(report.automaton_states > 0, "tables are still built");
 }
 
 /// Rows in the batch-scale relation: more than two 4096-row scan

@@ -1,38 +1,17 @@
 //! Differential property tests for fragment inference: the planner's
 //! inferred strategy agrees with the legacy syntactic concat scan it
-//! replaced on that scan's whole domain, and every strategy it routes
-//! to — including the LIKE linear-scan fast path, which builds no
-//! automaton — agrees with exact automaton evaluation on the output.
+//! replaced on that scan's whole domain, and its routing is exactly the
+//! inferred evaluation class. `tests/oracle.rs` at the workspace root
+//! checks every route's answers against the oracle.
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::{fragments, EvalClass};
-use strcalc_core::{
-    AutomataEngine, Calculus, EvalOutput, Planner, Query, Strategy as PlanStrategy,
-};
+use strcalc_core::{Planner, Strategy as PlanStrategy};
 use strcalc_logic::{Atom, Formula, Lang, Term};
-use strcalc_relational::Database;
 
 fn ab() -> Alphabet {
     Alphabet::ab()
-}
-
-fn db() -> Database {
-    let mut db = Database::new();
-    db.insert_unary_parsed(&ab(), "R", &["", "a", "ab", "ba", "bab", "abab", "bb"])
-        .unwrap();
-    let s = |t: &str| ab().parse(t).unwrap();
-    for (u, v) in [
-        ("a", "ab"),
-        ("ab", "ab"),
-        ("ba", "b"),
-        ("bab", "abab"),
-        ("", "bb"),
-        ("abb", "abb"),
-    ] {
-        db.insert("T", vec![s(u), s(v)]).unwrap();
-    }
-    db
 }
 
 /// LIKE-shaped patterns across the whole Petersen taxonomy (prefix,
@@ -175,166 +154,6 @@ proptest! {
                 "{strategy:?}"
             ),
             EvalClass::ConcatBounded => prop_assert!(false, "no ConcatEq in the pool"),
-        }
-    }
-
-    // Whatever the route — scan fast path or automata — the output
-    // equals exact automaton evaluation of the same query.
-    #[test]
-    fn every_route_agrees_with_automaton_eval(
-        p in 0..PATTERNS.len(),
-        shape in 0usize..5,
-    ) {
-        let (f, head) = candidate(PATTERNS[p], shape);
-        let q = Query::new(Calculus::SReg, ab(), head, f).expect("head = free vars");
-        let db = db();
-        let direct = AutomataEngine::new().eval(&q, &db).expect("direct eval");
-        let plan = Planner::new().plan(&q).expect("plans");
-        let (routed, report) = plan.execute(&db).expect("routed eval");
-        if plan.strategy == PlanStrategy::LikeLinearScan {
-            prop_assert_eq!(report.automaton_states, 0, "fast path built an automaton");
-        }
-        prop_assert_eq!(routed, direct);
-    }
-
-    // Sentence (boolean) routing agrees too: the scan answers an
-    // existentially closed query by projecting to zero columns.
-    #[test]
-    fn boolean_routes_agree_with_automaton_eval(
-        p in 0..PATTERNS.len(),
-        shape in 0usize..5,
-    ) {
-        let (f, head) = candidate(PATTERNS[p], shape);
-        let closed = head
-            .iter()
-            .rev()
-            .fold(f, |g, v| Formula::exists(v.clone(), g));
-        let q = Query::new(Calculus::SReg, ab(), vec![], closed).expect("sentence");
-        let db = db();
-        let direct = AutomataEngine::new().eval_bool(&q, &db).expect("direct");
-        let (routed, _) = Planner::new()
-            .plan(&q)
-            .expect("plans")
-            .execute(&db)
-            .expect("routed");
-        prop_assert_eq!(!routed.is_empty(), direct);
-    }
-
-    // The scan fast paths (linear and dense) and the forced automata
-    // strategy agree on the same plan-level query — the strongest form
-    // of "the scan changes the work, not the semantics".
-    #[test]
-    fn forced_automata_agrees_with_the_scan(p in 0..PATTERNS.len(), shape in 0usize..4) {
-        let (f, head) = candidate(PATTERNS[p], shape);
-        let class = fragments::eval_class(&head, &f);
-        if matches!(class, EvalClass::LikeLinear(_) | EvalClass::LikeGeneral(_)) {
-            let linear = matches!(class, EvalClass::LikeLinear(_));
-            let q = Query::new(Calculus::SReg, ab(), head, f).expect("head = free vars");
-            let db = db();
-            let (scan, scan_report) = Planner::new()
-                .plan(&q)
-                .expect("plans")
-                .execute(&db)
-                .expect("scan eval");
-            let (auto, _) = Planner::new()
-                .force(PlanStrategy::Automata)
-                .plan(&q)
-                .expect("plans")
-                .execute(&db)
-                .expect("automata eval");
-            if linear {
-                prop_assert_eq!(scan_report.automaton_states, 0);
-            } else {
-                prop_assert_eq!(scan_report.strategy, PlanStrategy::DenseDfaScan);
-                prop_assert!(scan_report.automaton_states > 0, "dense tables have states");
-            }
-            match (scan, auto) {
-                (EvalOutput::Finite(a), EvalOutput::Finite(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "finiteness mismatch: {a:?} vs {b:?}"),
-            }
-        }
-    }
-}
-
-/// Stored strings containing symbols outside the query alphabet denote
-/// no string of `Σ*`: the automaton route drops such tuples wholesale
-/// (the relation trie skips them, in *every* column), and the scan,
-/// relational and collapse routes must agree rather than matching raw
-/// bytes. Regressions: the linear matchers used to compare out-of-`Σ`
-/// symbols literally, so a stored `"c"` matched `LIKE '%'` on the scan
-/// route but not on the automaton route; and a bare `R(x)` returned the
-/// out-of-`Σ` row on the automaton and collapse routes, while the
-/// collapse route quantified over it.
-#[test]
-fn out_of_alphabet_rows_agree_with_the_automaton_route() {
-    use strcalc_alphabet::Str;
-    let s = |t: &str| ab().parse(t).unwrap();
-    // Symbol 2 (`c`) is outside Σ = {a, b}.
-    let c = || Str::from_syms(vec![2]);
-    let ac = || Str::from_syms(vec![0, 2]);
-    let mut db = Database::new();
-    for row in [s(""), s("a"), s("ab"), s("aa"), c(), ac()] {
-        db.insert("R", vec![row]).unwrap();
-    }
-    for (u, v) in [
-        (s("a"), s("ab")),
-        (s("ab"), s("ab")),
-        (ac(), s("a")), // out-of-Σ in the filtered column
-        (s("a"), ac()), // out-of-Σ in the *other* column only
-        (c(), c()),
-    ] {
-        db.insert("T", vec![u, v]).unwrap();
-    }
-    // Patterns across both scan routes, `.*` included: under the ∅-
-    // outside-Σ convention even the universal language rejects the
-    // out-of-Σ rows.
-    for pattern in ["a.*", ".*", ".*b", "b.*a.*", "(aa)*", "a.*.*b"] {
-        for shape in 0..4 {
-            let (f, head) = candidate(pattern, shape);
-            let q = Query::new(Calculus::SReg, ab(), head, f).expect("head = free vars");
-            let scan_plan = Planner::new().plan(&q).expect("plans");
-            assert_ne!(
-                scan_plan.strategy,
-                PlanStrategy::Automata,
-                "{pattern}/{shape} should route to a scan"
-            );
-            let (scan, _) = scan_plan.execute(&db).expect("scan eval");
-            let (auto, _) = Planner::new()
-                .force(PlanStrategy::Automata)
-                .plan(&q)
-                .expect("plans")
-                .execute(&db)
-                .expect("automata eval");
-            match (scan, auto) {
-                (EvalOutput::Finite(a), EvalOutput::Finite(b)) => {
-                    assert_eq!(a, b, "{pattern}/{shape} disagrees on out-of-Σ rows")
-                }
-                (a, b) => panic!("finiteness mismatch: {a:?} vs {b:?}"),
-            }
-        }
-    }
-    // Shapes no scan takes, on forced automata, the default route and
-    // forced collapse.
-    let mut db = Database::new();
-    db.insert("R", vec![s("ab")]).unwrap();
-    db.insert("R", vec![ac()]).unwrap();
-    for (head, src, want) in [
-        (&["x"][..], "R(x)", 1),
-        (&[][..], "exists y. (R(y) & !last(y, 'b'))", 0),
-        (&["x"][..], "R(x) & !last(x, 'b')", 0),
-        (&[][..], "existsA y. !last(y, 'b')", 0),
-    ] {
-        let head = head.iter().map(|h| h.to_string()).collect();
-        let q = Query::parse(Calculus::S, ab(), head, src).expect("parses");
-        for planner in [
-            Planner::new().force(PlanStrategy::Automata),
-            Planner::new(),
-            Planner::new().force(PlanStrategy::ActiveDomainEnum),
-        ] {
-            let plan = planner.plan(&q).expect("plans");
-            let (out, _) = plan.execute(&db).expect("runs");
-            let out = out.expect_finite();
-            assert_eq!(out.len(), want, "{src} on {}", plan.strategy.name());
         }
     }
 }

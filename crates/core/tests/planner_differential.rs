@@ -1,20 +1,18 @@
-//! Differential property tests for the query planner: for random
-//! formulas, the planner-routed executors agree with the direct calls —
-//! [`AutomataEngine::eval`], and the naive [`DomainEvaluator`] over
-//! [`collapse_domain`] (same slack) or over `Σ^{≤B}` (same bound) — run
-//! on the formula the plan runs, `plan.formula()`, after its rewrite
-//! pass. The automata route's SA401 and SA413 fallbacks answer as the
-//! forced collapse plan does.
+//! Differential tests for the query planner: the planner-routed
+//! executors agree with the direct calls — [`AutomataEngine::eval`], and
+//! the naive [`DomainEvaluator`] over [`collapse_domain`] (same slack)
+//! or over `Σ^{≤B}` (same bound) — on the formula the plan runs,
+//! `plan.formula()`, after its rewrite pass. Plan trees stay flat and
+//! certificates bound every run. `tests/oracle.rs` at the workspace root
+//! checks every route against the oracle on generated formulas.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{
-    collapse_domain, AutomataEngine, AutomatonCache, Budget, Calculus, Domain, DomainEvaluator,
-    EvalOutput, ExecCx, ExecVerdict, FaultPlan, Plan, PlanNode, PlanOp, Planner, Query,
-    Strategy as PlanStrategy,
+    collapse_domain, AutomataEngine, AutomatonCache, Calculus, Domain, DomainEvaluator, EvalOutput,
+    Plan, PlanNode, PlanOp, Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_logic::{parse_formula, Formula, Restrict, Term};
 use strcalc_relational::{Database, Relation};
@@ -67,80 +65,9 @@ fn arb_restricted_formula() -> impl Strategy<Value = Formula> {
     })
 }
 
-/// Random formulas in the concat fragment with free variable `x`: the
-/// random body is conjoined with `∃z concat(x, x, z)`, which pins `x`
-/// free and pushes the whole formula outside the synchro fragment.
-fn arb_concat_formula() -> impl Strategy<Value = Formula> {
-    arb_formula().prop_map(|f| {
-        let closed = if f.free_vars().contains("y") {
-            Formula::exists("y", f)
-        } else {
-            f
-        };
-        closed.and(Formula::exists(
-            "z",
-            Formula::concat_eq(Term::var("x"), Term::var("x"), Term::var("z")),
-        ))
-    })
-}
-
-/// `concat` atoms in each binding shape the bounded-search lowering
-/// has, over `x` (the random body's free variable), `u` and `w`.
-const CONCAT_SHAPES: [&str; 7] = [
-    // `w = x·u` computed from two generated operands.
-    "R(x) & R(u) & concat(x, u, w)",
-    // The |w|+1 splits of a generated `w`.
-    "R(w) & concat(x, u, w)",
-    // `u` is what remains of `w` after the prefix `x`.
-    "R(x) & R(w) & concat(x, u, w)",
-    // Nothing restricts `x`: it ranges over the domain, `u` splits it.
-    "concat(u, u, x)",
-    // Under `¬`.
-    "R(x) & !(exists u. (R(u) & concat(u, u, x)))",
-    // Under `∀`.
-    "R(x) & forall u. (concat(u, u, x) -> R(u))",
-    // A subformula restricts `x` and binds `u` from the domain too;
-    // then `w = x·u` is computed.
-    "(exists v. (R(v) & x <= v & last(u, 'a'))) & concat(x, u, w)",
-];
-
-/// A random body with `x` free, conjoined with concat shape `shape`.
-fn arb_shaped_concat() -> impl Strategy<Value = Formula> {
-    (arb_formula(), 0..CONCAT_SHAPES.len()).prop_map(|(f, shape)| {
-        let closed = if f.free_vars().contains("y") {
-            Formula::exists("y", f)
-        } else {
-            f
-        };
-        let atoms = parse_formula(&Alphabet::ab(), CONCAT_SHAPES[shape]).expect("shape parses");
-        closed.and(atoms)
-    })
-}
-
-/// The variables the plan's `Generate` leaves bind.
-fn generated(plan: &Plan) -> BTreeSet<String> {
-    let mut vars = BTreeSet::new();
-    plan.root.visit(&mut |n| {
-        if let PlanOp::Generate { var, .. } = &n.op {
-            vars.insert(var.clone());
-        }
-    });
-    vars
-}
-
 fn db() -> Database {
     let mut db = Database::new();
     db.insert_unary_parsed(&Alphabet::ab(), "R", &["", "a", "ab", "bab"])
-        .unwrap();
-    db
-}
-
-/// A database whose active domain's prefix closure is `R` itself and
-/// holds no `b`: a `dom↓` range that grows beyond its rule (say, with a
-/// value bound further out) changes answers here.
-fn prefix_poor_db() -> Database {
-    let mut db = Database::new();
-    db.insert_unary_parsed(&Alphabet::ab(), "R", &["", "a", "aa"])
         .unwrap();
     db
 }
@@ -171,29 +98,6 @@ fn bounded(f: &Formula, head: &[String], db: &Database, bound: usize) -> Relatio
     DomainEvaluator::new(&Alphabet::ab(), db, Domain::UpTo(bound))
         .answer(f, head)
         .expect("direct bounded search")
-}
-
-/// The answers of the forced automata plan of `q` when it degrades to
-/// the collapse domain: starved (SA401) and compile-aborted (SA413).
-fn fallbacks(q: &Query, db: &Database) -> [EvalOutput; 2] {
-    let plan = Planner::new()
-        .force(PlanStrategy::Automata)
-        .with_slack(2)
-        .plan(q)
-        .expect("plans");
-    let starved = ExecCx::production().with_budget(Budget {
-        states: 1,
-        ..Budget::unlimited()
-    });
-    let aborted = ExecCx::production().with_faults(FaultPlan {
-        abort_compile: true,
-        ..FaultPlan::none()
-    });
-    [starved, aborted].map(|cx| {
-        let (out, report) = plan.execute_in(db, &cx).expect("degraded run");
-        assert!(!report.verdict.is_exact());
-        out
-    })
 }
 
 /// The typed query a plan runs: its (possibly rewritten) formula.
@@ -242,114 +146,6 @@ proptest! {
             (EvalOutput::Finite(a), EvalOutput::Finite(b)) => prop_assert_eq!(a, b),
             (EvalOutput::Infinite { .. }, EvalOutput::Infinite { .. }) => {}
             (a, b) => prop_assert!(false, "finiteness mismatch: {a:?} vs {b:?}"),
-        }
-    }
-
-    // Forced enumeration strategy ≡ the naive evaluator over the same
-    // collapse domain (slack 2).
-    #[test]
-    fn planner_matches_direct_enum_eval(f in arb_formula()) {
-        let q = query_of(f);
-        let db = db();
-        let plan = Planner::new()
-            .force(PlanStrategy::ActiveDomainEnum)
-            .with_slack(2)
-            .plan(&q)
-            .expect("plans");
-        let direct = reference(&plan_query(&plan), &db, 2);
-        prop_assert_eq!(plan.strategy, PlanStrategy::ActiveDomainEnum);
-        let (routed, report) = plan.execute(&db).expect("routed enum");
-        prop_assert_eq!(routed, EvalOutput::Finite(direct));
-        prop_assert!(report.domain_size > 0, "collapse domain contains ε at least");
-    }
-
-    // With restricted quantifiers of every kind: the forced collapse
-    // plan lowers (its program binds each restricted variable from its
-    // range), equals the naive evaluator over the same collapse domain,
-    // and is what the automata route's SA401 and SA413 fallbacks
-    // answer.
-    #[test]
-    fn collapse_plan_matches_the_reference_and_the_fallbacks(f in arb_restricted_formula()) {
-        let q = query_of(f);
-        let plan = Planner::new()
-            .force(PlanStrategy::ActiveDomainEnum)
-            .with_slack(2)
-            .plan(&q)
-            .expect("the lowering over a domain never refuses");
-        prop_assert!(matches!(plan.root.op, PlanOp::EnumerateFinite));
-        for db in [db(), prefix_poor_db()] {
-            let (routed, _) = plan.execute(&db).expect("routed collapse");
-            let direct = EvalOutput::Finite(reference(&plan_query(&plan), &db, 2));
-            prop_assert_eq!(&routed, &direct);
-            for fallback in fallbacks(&plan_query(&plan), &db) {
-                prop_assert_eq!(&fallback, &routed);
-            }
-        }
-    }
-
-    // A concat formula with a restricted quantifier runs on a program
-    // too, and answers as the naive evaluator over `Σ^{≤3}` does.
-    #[test]
-    fn restricted_bounded_search_matches_the_evaluator(f in arb_restricted_formula()) {
-        let f = f.and(parse_formula(&Alphabet::ab(), "exists z. concat(x, x, z)").expect("parses"));
-        let f = if f.free_vars().contains("y") { Formula::exists("y", f) } else { f };
-        let db = db();
-        let head = vec!["x".to_string()];
-        let plan = Planner::new()
-            .with_bound(3)
-            .plan_formula(&Alphabet::ab(), &head, &f)
-            .expect("plans");
-        prop_assert!(matches!(plan.root.op, PlanOp::BoundedSearch { .. }));
-        prop_assert!(generated(&plan).contains("x"));
-        let direct = bounded(plan.formula(), &head, &db, 3);
-        let (routed, _) = plan.execute(&db).expect("routed bounded search");
-        prop_assert_eq!(routed, EvalOutput::Finite(direct));
-    }
-
-    // Concat fragment ≡ the naive evaluator over `Σ^{≤B}`, same bound.
-    #[test]
-    fn planner_matches_direct_bounded_search(f in arb_concat_formula()) {
-        let db = db();
-        let head = vec!["x".to_string()];
-        let plan = Planner::new()
-            .with_bound(3)
-            .plan_formula(&Alphabet::ab(), &head, &f)
-            .expect("plans");
-        let direct = bounded(plan.formula(), &head, &db, 3);
-        prop_assert_eq!(plan.strategy, PlanStrategy::BoundedSearch);
-        let (routed, _) = plan.execute(&db).expect("routed bounded search");
-        prop_assert_eq!(routed, EvalOutput::Finite(direct));
-    }
-
-    // Bounded search runs as a generator program in every concat
-    // binding shape, and its answer is the naive evaluator's at the same
-    // effective depth: the plan's bound, or a narrower handed one.
-    #[test]
-    fn generated_bounded_search_matches_the_evaluator(f in arb_shaped_concat()) {
-        let ab = Alphabet::ab();
-        let db = db();
-        let head: Vec<String> = f.free_vars().into_iter().collect();
-        let direct = |bound: usize, plan: &Plan| bounded(plan.formula(), &head, &db, bound);
-        for bound in [2, 3] {
-            let plan = Planner::new()
-                .with_bound(bound)
-                .plan_formula(&ab, &head, &f)
-                .expect("plans");
-            prop_assert!(matches!(plan.root.op, PlanOp::BoundedSearch { .. }));
-            let generated = generated(&plan);
-            for v in &head {
-                prop_assert!(generated.contains(v), "no Generate leaf binds {}", v);
-            }
-            let (routed, report) = plan.execute(&db).expect("routed bounded search");
-            prop_assert_eq!(routed, EvalOutput::Finite(direct(bound, &plan)));
-            prop_assert!(report.verdict.is_exact());
-            if bound == 3 {
-                let narrow = Budget { search_depth: 2, ..plan.seeded_budget() };
-                let cx = ExecCx::production().with_budget(narrow);
-                let (clamped, report) = plan.execute_in(&db, &cx).expect("clamped search");
-                prop_assert_eq!(clamped, EvalOutput::Finite(direct(2, &plan)));
-                prop_assert!(matches!(report.verdict, ExecVerdict::Bounded { .. }));
-            }
         }
     }
 
@@ -472,73 +268,6 @@ fn products_are_flat(node: &PlanNode) -> bool {
         flat &= n.op != PlanOp::Product || n.children.iter().all(|c| c.op != PlanOp::Product);
     });
     flat
-}
-
-/// The `CALC | head | formula` lines of a corpus file.
-fn corpus(text: &str) -> Vec<(Calculus, Vec<String>, String)> {
-    let lines = text.lines().map(str::trim);
-    lines
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|line| {
-            let parts: Vec<&str> = line.splitn(3, '|').map(str::trim).collect();
-            let calculus = match parts[0] {
-                "S" => Calculus::S,
-                "S_left" => Calculus::SLeft,
-                "S_reg" => Calculus::SReg,
-                _ => Calculus::SLen,
-            };
-            let head = parts[1].split_whitespace().map(String::from).collect();
-            (calculus, head, parts[2].to_string())
-        })
-        .collect()
-}
-
-/// Every query of the fig. 2, fragments and sentences corpora lowers
-/// over a finite domain: the collapse domain (and its answer is the
-/// fallbacks' and the naive evaluator's), or `Σ^{≤B}` for the concat
-/// fixtures.
-#[test]
-fn every_corpus_query_lowers_over_a_domain() {
-    let ab = Alphabet::ab();
-    let mut db = db();
-    db.insert_unary_parsed(&ab, "U", &["a", "ab", "ba"])
-        .unwrap();
-    for (x, y) in [("a", "ab"), ("b", "b"), ("ab", "a")] {
-        db.insert("T", vec![ab.parse(x).unwrap(), ab.parse(y).unwrap()])
-            .unwrap();
-    }
-    let mut lowered = 0;
-    for text in [
-        include_str!("../../../tests/corpus/fig2.queries"),
-        include_str!("../../../tests/corpus/fragments.queries"),
-        include_str!("../../../tests/corpus/sentences.queries"),
-    ] {
-        for (calculus, head, src) in corpus(text) {
-            let Ok(q) = Query::parse(calculus, ab.clone(), head.clone(), &src) else {
-                let f = parse_formula(&ab, &src).unwrap();
-                let plan = Planner::new().plan_formula(&ab, &head, &f).unwrap();
-                assert!(
-                    matches!(plan.root.op, PlanOp::BoundedSearch { .. }),
-                    "{src}"
-                );
-                assert!(head.iter().all(|v| generated(&plan).contains(v)), "{src}");
-                lowered += 1;
-                continue;
-            };
-            let plan = Planner::new()
-                .force(PlanStrategy::ActiveDomainEnum)
-                .with_slack(2)
-                .plan(&q)
-                .unwrap_or_else(|e| panic!("{src}: {e}"));
-            let (routed, _) = plan.execute(&db).unwrap();
-            assert_eq!(routed, EvalOutput::Finite(reference(&q, &db, 2)), "{src}");
-            for fallback in fallbacks(&q, &db) {
-                assert_eq!(fallback, routed, "{src}");
-            }
-            lowered += 1;
-        }
-    }
-    assert_eq!(lowered, 26, "the three corpora hold 26 queries");
 }
 
 /// The collapse program equals the naive evaluator at slack 0 and 1,

@@ -14,9 +14,9 @@
 //! [`Formula`]s with both unrestricted and *restricted* quantifiers (the
 //! paper's `∃x ∈ adom`, `∃x ∈ dom↓`, `∃|x| ≤ adom`), a concrete-syntax
 //! [`parser`], transformations (negation normal form, bound-variable
-//! freshening, quantifier rank), and **fragment inference**
-//! ([`StructureClass`]): the least structure in Figure 1's lattice that a
-//! formula's atoms fit into.
+//! freshening, quantifier rank), and the lattice of structures of
+//! Figure 1 ([`StructureClass`]) with the least class each atom and term
+//! fits into ([`atom_class`], [`term_class`]).
 
 pub mod compile;
 pub mod formula;
@@ -30,7 +30,7 @@ pub use formula::{Atom, Formula, Lang, Restrict, Term};
 pub use intern::{alpha_eq, fingerprint, lang_fingerprint, Fp};
 pub use parser::{parse_formula, MAX_NESTING_DEPTH};
 pub use rewrite::{RewriteStep, RewriteTrace, Rewriter, TraceEntry};
-pub use transform::StructureClass;
+pub use transform::{atom_class, term_class, StructureClass};
 
 use std::fmt;
 
@@ -44,8 +44,9 @@ pub enum LogicError {
     /// Star-freeness analysis hit the monoid cap.
     StarFreeUndecided(String),
     /// The input nests deeper than [`MAX_NESTING_DEPTH`] (parentheses,
-    /// negations, quantifier bodies, implication chains or term
-    /// functions); `pos` is where the limit was crossed.
+    /// negations, quantifier bodies, implication chains, term functions,
+    /// or a regex literal's groups); `pos` is where the limit was
+    /// crossed.
     NestingTooDeep { pos: usize, limit: usize },
 }
 

@@ -27,23 +27,21 @@
 //! `existsA` = `∃x ∈ adom`, `existsP` = `∃x ∈ dom↓` (Proposition 2),
 //! `existsL` = `∃|x| ≤ adom` (Theorem 2); likewise `forallA/P/L`.
 //!
-//! Nesting is capped at [`MAX_NESTING_DEPTH`]: deeper input is refused
-//! with [`LogicError::NestingTooDeep`] instead of exhausting the stack of
-//! this recursive-descent parser (or of the recursive passes after it).
+//! Nesting is capped at [`MAX_NESTING_DEPTH`], the cap of the regex
+//! parser too: deeper input, a regex literal's groups included, is
+//! refused with [`LogicError::NestingTooDeep`] instead of exhausting the
+//! stack of this recursive-descent parser (or of the recursive passes
+//! after it).
 //! The cap fits an 8 MiB stack — a main thread's usual size — even in
 //! unoptimized builds; optimized builds need a fraction of that.
 
 use strcalc_alphabet::Alphabet;
-use strcalc_automata::Regex;
+use strcalc_automata::{AutomataError, Regex};
 
 use crate::formula::{Formula, Lang, Restrict, Term};
 use crate::LogicError;
 
-/// The deepest nesting the formula and SQL parsers accept: each
-/// parenthesis, negation, quantifier body, implication, term function
-/// and (in SQL) subquery opens one level, and so does each link of an
-/// `&`, `|` or `<->` chain.
-pub const MAX_NESTING_DEPTH: usize = 512;
+pub use strcalc_automata::MAX_NESTING_DEPTH;
 
 /// Parses a formula over the given alphabet.
 pub fn parse_formula(alphabet: &Alphabet, text: &str) -> Result<Formula, LogicError> {
@@ -206,9 +204,15 @@ fn tokenize(alphabet: &Alphabet, text: &str) -> Result<Vec<(usize, Tok)>, LogicE
                     });
                 }
                 let text: String = chars[lit_start..i].iter().collect();
-                let r = Regex::parse(alphabet, &text).map_err(|e| LogicError::Parse {
-                    pos: lit_start,
-                    msg: e.to_string(),
+                let r = Regex::parse(alphabet, &text).map_err(|e| match e {
+                    AutomataError::NestingTooDeep { pos, limit } => LogicError::NestingTooDeep {
+                        pos: lit_start + pos,
+                        limit,
+                    },
+                    e => LogicError::Parse {
+                        pos: lit_start,
+                        msg: e.to_string(),
+                    },
                 })?;
                 out.push((start, Tok::Regex(r)));
                 i += 1;
@@ -751,6 +755,11 @@ mod tests {
         assert!(too_deep(&wrap("(", "R(x)", ")", cap + 1)));
         assert!(parse_formula(&ab(), &wrap("!", "R(x)", "", cap)).is_ok());
         assert!(too_deep(&wrap("!", "R(x)", "", cap + 1)));
+        // A regex literal's groups count against the same cap.
+        let regex = |n: usize| format!("in(x, /{}/)", wrap("(", "a", ")", n));
+        assert!(parse_formula(&ab(), &regex(cap)).is_ok());
+        assert!(too_deep(&regex(cap + 1)));
+        assert!(too_deep(&regex(20_000)));
     }
 
     #[test]

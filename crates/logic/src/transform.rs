@@ -1,12 +1,9 @@
-//! Formula transformations and fragment inference.
+//! Formula transformations, and the structure classes of Figure 1 that
+//! atoms and terms require.
 
 use std::collections::{BTreeSet, HashMap};
 
-use strcalc_alphabet::Sym;
-use strcalc_automata::starfree::is_star_free;
-
-use crate::formula::{Atom, Formula, Term};
-use crate::LogicError;
+use crate::formula::{Atom, Formula, Lang, Term};
 
 /// The lattice of structures from Figure 1 of the paper (restricted to
 /// the implemented ones):
@@ -62,57 +59,51 @@ impl StructureClass {
     }
 }
 
-/// Infers the least structure class whose primitives cover every atom and
-/// term of `f`. `InLang`/`P_L` atoms require deciding star-freeness of
-/// their language, hence the alphabet size `k` and a monoid cap.
-pub fn fragment(f: &Formula, k: Sym, monoid_cap: usize) -> Result<StructureClass, LogicError> {
-    let mut class = StructureClass::S;
-    let mut err: Option<LogicError> = None;
-    f.visit(&mut |sub| {
-        if err.is_some() {
-            return;
+/// The structure class atom `a` requires, its terms aside: `F_a` needs
+/// `S_left`; `el`, `shorteq`, `shorter` and `ins` need `S_len`;
+/// concatenation needs `S_concat`; a language atom needs `S_reg` unless
+/// `star_free` says its language is star-free. An undecided language
+/// should read as not star-free: `S_reg` admits every regular language.
+pub fn atom_class(a: &Atom, star_free: impl FnOnce(&Lang) -> bool) -> StructureClass {
+    match a {
+        Atom::Prepends(..) => StructureClass::SLeft,
+        // `ins` is the conclusion's extension: it subsumes `F_a` (p = ε)
+        // and is definable over `S_len` by the same positional trick
+        // (Section 4); typed conservatively at `S_len`, since its exact
+        // lattice position is the paper's open question.
+        Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) | Atom::InsertAfter(..) => {
+            StructureClass::SLen
         }
-        if let Formula::Atom(a) = sub {
-            // Terms first: Prepend / TrimLeading force S_left.
-            for t in a.terms() {
-                class = class.join(term_class(t));
+        Atom::ConcatEq(..) => StructureClass::Concat,
+        Atom::InLang(_, l) | Atom::PL(_, _, l) => {
+            if star_free(l) {
+                StructureClass::S
+            } else {
+                StructureClass::SReg
             }
-            let c = match a {
-                Atom::Prepends(..) => StructureClass::SLeft,
-                Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) => StructureClass::SLen,
-                Atom::ConcatEq(..) => StructureClass::Concat,
-                // Conclusion extension: subsumes F_a (p = ε), definable
-                // over S_len via the same positional trick as F_a
-                // (Section 4); typed conservatively at S_len because its
-                // exact lattice position is the paper's open question.
-                Atom::InsertAfter(..) => StructureClass::SLen,
-                Atom::InLang(_, l) | Atom::PL(_, _, l) => {
-                    let dfa = l.to_dfa(k);
-                    match is_star_free(&dfa, monoid_cap) {
-                        Ok(true) => StructureClass::S,
-                        Ok(false) => StructureClass::SReg,
-                        Err(e) => {
-                            err = Some(LogicError::StarFreeUndecided(e.to_string()));
-                            StructureClass::SReg
-                        }
-                    }
-                }
-                _ => StructureClass::S,
-            };
-            class = class.join(c);
         }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(class),
+        _ => StructureClass::S,
     }
 }
 
-fn term_class(t: &Term) -> StructureClass {
+/// The structure class term `t` requires — `prepend` and `trim` need
+/// `S_left` — with the name of the outermost function responsible, for
+/// diagnostics.
+pub fn term_class(t: &Term) -> (StructureClass, Option<&'static str>) {
     match t {
-        Term::Var(_) | Term::Const(_) => StructureClass::S,
-        Term::Append(t, _) => term_class(t),
-        Term::Prepend(_, t) | Term::TrimLeading(_, t) => StructureClass::SLeft.join(term_class(t)),
+        Term::Var(_) | Term::Const(_) => (StructureClass::S, None),
+        Term::Append(inner, _) => {
+            let (c, f) = term_class(inner);
+            (c, f.or(Some("append")))
+        }
+        Term::Prepend(_, inner) => {
+            let (c, _) = term_class(inner);
+            (StructureClass::SLeft.join(c), Some("prepend"))
+        }
+        Term::TrimLeading(_, inner) => {
+            let (c, _) = term_class(inner);
+            (StructureClass::SLeft.join(c), Some("trim"))
+        }
     }
 }
 
@@ -377,17 +368,6 @@ pub fn simplify(f: &Formula) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::Lang;
-    use strcalc_alphabet::Alphabet;
-    use strcalc_automata::Regex;
-
-    fn ab() -> Alphabet {
-        Alphabet::ab()
-    }
-
-    fn re(t: &str) -> Regex {
-        Regex::parse(&ab(), t).unwrap()
-    }
 
     #[test]
     fn lattice_joins() {
@@ -398,35 +378,6 @@ mod tests {
         assert_eq!(SLen.join(S), SLen);
         assert_eq!(Concat.join(S), Concat);
         assert!(S.leq(SReg) && !SReg.leq(SLeft));
-    }
-
-    #[test]
-    fn fragment_inference() {
-        let x = || Term::var("x");
-        let y = || Term::var("y");
-        let f = Formula::prefix(x(), y()).and(Formula::last_sym(y(), 0));
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::S);
-
-        let f = Formula::prepends(x(), y(), 0);
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::SLeft);
-
-        let f = Formula::eq_len(x(), y());
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::SLen);
-
-        // Star-free language → stays in S.
-        let f = Formula::in_lang(x(), Lang::new(re("a*")));
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::S);
-
-        // Non-star-free language → S_reg.
-        let f = Formula::in_lang(x(), Lang::new(re("(aa)*")));
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::SReg);
-
-        // F_a together with (aa)* → S_len.
-        let f = Formula::prepends(x(), y(), 0).and(Formula::in_lang(x(), Lang::new(re("(aa)*"))));
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::SLen);
-
-        let f = Formula::concat_eq(x(), y(), Term::var("z"));
-        assert_eq!(fragment(&f, 2, 100_000).unwrap(), StructureClass::Concat);
     }
 
     #[test]

@@ -10,9 +10,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use strcalc_alphabet::{Alphabet, Str, Sym};
+use strcalc_automata::starfree::is_star_free;
 use strcalc_logic::compile::{Compiled, Compiler};
-use strcalc_logic::transform::fragment;
-use strcalc_logic::{CompileError, Formula, LogicError, StructureClass, Term};
+use strcalc_logic::{atom_class, term_class, CompileError, Formula, StructureClass, Term};
 
 use crate::database::{Database, Relation, Row, Schema};
 
@@ -80,8 +80,6 @@ pub enum RaError {
     },
     /// Compilation of a `σ_α` formula failed.
     Compile(CompileError),
-    /// Fragment analysis of a `σ_α` formula failed.
-    Fragment(LogicError),
 }
 
 impl fmt::Display for RaError {
@@ -100,7 +98,6 @@ impl fmt::Display for RaError {
                 arity.saturating_sub(1)
             ),
             RaError::Compile(e) => write!(f, "selection compile error: {e}"),
-            RaError::Fragment(e) => write!(f, "fragment analysis error: {e}"),
         }
     }
 }
@@ -221,24 +218,30 @@ impl RaExpr {
 
     /// The least algebra (by the Figure-1 lattice) containing this
     /// expression: `add^l`/`trim^l` force `RA(S_left)`, `↓` forces
-    /// `RA(S_len)`, and `σ_α` contributes the structure class of `α`.
-    pub fn algebra_class(&self, k: Sym, monoid_cap: usize) -> Result<StructureClass, RaError> {
+    /// `RA(S_len)`, and `σ_α` contributes the class of each atom and term
+    /// of `α`. A language whose star-freeness is undecided within
+    /// `monoid_cap` counts as `S_reg`, which admits every regular
+    /// language.
+    pub fn algebra_class(&self, k: Sym, monoid_cap: usize) -> StructureClass {
+        let star_free =
+            |l: &strcalc_logic::Lang| is_star_free(&l.to_dfa(k), monoid_cap) == Ok(true);
         let mut class = StructureClass::S;
-        self.visit(&mut |e| {
-            let c = match e {
-                RaExpr::AddLeft(..) | RaExpr::TrimLeft(..) => StructureClass::SLeft,
-                // Conclusion extension: conservatively S_len (it subsumes
-                // add^l at p = ε; exact lattice position open).
-                RaExpr::Down(..) | RaExpr::InsertAt(..) => StructureClass::SLen,
-                RaExpr::Select(_, alpha) => match fragment(alpha, k, monoid_cap) {
-                    Ok(c) => c,
-                    Err(_) => StructureClass::SLen, // conservative
-                },
-                _ => StructureClass::S,
-            };
-            class = class.join(c);
+        self.visit(&mut |e| match e {
+            RaExpr::AddLeft(..) | RaExpr::TrimLeft(..) => class = class.join(StructureClass::SLeft),
+            // Conclusion extension: conservatively S_len (it subsumes
+            // add^l at p = ε; exact lattice position open).
+            RaExpr::Down(..) | RaExpr::InsertAt(..) => class = class.join(StructureClass::SLen),
+            RaExpr::Select(_, alpha) => alpha.visit(&mut |g| {
+                if let Formula::Atom(a) = g {
+                    for t in a.terms() {
+                        class = class.join(term_class(t).0);
+                    }
+                    class = class.join(atom_class(a, star_free));
+                }
+            }),
+            _ => {}
         });
-        Ok(class)
+        class
     }
 
     /// Visits every subexpression (preorder).
@@ -640,23 +643,32 @@ mod tests {
         let schema = db().schema();
         assert_eq!(e.arity(&schema).unwrap(), 3);
         assert!(RaExpr::rel("U").insert_at(0, 5, 0).arity(&schema).is_err());
-        assert_eq!(e.algebra_class(2, 100_000).unwrap(), StructureClass::SLen);
+        assert_eq!(e.algebra_class(2, 100_000), StructureClass::SLen);
     }
 
     #[test]
     fn algebra_classes() {
         let base = RaExpr::rel("U").prefix(0).add_right(1, 0);
-        assert_eq!(base.algebra_class(2, 100_000).unwrap(), StructureClass::S);
+        assert_eq!(base.algebra_class(2, 100_000), StructureClass::S);
         let left = RaExpr::rel("U").add_left(0, 1);
-        assert_eq!(
-            left.algebra_class(2, 100_000).unwrap(),
-            StructureClass::SLeft
-        );
+        assert_eq!(left.algebra_class(2, 100_000), StructureClass::SLeft);
         let len = RaExpr::rel("U").down(0);
-        assert_eq!(len.algebra_class(2, 100_000).unwrap(), StructureClass::SLen);
+        assert_eq!(len.algebra_class(2, 100_000), StructureClass::SLen);
         // σ with an el() formula → S_len.
         let sel = RaExpr::rel("R").select(Formula::eq_len(RaExpr::col(0), RaExpr::col(1)));
-        assert_eq!(sel.algebra_class(2, 100_000).unwrap(), StructureClass::SLen);
+        assert_eq!(sel.algebra_class(2, 100_000), StructureClass::SLen);
+        // σ with a non-star-free language → S_reg; a star-free one stays
+        // in S; an undecided one (the cap cannot hold the monoid) counts
+        // as S_reg.
+        let lang = |re: &str| {
+            let regex = strcalc_automata::Regex::parse(&Alphabet::ab(), re).unwrap();
+            Formula::in_lang(RaExpr::col(0), strcalc_logic::Lang::new(regex))
+        };
+        let even = RaExpr::rel("U").select(lang("(aa)*"));
+        assert_eq!(even.algebra_class(2, 100_000), StructureClass::SReg);
+        assert_eq!(even.algebra_class(2, 1), StructureClass::SReg);
+        let star_free = RaExpr::rel("U").select(lang("a*"));
+        assert_eq!(star_free.algebra_class(2, 100_000), StructureClass::S);
     }
 
     #[test]

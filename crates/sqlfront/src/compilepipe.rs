@@ -7,13 +7,13 @@ use std::sync::Arc;
 
 use strcalc_alphabet::Alphabet;
 use strcalc_analyze::{Analysis, Analyzer, Code, LintLevel, Severity};
-use strcalc_automata::{compile_similar, like};
+use strcalc_automata::{compile_similar, like, AutomataError};
 use strcalc_core::plan::{PlanChecker, PlanLintReport};
 use strcalc_core::{AutomatonCache, Calculus, CoreError, Plan, Planner, Query};
 use strcalc_logic::{Formula, Lang, Rewriter, Term};
 use strcalc_verify::{Validator, VerifiedRewriter};
 
-use crate::parser::{Catalog, Cond, LenOp, Select, SqlError, SqlTerm};
+use crate::parser::{Catalog, Cond, LenOp, Select, SqlError, SqlErrorKind, SqlTerm};
 
 /// The result of compiling a SELECT: a validated calculus [`Query`] (its
 /// `calculus` field is the **least sufficient** calculus for the
@@ -359,8 +359,13 @@ fn compile_cond(
             negated,
         } => {
             let t = compile_term(ctx, term, scopes)?;
-            let regex = compile_similar(ctx.alphabet, pattern)
-                .map_err(|e| SqlError::new(0, format!("bad SIMILAR pattern {pattern:?}: {e}")))?;
+            let regex = compile_similar(ctx.alphabet, pattern).map_err(|e| {
+                let mut err = SqlError::new(0, format!("bad SIMILAR pattern {pattern:?}: {e}"));
+                if matches!(e, AutomataError::NestingTooDeep { .. }) {
+                    err.kind = SqlErrorKind::NestingTooDeep;
+                }
+                err
+            })?;
             let f = Formula::in_lang(t, Lang::named(format!("SIMILAR {pattern}"), regex));
             if *negated {
                 f.not()

@@ -50,7 +50,8 @@ pub enum SqlErrorKind {
     Invalid,
     /// A statement nesting deeper than [`MAX_NESTING_DEPTH`] levels:
     /// one per parenthesis, `NOT` and `TRIM` term and `AND`/`OR` chain
-    /// link, two per subquery.
+    /// link, two per subquery; or a `SIMILAR` pattern whose groups and
+    /// postfix operators nest past the same cap.
     NestingTooDeep,
 }
 

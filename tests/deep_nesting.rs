@@ -46,6 +46,20 @@ fn ten_thousand_levels() {
         parse_select(&ab, &sql).unwrap_err().kind,
         SqlErrorKind::NestingTooDeep
     );
+    // Regex and SIMILAR patterns nest under the same cap: 20 000 groups
+    // are refused with the typed nesting error.
+    let group = format!("{}a{}", "(".repeat(20_000), ")".repeat(20_000));
+    let err = parse_formula(&ab, &format!("R(x) & in(x, /{group}/)")).unwrap_err();
+    assert!(
+        matches!(err, LogicError::NestingTooDeep { limit, .. } if limit == MAX_NESTING_DEPTH),
+        "{err:?}"
+    );
+    let mut catalog = Catalog::new();
+    catalog.add_table("t", &["w"]);
+    let sql = format!("SELECT t.w FROM t WHERE t.w SIMILAR TO '{group}'");
+    let select = parse_select(&ab, &sql).unwrap();
+    let err = compile_select(&ab, &catalog, &select).unwrap_err();
+    assert_eq!(err.kind, SqlErrorKind::NestingTooDeep, "{}", err.msg);
 }
 
 /// `R(x) ∧ ¬(R(x) ∧ ¬(… R(x) …))` with `levels` negations: it holds of

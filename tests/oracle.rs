@@ -17,17 +17,19 @@
 //! * Guarded formulas with a `concat` conjunct plan as bounded search
 //!   and must match the oracle over `Σ^{≤B}`.
 //! * A stored relation under language filters takes the LIKE scan or
-//!   the dense scan.
+//!   the dense scan, which build no automaton and dense tables
+//!   respectively.
 //!
 //! A last test pins each route on a fixed formula, so that every route
-//! is reached whatever the generators draw.
+//! is reached whatever the generators draw, and runs every filter
+//! pattern under every scan shape.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use strcalc::core::{
     collapse_domain, AutomatonCache, Budget, Domain, DomainEvaluator, EvalOutput, ExecCx,
-    FaultPlan, Plan, PlanOp, Query, Strategy as Route,
+    ExecReport, FaultPlan, Plan, PlanOp, Query, Strategy as Route,
 };
 use strcalc::logic::{parse_formula, Lang, Restrict};
 use strcalc::prelude::*;
@@ -91,9 +93,12 @@ fn arb_atom() -> impl Strategy<Value = Formula> {
         Just(Formula::rel("R", vec![y().append(0)])),
         Just(Formula::rel("U", vec![z().prepend(1)])),
         Just(Formula::rel("T", vec![x().trim_leading(0), z()])),
+        Just(Formula::rel("T", vec![y(), z().append(1)])),
+        Just(Formula::rel("T", vec![x(), x().trim_leading(0)])),
         Just(Formula::eq(x(), y())),
         Just(Formula::eq(z(), Term::konst(ab().parse("ab").unwrap()))),
         Just(Formula::prefix(x(), y())),
+        Just(Formula::prefix(y(), z())),
         Just(Formula::strict_prefix(z(), x())),
         Just(Formula::cover(y(), z())),
         Just(Formula::prepends(y(), x(), 0)),
@@ -111,6 +116,8 @@ fn arb_atom() -> impl Strategy<Value = Formula> {
         Just(Formula::lex_leq(x(), y())),
         Just(Formula::lex_leq(y(), x())),
         Just(Formula::lex_leq(z(), x())),
+        Just(Formula::True),
+        Just(Formula::False),
     ]
 }
 
@@ -140,14 +147,16 @@ fn arb_var() -> impl Strategy<Value = &'static str> {
 fn arb_formula(unguarded: bool, depth: u32) -> impl Strategy<Value = Formula> {
     arb_atom().prop_recursive(depth, 16, 3, move |inner| {
         let quantified =
-            (arb_var(), 0..10usize, inner.clone()).prop_map(move |(v, kind, f)| match kind {
+            (arb_var(), 0..12usize, inner.clone()).prop_map(move |(v, kind, f)| match kind {
                 0 | 2 | 3 => Formula::exists(v, guard(v, kind).and(f)),
                 1 | 4 => Formula::forall(v, guard(v, kind).implies(f)),
                 5 => Formula::exists_r(Restrict::Active, v, f),
                 6 => Formula::forall_r(Restrict::PrefixDom, v, f),
                 7 => Formula::exists_r(Restrict::LengthDom, v, f),
-                8 if unguarded => Formula::exists(v, f),
-                9 if unguarded => Formula::forall(v, f),
+                8 => Formula::forall_r(Restrict::Active, v, f),
+                9 => Formula::forall_r(Restrict::LengthDom, v, f),
+                10 if unguarded => Formula::exists(v, f),
+                11 if unguarded => Formula::forall(v, f),
                 _ => Formula::exists_r(Restrict::PrefixDom, v, f),
             });
         prop_oneof![
@@ -207,7 +216,7 @@ fn oracle(q: &Query, db: &Database) -> Relation {
 }
 
 /// Runs `plan` on `db` in context `cx`; its answer must be `expected`.
-fn check(plan: &Plan, db: &Database, cx: &ExecCx, expected: &Relation, what: &str) -> bool {
+fn check(plan: &Plan, db: &Database, cx: &ExecCx, expected: &Relation, what: &str) -> ExecReport {
     let (out, report) = plan.execute_in(db, cx).unwrap();
     assert_eq!(
         out,
@@ -216,7 +225,7 @@ fn check(plan: &Plan, db: &Database, cx: &ExecCx, expected: &Relation, what: &st
         plan.strategy,
         plan.explain_text()
     );
-    report.cache_hit
+    report
 }
 
 /// The forced collapse plan at [`SLACK`], and the collapse fallbacks of
@@ -245,79 +254,107 @@ fn check_collapse_and_fallbacks(q: &Query, db: &Database, expected: &Relation) {
 }
 
 /// Every route on the guarded query `q`; returns the default plan's
-/// route.
+/// route. The relational route and the LIKE scan build no automaton;
+/// the dense scan builds its tables.
 fn check_every_route(q: &Query, db: &Database) -> Route {
     let expected = oracle(q, db);
     let cx = ExecCx::production();
     let default = Planner::new().plan(q).unwrap();
-    check(&default, db, &cx, &expected, "default planner");
+    let report = check(&default, db, &cx, &expected, "default planner");
+    match default.strategy {
+        Route::Automata => {}
+        Route::DenseDfaScan => assert!(report.automaton_states > 0, "{}", report.summary()),
+        _ => assert_eq!(report.automaton_states, 0, "{}", report.summary()),
+    }
     let automata = Planner::new().force(Route::Automata).plan(q).unwrap();
     check(&automata, db, &cx, &expected, "forced automata");
     let engine = AutomataEngine::new().with_cache(Arc::new(AutomatonCache::new()));
     let cached = Planner::for_engine(&engine).plan(q).unwrap();
     check(&cached, db, &cx, &expected, "cached planner, cold");
-    let hit = check(&cached, db, &cx, &expected, "cached planner, warm");
+    let hit = check(&cached, db, &cx, &expected, "cached planner, warm").cache_hit;
     assert!(hit || cached.strategy != Route::Automata, "no cache hit");
     check_collapse_and_fallbacks(q, db, &expected);
     default.strategy
 }
 
 /// `concat` atoms in the binding shapes bounded search has, over `x`
-/// (the guarded body's free variable), `u` and `w`.
-const CONCAT_SHAPES: [&str; 5] = [
+/// (the body's free variable), `u` and `w`.
+const CONCAT_SHAPES: [&str; 7] = [
     "R(u) & concat(x, u, w)",
     "U(w) & concat(x, u, w)",
     "R(w) & concat(x, u, w)",
     "!(exists u. (R(u) & concat(u, u, x)))",
     "concat(u, u, x)",
+    "forall u. (concat(u, u, x) -> R(u))",
+    "(exists v. (U(v) & x <= v & last(u, 'a'))) & concat(x, u, w)",
 ];
 
+/// A body with `y` and `z` closed by guards and `x` free, guarded unless
+/// `g` is 5 (then `x` ranges over `Σ^{≤B}`), under a `concat` shape.
 fn arb_concat() -> impl Strategy<Value = Formula> {
-    (arb_formula(false, 3), 0..5usize, 0..CONCAT_SHAPES.len()).prop_map(|(f, g, shape)| {
-        let body = guard("x", g).and(guarded(f, (g, g, g), false));
-        let body = match body.free_vars().contains("y") {
-            true => Formula::exists("y", guard("y", g).and(body)),
-            false => body,
-        };
+    (arb_formula(false, 3), 0..6usize, 0..CONCAT_SHAPES.len()).prop_map(|(f, g, shape)| {
+        let mut body = f;
+        for v in ["z", "y"] {
+            if body.free_vars().contains(v) {
+                body = Formula::exists(v, guard(v, g).and(body));
+            }
+        }
+        if g < 5 {
+            body = guard("x", g).and(body);
+        }
         parse_formula(&ab(), CONCAT_SHAPES[shape])
             .unwrap()
             .and(body)
     })
 }
 
-/// LIKE-linear patterns (the LIKE scan) and general ones (the dense
-/// scan).
-const PATTERNS: [&str; 7] = ["a.*", ".*ba", "a.b", "(aa)*", "(ab)*", "b.*a.*", "a.*b.*a"];
+/// LIKE-linear patterns (the LIKE scan) across the prefix, suffix,
+/// infix, fixed-length, literal, any and prefix-plus-suffix shapes, and
+/// general ones (the dense scan).
+const PATTERNS: [&str; 11] = [
+    "a.*", ".*ba", ".*ab.*", "a.b", "ab", ".*", "a.*.*b", "(aa)*", "(ab)*", "b.*a.*", "a.*b.*a",
+];
 
-/// One stored relation under one to three language and symbol filters,
-/// as an open query or a sentence.
+/// One stored relation — `R(x)`, `U(x)`, `T(x, y)` or the repeated
+/// column `T(x, x)` — under one to three language and symbol filters, as
+/// an open query, a sentence, with `y` projected away, or with `y`'s
+/// filters on an alias `z = y`.
 fn arb_scan() -> impl Strategy<Value = Formula> {
-    let filter = (0..PATTERNS.len(), 0..4usize).prop_map(|(p, kind)| {
-        let v = Term::var(if kind == 3 { "y" } else { "x" });
-        match kind {
-            0 => Formula::in_lang(v, lang(PATTERNS[p])).not(),
-            1 => Formula::last_sym(v, (p % 2) as u8),
-            _ => Formula::in_lang(v, lang(PATTERNS[p])),
-        }
-    });
-    let filters = prop::collection::vec(filter, 1..4);
-    (0..3usize, filters, 0..4usize).prop_map(|(rel, filters, shape)| {
+    let filters = prop::collection::vec((0..PATTERNS.len(), 0..4usize), 1..4);
+    (0..4usize, filters, 0..5usize).prop_map(|(rel, filters, shape)| {
+        let binary = rel == 2;
+        let alias = binary && shape == 2;
+        let filter = |(p, kind): (usize, usize)| {
+            let v = Term::var(match kind {
+                3 if alias => "z",
+                3 => "y",
+                _ => "x",
+            });
+            match kind {
+                0 => Formula::in_lang(v, lang(PATTERNS[p])).not(),
+                1 => Formula::last_sym(v, (p % 2) as u8),
+                _ => Formula::in_lang(v, lang(PATTERNS[p])),
+            }
+        };
         let (x, y) = (|| Term::var("x"), || Term::var("y"));
-        let scan = match rel {
+        let mut f = match rel {
             0 => Formula::rel("R", vec![x()]),
             1 => Formula::rel("U", vec![x()]),
-            _ => Formula::rel("T", vec![x(), y()]),
+            2 => Formula::rel("T", vec![x(), y()]),
+            _ => Formula::rel("T", vec![x(), x()]),
         };
-        let unary = rel < 2;
-        let mut f = scan;
-        for g in filters {
-            if !(unary && g.free_vars().contains("y")) {
-                f = f.and(g);
+        if alias {
+            f = f.and(Formula::eq(y(), Term::var("z")));
+        }
+        for (p, kind) in filters {
+            if binary || kind != 3 {
+                f = f.and(filter((p, kind)));
             }
         }
         match shape {
-            0 if unary => Formula::exists("x", f),
-            0 => Formula::exists("x", Formula::exists("y", f)),
+            0 if binary => Formula::exists("x", Formula::exists("y", f)),
+            0 => Formula::exists("x", f),
+            1 | 2 if binary => Formula::exists("y", f),
             _ => f,
         }
     })
@@ -347,15 +384,32 @@ proptest! {
         check_collapse_and_fallbacks(&q, &db, &oracle(&q, &db));
     }
 
+    // Every head variable is bound by a `Generate` leaf, and a budget's
+    // narrower search depth answers over `Σ^{≤B-1}` with a `Bounded`
+    // verdict.
     #[test]
     fn bounded_search_agrees_over_sigma_up_to_b(f in arb_concat(), db in arb_db()) {
         let head: Vec<String> = f.free_vars().into_iter().collect();
         let plan = Planner::new().with_bound(BOUND).plan_formula(&ab(), &head, &f).unwrap();
         prop_assert_eq!(plan.strategy, Route::BoundedSearch);
-        let expected = DomainEvaluator::new(&ab(), &db, Domain::UpTo(BOUND))
-            .answer(&f, &head)
-            .unwrap();
-        check(&plan, &db, &ExecCx::production(), &expected, "bounded search");
+        let mut generated = Vec::new();
+        plan.root.visit(&mut |n| {
+            if let PlanOp::Generate { var, .. } = &n.op {
+                generated.push(var.clone());
+            }
+        });
+        prop_assert!(head.iter().all(|v| generated.contains(v)), "{}", plan.explain_text());
+        for depth in [BOUND, BOUND - 1] {
+            let expected = DomainEvaluator::new(&ab(), &db, Domain::UpTo(depth))
+                .answer(&f, &head)
+                .unwrap();
+            let cx = ExecCx::production().with_budget(Budget {
+                search_depth: depth,
+                ..plan.seeded_budget()
+            });
+            let report = check(&plan, &db, &cx, &expected, "bounded search");
+            prop_assert_eq!(report.verdict.is_exact(), depth == BOUND);
+        }
     }
 
     #[test]
@@ -365,7 +419,10 @@ proptest! {
 }
 
 /// A fixed formula per route, each reached through the default planner
-/// (a cached one for the cache hit), checked against the oracle.
+/// (a cached one for the cache hit), checked against the oracle; then
+/// every pattern under every scan shape, so each pattern's language is
+/// checked on every route whatever the generators draw. Rows of `R` and
+/// `T` hold symbols outside `Σ`, in a filtered column and in the other.
 #[test]
 fn the_default_planner_reaches_every_route() {
     let mut db = Database::new();
@@ -373,8 +430,15 @@ fn the_default_planner_reaches_every_route() {
         .unwrap();
     db.insert_unary_parsed(&ab(), "U", &["a", "ab", "ba", "bb", "abab"])
         .unwrap();
-    db.insert("R", vec![Str::from_syms(vec![0, 2])]).unwrap();
-    db.declare("T", 2).unwrap();
+    let (c, ac) = (Str::from_syms(vec![2]), Str::from_syms(vec![0, 2]));
+    db.insert("R", vec![ac.clone()]).unwrap();
+    let s = |t: &str| ab().parse(t).unwrap();
+    for (u, v) in [("a", "ab"), ("ab", "ab"), ("ba", "b"), ("bab", "abab")] {
+        db.insert("T", vec![s(u), s(v)]).unwrap();
+    }
+    for (u, v) in [(ac.clone(), s("a")), (s("a"), ac), (c.clone(), c)] {
+        db.insert("T", vec![u, v]).unwrap();
+    }
     for (src, route) in [
         (
             "R(x) & exists y. (U(y) & lex(x, y) & lex(y, x))",
@@ -393,6 +457,19 @@ fn the_default_planner_reaches_every_route() {
         let default = Planner::new().plan(&q).unwrap();
         if route == Route::ActiveDomainEnum {
             assert!(matches!(default.root.op, PlanOp::Relational), "{src}");
+        }
+    }
+    for p in PATTERNS {
+        for shape in [
+            "R(x) & in(x, /P/)",
+            "R(x) & !in(x, /P/)",
+            "exists y. (T(y, x) & in(y, /P/))",
+            "exists y. (T(x, y) & y = z & in(z, /P/))",
+            "T(x, x) & in(x, /P/)",
+            "exists x. (U(x) & in(x, /P/))",
+        ] {
+            let f = parse_formula(&ab(), &shape.replace('P', p)).unwrap();
+            check_every_route(&query(f), &db);
         }
     }
     let f = parse_formula(&ab(), "R(x) & R(u) & concat(x, u, w)").unwrap();
