@@ -41,7 +41,7 @@
 
 use std::collections::BTreeMap;
 
-use strcalc_alphabet::Sym;
+use strcalc_alphabet::{Str, Sym};
 use strcalc_automata::Regex;
 use strcalc_logic::{Atom, Formula, Fp, Lang, StructureClass, Term};
 
@@ -60,7 +60,8 @@ use crate::signature::atom_findings;
 /// through a rolling window of the pattern's first eight symbols and
 /// compares the rest of a longer pattern only where that head matches:
 /// one pass for a pattern of at most eight symbols, `O(|w| · |pattern|)`
-/// at worst beyond.
+/// at worst beyond. [`LikeMatcher::match_mask`] runs a matcher over a
+/// whole column.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LikeMatcher {
     /// `%` (possibly repeated): any string.
@@ -84,21 +85,39 @@ impl LikeMatcher {
     pub fn matches(&self, w: &[Sym]) -> bool {
         match self {
             LikeMatcher::AnyString => true,
-            LikeMatcher::Literal(lit) => w == lit.as_slice(),
-            LikeMatcher::FixedLength(slots) => {
-                w.len() == slots.len()
-                    && slots
-                        .iter()
-                        .zip(w)
-                        .all(|(slot, sym)| slot.is_none_or(|s| s == *sym))
-            }
-            LikeMatcher::Prefix(p) => w.len() >= p.len() && w[..p.len()] == p[..],
-            LikeMatcher::Suffix(s) => w.len() >= s.len() && w[w.len() - s.len()..] == s[..],
+            LikeMatcher::Literal(lit) => is_literal(w, lit),
+            LikeMatcher::FixedLength(slots) => fits(w, slots),
+            LikeMatcher::Prefix(p) => starts_with(w, p),
+            LikeMatcher::Suffix(s) => ends_with(w, s),
             LikeMatcher::Infix(m) => occurs_in(m, w),
-            LikeMatcher::PrefixSuffix(p, s) => {
-                w.len() >= p.len() + s.len()
-                    && w[..p.len()] == p[..]
-                    && w[w.len() - s.len()..] == s[..]
+            LikeMatcher::PrefixSuffix(p, s) => starts_and_ends(w, p, s),
+        }
+    }
+
+    /// The batch kernel: clears the bit of each row of `col` outside the
+    /// pattern's language. A clear bit stays clear. The anchored classes
+    /// test every row with no early exit, so the loop does not branch
+    /// on the data; the infix matcher reads only the rows still live.
+    pub fn match_mask(&self, col: &[&Str], mask: &mut [bool]) {
+        assert_eq!(col.len(), mask.len(), "column/mask length mismatch");
+        fn narrow(col: &[&Str], mask: &mut [bool], test: impl Fn(&[Sym]) -> bool) {
+            for (live, w) in mask.iter_mut().zip(col) {
+                *live &= test(w.syms());
+            }
+        }
+        match self {
+            LikeMatcher::AnyString => {}
+            LikeMatcher::Literal(lit) => narrow(col, mask, |w| is_literal(w, lit)),
+            LikeMatcher::FixedLength(slots) => narrow(col, mask, |w| fits(w, slots)),
+            LikeMatcher::Prefix(p) => narrow(col, mask, |w| starts_with(w, p)),
+            LikeMatcher::Suffix(s) => narrow(col, mask, |w| ends_with(w, s)),
+            LikeMatcher::PrefixSuffix(p, s) => narrow(col, mask, |w| starts_and_ends(w, p, s)),
+            LikeMatcher::Infix(m) => {
+                for (live, w) in mask.iter_mut().zip(col) {
+                    if *live {
+                        *live = occurs_in(m, w.syms());
+                    }
+                }
             }
         }
     }
@@ -140,6 +159,43 @@ impl LikeMatcher {
             fp.bytes(part);
         }
     }
+}
+
+/// Whether `a` and `b`, of equal length, hold the same symbols: a fold
+/// with no early exit.
+fn same(a: &[Sym], b: &[Sym]) -> bool {
+    a.iter().zip(b).fold(0, |diff, (x, y)| diff | (x ^ y)) == 0
+}
+
+/// `w = lit`.
+fn is_literal(w: &[Sym], lit: &[Sym]) -> bool {
+    (w.len() == lit.len()) & same(w, lit)
+}
+
+/// `w` has one symbol per slot, equal to the slot's where it names one.
+fn fits(w: &[Sym], slots: &[Option<Sym>]) -> bool {
+    let hits = slots
+        .iter()
+        .zip(w)
+        .fold(true, |ok, (slot, &x)| ok & (slot.unwrap_or(x) == x));
+    (w.len() == slots.len()) & hits
+}
+
+/// `w ∈ p·Σ*`.
+fn starts_with(w: &[Sym], p: &[Sym]) -> bool {
+    let n = p.len().min(w.len());
+    (w.len() >= p.len()) & same(&w[..n], &p[..n])
+}
+
+/// `w ∈ Σ*·s`.
+fn ends_with(w: &[Sym], s: &[Sym]) -> bool {
+    let n = s.len().min(w.len());
+    (w.len() >= s.len()) & same(&w[w.len() - n..], &s[s.len() - n..])
+}
+
+/// `w ∈ p·Σ*·s`.
+fn starts_and_ends(w: &[Sym], p: &[Sym], s: &[Sym]) -> bool {
+    (w.len() >= p.len() + s.len()) & starts_with(w, p) & ends_with(w, s)
 }
 
 /// Symbols of an infix pattern compared as one word: eight bytes of a

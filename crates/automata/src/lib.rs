@@ -49,6 +49,17 @@ use std::fmt;
 /// main thread's usual size — even in unoptimized builds.
 pub const MAX_NESTING_DEPTH: usize = 512;
 
+/// The most regex nodes one pattern may build. The regex and `SIMILAR`
+/// parsers count the nodes as they build the tree, the copies an
+/// operator makes included: `r+` is `r·r*` and copies `r` once, `r{n}`
+/// copies it `n − 1` times (for `{n,m}` the count is an upper bound).
+/// The count is checked before each copy is made, so a pattern past the
+/// cap is refused with [`AutomataError::PatternTooLarge`] instead of
+/// building a tree exponential in its length (`a++…+`) or linear in a
+/// count it names (`a{1000000}`). A regex literal of up to 32 768
+/// symbols fits.
+pub const MAX_PATTERN_NODES: usize = 1 << 16;
+
 /// Runs `f` on a thread with the 8 MiB stack [`MAX_NESTING_DEPTH`] is
 /// sized for: unoptimized builds overflow the test harness's 2 MiB
 /// worker threads before reaching the cap.
@@ -78,6 +89,9 @@ pub enum AutomataError {
     /// A pattern nests deeper than [`MAX_NESTING_DEPTH`] levels; `pos`
     /// is where the limit was crossed.
     NestingTooDeep { pos: usize, limit: usize },
+    /// A pattern builds more than [`MAX_PATTERN_NODES`] regex nodes;
+    /// `pos` is where the limit was crossed.
+    PatternTooLarge { pos: usize, limit: usize },
 }
 
 impl fmt::Display for AutomataError {
@@ -92,6 +106,12 @@ impl fmt::Display for AutomataError {
                 write!(
                     f,
                     "parse error at {pos}: nesting deeper than {limit} levels"
+                )
+            }
+            AutomataError::PatternTooLarge { pos, limit } => {
+                write!(
+                    f,
+                    "parse error at {pos}: the pattern builds more than {limit} regex nodes"
                 )
             }
         }

@@ -9,7 +9,7 @@ use std::fmt;
 
 use strcalc_alphabet::{Alphabet, Sym};
 
-use crate::{AutomataError, MAX_NESTING_DEPTH};
+use crate::{AutomataError, MAX_NESTING_DEPTH, MAX_PATTERN_NODES};
 
 /// A regular expression over symbol indices `0..k`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -147,7 +147,9 @@ impl Regex {
     /// An empty concatenation denotes `ε`, so `()` and the empty pattern
     /// both denote `{ε}`. Each group and each postfix operator opens one
     /// nesting level; past [`MAX_NESTING_DEPTH`] the pattern is refused
-    /// with [`AutomataError::NestingTooDeep`].
+    /// with [`AutomataError::NestingTooDeep`]. A pattern that builds more
+    /// than [`MAX_PATTERN_NODES`] nodes is refused with
+    /// [`AutomataError::PatternTooLarge`].
     pub fn parse(alphabet: &Alphabet, text: &str) -> Result<Regex, AutomataError> {
         let chars: Vec<char> = text.chars().collect();
         let mut p = Parser {
@@ -155,6 +157,7 @@ impl Regex {
             chars: &chars,
             pos: 0,
             depth: 0,
+            nodes: 0,
         };
         let r = p.union()?;
         if p.pos != p.chars.len() {
@@ -231,6 +234,8 @@ struct Parser<'a> {
     pos: usize,
     /// Levels currently open; see [`MAX_NESTING_DEPTH`].
     depth: usize,
+    /// Nodes built so far; see [`MAX_PATTERN_NODES`].
+    nodes: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -251,22 +256,46 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// Counts `n` more nodes, or refuses the pattern when that would
+    /// pass [`MAX_PATTERN_NODES`].
+    fn grow(&mut self, n: usize) -> Result<(), AutomataError> {
+        self.nodes = self.nodes.saturating_add(n);
+        if self.nodes > MAX_PATTERN_NODES {
+            return Err(AutomataError::PatternTooLarge {
+                pos: self.pos,
+                limit: MAX_PATTERN_NODES,
+            });
+        }
+        Ok(())
+    }
+
     fn union(&mut self) -> Result<Regex, AutomataError> {
         let mut r = self.concat()?;
         while self.peek() == Some('|') {
             self.pos += 1;
-            r = r.union(self.concat()?);
+            let branch = self.concat()?;
+            self.grow(1)?;
+            r = r.union(branch);
         }
         Ok(r)
     }
 
     fn concat(&mut self) -> Result<Regex, AutomataError> {
         let mut r = Regex::Epsilon;
+        let mut factors = 0;
         while let Some(c) = self.peek() {
             if c == ')' || c == '|' {
                 break;
             }
-            r = r.concat(self.factor()?);
+            let factor = self.factor()?;
+            // The first factor needs no `·` node; an empty concatenation
+            // is one `ε`.
+            self.grow(usize::from(factors > 0))?;
+            factors += 1;
+            r = r.concat(factor);
+        }
+        if factors == 0 {
+            self.grow(1)?;
         }
         Ok(r)
     }
@@ -275,14 +304,16 @@ impl<'a> Parser<'a> {
         let mut r = self.base()?;
         let mut ops = 0;
         while let Some(c) = self.peek() {
-            let op = match c {
-                '*' => Regex::star,
-                '+' => Regex::plus,
-                '?' => Regex::opt,
+            let (op, added): (fn(Regex) -> Regex, usize) = match c {
+                '*' => (Regex::star, 1),
+                // `r+ = r·r*` copies `r`.
+                '+' => (Regex::plus, r.size() + 2),
+                '?' => (Regex::opt, 2),
                 _ => break,
             };
             // Each operator wraps `r` one level deeper.
             self.open()?;
+            self.grow(added)?;
             ops += 1;
             self.pos += 1;
             r = op(r);
@@ -312,14 +343,17 @@ impl<'a> Parser<'a> {
                 Ok(r)
             }
             '.' => {
+                self.grow(1)?;
                 self.pos += 1;
                 Ok(Regex::Any)
             }
             '∅' => {
+                self.grow(1)?;
                 self.pos += 1;
                 Ok(Regex::Empty)
             }
             'ε' => {
+                self.grow(1)?;
                 self.pos += 1;
                 Ok(Regex::Epsilon)
             }
@@ -332,6 +366,7 @@ impl<'a> Parser<'a> {
                     pos: self.pos,
                     msg: format!("{c:?} is not in the alphabet"),
                 })?;
+                self.grow(1)?;
                 self.pos += 1;
                 Ok(Regex::Sym(s))
             }
@@ -412,6 +447,31 @@ mod tests {
             // Levels close again: siblings do not add up.
             let siblings = parens(MAX_NESTING_DEPTH).repeat(3);
             assert!(Regex::parse(&a, &siblings).is_ok());
+        });
+    }
+
+    #[test]
+    fn pattern_size_is_capped() {
+        crate::with_main_stack(|| {
+            let a = Alphabet::ab();
+            let too_large = |r: Result<Regex, AutomataError>| {
+                matches!(
+                    r,
+                    Err(AutomataError::PatternTooLarge {
+                        limit: MAX_PATTERN_NODES,
+                        ..
+                    })
+                )
+            };
+            // `n` symbols and their `n − 1` concatenations, then a
+            // starred (2 nodes) or optional (3 nodes) last factor.
+            let n = MAX_PATTERN_NODES / 2 - 1;
+            let at_cap = Regex::parse(&a, &format!("{}b*", "a".repeat(n))).unwrap();
+            assert_eq!(at_cap.size(), MAX_PATTERN_NODES);
+            assert!(too_large(Regex::parse(&a, &format!("{}b?", "a".repeat(n)))));
+            // Each `+` doubles its operand: refused long before 2^30.
+            assert!(Regex::parse(&a, &format!("a{}", "+".repeat(10))).is_ok());
+            assert!(too_large(Regex::parse(&a, &format!("a{}", "+".repeat(30)))));
         });
     }
 

@@ -21,11 +21,14 @@
 use strcalc_alphabet::Alphabet;
 
 use crate::regex::Regex;
-use crate::{AutomataError, MAX_NESTING_DEPTH};
+use crate::{AutomataError, MAX_NESTING_DEPTH, MAX_PATTERN_NODES};
 
 /// Compiles a `SIMILAR` pattern into a [`Regex`]. Each group and each
 /// postfix operator opens one nesting level; past [`MAX_NESTING_DEPTH`]
-/// the pattern is refused with [`AutomataError::NestingTooDeep`].
+/// the pattern is refused with [`AutomataError::NestingTooDeep`]. A
+/// pattern that builds more than [`MAX_PATTERN_NODES`] nodes (a
+/// repetition counts its copies) is refused with
+/// [`AutomataError::PatternTooLarge`].
 pub fn compile_similar(alphabet: &Alphabet, pattern: &str) -> Result<Regex, AutomataError> {
     let chars: Vec<char> = pattern.chars().collect();
     let mut p = SimilarParser {
@@ -33,6 +36,7 @@ pub fn compile_similar(alphabet: &Alphabet, pattern: &str) -> Result<Regex, Auto
         chars: &chars,
         pos: 0,
         depth: 0,
+        nodes: 0,
     };
     let r = p.alt()?;
     if p.pos != p.chars.len() {
@@ -50,6 +54,8 @@ struct SimilarParser<'a> {
     pos: usize,
     /// Levels currently open; see [`MAX_NESTING_DEPTH`].
     depth: usize,
+    /// Nodes built so far; see [`MAX_PATTERN_NODES`].
+    nodes: usize,
 }
 
 impl<'a> SimilarParser<'a> {
@@ -77,6 +83,19 @@ impl<'a> SimilarParser<'a> {
         Ok(())
     }
 
+    /// Counts `n` more nodes, or refuses the pattern when that would
+    /// pass [`MAX_PATTERN_NODES`].
+    fn grow(&mut self, n: usize) -> Result<(), AutomataError> {
+        self.nodes = self.nodes.saturating_add(n);
+        if self.nodes > MAX_PATTERN_NODES {
+            return Err(AutomataError::PatternTooLarge {
+                pos: self.pos,
+                limit: MAX_PATTERN_NODES,
+            });
+        }
+        Ok(())
+    }
+
     fn alt(&mut self) -> Result<Regex, AutomataError> {
         let start = self.pos;
         let mut r = self.seq()?;
@@ -94,6 +113,7 @@ impl<'a> SimilarParser<'a> {
             if last_was_empty {
                 return Err(self.err("empty alternation branch"));
             }
+            self.grow(1)?;
             r = r.union(branch);
         }
         Ok(r)
@@ -101,11 +121,20 @@ impl<'a> SimilarParser<'a> {
 
     fn seq(&mut self) -> Result<Regex, AutomataError> {
         let mut r = Regex::Epsilon;
+        let mut items = 0;
         while let Some(c) = self.peek() {
             if c == '|' || c == ')' {
                 break;
             }
-            r = r.concat(self.item()?);
+            let item = self.item()?;
+            // The first item needs no `·` node; an empty sequence is one
+            // `ε`.
+            self.grow(usize::from(items > 0))?;
+            items += 1;
+            r = r.concat(item);
+        }
+        if items == 0 {
+            self.grow(1)?;
         }
         Ok(r)
     }
@@ -121,22 +150,30 @@ impl<'a> SimilarParser<'a> {
             }
             match c {
                 '*' => {
+                    self.grow(1)?;
                     self.pos += 1;
                     r = r.star();
                 }
                 '+' => {
+                    // `r+ = r·r*` copies `r`.
+                    self.grow(r.size() + 2)?;
                     self.pos += 1;
                     r = r.plus();
                 }
                 '?' => {
+                    self.grow(2)?;
                     self.pos += 1;
                     r = r.opt();
                 }
                 '{' => {
                     self.pos += 1;
                     let lo = self.number()?;
+                    let size = r.size();
                     r = match self.peek() {
                         Some('}') => {
+                            // `n − 1` more copies and `n − 1` `·` nodes;
+                            // `r{0}` is one `ε`.
+                            self.grow(lo.saturating_sub(1).saturating_mul(size + 1).max(1))?;
                             self.pos += 1;
                             r.repeat(lo)
                         }
@@ -144,8 +181,10 @@ impl<'a> SimilarParser<'a> {
                             self.pos += 1;
                             match self.peek() {
                                 Some('}') => {
+                                    // {n,} = r^n r*: `n` more copies,
+                                    // `n` `·` nodes and a `*`.
+                                    self.grow(lo.saturating_mul(size + 1).saturating_add(1))?;
                                     self.pos += 1;
-                                    // {n,} = r^n r*
                                     r.clone().repeat(lo).concat(r.star())
                                 }
                                 _ => {
@@ -159,6 +198,9 @@ impl<'a> SimilarParser<'a> {
                                             self.err(format!("bad repetition range {{{lo},{hi}}}"))
                                         );
                                     }
+                                    // At most `hi` copies, each with a
+                                    // `?` (2 nodes) and a `·`.
+                                    self.grow(hi.saturating_mul(size + 3))?;
                                     r.repeat_range(lo, hi)
                                 }
                             }
@@ -190,10 +232,12 @@ impl<'a> SimilarParser<'a> {
         let c = self.peek().ok_or_else(|| self.err("unexpected end"))?;
         match c {
             '%' => {
+                self.grow(2)?;
                 self.pos += 1;
                 Ok(Regex::any_string())
             }
             '_' => {
+                self.grow(1)?;
                 self.pos += 1;
                 Ok(Regex::Any)
             }
@@ -273,6 +317,7 @@ impl<'a> SimilarParser<'a> {
                         .filter(|(_, &m)| m != negate)
                         .map(|(s, _)| Regex::Sym(s as u8)),
                 );
+                self.grow(r.size())?;
                 Ok(r)
             }
             '*' | '+' | '?' | '{' | '}' | ']' | ')' | '|' => {
@@ -283,6 +328,7 @@ impl<'a> SimilarParser<'a> {
                     .alphabet
                     .sym_of(lit)
                     .map_err(|_| self.err(format!("{lit:?} is not in the alphabet")))?;
+                self.grow(1)?;
                 self.pos += 1;
                 Ok(Regex::Sym(s))
             }
@@ -378,6 +424,39 @@ mod tests {
             let opts = |n: usize| format!("(a{})", "?".repeat(n));
             assert!(compile_similar(&abc(), &opts(MAX_NESTING_DEPTH - 1)).is_ok());
             assert!(too_deep(compile_similar(&abc(), &opts(MAX_NESTING_DEPTH))));
+        });
+    }
+
+    #[test]
+    fn pattern_size_is_capped() {
+        crate::with_main_stack(|| {
+            let too_large = |r: Result<Regex, AutomataError>| {
+                matches!(
+                    r,
+                    Err(AutomataError::PatternTooLarge {
+                        limit: MAX_PATTERN_NODES,
+                        ..
+                    })
+                )
+            };
+            // `a{n}` is `n` symbols and `n − 1` concatenations; a `*` on
+            // it adds one node, a `?` two.
+            let n = MAX_PATTERN_NODES / 2;
+            let at_cap = compile_similar(&abc(), &format!("a{{{n}}}*")).unwrap();
+            assert_eq!(at_cap.size(), MAX_PATTERN_NODES);
+            assert!(too_large(compile_similar(&abc(), &format!("a{{{n}}}?"))));
+            for huge in [
+                "a{1000000}",
+                "a{1000000,}",
+                "a{0,1000000}",
+                "(ab){99999999999}",
+            ] {
+                assert!(too_large(compile_similar(&abc(), huge)), "{huge}");
+            }
+            assert!(too_large(compile_similar(
+                &abc(),
+                &format!("a{}", "+".repeat(30))
+            )));
         });
     }
 

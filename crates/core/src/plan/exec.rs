@@ -1013,18 +1013,26 @@ enum LangFilter<'a> {
 const SCAN_BATCH: usize = 4096;
 
 /// The batched scan loop. It walks the relation's rows in batches of
-/// [`SCAN_BATCH`]. Per batch it polls the deadline, builds the row mask
-/// from the cheap per-row filters (column equalities, the alphabet guard
-/// when the relation's symbol ceiling does not rule it out, linear LIKE
-/// matchers), narrows it with each language filter — one table dispatch
-/// per batch for a dense filter — and flags the surviving rows. When the
-/// projection is the identity the answer is those stored rows themselves,
-/// shared with their stored sort keys ([`Relation::subsequence`]);
-/// otherwise their projections are sorted into a new relation. No
-/// automaton is constructed here. Returns the answer, the number of rows
-/// scanned (the `EXPLAIN` actuals report it as `domain_size` — and, on
-/// truncation, the rows-seen watermark), and whether the deadline cut
-/// the scan short.
+/// [`SCAN_BATCH`], and every filter runs as a batch kernel over a
+/// gathered column. Per batch it polls the deadline, starts the batch's
+/// keep flags all set without reading a row, and narrows them with the
+/// column equalities, the alphabet guard (only when the relation's
+/// symbol ceiling does not rule it out), each linear LIKE matcher
+/// ([`LikeMatcher::match_mask`](strcalc_analyze::LikeMatcher::match_mask))
+/// and each language filter — one table dispatch per batch for a dense
+/// filter. When the projection is the identity the answer is
+/// [`Relation::subsequence`] of the flags: the relation's own leaves
+/// under new live-row masks, so building it reads, clones and compares
+/// no row. Otherwise the kept rows' projections are sorted into a new
+/// relation. No automaton is constructed here. Returns the answer, the
+/// number of rows scanned (the `EXPLAIN` actuals report it as
+/// `domain_size` — and, on truncation, the rows-seen watermark), and
+/// whether the deadline cut the scan short.
+///
+/// The alphabet guard is every route's convention for stored strings
+/// containing symbols outside `Σ`: a tuple with an out-of-`Σ` symbol in
+/// *any* column denotes nothing (the relation trie and the generators
+/// skip it too). The scans must agree, not silently match raw bytes.
 fn run_scan(
     plan: &ScanPlan,
     rel: &Relation,
@@ -1033,11 +1041,10 @@ fn run_scan(
     deadline: &Deadline,
 ) -> (Relation, usize, bool) {
     // The alphabet guard, unless the ceiling shows every row passes it.
-    let guard = (!rel.within(k)).then_some(k);
+    let guarded = !rel.within(k);
     // One flag per scanned row, in the stored order.
     let mut keep: Vec<bool> = Vec::with_capacity(rel.len());
     let mut truncated = false;
-    let mut mask = [false; SCAN_BATCH];
     // Buffers sized to the relation when it is smaller than a batch: a
     // short scan must not pay for a full batch's allocation.
     let width = rel.len().min(SCAN_BATCH);
@@ -1057,16 +1064,28 @@ fn run_scan(
             truncated = true;
             break;
         }
-        let live = &mut mask[..batch.len()];
-        for (m, t) in live.iter_mut().zip(&batch) {
-            *m = passes_row_filters(plan, t, guard);
+        let start = keep.len();
+        keep.resize(start + batch.len(), true);
+        let live = &mut keep[start..];
+        for &(i, j) in &plan.eq_cols {
+            for (m, t) in live.iter_mut().zip(&batch) {
+                *m &= t[i] == t[j];
+            }
+        }
+        if guarded {
+            for (m, t) in live.iter_mut().zip(&batch) {
+                *m &= t.iter().all(|s| s.within(k));
+            }
+        }
+        for (col, matcher, _) in &plan.filters {
+            matcher.match_mask(gather(&mut col_buf, &batch, *col), live);
         }
         for (col, filter) in filters {
             match filter {
                 LangFilter::Dense(artifact) => {
-                    col_buf.clear();
-                    col_buf.extend(batch.iter().map(|t| &t[*col]));
-                    artifact.dfa.match_mask(&col_buf, live);
+                    artifact
+                        .dfa
+                        .match_mask(gather(&mut col_buf, &batch, *col), live);
                 }
                 LangFilter::Sparse(dfa) => {
                     for (m, t) in live.iter_mut().zip(&batch) {
@@ -1075,7 +1094,6 @@ fn run_scan(
                 }
             }
         }
-        keep.extend_from_slice(live);
     }
     let scanned = keep.len();
     let out = if plan.projection.iter().copied().eq(0..rel.arity()) {
@@ -1095,30 +1113,9 @@ fn run_scan(
     (out, scanned, truncated)
 }
 
-/// The per-row filters: column equalities, the in-alphabet guard, and
-/// the linear LIKE matchers.
-///
-/// The alphabet guard is every route's convention for stored strings
-/// containing symbols outside `Σ`: a tuple with an out-of-`Σ` symbol in
-/// *any* column denotes nothing (the relation trie and the generators
-/// skip it too). The scans must agree, not silently match raw bytes.
-/// `guard` is `Σ`'s size, or `None` when the relation's ceiling already
-/// shows every row is over `Σ`.
-fn passes_row_filters(plan: &ScanPlan, t: &[Str], guard: Option<Sym>) -> bool {
-    for &(i, j) in &plan.eq_cols {
-        if t[i] != t[j] {
-            return false;
-        }
-    }
-    if let Some(k) = guard {
-        if !t.iter().all(|s| s.within(k)) {
-            return false;
-        }
-    }
-    for (col, matcher, _) in &plan.filters {
-        if !matcher.matches(t[*col].syms()) {
-            return false;
-        }
-    }
-    true
+/// Column `col` of the batch's rows, gathered into `buf`.
+fn gather<'b, 'a>(buf: &'b mut Vec<&'a Str>, batch: &[&'a Row], col: usize) -> &'b [&'a Str] {
+    buf.clear();
+    buf.extend(batch.iter().map(|t| &t[col]));
+    buf
 }

@@ -1,4 +1,15 @@
 //! Databases: finite relations over `Σ*`.
+//!
+//! A [`Relation`] stores its rows sorted, in leaves of at most 32 rows
+//! with a sort key per row. Relations share leaves: a relation is a run
+//! of parts, each an `Arc` of a leaf plus a `u32` mask of the leaf's
+//! rows it holds. An answer that keeps some of a relation's rows
+//! ([`Relation::subsequence`], which every identity scan returns) is the
+//! same leaves under new masks, built without touching a row; a clone
+//! of a relation or a [`Database`] is one `Arc` per leaf. A leaf is
+//! written only while one part holds it whole: [`Relation::insert`]
+//! first compacts a masked leaf into a fresh one and copies a shared
+//! one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -99,7 +110,18 @@ pub type Row = Arc<[Str]>;
 
 /// Rows per leaf at most. A leaf that grows past it splits in two, so an
 /// insert shifts at most this many rows whatever the relation's size.
+/// A part's live-row mask is a `u32`, one bit per row.
 const LEAF_ROWS: usize = 32;
+
+/// The mask of a part whose first `n` rows are live (`n ≤ 32`).
+fn first_rows(n: usize) -> u32 {
+    u32::MAX.checked_shr((LEAF_ROWS - n) as u32).unwrap_or(0)
+}
+
+/// The last row a (non-zero) mask holds.
+fn last_row(live: u32) -> usize {
+    31 - live.leading_zeros() as usize
+}
 
 /// A row's sort key: the first eight bytes of an order-preserving
 /// encoding of the row, big-endian and zero-padded. Each string encodes
@@ -128,7 +150,9 @@ fn sort_key(t: &[Str]) -> u64 {
     u64::from_be_bytes(key)
 }
 
-/// A run of consecutive rows, each row's sort key beside it.
+/// A run of strictly increasing rows, each row's sort key beside it.
+/// Relations share leaves: a leaf is written only while one relation
+/// holds it.
 #[derive(Clone)]
 struct Leaf {
     keys: Vec<u64>,
@@ -136,24 +160,19 @@ struct Leaf {
 }
 
 impl Leaf {
-    fn with_capacity(n: usize) -> Leaf {
+    /// An empty leaf with room for one row past a full leaf, so the
+    /// insert that splits it does not reallocate.
+    fn new() -> Leaf {
         Leaf {
-            keys: Vec::with_capacity(n),
-            rows: Vec::with_capacity(n),
+            keys: Vec::with_capacity(LEAF_ROWS + 1),
+            rows: Vec::with_capacity(LEAF_ROWS + 1),
         }
     }
 
-    fn push(&mut self, t: Row) {
-        self.keys.push(sort_key(&t));
+    fn push(&mut self, key: u64, t: Row) {
+        debug_assert_eq!(key, sort_key(&t), "a row keeps its own sort key");
+        self.keys.push(key);
         self.rows.push(t);
-    }
-
-    /// Whether every row of this (non-empty) leaf sorts below `t`.
-    fn below(&self, key: u64, t: &[Str]) -> bool {
-        match (self.keys.last(), self.rows.last()) {
-            (Some(&k), Some(r)) => (k, &**r) < (key, t),
-            _ => false,
-        }
     }
 
     /// Where `t` (with sort key `key`) is stored, or where it belongs.
@@ -167,17 +186,130 @@ impl Leaf {
     }
 }
 
+/// A relation's view of one leaf: the leaf, shared, and which of its
+/// rows the relation holds.
+#[derive(Clone)]
+struct Part {
+    leaf: Arc<Leaf>,
+    /// Bit `i` is set iff the leaf's `i`-th row is live; never 0.
+    live: u32,
+    /// The sort key of the last live row, kept here so that a search
+    /// over the parts reads no leaf until two keys tie.
+    last: u64,
+}
+
+impl Part {
+    fn new(leaf: Leaf) -> Part {
+        Part {
+            live: first_rows(leaf.rows.len()),
+            last: leaf.keys.last().copied().unwrap_or_default(),
+            leaf: Arc::new(leaf),
+        }
+    }
+
+    /// The part of this leaf's rows flagged in `live`, or `None` when no
+    /// row is.
+    fn keeping(&self, live: u32) -> Option<Part> {
+        (live != 0).then(|| Part {
+            leaf: Arc::clone(&self.leaf),
+            live,
+            last: self.leaf.keys[last_row(live)],
+        })
+    }
+
+    /// Whether the leaf's `j`-th row is live.
+    fn holds(&self, j: usize) -> bool {
+        self.live >> j & 1 == 1
+    }
+
+    fn len(&self) -> usize {
+        self.live.count_ones() as usize
+    }
+
+    /// Whether every row of the leaf is live.
+    fn whole(&self) -> bool {
+        self.live == first_rows(self.leaf.rows.len())
+    }
+
+    /// Whether every live row sorts below `t`.
+    fn below(&self, key: u64, t: &[Str]) -> bool {
+        self.last < key || (self.last == key && &*self.leaf.rows[last_row(self.live)] < t)
+    }
+
+    /// The leaf to insert into: a masked leaf is first compacted into a
+    /// fresh one of its live rows, and a shared one is copied. `j`, a
+    /// place in the leaf, becomes the same place among the live rows.
+    fn leaf_mut(&mut self, j: &mut usize) -> &mut Leaf {
+        if !self.whole() {
+            *j = (self.live & first_rows(*j)).count_ones() as usize;
+            let mut leaf = Leaf::new();
+            for i in (0..self.leaf.rows.len()).filter(|&i| self.holds(i)) {
+                leaf.push(self.leaf.keys[i], Arc::clone(&self.leaf.rows[i]));
+            }
+            self.leaf = Arc::new(leaf);
+        }
+        Arc::make_mut(&mut self.leaf)
+    }
+}
+
+/// A relation's live rows in order. A whole part is walked as a plain
+/// slice, a masked one by its set bits.
+#[derive(Clone)]
+struct Rows<'a> {
+    parts: std::slice::Iter<'a, Part>,
+    /// The rest of the current part, when it is whole.
+    whole: std::slice::Iter<'a, Row>,
+    /// The current part's rows, when it is masked, and its live rows not
+    /// yet yielded.
+    masked: &'a [Row],
+    live: u32,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a Row;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Row> {
+        if let Some(t) = self.whole.next() {
+            return Some(t);
+        }
+        loop {
+            if self.live != 0 {
+                let i = self.live.trailing_zeros() as usize;
+                self.live &= self.live - 1;
+                return self.masked.get(i);
+            }
+            let part = self.parts.next()?;
+            if part.whole() {
+                self.whole = part.leaf.rows.iter();
+                return self.whole.next();
+            }
+            (self.masked, self.live) = (&part.leaf.rows, part.live);
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.whole.len() + self.live.count_ones() as usize, None)
+    }
+}
+
 /// One finite relation: a set of equal-arity tuples.
 ///
 /// The rows are shared ([`Row`]) and kept in strictly increasing order
-/// (shortlex componentwise), cut into leaves of at most 32 rows, each
-/// row's sort key stored beside it. A scan walks the leaves in order,
-/// and an answer that keeps some of a relation's rows
-/// ([`Relation::subsequence`]) shares them and their keys without
-/// copying a string or sorting again. [`Relation::contains`] is a
-/// binary search. [`Relation::insert`] is a binary search plus a shift
-/// of at most one leaf; build a large relation with
-/// [`Relation::from_tuples`], which sorts and deduplicates once.
+/// (shortlex componentwise), in leaves of at most 32 rows with each
+/// row's sort key stored beside it. The leaves are shared too: the
+/// relation is a run of parts, each a leaf behind an `Arc` plus a mask
+/// of the leaf's rows the relation holds. A scan walks the parts in
+/// order. An answer that keeps some of a relation's rows
+/// ([`Relation::subsequence`]) shares their leaves under new masks: it
+/// touches no row, copies no string and sorts nothing, and it keeps the
+/// whole leaf of each kept row alive. Cloning a relation clones one
+/// `Arc` per leaf. [`Relation::contains`] is a binary search plus one
+/// bit test. [`Relation::insert`] is a binary search plus a shift of at
+/// most one leaf, after copying the leaf when another relation shares it
+/// or compacting it when some of its rows are not live; build a large
+/// relation with [`Relation::from_tuples`], which sorts and deduplicates
+/// once.
 ///
 /// The relation also keeps a symbol ceiling: an upper bound on the
 /// largest symbol of any stored string, recorded as rows are added.
@@ -188,8 +320,8 @@ impl Leaf {
 #[derive(Clone)]
 pub struct Relation {
     arity: usize,
-    /// Non-empty leaves whose concatenation is strictly increasing.
-    leaves: Vec<Leaf>,
+    /// Parts whose live rows, concatenated, are strictly increasing.
+    parts: Vec<Part>,
     len: usize,
     /// At least the largest stored symbol; `None` while no row holds a
     /// symbol.
@@ -205,7 +337,7 @@ impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             arity,
-            leaves: Vec::new(),
+            parts: Vec::new(),
             len: 0,
             ceiling: None,
         }
@@ -225,61 +357,65 @@ impl Relation {
         rows.sort_unstable();
         rows.dedup();
         let ceiling = rows.iter().filter_map(|t| row_ceiling(t)).max();
-        Relation::from_keyed(arity, rows.into_iter().map(|t| (sort_key(&t), t)), ceiling)
+        let len = rows.len();
+        let mut parts = Vec::with_capacity(len.div_ceil(LEAF_ROWS));
+        let mut rows = rows.into_iter().peekable();
+        while rows.peek().is_some() {
+            let mut leaf = Leaf::new();
+            for t in rows.by_ref().take(LEAF_ROWS) {
+                leaf.push(sort_key(&t), t);
+            }
+            parts.push(Part::new(leaf));
+        }
+        Relation {
+            arity,
+            parts,
+            len,
+            ceiling,
+        }
     }
 
     /// The relation of the rows whose flag is set: `keep[i]` flags the
     /// `i`-th row in increasing order, and rows past its end are left
-    /// out. The rows are shared and keep their stored sort keys, so
-    /// nothing is compared, copied, sorted or encoded again, and a leaf
-    /// with no row flagged is skipped whole. Its ceiling is this
-    /// relation's.
+    /// out. Each part with a flagged row is shared under the mask of its
+    /// flagged rows, so no row is read, copied or compared and a part
+    /// with none is left out. Its ceiling is this relation's.
     pub fn subsequence(&self, keep: &[bool]) -> Relation {
         let mut flags = keep;
-        let kept = self.leaves.iter().flat_map(|leaf| {
-            let (here, rest) = flags.split_at(leaf.rows.len().min(flags.len()));
-            flags = rest;
-            let here = if here.contains(&true) { here } else { &[] };
-            leaf.keys
-                .iter()
-                .zip(&leaf.rows)
-                .zip(here)
-                .filter(|(_, kept)| **kept)
-                .map(|((&key, t), _)| (key, Arc::clone(t)))
-        });
-        let out = Relation::from_keyed(self.arity, kept, self.ceiling);
-        debug_assert!(
-            out.iter().zip(out.iter().skip(1)).all(|(a, b)| a < b),
-            "a subsequence keeps the stored order"
-        );
-        out
-    }
-
-    /// Cuts strictly increasing rows, each beside its sort key, into
-    /// leaves.
-    fn from_keyed(
-        arity: usize,
-        rows: impl IntoIterator<Item = (u64, Row)>,
-        ceiling: Option<Sym>,
-    ) -> Relation {
-        let mut rows = rows.into_iter().peekable();
-        let mut leaves: Vec<Leaf> = Vec::with_capacity(rows.size_hint().0.div_ceil(LEAF_ROWS));
         let mut len = 0;
-        while rows.peek().is_some() {
-            let mut leaf = Leaf::with_capacity(LEAF_ROWS);
-            for (key, t) in rows.by_ref().take(LEAF_ROWS) {
-                debug_assert_eq!(key, sort_key(&t), "a row keeps its own sort key");
-                leaf.keys.push(key);
-                leaf.rows.push(t);
-            }
-            len += leaf.rows.len();
-            leaves.push(leaf);
-        }
+        let parts: Vec<Part> = self
+            .parts
+            .iter()
+            .map_while(|part| {
+                let (here, rest) = flags.split_at(part.len().min(flags.len()));
+                flags = rest;
+                (!here.is_empty()).then_some((part, here))
+            })
+            .filter_map(|(part, here)| {
+                let live = if part.whole() {
+                    // The `i`-th flag is bit `i`.
+                    here.iter()
+                        .rev()
+                        .fold(0, |m, &kept| m << 1 | u32::from(kept))
+                } else {
+                    // The `i`-th flag is the part's `i`-th set bit.
+                    let (mut rest, mut live) = (part.live, 0);
+                    for &kept in here {
+                        let bit = rest & rest.wrapping_neg();
+                        rest ^= bit;
+                        live |= if kept { bit } else { 0 };
+                    }
+                    live
+                };
+                len += live.count_ones() as usize;
+                part.keeping(live)
+            })
+            .collect();
         Relation {
-            arity,
-            leaves,
+            arity: self.arity,
+            parts,
             len,
-            ceiling,
+            ceiling: self.ceiling,
         }
     }
 
@@ -302,20 +438,23 @@ impl Relation {
         self.ceiling.is_none_or(|m| m < k)
     }
 
-    /// The leaf where `t` is stored or belongs (the first not wholly
-    /// below it, else the last), and the row's place in it. `None` when
-    /// the relation is empty.
+    /// The part where `t` is stored or belongs (the first whose live
+    /// rows are not all below it, else the last), and the row's place in
+    /// that part's leaf. `None` when the relation is empty.
     fn find(&self, key: u64, t: &[Str]) -> Option<(usize, Result<usize, usize>)> {
-        let last = self.leaves.len().checked_sub(1)?;
+        let last = self.parts.len().checked_sub(1)?;
         let i = self
-            .leaves
-            .partition_point(|leaf| leaf.below(key, t))
+            .parts
+            .partition_point(|part| part.below(key, t))
             .min(last);
-        Some((i, self.leaves[i].search(key, t)))
+        Some((i, self.parts[i].leaf.search(key, t)))
     }
 
     pub fn contains(&self, t: &[Str]) -> bool {
-        matches!(self.find(sort_key(t), t), Some((_, Ok(_))))
+        match self.find(sort_key(t), t) {
+            Some((i, Ok(j))) => self.parts[i].holds(j),
+            _ => false,
+        }
     }
 
     /// Adds a row; `false` when it was already stored. A row that sorts
@@ -327,23 +466,30 @@ impl Relation {
         let ceiling = row_ceiling(&t);
         match self.find(key, &t) {
             None => {
-                let mut leaf = Leaf::with_capacity(LEAF_ROWS + 1);
-                leaf.push(t);
-                self.leaves.push(leaf);
+                let mut leaf = Leaf::new();
+                leaf.push(key, t);
+                self.parts.push(Part::new(leaf));
             }
-            Some((_, Ok(_))) => return false,
-            Some((i, Err(j))) => {
-                let leaf = &mut self.leaves[i];
+            Some((i, Ok(j))) if self.parts[i].holds(j) => return false,
+            Some((i, Ok(mut j) | Err(mut j))) => {
+                let part = &mut self.parts[i];
+                let leaf = part.leaf_mut(&mut j);
                 leaf.keys.insert(j, key);
                 leaf.rows.insert(j, t);
-                if leaf.rows.len() > LEAF_ROWS {
+                let upper = (leaf.rows.len() > LEAF_ROWS).then(|| {
                     // The upper half gets a whole leaf's room, so the
                     // inserts that refill it do not reallocate.
                     let half = leaf.rows.len() / 2;
-                    let mut upper = Leaf::with_capacity(LEAF_ROWS + 1);
+                    let mut upper = Leaf::new();
                     upper.keys.extend(leaf.keys.drain(half..));
                     upper.rows.extend(leaf.rows.drain(half..));
-                    self.leaves.insert(i + 1, upper);
+                    Part::new(upper)
+                });
+                let (n, last) = (leaf.rows.len(), leaf.keys[leaf.rows.len() - 1]);
+                part.live = first_rows(n);
+                part.last = last;
+                if let Some(upper) = upper {
+                    self.parts.insert(i + 1, upper);
                 }
             }
         }
@@ -354,7 +500,12 @@ impl Relation {
 
     /// The rows in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> + Clone {
-        self.leaves.iter().flat_map(|leaf| &leaf.rows)
+        Rows {
+            parts: self.parts.iter(),
+            whole: [].iter(),
+            masked: &[],
+            live: 0,
+        }
     }
 
     /// The rows over the first `k` symbols, in increasing order. A row

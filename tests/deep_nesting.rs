@@ -2,9 +2,13 @@
 //! with a typed error instead of overflowing the stack, and input at the
 //! cap parses, analyzes, and runs through the relational route — the
 //! recursive walkers after the parser are safe because the parser bounds
-//! their depth.
+//! their depth. A short pattern that would build a huge regex is refused
+//! at once too.
+
+use std::time::{Duration, Instant};
 
 use strcalc::analyze::Analyzer;
+use strcalc::automata::{compile_similar, AutomataError, Regex, MAX_PATTERN_NODES};
 use strcalc::core::json;
 use strcalc::core::{PlanOp, Planner, Strategy};
 use strcalc::logic::{parse_formula, LogicError, StructureClass, MAX_NESTING_DEPTH};
@@ -185,6 +189,39 @@ fn long_sql_where_chains_are_refused_before_the_planner() {
             let (out, report) = plan.execute(&db).unwrap();
             assert!(report.verdict.is_exact());
             assert_eq!(out.len(), Some(2), "{sep:?}: 'a' and 'ab' match");
+        }
+    });
+}
+
+#[test]
+fn patterns_that_build_huge_regexes_are_refused_at_once() {
+    with_main_stack(|| {
+        let ab = Alphabet::ab();
+        let too_large = |r: Result<Regex, AutomataError>| matches!(r, Err(AutomataError::PatternTooLarge { limit, .. }) if limit == MAX_PATTERN_NODES);
+        let quickly = |what: &str, check: &dyn Fn()| {
+            let start = Instant::now();
+            check();
+            let took = start.elapsed();
+            assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+        };
+        // `a` and 30 `+`: each `+` copies its operand, 2^30 nodes unchecked.
+        let pluses = format!("a{}", "+".repeat(30));
+        quickly("a regex of 30 `+`", &|| {
+            assert!(too_large(Regex::parse(&ab, &pluses)));
+            let err = parse_formula(&ab, &format!("R(x) & in(x, /{pluses}/)")).unwrap_err();
+            assert!(err.to_string().contains("regex nodes"), "{err:?}");
+        });
+        // SIMILAR `{n}` copies its operand n times.
+        let mut catalog = Catalog::new();
+        catalog.add_table("t", &["w"]);
+        for pattern in ["a{1000000}", pluses.as_str()] {
+            quickly(pattern, &|| {
+                assert!(too_large(compile_similar(&ab, pattern)), "{pattern}");
+                let sql = format!("SELECT t.w FROM t WHERE t.w SIMILAR TO '{pattern}'");
+                let select = parse_select(&ab, &sql).unwrap();
+                let err = compile_select(&ab, &catalog, &select).unwrap_err();
+                assert!(err.msg.contains("regex nodes"), "{pattern}: {}", err.msg);
+            });
         }
     });
 }

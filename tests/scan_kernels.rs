@@ -1,10 +1,10 @@
-//! The two scan kernels against their references. The batched dense
+//! The scan kernels against their references. The batched dense
 //! matcher (`DenseDfa::match_mask`), which retires a lane once it sits
 //! in the dead state or in the accepting sink, agrees with a per-row
-//! sparse `Dfa::accepts` on generated regexes and columns. The infix
-//! LIKE matcher (`LikeMatcher::Infix`), which reads each symbol once
-//! through a rolling window, agrees with the dynamic-programming
-//! `LikePattern::matches`.
+//! sparse `Dfa::accepts` on generated regexes and columns. The batch
+//! kernel of every linear LIKE class (`LikeMatcher::match_mask`) — the
+//! infix one reads each symbol once through a rolling window — agrees
+//! with the dynamic-programming `LikePattern::matches`.
 
 use proptest::prelude::*;
 use strcalc::analyze::LikeMatcher;
@@ -243,21 +243,93 @@ fn lanes_retire_at_different_strides() {
     check_column(&dfa, &column, &init);
 }
 
+/// Runs `matcher`'s batch kernel over `column` with the given initial
+/// bits and checks every bit, and the one-word matcher, against the DP
+/// reference: a clear bit stays clear, a set bit stays set iff the row
+/// matches.
+fn check_like(matcher: &LikeMatcher, reference: &LikePattern, column: &[Str], init: &[bool]) {
+    let refs: Vec<&Str> = column.iter().collect();
+    let mut mask = init.to_vec();
+    matcher.match_mask(&refs, &mut mask);
+    for (i, w) in column.iter().enumerate() {
+        let want = reference.matches(w);
+        assert_eq!(
+            matcher.matches(w.syms()),
+            want,
+            "{matcher:?} on {:?}",
+            w.syms()
+        );
+        assert_eq!(
+            mask[i],
+            init[i] && want,
+            "{matcher:?} row {i} {:?} (bit was {})",
+            w.syms(),
+            init[i]
+        );
+    }
+}
+
+/// A linear-class matcher of class `class` built from literals `a` and
+/// `b` (and `slots` for a fixed length), with its LIKE items.
+fn linear(class: u8, a: &[Sym], b: &[Sym], slots: &[Option<Sym>]) -> (LikeMatcher, LikePattern) {
+    let lits = |w: &[Sym]| w.iter().map(|&s| LikeItem::Lit(s)).collect::<Vec<_>>();
+    let pct = || vec![LikeItem::Percent];
+    let (matcher, items) = match class {
+        0 => (LikeMatcher::AnyString, [pct(), pct()].concat()),
+        1 => (LikeMatcher::Literal(a.to_vec()), lits(a)),
+        2 => (
+            LikeMatcher::FixedLength(slots.to_vec()),
+            slots
+                .iter()
+                .map(|s| s.map_or(LikeItem::Underscore, LikeItem::Lit))
+                .collect(),
+        ),
+        3 => (LikeMatcher::Prefix(a.to_vec()), [lits(a), pct()].concat()),
+        4 => (LikeMatcher::Suffix(a.to_vec()), [pct(), lits(a)].concat()),
+        5 => (
+            LikeMatcher::Infix(a.to_vec()),
+            [pct(), lits(a), pct()].concat(),
+        ),
+        _ => (
+            LikeMatcher::PrefixSuffix(a.to_vec(), b.to_vec()),
+            [lits(a), pct(), lits(b)].concat(),
+        ),
+    };
+    (matcher, LikePattern { items })
+}
+
+/// A word of `reference`'s language: each `_` and each `%` is filled
+/// from `fill` (a `%` takes up to ten symbols).
+fn instance(reference: &LikePattern, fill: &[Sym]) -> Vec<Sym> {
+    let mut fill = fill.iter().copied().cycle();
+    let mut next = || fill.next().unwrap_or(0);
+    let mut w = Vec::new();
+    for item in &reference.items {
+        match item {
+            LikeItem::Lit(s) => w.push(*s),
+            LikeItem::Underscore => w.push(next()),
+            LikeItem::Percent => {
+                let n = (3 * next() as usize + next() as usize) * 7 % 11;
+                w.extend((0..n).map(|_| next()));
+            }
+            LikeItem::Unmatchable(_) => {}
+        }
+    }
+    w
+}
+
 /// The DP reference for `%m%`.
 fn infix_reference(m: &[Sym]) -> LikePattern {
-    let mut items = vec![LikeItem::Percent];
-    items.extend(m.iter().map(|&s| LikeItem::Lit(s)));
-    items.push(LikeItem::Percent);
-    LikePattern { items }
+    linear(5, m, &[], &[]).1
 }
 
 fn check_infix(m: &[Sym], w: &[Sym]) {
     let matcher = LikeMatcher::Infix(m.to_vec());
-    let reference = infix_reference(m);
-    assert_eq!(
-        matcher.matches(w),
-        reference.matches(&Str::from_syms(w.to_vec())),
-        "%{m:?}% on {w:?}"
+    check_like(
+        &matcher,
+        &infix_reference(m),
+        &[Str::from_syms(w.to_vec())],
+        &[true],
     );
 }
 
@@ -265,39 +337,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn the_infix_matcher_agrees_with_the_dp_reference(
+    fn every_like_kernel_agrees_with_the_dp_reference(
         k in 2u8..=3,
-        m in prop::collection::vec(0u8..3, 0..=12),
-        before in prop::collection::vec(0u8..3, 0..=10),
-        after in prop::collection::vec(0u8..3, 0..=10),
-        plant in 0u8..3,
-        flip in 0usize..16,
+        class in 0u8..7,
+        a in prop::collection::vec(0u8..3, 0..=12),
+        b in prop::collection::vec(0u8..3, 0..=4),
+        slots in prop::collection::vec(0u8..4, 0..=6),
+        rows in prop::collection::vec(
+            (0u8..4, prop::collection::vec(arb_sym(), 0..=24), 0u8..8),
+            0..=40,
+        ),
     ) {
-        let m: Vec<Sym> = m.iter().map(|s| s % k).collect();
-        let (before, after): (Vec<Sym>, Vec<Sym>) = (
-            before.iter().map(|s| s % k).collect(),
-            after.iter().map(|s| s % k).collect(),
-        );
-        // Plant the pattern (0), a copy with one symbol changed (1), or
-        // nothing (2) between the random ends.
-        let mut w = before.clone();
-        if plant < 2 {
-            let mut copy = m.clone();
-            if plant == 1 && !copy.is_empty() {
-                let i = flip % copy.len();
-                copy[i] = (copy[i] + 1) % k;
-            }
-            w.extend(copy);
-        }
-        w.extend(after);
-        check_infix(&m, &w);
-        // The pattern at the first and at the last offset.
-        let mut first = m.clone();
-        first.extend(&before);
-        check_infix(&m, &first);
-        let mut last = before;
-        last.extend(&m);
-        check_infix(&m, &last);
+        let fold = |w: &[u8]| w.iter().map(|s| s % k).collect::<Vec<Sym>>();
+        let slots: Vec<Option<Sym>> = slots.iter().map(|&s| (s < 3).then_some(s % k)).collect();
+        let (matcher, reference) = linear(class, &fold(&a), &fold(&b), &slots);
+        // Per row: a random word (with symbols outside Σ now and then),
+        // a word of the language, one with a symbol changed, or one a
+        // symbol longer or shorter.
+        let (column, init): (Vec<Str>, Vec<bool>) = rows
+            .iter()
+            .map(|(mode, raw, bit)| {
+                let raw: Vec<Sym> = raw.iter().map(|&r| sym(r, k)).collect();
+                let mut w = instance(&reference, &fold(&raw));
+                match mode {
+                    0 => w = raw.clone(),
+                    1 => {}
+                    2 if !w.is_empty() => {
+                        let i = raw.len() % w.len();
+                        w[i] = (w[i] + 1) % k;
+                    }
+                    _ if raw.len().is_multiple_of(2) => w.push(raw.first().copied().unwrap_or(0)),
+                    _ => {
+                        w.pop();
+                    }
+                }
+                (Str::from_syms(w), *bit != 0)
+            })
+            .unzip();
+        check_like(&matcher, &reference, &column, &init);
     }
 }
 

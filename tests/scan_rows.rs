@@ -1,8 +1,9 @@
 //! The scan executor answers with the stored rows. An identity
 //! projection keeps the relation's own shared rows (no string is
-//! copied), and every scan, whatever its projection, relation size or
-//! deadline, agrees with a sparse `Dfa::accepts` filter over the stored
-//! rows. Rows holding a symbol outside `Σ` denote nothing.
+//! copied, and not even a row's count is bumped: the answer shares the
+//! stored leaves), and every scan, whatever its projection, relation
+//! size or deadline, agrees with a sparse `Dfa::accepts` filter over the
+//! stored rows. Rows holding a symbol outside `Σ` denote nothing.
 
 use std::collections::BTreeSet;
 
@@ -206,6 +207,27 @@ fn a_relation_larger_than_a_batch_scans_whole() {
             rows(&answer),
             expected(stored, pattern, 0, &[0], usize::MAX)
         );
+        shares_rows(&answer, stored);
+    }
+}
+
+#[test]
+fn an_identity_answer_bumps_no_row_count() {
+    let db = large();
+    let stored = db.relation("U").unwrap();
+    let counts = |rel: &Relation| -> Vec<usize> { rel.iter().map(Row::strong_count).collect() };
+    let before = counts(stored);
+    // A LIKE scan and a dense scan, each keeping about half the rows.
+    for src in ["U(x) & in(x, /a.*/)", "U(x) & in(x, /b.*a.*/)"] {
+        let (answer, _) = run(&scan_plan(&["x"], src), &db, &ExecCx::production());
+        let kept = answer.len();
+        assert!(
+            (stored.len() / 4..3 * stored.len() / 4).contains(&kept),
+            "{src} kept {kept} of {}",
+            stored.len()
+        );
+        // While the answer is alive, every stored row is held once.
+        assert_eq!(counts(stored), before, "{src}");
         shares_rows(&answer, stored);
     }
 }
