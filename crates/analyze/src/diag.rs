@@ -26,8 +26,8 @@ use strcalc_logic::Formula;
 ///
 /// Codes are append-only: a code's meaning never changes once released,
 /// so lint-level configuration stays stable across versions. A retired
-/// code's number is never reused: `SA203`, `SA220`, `SA221`, `SA400`,
-/// `SA430`.
+/// code's number is never reused: `SA003`, `SA203`, `SA220`, `SA221`,
+/// `SA400`, `SA430`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// A term or atom requires a structure beyond the declared calculus.
@@ -35,10 +35,6 @@ pub enum Code {
     /// A concatenation atom appears in a tame-calculus query
     /// (`RC_concat` is computationally complete — Proposition 1).
     ConcatInTameCalculus,
-    /// Star-freeness of an `in`/`pl` language could not be decided under
-    /// the monoid cap; the language was conservatively classified
-    /// `S_reg`.
-    StarFreeUndecided,
     /// A free (head) variable is not range-restricted: the output can be
     /// infinite on some database (static unsafety; Theorems 3 and 7).
     FreeVarNotRangeRestricted,
@@ -114,9 +110,10 @@ pub enum Code {
     /// (three or more literal segments, or `_` mixed with `%`): it
     /// needs the automaton-backed evaluation path.
     LikeGeneralClass,
-    /// Fragment inference could not decide star-freeness of a language
-    /// under the monoid cap; the subformula was conservatively placed in
-    /// the regular-representable (non-collapse-safe) fragment.
+    /// The star-freeness of an `in`/`pl` language was left undecided
+    /// (its transition monoid exceeds
+    /// [`MAX_MONOID_CELLS`](strcalc_automata::MAX_MONOID_CELLS)); the
+    /// language is typed `S_reg`, which admits every regular language.
     FragmentStarFreeFallback,
     /// The plan's strategy or scan program disagrees with the fragment
     /// the formula's fact sheet records: the plan is stale relative to
@@ -169,7 +166,6 @@ impl Code {
         match self {
             Code::SignatureExceedsDeclared => "SA001",
             Code::ConcatInTameCalculus => "SA002",
-            Code::StarFreeUndecided => "SA003",
             Code::FreeVarNotRangeRestricted => "SA010",
             Code::QuantifierNotRangeRestricted => "SA011",
             Code::UnusedQuantifiedVar => "SA020",
@@ -217,7 +213,6 @@ impl Code {
         vec![
             Code::SignatureExceedsDeclared,
             Code::ConcatInTameCalculus,
-            Code::StarFreeUndecided,
             Code::FreeVarNotRangeRestricted,
             Code::QuantifierNotRangeRestricted,
             Code::UnusedQuantifiedVar,

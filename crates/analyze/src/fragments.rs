@@ -35,7 +35,7 @@
 //!
 //! Findings are the stable `SA3xx` family: `SA300` (fragment report),
 //! `SA301` (concat-bounded), `SA302`/`SA303` (LIKE linear/general
-//! class), `SA304` (star-freeness undecided fallback). `SA305` is
+//! class), `SA304` (star-freeness undecided, typed `S_reg`). `SA305` is
 //! reserved for the plan verifier, which reads the class from the
 //! query's fact sheet and rejects plans that disagree with it.
 
@@ -896,9 +896,8 @@ impl Cx<'_> {
                     Code::FragmentStarFreeFallback,
                     path.clone(),
                     format!(
-                        "star-freeness of language {} is undecided under the monoid cap; \
-                         the subformula is conservatively placed in the \
-                         regular-representable fragment",
+                        "star-freeness of language {} is undecided: its transition monoid \
+                         is too large to explore; the language is typed S_reg",
                         lang_label(l)
                     ),
                 )
@@ -928,11 +927,10 @@ mod tests {
         Alphabet::ab()
     }
 
-    /// The fragment pass on its own (alphabet size `k`; `monoid_cap`
-    /// bounds the star-freeness decision procedure), running the
-    /// range-restriction pass it reads from.
-    fn analyze(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
-        let langs = LangTable::build_capped(f, k, monoid_cap);
+    /// The fragment pass on its own over a two-symbol alphabet, running
+    /// the range-restriction pass it reads from.
+    fn analyze(f: &Formula) -> (FragmentAnalysis, Vec<Finding>) {
+        let langs = LangTable::build(f, 2);
         let (_, _, safe) = crate::saferange::check(f, &langs);
         check(f, StructureClass::Concat, &langs, &class_of(f), &safe)
     }
@@ -1154,7 +1152,7 @@ mod tests {
             Formula::rel("U", vec![Term::var("y")])
                 .and(Formula::prefix(Term::var("x"), Term::var("y"))),
         );
-        let (analysis, findings) = analyze(&f, 2, 100_000);
+        let (analysis, findings) = analyze(&f);
         assert_eq!(analysis.table.len(), 4, "root, and, and two atoms");
         assert!(analysis.root.safe_range);
         assert!(!analysis.root.quantifier_free);
@@ -1190,7 +1188,7 @@ mod tests {
             Term::var("y"),
             Term::var("z"),
         ));
-        let (analysis, findings) = analyze(&f, 2, 100_000);
+        let (analysis, findings) = analyze(&f);
         assert!(analysis.root.concat_bounded && !analysis.root.automata_tame);
         assert!(!analysis.root.collapse_safe);
         assert_eq!(analysis.root.structure, StructureClass::Concat);
@@ -1201,7 +1199,7 @@ mod tests {
 
     #[test]
     fn like_findings_name_the_class() {
-        let (_, findings) = analyze(&like_query("ab.*"), 2, 100_000);
+        let (_, findings) = analyze(&like_query("ab.*"));
         let sa302: Vec<_> = findings
             .iter()
             .filter(|f| f.code == Code::LikeLinearClass)
@@ -1209,26 +1207,43 @@ mod tests {
         assert_eq!(sa302.len(), 1);
         assert!(sa302[0].message.contains("prefix"));
 
-        let (_, findings) = analyze(&like_query("a.*b.*a"), 2, 100_000);
+        let (_, findings) = analyze(&like_query("a.*b.*a"));
         assert!(findings.iter().any(|f| f.code == Code::LikeGeneralClass));
+    }
+
+    #[test]
+    fn an_undecided_language_is_typed_sreg_with_one_note() {
+        // Both languages are `.*a` then 11 symbols: 4 096 states, whose
+        // transition monoid is past the cell bound. Spelled with `.`, the
+        // language is LIKE-shaped and star-free by construction; spelled
+        // with `(a|b)`, the aperiodicity test gives up on it.
+        let like = Lang::new(re(&format!(".*a{}", ".".repeat(11))));
+        let other = Lang::new(re(&format!("(a|b)*a{}", "(a|b)".repeat(11))));
+        let like_atom = Formula::in_lang(Term::var("x"), like);
+        let (analysis, findings) = analyze(&like_atom);
+        assert_eq!(analysis.root.structure, StructureClass::S);
+        assert!(!findings
+            .iter()
+            .any(|f| f.code == Code::FragmentStarFreeFallback));
+
+        let f = like_atom.and(Formula::in_lang(Term::var("x"), other));
+        let (analysis, findings) = analyze(&f);
+        assert_eq!(analysis.root.structure, StructureClass::SReg);
+        let sa304: Vec<_> = findings
+            .iter()
+            .filter(|f| f.code == Code::FragmentStarFreeFallback)
+            .collect();
+        assert_eq!(sa304.len(), 1);
+        assert_eq!(sa304[0].path.to_string(), "root/and.rhs");
     }
 
     #[test]
     fn structure_tracks_the_figure_one_lattice() {
         let sl = Formula::prepends(Term::var("x"), Term::var("y"), 0);
-        assert_eq!(
-            analyze(&sl, 2, 100_000).0.root.structure,
-            StructureClass::SLeft
-        );
+        assert_eq!(analyze(&sl).0.root.structure, StructureClass::SLeft);
         let sr = Formula::in_lang(Term::var("x"), Lang::new(re("(aa)*")));
-        assert_eq!(
-            analyze(&sr, 2, 100_000).0.root.structure,
-            StructureClass::SReg
-        );
+        assert_eq!(analyze(&sr).0.root.structure, StructureClass::SReg);
         let slen = Formula::eq_len(Term::var("x"), Term::var("y"));
-        assert_eq!(
-            analyze(&slen, 2, 100_000).0.root.structure,
-            StructureClass::SLen
-        );
+        assert_eq!(analyze(&slen).0.root.structure, StructureClass::SLen);
     }
 }

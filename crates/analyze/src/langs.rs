@@ -4,7 +4,13 @@
 //! two questions about every `in`/`pl` language: is it finite, and is it
 //! star-free? [`LangTable::build`] compiles each distinct language of the
 //! formula to its DFA exactly once and decides both, so the passes read
-//! verdicts instead of re-determinizing. The planner's relational route
+//! verdicts instead of re-determinizing. It is the one place a query's
+//! star-freeness is decided: a LIKE-shaped language (symbols, `.` and
+//! `.*`) is star-free by construction, and any other runs the
+//! aperiodicity test, which gives up past
+//! [`MAX_MONOID_CELLS`](strcalc_automata::MAX_MONOID_CELLS). An undecided
+//! language is read as not star-free, so it types at `S_reg`, which
+//! admits every regular language. The planner's relational route
 //! reads the same table: which languages are finite decides which atoms
 //! can generate values, and the DFAs are the ones its filters run. A
 //! query's [`FactSheet`](crate::FactSheet) holds its one table; nothing
@@ -19,8 +25,7 @@ use strcalc_automata::starfree::is_star_free;
 use strcalc_automata::{AutomataError, Dfa, Regex};
 use strcalc_logic::{Atom, Formula, Lang};
 
-/// Monoid size at which the star-freeness decision gives up.
-pub const MONOID_CAP: usize = 1_000_000;
+use crate::fragments::is_like_shaped;
 
 thread_local! {
     static COMPILED: Cell<u64> = const { Cell::new(0) };
@@ -37,8 +42,8 @@ struct LangFacts {
     dfa: Dfa,
     /// The language is finite (or empty).
     finite: bool,
-    /// Star-freeness of the language, or the monoid-cap error when the
-    /// decision procedure gave up.
+    /// Star-freeness of the language, or the error of the aperiodicity
+    /// test when its monoid did not fit.
     star_free: Result<bool, AutomataError>,
 }
 
@@ -53,12 +58,6 @@ impl LangTable {
     /// Compiles each distinct language of `f` once over a `k`-symbol
     /// alphabet and decides its finiteness and star-freeness.
     pub fn build(f: &Formula, k: Sym) -> LangTable {
-        LangTable::build_capped(f, k, MONOID_CAP)
-    }
-
-    /// [`LangTable::build`] with the star-freeness decision giving up at
-    /// a monoid of `monoid_cap` elements.
-    pub(crate) fn build_capped(f: &Formula, k: Sym, monoid_cap: usize) -> LangTable {
         let mut facts = HashMap::new();
         f.visit(&mut |g| {
             if let Formula::Atom(Atom::InLang(_, l) | Atom::PL(_, _, l)) = g {
@@ -67,7 +66,11 @@ impl LangTable {
                     let dfa = l.to_dfa(k);
                     let finite =
                         matches!(dfa.finiteness(), Finiteness::Empty | Finiteness::Finite(_));
-                    let star_free = is_star_free(&dfa, monoid_cap);
+                    let star_free = if is_like_shaped(&l.regex) {
+                        Ok(true)
+                    } else {
+                        is_star_free(&dfa)
+                    };
                     facts.insert(
                         l.regex.clone(),
                         LangFacts {

@@ -9,7 +9,7 @@
 //!    (`S` / `S_left` / `S_reg` / `S_len` / concatenation) the query
 //!    requires, once, in its [`FactSheet`]; the fragment pass's walk
 //!    errors at each atom or term that exceeds the declared calculus
-//!    (`SA001`, `SA002`, `SA003`).
+//!    (`SA001`, `SA002`).
 //! 2. **Range restriction** ([`saferange`]): a sound under-approximation
 //!    of the safe-range fragment; free variables that are not provably
 //!    confined to a finite range get `SA010`, unbounded existentials get
@@ -80,7 +80,6 @@ pub use fragments::{EvalClass, FragmentAnalysis, FragmentPoint, LikeMatcher, Sca
 pub use planlint::ResourceCert;
 pub use saferange::SafeRangeInfo;
 pub use sheet::FactSheet;
-pub use signature::SignatureInfo;
 
 /// Configured analyzer. Build one with [`Analyzer::new`], adjust lint
 /// levels with [`Analyzer::lint`], then call [`Analyzer::analyze`] (the
@@ -159,7 +158,7 @@ impl Analyzer {
 
         Analysis {
             declared: self.declared,
-            inferred: sheet.signature.inferred,
+            inferred: sheet.inferred,
             safe_range,
             cost,
             fragment,

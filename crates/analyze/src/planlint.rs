@@ -16,22 +16,14 @@
 //! node; execution cross-checks it against the actuals (SA240), so
 //! every test run doubles as a soundness check of the model.
 //!
-//! Language atoms get **pattern-class tightening**: a regex that is the
-//! image of a SQL `LIKE` pattern (and most are, via the `sqlfront`
-//! lowering) falls into one of a handful of classes — literal, fixed
-//! length, prefix `w%`, suffix `%w`, substring `%w%`, or general
-//! segments `w₁%…%wₙ` — each with a closed-form linear DFA bound
-//! (`m + 2` resp. `m + n + 2` states for `m` non-`%` items), following
-//! the LIKE-complexity analysis of Petersen. Patterns outside these
-//! classes fall back to the memoized exact regex→DFA sizing shared with
-//! the cost pass.
+//! A language atom is charged its exact DFA size: the state count the
+//! query's [`LangTable`] compiled, plus completion headroom. The table
+//! compiles every language of the query once, LIKE patterns included, so
+//! no closed-form bound is needed beside it.
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::Regex;
-use strcalc_logic::{Atom, Formula, Lang};
+use strcalc_logic::{Atom, Lang};
 
-use crate::cost;
-use crate::fragments::{like_items, LikeItem};
 use crate::langs::LangTable;
 
 /// Certified state bound charged per database-relation atom: a trie
@@ -162,121 +154,10 @@ impl ResourceCert {
     }
 }
 
-/// The LIKE pattern classes with closed-form linear DFA bounds. `m`
-/// counts non-`%` pattern items (literals and `_`), `n` counts literal
-/// segments between `%`s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LikeShape {
-    /// The empty language (a pattern containing an unmatchable escape).
-    Unmatchable,
-    /// `%…%` only: matches every string.
-    AnyString,
-    /// Literals only: exactly one string.
-    Literal { m: usize },
-    /// Literals and `_` only: a fixed-length test.
-    FixedLength { m: usize },
-    /// `w%` — literal prefix test.
-    Prefix { m: usize },
-    /// `%w` — literal suffix test.
-    Suffix { m: usize },
-    /// `%w%` — literal substring test.
-    Substring { m: usize },
-    /// `w₁%w₂%…%wₙ` — ordered literal segments.
-    Segments { m: usize, n: usize },
-}
-
-impl LikeShape {
-    /// The certified DFA state bound for the class: position-tracking
-    /// automata need one state per pattern position plus a start and a
-    /// dead/accept sink (`m + 2`); multi-segment patterns additionally
-    /// pay one KMP-restart state per segment (`m + n + 2`).
-    pub fn state_bound(self) -> u64 {
-        match self {
-            LikeShape::Unmatchable | LikeShape::AnyString => 1,
-            LikeShape::Literal { m }
-            | LikeShape::FixedLength { m }
-            | LikeShape::Prefix { m }
-            | LikeShape::Suffix { m }
-            | LikeShape::Substring { m } => m as u64 + 2,
-            LikeShape::Segments { m, n } => (m + n) as u64 + 2,
-        }
-    }
-}
-
-/// Classifies a regex as the image of a LIKE pattern, if it has the
-/// shape `LikePattern::to_regex` produces: a concatenation of symbol
-/// literals (`a`), `.` (from `_`) and `.*` (from `%`). Returns `None`
-/// for anything else — general regexes keep the exact DFA-sizing path.
-pub fn classify_like(re: &Regex) -> Option<LikeShape> {
-    let Some(items) = like_items(re) else {
-        return match re {
-            Regex::Empty => Some(LikeShape::Unmatchable),
-            _ => None,
-        };
-    };
-    let percents = items.iter().filter(|i| **i == LikeItem::Percent).count();
-    let unders = items.iter().filter(|i| **i == LikeItem::Underscore).count();
-    // `percents` counts a subset of `items`, so this cannot underflow;
-    // saturating form per the panic audit.
-    let m = items.len().saturating_sub(percents);
-    if percents == 0 {
-        return Some(if unders > 0 {
-            LikeShape::FixedLength { m }
-        } else {
-            LikeShape::Literal { m }
-        });
-    }
-    // `%` present: classify by where the percents sit. Mixing `_` with
-    // `%` defeats single-position tracking (the match set is no longer
-    // a single pattern position), so those patterns are not claimed.
-    if unders > 0 {
-        return None;
-    }
-    if m == 0 {
-        return Some(LikeShape::AnyString);
-    }
-    let leading = items.first() == Some(&LikeItem::Percent);
-    let trailing = items.last() == Some(&LikeItem::Percent);
-    let inner: &[LikeItem] = {
-        let start = items.iter().position(|i| matches!(i, LikeItem::Lit(_)))?;
-        let end = items.iter().rposition(|i| matches!(i, LikeItem::Lit(_)))?;
-        &items[start..=end]
-    };
-    let inner_percents = inner.iter().filter(|i| **i == LikeItem::Percent).count();
-    if inner_percents == 0 {
-        return Some(match (leading, trailing) {
-            (true, true) => LikeShape::Substring { m },
-            (true, false) => LikeShape::Suffix { m },
-            (false, true) => LikeShape::Prefix { m },
-            (false, false) => unreachable!("percents == 0 handled above"),
-        });
-    }
-    // Count the literal segments between `%`s.
-    let mut n = 0usize;
-    let mut in_seg = false;
-    for i in &items {
-        match i {
-            LikeItem::Lit(_) => {
-                if !in_seg {
-                    n += 1;
-                    in_seg = true;
-                }
-            }
-            LikeItem::Percent => in_seg = false,
-            LikeItem::Underscore => unreachable!("underscores rejected above"),
-        }
-    }
-    Some(LikeShape::Segments { m, n })
-}
-
-/// Certified DFA state bound for a language atom: the LIKE-class closed
-/// form when the regex is LIKE-shaped, otherwise the exact DFA size in
+/// Certified DFA state bound for a language atom: the exact DFA size in
 /// `langs` (the query's language table) plus completion headroom.
 pub fn lang_state_bound(l: &Lang, langs: &LangTable) -> u64 {
-    match classify_like(&l.regex) {
-        Some(shape) => shape.state_bound(),
-        None => langs.states(l) as u64 + 2,
-    }
+    langs.states(l) as u64 + 2
 }
 
 /// Default densification threshold: the largest certified state bound
@@ -347,28 +228,17 @@ pub fn atom_state_bound(a: &Atom, langs: &LangTable) -> u64 {
     }
 }
 
-/// Seed certificate for a `CompileAutomaton` leaf evaluating the atomic
-/// formula `f` with `tracks` variable tracks.
-pub fn leaf_cert(f: &Formula, langs: &LangTable, tracks: usize) -> ResourceCert {
-    let hi = match f {
-        Formula::True | Formula::False => 2,
-        Formula::Atom(a) => atom_state_bound(a, langs),
-        // Non-atomic leaves do not occur in planner-built trees; fall
-        // back to the (log-domain) cost estimate, rounded up.
-        other => {
-            let log2 = cost::estimate(other, langs).log2_states.min(63.0);
-            2f64.powf(log2).ceil() as u64
-        }
-    };
+/// Seed certificate for a `CompileAutomaton` leaf with `tracks`
+/// variable tracks: the atom `atom`, or a constant `true`/`false` leaf
+/// when `None`.
+pub fn leaf_cert(atom: Option<&Atom>, langs: &LangTable, tracks: usize) -> ResourceCert {
+    let hi = atom.map_or(2, |a| atom_state_bound(a, langs));
     ResourceCert::from_states(hi.max(1), langs.k(), tracks)
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use strcalc_alphabet::Alphabet;
-    use strcalc_automata::LikePattern;
 
     #[test]
     fn cert_transfer_functions() {
@@ -378,81 +248,6 @@ mod tests {
         assert_eq!(ResourceCert::union(&[a, b], 2, 2).states, 73);
         assert_eq!(ResourceCert::complement(&a, 2, 1).states, 257);
         assert_eq!(ResourceCert::passthrough(&b, 2, 1).states, b.states);
-    }
-
-    fn like_regex(sigma: &Alphabet, pattern: &str) -> Regex {
-        LikePattern::parse(sigma, pattern).unwrap().to_regex()
-    }
-
-    #[test]
-    fn like_patterns_classify() {
-        let sigma = Alphabet::ab();
-        let cases = [
-            ("ab", LikeShape::Literal { m: 2 }),
-            ("a_b", LikeShape::FixedLength { m: 3 }),
-            ("ab%", LikeShape::Prefix { m: 2 }),
-            ("%ab", LikeShape::Suffix { m: 2 }),
-            ("%ab%", LikeShape::Substring { m: 2 }),
-            ("%%", LikeShape::AnyString),
-            ("a%b%a", LikeShape::Segments { m: 3, n: 3 }),
-        ];
-        for (pat, shape) in cases {
-            assert_eq!(
-                classify_like(&like_regex(&sigma, pat)),
-                Some(shape),
-                "pattern {pat:?}"
-            );
-        }
-        // `_` mixed with `%` defeats single-position tracking: no claim.
-        assert_eq!(classify_like(&like_regex(&sigma, "a_%b")), None);
-        // A general regex is not LIKE-shaped.
-        let star = Regex::parse(&Alphabet::ab(), "(ab)*").unwrap();
-        assert_eq!(classify_like(&star), None);
-    }
-
-    /// Soundness: every claimed class bound dominates the actual minimal
-    /// DFA size of the pattern's regex.
-    #[test]
-    fn like_bounds_dominate_actual_dfa_sizes() {
-        let sigma = Alphabet::ab();
-        let k = sigma.len() as Sym;
-        for pat in [
-            "",
-            "a",
-            "ab",
-            "aba",
-            "a_b",
-            "__",
-            "%",
-            "%%",
-            "a%",
-            "%a",
-            "%ab%",
-            "ab%ba",
-            "a%b%a",
-            "%a%b%",
-            "aab%aba%b",
-        ] {
-            let re = like_regex(&sigma, pat);
-            let Some(shape) = classify_like(&re) else {
-                continue;
-            };
-            let actual = Lang::new(re).to_dfa(k).len() as u64;
-            assert!(
-                shape.state_bound() >= actual,
-                "pattern {pat:?}: class {shape:?} bound {} < actual DFA {}",
-                shape.state_bound(),
-                actual
-            );
-        }
-    }
-
-    #[test]
-    fn unmatchable_pattern_certifies_one_state() {
-        let sigma = Alphabet::ab();
-        let re = like_regex(&sigma, "a\\%b");
-        assert_eq!(classify_like(&re), Some(LikeShape::Unmatchable));
-        assert_eq!(LikeShape::Unmatchable.state_bound(), 1);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! EXPLAIN and the cache key read it instead of re-deriving.
 
 use strcalc_alphabet::Sym;
-use strcalc_logic::Formula;
+use strcalc_logic::{Formula, StructureClass};
 
 use crate::fragments::{eval_class, EvalClass};
 use crate::langs::LangTable;
-use crate::signature::{self, SignatureInfo};
+use crate::signature;
 
 /// What analysis knows about one formula and head.
 #[derive(Debug)]
@@ -16,9 +16,9 @@ pub struct FactSheet {
     /// Each distinct `in`/`pl` language, compiled once with its
     /// finiteness and star-freeness decided.
     pub langs: LangTable,
-    /// The inferred structure class and the undecided star-freeness
-    /// count.
-    pub signature: SignatureInfo,
+    /// The least structure class covering the formula; a language
+    /// whose star-freeness is undecided counts as `S_reg`.
+    pub inferred: StructureClass,
     /// The evaluation class; a scan-shaped class carries the scan plan,
     /// projected onto the head.
     pub class: EvalClass,
@@ -35,7 +35,7 @@ impl FactSheet {
         let langs = LangTable::build(f, k);
         let class = eval_class(head, f);
         FactSheet {
-            signature: signature::inferred(f, &langs),
+            inferred: signature::inferred(f, &langs),
             langs,
             class_fingerprint: class.fingerprint(),
             class,

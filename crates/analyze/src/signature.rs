@@ -2,63 +2,43 @@
 //!
 //! Walks the formula tree and infers, per subformula, the least structure
 //! in the Figure-1 lattice whose primitives cover it — `Term::Prepend`
-//! forces `S_left`, `el` forces `S_len`, a non-star-free `in`/`pl`
-//! language forces `S_reg`, concatenation forces `S_concat` — then
-//! compares against the declared calculus and attributes each violation
-//! to the exact term or atom that caused it ([`Code::SignatureExceedsDeclared`],
-//! [`Code::ConcatInTameCalculus`]).
+//! forces `S_left`, `el` forces `S_len`, an `in`/`pl` language not known
+//! to be star-free forces `S_reg`, concatenation forces `S_concat` —
+//! then compares against the declared calculus and attributes each
+//! violation to the exact term or atom that caused it
+//! ([`Code::SignatureExceedsDeclared`], [`Code::ConcatInTameCalculus`]).
 //!
-//! The inference is total: when star-freeness cannot be decided under
-//! the monoid cap the language is conservatively classified `S_reg` and
-//! a [`Code::StarFreeUndecided`] finding is recorded instead of an
-//! error. A query's [`FactSheet`](crate::FactSheet) carries the inferred
-//! class; the fragment pass's walk attributes each violation of the
-//! declared calculus to its atom or term.
+//! The inference is total: a language whose star-freeness the
+//! [`LangTable`] left undecided is classified `S_reg`, which admits every
+//! regular language, and the fragment pass notes it
+//! ([`Code::FragmentStarFreeFallback`]). A query's
+//! [`FactSheet`](crate::FactSheet) carries the inferred class; the
+//! fragment pass's walk attributes each violation of the declared
+//! calculus to its atom or term.
 
 use strcalc_logic::{term_class, Atom, Formula, Lang, StructureClass};
 
 use crate::diag::{Code, Finding, FormulaPath, PathSeg};
-use crate::fragments::lang_label;
 use crate::langs::LangTable;
 
-/// Result of signature inference.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignatureInfo {
-    /// Least structure class covering the whole formula (conservative:
-    /// undecided star-freeness counts as `S_reg`).
-    pub inferred: StructureClass,
-    /// Number of `in`/`pl` atoms whose language's star-freeness was
-    /// undecided.
-    pub star_free_undecided: usize,
-}
-
-/// Infers the least structure class covering every atom and term of
-/// `f`, reading star-freeness verdicts from `langs`.
-pub(crate) fn inferred(f: &Formula, langs: &LangTable) -> SignatureInfo {
-    let mut info = SignatureInfo {
-        inferred: StructureClass::S,
-        star_free_undecided: 0,
-    };
+/// The least structure class covering every atom and term of `f`,
+/// reading star-freeness verdicts from `langs`.
+pub(crate) fn inferred(f: &Formula, langs: &LangTable) -> StructureClass {
+    let mut inferred = StructureClass::S;
     f.visit(&mut |g| {
         if let Formula::Atom(a) = g {
             for t in a.terms() {
-                info.inferred = info.inferred.join(term_class(t).0);
+                inferred = inferred.join(term_class(t).0);
             }
-            info.inferred = info.inferred.join(atom_class(a, langs));
-            if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
-                if langs.star_free(l).is_err() {
-                    info.star_free_undecided += 1;
-                }
-            }
+            inferred = inferred.join(atom_class(a, langs));
         }
     });
-    info
+    inferred
 }
 
 /// The structure atom `a` requires, terms included, with the signature
 /// findings the fragment pass's walk emits at `path`: each term function
-/// (at `path/term[i]`) and the atom itself when they exceed `declared`,
-/// and the undecided star-freeness of its language.
+/// (at `path/term[i]`) and the atom itself when they exceed `declared`.
 pub(crate) fn atom_findings(
     a: &Atom,
     path: &FormulaPath,
@@ -81,22 +61,6 @@ pub(crate) fn atom_findings(
                     class.name(),
                 ),
             ));
-        }
-    }
-    if let Atom::InLang(_, l) | Atom::PL(_, _, l) = a {
-        if let Err(e) = langs.star_free(l) {
-            out.push(
-                Finding::new(
-                    Code::StarFreeUndecided,
-                    path.clone(),
-                    format!(
-                        "star-freeness of language {} is undecided under the monoid cap; \
-                         conservatively classified S_reg",
-                        lang_label(l)
-                    ),
-                )
-                .with_note(e.to_string()),
-            );
         }
     }
     let class = atom_class(a, langs);
@@ -161,7 +125,7 @@ pub(crate) fn atom_name(a: &Atom) -> &'static str {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use strcalc_alphabet::{Alphabet, Sym};
+    use strcalc_alphabet::Alphabet;
     use strcalc_automata::Regex;
     use strcalc_logic::{Lang, Term};
 
@@ -170,24 +134,14 @@ mod tests {
     }
 
     /// The inference, and the signature findings the fragment pass
-    /// emits, over a table whose star-freeness decision gives up at
-    /// `monoid_cap`.
-    fn check(
-        f: &Formula,
-        declared: StructureClass,
-        k: Sym,
-        monoid_cap: usize,
-    ) -> (SignatureInfo, Vec<Finding>) {
-        let langs = LangTable::build_capped(f, k, monoid_cap);
+    /// emits, over a two-symbol alphabet.
+    fn check(f: &Formula, declared: StructureClass) -> (StructureClass, Vec<Finding>) {
+        let langs = LangTable::build(f, 2);
         let (_, _, safe) = crate::saferange::check(f, &langs);
         let head: Vec<String> = f.free_vars().into_iter().collect();
         let class = crate::fragments::eval_class(&head, f);
         let (_, findings) = crate::fragments::check(f, declared, &langs, &class, &safe);
-        let signature = [
-            Code::SignatureExceedsDeclared,
-            Code::ConcatInTameCalculus,
-            Code::StarFreeUndecided,
-        ];
+        let signature = [Code::SignatureExceedsDeclared, Code::ConcatInTameCalculus];
         let findings = findings
             .into_iter()
             .filter(|fi| signature.contains(&fi.code));
@@ -197,8 +151,8 @@ mod tests {
     #[test]
     fn prepend_term_flags_sa001_in_rc_s() {
         let f = Formula::eq(Term::var("y"), Term::var("x").prepend(0));
-        let (info, findings) = check(&f, StructureClass::S, 2, 100_000);
-        assert_eq!(info.inferred, StructureClass::SLeft);
+        let (inferred, findings) = check(&f, StructureClass::S);
+        assert_eq!(inferred, StructureClass::SLeft);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].code, Code::SignatureExceedsDeclared);
         assert_eq!(findings[0].path.to_string(), "root/term[1]");
@@ -208,15 +162,15 @@ mod tests {
     #[test]
     fn same_formula_clean_in_rc_sleft() {
         let f = Formula::eq(Term::var("y"), Term::var("x").prepend(0));
-        let (_, findings) = check(&f, StructureClass::SLeft, 2, 100_000);
+        let (_, findings) = check(&f, StructureClass::SLeft);
         assert!(findings.is_empty());
     }
 
     #[test]
     fn concat_gets_sa002() {
         let f = Formula::concat_eq(Term::var("x"), Term::var("y"), Term::var("z"));
-        let (info, findings) = check(&f, StructureClass::SLen, 2, 100_000);
-        assert_eq!(info.inferred, StructureClass::Concat);
+        let (inferred, findings) = check(&f, StructureClass::SLen);
+        assert_eq!(inferred, StructureClass::Concat);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].code, Code::ConcatInTameCalculus);
     }
@@ -224,28 +178,18 @@ mod tests {
     #[test]
     fn star_free_language_stays_in_s() {
         let f = Formula::in_lang(Term::var("x"), Lang::new(re("a*")));
-        let (info, findings) = check(&f, StructureClass::S, 2, 100_000);
-        assert_eq!(info.inferred, StructureClass::S);
+        let (inferred, findings) = check(&f, StructureClass::S);
+        assert_eq!(inferred, StructureClass::S);
         assert!(findings.is_empty());
     }
 
     #[test]
     fn non_star_free_language_needs_sreg() {
         let f = Formula::in_lang(Term::var("x"), Lang::new(re("(aa)*")));
-        let (info, findings) = check(&f, StructureClass::S, 2, 100_000);
-        assert_eq!(info.inferred, StructureClass::SReg);
+        let (inferred, findings) = check(&f, StructureClass::S);
+        assert_eq!(inferred, StructureClass::SReg);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].code, Code::SignatureExceedsDeclared);
-    }
-
-    #[test]
-    fn monoid_cap_exhaustion_is_sa003_not_an_error() {
-        // Cap of 1 cannot hold the transition monoid of (aa)*.
-        let f = Formula::in_lang(Term::var("x"), Lang::new(re("(aa)*")));
-        let (info, findings) = check(&f, StructureClass::SReg, 2, 1);
-        assert_eq!(info.inferred, StructureClass::SReg);
-        assert_eq!(info.star_free_undecided, 1);
-        assert!(findings.iter().any(|f| f.code == Code::StarFreeUndecided));
     }
 
     #[test]
@@ -255,7 +199,7 @@ mod tests {
             Formula::prefix(Term::var("x"), Term::var("y"))
                 .and(Formula::eq_len(Term::var("x"), Term::var("y"))),
         );
-        let (_, findings) = check(&f, StructureClass::S, 2, 100_000);
+        let (_, findings) = check(&f, StructureClass::S);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].path.to_string(), "root/quant(y)/and.rhs");
     }

@@ -106,7 +106,7 @@ fn db() -> Database {
 /// The structure class a formula's fact sheet infers.
 fn inferred(f: &Formula) -> StructureClass {
     let head: Vec<String> = f.free_vars().into_iter().collect();
-    FactSheet::build(f, &head, 2).signature.inferred
+    FactSheet::build(f, &head, 2).inferred
 }
 
 proptest! {

@@ -60,6 +60,15 @@ pub const MAX_NESTING_DEPTH: usize = 512;
 /// symbols fits.
 pub const MAX_PATTERN_NODES: usize = 1 << 16;
 
+/// The most cells the star-freeness decision
+/// ([`starfree::is_star_free`]) may hold: each element of the
+/// transition monoid it explores is a map `Q → Q` of `|Q|` cells, so
+/// this bounds elements × `|Q|`, that is the decision's memory. A
+/// language whose monoid does not fit is refused with
+/// [`AutomataError::MonoidTooLarge`]; readers then take it to be not
+/// star-free, which `S_reg` admits.
+pub const MAX_MONOID_CELLS: usize = 1 << 24;
+
 /// Runs `f` on a thread with the 8 MiB stack [`MAX_NESTING_DEPTH`] is
 /// sized for: unoptimized builds overflow the test harness's 2 MiB
 /// worker threads before reaching the cap.
@@ -81,9 +90,9 @@ pub type StateId = u32;
 pub enum AutomataError {
     /// A regex / pattern failed to parse.
     Parse { pos: usize, msg: String },
-    /// The transition monoid exceeded the exploration cap during the
-    /// aperiodicity test.
-    MonoidTooLarge { cap: usize },
+    /// The transition monoid explored by the aperiodicity test holds
+    /// more than [`MAX_MONOID_CELLS`] cells.
+    MonoidTooLarge { limit: usize },
     /// A symbol was out of range for the automaton's alphabet size.
     SymOutOfRange(u8),
     /// A pattern nests deeper than [`MAX_NESTING_DEPTH`] levels; `pos`
@@ -98,8 +107,11 @@ impl fmt::Display for AutomataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AutomataError::Parse { pos, msg } => write!(f, "parse error at {pos}: {msg}"),
-            AutomataError::MonoidTooLarge { cap } => {
-                write!(f, "transition monoid exceeds cap of {cap} elements")
+            AutomataError::MonoidTooLarge { limit } => {
+                write!(
+                    f,
+                    "the transition monoid holds more than {limit} cells (elements × states)"
+                )
             }
             AutomataError::SymOutOfRange(s) => write!(f, "symbol {s} out of alphabet range"),
             AutomataError::NestingTooDeep { pos, limit } => {

@@ -580,6 +580,6 @@ mod tests {
         // (aa)* via SIMILAR — the Figure 1 separation witness.
         use crate::starfree::is_star_free;
         let d = dfa("(aa)*");
-        assert!(!is_star_free(&d, 100_000).unwrap());
+        assert!(!is_star_free(&d).unwrap());
     }
 }

@@ -16,7 +16,8 @@
 //! 2. **abstractly interprets** the tree in the upper-bound domain of
 //!    [`strcalc_analyze::planlint`], deriving a per-node
 //!    [`ResourceCert`] — sound upper bounds on automaton states and
-//!    bytes, with LIKE-pattern-class tightening at language leaves.
+//!    bytes, charging each language leaf the exact DFA size in the
+//!    query's language table.
 //!
 //! Both happen in one bottom-up walk. The planner runs it once on the
 //! finished tree, which the walk annotates with every node's

@@ -436,9 +436,12 @@ impl Planner {
                         Vec::new(),
                     );
                     // Seed the certificate with the atom's certified
-                    // state bound (LIKE-class tightened for language
-                    // atoms); interior certs derive from these.
-                    n.cert = Some(cert_domain::leaf_cert(g, langs, n.vars.len()));
+                    // state bound; interior certs derive from these.
+                    let atom = match g {
+                        Formula::Atom(a) => Some(a),
+                        _ => None,
+                    };
+                    n.cert = Some(cert_domain::leaf_cert(atom, langs, n.vars.len()));
                     n
                 }
                 _ => PlanNode::new(PlanOp::Interpret { label }, est(g), tracks, Vec::new()),

@@ -92,29 +92,16 @@ pub(super) fn rewrite(source: PlanSource) -> (PlanSource, Option<Formula>, PassT
             alphabet,
             head,
             formula,
-            sheet,
+            ..
         } => {
-            // The concat fragment has no declared calculus to violate,
-            // but the rewrite must still pass fragment inference.
-            let simplified_sheet = FactSheet::build(&simplified, &head, alphabet.len() as u8);
-            if simplified_sheet.signature.star_free_undecided > 0 {
-                return (
-                    PlanSource::Raw {
-                        alphabet,
-                        head,
-                        formula,
-                        sheet,
-                    },
-                    None,
-                    PassTrace::new(PASS, false, "rejected: rewrite fails fragment inference"),
-                );
-            }
+            // The concat fragment has no declared calculus to violate.
+            let sheet = FactSheet::build(&simplified, &head, alphabet.len() as u8);
             (
                 PlanSource::Raw {
                     alphabet,
                     head,
                     formula: simplified,
-                    sheet: Arc::new(simplified_sheet),
+                    sheet: Arc::new(sheet),
                 },
                 Some(formula),
                 PassTrace::new(PASS, true, "simplified constant subformulas"),

@@ -4,9 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use strcalc_alphabet::{Alphabet, Str};
-use strcalc_analyze::langs::MONOID_CAP;
 use strcalc_analyze::{Analysis, Analyzer, FactSheet};
-use strcalc_automata::AutomataError;
 use strcalc_logic::{CompileError, Formula, LogicError, StructureClass};
 use strcalc_relational::{DbError, RaError, Relation};
 use strcalc_synchro::SynchroError;
@@ -225,9 +223,12 @@ pub struct Query {
 
 impl Query {
     /// Builds and validates a query: the head must list exactly the free
-    /// variables, and every atom must fit the declared calculus
-    /// (star-freeness of `in`/`pl` languages is decided under
-    /// [`strcalc_analyze::langs::MONOID_CAP`]).
+    /// variables, and every atom must fit the declared calculus. A
+    /// language of an `in`/`pl` atom fits `S` or `S_left` only when it is
+    /// known to be star-free: a LIKE-shaped one always is, and one whose
+    /// transition monoid exceeds
+    /// [`MAX_MONOID_CELLS`](strcalc_automata::MAX_MONOID_CELLS) is left
+    /// undecided and needs `S_reg`.
     pub fn new(
         calculus: Calculus,
         alphabet: Alphabet,
@@ -263,11 +264,7 @@ impl Query {
         formula: Formula,
         sheet: FactSheet,
     ) -> Result<Query, CoreError> {
-        if sheet.signature.star_free_undecided > 0 {
-            let cap = AutomataError::MonoidTooLarge { cap: MONOID_CAP };
-            return Err(LogicError::StarFreeUndecided(cap.to_string()).into());
-        }
-        let inferred = sheet.signature.inferred;
+        let inferred = sheet.inferred;
         let calculus = match (declared, inferred) {
             (Some(declared), _) if !inferred.leq(declared.structure_class()) => {
                 return Err(CoreError::FragmentViolation { declared, inferred })

@@ -84,11 +84,10 @@ pub fn definable_set(alphabet: &Alphabet, f: &Formula) -> Result<Dfa, CoreError>
 pub fn check_s_definable_star_free(
     alphabet: &Alphabet,
     corpus: &[Formula],
-    monoid_cap: usize,
 ) -> Result<Option<Formula>, CoreError> {
     for f in corpus {
         let dfa = definable_set(alphabet, f)?;
-        match is_star_free(&dfa, monoid_cap) {
+        match is_star_free(&dfa) {
             Ok(true) => {}
             Ok(false) => return Ok(Some(f.clone())),
             Err(e) => {
@@ -125,8 +124,7 @@ pub fn figure1_report(alphabet: &Alphabet) -> Result<Vec<SeparationEvidence>, Co
         k,
         &Regex::parse(alphabet, "(aa)*").map_err(|e| CoreError::Unsupported(e.to_string()))?,
     );
-    let not_sf =
-        !is_star_free(&aa_star, 1_000_000).map_err(|e| CoreError::Unsupported(e.to_string()))?;
+    let not_sf = !is_star_free(&aa_star).map_err(|e| CoreError::Unsupported(e.to_string()))?;
     // And it *is* definable in S_reg: in(x, /(aa)*/) compiles and defines
     // exactly this language.
     let f = strcalc_logic::parse_formula(alphabet, "in(x, /(aa)*/)")?;
@@ -147,7 +145,7 @@ pub fn figure1_report(alphabet: &Alphabet) -> Result<Vec<SeparationEvidence>, Co
     let f = strcalc_logic::parse_formula(alphabet, "exists y. fa(y, x, 'a')")?;
     // {x : ∃y x = a·y} = a·Σ* — definable, and star-free.
     let set = definable_set(alphabet, &f)?;
-    let sf = is_star_free(&set, 1_000_000).map_err(|e| CoreError::Unsupported(e.to_string()))?;
+    let sf = is_star_free(&set).map_err(|e| CoreError::Unsupported(e.to_string()))?;
     let a_sigma = Dfa::from_regex(
         k,
         &Regex::parse(alphabet, "a.*").map_err(|e| CoreError::Unsupported(e.to_string()))?,
@@ -245,7 +243,7 @@ pub fn star_free_profile(alphabet: &Alphabet, corpus: &[Formula]) -> Result<Vec<
         .iter()
         .map(|f| {
             let dfa = definable_set(alphabet, f)?;
-            is_star_free(&dfa, 1_000_000).map_err(|e| CoreError::Unsupported(e.to_string()))
+            is_star_free(&dfa).map_err(|e| CoreError::Unsupported(e.to_string()))
         })
         .collect()
 }
@@ -270,7 +268,7 @@ mod tests {
     #[test]
     fn s_corpus_is_star_free() {
         let corpus = s_formula_corpus(&ab());
-        let violator = check_s_definable_star_free(&ab(), &corpus, 1_000_000).unwrap();
+        let violator = check_s_definable_star_free(&ab(), &corpus).unwrap();
         assert!(violator.is_none(), "violator: {violator:?}");
     }
 

@@ -13,13 +13,14 @@ use strcalc_core::{
 use strcalc_relational::Database;
 
 /// A corpus large enough that a dense scan cannot finish inside a
-/// 1 ms deadline in any build profile: 60k distinct length-17 strings
-/// over {a, b} (several checkpoint batches of 4096 rows each).
+/// 1 ms deadline: 60k distinct strings of 128 symbols over {a, b}
+/// (several checkpoint batches of 4096 rows each, 7.7 MB in all). Row
+/// `i` repeats the 17 low bits of `i`.
 fn big_db() -> Database {
     let strings: Vec<String> = (0..60_000u32)
         .map(|i| {
-            (0..17)
-                .map(|bit| if i >> bit & 1 == 1 { 'b' } else { 'a' })
+            (0..128)
+                .map(|j| if i >> (j % 17) & 1 == 1 { 'b' } else { 'a' })
                 .collect()
         })
         .collect();
@@ -29,12 +30,15 @@ fn big_db() -> Database {
     db
 }
 
+/// A filter whose DFA has neither a dead state nor an accepting sink
+/// (an even number of `a`s), so the dense walker reads every symbol of
+/// every row: a scan cannot stop a row early.
 fn dense_query() -> Query {
     Query::parse(
         Calculus::SReg,
         Alphabet::ab(),
         vec!["x".into()],
-        "U(x) & in(x, /(aa)*/)",
+        "U(x) & in(x, /(b*ab*a)*b*/)",
     )
     .unwrap()
 }

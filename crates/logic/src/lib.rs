@@ -41,8 +41,6 @@ pub enum LogicError {
     Parse { pos: usize, msg: String },
     /// A regex inside `in`/`pl` failed to parse or compile.
     Lang(String),
-    /// Star-freeness analysis hit the monoid cap.
-    StarFreeUndecided(String),
     /// The input nests deeper than [`MAX_NESTING_DEPTH`] (parentheses,
     /// negations, quantifier bodies, implication chains, term functions,
     /// or a regex literal's groups); `pos` is where the limit was
@@ -55,9 +53,6 @@ impl fmt::Display for LogicError {
         match self {
             LogicError::Parse { pos, msg } => write!(f, "parse error at {pos}: {msg}"),
             LogicError::Lang(msg) => write!(f, "language error: {msg}"),
-            LogicError::StarFreeUndecided(msg) => {
-                write!(f, "star-freeness analysis failed: {msg}")
-            }
             LogicError::NestingTooDeep { pos, limit } => {
                 write!(
                     f,

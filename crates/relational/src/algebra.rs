@@ -219,12 +219,11 @@ impl RaExpr {
     /// The least algebra (by the Figure-1 lattice) containing this
     /// expression: `add^l`/`trim^l` force `RA(S_left)`, `↓` forces
     /// `RA(S_len)`, and `σ_α` contributes the class of each atom and term
-    /// of `α`. A language whose star-freeness is undecided within
-    /// `monoid_cap` counts as `S_reg`, which admits every regular
-    /// language.
-    pub fn algebra_class(&self, k: Sym, monoid_cap: usize) -> StructureClass {
-        let star_free =
-            |l: &strcalc_logic::Lang| is_star_free(&l.to_dfa(k), monoid_cap) == Ok(true);
+    /// of `α`. A language whose star-freeness is undecided (its monoid
+    /// exceeds [`MAX_MONOID_CELLS`](strcalc_automata::MAX_MONOID_CELLS))
+    /// counts as `S_reg`, which admits every regular language.
+    pub fn algebra_class(&self, k: Sym) -> StructureClass {
+        let star_free = |l: &strcalc_logic::Lang| is_star_free(&l.to_dfa(k)) == Ok(true);
         let mut class = StructureClass::S;
         self.visit(&mut |e| match e {
             RaExpr::AddLeft(..) | RaExpr::TrimLeft(..) => class = class.join(StructureClass::SLeft),
@@ -643,32 +642,33 @@ mod tests {
         let schema = db().schema();
         assert_eq!(e.arity(&schema).unwrap(), 3);
         assert!(RaExpr::rel("U").insert_at(0, 5, 0).arity(&schema).is_err());
-        assert_eq!(e.algebra_class(2, 100_000), StructureClass::SLen);
+        assert_eq!(e.algebra_class(2), StructureClass::SLen);
     }
 
     #[test]
     fn algebra_classes() {
         let base = RaExpr::rel("U").prefix(0).add_right(1, 0);
-        assert_eq!(base.algebra_class(2, 100_000), StructureClass::S);
+        assert_eq!(base.algebra_class(2), StructureClass::S);
         let left = RaExpr::rel("U").add_left(0, 1);
-        assert_eq!(left.algebra_class(2, 100_000), StructureClass::SLeft);
+        assert_eq!(left.algebra_class(2), StructureClass::SLeft);
         let len = RaExpr::rel("U").down(0);
-        assert_eq!(len.algebra_class(2, 100_000), StructureClass::SLen);
+        assert_eq!(len.algebra_class(2), StructureClass::SLen);
         // σ with an el() formula → S_len.
         let sel = RaExpr::rel("R").select(Formula::eq_len(RaExpr::col(0), RaExpr::col(1)));
-        assert_eq!(sel.algebra_class(2, 100_000), StructureClass::SLen);
+        assert_eq!(sel.algebra_class(2), StructureClass::SLen);
         // σ with a non-star-free language → S_reg; a star-free one stays
-        // in S; an undecided one (the cap cannot hold the monoid) counts
-        // as S_reg.
+        // in S; an undecided one counts as S_reg: `(a|b)*a` then 11
+        // `(a|b)` is star-free, but its monoid is past the cell bound.
         let lang = |re: &str| {
             let regex = strcalc_automata::Regex::parse(&Alphabet::ab(), re).unwrap();
             Formula::in_lang(RaExpr::col(0), strcalc_logic::Lang::new(regex))
         };
         let even = RaExpr::rel("U").select(lang("(aa)*"));
-        assert_eq!(even.algebra_class(2, 100_000), StructureClass::SReg);
-        assert_eq!(even.algebra_class(2, 1), StructureClass::SReg);
+        assert_eq!(even.algebra_class(2), StructureClass::SReg);
         let star_free = RaExpr::rel("U").select(lang("a*"));
-        assert_eq!(star_free.algebra_class(2, 100_000), StructureClass::S);
+        assert_eq!(star_free.algebra_class(2), StructureClass::S);
+        let undecided = RaExpr::rel("U").select(lang(&format!("(a|b)*a{}", "(a|b)".repeat(11))));
+        assert_eq!(undecided.algebra_class(2), StructureClass::SReg);
     }
 
     #[test]
